@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import __version__
-from .constants import SCHEMA_VERSION, a2_constant, compute_report, testing_constant
+from .constants import SCHEMA_VERSION, a2_constant, compute_report, testing_pair
 from .corona import (
     build_stopping_data,
     calibrate_c0,
@@ -292,11 +292,7 @@ def cmd_decompose(args) -> int:
         print("error: the projected test function vanishes; try another seed", file=sys.stderr)
         return 3
     a2 = a2_constant(sigma, w, cfg.a2_refinement)
-    t = max(
-        testing_constant(sigma, w, "forward", cfg.refinement),
-        testing_constant(sigma, w, "backward", cfg.refinement),
-    )
-    h_const = math.sqrt(a2) + t
+    h_const = math.sqrt(a2) + max(testing_pair(sigma, w, cfg.refinement))
     c0 = calibrate_c0(grid.root_interval, sigma, w, h_const, grid, start=cfg.c0)
     sd = build_stopping_data(f, grid.root_interval, sigma, w, h_const, c0, grid)
 
@@ -350,11 +346,7 @@ def cmd_poisson_test(args) -> int:
         print("error: the projected test function vanishes; try another seed", file=sys.stderr)
         return 3
     a2 = a2_constant(sigma, w, cfg.a2_refinement)
-    t = max(
-        testing_constant(sigma, w, "forward", cfg.refinement),
-        testing_constant(sigma, w, "backward", cfg.refinement),
-    )
-    h_const = math.sqrt(a2) + t
+    h_const = math.sqrt(a2) + max(testing_pair(sigma, w, cfg.refinement))
     c0 = calibrate_c0(grid.root_interval, sigma, w, h_const, grid, start=cfg.c0)
     sd = build_stopping_data(f, grid.root_interval, sigma, w, h_const, c0, grid)
     j_fams = default_j_families(sd.members, w, grid, cfg.eps, cfg.r, cfg.below_gap)

@@ -1,11 +1,16 @@
 """The constant zoo for a weight pair.
 
+kernel_scan        the truncation scan of a pair and its unscaled kernel
+                   stack, built once and shared by the norm and both testing
+                   constants;
 norm_constant      largest singular value of the truncated kernel matrix,
-                   maximized over the truncation scan;
+                   maximized over the truncation scan (dense batched SVD);
 a2_constant        lower-bound search for sup_I P(sigma, I) P(w, I) over a
                    structured interval family;
-testing_constant   exact supremum over atom-membership classes of intervals,
-                   jointly with the same truncation scan;
+testing_constant   exact supremum over intervals, jointly with the same
+                   truncation scan, attained on the maximal atom-membership
+                   classes (one per range of source atoms);
+testing_pair       both testing constants on one kernel scan;
 energy             normalized dispersion E(w, I)^2;
 energy_constant    dynamic program over dyadic partitions inside one grid;
 functional_energy_ratio
@@ -34,7 +39,7 @@ from .haar import (
     occupied_nodes,
     splitting_nodes,
 )
-from .hilbert import kernel_stack, truncation_candidates
+from .hilbert import TruncationSpec, kernel_stack, truncation_candidates
 from .measure import AtomicMeasure, has_common_point_mass, _as_interval
 from .params import (
     DEFAULT_A2_REFINEMENT,
@@ -49,9 +54,12 @@ from .poisson import default_j_families, maximal_intervals, poisson_stationary
 
 __all__ = [
     "ConstantsReport",
+    "KernelScan",
+    "kernel_scan",
     "norm_constant",
     "a2_constant",
     "testing_constant",
+    "testing_pair",
     "energy",
     "energy_constant",
     "functional_energy_ratio",
@@ -62,48 +70,59 @@ __all__ = [
 SCHEMA_VERSION = 1
 
 
+@dataclass(frozen=True)
+class KernelScan:
+    """The truncation scan of a pair and its unscaled kernel stack.
+
+    ``stack[t, i, j] = K_t(y_i - x_j)`` for the candidate truncations K_t,
+    the sigma atoms y_i and the w atoms x_j.  The norm scales it by
+    sqrt(sigma) sqrt(w) and forward testing by sigma.  Backward testing
+    scales its transpose by w: every K_t is odd, so the transpose is the
+    backward stack up to a sign, and the testing scan squares it away.
+    """
+
+    candidates: list[TruncationSpec]
+    stack: np.ndarray
+
+
+def kernel_scan(
+    sigma: AtomicMeasure, w: AtomicMeasure, refinement: int = DEFAULT_REFINEMENT
+) -> KernelScan:
+    """Build the truncation scan of a pair and its kernel stack once."""
+    diffs = sigma.positions_f[:, None] - w.positions_f[None, :]
+    cands = truncation_candidates(np.abs(diffs).ravel(), refinement)
+    return KernelScan(cands, kernel_stack(diffs, cands))
+
+
 def _spectral_norms(stack: np.ndarray) -> np.ndarray:
     """Largest singular value of each matrix in a (T, m, n) stack.
 
-    Dense SVD up to 64 atoms per side; batched power iteration on A^T A
-    (relative tolerance 1e-10, at most 10^4 iterations) beyond that.
+    Dense batched SVD at every size: exact to rounding and, at the sizes
+    this package handles, faster than an iterative method.
     """
-    T, m, n = stack.shape
-    if max(m, n) <= 64:
-        return np.linalg.svd(stack, compute_uv=False)[:, 0]
-    rng = np.random.default_rng(12345)
-    v = rng.standard_normal((T, n))
-    v /= np.linalg.norm(v, axis=1, keepdims=True)
-    prev = np.zeros(T)
-    for _ in range(10_000):
-        u = np.einsum("tmn,tn->tm", stack, v)
-        v2 = np.einsum("tmn,tm->tn", stack, u)
-        nv = np.linalg.norm(v2, axis=1)
-        est = np.sqrt(np.maximum(nv, 0.0))
-        safe = np.where(nv > 0, nv, 1.0)
-        v = v2 / safe[:, None]
-        if np.all(np.abs(est - prev) <= 1e-10 * np.maximum(est, 1e-300)):
-            break
-        prev = est
-    return est
+    return np.linalg.svd(stack, compute_uv=False)[:, 0]
 
 
 def norm_constant(
-    sigma: AtomicMeasure, w: AtomicMeasure, refinement: int = DEFAULT_REFINEMENT
+    sigma: AtomicMeasure,
+    w: AtomicMeasure,
+    refinement: int = DEFAULT_REFINEMENT,
+    *,
+    scan: KernelScan | None = None,
 ) -> float:
     """Uniform-over-truncations operator norm of f -> transform of (f sigma).
 
     Equals the max over the truncation scan of the largest singular value of
-    the matrix sqrt(w_j) K(y_i - x_j) sqrt(sigma_i).
+    the matrix sqrt(w_j) K(y_i - x_j) sqrt(sigma_i).  ``scan``, the pair's
+    :func:`kernel_scan`, is built here when not given.
     """
     if has_common_point_mass(sigma, w):
         raise CommonPointMass("norm constant requires disjoint point masses")
     if sigma.n_atoms == 0 or w.n_atoms == 0:
         return 0.0
-    diffs = sigma.positions_f[:, None] - w.positions_f[None, :]
-    cands = truncation_candidates(np.abs(diffs).ravel(), refinement)
-    stack = kernel_stack(diffs, cands)
-    stack *= np.sqrt(sigma.masses_f)[None, :, None]
+    if scan is None:
+        scan = kernel_scan(sigma, w, refinement)
+    stack = scan.stack * np.sqrt(sigma.masses_f)[None, :, None]
     stack *= np.sqrt(w.masses_f)[None, None, :]
     return float(_spectral_norms(stack).max())
 
@@ -163,56 +182,60 @@ def a2_constant(
     return float(np.max(pvec(sigma) * pvec(w)))
 
 
-def _merged_classes(sigma: AtomicMeasure, w: AtomicMeasure):
-    """Prefix counters of sigma/w atoms along the merged sorted support."""
-    pos = np.concatenate([sigma.positions_f, w.positions_f])
-    which = np.concatenate([np.zeros(sigma.n_atoms, int), np.ones(w.n_atoms, int)])
-    order = np.argsort(pos, kind="stable")
-    which = which[order]
-    s_before = np.concatenate([[0], np.cumsum(which == 0)])
-    w_before = np.concatenate([[0], np.cumsum(which == 1)])
-    return len(pos), s_before, w_before
-
-
 def testing_constant(
     sigma: AtomicMeasure,
     w: AtomicMeasure,
     direction: str = "forward",
     refinement: int = DEFAULT_REFINEMENT,
+    *,
+    scan: KernelScan | None = None,
 ) -> float:
     """The interval-testing constant, exact over membership classes.
 
-    The integrand at the target atoms inside I depends only on which source
-    atoms lie in I, so intervals are enumerated by contiguous ranges of the
-    merged support; the truncation scan is applied jointly.  ``backward``
-    swaps the roles of the measures.
+    sup over intervals I and the truncation scan of
+    (integral over I of H(sigma 1_I)^2 dw) / sigma(I).  The integrand at the
+    target atoms in I depends only on which source atoms lie in I, so
+    intervals fall into classes of contiguous ranges of the merged support.
+    The integrand is non-negative, so widening I to take in more target
+    atoms, but no further source atom, can only raise the integral while
+    sigma(I) stays put: the supremum is attained on the maximal classes,
+    one per range [a1, a2) of source atoms, which take every target atom
+    strictly between source atoms a1 - 1 and a2.  ``backward`` swaps the
+    roles of the measures.  ``scan``, the :func:`kernel_scan` of
+    (sigma, w) in the order given, is built here when not given.
     """
-    if direction == "backward":
-        sigma, w = w, sigma
-    elif direction != "forward":
+    if direction not in ("forward", "backward"):
         raise ValueError("direction must be 'forward' or 'backward'")
     if has_common_point_mass(sigma, w):
         raise CommonPointMass("testing constant requires disjoint point masses")
     if sigma.n_atoms == 0 or w.n_atoms == 0:
         return 0.0
-    diffs = sigma.positions_f[:, None] - w.positions_f[None, :]
-    cands = truncation_candidates(np.abs(diffs).ravel(), refinement)
-    stack = kernel_stack(diffs, cands) * sigma.masses_f[None, :, None]
+    if scan is None:
+        scan = kernel_scan(sigma, w, refinement)
+    kernel = scan.stack
+    if direction == "backward":
+        sigma, w = w, sigma
+        kernel = kernel.transpose(0, 2, 1)
+    # C order, so that the per-class sums below reduce contiguous rows in
+    # both directions and round the same way
+    stack = np.multiply(kernel, sigma.masses_f[None, :, None], order="C")
     # prefix sums along the sigma axis: C[t, a, j] = sum of rows < a
     C = np.concatenate(
-        [np.zeros((len(cands), 1, w.n_atoms)), np.cumsum(stack, axis=1)], axis=1
+        [np.zeros((len(scan.candidates), 1, w.n_atoms)), np.cumsum(stack, axis=1)],
+        axis=1,
     )
     sp = sigma._mass_prefix
     wm = w.masses_f
-    M, s_before, w_before = _merged_classes(sigma, w)
+    # w atoms before each sigma atom along the merged support, sigma first on ties
+    before = np.searchsorted(w.positions_f, sigma.positions_f, side="left").tolist()
+    starts = [0] + before
+    ends = before + [w.n_atoms]
     best = 0.0
-    for l in range(M):
-        a1 = s_before[l]
-        b1 = w_before[l]
-        for rr in range(l, M):
-            a2 = s_before[rr + 1]
-            b2 = w_before[rr + 1]
-            if a2 == a1 or b2 == b1:
+    for a1 in range(sigma.n_atoms):
+        b1 = starts[a1]
+        for a2 in range(a1 + 1, sigma.n_atoms + 1):
+            b2 = ends[a2]
+            if b2 == b1:
                 continue
             smass = sp[a2] - sp[a1]
             svals = C[:, a2, b1:b2] - C[:, a1, b1:b2]
@@ -220,6 +243,22 @@ def testing_constant(
             if lhs / smass > best:
                 best = lhs / smass
     return math.sqrt(best)
+
+
+def testing_pair(
+    sigma: AtomicMeasure,
+    w: AtomicMeasure,
+    refinement: int = DEFAULT_REFINEMENT,
+    *,
+    scan: KernelScan | None = None,
+) -> tuple[float, float]:
+    """Forward and backward testing constants on one kernel scan."""
+    if scan is None:
+        scan = kernel_scan(sigma, w, refinement)
+    return (
+        testing_constant(sigma, w, "forward", refinement, scan=scan),
+        testing_constant(sigma, w, "backward", refinement, scan=scan),
+    )
 
 
 def energy(w: AtomicMeasure, i) -> float:
@@ -506,10 +545,10 @@ def compute_report(
         raise CommonPointMass("report requires disjoint point masses")
     if grid is None:
         grid = auto_grid(sigma, w, depth)
-    norm_n = norm_constant(sigma, w, refinement)
+    scan = kernel_scan(sigma, w, refinement)
+    norm_n = norm_constant(sigma, w, refinement, scan=scan)
     a2 = a2_constant(sigma, w, a2_refinement)
-    t_fwd = testing_constant(sigma, w, "forward", refinement)
-    t_bwd = testing_constant(sigma, w, "backward", refinement)
+    t_fwd, t_bwd = testing_pair(sigma, w, refinement, scan=scan)
     h_const = math.sqrt(a2) + max(t_fwd, t_bwd)
     slack = 1.0 + 1e-9
     if t_fwd > norm_n * slack or t_bwd > norm_n * slack:
@@ -588,16 +627,7 @@ def compute_report(
         "calibrated_c0": cal_c0,
         "n_sigma": sigma.n_atoms,
         "n_w": w.n_atoms,
-        "truncation_scan_size": len(
-            truncation_candidates(
-                np.abs(
-                    sigma.positions_f[:, None] - w.positions_f[None, :]
-                ).ravel(),
-                refinement,
-            )
-        )
-        if sigma.n_atoms and w.n_atoms
-        else 1,
+        "truncation_scan_size": len(scan.candidates),
     }
     return ConstantsReport(
         norm_N=norm_n,

@@ -47,8 +47,6 @@ __all__ = [
 
 _INF = math.inf
 
-UNTRUNCATED = None  # sentinel documented below
-
 
 @dataclass(frozen=True)
 class TruncationSpec:
@@ -265,13 +263,64 @@ def truncation_candidates(
     return cands
 
 
+# elements per temporary when a run of candidates is broadcast at once
+_STACK_BLOCK = 1 << 16
+
+
 def kernel_stack(
     diffs: np.ndarray, candidates: Sequence[TruncationSpec]
 ) -> np.ndarray:
-    """Kernel evaluated for every candidate: shape (T,) + diffs.shape."""
-    out = np.empty((len(candidates),) + diffs.shape)
-    for t, tr in enumerate(candidates):
-        out[t] = kernel_values(diffs, tr)
+    """Kernel evaluated for every candidate: shape (T,) + diffs.shape.
+
+    Bitwise equal, signed zeros included, to stacking :func:`kernel_values`
+    per candidate: each run of same-mode candidates is broadcast in blocks,
+    with the per-candidate scalars formed as Python floats exactly as
+    :func:`smooth_kernel` forms them.
+    """
+    arr = np.asarray(diffs, dtype=float)
+    out = np.empty((len(candidates),) + arr.shape)
+    a = np.abs(arr)
+    with np.errstate(divide="ignore"):
+        inv = np.where(a > 0.0, 1.0 / arr, 0.0)
+        inv_a = 1.0 / a
+    neg_a = -a
+    sign = np.sign(arr)
+    block = max(1, _STACK_BLOCK // max(1, arr.size))
+    lead = (-1,) + (1,) * arr.ndim
+
+    def column(values):
+        return np.asarray(values, dtype=float).reshape(lead)
+
+    t0 = 0
+    while t0 < len(candidates):
+        mode = candidates[t0].mode
+        t1 = t0 + 1
+        while t1 < len(candidates) and t1 - t0 < block and candidates[t1].mode == mode:
+            t1 += 1
+        run = candidates[t0:t1]
+        blk = out[t0:t1]
+        if mode == "none":
+            blk[...] = inv
+        elif mode == "hard":
+            inside = a > column([tr.inner for tr in run])
+            inside &= a < column([tr.outer for tr in run])
+            blk[...] = 0.0
+            np.copyto(blk, inv, where=inside)
+        else:
+            alpha = [tr.inner for tr in run]
+            beta = [tr.outer for tr in run]
+            # taper everywhere, then zero beyond 2 beta, then 1/|y| up to
+            # beta, then the linear rise below alpha; the same branches and
+            # operations as smooth_kernel
+            np.divide(neg_a, column([be**2 for be in beta]), out=blk)
+            blk += column([2.0 / be for be in beta])
+            np.copyto(blk, 0.0, where=a >= column([2.0 * be for be in beta]))
+            np.copyto(blk, inv_a, where=a <= column(beta))
+            rise = neg_a / column([al**2 for al in alpha])
+            rise += column([2.0 / al for al in alpha])
+            np.copyto(blk, rise, where=a < column(alpha))
+            blk *= sign
+        t0 = t1
     return out
 
 

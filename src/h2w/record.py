@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import pprint
 
-from .constants import a2_constant, norm_constant, testing_constant
+from .constants import a2_constant, kernel_scan, norm_constant, testing_pair
 from .measure import random_ensemble
 from .regression import ORACLE_CONFIG
 from .verify import SuiteConfig, observed_maxima
@@ -23,13 +23,11 @@ def sweep_band(seeds=(20251, 555, 999), count=200, max_atoms=32, depth=12):
     hi, lo = 0.0, math.inf
     for seed in seeds:
         for sigma, w in random_ensemble(seed, count, max_atoms, depth, family="uniform"):
-            n = norm_constant(sigma, w)
+            scan = kernel_scan(sigma, w)
+            n = norm_constant(sigma, w, scan=scan)
             if n == 0.0:
                 continue
-            h = math.sqrt(a2_constant(sigma, w)) + max(
-                testing_constant(sigma, w, "forward"),
-                testing_constant(sigma, w, "backward"),
-            )
+            h = math.sqrt(a2_constant(sigma, w)) + max(testing_pair(sigma, w, scan=scan))
             hi = max(hi, n / h)
             lo = min(lo, n / h)
     return lo, hi

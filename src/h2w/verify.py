@@ -21,8 +21,10 @@ from .constants import (
     energy,
     energy_constant,
     energy_identity_sides,
+    kernel_scan,
     norm_constant,
     testing_constant,
+    testing_pair,
 )
 from .corona import (
     StoppingData,
@@ -130,15 +132,6 @@ def _good_pair(cfg: SuiteConfig, sigma, w, grid, salt: int):
         WeightedFunction(w, rng.standard_normal(w.n_atoms)), grid, cfg.eps, cfg.r
     )
     return f, g
-
-
-def _h_const(cfg: SuiteConfig, sigma, w) -> float:
-    a2 = a2_constant(sigma, w)
-    t = max(
-        testing_constant(sigma, w, "forward", cfg.refinement),
-        testing_constant(sigma, w, "backward", cfg.refinement),
-    )
-    return math.sqrt(a2) + t
 
 
 def _replay(cfg: SuiteConfig, sigma, w, index: int, extra: str = "") -> str:
@@ -287,7 +280,7 @@ def suite_energy(cfg: SuiteConfig) -> _Suite:
             e_hi = energy_constant(sigma, w, grid)
             if e_hi < e_lo:
                 monotone_ok = False
-        h = _h_const(cfg, sigma, w)
+        h = math.sqrt(a2_constant(sigma, w)) + max(testing_pair(sigma, w, cfg.refinement))
         if h > 0:
             s.record_max("e_over_h_max", energy_constant(sigma, w, grid) / h)
             s.record_max("e_over_h_max", energy_constant(w, sigma, grid) / h)
@@ -534,7 +527,7 @@ def suite_corona(cfg: SuiteConfig) -> _Suite:
         f, g = _good_pair(cfg, sigma, w, grid, idx)
         if f.norm() == 0:
             continue
-        h = _h_const(cfg, sigma, w)
+        h = math.sqrt(a2_constant(sigma, w)) + max(testing_pair(sigma, w, cfg.refinement))
         if h <= 0:
             continue
         c0 = calibrate_c0(grid.root_interval, sigma, w, h, grid, start=cfg.c0)
@@ -668,8 +661,8 @@ def suite_poisson(cfg: SuiteConfig) -> _Suite:
         f, g = _good_pair(cfg, sigma, w, grid, idx)
         if f.norm() == 0:
             continue
-        h = _h_const(cfg, sigma, w)
         a2 = a2_constant(sigma, w)
+        h = math.sqrt(a2) + max(testing_pair(sigma, w, cfg.refinement))
         c0 = calibrate_c0(grid.root_interval, sigma, w, h, grid, start=cfg.c0)
         sd = build_stopping_data(f, grid.root_interval, sigma, w, h, c0, grid)
         j_fams = default_j_families(sd.members, w, grid, cfg.eps, cfg.r, cfg.below_gap)
@@ -796,13 +789,15 @@ def suite_theorem(cfg: SuiteConfig) -> _Suite:
             a0 = rep.a2
             t0 = rep.testing_fwd
             sig_d, w_d = dilate(sigma, 2), dilate(w, 2)
-            n1 = norm_constant(sig_d, w_d, cfg.refinement)
+            scan = kernel_scan(sig_d, w_d, cfg.refinement)
+            n1 = norm_constant(sig_d, w_d, scan=scan)
             a1 = a2_constant(sig_d, w_d)
-            t1 = testing_constant(sig_d, w_d, "forward", cfg.refinement)
+            t1 = testing_constant(sig_d, w_d, "forward", scan=scan)
             sig_m, w_m = scale_masses(sigma, 3.0), scale_masses(w, 1.0 / 3.0)
-            n2 = norm_constant(sig_m, w_m, cfg.refinement)
+            scan = kernel_scan(sig_m, w_m, cfg.refinement)
+            n2 = norm_constant(sig_m, w_m, scan=scan)
             a2v = a2_constant(sig_m, w_m)
-            t2 = testing_constant(sig_m, w_m, "forward", cfg.refinement)
+            t2 = testing_constant(sig_m, w_m, "forward", scan=scan)
             for before, after in ((n0, n1), (a0, a1), (t0, t1), (n0, n2), (a0, a2v), (t0, t2)):
                 if before > 0:
                     invariance_dev = max(invariance_dev, abs(after - before) / before)

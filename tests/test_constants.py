@@ -4,19 +4,24 @@ import numpy as np
 import pytest
 
 from h2w.constants import (
+    _spectral_norms,
     a2_constant,
     compute_report,
     energy,
     energy_constant,
     energy_identity_sides,
     functional_energy_ratio,
+    kernel_scan,
     norm_constant,
 )
 from h2w.constants import testing_constant as t_constant
+from h2w.constants import testing_pair as t_pair
 from h2w.errors import AdaptednessViolation, CommonPointMass, PreconditionViolation
 from h2w.grid import GridInterval
 from h2w.haar import WeightedFunction, haar_function
+from h2w.hilbert import kernel_values, truncation_candidates
 from h2w.measure import AtomicMeasure, Interval, dilate, dyadic, random_ensemble, scale_masses
+from h2w.params import DEFAULT_REFINEMENT
 from h2w.poisson import poisson_stationary
 
 from conftest import unit_grid
@@ -41,6 +46,22 @@ class TestNormConstant:
         with pytest.raises(CommonPointMass):
             norm_constant(a, a)
 
+    def test_dense_svd_beyond_64_atoms(self):
+        # power iteration, once used beyond 64 atoms a side, undershot two of
+        # these candidates by 2.7e-9 relative
+        sigma = AtomicMeasure.from_triples(
+            [(2 * k + 1, 8, 0.5 + (k % 7) / 4) for k in range(70)]
+        )
+        w = AtomicMeasure.from_triples(
+            [(2 * k + 1, 6, 1.0 + (k % 3)) for k in range(10, 22)]
+        )
+        stack = kernel_scan(sigma, w).stack * np.sqrt(sigma.masses_f)[None, :, None]
+        stack *= np.sqrt(w.masses_f)[None, None, :]
+        expected = np.array([np.linalg.svd(m, compute_uv=False)[0] for m in stack])
+        got = _spectral_norms(stack)
+        assert np.all(np.abs(got - expected) <= 1e-12 * expected)
+        assert abs(norm_constant(sigma, w) - expected.max()) <= 1e-12 * expected.max()
+
 
 class TestA2Constant:
     def test_one_sided_zero(self):
@@ -63,6 +84,41 @@ class TestA2Constant:
         assert abs(moved - base) <= 1e-9 * base
 
 
+def _testing_all_classes(sigma, w, direction="forward", refinement=DEFAULT_REFINEMENT):
+    """Brute-force oracle: the testing scan over every membership class,
+    that is, every contiguous range of the merged support."""
+    if direction == "backward":
+        sigma, w = w, sigma
+    if sigma.n_atoms == 0 or w.n_atoms == 0:
+        return 0.0
+    diffs = sigma.positions_f[:, None] - w.positions_f[None, :]
+    cands = truncation_candidates(np.abs(diffs).ravel(), refinement)
+    stack = np.stack([kernel_values(diffs, tr) for tr in cands]) * sigma.masses_f[None, :, None]
+    C = np.concatenate(
+        [np.zeros((len(cands), 1, w.n_atoms)), np.cumsum(stack, axis=1)], axis=1
+    )
+    pos = np.concatenate([sigma.positions_f, w.positions_f])
+    which = np.concatenate([np.zeros(sigma.n_atoms, int), np.ones(w.n_atoms, int)])
+    which = which[np.argsort(pos, kind="stable")]
+    s_before = np.concatenate([[0], np.cumsum(which == 0)])
+    w_before = np.concatenate([[0], np.cumsum(which == 1)])
+    sp = sigma._mass_prefix
+    wm = w.masses_f
+    best = 0.0
+    for l in range(len(pos)):
+        a1, b1 = s_before[l], w_before[l]
+        for rr in range(l, len(pos)):
+            a2, b2 = s_before[rr + 1], w_before[rr + 1]
+            if a2 == a1 or b2 == b1:
+                continue
+            smass = sp[a2] - sp[a1]
+            svals = C[:, a2, b1:b2] - C[:, a1, b1:b2]
+            lhs = np.max((svals**2 * wm[b1:b2]).sum(axis=1))
+            if lhs / smass > best:
+                best = lhs / smass
+    return math.sqrt(best)
+
+
 class TestTestingConstant:
     def test_micro_value(self, micro_pair):
         assert t_constant(*micro_pair, "forward") == 2.0
@@ -81,6 +137,24 @@ class TestTestingConstant:
             n = norm_constant(sigma, w)
             assert t_constant(sigma, w, "forward") <= n * (1 + 1e-9)
             assert t_constant(sigma, w, "backward") <= n * (1 + 1e-9)
+
+    @pytest.mark.parametrize("family", ["uniform", "mixed"])
+    @pytest.mark.parametrize("atoms", [8, 16, 32])
+    def test_maximal_classes_equal_all_classes(self, family, atoms):
+        for sigma, w in random_ensemble(90 + atoms, 12, atoms, 12, family=family):
+            for direction in ("forward", "backward"):
+                assert t_constant(sigma, w, direction) == _testing_all_classes(
+                    sigma, w, direction
+                )
+
+    def test_shared_scan_changes_nothing(self):
+        for sigma, w in random_ensemble(76, 6, 24, 12, family="mixed"):
+            scan = kernel_scan(sigma, w)
+            assert norm_constant(sigma, w, scan=scan) == norm_constant(sigma, w)
+            assert t_pair(sigma, w, scan=scan) == (
+                t_constant(sigma, w, "forward"),
+                t_constant(sigma, w, "backward"),
+            )
 
 
 class TestEnergy:
@@ -223,6 +297,13 @@ class TestComputeReport:
         rep = compute_report(sigma, AtomicMeasure.empty(), depth=6)
         assert rep.norm_N == 0.0 and rep.a2 == 0.0 and rep.h_const == 0.0
         assert rep.n_over_h == 0.0
+        assert rep.meta["truncation_scan_size"] == 1
+
+    def test_scan_size_is_the_candidate_count(self):
+        sigma, w = random_ensemble(77, 1, 16, 10)[0]
+        rep = compute_report(sigma, w, depth=10)
+        dists = np.abs(sigma.positions_f[:, None] - w.positions_f[None, :]).ravel()
+        assert rep.meta["truncation_scan_size"] == len(truncation_candidates(dists))
 
     def test_json_dict_schema(self, micro_pair):
         rep = compute_report(*micro_pair, depth=8)

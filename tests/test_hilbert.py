@@ -9,6 +9,8 @@ from h2w.hilbert import (
     bilinear_form,
     hilbert_pairing,
     kernel_difference_factor,
+    kernel_stack,
+    kernel_values,
     lemma_ratio,
     single_scale_average,
     smooth_kernel,
@@ -149,6 +151,37 @@ class TestTruncationCandidates:
     def test_includes_raw_kernel(self):
         cands = truncation_candidates(np.geomspace(0.01, 1, 40))
         assert any(tr.mode == "none" for tr in cands)
+
+
+class TestKernelStack:
+    @staticmethod
+    def _assert_bitwise(diffs, cands):
+        got = kernel_stack(diffs, cands)
+        want = np.stack([kernel_values(diffs, tr) for tr in cands])
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("mode", ["none", "hard", "smooth"])
+    def test_matches_kernel_values_on_scans(self, mode):
+        for sigma, w in random_ensemble(48, 6, 32, 12, family="mixed"):
+            diffs = sigma.positions_f[:, None] - w.positions_f[None, :]
+            cands = [
+                tr for tr in truncation_candidates(np.abs(diffs).ravel()) if tr.mode == mode
+            ]
+            self._assert_bitwise(diffs, cands)
+
+    def test_seams_zeros_and_mixed_order(self):
+        diffs = np.array([[0.0, 0.5, -0.5, 2.0], [-2.0, 4.0, -4.0, -1e-3]])
+        cands = [
+            TruncationSpec("smooth", 0.5, 2.0),
+            TruncationSpec("hard", 0.5, 2.0),
+            TruncationSpec("none"),
+            TruncationSpec("smooth", 1e-3, 4.0),
+            TruncationSpec("hard", 0.0, 4.0),
+            TruncationSpec("smooth", 0.25, 1.0),
+        ]
+        self._assert_bitwise(diffs, cands)
+        self._assert_bitwise(diffs[0], cands)
 
 
 class TestLemmaRatio:
