@@ -13,6 +13,7 @@ from .errors import (
     CommonPointMass,
     EndpointCollision,
     H2WError,
+    InexactPosition,
     ParseError,
     PreconditionViolation,
     ZeroMass,

@@ -33,6 +33,8 @@ from .errors import CommonPointMass, PreconditionViolation
 from .grid import DyadicGrid, GridInterval, auto_grid, f_parent
 from .haar import (
     WeightedFunction,
+    _node_mass,
+    _run,
     charged_nodes,
     expand,
     good_projection,
@@ -268,6 +270,11 @@ def energy(w: AtomicMeasure, i) -> float:
     """
     iv = _as_interval(i)
     lo, hi = w.index_range(iv)
+    return _energy_on(w, lo, hi, iv.length_f)
+
+
+def _energy_on(w: AtomicMeasure, lo: int, hi: int, length: float) -> float:
+    """E(w, I)^2 for the atoms [lo, hi) of w in I, from the float length of I."""
     if hi - lo <= 1:
         return 0.0
     m = w.masses_f[lo:hi]
@@ -275,7 +282,7 @@ def energy(w: AtomicMeasure, i) -> float:
     mass = float(np.sum(m))
     mean = float(np.sum(x * m)) / mass
     var = float(np.sum((x - mean) ** 2 * m)) / mass
-    return 2.0 * var / iv.length_f**2
+    return 2.0 * var / length**2
 
 
 def energy_identity_sides(w: AtomicMeasure, i: GridInterval) -> tuple[float, float]:
@@ -311,52 +318,53 @@ def energy_constant(sigma: AtomicMeasure, w: AtomicMeasure, grid: DyadicGrid) ->
     trunk = charged_nodes(w, grid)
     if not trunk:
         return 0.0
-    wl = np.array([GridInterval(grid, n.level, n.index).left_f for n in trunk])
-    wr = np.array([GridInterval(grid, n.level, n.index).right_f for n in trunk])
+    # the Poisson term reads GridInterval.left_f/right_f, float sums that
+    # differ from endpoint_f on a grid whose left end has no double
+    left0 = grid.left0_f
+    wl = np.array([left0 + n.index * grid.cell_f(n.level) for n in trunk])
+    wr = np.array([left0 + (n.index + 1) * grid.cell_f(n.level) for n in trunk])
+    wpref = w._mass_prefix
     ew = np.array(
         [
-            energy(w, GridInterval(grid, n.level, n.index))
-            * w.mass_on(GridInterval(grid, n.level, n.index).interval)
+            _energy_on(
+                w,
+                n.lo,
+                n.hi,
+                grid.endpoint_f(n.level, n.index + 1) - grid.endpoint_f(n.level, n.index),
+            )
+            * float(wpref[n.hi] - wpref[n.lo])
             for n in trunk
         ]
     )
     keys = [(n.level, n.index) for n in trunk]
-    key_pos = {k: t for t, k in enumerate(keys)}
-    order = sorted(range(len(trunk)), key=lambda t: -keys[t][0])
     best_overall = 0.0
     spos = sigma.positions_f
     smass = sigma.masses_f
     for node in occupied_nodes(sigma, grid):
         l0, i0 = node.level, node.index
-        inside = [
-            t
-            for t, (lev, idx) in enumerate(keys)
-            if lev >= l0 and (idx >> (lev - l0)) == i0
-        ]
-        if not inside:
+        # the trunk below I0 is one pre-order run, empty unless I0 is in the trunk
+        start, end = _run(trunk, grid, l0, i0)
+        if start == end:
             continue
         sl = slice(node.lo, node.hi)
         s0 = float(np.sum(smass[sl]))
         dist = np.maximum(
             0.0,
             np.maximum(
-                wl[inside][:, None] - spos[sl][None, :],
-                spos[sl][None, :] - wr[inside][:, None],
+                wl[start:end][:, None] - spos[sl][None, :],
+                spos[sl][None, :] - wr[start:end][:, None],
             ),
         )
-        lengths = wr[inside] - wl[inside]
+        lengths = wr[start:end] - wl[start:end]
         P = (lengths[:, None] / (lengths[:, None] ** 2 + dist**2)) @ smass[sl]
-        term = P**2 * ew[inside]
-        local = {keys[t]: float(tm) for t, tm in zip(inside, term)}
+        term = (P**2 * ew[start:end]).tolist()
+        # reverse pre-order meets both children of a node before the node
         best: dict[tuple[int, int], float] = {}
-        for t in order:
-            k = keys[t]
-            if k not in local:
-                continue
-            lev, idx = k
+        for t in range(end - 1, start - 1, -1):
+            lev, idx = keys[t]
             kids = best.get((lev + 1, 2 * idx), 0.0) + best.get((lev + 1, 2 * idx + 1), 0.0)
-            best[k] = max(local[k], kids)
-        ratio = best[(l0, i0)] / s0 if (l0, i0) in best else 0.0
+            best[keys[t]] = max(term[t - start], kids)
+        ratio = best[(l0, i0)] / s0
         if ratio > best_overall:
             best_overall = ratio
     return math.sqrt(best_overall)
@@ -372,12 +380,11 @@ def _nonneg_measure(h: WeightedFunction) -> AtomicMeasure:
 
 
 def _carleson_ratio(members, sigma: AtomicMeasure) -> float:
+    """Max over members S of (sum of sigma(F) over members F inside S) / sigma(S)."""
+    masses = [_node_mass(sigma, F) for F in members]
     worst = 0.0
-    for S in members:
-        s_mass = sigma.mass_on(S.interval)
-        total = sum(
-            sigma.mass_on(F.interval) for F in members if S.contains(F)
-        )
+    for S, s_mass in zip(members, masses):
+        total = sum(m for F, m in zip(members, masses) if S.contains(F))
         if s_mass > 0.0:
             worst = max(worst, total / s_mass)
         elif total > 0.0:

@@ -5,6 +5,13 @@ The stopping construction starts from the top interval with the average of
 Poisson-energy product passes the threshold 10 c0 h^2 sigma(I), or when the
 average of |f| grows tenfold; control values refresh only when the average
 at least doubles.  The resulting family packs with Carleson constant 2.
+
+The stopping and energy-stopping walks and the bounded-averages constant run
+on atom ranges: a visited grid interval is its (level, index) with the index
+ranges of its sigma and w atoms (``haar._descend``, and the pre-order runs of
+the occupied nodes, ``haar._run``), so a GridInterval is built only for a returned member.
+``uniformity_check`` keeps its own grid-interval descent, which checks the
+bounded-averages constant independently.
 """
 
 from __future__ import annotations
@@ -14,17 +21,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import energy
+from .constants import _carleson_ratio, _energy_on
 from .errors import PreconditionViolation
 from .grid import DyadicGrid, GridInterval
 from .haar import (
+    Ranges,
     WeightedFunction,
+    _descend,
+    _node_mass,
+    _node_range,
+    _root_range,
+    _run,
     corona_projection,
+    occupied_nodes,
     splitting_nodes,
 )
 from .measure import AtomicMeasure
 from .params import DEFAULT_BELOW_GAP, DEFAULT_C0
-from .poisson import poisson_stationary
+from .poisson import _poisson_sum
 
 __all__ = [
     "StoppingData",
@@ -97,30 +111,41 @@ class UniformitySpec:
 # energy stopping
 
 
-def _trunk_children(w: AtomicMeasure, grid: DyadicGrid):
-    """Map from trunk keys to child keys that still hold >= 2 w atoms,
-    together with every trunk key's atom range."""
-    from .haar import charged_nodes
-
-    nodes = charged_nodes(w, grid)
-    keys = {(n.level, n.index): n for n in nodes}
-    return keys
-
-
-def _energy_condition(
-    parent_sigma: AtomicMeasure,
-    candidate: GridInterval,
+def _energy_test(
+    sigma: AtomicMeasure,
+    top: tuple[int, int],
     w: AtomicMeasure,
     h_const: float,
     c0: float,
-) -> bool:
-    e2w = energy(w, candidate) * w.mass_on(candidate.interval)
-    if e2w == 0.0:
-        return False
-    p = poisson_stationary(parent_sigma, candidate)
-    return p * p * e2w > 10.0 * c0 * h_const**2 * parent_sigma.mass_on(
-        candidate.interval
-    )
+    grid: DyadicGrid,
+):
+    """The energy-stopping test below a top interval whose sigma atoms are ``top``.
+
+    ``hit(level, index, (a, b), (c, d))`` tells whether the grid interval I
+    with sigma atoms [a, b) and w atoms [c, d) has P(sigma_0, I)^2 E(w, I)^2
+    w(I) > 10 c0 h^2 sigma_0(I), sigma_0 being sigma restricted to the top
+    interval.  sigma_0(I) is read from sigma_0's own prefix sums, so it
+    rounds as ``sigma.restrict(top).mass_on(I)`` does.
+    """
+    lo0, hi0 = top
+    pos = sigma.positions_f[lo0:hi0]
+    mass = sigma.masses_f[lo0:hi0]
+    prefix = np.concatenate(([0.0], np.cumsum(mass)))
+    wpref = w._mass_prefix
+    threshold = 10.0 * c0 * h_const**2
+
+    def hit(level: int, index: int, srange: tuple[int, int], wrange: tuple[int, int]) -> bool:
+        left = grid.endpoint_f(level, index)
+        right = grid.endpoint_f(level, index + 1)
+        c, d = wrange
+        e2w = _energy_on(w, c, d, right - left) * float(wpref[d] - wpref[c])
+        if e2w == 0.0:
+            return False
+        p = _poisson_sum(pos, mass, left, right)
+        a, b = srange
+        return p * p * e2w > threshold * float(prefix[b - lo0] - prefix[a - lo0])
+
+    return hit
 
 
 def energy_stopping_intervals(
@@ -136,24 +161,23 @@ def energy_stopping_intervals(
     intervals are not descended into."""
     if h_const <= 0:
         raise PreconditionViolation("h_const must be positive")
-    sig0 = sigma.restrict(i0.interval)
-    trunk = _trunk_children(w, grid)
+    _root_range(w, grid)  # the w-dispersion trunk needs w inside the grid root
+    top = (_node_range(sigma, i0), _node_range(w, i0))
+    hit = _energy_test(sigma, top[0], w, h_const, c0, grid)
     out: list[GridInterval] = []
-    if i0.level >= grid.depth:
-        return out
 
-    def descend(gi: GridInterval):
-        if (gi.level, gi.index) not in trunk:
-            return
-        if gi.key != i0.key and _energy_condition(sig0, gi, w, h_const, c0):
-            out.append(gi)
-            return
-        if gi.level < grid.depth:
-            for child in gi.children():
-                descend(child)
+    def visit(level: int, index: int, ranges: Ranges) -> bool:
+        if level == i0.level:
+            return True
+        srange, (c, d) = ranges
+        if d - c < 2:  # outside the w-dispersion trunk
+            return False
+        if hit(level, index, srange, (c, d)):
+            out.append(GridInterval(grid, level, index))
+            return False
+        return True
 
-    for child in i0.children():
-        descend(child)
+    _descend((sigma, w), grid, i0, top, visit)
     return out
 
 
@@ -171,7 +195,7 @@ def calibrate_c0(
     c0 = start
     for _ in range(200):
         chosen = energy_stopping_intervals(i0, sigma, w, h_const, c0, grid)
-        mass = sum(sigma.mass_on(F.interval) for F in chosen)
+        mass = sum(_node_mass(sigma, F) for F in chosen)
         if mass <= budget:
             return c0
         c0 *= 2.0
@@ -199,61 +223,51 @@ def build_stopping_data(
         raise PreconditionViolation("f must live over sigma")
     if f.norm() == 0.0:
         raise PreconditionViolation("f must be nonzero")
-    lo0, hi0 = sigma.index_range(i0.interval)
+    top = (_node_range(sigma, i0), _node_range(w, i0))
+    lo0, hi0 = top[0]
     if hi0 - lo0 == 0:
         raise PreconditionViolation("f must be supported on i0")
+    _root_range(w, grid)  # the w-dispersion trunk needs w inside the grid root
     absf = np.abs(f.values)
     mpref = np.concatenate(([0.0], np.cumsum(sigma.masses_f)))
     fpref = np.concatenate(([0.0], np.cumsum(absf * sigma.masses_f)))
 
-    def avg_abs(gi: GridInterval) -> float:
-        lo, hi = sigma.index_range(gi.interval)
+    def avg_abs(srange: tuple[int, int]) -> float:
+        lo, hi = srange
         mass = mpref[hi] - mpref[lo]
         if mass <= 0.0:
             return 0.0
         return (fpref[hi] - fpref[lo]) / mass
 
-    trunk = _trunk_children(w, grid)
     members: list[GridInterval] = [i0]
-    alpha: dict = {i0.key: avg_abs(i0)}
+    ranges: dict = {i0.key: top}
+    alpha: dict = {i0.key: avg_abs(top[0])}
     reason: dict = {i0.key: "root"}
     children: dict = {}
 
-    def sigma_count(gi: GridInterval) -> int:
-        lo, hi = sigma.index_range(gi.interval)
-        return hi - lo
-
-    def w_count(gi: GridInterval) -> int:
-        lo, hi = w.index_range(gi.interval)
-        return hi - lo
-
     def find_children(F: GridInterval, aF: float) -> list[GridInterval]:
-        sigF = sigma.restrict(F.interval)
+        hit = _energy_test(sigma, ranges[F.key][0], w, h_const, c0, grid)
         found: list[GridInterval] = []
 
-        def descend(gi: GridInterval):
-            ns = sigma_count(gi)
-            nw = w_count(gi)
+        def visit(level: int, index: int, node_ranges: Ranges) -> bool:
+            if level == F.level:
+                return True
+            srange, wrange = node_ranges
+            ns = srange[1] - srange[0]
+            nw = wrange[1] - wrange[0]
             if ns == 0 and nw < 2:
-                return
-            energy_hit = (gi.level, gi.index) in trunk and _energy_condition(
-                sigF, gi, w, h_const, c0
-            )
-            avg_hit = ns > 0 and aF > 0 and avg_abs(gi) >= 10.0 * aF
+                return False
+            energy_hit = nw >= 2 and hit(level, index, srange, wrange)
+            avg_hit = ns > 0 and aF > 0 and avg_abs(srange) >= 10.0 * aF
             if energy_hit or avg_hit:
+                gi = GridInterval(grid, level, index)
                 found.append(gi)
-                reason_tag[gi.key] = "energy" if energy_hit else "average"
-                return
-            if gi.level < grid.depth and (ns >= 2 or nw >= 2 or (ns >= 1 and nw >= 1)):
-                for child in gi.children():
-                    descend(child)
+                ranges[gi.key] = node_ranges
+                reason[gi.key] = "energy" if energy_hit else "average"
+                return False
+            return ns >= 2 or nw >= 2 or (ns >= 1 and nw >= 1)
 
-        reason_tag: dict = {}
-        if F.level < grid.depth:
-            for child in F.children():
-                descend(child)
-        for g in found:
-            reason[g.key] = reason_tag[g.key]
+        _descend((sigma, w), grid, F, ranges[F.key], visit)
         return found
 
     stack = [i0]
@@ -263,7 +277,7 @@ def build_stopping_data(
         kids = find_children(F, aF)
         children[F.key] = tuple(kids)
         for child in kids:
-            a_child = avg_abs(child)
+            a_child = avg_abs(ranges[child.key][0])
             alpha[child.key] = aF if a_child < 2.0 * aF else a_child
             members.append(child)
             stack.append(child)
@@ -275,16 +289,7 @@ def build_stopping_data(
 
 def carleson_check(stopping: StoppingData, sigma: AtomicMeasure) -> float:
     """Max over members S of (sum of sigma(F) over members F inside S) / sigma(S)."""
-    worst = 0.0
-    members = stopping.members
-    for S in members:
-        s_mass = sigma.mass_on(S.interval)
-        total = sum(sigma.mass_on(F.interval) for F in members if S.contains(F))
-        if s_mass > 0.0:
-            worst = max(worst, total / s_mass)
-        elif total > 0.0:
-            return math.inf
-    return worst
+    return _carleson_ratio(stopping.members, sigma)
 
 
 def quasi_norm(stopping: StoppingData, sigma: AtomicMeasure) -> float:
@@ -516,7 +521,7 @@ def local_estimate_ratios(
             continue
         scale = 1.0 / (cF * aF)
         fu = pf * scale
-        denom = (math.sqrt(sigma.mass_on(F.interval)) + fu.norm()) * qg.norm()
+        denom = (math.sqrt(_node_mass(sigma, F)) + fu.norm()) * qg.norm()
         if denom == 0.0:
             continue
         out.append(abs(b_above(fu, qg, grid, below_gap)) / denom)
@@ -532,25 +537,20 @@ def _bounded_average_constant(
 ) -> float:
     """max over charged grid intervals inside F, not inside a family child,
     of the average of |pf|."""
-    s_children = stopping.family_children(F)
+    nodes = occupied_nodes(sigma, grid)
+    start, end = _run(nodes, grid, F.level, F.index)
+    if start == end:
+        return 0.0
+    keep = np.ones(end - start, dtype=bool)
+    for s in stopping.family_children(F):
+        a, b = _run(nodes, grid, s.level, s.index)
+        keep[a - start : b - start] = False
+    inside = nodes[start:end]
+    lo = np.array([n.lo for n in inside])[keep]
+    hi = np.array([n.hi for n in inside])[keep]
     absf = np.abs(pf.values)
     mpref = np.concatenate(([0.0], np.cumsum(sigma.masses_f)))
     fpref = np.concatenate(([0.0], np.cumsum(absf * sigma.masses_f)))
-    worst = 0.0
-
-    def descend(gi: GridInterval):
-        nonlocal worst
-        if any(s.contains(gi) for s in s_children):
-            return
-        lo, hi = sigma.index_range(gi.interval)
-        if hi == lo:
-            return
-        mass = mpref[hi] - mpref[lo]
-        avg = (fpref[hi] - fpref[lo]) / mass
-        worst = max(worst, avg)
-        if gi.level < grid.depth:
-            for child in gi.children():
-                descend(child)
-
-    descend(F)
-    return worst
+    avg = (fpref[hi] - fpref[lo]) / (mpref[hi] - mpref[lo])
+    # the running max of the pre-order walk, so ties and NaNs resolve as before
+    return max([0.0] + avg.tolist())

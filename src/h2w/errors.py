@@ -17,6 +17,10 @@ class AtomCollision(H2WError):
     """An untruncated kernel was evaluated at an atom of the measure."""
 
 
+class InexactPosition(H2WError):
+    """An atom position has no exact double-precision mirror."""
+
+
 class CommonPointMass(H2WError):
     """The two measures share a point mass."""
 

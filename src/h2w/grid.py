@@ -59,6 +59,24 @@ class DyadicGrid:
         # Root length is a power of two, so this is exact.
         return self.length_f * 2.0**-level
 
+    @cached_property
+    def _lattice(self) -> tuple[int, int, int]:
+        """(n0, c, 2**s): left0 = n0 / 2**s and cell(depth) = c / 2**s."""
+        cell = self.cell(self.depth)
+        s = max(self.left0.scale, cell.scale)
+        n0 = self.left0.num << (s - self.left0.scale)
+        return n0, cell.num << (s - cell.scale), 1 << s
+
+    def endpoint_f(self, level: int, k: int) -> float:
+        """The correctly rounded float of the endpoint left0 + k * cell(level).
+
+        Integer arithmetic on the finest lattice and one true division, so
+        it equals ``float`` of the exact endpoint on every grid, shifted
+        ones included, without building a DyadicRational.
+        """
+        n0, c, den = self._lattice
+        return (n0 + ((k * c) << (self.depth - level))) / den
+
     def interval(self, level: int, index: int) -> "GridInterval":
         if not 0 <= level <= self.depth:
             raise ValueError(f"level {level} outside [0, {self.depth}]")

@@ -12,6 +12,7 @@ coefficient-times-Haar form.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
@@ -129,54 +130,116 @@ class _Node:
     cut: int  # first atom index in the right half (== lo or hi when one-sided)
 
 
-def _descend(mu: AtomicMeasure, grid: DyadicGrid, keep: Callable[[int, int], bool]):
-    """Nodes (level, index, lo, hi, cut) visited while ``keep(lo, hi)`` holds."""
-    if mu.n_atoms == 0:
-        return []
-    root = grid.root_interval
-    lo, hi = mu.index_range(root.interval)
+Ranges = tuple[tuple[int, int], ...]
+
+
+def _node_range(mu: AtomicMeasure, gi: GridInterval) -> tuple[int, int]:
+    """``mu.index_range(gi.interval)`` from the exact endpoint floats."""
+    grid, pos = gi.grid, mu.positions_f
+    return (
+        int(np.searchsorted(pos, grid.endpoint_f(gi.level, gi.index))),
+        int(np.searchsorted(pos, grid.endpoint_f(gi.level, gi.index + 1))),
+    )
+
+
+def _node_mass(mu: AtomicMeasure, gi: GridInterval) -> float:
+    """``mu.mass_on(gi.interval)`` without building the interval."""
+    lo, hi = _node_range(mu, gi)
+    return float(mu._mass_prefix[hi] - mu._mass_prefix[lo])
+
+
+def _root_range(mu: AtomicMeasure, grid: DyadicGrid) -> tuple[int, int]:
+    lo, hi = _node_range(mu, grid.root_interval)
     if hi - lo != mu.n_atoms:
         raise PreconditionViolation("measure is not supported inside the grid root")
-    out: list[_Node] = []
-    stack = [(0, 0, lo, hi)]
-    pos = mu.positions_f
+    return lo, hi
+
+
+def _cut(pos: list[float], grid: DyadicGrid, level: int, index: int, lo: int, hi: int) -> int:
+    """First atom of [lo, hi) in the right child of grid interval (level, index)."""
+    return bisect_left(pos, grid.endpoint_f(level + 1, 2 * index + 1), lo, hi)
+
+
+def _descend(
+    mus: tuple[AtomicMeasure, ...],
+    grid: DyadicGrid,
+    top: GridInterval,
+    ranges: Ranges,
+    visit: Callable[[int, int, Ranges], bool],
+) -> None:
+    """Walk the grid intervals at and below ``top``, pre-order, left child first.
+
+    ``ranges[m]`` is the index range [lo, hi) of the atoms of ``mus[m]`` in
+    ``top``.  ``visit(level, index, ranges)`` sees each node with its ranges
+    and returns whether to walk into its children.  A node splits at the
+    correctly rounded float of its exact midpoint, so every range equals
+    ``mus[m].index_range`` of the node's interval on every grid, shifted ones
+    included, and no DyadicRational is built.
+    """
+    positions = [mu.positions_f.tolist() for mu in mus]
+    depth = grid.depth
+    stack = [(top.level, top.index, ranges)]
     while stack:
-        level, index, a, b = stack.pop()
-        if not keep(a, b):
+        level, index, ranges = stack.pop()
+        if not visit(level, index, ranges) or level >= depth:
             continue
-        if level >= grid.depth:
-            out.append(_Node(level, index, a, b, b))
-            continue
-        mid = grid.left0_f + (2 * index + 1) * grid.cell_f(level + 1)
-        c = int(np.searchsorted(pos, mid, side="left"))
-        c = min(max(c, a), b)
-        out.append(_Node(level, index, a, b, c))
-        stack.append((level + 1, 2 * index + 1, c, b))
-        stack.append((level + 1, 2 * index, a, c))
-    return out
+        mid = grid.endpoint_f(level + 1, 2 * index + 1)
+        cuts = [bisect_left(pos, mid, lo, hi) for pos, (lo, hi) in zip(positions, ranges)]
+        stack.append((level + 1, 2 * index + 1, tuple([(c, hi) for c, (_, hi) in zip(cuts, ranges)])))
+        stack.append((level + 1, 2 * index, tuple([(lo, c) for c, (lo, _) in zip(cuts, ranges)])))
+
+
+def _nodes(mu: AtomicMeasure, grid: DyadicGrid, least: int) -> tuple[_Node, ...]:
+    """The grid intervals holding at least ``least`` atoms, in pre-order."""
+    if mu.n_atoms == 0:
+        return ()
+    pos = mu.positions_f.tolist()
+    nodes: list[_Node] = []
+
+    def visit(level: int, index: int, ranges: Ranges) -> bool:
+        (lo, hi), = ranges
+        if hi - lo < least:
+            return False
+        cut = hi if level >= grid.depth else _cut(pos, grid, level, index, lo, hi)
+        nodes.append(_Node(level, index, lo, hi, cut))
+        return True
+
+    _descend((mu,), grid, grid.root_interval, (_root_range(mu, grid),), visit)
+    return tuple(nodes)
+
+
+def _run(nodes: tuple[_Node, ...], grid: DyadicGrid, level: int, index: int) -> tuple[int, int]:
+    """The run [start, end) of the nodes at or below grid interval (level,
+    index) in a pre-order node list.
+
+    Pre-order, left child first, sorts nodes by left endpoint and then by
+    level, so each subtree is one contiguous run, found by bisection.
+    """
+
+    def order(n: _Node) -> tuple[int, int]:
+        return n.index << (grid.depth - n.level), n.level
+
+    shift = grid.depth - level
+    start = bisect_left(nodes, (index << shift, level), key=order)
+    return start, bisect_left(nodes, ((index + 1) << shift, -1), key=order)
 
 
 @lru_cache(maxsize=1024)
 def splitting_nodes(mu: AtomicMeasure, grid: DyadicGrid) -> tuple[_Node, ...]:
     """All grid intervals whose two halves both carry mass, with atom ranges."""
-    nodes = _descend(mu, grid, lambda a, b: b - a >= 2)
-    return tuple(n for n in nodes if n.lo < n.cut < n.hi)
+    return tuple(n for n in charged_nodes(mu, grid) if n.lo < n.cut < n.hi)
 
 
 @lru_cache(maxsize=1024)
 def charged_nodes(mu: AtomicMeasure, grid: DyadicGrid) -> tuple[_Node, ...]:
     """All grid intervals holding at least two atoms (the dispersion trunk)."""
-    return tuple(_descend(mu, grid, lambda a, b: b - a >= 2))
+    return _nodes(mu, grid, 2)
 
 
 @lru_cache(maxsize=1024)
 def occupied_nodes(mu: AtomicMeasure, grid: DyadicGrid) -> tuple[_Node, ...]:
     """All grid intervals holding at least one atom."""
-    return tuple(_descend(mu, grid, lambda a, b: b - a >= 1))
-
-
-def _interval_of(node: _Node, grid: DyadicGrid) -> GridInterval:
-    return GridInterval(grid, node.level, node.index)
+    return _nodes(mu, grid, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -12,13 +12,13 @@ threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import InexactPosition, ParseError
 
 __all__ = [
     "DyadicRational",
@@ -106,8 +106,8 @@ class DyadicRational:
         return DyadicRational(self.num, self.scale - k)
 
     def __float__(self) -> float:
-        # Exact whenever |num| < 2**53, which holds for every position and
-        # endpoint this package manipulates.
+        # Correctly rounded; exact for every atom position (AtomicMeasure
+        # rejects the others).
         return self.num / (1 << self.scale)
 
     def __repr__(self):
@@ -172,12 +172,30 @@ def _as_interval(i) -> Interval:
     return i.interval if hasattr(i, "interval") else i
 
 
+def _mirror(p: DyadicRational) -> float:
+    """The double equal to p; InexactPosition when there is none."""
+    num, den = p.num, 1 << p.scale
+    try:
+        x = num / den  # correctly rounded, OverflowError past the largest double
+        if x.as_integer_ratio() == (num, den):
+            return x
+    except OverflowError:
+        pass
+    raise InexactPosition(f"atom at {p} has no exact double-precision value")
+
+
 @dataclass(frozen=True)
 class AtomicMeasure:
-    """A finite list of point masses at strictly increasing dyadic positions."""
+    """A finite list of point masses at strictly increasing dyadic positions.
+
+    Every position must have an exact double mirror (InexactPosition
+    otherwise): interval membership, grid descents and every search on the
+    float mirror rely on it.
+    """
 
     positions: tuple[DyadicRational, ...]
     masses: tuple[float, ...]
+    positions_f: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.positions) != len(self.masses):
@@ -185,16 +203,18 @@ class AtomicMeasure:
         for m in self.masses:
             if not (m > 0 and math.isfinite(m)):
                 raise ValueError(f"masses must be positive and finite, got {m}")
-        for a, b in zip(self.positions, self.positions[1:]):
-            if not a < b:
-                raise ValueError("positions must be strictly increasing")
+        # exact mirrors keep the exact order, so the floats can check it
+        pf = [_mirror(p) for p in self.positions]
+        if any(a >= b for a, b in zip(pf, pf[1:])):
+            raise ValueError("positions must be strictly increasing")
+        object.__setattr__(self, "positions_f", np.array(pf, dtype=float))
 
     @classmethod
     def from_triples(cls, triples: Iterable[tuple[int, int, float]]) -> "AtomicMeasure":
         """Build from (numerator, scale, mass) triples in any order."""
         atoms = sorted(
             ((DyadicRational(n, s), float(m)) for n, s, m in triples),
-            key=lambda t: (float(t[0]),),
+            key=lambda t: _mirror(t[0]),
         )
         return cls(tuple(p for p, _ in atoms), tuple(m for _, m in atoms))
 
@@ -205,12 +225,6 @@ class AtomicMeasure:
     @property
     def n_atoms(self) -> int:
         return len(self.masses)
-
-    @cached_property
-    def positions_f(self) -> np.ndarray:
-        # Positions are exactly representable doubles; comparisons on the
-        # float mirror agree with the exact order.
-        return np.array([float(p) for p in self.positions], dtype=float)
 
     @cached_property
     def masses_f(self) -> np.ndarray:

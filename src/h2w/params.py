@@ -1,20 +1,17 @@
 """Default parameters shared across modules.
 
-Two parameter sets coexist.  The *strict* defaults (eps=1/4, r=9) follow the
-classical convention where the goodness gap is taken large; at that setting
-the nonvacuously-good set is empty (an interval of positive width cannot sit
-a quarter-length away from both endpoints of a half-cell exactly 2^(r-1)
-levels up), so every interval deeper than r-2 levels is bad.  The *feasible*
-set (eps=0.49, r=6) is the smallest gap at which good intervals exist at
-every depth; ensemble suites that need nontrivial good Haar supports run
-there.
+The *strict* gap r=9 follows the classical convention where the goodness
+gap is taken large; with eps=1/4 the nonvacuously-good set is empty there
+(an interval of positive width cannot sit a quarter-length away from both
+endpoints of a half-cell exactly 2^(r-1) levels up), so every interval
+deeper than r-2 levels is bad.  It survives only as the default gap of the
+bilinear forms.  The *feasible* set (eps=0.49, r=6) is the smallest gap at
+which good intervals exist at every depth; ensemble suites, the CLI and the
+report run there.
 """
 
-# Strict defaults for the goodness predicate and the gap in the
-# below-the-diagonal bilinear forms.
-DEFAULT_EPS = 0.25
+# Strict gap in the below-the-diagonal bilinear forms.
 DEFAULT_R = 9
-DEFAULT_DEPTH = 14
 DEFAULT_BELOW_GAP = DEFAULT_R
 
 # Feasible configuration used by ensemble suites and recorded regressions.

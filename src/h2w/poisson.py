@@ -38,9 +38,14 @@ def poisson_stationary(mu: AtomicMeasure, i) -> float:
     iv = _as_interval(i)
     if mu.n_atoms == 0:
         return 0.0
-    length = iv.length_f
-    dist = np.maximum(0.0, np.maximum(iv.left_f - mu.positions_f, mu.positions_f - iv.right_f))
-    return float(np.sum(mu.masses_f * length / (length**2 + dist**2)))
+    return _poisson_sum(mu.positions_f, mu.masses_f, iv.left_f, iv.right_f)
+
+
+def _poisson_sum(positions: np.ndarray, masses: np.ndarray, left: float, right: float) -> float:
+    """P of the atoms (positions, masses) on [left, right), from its float endpoints."""
+    length = right - left
+    dist = np.maximum(0.0, np.maximum(left - positions, positions - right))
+    return float(np.sum(masses * length / (length**2 + dist**2)))
 
 
 def poisson_extension(mu: AtomicMeasure, x: float, t: float) -> float:

@@ -31,3 +31,26 @@ def unit_grid(sigma, w, depth):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+def oracle_cases(families=("uniform", "mixed", "clusters", "lacunary"), sizes=(8, 16, 32)):
+    """Seeded pairs on two grids each, for comparisons against reference code.
+
+    Each pair sits on the unit-root grid at depth 10 and, moved by -1/2,
+    on the ``auto_grid`` of depth 13: a doubled root [-2, 2) whose finest
+    endpoints would hit the atoms, so it is also shifted.
+    """
+    from h2w.grid import auto_grid
+    from h2w.measure import AtomicMeasure, random_ensemble
+
+    def moved(mu):
+        return AtomicMeasure(tuple(p - dyadic(1, 1) for p in mu.positions), mu.masses)
+
+    for fam in families:
+        for n in sizes:
+            for k, (sigma, w) in enumerate(random_ensemble(700 + n, 2, n, 10, family=fam)):
+                yield f"{fam}-{n}-{k}-unit", sigma, w, unit_grid(sigma, w, 10)
+                sigma2, w2 = moved(sigma), moved(w)
+                grid = auto_grid(sigma2, w2, 13)
+                assert grid.root.length == dyadic(4) and grid.shift != dyadic(0)
+                yield f"{fam}-{n}-{k}-doubled", sigma2, w2, grid

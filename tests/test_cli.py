@@ -90,6 +90,18 @@ class TestConstants:
         assert json.loads(out)["config"]["seed"] == 99
 
 
+class TestInexactAtoms:
+    @pytest.mark.parametrize("command", ["constants", "decompose", "poisson-test"])
+    def test_exit_3_names_the_atom(self, command, tmp_path, capsys):
+        # both positions underflow to 0.0 as doubles; accepted, they once
+        # gave N = T = 0 and A2 = 4096 with exit 0
+        deep = tmp_path / "deep.txt"
+        deep.write_text("[sigma]\n1 2000 1.0\n[w]\n3 2000 1.0\n")
+        code, out, err = run_cli([command, str(deep)], capsys)
+        assert code == 3 and out == ""
+        assert "1/2^2000" in err and "exact" in err
+
+
 class TestVerifyCommand:
     def test_haar_suite_passes(self, capsys):
         code, out, _ = run_cli(

@@ -24,7 +24,7 @@ from h2w.measure import AtomicMeasure, Interval, dilate, dyadic, random_ensemble
 from h2w.params import DEFAULT_REFINEMENT
 from h2w.poisson import poisson_stationary
 
-from conftest import unit_grid
+from conftest import oracle_cases, unit_grid
 
 
 class TestNormConstant:
@@ -210,6 +210,86 @@ class TestEnergyConstant:
         assert abs(moved - base) <= 1e-9 * max(base, 1e-12)
         scaled = energy_constant(scale_masses(sigma, 7.0), scale_masses(w, 1 / 7.0), g)
         assert abs(scaled - base) <= 1e-9 * max(base, 1e-12)
+
+
+def _grid_nodes(mu, grid, least):
+    """Grid intervals holding at least ``least`` atoms of mu, pre-order,
+    with their atom ranges, by the grid-interval descent."""
+    out = []
+
+    def descend(gi):
+        lo, hi = mu.index_range(gi.interval)
+        if hi - lo < least:
+            return
+        out.append((gi, lo, hi))
+        if gi.level < grid.depth:
+            for child in gi.children():
+                descend(child)
+
+    if mu.n_atoms:
+        descend(grid.root_interval)
+    return out
+
+
+def _energy_constant_oracle(sigma, w, grid):
+    """The grid-interval implementation the atom-range one replaced."""
+    if sigma.n_atoms == 0 or w.n_atoms == 0:
+        return 0.0
+    trunk = [gi for gi, _, _ in _grid_nodes(w, grid, 2)]
+    if not trunk:
+        return 0.0
+    wl = np.array([gi.left_f for gi in trunk])
+    wr = np.array([gi.right_f for gi in trunk])
+    ew = np.array([energy(w, gi) * w.mass_on(gi.interval) for gi in trunk])
+    keys = [gi.key for gi in trunk]
+    order = sorted(range(len(trunk)), key=lambda t: -keys[t][0])
+    best_overall = 0.0
+    spos = sigma.positions_f
+    smass = sigma.masses_f
+    for gi, lo, hi in _grid_nodes(sigma, grid, 1):
+        l0, i0 = gi.level, gi.index
+        inside = [
+            t for t, (lev, idx) in enumerate(keys) if lev >= l0 and (idx >> (lev - l0)) == i0
+        ]
+        if not inside:
+            continue
+        sl = slice(lo, hi)
+        s0 = float(np.sum(smass[sl]))
+        dist = np.maximum(
+            0.0,
+            np.maximum(
+                wl[inside][:, None] - spos[sl][None, :],
+                spos[sl][None, :] - wr[inside][:, None],
+            ),
+        )
+        lengths = wr[inside] - wl[inside]
+        P = (lengths[:, None] / (lengths[:, None] ** 2 + dist**2)) @ smass[sl]
+        term = P**2 * ew[inside]
+        local = {keys[t]: float(tm) for t, tm in zip(inside, term)}
+        best = {}
+        for t in order:
+            k = keys[t]
+            if k not in local:
+                continue
+            lev, idx = k
+            kids = best.get((lev + 1, 2 * idx), 0.0) + best.get((lev + 1, 2 * idx + 1), 0.0)
+            best[k] = max(local[k], kids)
+        ratio = best[(l0, i0)] / s0 if (l0, i0) in best else 0.0
+        if ratio > best_overall:
+            best_overall = ratio
+    return math.sqrt(best_overall)
+
+
+class TestEnergyConstantOracle:
+    @pytest.mark.parametrize("family", ["uniform", "mixed", "clusters", "lacunary"])
+    def test_equal_to_grid_interval_descent(self, family):
+        positive = 0
+        for label, sigma, w, grid in oracle_cases(families=(family,)):
+            for a, b in ((sigma, w), (w, sigma)):
+                got = energy_constant(a, b, grid)
+                assert got == _energy_constant_oracle(a, b, grid), label
+                positive += got > 0.0
+        assert positive >= 6
 
 
 class TestFunctionalEnergyRatio:

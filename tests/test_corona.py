@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from h2w.constants import a2_constant, testing_constant as t_constant
+from h2w.constants import energy
 from h2w.corona import (
     StoppingData,
+    _bounded_average_constant,
     UniformitySpec,
     b_above,
     build_stopping_data,
@@ -19,18 +21,21 @@ from h2w.corona import (
     uniformity_check,
 )
 from h2w.errors import PreconditionViolation
-from h2w.grid import GridInterval
+from h2w.grid import GridInterval, build_grid
 from h2w.haar import (
     WeightedFunction,
+    _descend,
     corona_projection,
     good_projection,
     haar_function,
+    occupied_nodes,
     splitting_nodes,
 )
-from h2w.measure import AtomicMeasure, random_ensemble
+from h2w.measure import AtomicMeasure, Interval, dyadic, random_ensemble
 from h2w.params import SUITE_BELOW_GAP, SUITE_EPS, SUITE_R
+from h2w.poisson import poisson_stationary
 
-from conftest import unit_grid
+from conftest import oracle_cases, unit_grid
 
 
 def _h_const(sigma, w):
@@ -342,3 +347,197 @@ class TestLocalEstimate:
         sd = build_stopping_data(f, grid.root_interval, sigma, w, h, c0, grid)
         for r in local_estimate_ratios(f, g, sd, grid, SUITE_BELOW_GAP):
             assert 0.0 <= r < math.inf
+
+
+# ---------------------------------------------------------------------------
+# The grid-interval descents that the atom-range walks replaced, kept as
+# oracles: every result must be equal (==), not merely close.
+
+
+def _count(mu, gi):
+    lo, hi = mu.index_range(gi.interval)
+    return hi - lo
+
+
+def _oracle_energy_condition(parent_sigma, gi, w, h_const, c0):
+    e2w = energy(w, gi) * w.mass_on(gi.interval)
+    if e2w == 0.0:
+        return False
+    p = poisson_stationary(parent_sigma, gi)
+    return p * p * e2w > 10.0 * c0 * h_const**2 * parent_sigma.mass_on(gi.interval)
+
+
+def _oracle_energy_stopping(i0, sigma, w, h_const, c0, grid):
+    sig0 = sigma.restrict(i0.interval)
+    out = []
+
+    def descend(gi):
+        if _count(w, gi) < 2:
+            return
+        if _oracle_energy_condition(sig0, gi, w, h_const, c0):
+            out.append(gi)
+            return
+        if gi.level < grid.depth:
+            for child in gi.children():
+                descend(child)
+
+    if i0.level < grid.depth:
+        for child in i0.children():
+            descend(child)
+    return out
+
+
+def _oracle_stopping_data(f, i0, sigma, w, h_const, c0, grid):
+    absf = np.abs(f.values)
+    mpref = np.concatenate(([0.0], np.cumsum(sigma.masses_f)))
+    fpref = np.concatenate(([0.0], np.cumsum(absf * sigma.masses_f)))
+
+    def avg_abs(gi):
+        lo, hi = sigma.index_range(gi.interval)
+        mass = mpref[hi] - mpref[lo]
+        if mass <= 0.0:
+            return 0.0
+        return (fpref[hi] - fpref[lo]) / mass
+
+    members = [i0]
+    alpha = {i0.key: avg_abs(i0)}
+    reason = {i0.key: "root"}
+    children = {}
+
+    def find_children(F, aF):
+        sigF = sigma.restrict(F.interval)
+        found = []
+
+        def descend(gi):
+            ns, nw = _count(sigma, gi), _count(w, gi)
+            if ns == 0 and nw < 2:
+                return
+            energy_hit = nw >= 2 and _oracle_energy_condition(sigF, gi, w, h_const, c0)
+            avg_hit = ns > 0 and aF > 0 and avg_abs(gi) >= 10.0 * aF
+            if energy_hit or avg_hit:
+                found.append(gi)
+                reason[gi.key] = "energy" if energy_hit else "average"
+                return
+            if gi.level < grid.depth and (ns >= 2 or nw >= 2 or (ns >= 1 and nw >= 1)):
+                for child in gi.children():
+                    descend(child)
+
+        if F.level < grid.depth:
+            for child in F.children():
+                descend(child)
+        return found
+
+    stack = [i0]
+    while stack:
+        F = stack.pop()
+        aF = alpha[F.key]
+        kids = find_children(F, aF)
+        children[F.key] = tuple(kids)
+        for child in kids:
+            a_child = avg_abs(child)
+            alpha[child.key] = aF if a_child < 2.0 * aF else a_child
+            members.append(child)
+            stack.append(child)
+    return tuple(sorted(members, key=lambda g: (g.level, g.index))), alpha, reason, children
+
+
+def _oracle_bounded_average(pf, F, stopping, sigma, grid):
+    s_children = stopping.family_children(F)
+    absf = np.abs(pf.values)
+    mpref = np.concatenate(([0.0], np.cumsum(sigma.masses_f)))
+    fpref = np.concatenate(([0.0], np.cumsum(absf * sigma.masses_f)))
+    worst = 0.0
+
+    def descend(gi):
+        nonlocal worst
+        if any(s.contains(gi) for s in s_children):
+            return
+        lo, hi = sigma.index_range(gi.interval)
+        if hi == lo:
+            return
+        worst = max(worst, (fpref[hi] - fpref[lo]) / (mpref[hi] - mpref[lo]))
+        if gi.level < grid.depth:
+            for child in gi.children():
+                descend(child)
+
+    descend(F)
+    return worst
+
+
+def _oracle_carleson(members, sigma):
+    worst = 0.0
+    for S in members:
+        s_mass = sigma.mass_on(S.interval)
+        total = sum(sigma.mass_on(F.interval) for F in members if S.contains(F))
+        if s_mass > 0.0:
+            worst = max(worst, total / s_mass)
+        elif total > 0.0:
+            return math.inf
+    return worst
+
+
+class TestAtomRangeWalksMatchOracles:
+    @pytest.mark.parametrize("family", ["uniform", "mixed", "clusters", "lacunary"])
+    def test_stopping_machinery_equal(self, family):
+        checked = 0
+        for label, sigma, w, grid in oracle_cases(families=(family,)):
+            if sigma.n_atoms < 2:
+                continue
+            h = _h_const(sigma, w)
+            root = grid.root_interval
+            c0 = calibrate_c0(root, sigma, w, h, grid)
+            for c in (c0, c0 / 64):
+                for i0 in (root, grid.interval(1, 0), grid.interval(1, 1)):
+                    got = energy_stopping_intervals(i0, sigma, w, h, c, grid)
+                    assert got == _oracle_energy_stopping(i0, sigma, w, h, c, grid), label
+            # spiky values, and a threshold that silences energy stops, so
+            # that average stops happen too
+            rng = np.random.default_rng(len(label))
+            f = WeightedFunction(sigma, np.exp(4.0 * rng.standard_normal(sigma.n_atoms)))
+            for c in (c0, c0 / 64, c0 * 1e6):
+                sd = build_stopping_data(f, root, sigma, w, h, c, grid)
+                members, alpha, reason, children = _oracle_stopping_data(
+                    f, root, sigma, w, h, c, grid
+                )
+                assert sd.members == members, label
+                assert list(sd.alpha.items()) == list(alpha.items()), label
+                assert list(sd.reason.items()) == list(reason.items()), label
+                assert list(sd.children.items()) == list(children.items()), label
+                assert carleson_check(sd, sigma) == _oracle_carleson(sd.members, sigma)
+                for F in sd.members:
+                    for pf in (f, corona_projection(f, sd, F)):
+                        got = _bounded_average_constant(pf, F, sd, sigma, grid)
+                        assert got == _oracle_bounded_average(pf, F, sd, sigma, grid), label
+                checked += 1
+        assert checked >= 20
+
+
+class TestShiftedGridRanges:
+    def test_ranges_follow_exact_boundaries(self):
+        # left0 = -2 - 2^-55 has no double: the float sum left0_f + k cell_f
+        # puts the level-1 boundary at 0.0 instead of -2^-55, on the wrong
+        # side of the atom at -2^-56
+        sigma = AtomicMeasure(
+            (dyadic(-3, 2), dyadic(-1, 56), dyadic(5, 3)), (1.0, 2.0, 0.5)
+        )
+        w = AtomicMeasure((dyadic(-1, 3), dyadic(1, 57), dyadic(3, 1)), (1.5, 1.0, 0.25))
+        root = Interval(dyadic(-2), dyadic(2))
+        grid = build_grid(root, 12, -dyadic(1, 55), sigma, w)
+        assert grid.endpoint_f(1, 1) == -(2.0**-55)
+        for mu in (sigma, w):
+            for n in occupied_nodes(mu, grid) + splitting_nodes(mu, grid):
+                gi = GridInterval(grid, n.level, n.index)
+                assert (n.lo, n.hi) == mu.index_range(gi.interval)
+                if n.level < grid.depth:
+                    assert n.cut == mu.index_range(gi.children()[1].interval)[0]
+        seen = []
+
+        def visit(level, index, ranges):
+            gi = GridInterval(grid, level, index)
+            assert ranges == tuple(mu.index_range(gi.interval) for mu in (sigma, w))
+            seen.append(gi.key)
+            return any(hi > lo for lo, hi in ranges)
+
+        top = grid.root_interval
+        _descend((sigma, w), grid, top, tuple(mu.index_range(top.interval) for mu in (sigma, w)), visit)
+        assert (1, 1) in seen and len(seen) > 50
