@@ -45,7 +45,6 @@ from .haar import (
 from .hilbert import (
     LemmaInstance,
     TruncationSpec,
-    bilinear_form,
     hilbert_pairing,
     kernel_difference_factor,
     lemma_ratio,

@@ -18,6 +18,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
+from functools import cache
 
 import numpy as np
 
@@ -504,7 +505,9 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="h2w",
         description="Two-weight Hilbert transform toolkit: constants, decompositions, and verification at desk scale.",
@@ -548,8 +551,11 @@ def main(argv=None) -> int:
     p.add_argument("--skip", type=int, default=0, help="resume after this many rows")
     _add_common(p)
     p.set_defaults(func=cmd_sweep)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except H2WError as exc:

@@ -34,12 +34,13 @@ from .grid import DyadicGrid, GridInterval, auto_grid, f_parent
 from .haar import (
     WeightedFunction,
     _node_mass,
+    _node_range,
     _run,
     charged_nodes,
     expand,
     good_projection,
+    haar_function,
     occupied_nodes,
-    splitting_nodes,
 )
 from .hilbert import TruncationSpec, kernel_stack, truncation_candidates
 from .measure import AtomicMeasure, has_common_point_mass, _as_interval
@@ -52,7 +53,7 @@ from .params import (
     SUITE_EPS,
     SUITE_R,
 )
-from .poisson import default_j_families, maximal_intervals, poisson_stationary
+from .poisson import _poisson_sum, default_j_families, maximal_intervals
 
 __all__ = [
     "ConstantsReport",
@@ -318,22 +319,13 @@ def energy_constant(sigma: AtomicMeasure, w: AtomicMeasure, grid: DyadicGrid) ->
     trunk = charged_nodes(w, grid)
     if not trunk:
         return 0.0
-    # the Poisson term reads GridInterval.left_f/right_f, float sums that
-    # differ from endpoint_f on a grid whose left end has no double
-    left0 = grid.left0_f
-    wl = np.array([left0 + n.index * grid.cell_f(n.level) for n in trunk])
-    wr = np.array([left0 + (n.index + 1) * grid.cell_f(n.level) for n in trunk])
+    wl = np.array([grid.endpoint_f(n.level, n.index) for n in trunk])
+    wr = np.array([grid.endpoint_f(n.level, n.index + 1) for n in trunk])
     wpref = w._mass_prefix
     ew = np.array(
         [
-            _energy_on(
-                w,
-                n.lo,
-                n.hi,
-                grid.endpoint_f(n.level, n.index + 1) - grid.endpoint_f(n.level, n.index),
-            )
-            * float(wpref[n.hi] - wpref[n.lo])
-            for n in trunk
+            _energy_on(w, n.lo, n.hi, r - l) * float(wpref[n.hi] - wpref[n.lo])
+            for n, l, r in zip(trunk, wl.tolist(), wr.tolist())
         ]
     )
     keys = [(n.level, n.index) for n in trunk]
@@ -457,6 +449,7 @@ def functional_energy_ratio(
     lhs = 0.0
     g_norm_sq = 0.0
     h_sigma = _nonneg_measure(h)
+    h_pos, h_mass = h_sigma.positions_f, h_sigma.masses_f
     for F in members:
         g = g_family.get(F.key)
         if g is None:
@@ -464,7 +457,7 @@ def functional_energy_ratio(
         g_norm_sq += g.norm_sq()
         js = j_families.get(F.key, [])
         for jstar in maximal_intervals(js):
-            lo, hi = g.base.index_range(jstar.interval)
+            lo, hi = _node_range(g.base, jstar)
             pairing = float(
                 np.sum(
                     g.base.positions_f[lo:hi]
@@ -473,7 +466,8 @@ def functional_energy_ratio(
                     * g.base.masses_f[lo:hi]
                 )
             )
-            lhs += poisson_stationary(h_sigma, jstar) * abs(pairing)
+            poisson = _poisson_sum(h_pos, h_mass, jstar.left_f, jstar.right_f)
+            lhs += poisson * abs(pairing)
     rhs = h.norm() * math.sqrt(g_norm_sq)
     if rhs == 0.0:
         return 0.0 if lhs == 0.0 else math.inf
@@ -585,7 +579,6 @@ def compute_report(
             ident_coeffs = (
                 expand(WeightedFunction.identity(w), grid).coeffs if w.n_atoms else {}
             )
-            node_map = dict(zip(*_node_lookup(w, grid)))
             g_family = {}
             for F in members:
                 vals = np.zeros(w.n_atoms)
@@ -593,7 +586,7 @@ def compute_report(
                     c = ident_coeffs.get(J.key, 0.0)
                     if c == 0.0:
                         continue
-                    vals += c * _haar_values(w, grid, J.key, node_map)
+                    vals += c * haar_function(J, w).values
                 if np.any(vals != 0.0):
                     g_family[F.key] = WeightedFunction(w, vals)
             if g_family:
@@ -650,21 +643,3 @@ def compute_report(
         meta=meta,
     )
 
-
-def _node_lookup(mu: AtomicMeasure, grid: DyadicGrid):
-    nodes = splitting_nodes(mu, grid)
-    return [(n.level, n.index) for n in nodes], list(nodes)
-
-
-def _haar_values(
-    mu: AtomicMeasure, grid: DyadicGrid, key: tuple[int, int], node_map
-) -> np.ndarray:
-    n = node_map[key]
-    m = mu.masses_f
-    m_left = float(np.sum(m[n.lo : n.cut]))
-    m_right = float(np.sum(m[n.cut : n.hi]))
-    amp = math.sqrt(m_left * m_right / (m_left + m_right))
-    vals = np.zeros(mu.n_atoms)
-    vals[n.lo : n.cut] = -amp / m_left
-    vals[n.cut : n.hi] = amp / m_right
-    return vals

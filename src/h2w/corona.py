@@ -191,7 +191,7 @@ def calibrate_c0(
 ) -> float:
     """Smallest doubling of ``start`` at which the selected mass drops to
     sigma(i0)/10.  The selected union shrinks as c0 grows, so this ends."""
-    budget = sigma.mass_on(i0.interval) / 10.0
+    budget = _node_mass(sigma, i0) / 10.0
     c0 = start
     for _ in range(200):
         chosen = energy_stopping_intervals(i0, sigma, w, h_const, c0, grid)
@@ -296,7 +296,7 @@ def quasi_norm(stopping: StoppingData, sigma: AtomicMeasure) -> float:
     """Exact sigma-norm of the overlapping sum of alpha(F) indicators."""
     acc = np.zeros(sigma.n_atoms)
     for F in stopping.members:
-        lo, hi = sigma.index_range(F.interval)
+        lo, hi = _node_range(sigma, F)
         acc[lo:hi] += stopping.alpha[F.key]
     return math.sqrt(float(np.sum(acc**2 * sigma.masses_f)))
 

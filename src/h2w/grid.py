@@ -4,6 +4,11 @@ The grid at level l partitions (root + shift) into 2**l half-open cells.
 Any two grid intervals intersect in nothing or in one of them, children
 halve their parent exactly on dyadic endpoints, and no endpoint may carry
 mass of either measure (checked at construction).
+
+Every float endpoint and midpoint of a grid interval is the correctly
+rounded value of the exact one (``DyadicGrid.endpoint_f``), so atom ranges,
+Haar splits and Poisson terms cut every grid at the same points, shifted
+grids whose left end has no double included.
 """
 
 from __future__ import annotations
@@ -45,10 +50,6 @@ class DyadicGrid:
         return self.root.left + self.shift
 
     @cached_property
-    def left0_f(self) -> float:
-        return float(self.left0)
-
-    @cached_property
     def length_f(self) -> float:
         return self.root.length_f
 
@@ -61,8 +62,8 @@ class DyadicGrid:
 
     @cached_property
     def _lattice(self) -> tuple[int, int, int]:
-        """(n0, c, 2**s): left0 = n0 / 2**s and cell(depth) = c / 2**s."""
-        cell = self.cell(self.depth)
+        """(n0, c, 2**s): left0 = n0 / 2**s and cell(depth + 1) = c / 2**s."""
+        cell = self.cell(self.depth + 1)
         s = max(self.left0.scale, cell.scale)
         n0 = self.left0.num << (s - self.left0.scale)
         return n0, cell.num << (s - cell.scale), 1 << s
@@ -70,12 +71,13 @@ class DyadicGrid:
     def endpoint_f(self, level: int, k: int) -> float:
         """The correctly rounded float of the endpoint left0 + k * cell(level).
 
-        Integer arithmetic on the finest lattice and one true division, so
-        it equals ``float`` of the exact endpoint on every grid, shifted
-        ones included, without building a DyadicRational.
+        Integer arithmetic on the lattice of level depth + 1, which holds the
+        midpoints of the finest cells, and one true division, so it equals
+        ``float`` of the exact endpoint on every grid, shifted ones included,
+        without building a DyadicRational.
         """
         n0, c, den = self._lattice
-        return (n0 + ((k * c) << (self.depth - level))) / den
+        return (n0 + ((k * c) << (self.depth + 1 - level))) / den
 
     def interval(self, level: int, index: int) -> "GridInterval":
         if not 0 <= level <= self.depth:
@@ -126,13 +128,13 @@ class GridInterval:
         left = self.grid.left0 + cell * self.index
         return Interval(left, left + cell)
 
-    @cached_property
+    @property
     def left_f(self) -> float:
-        return self.grid.left0_f + self.index * self.grid.cell_f(self.level)
+        return self.grid.endpoint_f(self.level, self.index)
 
-    @cached_property
+    @property
     def right_f(self) -> float:
-        return self.grid.left0_f + (self.index + 1) * self.grid.cell_f(self.level)
+        return self.grid.endpoint_f(self.level, self.index + 1)
 
     @property
     def length_f(self) -> float:
@@ -140,16 +142,7 @@ class GridInterval:
 
     @property
     def center_f(self) -> float:
-        return 0.5 * (self.left_f + self.right_f)
-
-    @property
-    def mid_f(self) -> float:
-        return self.center_f
-
-    def parent(self) -> "GridInterval | None":
-        if self.level == 0:
-            return None
-        return GridInterval(self.grid, self.level - 1, self.index // 2)
+        return self.grid.endpoint_f(self.level + 1, 2 * self.index + 1)
 
     def children(self) -> tuple["GridInterval", "GridInterval"]:
         if self.level >= self.grid.depth:
@@ -169,9 +162,6 @@ class GridInterval:
         if other.level < self.level:
             return False
         return (other.index >> (other.level - self.level)) == self.index
-
-    def dist_to_point(self, x: float) -> float:
-        return max(0.0, self.left_f - x, x - self.right_f)
 
     def __repr__(self):
         return f"G[{self.level}:{self.index}]"
@@ -236,29 +226,28 @@ def is_good(j: GridInterval, eps: float, r: int) -> bool:
     the closed hull of j stays at least |j|**eps |i|**(1-eps) away from the
     two-point boundaries of both children of i.  The quantifier runs over
     the finite grid only; when no interval qualifies the condition holds
-    vacuously.
+    vacuously.  Only the level and index of j and the root length enter:
+    goodness does not depend on where the grid starts.
     """
     if not 0.0 < eps < 0.5:
         raise ValueError("eps must lie in (0, 1/2)")
     if r < 1:
         raise ValueError("r must be a positive integer")
-    grid = j.grid
-    top = j.level - (r - 1)
+    grid, level, index = j.grid, j.level, j.index
+    top = level - (r - 1)
     if top < 0:
         return True
-    a = j.left_f
-    b = j.right_f
-    lj = j.length_f
-    lj_eps = lj**eps
-    left0 = grid.left0_f
+    lj_eps = j.length_f**eps
     for m in range(0, top + 1):
         li = grid.cell_f(m)
         threshold = lj_eps * li ** (1.0 - eps)
         # Child boundaries of level-m intervals are exactly the level-(m+1)
-        # endpoint lattice.
+        # endpoint lattice; measured from the grid's left end in units of
+        # its spacing, j spans [ap, bp], wherever the grid starts.
         s = grid.cell_f(m + 1)
-        ap = (a - left0) / s
-        bp = (b - left0) / s
+        unit = 2.0 ** (m + 1 - level)
+        ap = index * unit
+        bp = (index + 1) * unit
         ca = math.ceil(ap)
         fb = math.floor(bp)
         if ca <= fb:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Sequence
 
 import math
 
@@ -155,7 +155,9 @@ def _root_range(mu: AtomicMeasure, grid: DyadicGrid) -> tuple[int, int]:
     return lo, hi
 
 
-def _cut(pos: list[float], grid: DyadicGrid, level: int, index: int, lo: int, hi: int) -> int:
+def _cut(
+    pos: Sequence[float] | np.ndarray, grid: DyadicGrid, level: int, index: int, lo: int, hi: int
+) -> int:
     """First atom of [lo, hi) in the right child of grid interval (level, index)."""
     return bisect_left(pos, grid.endpoint_f(level + 1, 2 * index + 1), lo, hi)
 
@@ -246,12 +248,19 @@ def occupied_nodes(mu: AtomicMeasure, grid: DyadicGrid) -> tuple[_Node, ...]:
 # Haar functions and expansions
 
 
+def _split(mu: AtomicMeasure, i: GridInterval) -> tuple[int, int, int]:
+    """Atom indices (lo, cut, hi): [lo, cut) in the left half of i and
+    [cut, hi) in the right, cut as the node lists cut; a depth-level cell
+    does not split (cut == hi)."""
+    lo, hi = _node_range(mu, i)
+    if i.level >= i.grid.depth:
+        return lo, hi, hi
+    return lo, _cut(mu.positions_f, i.grid, i.level, i.index, lo, hi), hi
+
+
 def haar_function(i: GridInterval, mu: AtomicMeasure) -> WeightedFunction | None:
     """The L2(mu)-normalized Haar function on i, or None if a half is uncharged."""
-    iv = i.interval
-    lo, hi = mu.index_range(iv)
-    mid = i.center_f
-    cut = int(np.searchsorted(mu.positions_f, mid, side="left"))
+    lo, cut, hi = _split(mu, i)
     m = mu.masses_f
     m_left = float(np.sum(m[lo:cut]))
     m_right = float(np.sum(m[cut:hi]))
@@ -271,8 +280,7 @@ def martingale_difference(f: WeightedFunction, i: GridInterval) -> WeightedFunct
     telescoping identity exact without special cases.
     """
     mu = f.base
-    lo, hi = mu.index_range(i.interval)
-    cut = int(np.searchsorted(mu.positions_f, i.center_f, side="left"))
+    lo, cut, hi = _split(mu, i)
     m = mu.masses_f
     values = np.zeros(mu.n_atoms)
     m_left = float(np.sum(m[lo:cut]))

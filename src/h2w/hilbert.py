@@ -1,4 +1,4 @@
-"""Truncated Hilbert kernels and the bilinear forms built from them.
+"""Truncated Hilbert kernels and the pairing built from them.
 
 Three kernel modes exist.  ``hard`` keeps 1/y on the annulus inner < |y| <
 outer and is zero elsewhere.  ``smooth`` is the tapered odd kernel that rises
@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import AtomCollision, PreconditionViolation
-from .measure import AtomicMeasure
+from .measure import AtomicMeasure, _as_interval
 from .haar import WeightedFunction, absolute_haar_multiplier
 from .params import DEFAULT_REFINEMENT
 
@@ -38,7 +38,6 @@ __all__ = [
     "transform",
     "single_scale_average",
     "kernel_difference_factor",
-    "bilinear_form",
     "hilbert_pairing",
     "truncation_candidates",
     "lemma_ratio",
@@ -201,19 +200,6 @@ def hilbert_pairing(
     return float(src @ k @ tgt)
 
 
-def bilinear_form(
-    f: WeightedFunction,
-    g: WeightedFunction,
-    trunc: TruncationSpec = NONE_TRUNCATION,
-) -> float:
-    """Exact double sum sum_k g_k w_k sum_i K(x_k - y_i) f_i sigma_i.
-
-    The kernel argument here is target minus source; for the odd kernels
-    this is the negative of :func:`hilbert_pairing`.
-    """
-    return -hilbert_pairing(f, g, trunc)
-
-
 # ---------------------------------------------------------------------------
 # truncation scan
 
@@ -356,13 +342,9 @@ def _require(cond: bool, message: str):
         raise PreconditionViolation(message)
 
 
-def _interval_of(obj):
-    return obj.interval if hasattr(obj, "interval") else obj
-
-
 def _restrict_between(sigma: AtomicMeasure, outer, inner) -> AtomicMeasure:
     """Atoms of sigma inside outer but outside inner."""
-    return sigma.restrict(_interval_of(outer)).restrict_complement(_interval_of(inner))
+    return sigma.restrict(_as_interval(outer)).restrict_complement(_as_interval(inner))
 
 
 def _alpha_below(sigma: AtomicMeasure, g: WeightedFunction) -> float:
@@ -387,7 +369,7 @@ def lemma_ratio(lemma_id: str, instance: LemmaInstance) -> tuple[float, float, f
     if lemma_id == "monotonicity_P<H":
         _require(ins.sigma is not None and ins.g is not None, "sigma and g required")
         _require(ins.grid is not None, "a grid is required for the Haar multiplier")
-        K, I = _interval_of(ins.k_interval), _interval_of(ins.i_interval)
+        K, I = _as_interval(ins.k_interval), _as_interval(ins.i_interval)
         _require(K.contains_interval(I) and K.length_f > I.length_f, "K must strictly contain I")
         lo_i, hi_i = ins.g.base.index_range(I)
         outside = float(
@@ -417,7 +399,7 @@ def lemma_ratio(lemma_id: str, instance: LemmaInstance) -> tuple[float, float, f
     if lemma_id == "monotonicity_mono1":
         _require(ins.sigma is not None and ins.g is not None, "mu (as sigma) and g required")
         _require(ins.grid is not None, "a grid is required for the Haar multiplier")
-        K, I = _interval_of(ins.k_interval), _interval_of(ins.i_interval)
+        K, I = _as_interval(ins.k_interval), _as_interval(ins.i_interval)
         J = ins.j_interval
         _require(J is not None, "a grid interval J is required")
         mu = _restrict_between(ins.sigma, K, I)
@@ -428,7 +410,7 @@ def lemma_ratio(lemma_id: str, instance: LemmaInstance) -> tuple[float, float, f
             return 0.0, 0.0, 0.0
         gbar = absolute_haar_multiplier(ins.g, ins.grid)
         ident = WeightedFunction.identity(gbar.base)
-        jint = _interval_of(J)
+        jint = _as_interval(J)
         rhs = poisson_stationary(mu, jint) * float(
             np.sum(ident.values / jint.length_f * gbar.values * gbar.base.masses_f)
         )
@@ -448,7 +430,7 @@ def lemma_ratio(lemma_id: str, instance: LemmaInstance) -> tuple[float, float, f
 
     if lemma_id == "weak_boundedness":
         _require(ins.sigma is not None and ins.w is not None, "sigma and w required")
-        I, J = _interval_of(ins.i_interval), _interval_of(ins.j_interval)
+        I, J = _as_interval(ins.i_interval), _as_interval(ins.j_interval)
         share = I.right == J.left or J.right == I.left
         _require(share, "I and J must share an endpoint")
         a = I.right if I.right == J.left else J.right

@@ -212,10 +212,12 @@ class AtomicMeasure:
     @classmethod
     def from_triples(cls, triples: Iterable[tuple[int, int, float]]) -> "AtomicMeasure":
         """Build from (numerator, scale, mass) triples in any order."""
-        atoms = sorted(
-            ((DyadicRational(n, s), float(m)) for n, s, m in triples),
-            key=lambda t: _mirror(t[0]),
-        )
+        atoms = [(DyadicRational(n, s), float(m)) for n, s, m in triples]
+        # Sorted exactly, as integers over one common scale; __post_init__
+        # takes each mirror once.  No double is finer than 2^-1074, so the
+        # scale stops there: a deeper atom is rejected wherever it sorts.
+        top = min(max((p.scale for p, _ in atoms), default=0), 1074)
+        atoms.sort(key=lambda t: t[0].num << max(top - t[0].scale, 0))
         return cls(tuple(p for p, _ in atoms), tuple(m for _, m in atoms))
 
     @classmethod

@@ -171,6 +171,28 @@ class TestSweep:
 
 
 class TestEntryPoint:
+    def test_repeated_in_process_calls_match_fresh_runs(self, pair_file, capsys, monkeypatch):
+        # one parser serves every call; the seed is still read per call
+        sweep = ["sweep", "--seed", "3", "--count", "2", "--max-atoms", "4", "--depth", "8"]
+        calls = [
+            (sweep, None),
+            (["decompose", pair_file, "--depth", "9"], "5"),
+            (["verify", "haar", "--count", "2", "--max-atoms", "4", "--depth", "6"], "2"),
+            (sweep, None),
+        ]
+        for argv, env_seed in calls:
+            env = dict(os.environ)
+            env.pop("H2W_SEED", None)
+            monkeypatch.delenv("H2W_SEED", raising=False)
+            if env_seed is not None:
+                env["H2W_SEED"] = env_seed
+                monkeypatch.setenv("H2W_SEED", env_seed)
+            code, out, _ = run_cli(argv, capsys)
+            fresh = subprocess.run(
+                [sys.executable, "-m", "h2w.cli", *argv], capture_output=True, text=True, env=env
+            )
+            assert (code, out) == (fresh.returncode, fresh.stdout), argv
+
     def test_module_invocation(self):
         proc = subprocess.run(
             [sys.executable, "-m", "h2w.cli", "--version"], capture_output=True, text=True

@@ -21,14 +21,19 @@ from h2w.corona import (
     uniformity_check,
 )
 from h2w.errors import PreconditionViolation
-from h2w.grid import GridInterval, build_grid
+from h2w.grid import DyadicGrid, GridInterval, build_grid, is_good
 from h2w.haar import (
+    HaarCoefficients,
     WeightedFunction,
     _descend,
     corona_projection,
+    expand,
     good_projection,
     haar_function,
+    inner,
+    martingale_difference,
     occupied_nodes,
+    reconstruct,
     splitting_nodes,
 )
 from h2w.measure import AtomicMeasure, Interval, dyadic, random_ensemble
@@ -513,8 +518,9 @@ class TestAtomRangeWalksMatchOracles:
 
 
 class TestShiftedGridRanges:
-    def test_ranges_follow_exact_boundaries(self):
-        # left0 = -2 - 2^-55 has no double: the float sum left0_f + k cell_f
+    @staticmethod
+    def _pair():
+        # left0 = -2 - 2^-55 has no double: a float sum -2.0 + k cell(level)
         # puts the level-1 boundary at 0.0 instead of -2^-55, on the wrong
         # side of the atom at -2^-56
         sigma = AtomicMeasure(
@@ -522,7 +528,10 @@ class TestShiftedGridRanges:
         )
         w = AtomicMeasure((dyadic(-1, 3), dyadic(1, 57), dyadic(3, 1)), (1.5, 1.0, 0.25))
         root = Interval(dyadic(-2), dyadic(2))
-        grid = build_grid(root, 12, -dyadic(1, 55), sigma, w)
+        return sigma, w, build_grid(root, 12, -dyadic(1, 55), sigma, w)
+
+    def test_ranges_follow_exact_boundaries(self):
+        sigma, w, grid = self._pair()
         assert grid.endpoint_f(1, 1) == -(2.0**-55)
         for mu in (sigma, w):
             for n in occupied_nodes(mu, grid) + splitting_nodes(mu, grid):
@@ -541,3 +550,34 @@ class TestShiftedGridRanges:
         top = grid.root_interval
         _descend((sigma, w), grid, top, tuple(mu.index_range(top.interval) for mu in (sigma, w)), visit)
         assert (1, 1) in seen and len(seen) > 50
+
+    def test_geometry_follows_exact_boundaries(self):
+        sigma, w, grid = self._pair()
+        unshifted = DyadicGrid(grid.root, grid.depth)
+        for mu in (sigma, w):
+            for n in occupied_nodes(mu, grid):
+                gi = GridInterval(grid, n.level, n.index)
+                iv = gi.interval
+                assert gi.left_f == float(iv.left), gi
+                assert gi.right_f == float(iv.right), gi
+                assert gi.center_f == float(iv.center), gi
+            f = WeightedFunction.identity(mu)
+            hc = expand(f, grid)
+            for n in splitting_nodes(mu, grid):
+                gi = GridInterval(grid, n.level, n.index)
+                one = HaarCoefficients(grid, mu, 0.0, {gi.key: 1.0}, hc._nodes)
+                h = haar_function(gi, mu)
+                np.testing.assert_allclose(h.values, reconstruct(one).values, rtol=1e-12, atol=0)
+                c = hc.coefficient(gi)
+                assert inner(f, h) == pytest.approx(c, rel=1e-12), gi
+                only = HaarCoefficients(grid, mu, 0.0, {gi.key: c}, hc._nodes)
+                np.testing.assert_allclose(
+                    martingale_difference(f, gi).values,
+                    reconstruct(only).values,
+                    rtol=1e-12,
+                    atol=1e-15,
+                )
+                for eps, r in ((SUITE_EPS, SUITE_R), (0.25, 2), (0.1, 1)):
+                    assert is_good(gi, eps, r) == is_good(
+                        GridInterval(unshifted, n.level, n.index), eps, r
+                    ), gi

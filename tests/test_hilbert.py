@@ -6,7 +6,6 @@ from h2w.haar import WeightedFunction, haar_function
 from h2w.hilbert import (
     LemmaInstance,
     TruncationSpec,
-    bilinear_form,
     hilbert_pairing,
     kernel_difference_factor,
     kernel_stack,
@@ -107,14 +106,15 @@ class TestBilinearForms:
         sigma, w = micro_pair
         f = WeightedFunction.constant(sigma)
         g = WeightedFunction.constant(w)
-        assert bilinear_form(f, g) == 2.0
         assert hilbert_pairing(f, g) == -2.0
+        # the target-minus-source double sum is the pairing with roles swapped
+        assert hilbert_pairing(g, f) == 2.0
 
     def test_zero_inputs(self, micro_pair):
         sigma, w = micro_pair
         z = WeightedFunction(sigma, np.zeros(1))
         g = WeightedFunction.constant(w)
-        assert bilinear_form(z, g) == 0.0
+        assert hilbert_pairing(z, g) == 0.0
 
     def test_antisymmetry(self):
         for sigma, w in random_ensemble(41, 3, 12, 9):

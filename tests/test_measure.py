@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from h2w.errors import ParseError
+from h2w import measure
+from h2w.errors import InexactPosition, ParseError
 from h2w.measure import (
     AtomicMeasure,
     DyadicRational,
@@ -161,6 +162,35 @@ class TestRandomEnsemble:
     def test_lattice_overflow_rejected(self):
         with pytest.raises(ValueError):
             random_ensemble(1, 1, 8, 3)
+
+
+class TestFromTriples:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(dyadics, unique_by=lambda p: (p.num, p.scale), max_size=12))
+    def test_exact_order_one_mirror_per_atom(self, points):
+        distinct = list(points)[::-1]
+        calls = []
+        real = measure._mirror
+        measure._mirror = lambda p: calls.append(p) or real(p)
+        try:
+            mu = AtomicMeasure.from_triples((p.num, p.scale, 1.0) for p in distinct)
+        finally:
+            measure._mirror = real
+        assert list(mu.positions) == sorted(distinct, key=lambda p: p.num / 2**p.scale)
+        assert len(calls) == mu.n_atoms
+
+    @pytest.mark.parametrize(
+        "triples",
+        [
+            [(1, 1, 1.0), (1, 2000, 1.0)],
+            [(3, 1, 1.0), (1, 2000, 1.0), (-5, 1, 1.0)],
+            [(1, 3, 1.0), (10**400, 0, 1.0)],
+        ],
+    )
+    def test_inexact_atom_named(self, triples):
+        with pytest.raises(InexactPosition) as err:
+            AtomicMeasure.from_triples(triples)
+        assert "1/2^2000" in str(err.value) or str(10**400) in str(err.value)
 
 
 class TestDilate:
