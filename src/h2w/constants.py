@@ -11,6 +11,8 @@ testing_constant   exact supremum over intervals, jointly with the same
                    truncation scan, attained on the maximal atom-membership
                    classes (one per range of source atoms);
 testing_pair       both testing constants on one kernel scan;
+pair_constants     N, A2, both T, H = sqrt(A2) + T and the calibrated c0 of a
+                   pair on one grid, from one kernel scan;
 energy             normalized dispersion E(w, I)^2;
 energy_constant    dynamic program over dyadic partitions inside one grid;
 functional_energy_ratio
@@ -63,6 +65,8 @@ __all__ = [
     "a2_constant",
     "testing_constant",
     "testing_pair",
+    "PairConstants",
+    "pair_constants",
     "energy",
     "energy_constant",
     "functional_energy_ratio",
@@ -149,13 +153,9 @@ def a2_constant(
         endpoints = np.unique(np.concatenate([pts, mids]))
     else:
         endpoints = pts
-    lefts = []
-    rights = []
     n = len(endpoints)
-    for i in range(n):
-        for j in range(i + 1, n):
-            lefts.append(endpoints[i])
-            rights.append(endpoints[j])
+    # every pair of endpoints, row-major, then the ladder around each endpoint
+    i, j = np.triu_indices(n, 1)
     if n > 1:
         gaps = np.diff(endpoints)
         local = np.minimum(
@@ -163,13 +163,9 @@ def a2_constant(
         )
     else:
         local = np.array([1.0])
-    for c, g in zip(endpoints, local):
-        for k in range(-refinement, refinement + 1):
-            length = g * 2.0**k
-            lefts.append(c - 0.5 * length)
-            rights.append(c + 0.5 * length)
-    lefts = np.asarray(lefts)
-    rights = np.asarray(rights)
+    lengths = local[:, None] * 2.0 ** np.arange(-refinement, refinement + 1)
+    lefts = np.concatenate([endpoints[i], (endpoints[:, None] - 0.5 * lengths).ravel()])
+    rights = np.concatenate([endpoints[j], (endpoints[:, None] + 0.5 * lengths).ravel()])
 
     def pvec(mu: AtomicMeasure) -> np.ndarray:
         L = rights - lefts
@@ -474,6 +470,46 @@ def functional_energy_ratio(
     return lhs / rhs
 
 
+@dataclass(frozen=True)
+class PairConstants:
+    """The per-pair constants that every later stage reads.
+
+    ``c0`` is the energy-stopping threshold calibrated from the start value
+    on ``grid`` (the start value itself when sigma has fewer than two atoms,
+    w none, or H is zero).  Only floats and the grid: no kernel stack.
+    """
+
+    grid: DyadicGrid
+    norm_N: float
+    a2: float
+    testing_fwd: float
+    testing_bwd: float
+    h_const: float
+    c0: float
+    scan_size: int
+
+
+def pair_constants(
+    sigma: AtomicMeasure,
+    w: AtomicMeasure,
+    grid: DyadicGrid,
+    refinement: int = DEFAULT_REFINEMENT,
+    a2_refinement: int = DEFAULT_A2_REFINEMENT,
+    c0: float = DEFAULT_C0,
+) -> PairConstants:
+    """N, A2, both T, H and the calibrated c0 of a pair, on one kernel scan."""
+    from .corona import calibrate_c0  # deferred: corona builds on this module
+
+    scan = kernel_scan(sigma, w, refinement)
+    norm_n = norm_constant(sigma, w, refinement, scan=scan)
+    a2 = a2_constant(sigma, w, a2_refinement)
+    t_fwd, t_bwd = testing_pair(sigma, w, refinement, scan=scan)
+    h_const = math.sqrt(a2) + max(t_fwd, t_bwd)
+    if sigma.n_atoms >= 2 and w.n_atoms >= 1 and h_const > 0:
+        c0 = calibrate_c0(grid.root_interval, sigma, w, h_const, grid, start=c0)
+    return PairConstants(grid, norm_n, a2, t_fwd, t_bwd, h_const, c0, len(scan.candidates))
+
+
 @dataclass
 class ConstantsReport:
     """Every constant for one weight pair, plus search metadata."""
@@ -533,24 +569,27 @@ def compute_report(
     below_gap: int = SUITE_BELOW_GAP,
     c0: float = DEFAULT_C0,
     fe_samples: int = 2,
+    record: PairConstants | None = None,
 ) -> ConstantsReport:
     """Assemble the full report for one pair.
 
     The functional-energy and local ratios are empirical maxima over a small
     seeded family of stopping data and adapted functions; they are lower
-    bounds by nature.
+    bounds by nature.  ``record``, the pair's :func:`pair_constants` at the
+    same refinements and c0, is built here when not given; its grid is the
+    report's grid.
     """
     from . import corona  # deferred: corona builds on this module
 
     if has_common_point_mass(sigma, w):
         raise CommonPointMass("report requires disjoint point masses")
-    if grid is None:
-        grid = auto_grid(sigma, w, depth)
-    scan = kernel_scan(sigma, w, refinement)
-    norm_n = norm_constant(sigma, w, refinement, scan=scan)
-    a2 = a2_constant(sigma, w, a2_refinement)
-    t_fwd, t_bwd = testing_pair(sigma, w, refinement, scan=scan)
-    h_const = math.sqrt(a2) + max(t_fwd, t_bwd)
+    if record is None:
+        if grid is None:
+            grid = auto_grid(sigma, w, depth)
+        record = pair_constants(sigma, w, grid, refinement, a2_refinement, c0)
+    grid = record.grid
+    norm_n, a2, h_const = record.norm_N, record.a2, record.h_const
+    t_fwd, t_bwd = record.testing_fwd, record.testing_bwd
     slack = 1.0 + 1e-9
     if t_fwd > norm_n * slack or t_bwd > norm_n * slack:
         raise AssertionError(
@@ -561,18 +600,16 @@ def compute_report(
 
     fe_max = 0.0
     local_max = 0.0
-    cal_c0 = c0
     rng = np.random.default_rng(seed)
     root = grid.root_interval
     if sigma.n_atoms >= 2 and w.n_atoms >= 1 and h_const > 0:
-        cal_c0 = corona.calibrate_c0(root, sigma, w, h_const, grid, start=c0)
         for _ in range(fe_samples):
             raw = WeightedFunction(sigma, rng.standard_normal(sigma.n_atoms))
             f = good_projection(raw, grid, eps, r)
             if f.norm() == 0.0:
                 continue
             stopping = corona.build_stopping_data(
-                f, root, sigma, w, h_const, cal_c0, grid
+                f, root, sigma, w, h_const, record.c0, grid
             )
             members = stopping.members
             j_fams = default_j_families(members, w, grid, eps, r, below_gap)
@@ -624,10 +661,10 @@ def compute_report(
         "eps": eps,
         "r": r,
         "below_gap": below_gap,
-        "calibrated_c0": cal_c0,
+        "calibrated_c0": record.c0,
         "n_sigma": sigma.n_atoms,
         "n_w": w.n_atoms,
-        "truncation_scan_size": len(scan.candidates),
+        "truncation_scan_size": record.scan_size,
     }
     return ConstantsReport(
         norm_N=norm_n,

@@ -335,6 +335,7 @@ class LemmaInstance:
     x_points: np.ndarray | None = None
     grid: object = None
     mean_zero_tol: float = 1e-9
+    a2: float | None = None  # A2 of (sigma, w); computed when not given
 
 
 def _require(cond: bool, message: str):
@@ -442,9 +443,11 @@ def lemma_ratio(lemma_id: str, instance: LemmaInstance) -> tuple[float, float, f
         wJ = ins.w.restrict(J)
         if sI.n_atoms == 0 or wJ.n_atoms == 0:
             return 0.0, 0.0, 0.0
-        from .constants import a2_constant  # local import to avoid a cycle
+        a2 = ins.a2
+        if a2 is None:
+            from .constants import a2_constant  # local import to avoid a cycle
 
-        a2 = a2_constant(ins.sigma, ins.w)
+            a2 = a2_constant(ins.sigma, ins.w)
         rhs = math.sqrt(a2) * math.sqrt(sI.total_mass * wJ.total_mass)
         f1 = WeightedFunction.constant(sI, 1.0)
         g1 = WeightedFunction.constant(wJ, 1.0)

@@ -174,13 +174,16 @@ def _as_interval(i) -> Interval:
 
 def _mirror(p: DyadicRational) -> float:
     """The double equal to p; InexactPosition when there is none."""
-    num, den = p.num, 1 << p.scale
-    try:
-        x = num / den  # correctly rounded, OverflowError past the largest double
-        if x.as_integer_ratio() == (num, den):
-            return x
-    except OverflowError:
-        pass
+    # no double is finer than 2^-1074: reject a deeper canonical scale
+    # before building its 2^scale
+    if p.scale <= 1074:
+        num, den = p.num, 1 << p.scale
+        try:
+            x = num / den  # correctly rounded, OverflowError past the largest double
+            if x.as_integer_ratio() == (num, den):
+                return x
+        except OverflowError:
+            pass
     raise InexactPosition(f"atom at {p} has no exact double-precision value")
 
 

@@ -5,6 +5,11 @@ result per check.  Exact checks (algebraic identities, explicit constants)
 fail hard; regression checks compare observed maxima against the recorded
 constants and are reported as warnings unless strict mode is requested.
 Every failing check carries a replay payload that reproduces it bit-exactly.
+
+A run draws its ensemble once.  Each distinct pair gets one grid and one
+:class:`~h2w.constants.PairConstants` record (N, A2, both T, H and the
+calibrated c0, from one kernel scan), built on first use and shared by every
+suite of the run, ``compute_report`` included.  Nothing outlives the run.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ import numpy as np
 
 from . import regression
 from .constants import (
+    PairConstants,
     a2_constant,
     compute_report,
     energy,
@@ -23,15 +29,14 @@ from .constants import (
     energy_identity_sides,
     kernel_scan,
     norm_constant,
+    pair_constants,
     testing_constant,
-    testing_pair,
 )
 from .corona import (
     StoppingData,
     UniformitySpec,
     b_above,
     build_stopping_data,
-    calibrate_c0,
     carleson_check,
     corona_split,
     energy_stopping_intervals,
@@ -114,12 +119,33 @@ class CheckResult:
     replay: str | None = None
 
 
-def _pairs(cfg: SuiteConfig):
-    return random_ensemble(cfg.seed, cfg.count, cfg.max_atoms, cfg.depth, family=cfg.family)
+class _Ensemble:
+    """One run's seeded ensemble, with each distinct pair's unit-root grid
+    and :func:`pair_constants` record, each built on first use."""
 
+    def __init__(self, cfg: SuiteConfig):
+        self.cfg = cfg
+        self.pairs = random_ensemble(
+            cfg.seed, cfg.count, cfg.max_atoms, cfg.depth, family=cfg.family
+        )
+        self._grids: dict[tuple[AtomicMeasure, AtomicMeasure], DyadicGrid] = {}
+        self._records: dict[tuple[AtomicMeasure, AtomicMeasure], PairConstants] = {}
 
-def _grid(cfg: SuiteConfig, sigma, w) -> DyadicGrid:
-    return build_grid(Interval(dyadic(0), dyadic(1)), cfg.depth, dyadic(0), sigma, w)
+    def grid(self, sigma: AtomicMeasure, w: AtomicMeasure) -> DyadicGrid:
+        key = (sigma, w)
+        if key not in self._grids:
+            root = Interval(dyadic(0), dyadic(1))
+            self._grids[key] = build_grid(root, self.cfg.depth, dyadic(0), sigma, w)
+        return self._grids[key]
+
+    def record(self, sigma: AtomicMeasure, w: AtomicMeasure) -> PairConstants:
+        key = (sigma, w)
+        if key not in self._records:
+            cfg = self.cfg
+            self._records[key] = pair_constants(
+                sigma, w, self.grid(sigma, w), cfg.refinement, c0=cfg.c0
+            )
+        return self._records[key]
 
 
 def _good_pair(cfg: SuiteConfig, sigma, w, grid, salt: int):
@@ -180,12 +206,13 @@ class _Suite:
 # ---------------------------------------------------------------------------
 
 
-def suite_haar(cfg: SuiteConfig) -> _Suite:
+def suite_haar(ens: _Ensemble) -> _Suite:
+    cfg = ens.cfg
     s = _Suite("haar", cfg)
     worst_parseval = worst_rec = worst_orth = worst_tel = worst_mart = 0.0
     bad = None
-    for idx, (sigma, w) in enumerate(_pairs(cfg)):
-        grid = _grid(cfg, sigma, w)
+    for idx, (sigma, w) in enumerate(ens.pairs):
+        grid = ens.grid(sigma, w)
         for mu, salt in ((sigma, 1), (w, 2)):
             if mu.n_atoms == 0:
                 continue
@@ -198,24 +225,21 @@ def suite_haar(cfg: SuiteConfig) -> _Suite:
             scale = max(1.0, float(np.max(np.abs(f.values))))
             worst_rec = max(worst_rec, float(np.max(np.abs(rec.values - f.values))) / scale)
             nodes = splitting_nodes(mu, grid)
+            # the martingale difference at each splitting node, by (level, index)
+            diffs: dict[tuple[int, int], np.ndarray] = {}
             if nodes:
-                H = np.array(
-                    [
-                        haar_function(GridInterval(grid, n.level, n.index), mu).values
-                        for n in nodes
-                    ]
-                )
+                gis = [GridInterval(grid, n.level, n.index) for n in nodes]
+                H = np.array([haar_function(gi, mu).values for gi in gis])
                 gram = (H * mu.masses_f[None, :]) @ H.T
                 worst_orth = max(
                     worst_orth, float(np.max(np.abs(gram - np.eye(len(nodes)))))
                 )
-                for n in nodes:
-                    gi = GridInterval(grid, n.level, n.index)
-                    md = martingale_difference(f, gi)
-                    coeff = hc.coeffs[(n.level, n.index)]
-                    hv = haar_function(gi, mu).values
+                for gi, hv in zip(gis, H):
+                    md = martingale_difference(f, gi).values
+                    diffs[gi.key] = md
+                    coeff = hc.coeffs[gi.key]
                     worst_mart = max(
-                        worst_mart, float(np.max(np.abs(md.values - coeff * hv))) / scale
+                        worst_mart, float(np.max(np.abs(md - coeff * hv))) / scale
                     )
             # telescoping at every charged interval
             m = mu.masses_f
@@ -226,14 +250,11 @@ def suite_haar(cfg: SuiteConfig) -> _Suite:
                 total = hc.root_mean
                 lev, index = n.level, n.index
                 for anc_level in range(0, lev):
-                    anc_index = index >> (lev - anc_level)
-                    c = hc.coeffs.get((anc_level, anc_index))
-                    if c is None:
+                    md = diffs.get((anc_level, index >> (lev - anc_level)))
+                    if md is None:
                         continue
-                    gi = GridInterval(grid, anc_level, anc_index)
-                    md = martingale_difference(f, gi)
                     total += (
-                        float(np.sum(md.values[n.lo : n.hi] * m[n.lo : n.hi]))
+                        float(np.sum(md[n.lo : n.hi] * m[n.lo : n.hi]))
                         / (mp[n.hi] - mp[n.lo])
                     )
                 worst_tel = max(worst_tel, abs(ej - total) / max(1.0, abs(ej)))
@@ -249,7 +270,8 @@ def suite_haar(cfg: SuiteConfig) -> _Suite:
     return s
 
 
-def suite_energy(cfg: SuiteConfig) -> _Suite:
+def suite_energy(ens: _Ensemble) -> _Suite:
+    cfg = ens.cfg
     s = _Suite("energy", cfg)
     # hand-checked micro value and the uncorrected variant
     mu = AtomicMeasure.from_triples([(1, 2, 1.0), (3, 2, 1.0)])
@@ -267,8 +289,8 @@ def suite_energy(cfg: SuiteConfig) -> _Suite:
     worst_id = 0.0
     worst_e2 = 0.0
     monotone_ok = True
-    for idx, (sigma, w) in enumerate(_pairs(cfg)):
-        grid = _grid(cfg, sigma, w)
+    for idx, (sigma, w) in enumerate(ens.pairs):
+        grid = ens.grid(sigma, w)
         for n in charged_nodes(w, grid):
             gi = GridInterval(grid, n.level, n.index)
             lhs, rhs = energy_identity_sides(w, gi)
@@ -280,7 +302,7 @@ def suite_energy(cfg: SuiteConfig) -> _Suite:
             e_hi = energy_constant(sigma, w, grid)
             if e_hi < e_lo:
                 monotone_ok = False
-        h = math.sqrt(a2_constant(sigma, w)) + max(testing_pair(sigma, w, cfg.refinement))
+        h = ens.record(sigma, w).h_const
         if h > 0:
             s.record_max("e_over_h_max", energy_constant(sigma, w, grid) / h)
             s.record_max("e_over_h_max", energy_constant(w, sigma, grid) / h)
@@ -291,7 +313,8 @@ def suite_energy(cfg: SuiteConfig) -> _Suite:
     return s
 
 
-def suite_kernel(cfg: SuiteConfig) -> _Suite:
+def suite_kernel(ens: _Ensemble) -> _Suite:
+    cfg = ens.cfg
     s = _Suite("kernel", cfg)
     rng = np.random.default_rng(cfg.seed)
     # seams
@@ -350,7 +373,7 @@ def suite_kernel(cfg: SuiteConfig) -> _Suite:
     farfac = kernel_difference_factor(0.0, 0.1, 2.0 * beta2 + 1.0, alpha2, beta2)
     s.exact("far_zone_factor_zero", farfac == 0.0, "both kernel values vanish")
     # raw kernel equals the tapered one at extreme cutoffs
-    sigma, w = _pairs(cfg)[0]
+    sigma, w = ens.pairs[0]
     if sigma.n_atoms and w.n_atoms:
         f = WeightedFunction.constant(sigma)
         g = WeightedFunction.constant(w)
@@ -361,7 +384,7 @@ def suite_kernel(cfg: SuiteConfig) -> _Suite:
         s.exact("raw_equals_taper_limit", dev <= 1e-12 * max(1.0, abs(hilbert_pairing(f, g))), f"dev {dev:.2e}")
     # hard-vs-smooth difference against single-scale averages
     worst = 0.0
-    for idx, (sigma, w) in enumerate(_pairs(cfg)[:10]):
+    for idx, (sigma, w) in enumerate(ens.pairs[:10]):
         if sigma.n_atoms == 0:
             continue
         rng2 = np.random.default_rng(cfg.seed + idx)
@@ -382,15 +405,16 @@ def suite_kernel(cfg: SuiteConfig) -> _Suite:
     return s
 
 
-def suite_lemmas(cfg: SuiteConfig) -> _Suite:
+def suite_lemmas(ens: _Ensemble) -> _Suite:
+    cfg = ens.cfg
     s = _Suite("lemmas", cfg)
     worst_plh = 0.0
     worst_m1 = 0.0
     worst_wb = 0.0
-    for idx, (sigma, w) in enumerate(_pairs(cfg)):
+    for idx, (sigma, w) in enumerate(ens.pairs):
         if sigma.n_atoms < 1 or w.n_atoms < 2:
             continue
-        grid = _grid(cfg, sigma, w)
+        grid = ens.grid(sigma, w)
         # pick I = a splitting interval of w with sigma mass outside
         nodes = [n for n in splitting_nodes(w, grid) if n.level >= 1]
         if not nodes:
@@ -443,7 +467,11 @@ def suite_lemmas(cfg: SuiteConfig) -> _Suite:
         left_half = grid.interval(1, 0)
         right_half = grid.interval(1, 1)
         inst3 = LemmaInstance(
-            sigma=sigma, w=w, i_interval=left_half, j_interval=right_half
+            sigma=sigma,
+            w=w,
+            i_interval=left_half,
+            j_interval=right_half,
+            a2=ens.record(sigma, w).a2,
         )
         lhs, rhs, ratio = lemma_ratio("weak_boundedness", inst3)
         if rhs > 0:
@@ -505,7 +533,8 @@ def _crafted_pair(cfg: SuiteConfig, salt: int, layout: str, mass_band: float = 2
     return sig, w
 
 
-def suite_corona(cfg: SuiteConfig) -> _Suite:
+def suite_corona(ens: _Ensemble) -> _Suite:
+    cfg = ens.cfg
     s = _Suite("corona", cfg)
     inv_ok = True
     carleson_worst = 0.0
@@ -520,17 +549,17 @@ def suite_corona(cfg: SuiteConfig) -> _Suite:
     ] + [
         _crafted_pair(cfg, 500 + k, "interleaved") for k in range(max(4, cfg.count // 4))
     ]
-    for idx, (sigma, w) in enumerate(_pairs(cfg) + crafted):
+    for idx, (sigma, w) in enumerate(ens.pairs + crafted):
         if sigma.n_atoms < 2:
             continue
-        grid = _grid(cfg, sigma, w)
+        grid = ens.grid(sigma, w)
         f, g = _good_pair(cfg, sigma, w, grid, idx)
         if f.norm() == 0:
             continue
-        h = math.sqrt(a2_constant(sigma, w)) + max(testing_pair(sigma, w, cfg.refinement))
+        rec = ens.record(sigma, w)
+        h, c0 = rec.h_const, rec.c0
         if h <= 0:
             continue
-        c0 = calibrate_c0(grid.root_interval, sigma, w, h, grid, start=cfg.c0)
         chosen = energy_stopping_intervals(grid.root_interval, sigma, w, h, c0, grid)
         chosen_mass = sum(sigma.mass_on(F.interval) for F in chosen)
         if chosen_mass > sigma.total_mass / 10.0:
@@ -630,21 +659,22 @@ def suite_corona(cfg: SuiteConfig) -> _Suite:
     return s
 
 
-def suite_poisson(cfg: SuiteConfig) -> _Suite:
+def suite_poisson(ens: _Ensemble) -> _Suite:
+    cfg = ens.cfg
     s = _Suite("poisson", cfg)
     comp_ok = True
     mass_ok = True
     box_ok = True
     fe_pre_ok = True
     replay = None
-    random_pairs = _pairs(cfg)
+    random_pairs = ens.pairs
     crafted = [
         _crafted_pair(cfg, 1000 + k, "interleaved", mass_band=1.25)
         for k in range(max(8, cfg.count // 3))
     ]
     for idx, (sigma, w) in enumerate(random_pairs + crafted):
         is_crafted = idx >= len(random_pairs)
-        grid = _grid(cfg, sigma, w)
+        grid = ens.grid(sigma, w)
         # stationary vs extension comparability on charged intervals
         for mu in (sigma, w):
             for n in occupied_nodes(mu, grid)[:64]:
@@ -661,10 +691,9 @@ def suite_poisson(cfg: SuiteConfig) -> _Suite:
         f, g = _good_pair(cfg, sigma, w, grid, idx)
         if f.norm() == 0:
             continue
-        a2 = a2_constant(sigma, w)
-        h = math.sqrt(a2) + max(testing_pair(sigma, w, cfg.refinement))
-        c0 = calibrate_c0(grid.root_interval, sigma, w, h, grid, start=cfg.c0)
-        sd = build_stopping_data(f, grid.root_interval, sigma, w, h, c0, grid)
+        rec = ens.record(sigma, w)
+        a2, h = rec.a2, rec.h_const
+        sd = build_stopping_data(f, grid.root_interval, sigma, w, h, rec.c0, grid)
         j_fams = default_j_families(sd.members, w, grid, cfg.eps, cfg.r, cfg.below_gap)
         hp = mu_measure(sd.members, w, grid, j_fams)
         for mass, (fkey, jkey) in zip(hp.masses, hp.tags):
@@ -755,24 +784,24 @@ def suite_poisson(cfg: SuiteConfig) -> _Suite:
     return s
 
 
-def suite_theorem(cfg: SuiteConfig) -> _Suite:
+def suite_theorem(ens: _Ensemble) -> _Suite:
+    cfg = ens.cfg
     s = _Suite("theorem", cfg)
     necessity_ok = True
     invariance_dev = 0.0
     fe_worst = 0.0
     replay = None
-    for idx, (sigma, w) in enumerate(_pairs(cfg)):
-        grid = _grid(cfg, sigma, w)
+    for idx, (sigma, w) in enumerate(ens.pairs):
         rep = compute_report(
             sigma,
             w,
-            grid,
             seed=cfg.seed + idx,
             refinement=cfg.refinement,
             eps=cfg.eps,
             r=cfg.r,
             below_gap=cfg.below_gap,
             c0=cfg.c0,
+            record=ens.record(sigma, w),
         )
         slack = 1.0 + 1e-9
         if rep.testing_fwd > rep.norm_N * slack or rep.testing_bwd > rep.norm_N * slack:
@@ -783,7 +812,8 @@ def suite_theorem(cfg: SuiteConfig) -> _Suite:
             s.record_min("n_over_h_min", rep.n_over_h)
             if rep.functional_energy_ratio_max > 0:
                 fe_worst = max(fe_worst, rep.functional_energy_ratio_max / rep.h_const)
-        # invariance spot-checks on a few pairs
+        # invariance spot-checks on a few pairs, recomputed from scratch on
+        # the dilated and mass-scaled pairs to compare with the originals
         if idx < 6 and sigma.n_atoms and w.n_atoms:
             n0 = rep.norm_N
             a0 = rep.a2
@@ -822,14 +852,18 @@ _SUITES = {
 }
 
 
-def run_suite(name: str, cfg: SuiteConfig) -> _Suite:
+def run_suite(name: str, cfg: SuiteConfig, *, ensemble: _Ensemble | None = None) -> _Suite:
+    """Run one suite; ``ensemble``, the run's shared draw and records, is
+    built here when not given."""
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; pick one of {SUITE_NAMES} or 'all'")
-    return _SUITES[name](cfg)
+    return _SUITES[name](ensemble if ensemble is not None else _Ensemble(cfg))
 
 
 def run_all(cfg: SuiteConfig) -> list[_Suite]:
-    return [run_suite(name, cfg) for name in SUITE_NAMES]
+    """Every suite over one draw of the ensemble and one record per pair."""
+    ensemble = _Ensemble(cfg)
+    return [run_suite(name, cfg, ensemble=ensemble) for name in SUITE_NAMES]
 
 
 def observed_maxima(cfg: SuiteConfig) -> dict[str, float]:

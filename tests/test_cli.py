@@ -2,10 +2,12 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 from h2w.cli import main
+from h2w.errors import InexactPosition
 from h2w.measure import parse_pair_text
 
 
@@ -100,6 +102,23 @@ class TestInexactAtoms:
         code, out, err = run_cli([command, str(deep)], capsys)
         assert code == 3 and out == ""
         assert "1/2^2000" in err and "exact" in err
+
+    def test_deep_scale_rejected_before_allocating(self, tmp_path, capsys):
+        # 2^(10^7) would take 1.3 MB; no canonical scale above 1074 has a double
+        text = "[sigma]\n1 10000000 1.0\n[w]\n3 2 1.0\n"
+        deep = tmp_path / "deep.txt"
+        deep.write_text(text)
+        code, out, err = run_cli(["constants", str(deep)], capsys)
+        assert code == 3 and out == ""
+        assert "1/2^10000000" in err and "exact" in err
+        tracemalloc.start()
+        try:
+            with pytest.raises(InexactPosition):
+                parse_pair_text(text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
 
 class TestVerifyCommand:

@@ -13,6 +13,7 @@ from h2w.constants import (
     functional_energy_ratio,
     kernel_scan,
     norm_constant,
+    pair_constants,
 )
 from h2w.constants import testing_constant as t_constant
 from h2w.constants import testing_pair as t_pair
@@ -82,6 +83,59 @@ class TestA2Constant:
         base = a2_constant(sigma, w)
         moved = a2_constant(dilate(sigma, 3), dilate(w, 3))
         assert abs(moved - base) <= 1e-9 * base
+
+
+def _a2_loop_oracle(sigma, w, refinement):
+    """a2_constant with its candidates built one by one in Python loops."""
+    pts = np.unique(np.concatenate([sigma.positions_f, w.positions_f]))
+    if len(pts) > 1:
+        endpoints = np.unique(np.concatenate([pts, 0.5 * (pts[:-1] + pts[1:])]))
+    else:
+        endpoints = pts
+    lefts, rights = [], []
+    n = len(endpoints)
+    for i in range(n):
+        for j in range(i + 1, n):
+            lefts.append(endpoints[i])
+            rights.append(endpoints[j])
+    if n > 1:
+        gaps = np.diff(endpoints)
+        local = np.minimum(
+            np.concatenate([[gaps[0]], gaps]), np.concatenate([gaps, [gaps[-1]]])
+        )
+    else:
+        local = np.array([1.0])
+    for c, g in zip(endpoints, local):
+        for k in range(-refinement, refinement + 1):
+            length = g * 2.0**k
+            lefts.append(c - 0.5 * length)
+            rights.append(c + 0.5 * length)
+    lefts, rights = np.asarray(lefts), np.asarray(rights)
+
+    def pvec(mu):
+        L = rights - lefts
+        dist = np.maximum(
+            0.0,
+            np.maximum(
+                lefts[:, None] - mu.positions_f[None, :],
+                mu.positions_f[None, :] - rights[:, None],
+            ),
+        )
+        return (L[:, None] / (L[:, None] ** 2 + dist**2) @ mu.masses_f).ravel()
+
+    return float(np.max(pvec(sigma) * pvec(w)))
+
+
+class TestA2CandidateArrays:
+    @pytest.mark.parametrize("refinement", [0, 6])
+    def test_bitwise_equal_to_loop_oracle(self, refinement):
+        for name, sigma, w, _ in oracle_cases():
+            assert a2_constant(sigma, w, refinement) == _a2_loop_oracle(sigma, w, refinement), name
+
+    def test_single_point_support(self):
+        mu = AtomicMeasure.from_triples([(1, 2, 2.0)])
+        for refinement in (0, 3):
+            assert a2_constant(mu, mu, refinement) == _a2_loop_oracle(mu, mu, refinement)
 
 
 def _testing_all_classes(sigma, w, direction="forward", refinement=DEFAULT_REFINEMENT):
@@ -392,6 +446,21 @@ class TestComputeReport:
         assert "paper_ratios" in body["meta"]
         for key in ("norm_N", "a2", "testing_fwd", "testing_bwd", "h_const"):
             assert key in body
+
+    def test_record_is_shared_not_recomputed(self, monkeypatch):
+        import h2w.constants as constants
+
+        sigma, w = random_ensemble(78, 1, 16, 10)[0]
+        grid = unit_grid(sigma, w, 10)
+        record = pair_constants(sigma, w, grid)
+        fresh = compute_report(sigma, w, grid, seed=3)
+        calls = []
+        monkeypatch.setattr(constants, "kernel_scan", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(constants, "a2_constant", lambda *a, **k: calls.append(a))
+        shared = compute_report(sigma, w, seed=3, record=record)
+        assert calls == []
+        assert shared.to_json_dict() == fresh.to_json_dict()
+        assert record.c0 == fresh.meta["calibrated_c0"]
 
     def test_report_invariant_on_ensemble(self):
         for sigma, w in random_ensemble(75, 4, 16, 10):

@@ -8,6 +8,7 @@ The files under ``tests/golden/`` were written by the CLI itself:
     h2w decompose pair.txt > decompose.json
     h2w poisson-test pair.txt > poisson-test.csv
     h2w verify haar --count 8 --max-atoms 12 --depth 9 > verify-haar.txt
+    h2w verify all --count 8 --max-atoms 16 --depth 10 > verify-all.txt
 
 A change that moves any of these bytes must re-record the file and account
 for every digit that moves.
@@ -28,6 +29,7 @@ CASES = {
     "decompose.json": ["decompose", PAIR],
     "poisson-test.csv": ["poisson-test", PAIR],
     "verify-haar.txt": ["verify", "haar", "--count", "8", "--max-atoms", "12", "--depth", "9"],
+    "verify-all.txt": ["verify", "all", "--count", "8", "--max-atoms", "16", "--depth", "10"],
 }
 
 
