@@ -1,9 +1,9 @@
 """The discrete half-plane weight and the two Poisson testing conditions.
 
 Attaches one half-plane atom to each maximal good interval below its
-stopping parent, then evaluates both testing inequalities interval by
-interval and the comparability of the stationary quantity with the genuine
-half-plane extension.
+stopping parent, then evaluates both testing inequalities on every shallow
+charged interval in one batched call, and the comparability of the
+stationary quantity with the genuine half-plane extension.
 """
 
 import math
@@ -57,12 +57,9 @@ for x, t, m, (fkey, jkey) in zip(hp.xs, hp.ts, hp.masses, hp.tags):
     print(f"  at ({x:.6f}, {t:.6f})  mass {m:.6e}  from F={fkey}, J*={jkey}")
 
 print("\ntesting rows (interval, forward ratio, dual ratio):")
+intervals = [GridInterval(grid, n.level, n.index) for n in occupied_nodes(sigma, grid) if n.level <= 6]
 shown = 0
-for n in occupied_nodes(sigma, grid):
-    if n.level > 6 or shown >= 8:
-        continue
-    gi = GridInterval(grid, n.level, n.index)
-    res = poisson_testing(gi, sigma, hp, h_const, a2)
-    if res.forward_rhs > 0 and res.forward_lhs > 0:
+for gi, res in zip(intervals, poisson_testing(intervals, sigma, hp, h_const, a2)):
+    if shown < 8 and res.forward_rhs > 0 and res.forward_lhs > 0:
         print(f"  L{gi.level}.{gi.index}: forward {res.forward_ratio:.3e}, dual {res.dual_ratio:.3e}")
         shown += 1

@@ -14,6 +14,7 @@ from .errors import (
     EndpointCollision,
     H2WError,
     InexactPosition,
+    NecessityViolation,
     ParseError,
     PreconditionViolation,
     ZeroMass,

@@ -30,7 +30,13 @@ from .corona import (
     corona_split,
     reduction_residual,
 )
-from .errors import CommonPointMass, EndpointCollision, H2WError, ParseError
+from .errors import (
+    CommonPointMass,
+    EndpointCollision,
+    H2WError,
+    NecessityViolation,
+    ParseError,
+)
 from .grid import GridInterval, auto_grid, build_grid
 from .haar import WeightedFunction, expand, good_projection, occupied_nodes
 from .measure import (
@@ -222,7 +228,11 @@ def cmd_constants(args) -> int:
     if cfg.format == "csv":
         _emit(_report_csv(body), cfg.output)
     else:
-        _emit(json.dumps(body, sort_keys=True, indent=2) + "\n", cfg.output)
+        try:
+            text = json.dumps(body, sort_keys=True, indent=2, allow_nan=False)
+        except ValueError:
+            raise NecessityViolation("the report holds a non-finite constant") from None
+        _emit(text + "\n", cfg.output)
     return 0
 
 
@@ -371,12 +381,9 @@ def cmd_poisson_test(args) -> int:
         for n in occupied_nodes(sigma, grid)
         if n.level <= 8
     ] + list(sd.members)
-    seen = set()
-    for gi in intervals:
-        if gi.key in seen:
-            continue
-        seen.add(gi.key)
-        res = poisson_testing(gi, sigma, hp, h_const, a2)
+    intervals = list({gi.key: gi for gi in intervals}.values())
+    results = poisson_testing(intervals, sigma, hp, h_const, a2)
+    for gi, res in zip(intervals, results):
         writer.writerow(
             [
                 f"L{gi.level}.{gi.index}",
@@ -558,6 +565,9 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
+    except NecessityViolation as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except H2WError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CommonPointMass, PreconditionViolation
+from .errors import CommonPointMass, NecessityViolation, PreconditionViolation
 from .grid import DyadicGrid, GridInterval, auto_grid, f_parent
 from .haar import (
     WeightedFunction,
@@ -43,6 +43,7 @@ from .haar import (
     good_projection,
     haar_function,
     occupied_nodes,
+    splitting_nodes,
 )
 from .hilbert import TruncationSpec, kernel_stack, truncation_candidates
 from .measure import AtomicMeasure, has_common_point_mass, _as_interval
@@ -282,23 +283,33 @@ def _energy_on(w: AtomicMeasure, lo: int, hi: int, length: float) -> float:
     return 2.0 * var / length**2
 
 
-def energy_identity_sides(w: AtomicMeasure, i: GridInterval) -> tuple[float, float]:
-    """(E^2 w(I), 2 sum of squared Haar coefficients of x/|I| below I).
+def energy_identity_sides(
+    w: AtomicMeasure, grid: DyadicGrid
+) -> dict[tuple[int, int], tuple[float, float]]:
+    """(E^2 w(I), 2 sum of squared Haar coefficients of x/|I| below I) for
+    every charged grid interval I of w, keyed by (level, index) in pre-order.
 
     The two sides agree exactly; the variant without the w(I) factor on the
-    left does not, which is why both quantities are exposed.
+    left does not, which is why both quantities are exposed.  One expansion
+    of x serves every I: the splitting nodes below I are one pre-order run,
+    summed in order.
     """
-    grid = i.grid
-    e2w = energy(w, i) * w.mass_on(i.interval)
-    if w.count_on(i.interval) == 0:
-        return e2w, 0.0
-    ident = WeightedFunction.identity(w)
-    hc = expand(ident, grid)
-    total = 0.0
-    for (lev, idx), c in hc.coeffs.items():
-        if lev >= i.level and (idx >> (lev - i.level)) == i.index:
+    nodes = charged_nodes(w, grid)
+    if not nodes:
+        return {}
+    splitting = splitting_nodes(w, grid)
+    coeffs = list(expand(WeightedFunction.identity(w), grid).coeffs.values())
+    wpref = w._mass_prefix
+    out: dict[tuple[int, int], tuple[float, float]] = {}
+    for n in nodes:
+        length = grid.endpoint_f(n.level, n.index + 1) - grid.endpoint_f(n.level, n.index)
+        e2w = _energy_on(w, n.lo, n.hi, length) * float(wpref[n.hi] - wpref[n.lo])
+        start, end = _run(splitting, grid, n.level, n.index)
+        total = 0.0
+        for c in coeffs[start:end]:
             total += c * c
-    return e2w, 2.0 * total / i.length_f**2
+        out[n.level, n.index] = (e2w, 2.0 * total / grid.cell_f(n.level) ** 2)
+    return out
 
 
 def energy_constant(sigma: AtomicMeasure, w: AtomicMeasure, grid: DyadicGrid) -> float:
@@ -591,8 +602,9 @@ def compute_report(
     norm_n, a2, h_const = record.norm_N, record.a2, record.h_const
     t_fwd, t_bwd = record.testing_fwd, record.testing_bwd
     slack = 1.0 + 1e-9
-    if t_fwd > norm_n * slack or t_bwd > norm_n * slack:
-        raise AssertionError(
+    # NaN-safe: a NaN or overflowed constant fails the check too
+    if not (t_fwd <= norm_n * slack and t_bwd <= norm_n * slack):
+        raise NecessityViolation(
             f"testing exceeded the norm: {t_fwd}, {t_bwd} vs {norm_n}"
         )
     e_fwd = energy_constant(sigma, w, grid)

@@ -6,12 +6,14 @@ Poisson-energy product passes the threshold 10 c0 h^2 sigma(I), or when the
 average of |f| grows tenfold; control values refresh only when the average
 at least doubles.  The resulting family packs with Carleson constant 2.
 
-The stopping and energy-stopping walks and the bounded-averages constant run
-on atom ranges: a visited grid interval is its (level, index) with the index
-ranges of its sigma and w atoms (``haar._descend``, and the pre-order runs of
-the occupied nodes, ``haar._run``), so a GridInterval is built only for a returned member.
-``uniformity_check`` keeps its own grid-interval descent, which checks the
-bounded-averages constant independently.
+The stopping and energy-stopping walks, the uniformity check and the
+bounded-averages constant run on atom ranges: a visited grid interval is its
+(level, index) with the index ranges of its sigma and w atoms
+(``haar._descend``, and the pre-order runs of the occupied nodes,
+``haar._run``), so a GridInterval is built only for a returned member or a
+named violation.  ``uniformity_check`` walks the grid itself rather than the
+occupied-node list, so it checks the bounded-averages constant
+independently.
 """
 
 from __future__ import annotations
@@ -317,7 +319,7 @@ def uniformity_check(
     |f| is at most one on every charged grid interval not inside a member.
     """
     violations: list[str] = []
-    s_keys = [s.key for s in spec.s_family]
+    s_keys = frozenset(s.key for s in spec.s_family)
 
     def inside_some_s(gi: GridInterval) -> bool:
         return any(s.contains(gi) for s in spec.s_family)
@@ -327,7 +329,7 @@ def uniformity_check(
             violations.append(f"energy stop {F} escapes the exceptional family")
     scale = max(1.0, float(np.max(np.abs(f.values))) if f.base.n_atoms else 1.0)
     for s in spec.s_family:
-        lo, hi = sigma.index_range(s.interval)
+        lo, hi = _node_range(sigma, s)
         if hi - lo >= 2:
             vals = f.values[lo:hi]
             if float(np.max(vals) - np.min(vals)) > tol * scale:
@@ -336,21 +338,19 @@ def uniformity_check(
     mpref = np.concatenate(([0.0], np.cumsum(sigma.masses_f)))
     fpref = np.concatenate(([0.0], np.cumsum(absf * sigma.masses_f)))
 
-    def descend(gi: GridInterval):
-        if inside_some_s(gi):
-            return
-        lo, hi = sigma.index_range(gi.interval)
-        if hi - lo == 0:
-            return
-        mass = mpref[hi] - mpref[lo]
-        avg = (fpref[hi] - fpref[lo]) / mass
+    # every member lies inside i0 and the walk stops at the first one it
+    # meets, so a visited node is inside a member exactly when it is one
+    def visit(level: int, index: int, ranges: Ranges) -> bool:
+        (lo, hi), = ranges
+        if (level, index) in s_keys or hi == lo:
+            return False
+        avg = (fpref[hi] - fpref[lo]) / (mpref[hi] - mpref[lo])
         if avg > 1.0 + tol:
+            gi = GridInterval(grid, level, index)
             violations.append(f"average of |f| on {gi} is {avg:.6g} > 1")
-        if gi.level < grid.depth and hi - lo >= 1:
-            for child in gi.children():
-                descend(child)
+        return True
 
-    descend(spec.i0)
+    _descend((sigma,), grid, spec.i0, (_node_range(sigma, spec.i0),), visit)
     return (not violations), violations
 
 

@@ -33,6 +33,11 @@ class AdaptednessViolation(H2WError):
         self.offenders = tuple(offenders)
 
 
+class NecessityViolation(H2WError):
+    """Computed constants break an inequality the theorem proves, such as
+    T <= N; overflowed or NaN constants land here too."""
+
+
 class PreconditionViolation(H2WError):
     """A documented hypothesis of an operation does not hold."""
 

@@ -358,6 +358,28 @@ def _alpha_below(sigma: AtomicMeasure, g: WeightedFunction) -> float:
     return 0.5 * dmin
 
 
+def _pairing_scan(
+    f: WeightedFunction, g: WeightedFunction, cands: Sequence[TruncationSpec]
+) -> float:
+    """max over the candidates of |hilbert_pairing(f, g, candidate)|.
+
+    One kernel stack for all candidates, then one ``src @ K_t @ tgt`` per
+    candidate: each value is bitwise equal to its :func:`hilbert_pairing`
+    (a single batched matmul over the stack would not be).  Mode ``none``
+    needs disjoint supports, as the pairing does.
+    """
+    sigma, w = f.base, g.base
+    if sigma.n_atoms == 0 or w.n_atoms == 0:
+        return 0.0
+    diffs = sigma.positions_f[:, None] - w.positions_f[None, :]
+    if any(tr.mode == "none" for tr in cands) and np.any(diffs == 0.0):
+        raise AtomCollision("source and target measures share a position")
+    stack = kernel_stack(diffs, cands)
+    src = f.values * sigma.masses_f
+    tgt = g.values * w.masses_f
+    return max(abs(float(src @ k @ tgt)) for k in stack)
+
+
 def lemma_ratio(lemma_id: str, instance: LemmaInstance) -> tuple[float, float, float]:
     """Evaluate both sides of a cited inequality; returns (lhs, rhs, ratio).
 
@@ -422,11 +444,8 @@ def lemma_ratio(lemma_id: str, instance: LemmaInstance) -> tuple[float, float, f
         dists = np.abs(mu.positions_f[:, None] - ins.g.base.positions_f[None, :]).ravel()
         alphas = np.unique(np.concatenate([[alpha0], dists * (1 - 1e-9), dists * (1 + 1e-9)]))
         alphas = alphas[(alphas > 0) & (alphas < beta)]
-        nu_f = WeightedFunction(mu, signs)
-        lhs = max(
-            abs(hilbert_pairing(nu_f, ins.g, TruncationSpec("smooth", float(a), beta)))
-            for a in alphas
-        )
+        cands = [TruncationSpec("smooth", float(a), beta) for a in alphas]
+        lhs = _pairing_scan(WeightedFunction(mu, signs), ins.g, cands)
         return lhs, rhs, (lhs / rhs if rhs != 0.0 else (0.0 if lhs == 0.0 else math.inf))
 
     if lemma_id == "weak_boundedness":
@@ -452,8 +471,7 @@ def lemma_ratio(lemma_id: str, instance: LemmaInstance) -> tuple[float, float, f
         f1 = WeightedFunction.constant(sI, 1.0)
         g1 = WeightedFunction.constant(wJ, 1.0)
         dists = np.abs(sI.positions_f[:, None] - wJ.positions_f[None, :]).ravel()
-        cands = truncation_candidates(dists, refinement=4)
-        lhs = max(abs(hilbert_pairing(f1, g1, tr)) for tr in cands)
+        lhs = _pairing_scan(f1, g1, truncation_candidates(dists, refinement=4))
         return lhs, rhs, (lhs / rhs if rhs != 0.0 else (0.0 if lhs == 0.0 else math.inf))
 
     if lemma_id == "truncation_compare":

@@ -8,8 +8,14 @@ Every failing check carries a replay payload that reproduces it bit-exactly.
 
 A run draws its ensemble once.  Each distinct pair gets one grid and one
 :class:`~h2w.constants.PairConstants` record (N, A2, both T, H and the
-calibrated c0, from one kernel scan), built on first use and shared by every
-suite of the run, ``compute_report`` included.  Nothing outlives the run.
+calibrated c0, from one kernel scan), and each ensemble pair one
+``compute_report`` on that record, all built on first use and shared by
+every suite of the run: the energy suite reads its energy constants from the
+report the theorem suite checks.  Nothing outlives the run.
+
+The per-interval checks run batched per pair: the Poisson testing of every
+test interval in one call, the stationary-vs-extension comparison on one
+(nodes x atoms) matrix per measure, the energy identity on one expansion.
 """
 
 from __future__ import annotations
@@ -21,7 +27,9 @@ import numpy as np
 
 from . import regression
 from .constants import (
+    ConstantsReport,
     PairConstants,
+    _energy_on,
     a2_constant,
     compute_report,
     energy,
@@ -48,6 +56,7 @@ from .corona import (
 from .grid import DyadicGrid, GridInterval, build_grid, good_levels_scan, is_good
 from .haar import (
     WeightedFunction,
+    _node_mass,
     charged_nodes,
     corona_projection,
     expand,
@@ -86,9 +95,7 @@ from .poisson import (
     default_j_families,
     dual_poisson,
     mu_measure,
-    poisson_extension,
     poisson_local_comparison,
-    poisson_stationary,
     poisson_testing,
 )
 
@@ -121,7 +128,8 @@ class CheckResult:
 
 class _Ensemble:
     """One run's seeded ensemble, with each distinct pair's unit-root grid
-    and :func:`pair_constants` record, each built on first use."""
+    and :func:`pair_constants` record and each ensemble pair's report, each
+    built on first use."""
 
     def __init__(self, cfg: SuiteConfig):
         self.cfg = cfg
@@ -130,6 +138,7 @@ class _Ensemble:
         )
         self._grids: dict[tuple[AtomicMeasure, AtomicMeasure], DyadicGrid] = {}
         self._records: dict[tuple[AtomicMeasure, AtomicMeasure], PairConstants] = {}
+        self._reports: dict[int, ConstantsReport] = {}
 
     def grid(self, sigma: AtomicMeasure, w: AtomicMeasure) -> DyadicGrid:
         key = (sigma, w)
@@ -146,6 +155,25 @@ class _Ensemble:
                 sigma, w, self.grid(sigma, w), cfg.refinement, c0=cfg.c0
             )
         return self._records[key]
+
+    def report(self, idx: int) -> ConstantsReport:
+        """``compute_report`` of ensemble pair ``idx`` at seed cfg.seed + idx,
+        on the pair's record."""
+        if idx not in self._reports:
+            cfg = self.cfg
+            sigma, w = self.pairs[idx]
+            self._reports[idx] = compute_report(
+                sigma,
+                w,
+                seed=cfg.seed + idx,
+                refinement=cfg.refinement,
+                eps=cfg.eps,
+                r=cfg.r,
+                below_gap=cfg.below_gap,
+                c0=cfg.c0,
+                record=self.record(sigma, w),
+            )
+        return self._reports[idx]
 
 
 def _good_pair(cfg: SuiteConfig, sigma, w, grid, salt: int):
@@ -279,7 +307,7 @@ def suite_energy(ens: _Ensemble) -> _Suite:
     e2 = energy(mu, root)
     s.exact("micro_energy_sq", abs(e2 - 0.125) < 1e-15, f"E^2 = {e2}")
     g1 = build_grid(root, 1, dyadic(0), mu, mu)
-    lhs, rhs = energy_identity_sides(mu, g1.root_interval)
+    lhs, rhs = energy_identity_sides(mu, g1)[0, 0]
     s.exact("micro_identity", abs(lhs - rhs) < 1e-15, f"E^2 w(I) = {lhs}, Haar sum doubled = {rhs}")
     s.exact(
         "uncorrected_display_fails",
@@ -291,21 +319,21 @@ def suite_energy(ens: _Ensemble) -> _Suite:
     monotone_ok = True
     for idx, (sigma, w) in enumerate(ens.pairs):
         grid = ens.grid(sigma, w)
+        sides = energy_identity_sides(w, grid)
         for n in charged_nodes(w, grid):
-            gi = GridInterval(grid, n.level, n.index)
-            lhs, rhs = energy_identity_sides(w, gi)
+            lhs, rhs = sides[n.level, n.index]
             worst_id = max(worst_id, abs(lhs - rhs) / max(lhs, 1e-300))
-            worst_e2 = max(worst_e2, energy(w, gi))
+            length = grid.endpoint_f(n.level, n.index + 1) - grid.endpoint_f(n.level, n.index)
+            worst_e2 = max(worst_e2, _energy_on(w, n.lo, n.hi, length))
+        # the report's energy constants are energy_constant on this grid
+        rep = ens.report(idx)
         if idx < 8:
             shallow = build_grid(root, max(2, cfg.depth - 3), dyadic(0), sigma, w)
-            e_lo = energy_constant(sigma, w, shallow)
-            e_hi = energy_constant(sigma, w, grid)
-            if e_hi < e_lo:
+            if rep.energy_E < energy_constant(sigma, w, shallow):
                 monotone_ok = False
-        h = ens.record(sigma, w).h_const
-        if h > 0:
-            s.record_max("e_over_h_max", energy_constant(sigma, w, grid) / h)
-            s.record_max("e_over_h_max", energy_constant(w, sigma, grid) / h)
+        if rep.h_const > 0:
+            s.record_max("e_over_h_max", rep.energy_E / rep.h_const)
+            s.record_max("e_over_h_max", rep.energy_E_dual / rep.h_const)
     s.exact("identity_1e-9", worst_id <= 1e-9, f"max rel err {worst_id:.3e}")
     s.exact("e_sq_at_most_one", worst_e2 <= 1.0 + 1e-12, f"max E^2 {worst_e2:.6f}")
     s.exact("dp_monotone_in_depth", monotone_ok, "deeper grids never decrease the estimate")
@@ -659,6 +687,33 @@ def suite_corona(ens: _Ensemble) -> _Suite:
     return s
 
 
+def _stationary_and_extension(
+    mu: AtomicMeasure, grid: DyadicGrid, nodes
+) -> tuple[list[float], list[float]]:
+    """P(mu, I) and the extension of mu at (center, |I|) for each node I.
+
+    One (nodes x atoms) matrix per quantity, with the elementwise
+    expressions of ``_poisson_sum`` and :func:`poisson_extension` and each
+    per-node scalar squared as a Python float as they square it; every row
+    sum reduces one contiguous row, so each value is bitwise equal to the
+    per-interval call.
+    """
+    if not nodes:
+        return [], []
+    pos, mass = mu.positions_f, mu.masses_f
+    left = np.array([grid.endpoint_f(n.level, n.index) for n in nodes])[:, None]
+    right = np.array([grid.endpoint_f(n.level, n.index + 1) for n in nodes])[:, None]
+    length = right - left
+    length_sq = np.array([[x**2] for x in length.ravel().tolist()])
+    dist = np.maximum(0.0, np.maximum(left - pos, pos - right))
+    stationary = (mass * length / (length_sq + dist**2)).sum(axis=1)
+    t = [grid.cell_f(n.level) for n in nodes]
+    t_sq = np.array([[x**2] for x in t])
+    center = np.array([grid.endpoint_f(n.level + 1, 2 * n.index + 1) for n in nodes])[:, None]
+    extension = (mass * np.array(t)[:, None] / (t_sq + (center - pos) ** 2)).sum(axis=1)
+    return stationary.tolist(), extension.tolist()
+
+
 def suite_poisson(ens: _Ensemble) -> _Suite:
     cfg = ens.cfg
     s = _Suite("poisson", cfg)
@@ -677,14 +732,14 @@ def suite_poisson(ens: _Ensemble) -> _Suite:
         grid = ens.grid(sigma, w)
         # stationary vs extension comparability on charged intervals
         for mu in (sigma, w):
-            for n in occupied_nodes(mu, grid)[:64]:
-                gi = GridInterval(grid, n.level, n.index)
-                pp = poisson_extension(mu, gi.center_f, gi.length_f)
+            nodes = occupied_nodes(mu, grid)[:64]
+            for n, p, pp in zip(nodes, *_stationary_and_extension(mu, grid, nodes)):
                 if pp <= 0:
                     continue
-                ratio = poisson_stationary(mu, gi) / pp
+                ratio = p / pp
                 if not (1.0 - 1e-12 <= ratio <= 2.0 + 1e-12):
                     comp_ok = False
+                    gi = GridInterval(grid, n.level, n.index)
                     replay = _replay(cfg, sigma, w, idx, f"P/PP ratio {ratio} at {gi}")
         if sigma.n_atoms < 2 or w.n_atoms < 2:
             continue
@@ -697,8 +752,7 @@ def suite_poisson(ens: _Ensemble) -> _Suite:
         j_fams = default_j_families(sd.members, w, grid, cfg.eps, cfg.r, cfg.below_gap)
         hp = mu_measure(sd.members, w, grid, j_fams)
         for mass, (fkey, jkey) in zip(hp.masses, hp.tags):
-            jint = GridInterval(grid, *jkey)
-            if mass > 2.0 * w.mass_on(jint.interval) * (1 + 1e-12):
+            if mass > 2.0 * _node_mass(w, GridInterval(grid, *jkey)) * (1 + 1e-12):
                 mass_ok = False
                 replay = _replay(cfg, sigma, w, idx, f"mu mass at {jkey}")
         if hp.n_atoms:
@@ -713,8 +767,8 @@ def suite_poisson(ens: _Ensemble) -> _Suite:
                 for n in occupied_nodes(sigma, grid)
                 if n.level <= 8
             ] + list(sd.members)
-            for gi in test_intervals:
-                res = poisson_testing(gi, sigma, hp, h, a2)
+            test_intervals = list({gi.key: gi for gi in test_intervals}.values())
+            for res in poisson_testing(test_intervals, sigma, hp, h, a2):
                 if res.forward_rhs > 0:
                     s.record_max("poisson_forward_ratio_env", res.forward_ratio)
                     if is_crafted:
@@ -792,17 +846,7 @@ def suite_theorem(ens: _Ensemble) -> _Suite:
     fe_worst = 0.0
     replay = None
     for idx, (sigma, w) in enumerate(ens.pairs):
-        rep = compute_report(
-            sigma,
-            w,
-            seed=cfg.seed + idx,
-            refinement=cfg.refinement,
-            eps=cfg.eps,
-            r=cfg.r,
-            below_gap=cfg.below_gap,
-            c0=cfg.c0,
-            record=ens.record(sigma, w),
-        )
+        rep = ens.report(idx)
         slack = 1.0 + 1e-9
         if rep.testing_fwd > rep.norm_N * slack or rep.testing_bwd > rep.norm_N * slack:
             necessity_ok = False

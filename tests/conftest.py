@@ -54,3 +54,20 @@ def oracle_cases(families=("uniform", "mixed", "clusters", "lacunary"), sizes=(8
                 grid = auto_grid(sigma2, w2, 13)
                 assert grid.root.length == dyadic(4) and grid.shift != dyadic(0)
                 yield f"{fam}-{n}-{k}-doubled", sigma2, w2, grid
+
+
+def crafted_cases(count=4):
+    """The verify suites' crafted pairs (deep window plus far atoms) on their
+    unit-root grid: ``blocks`` pairs, which split into several coronas, and
+    ``interleaved`` ones at both mass bands, which feed the half-plane weight."""
+    from h2w.verify import SuiteConfig, _crafted_pair
+
+    cfg = SuiteConfig()
+    for k in range(count):
+        for label, salt, layout, band in (
+            ("blocks", k, "blocks", 2.0),
+            ("interleaved", 500 + k, "interleaved", 2.0),
+            ("interleaved-narrow", 1000 + k, "interleaved", 1.25),
+        ):
+            sigma, w = _crafted_pair(cfg, salt, layout, mass_band=band)
+            yield f"crafted-{label}-{k}", sigma, w, unit_grid(sigma, w, cfg.depth)

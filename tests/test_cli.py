@@ -4,6 +4,7 @@ import subprocess
 import sys
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from h2w.cli import main
@@ -119,6 +120,21 @@ class TestInexactAtoms:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 1024
+
+
+class TestNonFiniteConstants:
+    @pytest.mark.parametrize("mass", ["1e308", "1e200"])
+    def test_exit_1_with_one_error_line(self, mass, tmp_path, capsys):
+        # 1e308 once printed "norm_N": NaN and "a2": Infinity with exit 0;
+        # 1e200 died with a bare AssertionError traceback
+        huge = tmp_path / "huge.txt"
+        huge.write_text(f"[sigma]\n1 2 {mass}\n[w]\n3 2 {mass}\n")
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, out, err = run_cli(["constants", str(huge)], capsys)
+        assert code == 1 and out == ""
+        lines = err.splitlines()
+        assert [ln for ln in lines if ln.startswith("error:")] == lines[-1:]
+        assert "testing exceeded the norm" in lines[-1]
 
 
 class TestVerifyCommand:

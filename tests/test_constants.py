@@ -19,13 +19,13 @@ from h2w.constants import testing_constant as t_constant
 from h2w.constants import testing_pair as t_pair
 from h2w.errors import AdaptednessViolation, CommonPointMass, PreconditionViolation
 from h2w.grid import GridInterval
-from h2w.haar import WeightedFunction, haar_function
+from h2w.haar import WeightedFunction, charged_nodes, expand, haar_function
 from h2w.hilbert import kernel_values, truncation_candidates
 from h2w.measure import AtomicMeasure, Interval, dilate, dyadic, random_ensemble, scale_masses
 from h2w.params import DEFAULT_REFINEMENT
 from h2w.poisson import poisson_stationary
 
-from conftest import oracle_cases, unit_grid
+from conftest import crafted_cases, oracle_cases, unit_grid
 
 
 class TestNormConstant:
@@ -226,14 +226,40 @@ class TestEnergy:
 
     def test_corrected_identity_micro(self, two_atom_w):
         g = unit_grid(two_atom_w, AtomicMeasure.empty(), 1)
-        lhs, rhs = energy_identity_sides(two_atom_w, g.root_interval)
+        sides = energy_identity_sides(two_atom_w, g)
+        assert list(sides) == [(0, 0)]
+        lhs, rhs = sides[0, 0]
         assert abs(lhs - 0.25) < 1e-15 and abs(lhs - rhs) < 1e-15
 
     def test_unweighted_display_fails_micro(self, two_atom_w):
         g = unit_grid(two_atom_w, AtomicMeasure.empty(), 1)
         e2 = energy(two_atom_w, g.root_interval)
-        _, haar_sum = energy_identity_sides(two_atom_w, g.root_interval)
+        _, haar_sum = energy_identity_sides(two_atom_w, g)[0, 0]
         assert abs(e2 - haar_sum) > 0.1
+
+    def test_identity_sides_match_oracle(self):
+        for label, _, w, grid in [*oracle_cases(), *crafted_cases()]:
+            want = {
+                (n.level, n.index): _energy_identity_oracle(w, GridInterval(grid, n.level, n.index))
+                for n in charged_nodes(w, grid)
+            }
+            got = energy_identity_sides(w, grid)
+            assert list(got.items()) == list(want.items()), label
+        assert energy_identity_sides(AtomicMeasure.empty(), grid) == {}
+
+
+def _energy_identity_oracle(w, i):
+    """One interval's sides, from a fresh expansion scanned as a dict."""
+    grid = i.grid
+    e2w = energy(w, i) * w.mass_on(i.interval)
+    if w.count_on(i.interval) == 0:
+        return e2w, 0.0
+    hc = expand(WeightedFunction.identity(w), grid)
+    total = 0.0
+    for (lev, idx), c in hc.coeffs.items():
+        if lev >= i.level and (idx >> (lev - i.level)) == i.index:
+            total += c * c
+    return e2w, 2.0 * total / i.length_f**2
 
 
 class TestEnergyConstant:

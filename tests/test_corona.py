@@ -40,7 +40,7 @@ from h2w.measure import AtomicMeasure, Interval, dyadic, random_ensemble
 from h2w.params import SUITE_BELOW_GAP, SUITE_EPS, SUITE_R
 from h2w.poisson import poisson_stationary
 
-from conftest import oracle_cases, unit_grid
+from conftest import crafted_cases, oracle_cases, unit_grid
 
 
 def _h_const(sigma, w):
@@ -469,6 +469,43 @@ def _oracle_bounded_average(pf, F, stopping, sigma, grid):
     return worst
 
 
+def _oracle_uniformity(f, spec, sigma, w, h_const, grid, tol=1e-12):
+    violations = []
+
+    def inside_some_s(gi):
+        return any(s.contains(gi) for s in spec.s_family)
+
+    for F in energy_stopping_intervals(spec.i0, sigma, w, h_const, spec.c0, grid):
+        if not inside_some_s(F):
+            violations.append(f"energy stop {F} escapes the exceptional family")
+    scale = max(1.0, float(np.max(np.abs(f.values))) if f.base.n_atoms else 1.0)
+    for s in spec.s_family:
+        lo, hi = sigma.index_range(s.interval)
+        if hi - lo >= 2:
+            vals = f.values[lo:hi]
+            if float(np.max(vals) - np.min(vals)) > tol * scale:
+                violations.append(f"f is not constant on {s}")
+    absf = np.abs(f.values)
+    mpref = np.concatenate(([0.0], np.cumsum(sigma.masses_f)))
+    fpref = np.concatenate(([0.0], np.cumsum(absf * sigma.masses_f)))
+
+    def descend(gi):
+        if inside_some_s(gi):
+            return
+        lo, hi = sigma.index_range(gi.interval)
+        if hi - lo == 0:
+            return
+        avg = (fpref[hi] - fpref[lo]) / (mpref[hi] - mpref[lo])
+        if avg > 1.0 + tol:
+            violations.append(f"average of |f| on {gi} is {avg:.6g} > 1")
+        if gi.level < grid.depth:
+            for child in gi.children():
+                descend(child)
+
+    descend(spec.i0)
+    return (not violations), violations
+
+
 def _oracle_carleson(members, sigma):
     worst = 0.0
     for S in members:
@@ -482,10 +519,11 @@ def _oracle_carleson(members, sigma):
 
 
 class TestAtomRangeWalksMatchOracles:
-    @pytest.mark.parametrize("family", ["uniform", "mixed", "clusters", "lacunary"])
+    @pytest.mark.parametrize("family", ["uniform", "mixed", "clusters", "lacunary", "crafted"])
     def test_stopping_machinery_equal(self, family):
-        checked = 0
-        for label, sigma, w, grid in oracle_cases(families=(family,)):
+        checked = failing = 0
+        cases = crafted_cases() if family == "crafted" else oracle_cases(families=(family,))
+        for label, sigma, w, grid in cases:
             if sigma.n_atoms < 2:
                 continue
             h = _h_const(sigma, w)
@@ -513,8 +551,16 @@ class TestAtomRangeWalksMatchOracles:
                     for pf in (f, corona_projection(f, sd, F)):
                         got = _bounded_average_constant(pf, F, sd, sigma, grid)
                         assert got == _oracle_bounded_average(pf, F, sd, sigma, grid), label
+                    # the suite's rescaled piece passes; the raw one mostly fails
+                    spec = UniformitySpec(F, sd.family_children(F), c)
+                    pf = corona_projection(f, sd, F)
+                    cF = _bounded_average_constant(pf, F, sd, sigma, grid)
+                    for u in (f, pf * (1.0 / cF) if cF > 0 else pf):
+                        got = uniformity_check(u, spec, sigma, w, h, grid)
+                        assert got == _oracle_uniformity(u, spec, sigma, w, h, grid), label
+                        failing += not got[0]
                 checked += 1
-        assert checked >= 20
+        assert checked >= 20 and failing >= 20
 
 
 class TestShiftedGridRanges:

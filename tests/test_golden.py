@@ -7,6 +7,7 @@ The files under ``tests/golden/`` were written by the CLI itself:
     h2w constants pair.txt > constants.json
     h2w decompose pair.txt > decompose.json
     h2w poisson-test pair.txt > poisson-test.csv
+    h2w poisson-test pair.txt --shift-num 1 --shift-scale 14 > poisson-test-shift.csv
     h2w verify haar --count 8 --max-atoms 12 --depth 9 > verify-haar.txt
     h2w verify all --count 8 --max-atoms 16 --depth 10 > verify-all.txt
 
@@ -28,6 +29,7 @@ CASES = {
     "constants.json": ["constants", PAIR],
     "decompose.json": ["decompose", PAIR],
     "poisson-test.csv": ["poisson-test", PAIR],
+    "poisson-test-shift.csv": ["poisson-test", PAIR, "--shift-num", "1", "--shift-scale", "14"],
     "verify-haar.txt": ["verify", "haar", "--count", "8", "--max-atoms", "12", "--depth", "9"],
     "verify-all.txt": ["verify", "all", "--count", "8", "--max-atoms", "16", "--depth", "10"],
 }

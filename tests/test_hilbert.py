@@ -3,6 +3,9 @@ import pytest
 
 from h2w.errors import AtomCollision, PreconditionViolation
 from h2w.haar import WeightedFunction, haar_function
+import h2w.hilbert as hilbert
+from h2w.grid import GridInterval
+from h2w.haar import splitting_nodes
 from h2w.hilbert import (
     LemmaInstance,
     TruncationSpec,
@@ -18,7 +21,7 @@ from h2w.hilbert import (
 )
 from h2w.measure import AtomicMeasure, random_ensemble
 
-from conftest import unit_grid
+from conftest import crafted_cases, oracle_cases, unit_grid
 
 
 class TestSmoothKernel:
@@ -233,3 +236,50 @@ class TestLemmaRatio:
         )
         lhs, rhs, ratio = lemma_ratio("monotonicity_P<H", inst)
         assert lhs > 0.0 and rhs > 0.0 and ratio > 0.0
+
+
+def _pairing_scan_oracle(f, g, cands):
+    """One hilbert_pairing per truncation."""
+    return max(abs(hilbert_pairing(f, g, tr)) for tr in cands)
+
+
+class TestPairingScanMatchesOracle:
+    def test_scan_bitwise(self):
+        for label, sigma, w, _ in [*oracle_cases(), *crafted_cases()]:
+            if sigma.n_atoms == 0 or w.n_atoms == 0:
+                continue
+            rng = np.random.default_rng(len(label))
+            f = WeightedFunction(sigma, rng.uniform(-1, 1, sigma.n_atoms))
+            g = WeightedFunction(w, rng.standard_normal(w.n_atoms))
+            diffs = sigma.positions_f[:, None] - w.positions_f[None, :]
+            for refinement in (2, 4):
+                cands = truncation_candidates(np.abs(diffs).ravel(), refinement)
+                assert hilbert._pairing_scan(f, g, cands) == _pairing_scan_oracle(f, g, cands), label
+
+    def test_lemma_ratios_bitwise(self, monkeypatch):
+        """mono1 and weak boundedness on the instances the lemma suite builds."""
+        cases = []
+        for label, sigma, w, grid in [*oracle_cases(("uniform", "mixed")), *crafted_cases()]:
+            nodes = [n for n in splitting_nodes(w, grid) if n.level >= 7]
+            K = grid.root_interval
+            for n in nodes[:3]:
+                jj = GridInterval(grid, n.level, n.index)
+                anc = jj.ancestor(n.level - 6)
+                holes = sigma.restrict(K.interval).restrict_complement(anc.interval)
+                if holes.n_atoms == 0:
+                    continue
+                signs = np.random.default_rng(n.index).uniform(-1, 1, holes.n_atoms)
+                inst = LemmaInstance(
+                    sigma=sigma, w=w, k_interval=K, i_interval=anc, j_interval=jj,
+                    g=haar_function(jj, w), grid=grid, nu_signs=signs,
+                )
+                cases.append(("monotonicity_mono1", inst))
+            inst = LemmaInstance(
+                sigma=sigma, w=w, i_interval=grid.interval(1, 0),
+                j_interval=grid.interval(1, 1), a2=1.0,
+            )
+            cases.append(("weak_boundedness", inst))
+        got = [lemma_ratio(lemma, inst) for lemma, inst in cases]
+        monkeypatch.setattr(hilbert, "_pairing_scan", _pairing_scan_oracle)
+        assert got == [lemma_ratio(lemma, inst) for lemma, inst in cases]
+        assert sum(lemma == "monotonicity_mono1" and r[0] > 0 for (lemma, _), r in zip(cases, got)) >= 20

@@ -1,12 +1,19 @@
+import math
+
+import numpy as np
 import pytest
 
+from h2w.constants import a2_constant
+from h2w.constants import testing_pair as t_pair
+from h2w.corona import build_stopping_data, calibrate_c0
 from h2w.errors import PreconditionViolation
-from h2w.grid import GridInterval
-from h2w.haar import occupied_nodes
+from h2w.grid import GridInterval, build_grid
+from h2w.haar import WeightedFunction, good_projection, occupied_nodes
 from h2w.measure import AtomicMeasure, Interval, dyadic, random_ensemble
 from h2w.params import SUITE_BELOW_GAP, SUITE_EPS, SUITE_R
 from h2w.poisson import (
     HalfPlaneMeasure,
+    PoissonTestResult,
     default_j_families,
     dual_poisson,
     maximal_intervals,
@@ -16,8 +23,9 @@ from h2w.poisson import (
     poisson_stationary,
     poisson_testing,
 )
+from h2w.verify import _stationary_and_extension
 
-from conftest import unit_grid
+from conftest import crafted_cases, oracle_cases, unit_grid
 
 
 class TestStationary:
@@ -120,7 +128,7 @@ class TestPoissonTesting:
         sigma, _ = micro_pair
         g = unit_grid(*random_ensemble(1, 1, 4, 8)[0], 8)
         hp = HalfPlaneMeasure((), (), ())
-        res = poisson_testing(g.root_interval, sigma, hp, 2.0, 4.0)
+        (res,) = poisson_testing([g.root_interval], sigma, hp, 2.0, 4.0)
         assert res.forward_ratio == 0.0 and res.dual_ratio == 0.0
         assert res.zero_denominator  # empty box has no second moment
 
@@ -130,7 +138,7 @@ class TestPoissonTesting:
         members = [g.root_interval]
         fams = default_j_families(members, w, g, SUITE_EPS, SUITE_R, SUITE_BELOW_GAP)
         hp = mu_measure(members, w, g, fams)
-        res = poisson_testing(g.root_interval, sigma, hp, 3.0, 9.0)
+        (res,) = poisson_testing([g.root_interval], sigma, hp, 3.0, 9.0)
         assert res.forward_rhs == 9.0 * sigma.total_mass
         if hp.n_atoms:
             assert res.forward_lhs >= 0.0 and res.dual_lhs >= 0.0
@@ -153,3 +161,114 @@ class TestLocalComparison:
         g = unit_grid(sigma, w, 10)
         with pytest.raises(PreconditionViolation):
             poisson_local_comparison(g.interval(2, 1), g.interval(2, 1), g.root_interval, sigma, SUITE_EPS)
+
+
+# oracles: the per-interval code the batched paths replaced; every result
+# must be equal (==), not merely close.
+
+
+def _oracle_poisson_testing(i, sigma, hp, h_const, a2_const):
+    iv = i.interval
+    sig_i = sigma.restrict(iv)
+    fwd_lhs = 0.0
+    if hp.n_atoms and sig_i.n_atoms:
+        ext = np.array(
+            [poisson_extension(sig_i, x, t) for x, t in zip(hp.xs_f, hp.ts_f)]
+        )
+        fwd_lhs = float(np.sum(ext**2 * hp.masses_f))
+    fwd_rhs = h_const**2 * sig_i.total_mass
+    mask = hp.box_mask(iv) if hp.n_atoms else np.zeros(0, dtype=bool)
+    dual_rhs_raw = (
+        float(np.sum(hp.ts_f[mask] ** 2 * hp.masses_f[mask])) if hp.n_atoms else 0.0
+    )
+    dual_lhs = 0.0
+    if sigma.n_atoms and hp.n_atoms:
+        dp = np.array([dual_poisson(hp, iv, x) for x in sigma.positions_f])
+        dual_lhs = float(np.sum(sigma.masses_f * dp**2))
+    dual_rhs = a2_const * dual_rhs_raw
+
+    def _ratio(lhs, rhs):
+        if rhs > 0.0:
+            return lhs / rhs
+        return 0.0 if lhs == 0.0 else math.inf
+
+    return PoissonTestResult(
+        fwd_lhs,
+        fwd_rhs,
+        _ratio(fwd_lhs, fwd_rhs),
+        dual_lhs,
+        dual_rhs,
+        _ratio(dual_lhs, dual_rhs),
+        fwd_rhs == 0.0 or dual_rhs == 0.0,
+    )
+
+
+def _half_plane_cases():
+    """(label, sigma, grid, hp, test intervals, h, a2) as poisson-test builds
+    them, on the oracle and crafted pairs, plus a random half-plane weight
+    whose heights are not powers of two."""
+    for label, sigma, w, grid in [*oracle_cases(), *crafted_cases()]:
+        if sigma.n_atoms < 2 or w.n_atoms < 2:
+            continue
+        rng = np.random.default_rng(len(label))
+        f = good_projection(
+            WeightedFunction(sigma, rng.standard_normal(sigma.n_atoms)), grid, SUITE_EPS, SUITE_R
+        )
+        if f.norm() == 0:
+            continue
+        a2 = a2_constant(sigma, w)
+        h = math.sqrt(a2) + max(t_pair(sigma, w))
+        c0 = calibrate_c0(grid.root_interval, sigma, w, h, grid)
+        sd = build_stopping_data(f, grid.root_interval, sigma, w, h, c0, grid)
+        fams = default_j_families(sd.members, w, grid, SUITE_EPS, SUITE_R, SUITE_BELOW_GAP)
+        intervals = [GridInterval(grid, n.level, n.index) for n in occupied_nodes(sigma, grid)]
+        intervals += list(sd.members)
+        yield label, sigma, grid, mu_measure(sd.members, w, grid, fams), intervals, h, a2
+        n = 64
+        lo, hi = grid.endpoint_f(0, 0), grid.endpoint_f(0, 1)
+        # heights whose scalar square (C pow) and array square (t * t)
+        # differ where the platform's pow has such values: the extension
+        # must square its heights as scalars, as poisson_extension does
+        ts = rng.uniform(0.0, 1.0, 50 * n) * (hi - lo) + 1e-9
+        ts = np.concatenate([ts[[t**2 != t * t for t in ts]], ts])[:n]
+        noisy = HalfPlaneMeasure(
+            tuple(rng.uniform(lo, hi, n).tolist()),
+            tuple(ts.tolist()),
+            tuple(rng.exponential(1.0, n).tolist()),
+        )
+        yield label + "-noisy", sigma, grid, noisy, intervals, h, a2
+    # left0 = -2 - 2^-55 has no double, so some boxes measure right_f - left_f
+    # a rounding away from |I|; atoms of height exactly |I| sit on those edges
+    sigma = AtomicMeasure((dyadic(-3, 2), dyadic(-1, 56), dyadic(5, 3)), (1.0, 2.0, 0.5))
+    w = AtomicMeasure((dyadic(-1, 3), dyadic(1, 57), dyadic(3, 1)), (1.5, 1.0, 0.25))
+    grid = build_grid(Interval(dyadic(-2), dyadic(2)), 12, -dyadic(1, 55), sigma, w)
+    intervals = [gi for lev in range(1, 10) for gi in grid.intervals_at_level(lev)]
+    edges = HalfPlaneMeasure(
+        tuple(gi.center_f for gi in intervals),
+        tuple(gi.length_f for gi in intervals),
+        tuple(1.0 + k % 3 for k in range(len(intervals))),
+    )
+    assert any(gi.right_f - gi.left_f != gi.length_f for gi in intervals)
+    yield "shifted-edges", sigma, grid, edges, intervals, 2.0, 3.0
+
+
+class TestBatchedMatchesOracles:
+    def test_poisson_testing_bitwise(self):
+        checked = 0
+        for label, sigma, grid, hp, intervals, h, a2 in _half_plane_cases():
+            want = [_oracle_poisson_testing(gi, sigma, hp, h, a2) for gi in intervals]
+            assert poisson_testing(intervals, sigma, hp, h, a2) == want, label
+            checked += hp.n_atoms > 0
+        assert checked >= 40
+
+    def test_stationary_and_extension_bitwise(self):
+        for label, sigma, w, grid in [*oracle_cases(), *crafted_cases()]:
+            for mu in (sigma, w):
+                nodes = occupied_nodes(mu, grid)
+                got = _stationary_and_extension(mu, grid, nodes)
+                want = ([], [])
+                for n in nodes:
+                    gi = GridInterval(grid, n.level, n.index)
+                    want[0].append(poisson_stationary(mu, gi))
+                    want[1].append(poisson_extension(mu, gi.center_f, gi.length_f))
+                assert got == want, label

@@ -59,3 +59,17 @@ def test_reused_martingale_differences_stay_checked(monkeypatch):
     assert not ok["martingale_forms_1e-12"]
     assert not ok["telescoping_1e-10"]
     assert ok["parseval_1e-9"] and ok["orthonormal_1e-12"]
+
+
+def test_one_report_per_pair(monkeypatch):
+    seeds = []
+    real = verify.compute_report
+
+    def counted(sigma, w, *args, **kwargs):
+        seeds.append(kwargs["seed"])
+        return real(sigma, w, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "compute_report", counted)
+    run_all(CFG)
+    # the energy suite and the theorem suite read the same reports
+    assert seeds == [CFG.seed + idx for idx in range(CFG.count)]
