@@ -9,7 +9,11 @@ a2_constant        lower-bound search for sup_I P(sigma, I) P(w, I) over a
                    structured interval family;
 testing_constant   exact supremum over intervals, jointly with the same
                    truncation scan, attained on the maximal atom-membership
-                   classes (one per range of source atoms);
+                   classes (one per range of source atoms); an exact
+                   branch-and-bound: an O(1) upper bound per class from the
+                   untruncated kernel, which holds for the rounded value
+                   too, orders the classes and stops the scan, so the
+                   result is the full scan's bit for bit;
 testing_pair       both testing constants on one kernel scan;
 pair_constants     N, A2, both T, H = sqrt(A2) + T and the calibrated c0 of a
                    pair on one grid, from one kernel scan;
@@ -203,6 +207,12 @@ def testing_constant(
     strictly between source atoms a1 - 1 and a2.  ``backward`` swaps the
     roles of the measures.  ``scan``, the :func:`kernel_scan` of
     (sigma, w) in the order given, is built here when not given.
+
+    The classes are visited in decreasing order of an upper bound from
+    :func:`_class_bounds`, each evaluated as the full scan would evaluate it,
+    and the scan stops at the first bound at most the running best.  The
+    bound holds for the value the floating-point evaluation computes, so the
+    result is the full scan's, bit for bit.
     """
     if direction not in ("forward", "backward"):
         raise ValueError("direction must be 'forward' or 'backward'")
@@ -227,22 +237,101 @@ def testing_constant(
     sp = sigma._mass_prefix
     wm = w.masses_f
     # w atoms before each sigma atom along the merged support, sigma first on ties
-    before = np.searchsorted(w.positions_f, sigma.positions_f, side="left").tolist()
-    starts = [0] + before
-    ends = before + [w.n_atoms]
+    before = np.searchsorted(w.positions_f, sigma.positions_f, side="left")
+    starts = np.concatenate([[0], before])
+    ends = np.concatenate([before, [w.n_atoms]])
+    # the maximal classes [a1, a2) that hold a target atom
+    a1s, a2s = np.triu_indices(sigma.n_atoms + 1, 1)
+    keep = ends[a2s] > starts[a1s]
+    a1s, a2s = a1s[keep], a2s[keep]
+    b1s, b2s = starts[a1s], ends[a2s]
+    ub = _class_bounds(stack[0], C[0], sigma, w, a1s, a2s, b1s, b2s)
     best = 0.0
-    for a1 in range(sigma.n_atoms):
-        b1 = starts[a1]
-        for a2 in range(a1 + 1, sigma.n_atoms + 1):
-            b2 = ends[a2]
-            if b2 == b1:
-                continue
-            smass = sp[a2] - sp[a1]
-            svals = C[:, a2, b1:b2] - C[:, a1, b1:b2]
-            lhs = np.max((svals**2 * wm[b1:b2]).sum(axis=1))
-            if lhs / smass > best:
-                best = lhs / smass
+    for k in np.argsort(-ub, kind="stable").tolist():
+        if ub[k] <= best:
+            break
+        a1, a2, b1, b2 = int(a1s[k]), int(a2s[k]), int(b1s[k]), int(b2s[k])
+        smass = sp[a2] - sp[a1]
+        svals = C[:, a2, b1:b2] - C[:, a1, b1:b2]
+        lhs = np.max((svals**2 * wm[b1:b2]).sum(axis=1))
+        if lhs / smass > best:
+            best = lhs / smass
     return math.sqrt(best)
+
+
+# 2^-1074, the smallest subnormal: twice the absolute rounding error of a
+# product or quotient that underflows
+_TINY = math.ldexp(1.0, -1074)
+
+
+def _class_bounds(
+    row0: np.ndarray,
+    C0: np.ndarray,
+    sigma: AtomicMeasure,
+    w: AtomicMeasure,
+    a1s: np.ndarray,
+    a2s: np.ndarray,
+    b1s: np.ndarray,
+    b2s: np.ndarray,
+) -> np.ndarray:
+    """Upper bounds for the computed testing values of the classes
+    ([a1, a2) of sigma, [b1, b2) of w); +inf where the bound is NaN.
+
+    ``row0`` is the sigma-scaled stack of candidate 0, the untruncated
+    kernel 1/y, and ``C0`` its prefix sums over sigma.  Every candidate K_t
+    has the sign of y and |K_t(y)| <= |K_0(y)|, and rounding the product by
+    sigma keeps both facts.  For a target atom x_j of the class let p_j be
+    the first source atom right of it: the class sum s_t = l_t + r_t splits
+    into the atoms [a1, p_j) and [p_j, a2), of opposite signs, each at most
+    its candidate-0 size, so s_t^2 <= l_0^2 + r_0^2 for every t, with
+    l_0 = C0[p_j] - C0[a1] and r_0 = C0[a2] - C0[p_j].  Masked to the j
+    whose p_j lies in the class, w_j l_0^2 summed over j from the left and
+    w_j r_0^2 from the right give the class sums with no prefix difference:
+    core = Lsum[a1, b2] + Rsum[a2, b1].
+
+    Rounding.  The scan differences prefix sums over every source atom
+    below a2, so its class sum can be off by cancellation in the heavy atoms
+    outside the class: by at most g A_j(a2), with
+    A_j(a) = sum over i < a of |row0[i, j]| and g = 8 (n_sigma + 2) eps,
+    which covers both prefix differences and any last-bit slip of the two
+    kernel facts.  Minkowski's inequality in l^2(w) adds that error as
+    sqrt(gsum), gsum = sum of w_j (g A_j(a2))^2 over the class, summed from
+    the right as above.  Products that underflow lose up to 2^-1075 each,
+    scaled by w_j at most, so both sums carry 2^-1070 (w total + n_w + 1).
+    The factor 1 + 1e-9 covers every relative rounding of the scan and of
+    this arithmetic (n eps << 1e-9), and the final 2^-1073 the quotient's
+    underflow:
+    ub = ((sqrt(core) + sqrt(gsum)) (1 + 1e-9))^2 / sigma(I) + 2^-1073.
+    An overflow gives +inf and a NaN is read as +inf, so such a class is
+    never skipped.
+    """
+    n_s = sigma.n_atoms
+    rows = np.arange(n_s + 1)[:, None]
+    # first source atom right of each target atom, sigma first on ties
+    p = np.searchsorted(sigma.positions_f, w.positions_f, side="right")
+    wm = w.masses_f
+    g = 8.0 * (n_s + 2) * np.finfo(float).eps
+    floor = 16.0 * _TINY * (w.total_mass + w.n_atoms + 1)
+    with np.errstate(all="ignore"):
+        at_p = C0[p, np.arange(w.n_atoms)]
+        zero = np.zeros((n_s + 1, 1))
+        # row a1: left parts of the classes starting at a1, summed over j < b
+        left = np.where(p >= rows, wm * (at_p - C0) ** 2, 0.0)
+        lsum = np.concatenate([zero, np.cumsum(left, axis=1)], axis=1)
+        # row a2: right parts and cancellation of the classes ending at a2,
+        # summed over j >= b
+        on_right = p <= rows
+        right = np.where(on_right, wm * (C0 - at_p) ** 2, 0.0)
+        rsum = np.concatenate([np.cumsum(right[:, ::-1], axis=1)[:, ::-1], zero], axis=1)
+        absum = np.concatenate([np.zeros((1, w.n_atoms)), np.cumsum(np.abs(row0), axis=0)])
+        noise = np.where(on_right, wm * (g * absum) ** 2, 0.0)
+        gsum = np.concatenate([np.cumsum(noise[:, ::-1], axis=1)[:, ::-1], zero], axis=1)
+        core = lsum[a1s, b2s] + rsum[a2s, b1s] + floor
+        err = gsum[a2s, b1s] + floor
+        smass = sigma._mass_prefix[a2s] - sigma._mass_prefix[a1s]
+        ub = ((np.sqrt(core) + np.sqrt(err)) * (1.0 + 1e-9)) ** 2 / smass + 2.0 * _TINY
+    ub[np.isnan(ub)] = np.inf
+    return ub
 
 
 def testing_pair(
@@ -285,13 +374,14 @@ def _energy_on(w: AtomicMeasure, lo: int, hi: int, length: float) -> float:
 
 def energy_identity_sides(
     w: AtomicMeasure, grid: DyadicGrid
-) -> dict[tuple[int, int], tuple[float, float]]:
-    """(E^2 w(I), 2 sum of squared Haar coefficients of x/|I| below I) for
-    every charged grid interval I of w, keyed by (level, index) in pre-order.
+) -> dict[tuple[int, int], tuple[float, float, float]]:
+    """(E^2, E^2 w(I), 2 sum of squared Haar coefficients of x/|I| below I)
+    for every charged grid interval I of w, keyed by (level, index) in
+    pre-order.
 
-    The two sides agree exactly; the variant without the w(I) factor on the
-    left does not, which is why both quantities are exposed.  One expansion
-    of x serves every I: the splitting nodes below I are one pre-order run,
+    The last two sides agree exactly; the variant without the w(I) factor on
+    the left does not, which is why E^2 is exposed too.  One expansion of x
+    serves every I: the splitting nodes below I are one pre-order run,
     summed in order.
     """
     nodes = charged_nodes(w, grid)
@@ -300,15 +390,16 @@ def energy_identity_sides(
     splitting = splitting_nodes(w, grid)
     coeffs = list(expand(WeightedFunction.identity(w), grid).coeffs.values())
     wpref = w._mass_prefix
-    out: dict[tuple[int, int], tuple[float, float]] = {}
+    out: dict[tuple[int, int], tuple[float, float, float]] = {}
     for n in nodes:
         length = grid.endpoint_f(n.level, n.index + 1) - grid.endpoint_f(n.level, n.index)
-        e2w = _energy_on(w, n.lo, n.hi, length) * float(wpref[n.hi] - wpref[n.lo])
+        e2 = _energy_on(w, n.lo, n.hi, length)
         start, end = _run(splitting, grid, n.level, n.index)
         total = 0.0
         for c in coeffs[start:end]:
             total += c * c
-        out[n.level, n.index] = (e2w, 2.0 * total / grid.cell_f(n.level) ** 2)
+        e2w = e2 * float(wpref[n.hi] - wpref[n.lo])
+        out[n.level, n.index] = (e2, e2w, 2.0 * total / grid.cell_f(n.level) ** 2)
     return out
 
 

@@ -29,7 +29,6 @@ from . import regression
 from .constants import (
     ConstantsReport,
     PairConstants,
-    _energy_on,
     a2_constant,
     compute_report,
     energy,
@@ -57,7 +56,6 @@ from .grid import DyadicGrid, GridInterval, build_grid, good_levels_scan, is_goo
 from .haar import (
     WeightedFunction,
     _node_mass,
-    charged_nodes,
     corona_projection,
     expand,
     good_projection,
@@ -307,7 +305,7 @@ def suite_energy(ens: _Ensemble) -> _Suite:
     e2 = energy(mu, root)
     s.exact("micro_energy_sq", abs(e2 - 0.125) < 1e-15, f"E^2 = {e2}")
     g1 = build_grid(root, 1, dyadic(0), mu, mu)
-    lhs, rhs = energy_identity_sides(mu, g1)[0, 0]
+    _, lhs, rhs = energy_identity_sides(mu, g1)[0, 0]
     s.exact("micro_identity", abs(lhs - rhs) < 1e-15, f"E^2 w(I) = {lhs}, Haar sum doubled = {rhs}")
     s.exact(
         "uncorrected_display_fails",
@@ -319,12 +317,9 @@ def suite_energy(ens: _Ensemble) -> _Suite:
     monotone_ok = True
     for idx, (sigma, w) in enumerate(ens.pairs):
         grid = ens.grid(sigma, w)
-        sides = energy_identity_sides(w, grid)
-        for n in charged_nodes(w, grid):
-            lhs, rhs = sides[n.level, n.index]
+        for e2_node, lhs, rhs in energy_identity_sides(w, grid).values():
             worst_id = max(worst_id, abs(lhs - rhs) / max(lhs, 1e-300))
-            length = grid.endpoint_f(n.level, n.index + 1) - grid.endpoint_f(n.level, n.index)
-            worst_e2 = max(worst_e2, _energy_on(w, n.lo, n.hi, length))
+            worst_e2 = max(worst_e2, e2_node)
         # the report's energy constants are energy_constant on this grid
         rep = ens.report(idx)
         if idx < 8:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from h2w.constants import (
+    _class_bounds,
     _spectral_norms,
     a2_constant,
     compute_report,
@@ -173,6 +174,77 @@ def _testing_all_classes(sigma, w, direction="forward", refinement=DEFAULT_REFIN
     return math.sqrt(best)
 
 
+def _maximal_class_values(sigma, w, direction="forward", refinement=DEFAULT_REFINEMENT):
+    """Every maximal membership class (a1, a2, b1, b2), in order, and its value
+    by the per-class expression of ``testing_constant``, with no pruning.
+    Also the candidate-0 stack row, its prefix sums and the measures in
+    source, target order: the inputs of ``_class_bounds``."""
+    kernel = kernel_scan(sigma, w, refinement).stack
+    if direction == "backward":
+        sigma, w = w, sigma
+        kernel = kernel.transpose(0, 2, 1)
+    stack = np.multiply(kernel, sigma.masses_f[None, :, None], order="C")
+    C = np.concatenate(
+        [np.zeros((kernel.shape[0], 1, w.n_atoms)), np.cumsum(stack, axis=1)], axis=1
+    )
+    sp = sigma._mass_prefix
+    wm = w.masses_f
+    before = np.searchsorted(w.positions_f, sigma.positions_f, side="left").tolist()
+    starts = [0] + before
+    ends = before + [w.n_atoms]
+    classes, values = [], []
+    for a1 in range(sigma.n_atoms):
+        b1 = starts[a1]
+        for a2 in range(a1 + 1, sigma.n_atoms + 1):
+            b2 = ends[a2]
+            if b2 == b1:
+                continue
+            smass = sp[a2] - sp[a1]
+            svals = C[:, a2, b1:b2] - C[:, a1, b1:b2]
+            lhs = np.max((svals**2 * wm[b1:b2]).sum(axis=1))
+            classes.append((a1, a2, b1, b2))
+            values.append(lhs / smass)
+    return classes, values, (stack[0], C[0], sigma, w)
+
+
+def _testing_maximal_classes(sigma, w, direction="forward", refinement=DEFAULT_REFINEMENT):
+    """Reference scan: the running maximum over every maximal class."""
+    if sigma.n_atoms == 0 or w.n_atoms == 0:
+        return 0.0
+    best = 0.0
+    for value in _maximal_class_values(sigma, w, direction, refinement)[1]:
+        if value > best:
+            best = value
+    return math.sqrt(best)
+
+
+def _adversarial_pairs(kind, count=6):
+    """Pairs built against the pruning bound's rounding argument.
+
+    ``heavy-ends``: sigma gains 1e14-mass atoms far outside [0, 1) and just
+    inside both of its ends, whose kernel sums cancel in every prefix.
+    ``wide-masses``: every mass is 10^U(-150, 150), so products underflow and
+    sums span 300 decades.  ``overflow``: both measures' masses scaled by
+    1e200, so the scan overflows to inf in both directions.
+    """
+    rng = np.random.default_rng({"heavy-ends": 71, "wide-masses": 72, "overflow": 73}[kind])
+    pairs = random_ensemble(880, count, 24, 12, family="mixed")
+    for sigma, w in pairs:
+        if kind == "heavy-ends":
+            heavy = [(-3, 0, 1e14), (1, 14, 1e14), (16383, 14, 1e14), (4, 0, 1e14)]
+            sigma = AtomicMeasure.from_triples(
+                heavy + [(p.num, p.scale, m) for p, m in zip(sigma.positions, sigma.masses)]
+            )
+        elif kind == "wide-masses":
+            sigma, w = (
+                AtomicMeasure(mu.positions, tuple(10.0 ** rng.uniform(-150, 150, mu.n_atoms)))
+                for mu in (sigma, w)
+            )
+        else:
+            sigma, w = scale_masses(sigma, 1e200), scale_masses(w, 1e200)
+        yield sigma, w
+
+
 class TestTestingConstant:
     def test_micro_value(self, micro_pair):
         assert t_constant(*micro_pair, "forward") == 2.0
@@ -201,6 +273,45 @@ class TestTestingConstant:
                     sigma, w, direction
                 )
 
+    def test_pruned_scan_equals_full_scan(self):
+        for name, sigma, w, _ in oracle_cases():
+            for direction in ("forward", "backward"):
+                got = t_constant(sigma, w, direction)
+                assert got == _testing_maximal_classes(sigma, w, direction), (name, direction)
+
+    def test_pruned_scan_equals_full_scan_128_atoms(self):
+        for sigma, w in random_ensemble(128, 2, 128, 12, family="uniform"):
+            for direction in ("forward", "backward"):
+                assert t_constant(sigma, w, direction) == _testing_maximal_classes(
+                    sigma, w, direction
+                )
+
+    @pytest.mark.parametrize("kind", ["heavy-ends", "wide-masses", "overflow"])
+    def test_pruned_scan_equals_full_scan_adversarial(self, kind):
+        for sigma, w in _adversarial_pairs(kind):
+            for direction in ("forward", "backward"):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    got = t_constant(sigma, w, direction)
+                    want = _testing_maximal_classes(sigma, w, direction)
+                assert got == want, direction
+                if kind == "overflow":
+                    assert got == math.inf
+
+    def test_class_bounds_hold_for_every_class(self):
+        # the pruning is exact only if no class computes above its bound;
+        # a NaN value never raises the running best, so it needs no bound
+        cases = [(name, sigma, w) for name, sigma, w, _ in oracle_cases()]
+        for kind in ("heavy-ends", "wide-masses", "overflow"):
+            cases += [(kind, sigma, w) for sigma, w in _adversarial_pairs(kind)]
+        for name, sigma, w in cases:
+            for direction in ("forward", "backward"):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    classes, values, inputs = _maximal_class_values(sigma, w, direction)
+                a1s, a2s, b1s, b2s = (np.array(c) for c in zip(*classes))
+                ub = _class_bounds(*inputs, a1s, a2s, b1s, b2s)
+                above = [k for k, v in enumerate(values) if v > ub[k]]
+                assert not above, (name, direction, above[:3])
+
     def test_shared_scan_changes_nothing(self):
         for sigma, w in random_ensemble(76, 6, 24, 12, family="mixed"):
             scan = kernel_scan(sigma, w)
@@ -228,13 +339,14 @@ class TestEnergy:
         g = unit_grid(two_atom_w, AtomicMeasure.empty(), 1)
         sides = energy_identity_sides(two_atom_w, g)
         assert list(sides) == [(0, 0)]
-        lhs, rhs = sides[0, 0]
+        e2, lhs, rhs = sides[0, 0]
+        assert e2 == energy(two_atom_w, g.root_interval)
         assert abs(lhs - 0.25) < 1e-15 and abs(lhs - rhs) < 1e-15
 
     def test_unweighted_display_fails_micro(self, two_atom_w):
         g = unit_grid(two_atom_w, AtomicMeasure.empty(), 1)
         e2 = energy(two_atom_w, g.root_interval)
-        _, haar_sum = energy_identity_sides(two_atom_w, g)[0, 0]
+        _, _, haar_sum = energy_identity_sides(two_atom_w, g)[0, 0]
         assert abs(e2 - haar_sum) > 0.1
 
     def test_identity_sides_match_oracle(self):
@@ -251,15 +363,16 @@ class TestEnergy:
 def _energy_identity_oracle(w, i):
     """One interval's sides, from a fresh expansion scanned as a dict."""
     grid = i.grid
-    e2w = energy(w, i) * w.mass_on(i.interval)
+    e2 = energy(w, i)
+    e2w = e2 * w.mass_on(i.interval)
     if w.count_on(i.interval) == 0:
-        return e2w, 0.0
+        return e2, e2w, 0.0
     hc = expand(WeightedFunction.identity(w), grid)
     total = 0.0
     for (lev, idx), c in hc.coeffs.items():
         if lev >= i.level and (idx >> (lev - i.level)) == i.index:
             total += c * c
-    return e2w, 2.0 * total / i.length_f**2
+    return e2, e2w, 2.0 * total / i.length_f**2
 
 
 class TestEnergyConstant:

@@ -187,6 +187,23 @@ class TestKernelStack:
         self._assert_bitwise(diffs[0], cands)
 
 
+class TestKernelFacts:
+    """What the testing scan's pruning bound rests on (``constants._class_bounds``):
+    candidate 0 is the untruncated kernel 1/y, and every candidate has the
+    sign of y and at most its size, value by value as computed."""
+
+    def test_scan_stacks(self):
+        from h2w.constants import kernel_scan
+
+        for name, sigma, w, _ in oracle_cases():
+            scan = kernel_scan(sigma, w)
+            diffs = sigma.positions_f[:, None] - w.positions_f[None, :]
+            assert scan.candidates[0] == hilbert.NONE_TRUNCATION, name
+            assert np.array_equal(scan.stack[0], 1.0 / diffs), name
+            assert np.all(scan.stack * diffs >= 0.0), name
+            assert np.all(np.abs(scan.stack) <= np.abs(scan.stack[0])), name
+
+
 class TestLemmaRatio:
     def test_unknown_id(self):
         with pytest.raises(ValueError):
