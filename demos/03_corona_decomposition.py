@@ -6,40 +6,31 @@ splits the above-diagonal form into corona pieces plus a cross-corona
 residual controlled by the combined constant.
 """
 
-import math
-
 import numpy as np
 
 from h2w import (
-    Interval,
     WeightedFunction,
-    a2_constant,
+    auto_grid,
     b_above,
-    build_grid,
     build_stopping_data,
-    calibrate_c0,
     carleson_check,
+    combined_constant,
     corona_split,
-    dyadic,
     good_projection,
     quasi_norm,
     reduction_residual,
-    testing_constant,
 )
 from h2w.measure import random_ensemble
 from h2w.params import SUITE_BELOW_GAP, SUITE_EPS, SUITE_R
 
 sigma, w = random_ensemble(seed=5, count=1, max_atoms=24, depth=12, family="lacunary")[0]
-grid = build_grid(Interval(dyadic(0), dyadic(1)), 12, dyadic(0), sigma, w)
+grid = auto_grid(sigma, w, 12)
 
 rng = np.random.default_rng(7)
 f = good_projection(WeightedFunction(sigma, rng.standard_normal(sigma.n_atoms)), grid, SUITE_EPS, SUITE_R)
 g = good_projection(WeightedFunction(w, rng.standard_normal(w.n_atoms)), grid, SUITE_EPS, SUITE_R)
 
-h_const = math.sqrt(a2_constant(sigma, w)) + max(
-    testing_constant(sigma, w, "forward"), testing_constant(sigma, w, "backward")
-)
-c0 = calibrate_c0(grid.root_interval, sigma, w, h_const, grid)
+_, _, _, h_const, c0 = combined_constant(sigma, w, grid)
 print(f"combined constant H = {h_const:.3f}, calibrated threshold scale c0 = {c0}")
 
 stopping = build_stopping_data(f, grid.root_interval, sigma, w, h_const, c0, grid)

@@ -6,24 +6,18 @@ charged interval in one batched call, and the comparability of the
 stationary quantity with the genuine half-plane extension.
 """
 
-import math
-
 import numpy as np
 
 from h2w import (
-    Interval,
     WeightedFunction,
-    a2_constant,
-    build_grid,
+    auto_grid,
     build_stopping_data,
-    calibrate_c0,
-    dyadic,
+    combined_constant,
     good_projection,
     mu_measure,
     poisson_extension,
     poisson_stationary,
     poisson_testing,
-    testing_constant,
 )
 from h2w.poisson import default_j_families
 from h2w.haar import occupied_nodes
@@ -32,7 +26,7 @@ from h2w.measure import random_ensemble
 from h2w.params import SUITE_BELOW_GAP, SUITE_EPS, SUITE_R
 
 sigma, w = random_ensemble(seed=13, count=1, max_atoms=24, depth=12, family="clusters")[0]
-grid = build_grid(Interval(dyadic(0), dyadic(1)), 12, dyadic(0), sigma, w)
+grid = auto_grid(sigma, w, 12)
 
 # stationary quantity vs half-plane extension at matching points: the two
 # kernels squeeze each other within a factor of two
@@ -43,11 +37,7 @@ print(f"P(sigma, {gi}) = {p:.6f}, extension at (center, |I|) = {pp:.6f}, ratio {
 
 rng = np.random.default_rng(1)
 f = good_projection(WeightedFunction(sigma, rng.standard_normal(sigma.n_atoms)), grid, SUITE_EPS, SUITE_R)
-h_const = math.sqrt(a2_constant(sigma, w)) + max(
-    testing_constant(sigma, w, "forward"), testing_constant(sigma, w, "backward")
-)
-a2 = a2_constant(sigma, w)
-c0 = calibrate_c0(grid.root_interval, sigma, w, h_const, grid)
+a2, _, _, h_const, c0 = combined_constant(sigma, w, grid)
 stopping = build_stopping_data(f, grid.root_interval, sigma, w, h_const, c0, grid)
 
 j_fams = default_j_families(stopping.members, w, grid, SUITE_EPS, SUITE_R, SUITE_BELOW_GAP)

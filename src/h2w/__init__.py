@@ -66,6 +66,7 @@ from .poisson import (
 from .constants import (
     ConstantsReport,
     a2_constant,
+    combined_constant,
     compute_report,
     energy,
     energy_constant,

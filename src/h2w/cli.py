@@ -1,10 +1,14 @@
 """Command-line front end.
 
-Subcommands: gen, constants, verify, decompose, poisson-test, sweep.
-Every output embeds the run configuration and the package version, outputs
-are byte-identical for identical configurations, and the environment
-variable H2W_SEED overrides --seed.  Exit codes: 0 ok, 1 assertion failure,
-2 parse error, 3 invalid input pair.
+Subcommands: gen, constants, verify, decompose, poisson-test, sweep.  Each
+takes only the options it uses (``OPTIONS``); any other is a usage error.
+Every pair is analysed on ``auto_grid``'s grid, except that an explicit
+``--shift-num`` puts decompose and poisson-test on the unit root at that
+shift.  Every output embeds the run configuration, an option the subcommand
+does not take standing at its default, and the package version; outputs are
+byte-identical for identical configurations, and the environment variable
+H2W_SEED overrides --seed.  Exit codes: 0 ok, 1 assertion failure (a
+non-finite constant or T > N included), 2 parse error, 3 invalid input pair.
 """
 
 from __future__ import annotations
@@ -17,27 +21,22 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import cache
 
 import numpy as np
 
 from . import __version__
-from .constants import SCHEMA_VERSION, a2_constant, compute_report, testing_pair
-from .corona import (
-    build_stopping_data,
-    calibrate_c0,
-    corona_split,
-    reduction_residual,
-)
+from .constants import SCHEMA_VERSION, combined_constant, compute_report
+from .corona import build_stopping_data, corona_split, reduction_residual
 from .errors import (
     CommonPointMass,
-    EndpointCollision,
     H2WError,
     NecessityViolation,
     ParseError,
+    PreconditionViolation,
 )
-from .grid import GridInterval, auto_grid, build_grid
+from .grid import DyadicGrid, GridInterval, auto_grid, build_grid
 from .haar import WeightedFunction, expand, good_projection, occupied_nodes
 from .measure import (
     ALL_FAMILIES,
@@ -95,45 +94,45 @@ class RunConfig:
         return d
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--count", type=int, default=200)
-    p.add_argument("--max-atoms", type=int, default=32, dest="max_atoms")
-    p.add_argument("--depth", type=int, default=12)
-    p.add_argument("--eps", type=float, default=SUITE_EPS)
-    p.add_argument("--r", type=int, default=SUITE_R)
-    p.add_argument("--below-gap", type=int, default=SUITE_BELOW_GAP, dest="below_gap")
-    p.add_argument("--c0", type=float, default=DEFAULT_C0)
-    p.add_argument("--refinement", type=int, default=DEFAULT_REFINEMENT)
-    p.add_argument("--a2-refinement", type=int, default=DEFAULT_A2_REFINEMENT, dest="a2_refinement")
-    p.add_argument("--family", choices=ALL_FAMILIES, default="uniform")
-    p.add_argument("--shift-num", type=int, default=0, dest="shift_num")
-    p.add_argument("--shift-scale", type=int, default=0, dest="shift_scale")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--output", "-o", default=None)
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--strict", action="store_true")
+# The options of each subcommand, by RunConfig field.  Each subcommand gets
+# its own argparse parent, so that a default set on one never leaks into
+# another through a shared action.
+_ANALYSIS = ("seed", "depth", "eps", "r", "c0", "refinement")
+_ENSEMBLE = ("count", "max_atoms", "family")
+_SHIFT = ("shift_num", "shift_scale")
+OPTIONS = {
+    "gen": ("seed", "depth", *_ENSEMBLE, "output"),
+    "constants": (*_ANALYSIS, "below_gap", "a2_refinement", "format", "output"),
+    "verify": (*_ANALYSIS, *_ENSEMBLE, "below_gap", "strict"),
+    "decompose": (*_ANALYSIS, "a2_refinement", *_SHIFT, "output"),
+    "poisson-test": (*_ANALYSIS, "a2_refinement", *_SHIFT, "output", "below_gap"),
+    "sweep": (*_ANALYSIS, *_ENSEMBLE, "below_gap", "a2_refinement", "output", "jobs"),
+}
+
+_CHOICES = {"family": ALL_FAMILIES, "format": ("json", "csv")}
+
+
+def _parent(command: str) -> argparse.ArgumentParser:
+    """A fresh argparse parent with the options of ``command``, each taking
+    the default and the type of its RunConfig field."""
+    parent = argparse.ArgumentParser(add_help=False)
+    for name in OPTIONS[command]:
+        flags = ["--" + name.replace("_", "-")] + (["-o"] if name == "output" else [])
+        default = getattr(RunConfig, name)
+        if isinstance(default, bool):
+            parent.add_argument(*flags, dest=name, action="store_true")
+        elif default is None or name in _CHOICES:
+            parent.add_argument(*flags, dest=name, default=default, choices=_CHOICES.get(name))
+        else:
+            parent.add_argument(*flags, dest=name, default=default, type=type(default))
+    return parent
 
 
 def _config(args) -> RunConfig:
+    """The run configuration from the options the subcommand took; the rest
+    keep their defaults."""
     cfg = RunConfig(
-        seed=args.seed,
-        count=args.count,
-        max_atoms=args.max_atoms,
-        depth=args.depth,
-        eps=args.eps,
-        r=args.r,
-        below_gap=args.below_gap,
-        c0=args.c0,
-        refinement=args.refinement,
-        a2_refinement=args.a2_refinement,
-        family=args.family,
-        shift_num=args.shift_num,
-        shift_scale=args.shift_scale,
-        format=args.format,
-        output=args.output,
-        jobs=args.jobs,
-        strict=args.strict,
+        **{f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)}
     )
     env_seed = os.environ.get("H2W_SEED")
     if env_seed is not None:
@@ -150,6 +149,7 @@ def _emit(text: str, output: str | None):
 
 
 def _load_pair(path: str):
+    """The pair in ``path``; one that shares a point mass is refused."""
     try:
         sigma, w = read_pair_file(path)
     except FileNotFoundError as exc:
@@ -158,6 +158,8 @@ def _load_pair(path: str):
     except ParseError as exc:
         print(f"error: {path}: {exc}", file=sys.stderr)
         raise SystemExit(2)
+    if has_common_point_mass(sigma, w):
+        raise CommonPointMass("the pair shares a point mass")
     return sigma, w
 
 
@@ -204,25 +206,18 @@ def _report_csv(rep_dict: dict) -> str:
 def cmd_constants(args) -> int:
     cfg = _config(args)
     sigma, w = _load_pair(args.pair_file)
-    if has_common_point_mass(sigma, w):
-        print("error: the pair shares a point mass", file=sys.stderr)
-        return 3
-    try:
-        rep = compute_report(
-            sigma,
-            w,
-            seed=cfg.seed,
-            refinement=cfg.refinement,
-            a2_refinement=cfg.a2_refinement,
-            depth=cfg.depth,
-            eps=cfg.eps,
-            r=cfg.r,
-            below_gap=cfg.below_gap,
-            c0=cfg.c0,
-        )
-    except CommonPointMass:
-        print("error: the pair shares a point mass", file=sys.stderr)
-        return 3
+    rep = compute_report(
+        sigma,
+        w,
+        seed=cfg.seed,
+        refinement=cfg.refinement,
+        a2_refinement=cfg.a2_refinement,
+        depth=cfg.depth,
+        eps=cfg.eps,
+        r=cfg.r,
+        below_gap=cfg.below_gap,
+        c0=cfg.c0,
+    )
     body = rep.to_json_dict()
     body["config"] = cfg.stamp()
     if cfg.format == "csv":
@@ -238,18 +233,7 @@ def cmd_constants(args) -> int:
 
 def cmd_verify(args) -> int:
     cfg = _config(args)
-    scfg = SuiteConfig(
-        seed=cfg.seed,
-        count=min(cfg.count, 60),
-        max_atoms=cfg.max_atoms,
-        depth=cfg.depth,
-        eps=cfg.eps,
-        r=cfg.r,
-        below_gap=cfg.below_gap,
-        c0=cfg.c0,
-        refinement=cfg.refinement,
-        family=cfg.family,
-    )
+    scfg = SuiteConfig(**{f.name: getattr(cfg, f.name) for f in fields(SuiteConfig)})
     suites = run_all(scfg) if args.suite == "all" else [run_suite(args.suite, scfg)]
     failures = 0
     warnings = 0
@@ -273,39 +257,44 @@ def cmd_verify(args) -> int:
     return 1 if failures else 0
 
 
-def _grid_for_pair(cfg: RunConfig, sigma, w):
-    """The unit-root grid at the configured shift; an explicit shift that
-    collides is an error, while the default falls back to a covering grid."""
-    shift = dyadic(cfg.shift_num, cfg.shift_scale)
-    try:
-        return build_grid(Interval(dyadic(0), dyadic(1)), cfg.depth, shift, sigma, w)
-    except EndpointCollision:
-        if cfg.shift_num != 0:
-            raise
+def _grid_for_pair(cfg: RunConfig, sigma, w) -> DyadicGrid:
+    """``auto_grid``'s grid; an explicit shift puts the unit root at that
+    shift instead, where a collision is an error."""
+    if cfg.shift_num == 0:
         return auto_grid(sigma, w, cfg.depth)
+    shift = dyadic(cfg.shift_num, cfg.shift_scale)
+    return build_grid(Interval(dyadic(0), dyadic(1)), cfg.depth, shift, sigma, w)
 
 
-def cmd_decompose(args) -> int:
-    cfg = _config(args)
-    sigma, w = _load_pair(args.pair_file)
-    if has_common_point_mass(sigma, w):
-        print("error: the pair shares a point mass", file=sys.stderr)
-        return 3
+def _stopping(cfg: RunConfig, path: str) -> tuple:
+    """The pair in ``path``, its grid, the generator drawn past the seeded
+    coefficients of f, the good projection f, A2, H, c0 and the stopping
+    data of f.  A vanishing f is refused, and so is a non-finite A2 or T;
+    no N is computed here."""
+    sigma, w = _load_pair(path)
     grid = _grid_for_pair(cfg, sigma, w)
     rng = np.random.default_rng(cfg.seed)
     f = good_projection(
         WeightedFunction(sigma, rng.standard_normal(sigma.n_atoms)), grid, cfg.eps, cfg.r
     )
+    if f.norm() == 0:
+        raise PreconditionViolation("the projected test function vanishes; try another seed")
+    a2, t_fwd, t_bwd, h_const, c0 = combined_constant(
+        sigma, w, grid, cfg.refinement, cfg.a2_refinement, cfg.c0
+    )
+    # one test per value: max() would pass a NaN through
+    if not (math.isfinite(a2) and math.isfinite(t_fwd) and math.isfinite(t_bwd)):
+        raise NecessityViolation(f"a constant is not finite: A2 {a2}, T {t_fwd}, {t_bwd}")
+    sd = build_stopping_data(f, grid.root_interval, sigma, w, h_const, c0, grid)
+    return sigma, w, grid, rng, f, a2, h_const, c0, sd
+
+
+def cmd_decompose(args) -> int:
+    cfg = _config(args)
+    _, w, grid, rng, f, _, h_const, c0, sd = _stopping(cfg, args.pair_file)
     g = good_projection(
         WeightedFunction(w, rng.standard_normal(w.n_atoms)), grid, cfg.eps, cfg.r
     )
-    if f.norm() == 0:
-        print("error: the projected test function vanishes; try another seed", file=sys.stderr)
-        return 3
-    a2 = a2_constant(sigma, w, cfg.a2_refinement)
-    h_const = math.sqrt(a2) + max(testing_pair(sigma, w, cfg.refinement))
-    c0 = calibrate_c0(grid.root_interval, sigma, w, h_const, grid, start=cfg.c0)
-    sd = build_stopping_data(f, grid.root_interval, sigma, w, h_const, c0, grid)
 
     def node(F: GridInterval) -> dict:
         return {
@@ -344,22 +333,7 @@ def cmd_decompose(args) -> int:
 
 def cmd_poisson_test(args) -> int:
     cfg = _config(args)
-    sigma, w = _load_pair(args.pair_file)
-    if has_common_point_mass(sigma, w):
-        print("error: the pair shares a point mass", file=sys.stderr)
-        return 3
-    grid = _grid_for_pair(cfg, sigma, w)
-    rng = np.random.default_rng(cfg.seed)
-    f = good_projection(
-        WeightedFunction(sigma, rng.standard_normal(sigma.n_atoms)), grid, cfg.eps, cfg.r
-    )
-    if f.norm() == 0:
-        print("error: the projected test function vanishes; try another seed", file=sys.stderr)
-        return 3
-    a2 = a2_constant(sigma, w, cfg.a2_refinement)
-    h_const = math.sqrt(a2) + max(testing_pair(sigma, w, cfg.refinement))
-    c0 = calibrate_c0(grid.root_interval, sigma, w, h_const, grid, start=cfg.c0)
-    sd = build_stopping_data(f, grid.root_interval, sigma, w, h_const, c0, grid)
+    sigma, w, grid, _, _, a2, h_const, _, sd = _stopping(cfg, args.pair_file)
     j_fams = default_j_families(sd.members, w, grid, cfg.eps, cfg.r, cfg.below_gap)
     hp = mu_measure(sd.members, w, grid, j_fams)
     buf = io.StringIO()
@@ -427,13 +401,14 @@ SWEEP_COLUMNS = [
 def _sweep_row(task) -> list:
     index, sigma, w, cfg_dict = task
     cfg = RunConfig(**cfg_dict)
+    grid = auto_grid(sigma, w, cfg.depth)
     rep = compute_report(
         sigma,
         w,
+        grid,
         seed=cfg.seed + index,
         refinement=cfg.refinement,
         a2_refinement=cfg.a2_refinement,
-        depth=cfg.depth,
         eps=cfg.eps,
         r=cfg.r,
         below_gap=cfg.below_gap,
@@ -441,7 +416,6 @@ def _sweep_row(task) -> list:
     )
     red_ratio = 0.0
     cross_ratio = 0.0
-    grid = build_grid(Interval(dyadic(0), dyadic(1)), cfg.depth, dyadic(0), sigma, w)
     rng = np.random.default_rng(cfg.seed * 7 + index)
     f = good_projection(
         WeightedFunction(sigma, rng.standard_normal(sigma.n_atoms)), grid, cfg.eps, cfg.r
@@ -452,9 +426,8 @@ def _sweep_row(task) -> list:
     if f.norm() > 0 and g.norm() > 0 and rep.h_const > 0:
         rr = reduction_residual(f, g, grid, rep.h_const, cfg.below_gap)
         red_ratio = rr.residual_ratio
-        c0 = rep.meta.get("calibrated_c0", cfg.c0)
         sd = build_stopping_data(
-            f, grid.root_interval, sigma, w, rep.h_const, c0, grid
+            f, grid.root_interval, sigma, w, rep.h_const, rep.meta["calibrated_c0"], grid
         )
         _, residual = corona_split(f, g, sd, grid, cfg.below_gap)
         cross_ratio = abs(residual) / (rep.h_const * f.norm() * g.norm())
@@ -522,16 +495,17 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"h2w {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", help="generate seeded weight-pair files")
-    _add_common(p)
+    def add(command: str, **kwargs) -> argparse.ArgumentParser:
+        return sub.add_parser(command, parents=[_parent(command)], **kwargs)
+
+    p = add("gen", help="generate seeded weight-pair files")
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("constants", help="full constants report for one pair file")
+    p = add("constants", help="full constants report for one pair file")
     p.add_argument("pair_file")
-    _add_common(p)
     p.set_defaults(func=cmd_constants)
 
-    p = sub.add_parser("verify", help="run a verification suite over a seeded ensemble")
+    p = add("verify", help="run a verification suite over a seeded ensemble")
     p.add_argument("suite", choices=SUITE_NAMES + ("all",))
     p.add_argument(
         "--replay-dir",
@@ -539,24 +513,20 @@ def _parser() -> argparse.ArgumentParser:
         dest="replay_dir",
         help="where failing instances are serialized for bit-exact replay",
     )
-    _add_common(p)
-    # the verification ensembles default to the mixed family so that every
-    # suite sees the structures it instruments
-    p.set_defaults(func=cmd_verify, family="mixed")
+    # the verification ensembles default to 60 pairs of the mixed family so
+    # that every suite sees the structures it instruments
+    p.set_defaults(func=cmd_verify, family="mixed", count=60)
 
-    p = sub.add_parser("decompose", help="stopping tree and Haar coefficients as JSON")
+    p = add("decompose", help="stopping tree and Haar coefficients as JSON")
     p.add_argument("pair_file")
-    _add_common(p)
     p.set_defaults(func=cmd_decompose)
 
-    p = sub.add_parser("poisson-test", help="per-interval Poisson testing rows (CSV)")
+    p = add("poisson-test", help="per-interval Poisson testing rows (CSV)")
     p.add_argument("pair_file")
-    _add_common(p)
     p.set_defaults(func=cmd_poisson_test)
 
-    p = sub.add_parser("sweep", help="per-pair constants over an ensemble (CSV)")
+    p = add("sweep", help="per-pair constants over an ensemble (CSV)")
     p.add_argument("--skip", type=int, default=0, help="resume after this many rows")
-    _add_common(p)
     p.set_defaults(func=cmd_sweep)
     return parser
 
@@ -564,7 +534,10 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        # every non-finite constant meets a typed check and exits 1, so
+        # numpy's overflow warnings would only repeat it on stderr
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except NecessityViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

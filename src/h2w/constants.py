@@ -15,8 +15,9 @@ testing_constant   exact supremum over intervals, jointly with the same
                    too, orders the classes and stops the scan, so the
                    result is the full scan's bit for bit;
 testing_pair       both testing constants on one kernel scan;
-pair_constants     N, A2, both T, H = sqrt(A2) + T and the calibrated c0 of a
-                   pair on one grid, from one kernel scan;
+combined_constant  A2, both T, H = sqrt(A2) + T and the calibrated c0 of a
+                   pair on one grid: the one H formula and c0 rule;
+pair_constants     N and the combined_constant chain, from one kernel scan;
 energy             normalized dispersion E(w, I)^2;
 energy_constant    dynamic program over dyadic partitions inside one grid;
 functional_energy_ratio
@@ -70,6 +71,7 @@ __all__ = [
     "a2_constant",
     "testing_constant",
     "testing_pair",
+    "combined_constant",
     "PairConstants",
     "pair_constants",
     "energy",
@@ -576,9 +578,9 @@ def functional_energy_ratio(
 class PairConstants:
     """The per-pair constants that every later stage reads.
 
-    ``c0`` is the energy-stopping threshold calibrated from the start value
-    on ``grid`` (the start value itself when sigma has fewer than two atoms,
-    w none, or H is zero).  Only floats and the grid: no kernel stack.
+    ``c0`` is the energy-stopping threshold on ``grid``, calibrated by the
+    rule of :func:`combined_constant`.  Only floats and the grid: no kernel
+    stack.
     """
 
     grid: DyadicGrid
@@ -591,6 +593,32 @@ class PairConstants:
     scan_size: int
 
 
+def combined_constant(
+    sigma: AtomicMeasure,
+    w: AtomicMeasure,
+    grid: DyadicGrid,
+    refinement: int = DEFAULT_REFINEMENT,
+    a2_refinement: int = DEFAULT_A2_REFINEMENT,
+    c0: float = DEFAULT_C0,
+    *,
+    scan: KernelScan | None = None,
+) -> tuple[float, float, float, float, float]:
+    """A2, forward and backward T, H = sqrt(A2) + max T, and c0.
+
+    c0 is calibrated on ``grid`` from the start value only when sigma has at
+    least two atoms, w at least one and H > 0; otherwise the start value is
+    returned.  ``scan`` is the pair's kernel scan, built here when not given.
+    """
+    from .corona import calibrate_c0  # deferred: corona builds on this module
+
+    a2 = a2_constant(sigma, w, a2_refinement)
+    t_fwd, t_bwd = testing_pair(sigma, w, refinement, scan=scan)
+    h_const = math.sqrt(a2) + max(t_fwd, t_bwd)
+    if sigma.n_atoms >= 2 and w.n_atoms >= 1 and h_const > 0:
+        c0 = calibrate_c0(grid.root_interval, sigma, w, h_const, grid, start=c0)
+    return a2, t_fwd, t_bwd, h_const, c0
+
+
 def pair_constants(
     sigma: AtomicMeasure,
     w: AtomicMeasure,
@@ -599,17 +627,11 @@ def pair_constants(
     a2_refinement: int = DEFAULT_A2_REFINEMENT,
     c0: float = DEFAULT_C0,
 ) -> PairConstants:
-    """N, A2, both T, H and the calibrated c0 of a pair, on one kernel scan."""
-    from .corona import calibrate_c0  # deferred: corona builds on this module
-
+    """N and the :func:`combined_constant` chain of a pair, on one kernel scan."""
     scan = kernel_scan(sigma, w, refinement)
     norm_n = norm_constant(sigma, w, refinement, scan=scan)
-    a2 = a2_constant(sigma, w, a2_refinement)
-    t_fwd, t_bwd = testing_pair(sigma, w, refinement, scan=scan)
-    h_const = math.sqrt(a2) + max(t_fwd, t_bwd)
-    if sigma.n_atoms >= 2 and w.n_atoms >= 1 and h_const > 0:
-        c0 = calibrate_c0(grid.root_interval, sigma, w, h_const, grid, start=c0)
-    return PairConstants(grid, norm_n, a2, t_fwd, t_bwd, h_const, c0, len(scan.candidates))
+    chain = combined_constant(sigma, w, grid, refinement, a2_refinement, c0, scan=scan)
+    return PairConstants(grid, norm_n, *chain, len(scan.candidates))
 
 
 @dataclass

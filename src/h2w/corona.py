@@ -39,7 +39,7 @@ from .haar import (
     splitting_nodes,
 )
 from .measure import AtomicMeasure
-from .params import DEFAULT_BELOW_GAP, DEFAULT_C0
+from .params import DEFAULT_C0
 from .poisson import _poisson_sum
 
 __all__ = [
@@ -221,6 +221,8 @@ def build_stopping_data(
     maximal descendants that energy-stop or whose average of |f| reaches ten
     times the control value; refresh the control value only when the average
     at least doubles."""
+    if not h_const > 0:
+        raise PreconditionViolation("h_const must be positive")
     if f.base != sigma:
         raise PreconditionViolation("f must live over sigma")
     if f.norm() == 0.0:
@@ -428,7 +430,7 @@ def b_above(
     f: WeightedFunction,
     g: WeightedFunction,
     grid: DyadicGrid,
-    below_gap: int = DEFAULT_BELOW_GAP,
+    below_gap: int,
     side: str = "above",
 ) -> float:
     """The above-diagonal bilinear form; ``side='below'`` swaps the roles.
@@ -449,7 +451,7 @@ def corona_split(
     g: WeightedFunction,
     stopping: StoppingData,
     grid: DyadicGrid,
-    below_gap: int = DEFAULT_BELOW_GAP,
+    below_gap: int,
 ) -> tuple[float, float]:
     """Diagonal corona part of the above form, and the cross-corona rest.
 
@@ -479,7 +481,7 @@ def reduction_residual(
     g: WeightedFunction,
     grid: DyadicGrid,
     h_const: float,
-    below_gap: int = DEFAULT_BELOW_GAP,
+    below_gap: int,
 ) -> ReductionResidual:
     """The raw pairing, both diagonal forms, and the normalized residual
     |pairing - above - below| / (h ||f|| ||g||)."""
@@ -498,7 +500,7 @@ def local_estimate_ratios(
     g: WeightedFunction,
     stopping: StoppingData,
     grid: DyadicGrid,
-    below_gap: int = DEFAULT_BELOW_GAP,
+    below_gap: int,
 ) -> list[float]:
     """Per-corona ratios |B(f_u, g_a)| / ((sigma(F)^(1/2) + ||f_u||) ||g_a||).
 

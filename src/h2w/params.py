@@ -1,18 +1,13 @@
 """Default parameters shared across modules.
 
-The *strict* gap r=9 follows the classical convention where the goodness
-gap is taken large; with eps=1/4 the nonvacuously-good set is empty there
-(an interval of positive width cannot sit a quarter-length away from both
-endpoints of a half-cell exactly 2^(r-1) levels up), so every interval
-deeper than r-2 levels is bad.  It survives only as the default gap of the
-bilinear forms.  The *feasible* set (eps=0.49, r=6) is the smallest gap at
-which good intervals exist at every depth; ensemble suites, the CLI and the
-report run there.
+Ensemble suites, the CLI and the report run at eps=0.49, r=6 with a
+below-the-diagonal gap of 6: the smallest gap at which good intervals exist
+at every depth.  The classical strict gap r=9 is not a default anywhere.
+With eps=1/4 its nonvacuously-good set is empty (an interval of positive
+width cannot sit a quarter-length away from both endpoints of a half-cell
+exactly 2^(r-1) levels up), so every interval deeper than r-2 levels is
+bad; the grid tests pin that fact down.
 """
-
-# Strict gap in the below-the-diagonal bilinear forms.
-DEFAULT_R = 9
-DEFAULT_BELOW_GAP = DEFAULT_R
 
 # Feasible configuration used by ensemble suites and recorded regressions.
 SUITE_EPS = 0.49

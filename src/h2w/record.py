@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import math
 import pprint
+from dataclasses import fields
 
-from .constants import a2_constant, kernel_scan, norm_constant, testing_pair
+from .constants import pair_constants
+from .grid import auto_grid
 from .measure import random_ensemble
 from .regression import ORACLE_CONFIG
 from .verify import SuiteConfig, observed_maxima
@@ -23,27 +25,17 @@ def sweep_band(seeds=(20251, 555, 999), count=200, max_atoms=32, depth=12):
     hi, lo = 0.0, math.inf
     for seed in seeds:
         for sigma, w in random_ensemble(seed, count, max_atoms, depth, family="uniform"):
-            scan = kernel_scan(sigma, w)
-            n = norm_constant(sigma, w, scan=scan)
-            if n == 0.0:
+            rec = pair_constants(sigma, w, auto_grid(sigma, w, depth))
+            if rec.norm_N == 0.0:
                 continue
-            h = math.sqrt(a2_constant(sigma, w)) + max(testing_pair(sigma, w, scan=scan))
-            hi = max(hi, n / h)
-            lo = min(lo, n / h)
+            hi = max(hi, rec.norm_N / rec.h_const)
+            lo = min(lo, rec.norm_N / rec.h_const)
     return lo, hi
 
 
 def main() -> None:
     cfg = SuiteConfig(
-        seed=ORACLE_CONFIG["seed"],
-        count=ORACLE_CONFIG["count"],
-        max_atoms=ORACLE_CONFIG["max_atoms"],
-        depth=ORACLE_CONFIG["depth"],
-        eps=ORACLE_CONFIG["eps"],
-        r=ORACLE_CONFIG["r"],
-        below_gap=ORACLE_CONFIG["below_gap"],
-        refinement=ORACLE_CONFIG["refinement"],
-        family=ORACLE_CONFIG["family"],
+        **{f.name: ORACLE_CONFIG[f.name] for f in fields(SuiteConfig) if f.name in ORACLE_CONFIG}
     )
     observed = {k: round(float(v), 9) for k, v in observed_maxima(cfg).items()}
     lo, hi = sweep_band()

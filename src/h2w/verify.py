@@ -52,7 +52,7 @@ from .corona import (
     reduction_residual,
     uniformity_check,
 )
-from .grid import DyadicGrid, GridInterval, build_grid, good_levels_scan, is_good
+from .grid import DyadicGrid, GridInterval, auto_grid, build_grid, good_levels_scan, is_good
 from .haar import (
     WeightedFunction,
     _node_mass,
@@ -125,7 +125,7 @@ class CheckResult:
 
 
 class _Ensemble:
-    """One run's seeded ensemble, with each distinct pair's unit-root grid
+    """One run's seeded ensemble, with each distinct pair's ``auto_grid``
     and :func:`pair_constants` record and each ensemble pair's report, each
     built on first use."""
 
@@ -141,8 +141,7 @@ class _Ensemble:
     def grid(self, sigma: AtomicMeasure, w: AtomicMeasure) -> DyadicGrid:
         key = (sigma, w)
         if key not in self._grids:
-            root = Interval(dyadic(0), dyadic(1))
-            self._grids[key] = build_grid(root, self.cfg.depth, dyadic(0), sigma, w)
+            self._grids[key] = auto_grid(sigma, w, self.cfg.depth)
         return self._grids[key]
 
     def record(self, sigma: AtomicMeasure, w: AtomicMeasure) -> PairConstants:
@@ -323,7 +322,7 @@ def suite_energy(ens: _Ensemble) -> _Suite:
         # the report's energy constants are energy_constant on this grid
         rep = ens.report(idx)
         if idx < 8:
-            shallow = build_grid(root, max(2, cfg.depth - 3), dyadic(0), sigma, w)
+            shallow = build_grid(grid.root, max(2, cfg.depth - 3), grid.shift, sigma, w)
             if rep.energy_E < energy_constant(sigma, w, shallow):
                 monotone_ok = False
         if rep.h_const > 0:

@@ -4,12 +4,18 @@ import subprocess
 import sys
 import tracemalloc
 
-import numpy as np
 import pytest
 
-from h2w.cli import main
+import h2w.verify as verify
+from h2w.cli import _parser, main
 from h2w.errors import InexactPosition
-from h2w.measure import parse_pair_text
+from h2w.grid import auto_grid
+from h2w.haar import occupied_nodes
+from h2w.measure import parse_pair_text, read_pair_file
+
+# three-atom measures at 1e150 and 2e150: N is finite, but the testing scan
+# squares sigma-weighted kernel sums and overflows
+OVERFLOW_PAIR = "[sigma]\n1 3 1e150\n3 3 1e150\n5 4 1e150\n[w]\n5 3 2e150\n7 3 2e150\n13 4 2e150\n"
 
 
 def run_cli(args, capsys):
@@ -129,12 +135,25 @@ class TestNonFiniteConstants:
         # 1e200 died with a bare AssertionError traceback
         huge = tmp_path / "huge.txt"
         huge.write_text(f"[sigma]\n1 2 {mass}\n[w]\n3 2 {mass}\n")
-        with np.errstate(over="ignore", invalid="ignore"):
-            code, out, err = run_cli(["constants", str(huge)], capsys)
+        code, out, err = run_cli(["constants", str(huge)], capsys)
         assert code == 1 and out == ""
         lines = err.splitlines()
         assert [ln for ln in lines if ln.startswith("error:")] == lines[-1:]
         assert "testing exceeded the norm" in lines[-1]
+
+    @pytest.mark.parametrize("command", ["constants", "decompose", "poisson-test"])
+    def test_every_pair_command_exits_1(self, command, tmp_path):
+        # decompose and poisson-test once exited 0, decompose printing
+        # "h_const": Infinity (not JSON) and poisson-test inf rows; numpy's
+        # overflow warnings preceded the error line.  A subprocess, since
+        # pytest captures warnings in-process.
+        huge = tmp_path / "huge.txt"
+        huge.write_text(OVERFLOW_PAIR)
+        proc = subprocess.run(
+            [sys.executable, "-m", "h2w.cli", command, str(huge)], capture_output=True, text=True
+        )
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error:")
 
 
 class TestVerifyCommand:
@@ -166,6 +185,39 @@ class TestDecompose:
         assert body["haar"]["sigma"]["coefficients"]
 
 
+class TestPairFileGrid:
+    @pytest.mark.parametrize("command", ["decompose", "poisson-test"])
+    def test_empty_w_exit_3(self, command, tmp_path, capsys):
+        empty = tmp_path / "empty.txt"
+        empty.write_text("[sigma]\n1 2 1.0\n5 3 2.0\n3 4 1.0\n[w]\n")
+        code, out, err = run_cli([command, str(empty)], capsys)
+        assert code == 3 and out == ""
+        assert "h_const must be positive" in err
+
+    @pytest.fixture
+    def outside_pair(self, tmp_path):
+        # every atom inside [1.125, 1.875], outside the unit root
+        path = tmp_path / "outside.txt"
+        path.write_text("[sigma]\n9 3 1.0\n11 3 2.0\n3 1 1.5\n[w]\n5 2 1.0\n13 3 0.5\n15 3 2.0\n")
+        return str(path)
+
+    def test_decompose_runs_on_auto_grid(self, outside_pair, capsys):
+        # decompose and poisson-test once exited 3: their grid was the unit root
+        code, out, _ = run_cli(["decompose", outside_pair], capsys)
+        assert code == 0
+        root = auto_grid(*read_pair_file(outside_pair), 12).root_interval
+        box = json.loads(out)["tree"]["interval"]
+        assert (box["left"], box["right"]) == (root.left_f, root.right_f) != (0.0, 1.0)
+
+    def test_poisson_test_runs_on_auto_grid(self, outside_pair, capsys):
+        code, out, _ = run_cli(["poisson-test", outside_pair], capsys)
+        assert code == 0
+        sigma, w = read_pair_file(outside_pair)
+        grid = auto_grid(sigma, w, 12)
+        rows = {line.split(",")[0] for line in out.splitlines()[2:]}
+        assert {f"L{n.level}.{n.index}" for n in occupied_nodes(sigma, grid) if n.level <= 8} <= rows
+
+
 class TestPoissonTest:
     def test_csv_rows(self, pair_file, capsys):
         code, out, _ = run_cli(["poisson-test", pair_file, "--depth", "10"], capsys)
@@ -174,6 +226,80 @@ class TestPoissonTest:
         assert lines[0].startswith("# h2w")
         assert lines[1].split(",")[:4] == ["interval", "forward_lhs", "forward_rhs", "forward_ratio"]
         assert len(lines) > 2
+
+
+# every option that all subcommands once shared, with a value to give it
+OPTION_VALUES = {
+    "--seed": "1",
+    "--count": "1",
+    "--max-atoms": "4",
+    "--depth": "6",
+    "--eps": "0.49",
+    "--r": "6",
+    "--below-gap": "6",
+    "--c0": "1.0",
+    "--refinement": "8",
+    "--a2-refinement": "6",
+    "--family": "uniform",
+    "--shift-num": "1",
+    "--shift-scale": "3",
+    "--format": "csv",
+    "--output": "out.txt",
+    "--jobs": "1",
+    "--strict": None,
+}
+_ANALYSIS = ("--seed", "--depth", "--eps", "--r", "--c0", "--refinement")
+_ENSEMBLE = ("--count", "--max-atoms", "--family")
+# the README table
+TAKES = {
+    "gen": ("--seed", "--depth", *_ENSEMBLE, "--output"),
+    "constants": (*_ANALYSIS, "--below-gap", "--a2-refinement", "--format", "--output"),
+    "verify": (*_ANALYSIS, *_ENSEMBLE, "--below-gap", "--strict"),
+    "decompose": (*_ANALYSIS, "--a2-refinement", "--shift-num", "--shift-scale", "--output"),
+    "poisson-test": (*_ANALYSIS, "--a2-refinement", "--shift-num", "--shift-scale", "--output", "--below-gap"),
+    "sweep": (*_ANALYSIS, *_ENSEMBLE, "--below-gap", "--a2-refinement", "--output", "--jobs"),
+}
+POSITIONAL = {"constants": ["p.txt"], "verify": ["all"], "decompose": ["p.txt"], "poisson-test": ["p.txt"]}
+REFUSED = [(cmd, opt) for cmd in TAKES for opt in OPTION_VALUES if opt not in TAKES[cmd]]
+
+
+class TestOptionSets:
+    def argv(self, command, option):
+        value = OPTION_VALUES[option]
+        return [command, *POSITIONAL.get(command, []), option] + ([] if value is None else [value])
+
+    @pytest.mark.parametrize("command,option", REFUSED)
+    def test_ignored_option_is_refused(self, command, option, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(self.argv(command, option))
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", sorted(TAKES))
+    def test_taken_options_parse(self, command):
+        for option in TAKES[command]:
+            assert _parser().parse_args(self.argv(command, option)).command == command
+
+    def test_defaults_stay_per_subcommand(self):
+        # verify's own defaults must not reach the other ensemble commands
+        parse = _parser().parse_args
+        assert (parse(["verify", "all"]).family, parse(["verify", "all"]).count) == ("mixed", 60)
+        for argv in (["gen"], ["sweep"]):
+            assert (parse(argv).family, parse(argv).count) == ("uniform", 200)
+
+    @pytest.mark.parametrize("count,drawn", [(["--count", "61"], 61), ([], 60)])
+    def test_verify_draws_count_pairs(self, count, drawn, monkeypatch, capsys):
+        # the count was clamped to 60 without a word
+        counts = []
+        draw = verify.random_ensemble
+
+        def spy(seed, count, *args, **kwargs):
+            counts.append(count)
+            return draw(seed, 2, *args, **kwargs)
+
+        monkeypatch.setattr(verify, "random_ensemble", spy)
+        run_cli(["verify", "haar", *count, "--max-atoms", "4", "--depth", "6"], capsys)
+        assert counts == [drawn]
 
 
 class TestSweep:
