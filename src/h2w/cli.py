@@ -111,11 +111,42 @@ OPTIONS = {
 
 _CHOICES = {"family": ALL_FAMILIES, "format": ("json", "csv")}
 
+# The values each option accepts, where its type alone admits values that
+# the analysis refuses; verify's count also, since an empty ensemble has no
+# pair to report on.
+_AT_LEAST_ONE = (lambda v: v >= 1, "at least 1")
+_DOMAINS = {
+    "depth": _AT_LEAST_ONE,
+    "max_atoms": _AT_LEAST_ONE,
+    "r": _AT_LEAST_ONE,
+    "below_gap": _AT_LEAST_ONE,
+    "eps": (lambda v: 0.0 < v < 0.5, "in (0, 1/2)"),
+    "c0": (lambda v: math.isfinite(v) and v > 0.0, "finite and positive"),
+}
+_COMMAND_DOMAINS = {"verify": {"count": _AT_LEAST_ONE}}
+
+
+def _checked(kind: type, domain: tuple):
+    """An argparse ``type=`` that converts with ``kind`` and refuses values
+    outside ``domain`` (a test and its description), so they exit 2."""
+    test, description = domain
+
+    def parse(text: str):
+        value = kind(text)
+        if not test(value):
+            raise argparse.ArgumentTypeError(f"{text} is not {description}")
+        return value
+
+    parse.__name__ = kind.__name__  # "invalid int value" for a non-number
+    return parse
+
 
 def _parent(command: str) -> argparse.ArgumentParser:
     """A fresh argparse parent with the options of ``command``, each taking
-    the default and the type of its RunConfig field."""
+    the default and the type of its RunConfig field, checked against its
+    domain."""
     parent = argparse.ArgumentParser(add_help=False)
+    domains = {**_DOMAINS, **_COMMAND_DOMAINS.get(command, {})}
     for name in OPTIONS[command]:
         flags = ["--" + name.replace("_", "-")] + (["-o"] if name == "output" else [])
         default = getattr(RunConfig, name)
@@ -124,7 +155,10 @@ def _parent(command: str) -> argparse.ArgumentParser:
         elif default is None or name in _CHOICES:
             parent.add_argument(*flags, dest=name, default=default, choices=_CHOICES.get(name))
         else:
-            parent.add_argument(*flags, dest=name, default=default, type=type(default))
+            kind = type(default)
+            if name in domains:
+                kind = _checked(kind, domains[name])
+            parent.add_argument(*flags, dest=name, default=default, type=kind)
     return parent
 
 
@@ -532,7 +566,13 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    parser = _parser()
+    args = parser.parse_args(argv)
+    # random_ensemble draws 2 * max_atoms distinct slots of the depth lattice
+    if hasattr(args, "max_atoms") and (2 * args.max_atoms - 1) >> args.depth:
+        parser.error(
+            f"--max-atoms {args.max_atoms} needs 2 * max_atoms <= 2^depth (depth {args.depth})"
+        )
     try:
         # every non-finite constant meets a typed check and exits 1, so
         # numpy's overflow warnings would only repeat it on stderr

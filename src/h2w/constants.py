@@ -5,6 +5,11 @@ kernel_scan        the truncation scan of a pair and its unscaled kernel
                    constants;
 norm_constant      largest singular value of the truncated kernel matrix,
                    maximized over the truncation scan (dense batched SVD);
+                   an exact branch-and-bound: a Frobenius or
+                   sqrt(||.||_1 ||.||_inf) bound per candidate, which holds
+                   for LAPACK's rounded value too, orders the candidates and
+                   stops the scan, so the result is the full scan's bit for
+                   bit;
 a2_constant        lower-bound search for sup_I P(sigma, I) P(w, I) over a
                    structured interval family;
 testing_constant   exact supremum over intervals, jointly with the same
@@ -19,7 +24,10 @@ combined_constant  A2, both T, H = sqrt(A2) + T and the calibrated c0 of a
                    pair on one grid: the one H formula and c0 rule;
 pair_constants     N and the combined_constant chain, from one kernel scan;
 energy             normalized dispersion E(w, I)^2;
-energy_constant    dynamic program over dyadic partitions inside one grid;
+energy_constant    dynamic program over dyadic partitions inside one grid,
+                   over the trunk nodes that hold sigma atoms, read from one
+                   trunk table per (w, grid) (``_trunk_table``), which the
+                   energy-stopping test of ``corona`` reads too;
 functional_energy_ratio
                    both sides of the multi-scale energy inequality on a
                    supplied family, reported as a ratio;
@@ -32,7 +40,9 @@ documented candidate sets, never as certified upper bounds.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -47,7 +57,6 @@ from .haar import (
     expand,
     good_projection,
     haar_function,
-    occupied_nodes,
     splitting_nodes,
 )
 from .hilbert import TruncationSpec, kernel_stack, truncation_candidates
@@ -108,13 +117,52 @@ def kernel_scan(
     return KernelScan(cands, kernel_stack(diffs, cands))
 
 
+# 2^-1074, the smallest subnormal: twice the absolute rounding error of a
+# product or quotient that underflows
+_TINY = math.ldexp(1.0, -1074)
+
+
 def _spectral_norms(stack: np.ndarray) -> np.ndarray:
     """Largest singular value of each matrix in a (T, m, n) stack.
 
-    Dense batched SVD at every size: exact to rounding and, at the sizes
-    this package handles, faster than an iterative method.
+    Dense batched SVD: exact to rounding and, at the sizes this package
+    handles, faster than an iterative method.  Each matrix is computed on
+    its own, so a sub-batch gets the same bits as the full batch.
     """
     return np.linalg.svd(stack, compute_uv=False)[:, 0]
+
+
+# candidates per batched SVD call of the pruned norm scan
+_NORM_CHUNK = 8
+
+
+def _norm_bounds(stack: np.ndarray) -> np.ndarray:
+    """Upper bounds for the largest singular value that LAPACK computes for
+    each matrix in a (T, m, n) stack; +inf where the bound is NaN.
+
+    The spectral norm is at most the Frobenius norm and at most
+    sqrt(||A||_1 ||A||_inf), the largest column and row sums of |A|; the
+    smaller of the two is taken.  Rounding.  The sums of k non-negative
+    terms carry a relative error below k eps.  A square, or the product of
+    the two norms, that underflows loses less than 2^-1074, so 2^-1073 per
+    square, and once for the product, is added before each root.
+    LAPACK's computed sigma_max is the exact one of A + E with
+    ||E|| <= p(m, n) eps ||A|| for a modest polynomial p, and it scales
+    tiny and huge matrices before it iterates.  The factor
+    1 + 1e-9 + 8 (m + n)^2 eps covers both relative errors.  An overflow
+    gives +inf and a NaN entry a NaN, read as +inf, so such a candidate is
+    never skipped.
+    """
+    _, m, n = stack.shape
+    slack = 1.0 + 1e-9 + 8.0 * (m + n) ** 2 * np.finfo(float).eps
+    with np.errstate(all="ignore"):
+        frob = np.sqrt(np.square(stack).sum(axis=(1, 2)) + m * n * 2.0 * _TINY)
+        mag = np.abs(stack)
+        one = mag.sum(axis=1).max(axis=1)
+        inf = mag.sum(axis=2).max(axis=1)
+        ub = np.minimum(frob, np.sqrt(one * inf + 2.0 * _TINY)) * slack
+    ub[np.isnan(ub)] = np.inf
+    return ub
 
 
 def norm_constant(
@@ -129,6 +177,14 @@ def norm_constant(
     Equals the max over the truncation scan of the largest singular value of
     the matrix sqrt(w_j) K(y_i - x_j) sqrt(sigma_i).  ``scan``, the pair's
     :func:`kernel_scan`, is built here when not given.
+
+    An exact branch-and-bound: the candidates are taken in decreasing order
+    of :func:`_norm_bounds`, a few per batched SVD, and the scan stops at
+    the first bound at most the running best.  The bound holds for the value
+    LAPACK computes, so the result is the full scan's max bit for bit.  An
+    infinite bound is never skipped, and once the running best is NaN no
+    bound compares below it, so a NaN or a failed SVD surfaces as it would
+    in the full scan.
     """
     if has_common_point_mass(sigma, w):
         raise CommonPointMass("norm constant requires disjoint point masses")
@@ -138,7 +194,17 @@ def norm_constant(
         scan = kernel_scan(sigma, w, refinement)
     stack = scan.stack * np.sqrt(sigma.masses_f)[None, :, None]
     stack *= np.sqrt(w.masses_f)[None, None, :]
-    return float(_spectral_norms(stack).max())
+    ub = _norm_bounds(stack)
+    order = np.argsort(-ub, kind="stable")
+    best = -math.inf
+    for start in range(0, len(order), _NORM_CHUNK):
+        head = ub[order[start]]
+        if head <= best and head != math.inf:
+            break
+        chunk = order[start : start + _NORM_CHUNK]
+        # np.max keeps a NaN, as the full scan's max would
+        best = float(np.max(_spectral_norms(stack[chunk]), initial=best))
+    return best
 
 
 def a2_constant(
@@ -259,11 +325,6 @@ def testing_constant(
         if lhs / smass > best:
             best = lhs / smass
     return math.sqrt(best)
-
-
-# 2^-1074, the smallest subnormal: twice the absolute rounding error of a
-# product or quotient that underflows
-_TINY = math.ldexp(1.0, -1074)
 
 
 def _class_bounds(
@@ -405,6 +466,45 @@ def energy_identity_sides(
     return out
 
 
+@dataclass(frozen=True)
+class _TrunkTable:
+    """The w-dispersion trunk of one (w, grid): the charged nodes of w in
+    pre-order, their endpoint floats, E(w, I)^2 w(I) of each, the end of
+    each node's pre-order subtree run, and E^2 w by (level, index)."""
+
+    nodes: tuple
+    left: np.ndarray
+    right: np.ndarray
+    e2w: np.ndarray
+    end: tuple[int, ...]
+    e2w_at: dict[tuple[int, int], float]
+
+
+@lru_cache(maxsize=1024)
+def _trunk_table(w: AtomicMeasure, grid: DyadicGrid) -> _TrunkTable:
+    """The :class:`_TrunkTable` of w on ``grid``, built once per pair."""
+    nodes = charged_nodes(w, grid)
+    left = [grid.endpoint_f(n.level, n.index) for n in nodes]
+    right = [grid.endpoint_f(n.level, n.index + 1) for n in nodes]
+    wpref = w._mass_prefix
+    e2w = [
+        _energy_on(w, n.lo, n.hi, r - l) * float(wpref[n.hi] - wpref[n.lo])
+        for n, l, r in zip(nodes, left, right)
+    ]
+    # a subtree ends at the first node whose left end, on the finest
+    # lattice, passes the subtree's right end
+    at = [n.index << (grid.depth - n.level) for n in nodes]
+    end = tuple(bisect_left(at, (n.index + 1) << (grid.depth - n.level)) for n in nodes)
+    return _TrunkTable(
+        nodes,
+        np.array(left),
+        np.array(right),
+        np.array(e2w),
+        end,
+        {(n.level, n.index): v for n, v in zip(nodes, e2w)},
+    )
+
+
 def energy_constant(sigma: AtomicMeasure, w: AtomicMeasure, grid: DyadicGrid) -> float:
     """Best dyadic-partition energy sum inside the grid, via dynamic programming.
 
@@ -413,32 +513,25 @@ def energy_constant(sigma: AtomicMeasure, w: AtomicMeasure, grid: DyadicGrid) ->
     term(I) = P(sigma 1_I0, I)^2 E(w, I)^2 w(I); the constant is the max of
     sqrt(best(I0) / sigma(I0)).  A lower bound for the supremum over dyadic
     partitions; deeper grids only increase it.
+
+    The trunk below I0 is empty unless I0 is a trunk node, so I0 runs over
+    the trunk nodes of :func:`_trunk_table` that hold sigma atoms, in
+    pre-order; their sigma ranges come from the same endpoint floats.
     """
     if sigma.n_atoms == 0 or w.n_atoms == 0:
         return 0.0
-    trunk = charged_nodes(w, grid)
-    if not trunk:
+    table = _trunk_table(w, grid)
+    if not table.nodes:
         return 0.0
-    wl = np.array([grid.endpoint_f(n.level, n.index) for n in trunk])
-    wr = np.array([grid.endpoint_f(n.level, n.index + 1) for n in trunk])
-    wpref = w._mass_prefix
-    ew = np.array(
-        [
-            _energy_on(w, n.lo, n.hi, r - l) * float(wpref[n.hi] - wpref[n.lo])
-            for n, l, r in zip(trunk, wl.tolist(), wr.tolist())
-        ]
-    )
-    keys = [(n.level, n.index) for n in trunk]
-    best_overall = 0.0
+    wl, wr, ew = table.left, table.right, table.e2w
     spos = sigma.positions_f
     smass = sigma.masses_f
-    for node in occupied_nodes(sigma, grid):
-        l0, i0 = node.level, node.index
-        # the trunk below I0 is one pre-order run, empty unless I0 is in the trunk
-        start, end = _run(trunk, grid, l0, i0)
-        if start == end:
-            continue
-        sl = slice(node.lo, node.hi)
+    slo = np.searchsorted(spos, wl)
+    shi = np.searchsorted(spos, wr)
+    best_overall = 0.0
+    for start in np.flatnonzero(shi > slo).tolist():
+        end = table.end[start]
+        sl = slice(slo[start], shi[start])
         s0 = float(np.sum(smass[sl]))
         dist = np.maximum(
             0.0,
@@ -453,10 +546,13 @@ def energy_constant(sigma: AtomicMeasure, w: AtomicMeasure, grid: DyadicGrid) ->
         # reverse pre-order meets both children of a node before the node
         best: dict[tuple[int, int], float] = {}
         for t in range(end - 1, start - 1, -1):
-            lev, idx = keys[t]
-            kids = best.get((lev + 1, 2 * idx), 0.0) + best.get((lev + 1, 2 * idx + 1), 0.0)
-            best[keys[t]] = max(term[t - start], kids)
-        ratio = best[(l0, i0)] / s0
+            n = table.nodes[t]
+            kids = best.get((n.level + 1, 2 * n.index), 0.0) + best.get(
+                (n.level + 1, 2 * n.index + 1), 0.0
+            )
+            best[n.level, n.index] = max(term[t - start], kids)
+        top = table.nodes[start]
+        ratio = best[top.level, top.index] / s0
         if ratio > best_overall:
             best_overall = ratio
     return math.sqrt(best_overall)

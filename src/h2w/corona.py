@@ -13,17 +13,25 @@ bounded-averages constant run on atom ranges: a visited grid interval is its
 ``haar._run``), so a GridInterval is built only for a returned member or a
 named violation.  ``uniformity_check`` walks the grid itself rather than the
 occupied-node list, so it checks the bounded-averages constant
-independently.
+independently.  The energy-stopping test reads E(w, I)^2 w(I) from the trunk
+table of (w, grid) that ``constants.energy_constant`` reads.
+
+A :class:`StoppingData` walks each splitting node up to its minimal member
+once per measure (``corona_nodes``, on the one walk ``pi_key`` that ``pi``
+uses too), so a corona projection reads its pre-order group.  The bilinear
+form visits, under each source node, only the pre-order run of target
+nodes inside it (``haar._run``), in the order of the full double loop.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .constants import _carleson_ratio, _energy_on
+from .constants import _carleson_ratio, _trunk_table
 from .errors import PreconditionViolation
 from .grid import DyadicGrid, GridInterval
 from .haar import (
@@ -68,22 +76,39 @@ class StoppingData:
     alpha: dict
     reason: dict
     children: dict
+    _corona_nodes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    @property
+    @cached_property
     def member_keys(self) -> frozenset:
         return frozenset(m.key for m in self.members)
 
+    def pi_key(self, level: int, index: int) -> tuple[int, int] | None:
+        """(level, index) of the minimal member containing grid interval
+        (level, index), itself when it is a member; None outside the family."""
+        keys = self.member_keys
+        while True:
+            if (level, index) in keys:
+                return level, index
+            if level == 0:
+                return None
+            level, index = level - 1, index // 2
+
     def pi(self, i: GridInterval) -> GridInterval | None:
         """Minimal member containing i (i itself when i is a member)."""
-        lev, idx = i.level, i.index
-        keys = self.member_keys
-        grid = self.root.grid
-        while True:
-            if (lev, idx) in keys:
-                return GridInterval(grid, lev, idx)
-            if lev == 0:
-                return None
-            lev, idx = lev - 1, idx // 2
+        key = self.pi_key(i.level, i.index)
+        return None if key is None else GridInterval(self.root.grid, *key)
+
+    def corona_nodes(self, mu: AtomicMeasure) -> dict[tuple[int, int], tuple]:
+        """The splitting nodes of mu grouped by their minimal member, each
+        group in pre-order; built once per measure."""
+        groups = self._corona_nodes.get(mu)
+        if groups is None:
+            lists: dict[tuple[int, int], list] = {}
+            for n in splitting_nodes(mu, self.root.grid):
+                lists.setdefault(self.pi_key(n.level, n.index), []).append(n)
+            groups = {key: tuple(nodes) for key, nodes in lists.items()}
+            self._corona_nodes[mu] = groups
+        return groups
 
     def family_children(self, F: GridInterval) -> tuple[GridInterval, ...]:
         return self.children.get(F.key, ())
@@ -123,26 +148,27 @@ def _energy_test(
 ):
     """The energy-stopping test below a top interval whose sigma atoms are ``top``.
 
-    ``hit(level, index, (a, b), (c, d))`` tells whether the grid interval I
-    with sigma atoms [a, b) and w atoms [c, d) has P(sigma_0, I)^2 E(w, I)^2
+    ``hit(level, index, (a, b))`` tells whether the grid interval I with
+    sigma atoms [a, b) and at least two w atoms has P(sigma_0, I)^2 E(w, I)^2
     w(I) > 10 c0 h^2 sigma_0(I), sigma_0 being sigma restricted to the top
     interval.  sigma_0(I) is read from sigma_0's own prefix sums, so it
-    rounds as ``sigma.restrict(top).mass_on(I)`` does.
+    rounds as ``sigma.restrict(top).mass_on(I)`` does.  E(w, I)^2 w(I) is
+    read from the trunk table of (w, grid): a tested I holds at least two w
+    atoms, so it is a trunk node.
     """
     lo0, hi0 = top
     pos = sigma.positions_f[lo0:hi0]
     mass = sigma.masses_f[lo0:hi0]
     prefix = np.concatenate(([0.0], np.cumsum(mass)))
-    wpref = w._mass_prefix
+    e2w_at = _trunk_table(w, grid).e2w_at
     threshold = 10.0 * c0 * h_const**2
 
-    def hit(level: int, index: int, srange: tuple[int, int], wrange: tuple[int, int]) -> bool:
-        left = grid.endpoint_f(level, index)
-        right = grid.endpoint_f(level, index + 1)
-        c, d = wrange
-        e2w = _energy_on(w, c, d, right - left) * float(wpref[d] - wpref[c])
+    def hit(level: int, index: int, srange: tuple[int, int]) -> bool:
+        e2w = e2w_at[level, index]
         if e2w == 0.0:
             return False
+        left = grid.endpoint_f(level, index)
+        right = grid.endpoint_f(level, index + 1)
         p = _poisson_sum(pos, mass, left, right)
         a, b = srange
         return p * p * e2w > threshold * float(prefix[b - lo0] - prefix[a - lo0])
@@ -174,7 +200,7 @@ def energy_stopping_intervals(
         srange, (c, d) = ranges
         if d - c < 2:  # outside the w-dispersion trunk
             return False
-        if hit(level, index, srange, (c, d)):
+        if hit(level, index, srange):
             out.append(GridInterval(grid, level, index))
             return False
         return True
@@ -261,7 +287,7 @@ def build_stopping_data(
             nw = wrange[1] - wrange[0]
             if ns == 0 and nw < 2:
                 return False
-            energy_hit = nw >= 2 and hit(level, index, srange, wrange)
+            energy_hit = nw >= 2 and hit(level, index, srange)
             avg_hit = ns > 0 and aF > 0 and avg_abs(srange) >= 10.0 * aF
             if energy_hit or avg_hit:
                 gi = GridInterval(grid, level, index)
@@ -397,11 +423,11 @@ def _b_form(f: WeightedFunction, g: WeightedFunction, grid: DyadicGrid, gap: int
         e_left = (fm[ni.cut] - fm[ni.lo]) / m_left
         e_right = (fm[ni.hi] - fm[ni.cut]) / m_right
         e_full = (fm[ni.hi] - fm[ni.lo]) / (m_left + m_right)
-        for nj in w_nodes:
+        # the w nodes inside I are one pre-order run, met in the same order
+        start, end = _run(w_nodes, grid, ni.level, ni.index)
+        for nj in w_nodes[start:end]:
             dl = nj.level - ni.level
             if dl < gap:
-                continue
-            if (nj.index >> dl) != ni.index:
                 continue
             child_bit = (nj.index >> (dl - 1)) & 1
             if child_bit == 0:

@@ -383,24 +383,11 @@ def good_projection(f: WeightedFunction, grid: DyadicGrid, eps: float, r: int) -
 
 def corona_projection(f: WeightedFunction, stopping, F: GridInterval) -> WeightedFunction:
     """Projection onto the corona of F: differences at intervals whose
-    minimal containing stopping interval is F."""
+    minimal containing stopping interval is F, read from the stopping
+    data's pre-order grouping of the splitting nodes of ``f.base``."""
     if F.key not in stopping.member_keys:
         raise PreconditionViolation(f"{F} is not a member of the stopping family")
-    grid = F.grid
-    member_keys = stopping.member_keys
-
-    def pi_key(level: int, index: int) -> tuple[int, int] | None:
-        lev, idx = level, index
-        while True:
-            if (lev, idx) in member_keys:
-                return (lev, idx)
-            if lev == 0:
-                return None
-            lev, idx = lev - 1, idx // 2
-
-    nodes = [
-        n for n in splitting_nodes(f.base, grid) if pi_key(n.level, n.index) == F.key
-    ]
+    nodes = stopping.corona_nodes(f.base).get(F.key, ())
     return WeightedFunction(f.base, _accumulate_differences(f, nodes))
 
 

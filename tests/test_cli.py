@@ -13,6 +13,8 @@ from h2w.grid import auto_grid
 from h2w.haar import occupied_nodes
 from h2w.measure import parse_pair_text, read_pair_file
 
+GOLDEN_PAIR = os.path.join(os.path.dirname(__file__), "golden", "pair.txt")
+
 # three-atom measures at 1e150 and 2e150: N is finite, but the testing scan
 # squares sigma-weighted kernel sums and overflows
 OVERFLOW_PAIR = "[sigma]\n1 3 1e150\n3 3 1e150\n5 4 1e150\n[w]\n5 3 2e150\n7 3 2e150\n13 4 2e150\n"
@@ -286,6 +288,32 @@ class TestOptionSets:
         assert (parse(["verify", "all"]).family, parse(["verify", "all"]).count) == ("mixed", 60)
         for argv in (["gen"], ["sweep"]):
             assert (parse(argv).family, parse(argv).count) == ("uniform", 200)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["constants", GOLDEN_PAIR, "--depth", "0"],
+            ["constants", GOLDEN_PAIR, "--eps", "0"],
+            ["constants", GOLDEN_PAIR, "--eps", "0.5"],
+            ["constants", GOLDEN_PAIR, "--r", "-1"],
+            ["constants", GOLDEN_PAIR, "--below-gap", "0"],
+            ["constants", GOLDEN_PAIR, "--c0", "0"],
+            ["constants", GOLDEN_PAIR, "--c0", "-1"],
+            ["constants", GOLDEN_PAIR, "--c0", "nan"],
+            ["decompose", GOLDEN_PAIR, "--c0", "inf"],
+            ["sweep", "--count", "1", "--max-atoms", "0"],
+            ["sweep", "--count", "1", "--max-atoms", "5000"],
+            ["gen", "--count", "1", "--max-atoms", "33", "--depth", "6"],
+            ["verify", "all", "--count", "0"],
+        ],
+    )
+    def test_out_of_range_value_exits_2(self, argv, capsys):
+        # each once ended in a traceback (exit 1), or, for --c0 0, in a
+        # calibration that never settled
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "Traceback" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("count,drawn", [(["--count", "61"], 61), ([], 60)])
     def test_verify_draws_count_pairs(self, count, drawn, monkeypatch, capsys):

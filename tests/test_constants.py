@@ -3,9 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from h2w import constants
 from h2w.constants import (
     _class_bounds,
+    _energy_on,
+    _norm_bounds,
     _spectral_norms,
+    _trunk_table,
     a2_constant,
     compute_report,
     energy,
@@ -19,8 +23,15 @@ from h2w.constants import (
 from h2w.constants import testing_constant as t_constant
 from h2w.constants import testing_pair as t_pair
 from h2w.errors import AdaptednessViolation, CommonPointMass, PreconditionViolation
-from h2w.grid import GridInterval
-from h2w.haar import WeightedFunction, charged_nodes, expand, haar_function
+from h2w.grid import GridInterval, auto_grid
+from h2w.haar import (
+    WeightedFunction,
+    _run,
+    charged_nodes,
+    expand,
+    haar_function,
+    occupied_nodes,
+)
 from h2w.hilbert import kernel_values, truncation_candidates
 from h2w.measure import AtomicMeasure, Interval, dilate, dyadic, random_ensemble, scale_masses
 from h2w.params import DEFAULT_REFINEMENT
@@ -63,6 +74,76 @@ class TestNormConstant:
         got = _spectral_norms(stack)
         assert np.all(np.abs(got - expected) <= 1e-12 * expected)
         assert abs(norm_constant(sigma, w) - expected.max()) <= 1e-12 * expected.max()
+
+
+def _norm_stack(sigma, w):
+    stack = kernel_scan(sigma, w).stack * np.sqrt(sigma.masses_f)[None, :, None]
+    stack *= np.sqrt(w.masses_f)[None, None, :]
+    return stack
+
+
+def _norm_full_scan(sigma, w):
+    """Reference norm: one batched SVD of every candidate, then the max."""
+    if sigma.n_atoms == 0 or w.n_atoms == 0:
+        return 0.0
+    return float(_spectral_norms(_norm_stack(sigma, w)).max())
+
+
+def _norm_cases():
+    """Oracle pairs on every family and size, the wide-masses and overflow
+    sets, two 128-atom pairs, and single-atom sides, whose candidates are
+    rank one, so the Frobenius bound is tight to rounding."""
+    cases = [(name, sigma, w) for name, sigma, w, _ in oracle_cases()]
+    for kind in ("wide-masses", "overflow"):
+        cases += [(kind, sigma, w) for sigma, w in _adversarial_pairs(kind)]
+    cases += [("uniform-128", *pair) for pair in random_ensemble(128, 2, 128, 12)]
+    cases += [("one-atom", *pair) for pair in random_ensemble(81, 12, 1, 10, family="mixed")]
+    return cases
+
+
+# pairs from random_ensemble(seed, count, max_atoms, depth, family)[k] whose
+# largest singular value lies within 1e-6 of its bound and ranks behind a
+# chunk of looser candidates; found by a search over 7,200 small pairs
+_TIGHT_NORM_PAIRS = [
+    (12047, 150, 4, 12, "uniform", 86),
+    (16027, 150, 2, 16, "uniform", 33),
+    (20035, 150, 3, 20, "mixed", 108),
+]
+
+
+class TestNormBranchAndBound:
+    def test_pruned_scan_equals_full_scan(self):
+        for name, sigma, w in _norm_cases():
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert norm_constant(sigma, w) == _norm_full_scan(sigma, w), name
+
+    def test_bounds_hold_for_every_candidate(self):
+        for name, sigma, w in _norm_cases():
+            with np.errstate(over="ignore", invalid="ignore"):
+                stack = _norm_stack(sigma, w)
+                values = _spectral_norms(stack)
+            assert not np.any(values > _norm_bounds(stack)), name
+
+    def test_corrupted_bound_changes_the_result(self, monkeypatch):
+        # a bound 1e-6 too low skips the candidate that attains the max on
+        # some pair, so the comparisons above would see it
+        pairs = [
+            random_ensemble(seed, count, atoms, depth, family=family)[k]
+            for seed, count, atoms, depth, family, k in _TIGHT_NORM_PAIRS
+        ]
+        want = [norm_constant(sigma, w) for sigma, w in pairs]
+        assert want == [_norm_full_scan(sigma, w) for sigma, w in pairs]
+        monkeypatch.setattr(
+            constants, "_norm_bounds", lambda stack: _norm_bounds(stack) * (1.0 - 1e-6)
+        )
+        got = [norm_constant(sigma, w) for sigma, w in pairs]
+        assert got != want
+
+    def test_sub_batch_gives_the_full_batch_bits(self):
+        for sigma, w in random_ensemble(82, 8, 32, 12, family="mixed"):
+            stack = _norm_stack(sigma, w)
+            pick = np.random.default_rng(sigma.n_atoms).permutation(len(stack))[:9]
+            assert np.array_equal(_spectral_norms(stack[pick]), _spectral_norms(stack)[pick])
 
 
 class TestA2Constant:
@@ -473,6 +554,55 @@ def _energy_constant_oracle(sigma, w, grid):
     return math.sqrt(best_overall)
 
 
+def _energy_constant_occupied(sigma, w, grid):
+    """The occupied-node loop the trunk-table one replaced: every sigma-
+    occupied node, its trunk run found by bisection, E^2 w recomputed."""
+    if sigma.n_atoms == 0 or w.n_atoms == 0:
+        return 0.0
+    trunk = charged_nodes(w, grid)
+    if not trunk:
+        return 0.0
+    wl = np.array([grid.endpoint_f(n.level, n.index) for n in trunk])
+    wr = np.array([grid.endpoint_f(n.level, n.index + 1) for n in trunk])
+    wpref = w._mass_prefix
+    ew = np.array(
+        [
+            _energy_on(w, n.lo, n.hi, r - l) * float(wpref[n.hi] - wpref[n.lo])
+            for n, l, r in zip(trunk, wl.tolist(), wr.tolist())
+        ]
+    )
+    keys = [(n.level, n.index) for n in trunk]
+    best_overall = 0.0
+    spos = sigma.positions_f
+    smass = sigma.masses_f
+    for node in occupied_nodes(sigma, grid):
+        l0, i0 = node.level, node.index
+        start, end = _run(trunk, grid, l0, i0)
+        if start == end:
+            continue
+        sl = slice(node.lo, node.hi)
+        s0 = float(np.sum(smass[sl]))
+        dist = np.maximum(
+            0.0,
+            np.maximum(
+                wl[start:end][:, None] - spos[sl][None, :],
+                spos[sl][None, :] - wr[start:end][:, None],
+            ),
+        )
+        lengths = wr[start:end] - wl[start:end]
+        P = (lengths[:, None] / (lengths[:, None] ** 2 + dist**2)) @ smass[sl]
+        term = (P**2 * ew[start:end]).tolist()
+        best = {}
+        for t in range(end - 1, start - 1, -1):
+            lev, idx = keys[t]
+            kids = best.get((lev + 1, 2 * idx), 0.0) + best.get((lev + 1, 2 * idx + 1), 0.0)
+            best[keys[t]] = max(term[t - start], kids)
+        ratio = best[(l0, i0)] / s0
+        if ratio > best_overall:
+            best_overall = ratio
+    return math.sqrt(best_overall)
+
+
 class TestEnergyConstantOracle:
     @pytest.mark.parametrize("family", ["uniform", "mixed", "clusters", "lacunary"])
     def test_equal_to_grid_interval_descent(self, family):
@@ -483,6 +613,38 @@ class TestEnergyConstantOracle:
                 assert got == _energy_constant_oracle(a, b, grid), label
                 positive += got > 0.0
         assert positive >= 6
+
+    @pytest.mark.parametrize("family", ["uniform", "mixed", "clusters", "lacunary", "wide-masses"])
+    def test_equal_to_occupied_node_loop(self, family):
+        if family == "wide-masses":
+            cases = [
+                (f"wide-masses-{k}", sigma, w, auto_grid(sigma, w, 12))
+                for k, (sigma, w) in enumerate(_adversarial_pairs("wide-masses"))
+            ]
+        else:
+            cases = list(oracle_cases(families=(family,)))
+        positive = 0
+        for label, sigma, w, grid in cases:
+            for a, b in ((sigma, w), (w, sigma)):
+                with np.errstate(over="ignore", under="ignore"):
+                    got = energy_constant(a, b, grid)
+                    assert got == _energy_constant_occupied(a, b, grid), label
+                positive += got > 0.0
+        assert positive >= 4
+
+    def test_trunk_table_is_the_trunk(self):
+        for label, _, w, grid in [*oracle_cases(), *crafted_cases()]:
+            table = _trunk_table(w, grid)
+            nodes = charged_nodes(w, grid)
+            assert table.nodes == nodes, label
+            wpref = w._mass_prefix
+            for t, n in enumerate(nodes):
+                left = grid.endpoint_f(n.level, n.index)
+                right = grid.endpoint_f(n.level, n.index + 1)
+                e2w = _energy_on(w, n.lo, n.hi, right - left) * float(wpref[n.hi] - wpref[n.lo])
+                assert (table.left[t], table.right[t]) == (left, right), label
+                assert table.e2w[t] == e2w and table.e2w_at[n.level, n.index] == e2w, label
+                assert (t, table.end[t]) == _run(nodes, grid, n.level, n.index), label
 
 
 class TestFunctionalEnergyRatio:

@@ -25,6 +25,7 @@ from h2w.grid import DyadicGrid, GridInterval, build_grid, is_good
 from h2w.haar import (
     HaarCoefficients,
     WeightedFunction,
+    _accumulate_differences,
     _descend,
     corona_projection,
     expand,
@@ -516,6 +517,106 @@ def _oracle_carleson(members, sigma):
         elif total > 0.0:
             return math.inf
     return worst
+
+
+def _oracle_corona_projection(f, stopping, F):
+    """The per-member projection: every splitting node of f's base, its
+    minimal member found by walking up from it."""
+    keys = frozenset(m.key for m in stopping.members)
+
+    def pi_key(level, index):
+        while (level, index) not in keys:
+            if level == 0:
+                return None
+            level, index = level - 1, index // 2
+        return level, index
+
+    nodes = [n for n in splitting_nodes(f.base, F.grid) if pi_key(n.level, n.index) == F.key]
+    return WeightedFunction(f.base, _accumulate_differences(f, nodes))
+
+
+def _oracle_b_form(f, g, grid, gap):
+    """The full double loop over source and target splitting nodes."""
+    sigma, w = f.base, g.base
+    if sigma.n_atoms == 0 or w.n_atoms == 0:
+        return 0.0
+    s_nodes = splitting_nodes(sigma, grid)
+    w_nodes = splitting_nodes(w, grid)
+    if not s_nodes or not w_nodes:
+        return 0.0
+    M = (1.0 / (sigma.positions_f[:, None] - w.positions_f[None, :])) * sigma.masses_f[:, None]
+    C = np.concatenate([np.zeros((1, w.n_atoms)), np.cumsum(M, axis=0)], axis=0)
+    m = sigma.masses_f
+    fm = np.concatenate(([0.0], np.cumsum(f.values * m)))
+    mm = np.concatenate(([0.0], np.cumsum(m)))
+    wmass = w.masses_f
+    gm = np.concatenate(([0.0], np.cumsum(g.values * wmass)))
+    wm = np.concatenate(([0.0], np.cumsum(wmass)))
+    total = 0.0
+    for ni in s_nodes:
+        m_left = mm[ni.cut] - mm[ni.lo]
+        m_right = mm[ni.hi] - mm[ni.cut]
+        e_left = (fm[ni.cut] - fm[ni.lo]) / m_left
+        e_right = (fm[ni.hi] - fm[ni.cut]) / m_right
+        e_full = (fm[ni.hi] - fm[ni.lo]) / (m_left + m_right)
+        for nj in w_nodes:
+            dl = nj.level - ni.level
+            if dl < gap or (nj.index >> dl) != ni.index:
+                continue
+            if (nj.index >> (dl - 1)) & 1 == 0:
+                slo, shi, dval = ni.lo, ni.cut, e_left - e_full
+            else:
+                slo, shi, dval = ni.cut, ni.hi, e_right - e_full
+            if dval == 0.0 or shi == slo:
+                continue
+            mjl = wm[nj.cut] - wm[nj.lo]
+            mjr = wm[nj.hi] - wm[nj.cut]
+            gl = (gm[nj.cut] - gm[nj.lo]) / mjl
+            gr = (gm[nj.hi] - gm[nj.cut]) / mjr
+            gf = (gm[nj.hi] - gm[nj.lo]) / (mjl + mjr)
+            row = C[shi, nj.lo : nj.hi] - C[slo, nj.lo : nj.hi]
+            dg = np.empty(nj.hi - nj.lo)
+            dg[: nj.cut - nj.lo] = gl - gf
+            dg[nj.cut - nj.lo :] = gr - gf
+            total += dval * float(np.sum(wmass[nj.lo : nj.hi] * dg * row))
+    return total
+
+
+class TestGroupedCoronaWalks:
+    @pytest.mark.parametrize("family", ["uniform", "mixed", "clusters", "lacunary", "crafted"])
+    def test_projections_and_forms_equal_the_full_walks(self, family):
+        # the clusters family keeps sigma and w in disjoint clusters, so its
+        # forms vanish; its projections do not
+        cases = crafted_cases(2) if family == "crafted" else oracle_cases(families=(family,))
+        nonzero = 0
+        for label, sigma, w, grid in cases:
+            if sigma.n_atoms < 2 or w.n_atoms < 2:
+                continue
+            h = _h_const(sigma, w)
+            root = grid.root_interval
+            c0 = calibrate_c0(root, sigma, w, h, grid)
+            rng = np.random.default_rng(len(label))
+            f = WeightedFunction(sigma, np.exp(4.0 * rng.standard_normal(sigma.n_atoms)))
+            g = WeightedFunction(w, rng.standard_normal(w.n_atoms))
+            for gap in (1, SUITE_BELOW_GAP):
+                for a, b in ((f, g), (g, f)):
+                    got = b_above(a, b, grid, gap)
+                    assert got == _oracle_b_form(a, b, grid, gap), label
+                    nonzero += got != 0.0
+            for c in (c0, c0 / 64):
+                sd = build_stopping_data(f, root, sigma, w, h, c, grid)
+                for F in sd.members:
+                    for u in (f, g):
+                        got = corona_projection(u, sd, F)
+                        want = _oracle_corona_projection(u, sd, F)
+                        assert np.array_equal(got.values, want.values), label
+                        nonzero += bool(np.any(got.values != 0.0))
+                    pf = corona_projection(f, sd, F)
+                    qg = corona_projection(g, sd, F)
+                    got = b_above(pf, qg, grid, 1)
+                    assert got == _oracle_b_form(pf, qg, grid, 1), label
+                    nonzero += got != 0.0
+        assert nonzero >= 4
 
 
 class TestAtomRangeWalksMatchOracles:

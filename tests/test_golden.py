@@ -4,6 +4,7 @@ The files under ``tests/golden/`` were written by the CLI itself:
 
     h2w gen --count 1 --max-atoms 16 -o pair.txt
     h2w sweep --count 8 --max-atoms 16 > sweep.csv
+    h2w sweep --count 12 --max-atoms 32 > sweep-32.csv
     h2w constants pair.txt > constants.json
     h2w decompose pair.txt > decompose.json
     h2w poisson-test pair.txt > poisson-test.csv
@@ -26,6 +27,7 @@ PAIR = str(GOLDEN / "pair.txt")
 
 CASES = {
     "sweep.csv": ["sweep", "--count", "8", "--max-atoms", "16"],
+    "sweep-32.csv": ["sweep", "--count", "12", "--max-atoms", "32"],
     "constants.json": ["constants", PAIR],
     "decompose.json": ["decompose", PAIR],
     "poisson-test.csv": ["poisson-test", PAIR],
