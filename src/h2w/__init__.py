@@ -15,6 +15,7 @@ from .errors import (
     H2WError,
     InexactPosition,
     NecessityViolation,
+    PairTooLarge,
     ParseError,
     PreconditionViolation,
     ZeroMass,

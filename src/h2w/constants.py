@@ -11,14 +11,22 @@ norm_constant      largest singular value of the truncated kernel matrix,
                    stops the scan, so the result is the full scan's bit for
                    bit;
 a2_constant        lower-bound search for sup_I P(sigma, I) P(w, I) over a
-                   structured interval family;
+                   structured interval family; an exact branch-and-bound:
+                   an O(1) upper bound per candidate interval from the
+                   atoms inside it and the nearest atom outside on each
+                   side, which holds for the rounded value too, and only
+                   the candidates whose bound beats the running best are
+                   evaluated, in small batches with the full product's
+                   bits, so no (candidates x atoms) matrix is built;
 testing_constant   exact supremum over intervals, jointly with the same
                    truncation scan, attained on the maximal atom-membership
                    classes (one per range of source atoms); an exact
                    branch-and-bound: an O(1) upper bound per class from the
                    untruncated kernel, which holds for the rounded value
                    too, orders the classes and stops the scan, so the
-                   result is the full scan's bit for bit;
+                   result is the full scan's bit for bit; each visited
+                   class builds its own prefix sums, so the (T, n + 1, m)
+                   prefix array is never built;
 testing_pair       both testing constants on one kernel scan;
 combined_constant  A2, both T, H = sqrt(A2) + T and the calibrated c0 of a
                    pair on one grid: the one H formula and c0 rule;
@@ -46,7 +54,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import CommonPointMass, NecessityViolation, PreconditionViolation
+from .errors import CommonPointMass, NecessityViolation, PairTooLarge, PreconditionViolation
 from .grid import DyadicGrid, GridInterval, auto_grid, f_parent
 from .haar import (
     WeightedFunction,
@@ -59,7 +67,7 @@ from .haar import (
     haar_function,
     splitting_nodes,
 )
-from .hilbert import TruncationSpec, kernel_stack, truncation_candidates
+from .hilbert import _STACK_BLOCK, TruncationSpec, kernel_stack, truncation_candidates
 from .measure import AtomicMeasure, has_common_point_mass, _as_interval
 from .params import (
     DEFAULT_A2_REFINEMENT,
@@ -108,12 +116,32 @@ class KernelScan:
     stack: np.ndarray
 
 
+# bytes of the largest array a pair may ask for: the kernel stack, and the
+# candidate arrays of a2_constant
+MAX_ARRAY_BYTES = 1 << 28
+
+
+def _check_size(nbytes: int, what: str, sigma: AtomicMeasure, w: AtomicMeasure) -> None:
+    """PairTooLarge, naming the atom counts, before allocating ``nbytes``
+    past :data:`MAX_ARRAY_BYTES`."""
+    if nbytes > MAX_ARRAY_BYTES:
+        raise PairTooLarge(
+            f"a pair of {sigma.n_atoms} sigma and {w.n_atoms} w atoms needs a "
+            f"{nbytes / 2**20:.0f} MiB {what}, over the {MAX_ARRAY_BYTES >> 20} MiB cap"
+        )
+
+
 def kernel_scan(
     sigma: AtomicMeasure, w: AtomicMeasure, refinement: int = DEFAULT_REFINEMENT
 ) -> KernelScan:
-    """Build the truncation scan of a pair and its kernel stack once."""
+    """Build the truncation scan of a pair and its kernel stack once.
+
+    PairTooLarge when the stack, T x n_sigma x n_w doubles, would pass
+    :data:`MAX_ARRAY_BYTES`; the norm takes a scaled copy of it too.
+    """
     diffs = sigma.positions_f[:, None] - w.positions_f[None, :]
     cands = truncation_candidates(np.abs(diffs).ravel(), refinement)
+    _check_size(8 * len(cands) * diffs.size, "kernel stack", sigma, w)
     return KernelScan(cands, kernel_stack(diffs, cands))
 
 
@@ -153,14 +181,19 @@ def _norm_bounds(stack: np.ndarray) -> np.ndarray:
     gives +inf and a NaN entry a NaN, read as +inf, so such a candidate is
     never skipped.
     """
-    _, m, n = stack.shape
+    T, m, n = stack.shape
     slack = 1.0 + 1e-9 + 8.0 * (m + n) ** 2 * np.finfo(float).eps
+    ub = np.empty(T)
+    # a few candidates at a time, so that no temporary outgrows a block
+    step = max(1, _STACK_BLOCK // (m * n))
     with np.errstate(all="ignore"):
-        frob = np.sqrt(np.square(stack).sum(axis=(1, 2)) + m * n * 2.0 * _TINY)
-        mag = np.abs(stack)
-        one = mag.sum(axis=1).max(axis=1)
-        inf = mag.sum(axis=2).max(axis=1)
-        ub = np.minimum(frob, np.sqrt(one * inf + 2.0 * _TINY)) * slack
+        for t0 in range(0, T, step):
+            blk = stack[t0 : t0 + step]
+            frob = np.sqrt(np.square(blk).sum(axis=(1, 2)) + m * n * 2.0 * _TINY)
+            mag = np.abs(blk)
+            one = mag.sum(axis=1).max(axis=1)
+            inf = mag.sum(axis=2).max(axis=1)
+            ub[t0 : t0 + step] = np.minimum(frob, np.sqrt(one * inf + 2.0 * _TINY)) * slack
     ub[np.isnan(ub)] = np.inf
     return ub
 
@@ -207,38 +240,28 @@ def norm_constant(
     return best
 
 
-def a2_constant(
-    sigma: AtomicMeasure, w: AtomicMeasure, refinement: int = DEFAULT_A2_REFINEMENT
-) -> float:
-    """Lower-bound estimate of sup_I P(sigma, I) P(w, I).
+# rows of the first A2 batch, which seeds the running best, a multiple of 4
+# (see _a2_values)
+_A2_SEED = 8
 
-    Candidates: every interval with endpoints among the atom positions and
-    the midpoints of consecutive atoms of the merged support, plus, around
-    each such point, intervals whose lengths run over a geometric ladder
-    2^-refinement .. 2^refinement times the local gap.  Monotone
-    non-decreasing in ``refinement``.
+
+def _a2_values(
+    sigma: AtomicMeasure, w: AtomicMeasure, lefts: np.ndarray, rights: np.ndarray
+) -> np.ndarray:
+    """P(sigma, I) P(w, I) for the candidate intervals [lefts, rights].
+
+    One (rows x atoms) stationary-kernel matrix per measure, reduced by a
+    BLAS matrix-vector product.  That product computes rows in groups of 4
+    and the last (rows mod 4) rows by a remainder kernel that rounds
+    differently, so a row gets the bits of the whole candidate set's
+    product when it sits in the same kind of group in both: a batch of
+    4k rows from the first K - K mod 4 candidates, followed by at most the
+    last K mod 4 candidates.  A multi-threaded BLAS splits a product of
+    more than about 5e5 entries into per-thread row ranges, each with its
+    own remainder rows, so there the whole product can round the few rows
+    at a thread boundary differently; every batch of :func:`a2_constant`
+    stays below that size and gets the single-threaded bits.
     """
-    if sigma.n_atoms == 0 or w.n_atoms == 0:
-        return 0.0
-    pts = np.unique(np.concatenate([sigma.positions_f, w.positions_f]))
-    if len(pts) > 1:
-        mids = 0.5 * (pts[:-1] + pts[1:])
-        endpoints = np.unique(np.concatenate([pts, mids]))
-    else:
-        endpoints = pts
-    n = len(endpoints)
-    # every pair of endpoints, row-major, then the ladder around each endpoint
-    i, j = np.triu_indices(n, 1)
-    if n > 1:
-        gaps = np.diff(endpoints)
-        local = np.minimum(
-            np.concatenate([[gaps[0]], gaps]), np.concatenate([gaps, [gaps[-1]]])
-        )
-    else:
-        local = np.array([1.0])
-    lengths = local[:, None] * 2.0 ** np.arange(-refinement, refinement + 1)
-    lefts = np.concatenate([endpoints[i], (endpoints[:, None] - 0.5 * lengths).ravel()])
-    rights = np.concatenate([endpoints[j], (endpoints[:, None] + 0.5 * lengths).ravel()])
 
     def pvec(mu: AtomicMeasure) -> np.ndarray:
         L = rights - lefts
@@ -251,7 +274,171 @@ def a2_constant(
         )
         return (L[:, None] / (L[:, None] ** 2 + dist**2) @ mu.masses_f).ravel()
 
-    return float(np.max(pvec(sigma) * pvec(w)))
+    return pvec(sigma) * pvec(w)
+
+
+def _poisson_bounds(
+    mu: AtomicMeasure,
+    endpoints: np.ndarray,
+    i: np.ndarray,
+    j: np.ndarray,
+    lefts: np.ndarray,
+    rights: np.ndarray,
+) -> np.ndarray:
+    """Upper bounds for P(mu, I) as :func:`_a2_values` computes it, for
+    every candidate of :func:`a2_constant`; NaN is left for the caller.
+
+    The row entry of atom x is L / (L^2 + d^2), d its distance to I: at most
+    e_in = L / L^2 inside I, and at most e_l = L / (L^2 + d_l^2) left of it,
+    d_l the gap to the nearest atom left of I, since every correctly rounded
+    step is monotone and d_l is computed as the row computes d; likewise e_r
+    on the right.  So the exact sum of the rounded entries times the masses
+    is at most e_in mu(I) + e_l mu(left) + e_r mu(right).  The atom counts
+    and gaps of the endpoint pairs [e_i, e_j] are found once per endpoint
+    and gathered for the pairs; the ladder candidates, n (2 refinement + 1)
+    of them, look theirs up directly.
+
+    Rounding.  The masses come from prefix sums, each off by less than
+    g/3 mu(R), g = 8 (m + 2) eps, and e_in bounds every entry, so
+    g mu(R) e_in covers them.  The factor 1 + 1e-9 covers the relative
+    rounding of the product's sum and of this arithmetic (m eps << 1e-9);
+    products that underflow lose less than 2^-1075 each, covered by
+    2^-1070 (m + 4).  An overflow gives +inf.
+    """
+    pos = mu.positions_f
+    m = len(pos)
+    n_pairs = len(i)
+
+    def sides(lo: np.ndarray, hi: np.ndarray):
+        # atoms left of lo, atoms up to hi, and the gaps to the nearest
+        # atoms outside [lo, hi] (+inf where there is none)
+        below = np.searchsorted(pos, lo, side="left")
+        upto = np.searchsorted(pos, hi, side="right")
+        gap_left = np.where(below > 0, lo - pos[np.maximum(below - 1, 0)], np.inf)
+        gap_right = np.where(upto < m, pos[np.minimum(upto, m - 1)] - hi, np.inf)
+        return below, gap_left, upto, gap_right
+
+    at_ends = sides(endpoints, endpoints)
+    ladder = sides(lefts[n_pairs:], rights[n_pairs:])
+    below, gap_left, upto, gap_right = (
+        np.concatenate([end[k], rung]) for end, k, rung in zip(at_ends, (i, i, j, j), ladder)
+    )
+    pref = mu._mass_prefix
+    total = pref[-1]
+    g = 8.0 * (m + 2) * np.finfo(float).eps
+    L = rights - lefts
+    sq = L * L
+    ub = L / sq * (pref[upto] - pref[below] + g * total)
+    ub += L / (sq + gap_left * gap_left) * pref[below]
+    ub += L / (sq + gap_right * gap_right) * (total - pref[upto])
+    ub *= 1.0 + 1e-9
+    ub += 16.0 * _TINY * (m + 4)
+    return ub
+
+
+def _a2_bounds(
+    sigma: AtomicMeasure,
+    w: AtomicMeasure,
+    endpoints: np.ndarray,
+    i: np.ndarray,
+    j: np.ndarray,
+    lefts: np.ndarray,
+    rights: np.ndarray,
+) -> np.ndarray:
+    """Upper bounds for the computed P(sigma, I) P(w, I) of every candidate
+    of :func:`a2_constant`; +inf where the bound is NaN.
+
+    The product of the two :func:`_poisson_bounds` picks up at most one
+    rounding and one underflow, covered by 1 + 1e-9 and 2^-1073.
+    """
+    with np.errstate(all="ignore"):
+        ub = _poisson_bounds(sigma, endpoints, i, j, lefts, rights)
+        ub *= _poisson_bounds(w, endpoints, i, j, lefts, rights)
+        ub *= 1.0 + 1e-9
+        ub += 2.0 * _TINY
+    ub[np.isnan(ub)] = np.inf
+    return ub
+
+
+def _a2_candidates(sigma: AtomicMeasure, w: AtomicMeasure, refinement: int):
+    """The candidate intervals of :func:`a2_constant`: the endpoints, the
+    endpoint index pairs (i, j), and every candidate's float ends.
+
+    PairTooLarge when the search would pass :data:`MAX_ARRAY_BYTES`.
+    """
+    pts = np.unique(np.concatenate([sigma.positions_f, w.positions_f]))
+    if len(pts) > 1:
+        mids = 0.5 * (pts[:-1] + pts[1:])
+        endpoints = np.unique(np.concatenate([pts, mids]))
+    else:
+        endpoints = pts
+    n = len(endpoints)
+    # about 16 arrays of one double or index per candidate live at once
+    _check_size(128 * (n * (n - 1) // 2 + n * (2 * refinement + 1)), "A2 search", sigma, w)
+    # every pair of endpoints, row-major, then the ladder around each endpoint
+    i, j = np.triu_indices(n, 1)
+    if n > 1:
+        gaps = np.diff(endpoints)
+        local = np.minimum(
+            np.concatenate([[gaps[0]], gaps]), np.concatenate([gaps, [gaps[-1]]])
+        )
+    else:
+        local = np.array([1.0])
+    lengths = local[:, None] * 2.0 ** np.arange(-refinement, refinement + 1)
+    lefts = np.concatenate([endpoints[i], (endpoints[:, None] - 0.5 * lengths).ravel()])
+    rights = np.concatenate([endpoints[j], (endpoints[:, None] + 0.5 * lengths).ravel()])
+    return endpoints, i, j, lefts, rights
+
+
+def a2_constant(
+    sigma: AtomicMeasure, w: AtomicMeasure, refinement: int = DEFAULT_A2_REFINEMENT
+) -> float:
+    """Lower-bound estimate of sup_I P(sigma, I) P(w, I).
+
+    Candidates: every interval with endpoints among the atom positions and
+    the midpoints of consecutive atoms of the merged support, plus, around
+    each such point, intervals whose lengths run over a geometric ladder
+    2^-refinement .. 2^refinement times the local gap.  Monotone
+    non-decreasing in ``refinement``.
+
+    An exact branch-and-bound over the candidates: each gets an O(1) upper
+    bound from :func:`_a2_bounds`, and only the candidates whose bound beats
+    the running best are evaluated, in gathered batches of
+    :func:`_a2_values`, the top few first.  The bound holds for the
+    computed value and the batches reproduce the full product's bits, so
+    the result is the full scan's max bit for bit; no (candidates x atoms)
+    matrix is built.  An infinite bound is never skipped, and once the
+    running best is NaN, the full scan's max, nothing can change it.  Small
+    pairs evaluate every candidate in one product.
+    """
+    if sigma.n_atoms == 0 or w.n_atoms == 0:
+        return 0.0
+    endpoints, i, j, lefts, rights = _a2_candidates(sigma, w, refinement)
+    K = len(lefts)
+    atoms = sigma.n_atoms + w.n_atoms
+    if K * atoms <= _STACK_BLOCK or K < _A2_SEED:
+        return float(np.max(_a2_values(sigma, w, lefts, rights)))
+    ub = _a2_bounds(sigma, w, endpoints, i, j, lefts, rights)
+    del i, j
+    head = K - K % 4
+    # the seed: the top bounds of the grouped rows, and the remainder rows
+    rows = np.argpartition(ub[:head], head - _A2_SEED)[head - _A2_SEED :]
+    rows = np.concatenate([rows, np.arange(head, K)])
+    best = float(np.max(_a2_values(sigma, w, lefts[rows], rights[rows])))
+    ub[rows] = -np.inf
+    live = np.flatnonzero((ub[:head] > best) | (ub[:head] == np.inf))
+    batch = max(4, _STACK_BLOCK // atoms // 4 * 4)
+    for start in range(0, len(live), batch):
+        if math.isnan(best):
+            break
+        rows = live[start : start + batch]
+        rows = rows[(ub[rows] > best) | (ub[rows] == np.inf)]
+        if len(rows) == 0:
+            continue
+        # pad with repeats to a whole number of groups of 4
+        rows = np.resize(rows, -(-len(rows) // 4) * 4)
+        best = float(np.max(_a2_values(sigma, w, lefts[rows], rights[rows]), initial=best))
+    return best
 
 
 def testing_constant(
@@ -277,9 +464,11 @@ def testing_constant(
     (sigma, w) in the order given, is built here when not given.
 
     The classes are visited in decreasing order of an upper bound from
-    :func:`_class_bounds`, each evaluated as the full scan would evaluate it,
-    and the scan stops at the first bound at most the running best.  The
-    bound holds for the value the floating-point evaluation computes, so the
+    :func:`_class_bounds`, and the scan stops at the first bound at most the
+    running best.  Each visited class is evaluated by :func:`_class_lhs`
+    from prefix sums built for that class alone, with the bits of the full
+    scan's (T, n + 1, m) prefix array, which is never built.  The bound
+    holds for the value the floating-point evaluation computes, so the
     result is the full scan's, bit for bit.
     """
     if direction not in ("forward", "backward"):
@@ -294,14 +483,11 @@ def testing_constant(
     if direction == "backward":
         sigma, w = w, sigma
         kernel = kernel.transpose(0, 2, 1)
-    # C order, so that the per-class sums below reduce contiguous rows in
-    # both directions and round the same way
-    stack = np.multiply(kernel, sigma.masses_f[None, :, None], order="C")
-    # prefix sums along the sigma axis: C[t, a, j] = sum of rows < a
-    C = np.concatenate(
-        [np.zeros((len(scan.candidates), 1, w.n_atoms)), np.cumsum(stack, axis=1)],
-        axis=1,
-    )
+    sm = sigma.masses_f
+    # candidate 0 scaled by sigma and its prefix sums along the sigma axis,
+    # all that the class bounds read
+    row0 = np.multiply(kernel[0], sm[:, None], order="C")
+    C0 = np.concatenate([np.zeros((1, w.n_atoms)), np.cumsum(row0, axis=0)])
     sp = sigma._mass_prefix
     wm = w.masses_f
     # w atoms before each sigma atom along the merged support, sigma first on ties
@@ -313,18 +499,43 @@ def testing_constant(
     keep = ends[a2s] > starts[a1s]
     a1s, a2s = a1s[keep], a2s[keep]
     b1s, b2s = starts[a1s], ends[a2s]
-    ub = _class_bounds(stack[0], C[0], sigma, w, a1s, a2s, b1s, b2s)
+    ub = _class_bounds(row0, C0, sigma, w, a1s, a2s, b1s, b2s)
     best = 0.0
     for k in np.argsort(-ub, kind="stable").tolist():
         if ub[k] <= best:
             break
         a1, a2, b1, b2 = int(a1s[k]), int(a2s[k]), int(b1s[k]), int(b2s[k])
         smass = sp[a2] - sp[a1]
-        svals = C[:, a2, b1:b2] - C[:, a1, b1:b2]
-        lhs = np.max((svals**2 * wm[b1:b2]).sum(axis=1))
+        lhs = _class_lhs(kernel, sm, wm, a1, a2, b1, b2)
         if lhs / smass > best:
             best = lhs / smass
     return math.sqrt(best)
+
+
+def _class_lhs(
+    kernel: np.ndarray, sm: np.ndarray, wm: np.ndarray, a1: int, a2: int, b1: int, b2: int
+) -> float:
+    """max over the truncation scan of the sum over the targets [b1, b2) of
+    w_j (class sum over the sources [a1, a2))^2; NaN if any term is NaN.
+
+    The class sum is the difference of two prefix sums along the source
+    axis, C[a2] - C[a1], C[a] the sum of the sigma-scaled rows below a.  A
+    sequential cumsum over the rows below a2 of the class's target columns
+    gives C[a1] and C[a2] the bits of the whole (T, n + 1, m) prefix array,
+    which is never built.  Candidates go through in blocks of at most
+    ``_STACK_BLOCK`` entries, and each target sum reduces one C-order row,
+    as it would in the whole array.
+    """
+    sums = np.empty(kernel.shape[0])
+    step = max(1, _STACK_BLOCK // (a2 * (b2 - b1)))
+    for t0 in range(0, len(sums), step):
+        # C order, so that the target sums reduce contiguous rows in both
+        # directions and round the same way
+        part = np.multiply(kernel[t0 : t0 + step, :a2, b1:b2], sm[:a2, None], order="C")
+        part = np.cumsum(part, axis=1)
+        svals = part[:, a2 - 1] - (part[:, a1 - 1] if a1 else 0.0)
+        sums[t0 : t0 + step] = (svals**2 * wm[b1:b2]).sum(axis=1)
+    return np.max(sums)
 
 
 def _class_bounds(
@@ -443,25 +654,22 @@ def energy_identity_sides(
     pre-order.
 
     The last two sides agree exactly; the variant without the w(I) factor on
-    the left does not, which is why E^2 is exposed too.  One expansion of x
-    serves every I: the splitting nodes below I are one pre-order run,
-    summed in order.
+    the left does not, which is why E^2 is exposed too.  Both come from the
+    pair's :func:`_trunk_table`, whose nodes are the charged nodes.  One
+    expansion of x serves every I: the splitting nodes below I are one
+    pre-order run, summed in order.
     """
-    nodes = charged_nodes(w, grid)
-    if not nodes:
+    table = _trunk_table(w, grid)
+    if not table.nodes:
         return {}
     splitting = splitting_nodes(w, grid)
     coeffs = list(expand(WeightedFunction.identity(w), grid).coeffs.values())
-    wpref = w._mass_prefix
     out: dict[tuple[int, int], tuple[float, float, float]] = {}
-    for n in nodes:
-        length = grid.endpoint_f(n.level, n.index + 1) - grid.endpoint_f(n.level, n.index)
-        e2 = _energy_on(w, n.lo, n.hi, length)
+    for n, e2, e2w in zip(table.nodes, table.e2.tolist(), table.e2w.tolist()):
         start, end = _run(splitting, grid, n.level, n.index)
         total = 0.0
         for c in coeffs[start:end]:
             total += c * c
-        e2w = e2 * float(wpref[n.hi] - wpref[n.lo])
         out[n.level, n.index] = (e2, e2w, 2.0 * total / grid.cell_f(n.level) ** 2)
     return out
 
@@ -469,12 +677,14 @@ def energy_identity_sides(
 @dataclass(frozen=True)
 class _TrunkTable:
     """The w-dispersion trunk of one (w, grid): the charged nodes of w in
-    pre-order, their endpoint floats, E(w, I)^2 w(I) of each, the end of
-    each node's pre-order subtree run, and E^2 w by (level, index)."""
+    pre-order, their endpoint floats, E(w, I)^2 and E(w, I)^2 w(I) of each,
+    the end of each node's pre-order subtree run, and E^2 w by (level,
+    index)."""
 
     nodes: tuple
     left: np.ndarray
     right: np.ndarray
+    e2: np.ndarray
     e2w: np.ndarray
     end: tuple[int, ...]
     e2w_at: dict[tuple[int, int], float]
@@ -487,10 +697,8 @@ def _trunk_table(w: AtomicMeasure, grid: DyadicGrid) -> _TrunkTable:
     left = [grid.endpoint_f(n.level, n.index) for n in nodes]
     right = [grid.endpoint_f(n.level, n.index + 1) for n in nodes]
     wpref = w._mass_prefix
-    e2w = [
-        _energy_on(w, n.lo, n.hi, r - l) * float(wpref[n.hi] - wpref[n.lo])
-        for n, l, r in zip(nodes, left, right)
-    ]
+    e2 = [_energy_on(w, n.lo, n.hi, r - l) for n, l, r in zip(nodes, left, right)]
+    e2w = [v * float(wpref[n.hi] - wpref[n.lo]) for n, v in zip(nodes, e2)]
     # a subtree ends at the first node whose left end, on the finest
     # lattice, passes the subtree's right end
     at = [n.index << (grid.depth - n.level) for n in nodes]
@@ -499,6 +707,7 @@ def _trunk_table(w: AtomicMeasure, grid: DyadicGrid) -> _TrunkTable:
         nodes,
         np.array(left),
         np.array(right),
+        np.array(e2),
         np.array(e2w),
         end,
         {(n.level, n.index): v for n, v in zip(nodes, e2w)},
@@ -707,8 +916,9 @@ def combined_constant(
     """
     from .corona import calibrate_c0  # deferred: corona builds on this module
 
-    a2 = a2_constant(sigma, w, a2_refinement)
+    # testing first: a pair too large for its kernel scan stops before A2
     t_fwd, t_bwd = testing_pair(sigma, w, refinement, scan=scan)
+    a2 = a2_constant(sigma, w, a2_refinement)
     h_const = math.sqrt(a2) + max(t_fwd, t_bwd)
     if sigma.n_atoms >= 2 and w.n_atoms >= 1 and h_const > 0:
         c0 = calibrate_c0(grid.root_interval, sigma, w, h_const, grid, start=c0)

@@ -38,6 +38,10 @@ class NecessityViolation(H2WError):
     T <= N; overflowed or NaN constants land here too."""
 
 
+class PairTooLarge(H2WError):
+    """A pair needs an array past the package's memory cap."""
+
+
 class PreconditionViolation(H2WError):
     """A documented hypothesis of an operation does not hold."""
 

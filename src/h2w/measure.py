@@ -199,6 +199,7 @@ class AtomicMeasure:
     positions: tuple[DyadicRational, ...]
     masses: tuple[float, ...]
     positions_f: np.ndarray = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.positions) != len(self.masses):
@@ -211,6 +212,12 @@ class AtomicMeasure:
         if any(a >= b for a, b in zip(pf, pf[1:])):
             raise ValueError("positions must be strictly increasing")
         object.__setattr__(self, "positions_f", np.array(pf, dtype=float))
+        # the hash the dataclass would compute on every call, taken once:
+        # the caches keyed by measures look a pair up many times
+        object.__setattr__(self, "_hash", hash((self.positions, self.masses)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def from_triples(cls, triples: Iterable[tuple[int, int, float]]) -> "AtomicMeasure":

@@ -130,6 +130,20 @@ class TestInexactAtoms:
         assert peak < 64 * 1024
 
 
+class TestPairTooLarge:
+    @pytest.mark.parametrize("command", ["constants", "decompose"])
+    def test_exit_3_names_the_atom_counts(self, command, tmp_path, capsys):
+        # 386 atoms a side: the kernel stack would take 257 MiB
+        lines = ["[sigma]"] + [f"{2 * a + 1} 12 1.0" for a in range(386)]
+        lines += ["[w]"] + [f"{2 * a + 2} 12 1.0" for a in range(386)]
+        big = tmp_path / "big.txt"
+        big.write_text("\n".join(lines) + "\n")
+        code, out, err = run_cli([command, str(big)], capsys)
+        assert code == 3 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "386 sigma and 386 w atoms" in err and "kernel stack" in err
+
+
 class TestNonFiniteConstants:
     @pytest.mark.parametrize("mass", ["1e308", "1e200"])
     def test_exit_1_with_one_error_line(self, mass, tmp_path, capsys):

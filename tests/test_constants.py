@@ -1,10 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from h2w import constants
 from h2w.constants import (
+    MAX_ARRAY_BYTES,
+    _a2_bounds,
+    _a2_candidates,
+    _a2_values,
     _class_bounds,
     _energy_on,
     _norm_bounds,
@@ -22,7 +27,12 @@ from h2w.constants import (
 )
 from h2w.constants import testing_constant as t_constant
 from h2w.constants import testing_pair as t_pair
-from h2w.errors import AdaptednessViolation, CommonPointMass, PreconditionViolation
+from h2w.errors import (
+    AdaptednessViolation,
+    CommonPointMass,
+    PairTooLarge,
+    PreconditionViolation,
+)
 from h2w.grid import GridInterval, auto_grid
 from h2w.haar import (
     WeightedFunction,
@@ -145,6 +155,28 @@ class TestNormBranchAndBound:
             pick = np.random.default_rng(sigma.n_atoms).permutation(len(stack))[:9]
             assert np.array_equal(_spectral_norms(stack[pick]), _spectral_norms(stack)[pick])
 
+    def test_block_bounds_equal_whole_stack_bounds(self):
+        for name, sigma, w in _norm_cases():
+            with np.errstate(over="ignore", invalid="ignore"):
+                stack = _norm_stack(sigma, w)
+                assert np.array_equal(_norm_bounds(stack), _norm_bounds_whole(stack)), name
+
+
+def _norm_bounds_whole(stack):
+    """``_norm_bounds`` on the whole stack at once, as it was computed before
+    it went through blocks of candidates."""
+    _, m, n = stack.shape
+    tiny = math.ldexp(1.0, -1074)
+    slack = 1.0 + 1e-9 + 8.0 * (m + n) ** 2 * np.finfo(float).eps
+    with np.errstate(all="ignore"):
+        frob = np.sqrt(np.square(stack).sum(axis=(1, 2)) + m * n * 2.0 * tiny)
+        mag = np.abs(stack)
+        one = mag.sum(axis=1).max(axis=1)
+        inf = mag.sum(axis=2).max(axis=1)
+        ub = np.minimum(frob, np.sqrt(one * inf + 2.0 * tiny)) * slack
+    ub[np.isnan(ub)] = np.inf
+    return ub
+
 
 class TestA2Constant:
     def test_one_sided_zero(self):
@@ -218,6 +250,109 @@ class TestA2CandidateArrays:
         mu = AtomicMeasure.from_triples([(1, 2, 2.0)])
         for refinement in (0, 3):
             assert a2_constant(mu, mu, refinement) == _a2_loop_oracle(mu, mu, refinement)
+
+
+def _a2_cases():
+    """The norm's cases and the heavy-ends pairs."""
+    return _norm_cases() + [("heavy-ends", *pair) for pair in _adversarial_pairs("heavy-ends")]
+
+
+def _near_tie_pair(seed):
+    """sigma: one unit atom at 1/2 and up to three more; w: unit atoms at
+    1/2 +- d and up to five more, all of random masses, plus 48 atoms of
+    mass 1e-12 that make the search large enough to prune.  Mirror images
+    about 1/2 give near-equal candidates whose bounds are tight to 1e-9."""
+    rng = np.random.default_rng(seed)
+    half, d = 512, int(rng.integers(1, 40))
+    core = [half, half - d, half + d]
+    ns, nw = int(rng.integers(0, 4)), int(rng.integers(0, 6))
+    slots = rng.choice(np.setdiff1d(np.arange(1, 1024), core), size=ns + nw + 48, replace=False)
+    masses = rng.choice([1.0, 0.5, 2.0, 1e-3, 1e-8], size=ns + nw).tolist() + [1e-12] * 48
+    atoms = [(int(a), 10, m) for a, m in zip(slots, masses)]
+    sigma = AtomicMeasure.from_triples([(half, 10, 1.0)] + atoms[:ns])
+    w = AtomicMeasure.from_triples([(half - d, 10, 1.0), (half + d, 10, 1.0)] + atoms[ns:])
+    return sigma, w
+
+
+# _near_tie_pair seeds whose A2 maximum lies within 1e-6 of its bound and
+# behind the seed batch, next to a near-equal candidate; found by a search
+# over 5,000 seeds at refinement 6
+_TIGHT_A2_SEEDS = [356, 2934, 4337]
+
+
+class TestA2BranchAndBound:
+    @pytest.mark.parametrize("refinement", [0, 6])
+    def test_pruned_search_equals_loop_oracle(self, refinement):
+        for name, sigma, w in _a2_cases():
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = a2_constant(sigma, w, refinement)
+                want = _a2_loop_oracle(sigma, w, refinement)
+            assert got == want, name
+            if name == "overflow":
+                assert got == math.inf
+
+    @pytest.mark.parametrize("refinement", [0, 6])
+    def test_bounds_hold_for_every_candidate(self, refinement):
+        for name, sigma, w in _a2_cases():
+            endpoints, i, j, lefts, rights = _a2_candidates(sigma, w, refinement)
+            with np.errstate(over="ignore", invalid="ignore"):
+                values = _a2_values(sigma, w, lefts, rights)
+                ub = _a2_bounds(sigma, w, endpoints, i, j, lefts, rights)
+            assert not np.any(values > ub), name
+
+    def test_corrupted_bound_changes_the_result(self, monkeypatch):
+        # a bound 1e-6 too low skips the candidate that attains the max on
+        # these pairs, so the comparisons above would see it
+        pairs = [_near_tie_pair(seed) for seed in _TIGHT_A2_SEEDS]
+        want = [a2_constant(sigma, w, 6) for sigma, w in pairs]
+        assert want == [_a2_loop_oracle(sigma, w, 6) for sigma, w in pairs]
+        monkeypatch.setattr(
+            constants, "_a2_bounds", lambda *args: _a2_bounds(*args) * (1.0 - 1e-6)
+        )
+        got = [a2_constant(sigma, w, 6) for sigma, w in pairs]
+        assert all(g != v for g, v in zip(got, want))
+
+    def test_sub_batch_gives_the_full_batch_bits(self):
+        # groups of 4 rows from the first K - K mod 4 candidates, followed by
+        # the last K mod 4, get the bits of the product over every candidate
+        for sigma, w in random_ensemble(82, 8, 32, 12, family="mixed"):
+            lefts, rights = _a2_candidates(sigma, w, 6)[3:]
+            full = _a2_values(sigma, w, lefts, rights)
+            K = len(lefts)
+            head = K - K % 4
+            rng = np.random.default_rng(sigma.n_atoms)
+            for size in (4, 8, 64):
+                rows = rng.choice(head, size)
+                assert np.array_equal(_a2_values(sigma, w, lefts[rows], rights[rows]), full[rows])
+                rows = np.concatenate([rows, np.arange(head, K)])
+                assert np.array_equal(_a2_values(sigma, w, lefts[rows], rights[rows]), full[rows])
+
+    def test_every_batch_gets_the_full_product_bits(self, monkeypatch):
+        # each batch the pruned search evaluates, seed and padding included,
+        # equals the product over every candidate on the rows it holds
+        for sigma, w in random_ensemble(82, 8, 32, 12, family="mixed"):
+            lefts, rights = _a2_candidates(sigma, w, 6)[3:]
+            full = {}
+            for l, r, v in zip(lefts, rights, _a2_values(sigma, w, lefts, rights)):
+                full.setdefault((l, r), set()).add(v)
+            batches = []
+
+            def spy(sigma, w, lefts, rights):
+                values = _a2_values(sigma, w, lefts, rights)
+                batches.append(all(v in full[l, r] for l, r, v in zip(lefts, rights, values)))
+                return values
+
+            monkeypatch.setattr(constants, "_a2_values", spy)
+            a2_constant(sigma, w, 6)
+            monkeypatch.undo()
+            assert batches and all(batches)
+
+    def test_a2_search_too_large_is_refused(self):
+        # 1,100 merged atoms: about 2.4 million candidates
+        sigma = AtomicMeasure.from_triples([(2 * k + 1, 12, 1.0) for k in range(550)])
+        w = AtomicMeasure.from_triples([(2 * k + 2, 12, 1.0) for k in range(550)])
+        with pytest.raises(PairTooLarge, match="550 sigma and 550 w atoms"):
+            a2_constant(sigma, w)
 
 
 def _testing_all_classes(sigma, w, direction="forward", refinement=DEFAULT_REFINEMENT):
@@ -367,6 +502,13 @@ class TestTestingConstant:
                     sigma, w, direction
                 )
 
+    def test_pruned_scan_equals_full_scan_one_atom(self):
+        for sigma, w in random_ensemble(81, 12, 1, 10, family="mixed"):
+            for direction in ("forward", "backward"):
+                assert t_constant(sigma, w, direction) == _testing_maximal_classes(
+                    sigma, w, direction
+                )
+
     @pytest.mark.parametrize("kind", ["heavy-ends", "wide-masses", "overflow"])
     def test_pruned_scan_equals_full_scan_adversarial(self, kind):
         for sigma, w in _adversarial_pairs(kind):
@@ -401,6 +543,52 @@ class TestTestingConstant:
                 t_constant(sigma, w, "forward"),
                 t_constant(sigma, w, "backward"),
             )
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    @pytest.fixture(scope="class")
+    def pair(self):
+        # 121 sigma and 94 w atoms: 242 truncations, 97,000 A2 candidates
+        return random_ensemble(7, 8, 128, 12)[3]
+
+    def test_a2_streams(self, pair):
+        assert _peak_bytes(lambda: a2_constant(*pair)) < 16 << 20
+
+    def test_testing_builds_prefixes_on_demand(self, pair):
+        scan = kernel_scan(*pair)
+        assert _peak_bytes(lambda: t_pair(*pair, scan=scan)) < 8 << 20
+
+    def test_report_peak(self, pair):
+        assert _peak_bytes(lambda: compute_report(*pair)) < 64 << 20
+
+    def test_kernel_stack_cap(self):
+        # 386 atoms a side at 226 truncations is just over the cap, 385 just
+        # under; the refusal comes before the stack is allocated
+        def pair(k):
+            sigma = AtomicMeasure.from_triples([(2 * a + 1, 12, 1.0) for a in range(k)])
+            w = AtomicMeasure.from_triples([(2 * a + 2, 12, 1.0) for a in range(k)])
+            return sigma, w
+
+        for k, over in ((385, False), (386, True)):
+            sigma, w = pair(k)
+            dists = np.abs(sigma.positions_f[:, None] - w.positions_f[None, :]).ravel()
+            assert (8 * len(truncation_candidates(dists)) * k * k > MAX_ARRAY_BYTES) == over
+        sigma, w = pair(386)
+
+        def refused():
+            with pytest.raises(PairTooLarge, match="386 sigma and 386 w atoms"):
+                kernel_scan(sigma, w)
+
+        assert _peak_bytes(refused) < 16 << 20
 
 
 class TestEnergy:

@@ -104,6 +104,16 @@ class TestRestrict:
         assert mu.restrict(unit_root) == mu
 
 
+class TestHash:
+    def test_equal_measures_built_apart_hash_equal(self):
+        a = AtomicMeasure.from_triples([(1, 2, 2.0), (7, 3, 1.0), (3, 4, 0.5)])
+        b = AtomicMeasure((dyadic(3, 4), dyadic(2, 3), dyadic(7, 3)), (0.5, 2.0, 1.0))
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert hash(a) == hash((a.positions, a.masses))
+        assert {a: 1}[b] == 1
+        assert a != AtomicMeasure.from_triples([(3, 4, 0.5), (1, 2, 2.0), (7, 3, 1.5)])
+
+
 class TestCommonPointMass:
     def test_disjoint(self, micro_pair):
         assert not has_common_point_mass(*micro_pair)
