@@ -16,8 +16,9 @@ a2_constant        lower-bound search for sup_I P(sigma, I) P(w, I) over a
                    atoms inside it and the nearest atom outside on each
                    side, which holds for the rounded value too, and only
                    the candidates whose bound beats the running best are
-                   evaluated, in small batches with the full product's
-                   bits, so no (candidates x atoms) matrix is built;
+                   evaluated, in small batches with the single-threaded
+                   full product's bits, so no (candidates x atoms) matrix
+                   is built; small pairs take the one full product;
 testing_constant   exact supremum over intervals, jointly with the same
                    truncation scan, attained on the maximal atom-membership
                    classes (one per range of source atoms); an exact
@@ -244,35 +245,43 @@ def norm_constant(
 # (see _a2_values)
 _A2_SEED = 8
 
+# kernel entries (candidates x atoms) up to which a2_constant evaluates
+# every candidate in one product: below it the bounds cost more than they
+# save (measured crossover, BENCH_10.json)
+_A2_ONE_PRODUCT = 3 << 14
+
 
 def _a2_values(
     sigma: AtomicMeasure, w: AtomicMeasure, lefts: np.ndarray, rights: np.ndarray
 ) -> np.ndarray:
     """P(sigma, I) P(w, I) for the candidate intervals [lefts, rights].
 
-    One (rows x atoms) stationary-kernel matrix per measure, reduced by a
-    BLAS matrix-vector product.  That product computes rows in groups of 4
-    and the last (rows mod 4) rows by a remainder kernel that rounds
+    One (rows x atoms) array of the entries L / (L^2 + d^2) per measure,
+    d the distance of the atom to the interval, reduced by a BLAS
+    matrix-vector product.  That product computes rows in groups of 4 and
+    the last (rows mod 4) rows by a remainder kernel that rounds
     differently, so a row gets the bits of the whole candidate set's
     product when it sits in the same kind of group in both: a batch of
     4k rows from the first K - K mod 4 candidates, followed by at most the
     last K mod 4 candidates.  A multi-threaded BLAS splits a product of
-    more than about 5e5 entries into per-thread row ranges, each with its
-    own remainder rows, so there the whole product can round the few rows
-    at a thread boundary differently; every batch of :func:`a2_constant`
-    stays below that size and gets the single-threaded bits.
+    more than about 4e5 entries into per-thread row ranges, each with its
+    own remainder rows, so there the whole product rounds the rows at a
+    thread boundary by how many threads the host has; every product
+    :func:`a2_constant` asks for stays far below that size, so it gets the
+    single-threaded bits on any host.
     """
+    L = rights - lefts
+    sq = (L * L)[:, None]
 
     def pvec(mu: AtomicMeasure) -> np.ndarray:
-        L = rights - lefts
-        dist = np.maximum(
-            0.0,
-            np.maximum(
-                lefts[:, None] - mu.positions_f[None, :],
-                mu.positions_f[None, :] - rights[:, None],
-            ),
-        )
-        return (L[:, None] / (L[:, None] ** 2 + dist**2) @ mu.masses_f).ravel()
+        pos = mu.positions_f[None, :]
+        row = np.subtract(lefts[:, None], pos)
+        np.maximum(row, pos - rights[:, None], out=row)
+        np.maximum(row, 0.0, out=row)
+        np.square(row, out=row)
+        row += sq
+        np.divide(L[:, None], row, out=row)
+        return row @ mu.masses_f
 
     return pvec(sigma) * pvec(w)
 
@@ -298,12 +307,15 @@ def _poisson_bounds(
     and gathered for the pairs; the ladder candidates, n (2 refinement + 1)
     of them, look theirs up directly.
 
-    Rounding.  The masses come from prefix sums, each off by less than
-    g/3 mu(R), g = 8 (m + 2) eps, and e_in bounds every entry, so
-    g mu(R) e_in covers them.  The factor 1 + 1e-9 covers the relative
-    rounding of the product's sum and of this arithmetic (m eps << 1e-9);
-    products that underflow lose less than 2^-1075 each, covered by
-    2^-1070 (m + 4).  An overflow gives +inf.
+    Rounding.  Every error is measured against e_in mu(R), mu(R) the
+    total mass, which bounds the exact sum: each prefix sum is off by at
+    most m eps mu(R), the product's sum of at most m non-negative terms by
+    m eps times its value in any order, and this arithmetic adds a few eps
+    more, under (5 m + 10) eps e_in mu(R) in all; the term g e_in mu(R),
+    g = 8 (m + 2) eps, covers them.  Where the bound underflows that
+    relative term is lost, and each of the m products and the few steps
+    here loses less than 2^-1075: 2^-1070 (m + 4) covers them.  An overflow
+    gives +inf; prefix sums that overflow give inf - inf = NaN.
     """
     pos = mu.positions_f
     m = len(pos)
@@ -331,7 +343,6 @@ def _poisson_bounds(
     ub = L / sq * (pref[upto] - pref[below] + g * total)
     ub += L / (sq + gap_left * gap_left) * pref[below]
     ub += L / (sq + gap_right * gap_right) * (total - pref[upto])
-    ub *= 1.0 + 1e-9
     ub += 16.0 * _TINY * (m + 4)
     return ub
 
@@ -348,14 +359,14 @@ def _a2_bounds(
     """Upper bounds for the computed P(sigma, I) P(w, I) of every candidate
     of :func:`a2_constant`; +inf where the bound is NaN.
 
-    The product of the two :func:`_poisson_bounds` picks up at most one
-    rounding and one underflow, covered by 1 + 1e-9 and 2^-1073.
+    The product of the two :func:`_poisson_bounds` needs no margin of its
+    own: each factor is at least the computed one, all are non-negative,
+    and rounding is monotone.  The underflow term keeps every factor
+    positive, so an infinite factor gives +inf, never inf * 0.
     """
     with np.errstate(all="ignore"):
         ub = _poisson_bounds(sigma, endpoints, i, j, lefts, rights)
         ub *= _poisson_bounds(w, endpoints, i, j, lefts, rights)
-        ub *= 1.0 + 1e-9
-        ub += 2.0 * _TINY
     ub[np.isnan(ub)] = np.inf
     return ub
 
@@ -405,18 +416,20 @@ def a2_constant(
     bound from :func:`_a2_bounds`, and only the candidates whose bound beats
     the running best are evaluated, in gathered batches of
     :func:`_a2_values`, the top few first.  The bound holds for the
-    computed value and the batches reproduce the full product's bits, so
-    the result is the full scan's max bit for bit; no (candidates x atoms)
-    matrix is built.  An infinite bound is never skipped, and once the
-    running best is NaN, the full scan's max, nothing can change it.  Small
-    pairs evaluate every candidate in one product.
+    computed value and the batches reproduce the single-threaded full
+    product's bits, so the result is the max of a full scan on one BLAS
+    thread, bit for bit, whatever the host's thread count; no
+    (candidates x atoms) matrix is built.  An infinite bound is never
+    skipped, and once the running best is NaN, the full scan's max, nothing
+    can change it.  Pairs of at most :data:`_A2_ONE_PRODUCT` kernel entries
+    evaluate every candidate in one product, which is faster there.
     """
     if sigma.n_atoms == 0 or w.n_atoms == 0:
         return 0.0
     endpoints, i, j, lefts, rights = _a2_candidates(sigma, w, refinement)
     K = len(lefts)
     atoms = sigma.n_atoms + w.n_atoms
-    if K * atoms <= _STACK_BLOCK or K < _A2_SEED:
+    if K * atoms <= _A2_ONE_PRODUCT or K < _A2_SEED:
         return float(np.max(_a2_values(sigma, w, lefts, rights)))
     ub = _a2_bounds(sigma, w, endpoints, i, j, lefts, rights)
     del i, j

@@ -1,4 +1,8 @@
 import math
+import os
+import pickle
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -252,9 +256,66 @@ class TestA2CandidateArrays:
             assert a2_constant(mu, mu, refinement) == _a2_loop_oracle(mu, mu, refinement)
 
 
+def _a2_margin_pairs():
+    """Pairs on which each rounding margin of ``_poisson_bounds`` is needed.
+
+    ``cancellation``: a 1e16 atom of sigma far left of two 0.5 atoms 2^-32
+    apart, whose mass vanishes from the prefix sums; without the term
+    g e_in mu(R), the intervals around them compute above their bound.
+    ``subnormal-masses``: sigma's masses are 2^-1074, so its products round
+    by whole units of the smallest subnormal; without the underflow term,
+    intervals of length 5/8 (e_in = 1.6) compute above their bound.
+    ``prefix-overflow``: two 1e308 atoms of sigma, whose prefix sum
+    overflows, give every interval right of both a NaN bound.
+    """
+    h, tiny = 1 << 31, math.ldexp(1.0, -1074)
+    yield "cancellation", AtomicMeasure.from_triples(
+        [(0, 0, 1e16), (h, 32, 0.5), (h + 1, 32, 0.5)]
+    ), AtomicMeasure.from_triples([(h - 1, 32, 1.0), (h + 2, 32, 1.0)])
+    yield "subnormal-masses", AtomicMeasure.from_triples(
+        [(1, 3, tiny), (2, 3, tiny), (5, 3, tiny)]
+    ), AtomicMeasure.from_triples([(3, 3, 1.0), (7, 3, 1.0)])
+    yield "prefix-overflow", AtomicMeasure.from_triples(
+        [(1, 3, 1e308), (2, 3, 1e308)]
+    ), AtomicMeasure.from_triples([(5, 3, 1.0), (7, 3, 1.0)])
+
+
 def _a2_cases():
-    """The norm's cases and the heavy-ends pairs."""
-    return _norm_cases() + [("heavy-ends", *pair) for pair in _adversarial_pairs("heavy-ends")]
+    """The norm's cases, the heavy-ends pairs and the margin pairs."""
+    return (
+        _norm_cases()
+        + [("heavy-ends", *pair) for pair in _adversarial_pairs("heavy-ends")]
+        + list(_a2_margin_pairs())
+    )
+
+
+def _a2_loop_oracles(pairs, refinement):
+    with np.errstate(over="ignore", invalid="ignore"):
+        return [_a2_loop_oracle(sigma, w, refinement) for sigma, w in pairs]
+
+
+def _one_blas_thread(fn, *args):
+    """``fn(*args)`` in a fresh interpreter whose BLAS runs on one thread;
+    ``fn`` is a module-level function of this file.
+
+    A multi-threaded BLAS splits a matrix-vector product of more than about
+    4e5 entries into per-thread row ranges and rounds the rows at a range
+    boundary by how many threads the host has.  ``a2_constant`` keeps every
+    product below that size, so it gets the single-threaded bits on any
+    host; an oracle that takes the whole product at once (the 128-atom
+    pairs) is compared with it on one thread.
+    """
+    one = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), **one)
+    code = (
+        "import pickle, sys; fn, args = pickle.load(sys.stdin.buffer); "
+        "pickle.dump(fn(*args), sys.stdout.buffer)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], input=pickle.dumps((fn, args)), capture_output=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    return pickle.loads(proc.stdout)
 
 
 def _near_tie_pair(seed):
@@ -283,12 +344,14 @@ _TIGHT_A2_SEEDS = [356, 2934, 4337]
 class TestA2BranchAndBound:
     @pytest.mark.parametrize("refinement", [0, 6])
     def test_pruned_search_equals_loop_oracle(self, refinement):
-        for name, sigma, w in _a2_cases():
+        cases = _a2_cases()
+        pairs = [(sigma, w) for _, sigma, w in cases]
+        wants = _one_blas_thread(_a2_loop_oracles, pairs, refinement)
+        for (name, sigma, w), want in zip(cases, wants):
             with np.errstate(over="ignore", invalid="ignore"):
                 got = a2_constant(sigma, w, refinement)
-                want = _a2_loop_oracle(sigma, w, refinement)
             assert got == want, name
-            if name == "overflow":
+            if name in ("overflow", "prefix-overflow"):
                 assert got == math.inf
 
     @pytest.mark.parametrize("refinement", [0, 6])
@@ -299,6 +362,7 @@ class TestA2BranchAndBound:
                 values = _a2_values(sigma, w, lefts, rights)
                 ub = _a2_bounds(sigma, w, endpoints, i, j, lefts, rights)
             assert not np.any(values > ub), name
+            assert not np.any(np.isnan(ub)), name
 
     def test_corrupted_bound_changes_the_result(self, monkeypatch):
         # a bound 1e-6 too low skips the candidate that attains the max on
