@@ -14,8 +14,10 @@ non-finite constant or T > N included), 2 parse error, 3 invalid input pair.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -498,24 +500,24 @@ def cmd_sweep(args) -> int:
         for i, (sigma, w) in enumerate(pairs)
         if i >= skip
     ]
-    out = sys.stdout if cfg.output is None else open(cfg.output, "a" if skip else "w")
-    try:
+    with contextlib.ExitStack() as stack:
+        if cfg.jobs > 1:
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=cfg.jobs))
+            rows = pool.map(_sweep_row, tasks, chunksize=4)
+        else:
+            rows = map(_sweep_row, tasks)
+        # the first row comes before any output, so a refused pair writes nothing
+        head = [next(rows)] if tasks else []
+        out = sys.stdout if cfg.output is None else open(cfg.output, "a" if skip else "w")
+        if out is not sys.stdout:
+            stack.enter_context(out)
         writer = csv.writer(out, lineterminator="\n")
         if skip == 0:
             out.write(f"# h2w {__version__} sweep {json.dumps(cfg.stamp(), sort_keys=True)}\n")
             writer.writerow(SWEEP_COLUMNS)
-        if cfg.jobs > 1:
-            with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-                for row in pool.map(_sweep_row, tasks, chunksize=4):
-                    writer.writerow(row)
-                    out.flush()
-        else:
-            for task in tasks:
-                writer.writerow(_sweep_row(task))
-                out.flush()
-    finally:
-        if out is not sys.stdout:
-            out.close()
+        for row in itertools.chain(head, rows):
+            writer.writerow(row)
+            out.flush()
     return 0
 
 

@@ -49,9 +49,8 @@ documented candidate sets, never as certified upper bounds.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -59,6 +58,7 @@ from .errors import CommonPointMass, NecessityViolation, PairTooLarge, Precondit
 from .grid import DyadicGrid, GridInterval, auto_grid, f_parent
 from .haar import (
     WeightedFunction,
+    _endpoints,
     _node_mass,
     _node_range,
     _run,
@@ -138,7 +138,7 @@ def kernel_scan(
     """Build the truncation scan of a pair and its kernel stack once.
 
     PairTooLarge when the stack, T x n_sigma x n_w doubles, would pass
-    :data:`MAX_ARRAY_BYTES`; the norm takes a scaled copy of it too.
+    :data:`MAX_ARRAY_BYTES`; the norm scales it a block at a time.
     """
     diffs = sigma.positions_f[:, None] - w.positions_f[None, :]
     cands = truncation_candidates(np.abs(diffs).ravel(), refinement)
@@ -167,7 +167,8 @@ _NORM_CHUNK = 8
 
 def _norm_bounds(stack: np.ndarray) -> np.ndarray:
     """Upper bounds for the largest singular value that LAPACK computes for
-    each matrix in a (T, m, n) stack; +inf where the bound is NaN.
+    each matrix in a (T, m, n) stack, an array or a :class:`_ScaledStack`;
+    +inf where the bound is NaN.
 
     The spectral norm is at most the Frobenius norm and at most
     sqrt(||A||_1 ||A||_inf), the largest column and row sums of |A|; the
@@ -199,6 +200,21 @@ def _norm_bounds(stack: np.ndarray) -> np.ndarray:
     return ub
 
 
+class _ScaledStack:
+    """A kernel stack scaled by sqrt(sigma_i) sqrt(w_j), one indexed block
+    at a time: ``self[key]`` is ``stack[key] * ss[:, None] * sw`` in that
+    order, the bits of a whole scaled copy, without building it."""
+
+    def __init__(self, stack: np.ndarray, ss: np.ndarray, sw: np.ndarray):
+        self.stack, self.ss, self.sw = stack, ss, sw
+        self.shape = stack.shape
+
+    def __getitem__(self, key) -> np.ndarray:
+        block = self.stack[key] * self.ss[None, :, None]
+        block *= self.sw[None, None, :]
+        return block
+
+
 def norm_constant(
     sigma: AtomicMeasure,
     w: AtomicMeasure,
@@ -226,8 +242,7 @@ def norm_constant(
         return 0.0
     if scan is None:
         scan = kernel_scan(sigma, w, refinement)
-    stack = scan.stack * np.sqrt(sigma.masses_f)[None, :, None]
-    stack *= np.sqrt(w.masses_f)[None, None, :]
+    stack = _ScaledStack(scan.stack, np.sqrt(sigma.masses_f), np.sqrt(w.masses_f))
     ub = _norm_bounds(stack)
     order = np.argsort(-ub, kind="stable")
     best = -math.inf
@@ -690,41 +705,55 @@ def energy_identity_sides(
 @dataclass(frozen=True)
 class _TrunkTable:
     """The w-dispersion trunk of one (w, grid): the charged nodes of w in
-    pre-order, their endpoint floats, E(w, I)^2 and E(w, I)^2 w(I) of each,
-    the end of each node's pre-order subtree run, and E^2 w by (level,
-    index)."""
+    pre-order, their endpoint floats, |I|^2 (the Python float square that
+    ``_energy_on`` and ``poisson._poisson_sum`` take), E(w, I)^2 and
+    E(w, I)^2 w(I) of each, and the end of each node's pre-order subtree
+    run."""
 
     nodes: tuple
     left: np.ndarray
     right: np.ndarray
+    length_sq: np.ndarray
     e2: np.ndarray
     e2w: np.ndarray
-    end: tuple[int, ...]
-    e2w_at: dict[tuple[int, int], float]
+    end: np.ndarray
+
+    @cached_property
+    def e2w_at(self) -> dict[tuple[int, int], float]:
+        """E^2 w by (level, index)."""
+        return {(n.level, n.index): v for n, v in zip(self.nodes, self.e2w.tolist())}
 
 
 @lru_cache(maxsize=1024)
 def _trunk_table(w: AtomicMeasure, grid: DyadicGrid) -> _TrunkTable:
-    """The :class:`_TrunkTable` of w on ``grid``, built once per pair."""
+    """The :class:`_TrunkTable` of w on ``grid``, built once per pair from
+    the node table of w."""
     nodes = charged_nodes(w, grid)
-    left = [grid.endpoint_f(n.level, n.index) for n in nodes]
-    right = [grid.endpoint_f(n.level, n.index + 1) for n in nodes]
-    wpref = w._mass_prefix
-    e2 = [_energy_on(w, n.lo, n.hi, r - l) for n, l, r in zip(nodes, left, right)]
-    e2w = [v * float(wpref[n.hi] - wpref[n.lo]) for n, v in zip(nodes, e2)]
-    # a subtree ends at the first node whose left end, on the finest
-    # lattice, passes the subtree's right end
-    at = [n.index << (grid.depth - n.level) for n in nodes]
-    end = tuple(bisect_left(at, (n.index + 1) << (grid.depth - n.level)) for n in nodes)
-    return _TrunkTable(
-        nodes,
-        np.array(left),
-        np.array(right),
-        np.array(e2),
-        np.array(e2w),
-        end,
-        {(n.level, n.index): v for n, v in zip(nodes, e2w)},
-    )
+    table, rows = nodes.table, np.array(nodes.rows, dtype=np.int64)
+    left, right = (ends[rows] for ends in _endpoints(table, grid))
+    length_sq = np.array([x**2 for x in (right - left).tolist()])
+    lo, hi = table.lo[0, rows], table.hi[0, rows]
+    e2 = _energies(w, lo, hi, length_sq)
+    end = np.searchsorted(rows, table.end[rows])
+    return _TrunkTable(nodes, left, right, length_sq, e2, e2 * (w._mass_prefix[hi] - w._mass_prefix[lo]), end)
+
+
+def _energies(w: AtomicMeasure, lo: np.ndarray, hi: np.ndarray, length_sq: np.ndarray) -> np.ndarray:
+    """:func:`_energy_on` of each atom range [lo, hi), at least two atoms,
+    with |I|^2 = ``length_sq``, bit for bit: the ranges of one size are
+    gathered into the rows of one 2-D array, whose row sums numpy reduces
+    as it reduces a 1-D array."""
+    size = hi - lo
+    e2 = np.empty(len(lo))
+    for k in np.unique(size).tolist():
+        at = np.flatnonzero(size == k)
+        atoms = lo[at, None] + np.arange(k)
+        m, x = w.masses_f[atoms], w.positions_f[atoms]
+        mass = m.sum(axis=1)
+        mean = (x * m).sum(axis=1) / mass
+        var = ((x - mean[:, None]) ** 2 * m).sum(axis=1) / mass
+        e2[at] = 2.0 * var / length_sq[at]
+    return e2
 
 
 def energy_constant(sigma: AtomicMeasure, w: AtomicMeasure, grid: DyadicGrid) -> float:

@@ -6,28 +6,31 @@ Poisson-energy product passes the threshold 10 c0 h^2 sigma(I), or when the
 average of |f| grows tenfold; control values refresh only when the average
 at least doubles.  The resulting family packs with Carleson constant 2.
 
-The stopping and energy-stopping walks, the uniformity check and the
-bounded-averages constant run on atom ranges: a visited grid interval is its
-(level, index) with the index ranges of its sigma and w atoms
-(``haar._descend``, and the pre-order runs of the occupied nodes,
-``haar._run``), so a GridInterval is built only for a returned member or a
-named violation.  ``uniformity_check`` walks the grid itself rather than the
-occupied-node list, so it checks the bounded-averages constant
-independently.  The energy-stopping test reads E(w, I)^2 w(I) from the trunk
-table of (w, grid) that ``constants.energy_constant`` reads.
+The stop tests run on node tables (``haar.NodeTable``), not on walks: the
+energy-stopping test on the rows of the w trunk table (``constants.
+_trunk_table``) below the top interval, the stopping construction on the
+rows of the joint (sigma, w) table that a descent from a member reaches.
+Each test is one vectorised pass whose Poisson sums are row sums with the
+bits of ``poisson._poisson_sum``; the maximal hits are kept in pre-order by
+jumping over each hit's subtree.  A GridInterval is built only for a
+returned member or a named violation.  The bounded-averages constant reads
+the sigma table's subtree rows; ``uniformity_check`` walks the grid itself
+(``haar._descend``), so it checks that constant independently.
 
 A :class:`StoppingData` walks each splitting node up to its minimal member
 once per measure (``corona_nodes``, on the one walk ``pi_key`` that ``pi``
 uses too), so a corona projection reads its pre-order group.  The bilinear
-form visits, under each source node, only the pre-order run of target
-nodes inside it (``haar._run``), in the order of the full double loop.
+form takes every node's differences at once, skips a source node whose
+differences both vanish, and visits under each other source node only the
+pre-order run of target nodes inside it (``haar._run``), in the order of
+the full double loop; its callers build the kernel prefix once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property, lru_cache
 
 import numpy as np
 
@@ -35,20 +38,25 @@ from .constants import _carleson_ratio, _trunk_table
 from .errors import PreconditionViolation
 from .grid import DyadicGrid, GridInterval
 from .haar import (
+    NodeTable,
     Ranges,
     WeightedFunction,
     _descend,
+    _differences,
+    _endpoints,
     _node_mass,
     _node_range,
+    _node_table,
+    _parents,
     _root_range,
     _run,
+    _subtree,
     corona_projection,
-    occupied_nodes,
+    node_table,
     splitting_nodes,
 )
 from .measure import AtomicMeasure
 from .params import DEFAULT_C0
-from .poisson import _poisson_sum
 
 __all__ = [
     "StoppingData",
@@ -138,41 +146,50 @@ class UniformitySpec:
 # energy stopping
 
 
-def _energy_test(
+# rows x atoms per block of a vectorised stop test
+_STOP_BLOCK = 1 << 14
+
+
+def _energy_hits(
+    columns: tuple[np.ndarray, ...],
+    rows: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
     sigma: AtomicMeasure,
     top: tuple[int, int],
-    w: AtomicMeasure,
-    h_const: float,
-    c0: float,
-    grid: DyadicGrid,
-):
-    """The energy-stopping test below a top interval whose sigma atoms are ``top``.
+    threshold: float,
+) -> np.ndarray:
+    """The energy-stopping test of the table ``rows``: whether
+    P(sigma_0, I)^2 E(w, I)^2 w(I) > threshold sigma_0(I), where sigma_0 is
+    sigma's atoms ``top`` and [lo, hi) its atoms in each I.  ``columns``
+    holds the table's left and right endpoint floats, |I|^2 and
+    E(w, I)^2 w(I); a row with E^2 w == 0 never stops.  sigma_0(I) is read
+    from sigma_0's own prefix sums, so it rounds as
+    ``sigma.restrict(top).mass_on(I)`` does.
 
-    ``hit(level, index, (a, b))`` tells whether the grid interval I with
-    sigma atoms [a, b) and at least two w atoms has P(sigma_0, I)^2 E(w, I)^2
-    w(I) > 10 c0 h^2 sigma_0(I), sigma_0 being sigma restricted to the top
-    interval.  sigma_0(I) is read from sigma_0's own prefix sums, so it
-    rounds as ``sigma.restrict(top).mass_on(I)`` does.  E(w, I)^2 w(I) is
-    read from the trunk table of (w, grid): a tested I holds at least two w
-    atoms, so it is a trunk node.
+    P is ``poisson._poisson_sum`` of each row bit for bit: the same
+    elementwise steps, and each row's sum a row sum of one C-ordered 2-D
+    array, which numpy reduces as it reduces a 1-D array.  Rows go in
+    blocks of at most :data:`_STOP_BLOCK` entries.
     """
+    left, right, length_sq, e2w = columns
+    hit = np.zeros(len(rows), dtype=bool)
+    live = np.flatnonzero(e2w[rows] != 0.0)
+    if not len(live):
+        return hit
     lo0, hi0 = top
-    pos = sigma.positions_f[lo0:hi0]
-    mass = sigma.masses_f[lo0:hi0]
+    pos, mass = sigma.positions_f[lo0:hi0], sigma.masses_f[lo0:hi0]
     prefix = np.concatenate(([0.0], np.cumsum(mass)))
-    e2w_at = _trunk_table(w, grid).e2w_at
-    threshold = 10.0 * c0 * h_const**2
-
-    def hit(level: int, index: int, srange: tuple[int, int]) -> bool:
-        e2w = e2w_at[level, index]
-        if e2w == 0.0:
-            return False
-        left = grid.endpoint_f(level, index)
-        right = grid.endpoint_f(level, index + 1)
-        p = _poisson_sum(pos, mass, left, right)
-        a, b = srange
-        return p * p * e2w > threshold * float(prefix[b - lo0] - prefix[a - lo0])
-
+    step = max(1, _STOP_BLOCK // max(1, len(pos)))
+    with np.errstate(all="ignore"):
+        for start in range(0, len(live), step):
+            k = live[start : start + step]
+            r = rows[k]
+            lft, rgt = left[r, None], right[r, None]
+            dist = np.maximum(0.0, np.maximum(lft - pos, pos - rgt))
+            p = (mass * (rgt - lft) / (length_sq[r, None] + dist**2)).sum(axis=1)
+            sigma_mass = prefix[hi[k] - lo0] - prefix[lo[k] - lo0]
+            hit[k] = p * p * e2w[r] > threshold * sigma_mass
     return hit
 
 
@@ -186,26 +203,32 @@ def energy_stopping_intervals(
 ) -> list[GridInterval]:
     """Maximal grid intervals strictly inside i0 whose Poisson-energy
     product strictly exceeds 10 c0 h^2 sigma(I); children of selected
-    intervals are not descended into."""
+    intervals are not descended into.
+
+    Only intervals holding two w atoms can stop, so the test runs on the
+    rows of the w trunk table below i0, P taken of sigma restricted to i0
+    and sigma(I) read from that restriction's own prefix sums (so it rounds
+    as ``sigma.restrict(i0).mass_on(I)`` does); the maximal hits are kept
+    in pre-order by jumping over each hit's subtree.
+    """
     if h_const <= 0:
         raise PreconditionViolation("h_const must be positive")
-    _root_range(w, grid)  # the w-dispersion trunk needs w inside the grid root
-    top = (_node_range(sigma, i0), _node_range(w, i0))
-    hit = _energy_test(sigma, top[0], w, h_const, c0, grid)
+    # the w-dispersion trunk needs w inside the grid root
+    trunk = _trunk_table(w, grid)
+    start, end = _run(trunk.nodes, grid, i0.level, i0.index)
+    inside = np.arange(start + 1, end)
+    columns = (trunk.left, trunk.right, trunk.length_sq, trunk.e2w)
+    lo = np.searchsorted(sigma.positions_f, trunk.left[inside])
+    hi = np.searchsorted(sigma.positions_f, trunk.right[inside])
+    top = _node_range(sigma, i0)
+    hits = _energy_hits(columns, inside, lo, hi, sigma, top, 10.0 * c0 * h_const**2)
     out: list[GridInterval] = []
-
-    def visit(level: int, index: int, ranges: Ranges) -> bool:
-        if level == i0.level:
-            return True
-        srange, (c, d) = ranges
-        if d - c < 2:  # outside the w-dispersion trunk
-            return False
-        if hit(level, index, srange):
-            out.append(GridInterval(grid, level, index))
-            return False
-        return True
-
-    _descend((sigma, w), grid, i0, top, visit)
+    stop = 0
+    for t in inside[hits].tolist():
+        if t >= stop:
+            n = trunk.nodes[t]
+            out.append(GridInterval(grid, n.level, n.index))
+            stop = trunk.end[t]
     return out
 
 
@@ -234,6 +257,43 @@ def calibrate_c0(
 # stopping data
 
 
+@dataclass(frozen=True)
+class _StopTable:
+    """The grid intervals holding an atom of sigma or w (their joint
+    :class:`~h2w.haar.NodeTable`, sigma first), with each row's endpoint
+    floats and parent row, whether the parent holds two atoms, and the
+    energy-test columns of the rows holding two w atoms, which are the w
+    trunk rows in the trunk's own pre-order: E(w, I)^2 w(I) and |I|^2, zero
+    on every other row."""
+
+    nodes: NodeTable
+    left: np.ndarray
+    right: np.ndarray
+    parent: np.ndarray
+    reached: np.ndarray
+    e2w: np.ndarray
+    length_sq: np.ndarray
+
+
+@lru_cache(maxsize=8)
+def _stop_table(sigma: AtomicMeasure, w: AtomicMeasure, grid: DyadicGrid) -> _StopTable:
+    """The :class:`_StopTable` of (sigma, w) on ``grid``, built once per
+    pair; only the pairs in use are kept, as each table is a few times the
+    size of a measure's node lists."""
+    nodes = _node_table((sigma, w), grid)
+    trunk = _trunk_table(w, grid)
+    on = nodes.hi[1] - nodes.lo[1] >= 2
+    e2w = np.zeros(len(nodes))
+    e2w[on] = trunk.e2w
+    length_sq = np.zeros(len(nodes))
+    length_sq[on] = trunk.length_sq
+    left, right = _endpoints(nodes, grid)
+    parent = _parents(nodes, grid)
+    # a descent from any ancestor reaches the rows whose parent holds two atoms
+    reached = (nodes.hi - nodes.lo).sum(axis=0)[parent] >= 2
+    return _StopTable(nodes, left, right, parent, reached, e2w, length_sq)
+
+
 def build_stopping_data(
     f: WeightedFunction,
     i0: GridInterval,
@@ -246,58 +306,68 @@ def build_stopping_data(
     """Stopping family for f: start at i0 with the average of |f|; stop at
     maximal descendants that energy-stop or whose average of |f| reaches ten
     times the control value; refresh the control value only when the average
-    at least doubles."""
+    at least doubles.
+
+    Below a member F the candidates are the rows of the joint (sigma, w)
+    table that a descent from F reaches: F's children, and every row whose
+    parent holds two atoms of sigma and w together.  Both tests run on all
+    of them at once; the maximal hits are kept in pre-order by jumping over
+    each hit's subtree.
+    """
     if not h_const > 0:
         raise PreconditionViolation("h_const must be positive")
     if f.base != sigma:
         raise PreconditionViolation("f must live over sigma")
     if f.norm() == 0.0:
         raise PreconditionViolation("f must be nonzero")
-    top = (_node_range(sigma, i0), _node_range(w, i0))
-    lo0, hi0 = top[0]
+    lo0, hi0 = _node_range(sigma, i0)
     if hi0 - lo0 == 0:
         raise PreconditionViolation("f must be supported on i0")
     _root_range(w, grid)  # the w-dispersion trunk needs w inside the grid root
+    table = _stop_table(sigma, w, grid)
+    t = table.nodes
     absf = np.abs(f.values)
     mpref = np.concatenate(([0.0], np.cumsum(sigma.masses_f)))
     fpref = np.concatenate(([0.0], np.cumsum(absf * sigma.masses_f)))
+    threshold = 10.0 * c0 * h_const**2
+    columns = (table.left, table.right, table.length_sq, table.e2w)
 
-    def avg_abs(srange: tuple[int, int]) -> float:
-        lo, hi = srange
+    def avg_abs(lo: int, hi: int) -> float:
         mass = mpref[hi] - mpref[lo]
         if mass <= 0.0:
             return 0.0
         return (fpref[hi] - fpref[lo]) / mass
 
     members: list[GridInterval] = [i0]
-    ranges: dict = {i0.key: top}
-    alpha: dict = {i0.key: avg_abs(top[0])}
+    row: dict = {i0.key: t.row(i0.level, i0.index)}
+    alpha: dict = {i0.key: avg_abs(lo0, hi0)}
     reason: dict = {i0.key: "root"}
     children: dict = {}
 
     def find_children(F: GridInterval, aF: float) -> list[GridInterval]:
-        hit = _energy_test(sigma, ranges[F.key][0], w, h_const, c0, grid)
+        top = row[F.key]
+        slo, shi = t.lo[0, top].item(), t.hi[0, top].item()
+        rows = np.arange(top + 1, t.end[top])
+        rows = rows[table.reached[rows] | (table.parent[rows] == top)]
+        a, b = t.lo[0, rows], t.hi[0, rows]
+        energy = _energy_hits(columns, rows, a, b, sigma, (slo, shi), threshold)
+        hits = energy.copy()
+        if aF > 0:
+            with np.errstate(all="ignore"):
+                mass = mpref[b] - mpref[a]
+                avg = np.where(mass > 0.0, (fpref[b] - fpref[a]) / mass, 0.0)
+            hits |= (b > a) & (avg >= 10.0 * aF)
         found: list[GridInterval] = []
-
-        def visit(level: int, index: int, node_ranges: Ranges) -> bool:
-            if level == F.level:
-                return True
-            srange, wrange = node_ranges
-            ns = srange[1] - srange[0]
-            nw = wrange[1] - wrange[0]
-            if ns == 0 and nw < 2:
-                return False
-            energy_hit = nw >= 2 and hit(level, index, srange)
-            avg_hit = ns > 0 and aF > 0 and avg_abs(srange) >= 10.0 * aF
-            if energy_hit or avg_hit:
-                gi = GridInterval(grid, level, index)
-                found.append(gi)
-                ranges[gi.key] = node_ranges
-                reason[gi.key] = "energy" if energy_hit else "average"
-                return False
-            return ns >= 2 or nw >= 2 or (ns >= 1 and nw >= 1)
-
-        _descend((sigma, w), grid, F, ranges[F.key], visit)
+        stop = 0
+        for k in np.flatnonzero(hits).tolist():
+            r = rows[k].item()
+            if r < stop:
+                continue
+            stop = t.end[r].item()
+            gi = GridInterval(grid, t.level[r].item(), int(t.index[r]))
+            found.append(gi)
+            row[gi.key] = r
+            reason[gi.key] = "energy" if energy[k] else "average"
         return found
 
     stack = [i0]
@@ -307,7 +377,8 @@ def build_stopping_data(
         kids = find_children(F, aF)
         children[F.key] = tuple(kids)
         for child in kids:
-            a_child = avg_abs(ranges[child.key][0])
+            r = row[child.key]
+            a_child = avg_abs(t.lo[0, r].item(), t.hi[0, r].item())
             alpha[child.key] = aF if a_child < 2.0 * aF else a_child
             members.append(child)
             stack.append(child)
@@ -397,56 +468,51 @@ def _kernel_prefix(sigma: AtomicMeasure, w: AtomicMeasure) -> np.ndarray:
     return np.concatenate([np.zeros((1, w.n_atoms)), np.cumsum(M, axis=0)], axis=0)
 
 
-def _b_form(f: WeightedFunction, g: WeightedFunction, grid: DyadicGrid, gap: int) -> float:
+def _form_prefix(sigma: AtomicMeasure, w: AtomicMeasure, grid: DyadicGrid) -> np.ndarray | None:
+    """The :func:`_kernel_prefix` that the forms from sigma to w read, or
+    None when a side has no splitting node, so that every such form is 0."""
+    if sigma.n_atoms == 0 or w.n_atoms == 0:
+        return None
+    if not splitting_nodes(sigma, grid) or not splitting_nodes(w, grid):
+        return None
+    return _kernel_prefix(sigma, w)
+
+
+def _b_form(
+    f: WeightedFunction, g: WeightedFunction, grid: DyadicGrid, gap: int, C: np.ndarray | None
+) -> float:
     """sum over source-splitting I and target-splitting J at least ``gap``
     levels below, of the value of the I-difference of f on the child
     containing J, times the raw-kernel pairing of that child against the
-    J-difference of g."""
-    sigma, w = f.base, g.base
-    if sigma.n_atoms == 0 or w.n_atoms == 0:
+    J-difference of g.  ``C`` is :func:`_form_prefix` of (f.base, g.base)."""
+    if C is None:
         return 0.0
-    s_nodes = splitting_nodes(sigma, grid)
-    w_nodes = splitting_nodes(w, grid)
-    if not s_nodes or not w_nodes:
-        return 0.0
-    C = _kernel_prefix(sigma, w)
-    m = sigma.masses_f
-    fm = np.concatenate(([0.0], np.cumsum(f.values * m)))
-    mm = np.concatenate(([0.0], np.cumsum(m)))
-    wmass = w.masses_f
-    gm = np.concatenate(([0.0], np.cumsum(g.values * wmass)))
-    wm = np.concatenate(([0.0], np.cumsum(wmass)))
+    s_nodes = splitting_nodes(f.base, grid)
+    w_nodes = splitting_nodes(g.base, grid)
+    s_left, s_right = _differences(f, s_nodes)
+    w_left, w_right = _differences(g, w_nodes)
+    wmass = g.base.masses_f
     total = 0.0
-    for ni in s_nodes:
-        m_left = mm[ni.cut] - mm[ni.lo]
-        m_right = mm[ni.hi] - mm[ni.cut]
-        e_left = (fm[ni.cut] - fm[ni.lo]) / m_left
-        e_right = (fm[ni.hi] - fm[ni.cut]) / m_right
-        e_full = (fm[ni.hi] - fm[ni.lo]) / (m_left + m_right)
+    for ni, e_left, e_right in zip(s_nodes, s_left, s_right):
+        if e_left == 0.0 and e_right == 0.0:
+            continue
         # the w nodes inside I are one pre-order run, met in the same order
         start, end = _run(w_nodes, grid, ni.level, ni.index)
-        for nj in w_nodes[start:end]:
+        for t in range(start, end):
+            nj = w_nodes[t]
             dl = nj.level - ni.level
             if dl < gap:
                 continue
-            child_bit = (nj.index >> (dl - 1)) & 1
-            if child_bit == 0:
-                slo, shi = ni.lo, ni.cut
-                dval = e_left - e_full
+            if (nj.index >> (dl - 1)) & 1 == 0:
+                slo, shi, dval = ni.lo, ni.cut, e_left
             else:
-                slo, shi = ni.cut, ni.hi
-                dval = e_right - e_full
+                slo, shi, dval = ni.cut, ni.hi, e_right
             if dval == 0.0 or shi == slo:
                 continue
-            mjl = wm[nj.cut] - wm[nj.lo]
-            mjr = wm[nj.hi] - wm[nj.cut]
-            gl = (gm[nj.cut] - gm[nj.lo]) / mjl
-            gr = (gm[nj.hi] - gm[nj.cut]) / mjr
-            gf = (gm[nj.hi] - gm[nj.lo]) / (mjl + mjr)
             row = C[shi, nj.lo : nj.hi] - C[slo, nj.lo : nj.hi]
             dg = np.empty(nj.hi - nj.lo)
-            dg[: nj.cut - nj.lo] = gl - gf
-            dg[nj.cut - nj.lo :] = gr - gf
+            dg[: nj.cut - nj.lo] = w_left[t]
+            dg[nj.cut - nj.lo :] = w_right[t]
             inner = float(np.sum(wmass[nj.lo : nj.hi] * dg * row))
             total += dval * inner
     return total
@@ -466,9 +532,9 @@ def b_above(
     instrumented.
     """
     if side == "above":
-        return _b_form(f, g, grid, below_gap)
+        return _b_form(f, g, grid, below_gap, _form_prefix(f.base, g.base, grid))
     if side == "below":
-        return _b_form(g, f, grid, below_gap)
+        return _b_form(g, f, grid, below_gap, _form_prefix(g.base, f.base, grid))
     raise ValueError("side must be 'above' or 'below'")
 
 
@@ -484,13 +550,14 @@ def corona_split(
     split_value sums the form over matching corona projections of f and g;
     residual is b_above(f, g) minus that, so the two add back exactly.
     """
-    total = b_above(f, g, grid, below_gap)
+    C = _form_prefix(f.base, g.base, grid)
+    total = _b_form(f, g, grid, below_gap, C)
     split_value = 0.0
     for F in stopping.members:
         pf = corona_projection(f, stopping, F)
         qg = corona_projection(g, stopping, F)
         if np.any(pf.values != 0.0) and np.any(qg.values != 0.0):
-            split_value += b_above(pf, qg, grid, below_gap)
+            split_value += _b_form(pf, qg, grid, below_gap, C)
     return split_value, total - split_value
 
 
@@ -535,6 +602,8 @@ def local_estimate_ratios(
     w.r.t. the family children of F; g_a is the matching corona piece of g.
     """
     sigma = f.base
+    # the kernel prefix of every form here, built at the first one
+    prefix = cache(lambda: _form_prefix(sigma, g.base, grid))
     out: list[float] = []
     for F in stopping.members:
         aF = stopping.alpha[F.key]
@@ -552,7 +621,7 @@ def local_estimate_ratios(
         denom = (math.sqrt(_node_mass(sigma, F)) + fu.norm()) * qg.norm()
         if denom == 0.0:
             continue
-        out.append(abs(b_above(fu, qg, grid, below_gap)) / denom)
+        out.append(abs(_b_form(fu, qg, grid, below_gap, prefix())) / denom)
     return out
 
 
@@ -564,18 +633,18 @@ def _bounded_average_constant(
     grid: DyadicGrid,
 ) -> float:
     """max over charged grid intervals inside F, not inside a family child,
-    of the average of |pf|."""
-    nodes = occupied_nodes(sigma, grid)
-    start, end = _run(nodes, grid, F.level, F.index)
+    of the average of |pf|: the rows of the sigma node table in F's
+    subtree, less the children's subtrees."""
+    table = node_table(sigma, grid)
+    start, end = _subtree(table, F.level, F.index)
     if start == end:
         return 0.0
     keep = np.ones(end - start, dtype=bool)
     for s in stopping.family_children(F):
-        a, b = _run(nodes, grid, s.level, s.index)
+        a, b = _subtree(table, s.level, s.index)
         keep[a - start : b - start] = False
-    inside = nodes[start:end]
-    lo = np.array([n.lo for n in inside])[keep]
-    hi = np.array([n.hi for n in inside])[keep]
+    lo = table.lo[0, start:end][keep]
+    hi = table.hi[0, start:end][keep]
     absf = np.abs(pf.values)
     mpref = np.concatenate(([0.0], np.cumsum(sigma.masses_f)))
     fpref = np.concatenate(([0.0], np.cumsum(absf * sigma.masses_f)))

@@ -8,14 +8,23 @@ mass) index the weighted Haar basis; an atomic measure has at most
 Martingale differences are stored in the three-averages form, which is zero
 whenever a child is uncharged; on splitting intervals it agrees with the
 coefficient-times-Haar form.
+
+The split/charge structure of a measure on a grid is one :class:`NodeTable`
+per (measure, grid), built with numpy from each atom's cell index at the
+grid depth: the occupied grid intervals in pre-order with their atom
+ranges and subtree ends.  The splitting, charged and
+occupied node lists are masks on it, and the nodes of a list inside a grid
+interval are one run, read from the interval's subtree (:func:`_run`).
+``_descend`` keeps the grid walk as an independent checker.
 """
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import math
 
@@ -121,13 +130,16 @@ def expectation(f: WeightedFunction, i) -> float:
 # split/charge structure of a measure relative to a grid
 
 
-@dataclass(frozen=True)
-class _Node:
+class _Node(NamedTuple):
+    """A grid interval of a node list, with the atom index range [lo, hi)
+    of the measure in it; cut is the first atom in its right half (lo or hi
+    when a half is empty, hi at the grid depth)."""
+
     level: int
     index: int
-    lo: int  # atom index range [lo, hi)
+    lo: int
     hi: int
-    cut: int  # first atom index in the right half (== lo or hi when one-sided)
+    cut: int
 
 
 Ranges = tuple[tuple[int, int], ...]
@@ -191,57 +203,224 @@ def _descend(
         stack.append((level + 1, 2 * index, tuple([(lo, c) for c, (lo, _) in zip(cuts, ranges)])))
 
 
-def _nodes(mu: AtomicMeasure, grid: DyadicGrid, least: int) -> tuple[_Node, ...]:
-    """The grid intervals holding at least ``least`` atoms, in pre-order."""
-    if mu.n_atoms == 0:
-        return ()
-    pos = mu.positions_f.tolist()
-    nodes: list[_Node] = []
+@dataclass(frozen=True, eq=False)
+class NodeTable:
+    """The grid intervals holding an atom of one or more measures, one row
+    each, in pre-order, left child first.
 
-    def visit(level: int, index: int, ranges: Ranges) -> bool:
-        (lo, hi), = ranges
-        if hi - lo < least:
-            return False
-        cut = hi if level >= grid.depth else _cut(pos, grid, level, index, lo, hi)
-        nodes.append(_Node(level, index, lo, hi, cut))
-        return True
-
-    _descend((mu,), grid, grid.root_interval, (_root_range(mu, grid),), visit)
-    return tuple(nodes)
-
-
-def _run(nodes: tuple[_Node, ...], grid: DyadicGrid, level: int, index: int) -> tuple[int, int]:
-    """The run [start, end) of the nodes at or below grid interval (level,
-    index) in a pre-order node list.
-
-    Pre-order, left child first, sorts nodes by left endpoint and then by
-    level, so each subtree is one contiguous run, found by bisection.
+    ``lo[m]``, ``cut[m]`` and ``hi[m]`` are the atom index ranges of the
+    m-th measure: [lo, hi) in the interval, [cut, hi) in its right half
+    (cut == hi at the grid depth).  ``end`` is the end of the row's
+    pre-order subtree: the rows at or below row r are r, ..., end[r] - 1.
+    The endpoint floats and the parent rows, which only the stop tests
+    read, come from :func:`_endpoints` and :func:`_parents`, so that the
+    tables cached per measure stay small.
     """
 
-    def order(n: _Node) -> tuple[int, int]:
-        return n.index << (grid.depth - n.level), n.level
+    level: np.ndarray
+    index: np.ndarray
+    lo: np.ndarray
+    cut: np.ndarray
+    hi: np.ndarray
+    end: np.ndarray
 
-    shift = grid.depth - level
-    start = bisect_left(nodes, (index << shift, level), key=order)
-    return start, bisect_left(nodes, ((index + 1) << shift, -1), key=order)
+    def __len__(self) -> int:
+        return len(self.level)
+
+    def row(self, level: int, index: int) -> int | None:
+        """The row of grid interval (level, index); None when it holds no atom."""
+        return _rows_by_key(self).get((level, index))
+
+
+@lru_cache(maxsize=8)
+def _rows_by_key(table: NodeTable) -> dict[tuple[int, int], int]:
+    """The row of each (level, index) of a table, kept for the few tables
+    in use, not beside every cached table."""
+    return dict(zip(zip(table.level.tolist(), table.index.tolist()), range(len(table))))
+
+
+def _finest_endpoints(grid: DyadicGrid, k: np.ndarray) -> np.ndarray:
+    """``grid.endpoint_f(grid.depth, j)`` for each j in ``k``.  Vectorised
+    when every numerator is below 2^53 and the denominator at most 2^1022,
+    so that each quotient is exact, as the correctly rounded integer
+    division is too."""
+    n0, c, den = grid._lattice
+    step = c << 1
+    if k.dtype != object and abs(n0) + int(k.max(initial=0)) * step < 1 << 53 and den <= 1 << 1022:
+        return (n0 + k * step).astype(float) / den
+    return np.array([(n0 + j * step) / den for j in k.tolist()], dtype=float)
+
+
+def _finest_cells(x: np.ndarray, grid: DyadicGrid, dtype) -> np.ndarray:
+    """The index k of the depth-level cell [e_k, e_k+1) holding each point
+    of ``x``, all inside the grid root, e_k the endpoint floats: a float
+    estimate, checked against both endpoints, and bisection where it
+    misses."""
+    depth = grid.depth
+    n0, c, den = grid._lattice
+    # the depth-level cell, a power of two, rounded (to 0.0 past the doubles)
+    cell = (c << 1) / den
+    if cell > 0.0:
+        # x is at least the root's left end, so the quotient is not negative;
+        # past 2^62 cells it is only a start for the bisection
+        est = np.clip(np.floor((x - n0 / den) / cell), 0, min((1 << depth) - 1, 1 << 62))
+    else:
+        est = np.zeros(len(x))
+    k = est.astype(np.int64) if dtype != object else np.array([int(v) for v in est.tolist()], dtype)
+    if n0 == 0 and (1 << depth) * (c << 1) < 1 << 53 and den <= 1 << 1022:
+        # the grid starts at 0 and every endpoint k cell is a double, so the
+        # quotient x / cell and its floor are exact
+        return k
+    ends = _finest_endpoints(grid, np.concatenate((k, k + 1)))
+    miss = (x < ends[: len(k)]) | (x >= ends[len(k) :])
+    if miss.any():
+        low = np.zeros(int(miss.sum()), dtype=dtype)
+        high = np.full(len(low), 1 << depth, dtype=dtype)
+        xm = x[miss]
+        for _ in range(depth):
+            mid = (low + high) // 2
+            right = _finest_endpoints(grid, mid) <= xm
+            low, high = np.where(right, mid, low), np.where(right, high, mid)
+        k[miss] = low
+    return k
+
+
+def _node_table(mus: tuple[AtomicMeasure, ...], grid: DyadicGrid) -> NodeTable:
+    """The :class:`NodeTable` of the measures ``mus`` on ``grid``.
+
+    Each atom inside the grid root gets the index of its cell at the grid
+    depth, exactly, against the correctly rounded endpoint floats
+    (``grid.endpoint_f``).  Its level-l node is that index shifted right by
+    depth - l, since the level's endpoints are among the depth's.  The
+    nodes are the distinct shifted indices of all atoms; each measure's
+    atom ranges are ``searchsorted`` of the node's first cell index, so
+    every range equals ``mu.index_range`` of the node's interval on every
+    grid, shifted ones included, and no DyadicRational is built.  A subtree
+    ends at the first node past its right end.  Atoms outside the grid root
+    lie in no row.
+    """
+    depth = grid.depth
+    # cell indices past 62 levels stay Python ints
+    dtype = np.int64 if depth <= 62 else object
+    root = [grid.endpoint_f(0, 0), grid.endpoint_f(0, 1)]
+    cells, offsets = [], []
+    for mu in mus:
+        lo, hi = np.searchsorted(mu.positions_f, root).tolist()
+        cells.append(_finest_cells(mu.positions_f[lo:hi], grid, dtype))
+        offsets.append(lo)
+    union = cells[0] if len(cells) == 1 else np.sort(np.concatenate(cells))
+    shift = np.arange(depth, -1, -1)
+    per_level = union[:, None] >> shift[None, :]
+    # a node is new at the first atom in it; the nodes new at one atom start
+    # after every earlier node and deepen with the level, so atom-major
+    # order is pre-order
+    first = np.ones(per_level.shape, dtype=bool)
+    first[1:] = per_level[1:] != per_level[:-1]
+    atom, level = np.nonzero(first)
+    shift = shift[level]
+    at = per_level[atom, level] << shift
+    width = np.ones(len(shift), dtype=dtype) << shift
+    at_end = at + width
+    # the right half starts half a width in; at the depth, where width >> 1
+    # is 0, it is empty, so cut == hi
+    keys = np.concatenate((at, at_end - (width >> 1), at_end))
+    # row and atom numbers in 32 bits: the cached tables stay small
+    ranges = np.array([np.searchsorted(c, keys) + o for c, o in zip(cells, offsets)], np.int32)
+    lo, cut, hi = ranges.reshape(len(mus), 3, -1).transpose(1, 0, 2)
+    return NodeTable(
+        level=level.astype(np.int32),
+        index=at >> shift,
+        lo=lo,
+        cut=cut,
+        hi=hi,
+        end=np.searchsorted(at, at_end).astype(np.int32),
+    )
+
+
+def _endpoints(table: NodeTable, grid: DyadicGrid) -> tuple[np.ndarray, np.ndarray]:
+    """The endpoint floats (left, right) of every row."""
+    shift = grid.depth - table.level
+    at = table.index << shift
+    ends = _finest_endpoints(grid, np.concatenate((at, (table.index + 1) << shift)))
+    return ends[: len(at)], ends[len(at) :]
+
+
+def _parents(table: NodeTable, grid: DyadicGrid) -> np.ndarray:
+    """The parent row of every row, -1 at the root.  The rows sharing a left
+    end on the depth-level lattice are consecutive levels, so the parent
+    (level - 1, index // 2) is found from the first row at its left end."""
+    shift = grid.depth - table.level
+    at = table.index << shift
+    chain = np.searchsorted(at, (table.index >> 1) << (shift + 1))
+    return np.where(table.level > 0, chain + table.level - 1 - table.level[chain], -1)
 
 
 @lru_cache(maxsize=1024)
-def splitting_nodes(mu: AtomicMeasure, grid: DyadicGrid) -> tuple[_Node, ...]:
+def node_table(mu: AtomicMeasure, grid: DyadicGrid) -> NodeTable:
+    """The :class:`NodeTable` of one measure, which must lie inside the grid root."""
+    table = _node_table((mu,), grid)
+    if mu.n_atoms and (not len(table) or table.hi[0, 0] - table.lo[0, 0] != mu.n_atoms):
+        raise PreconditionViolation("measure is not supported inside the grid root")
+    return table
+
+
+class NodeList(tuple):
+    """A pre-order tuple of :class:`_Node` over some rows of a measure's
+    :class:`NodeTable`: ``table`` and the increasing row numbers ``rows``,
+    which :func:`_run` reads."""
+
+    table: NodeTable
+    rows: array
+
+
+def _subtree(table: NodeTable, level: int, index: int) -> tuple[int, int]:
+    """The table rows [r, end[r]) at or below grid interval (level, index);
+    (0, 0) when it holds no atom."""
+    r = table.row(level, index)
+    return (0, 0) if r is None else (r, int(table.end[r]))
+
+
+def _run(nodes: NodeList, grid: DyadicGrid, level: int, index: int) -> tuple[int, int]:
+    """The run [start, end) of the nodes at or below grid interval (level,
+    index) of ``grid`` in a node list: its rows inside the interval's table
+    subtree, one contiguous run since both are in pre-order; (0, 0) when
+    the interval holds no atom."""
+    start, end = _subtree(nodes.table, level, index)
+    return bisect_left(nodes.rows, start), bisect_left(nodes.rows, end)
+
+
+def _node_list(table: NodeTable, mask: np.ndarray) -> NodeList:
+    """The nodes of the masked table rows, in pre-order."""
+    rows = np.flatnonzero(mask)
+    ranges = np.stack((table.lo[0], table.hi[0], table.cut[0]))[:, rows].tolist()
+    columns = (table.level[rows].tolist(), table.index[rows].tolist(), *ranges)
+    nodes = NodeList(map(_Node._make, zip(*columns)))
+    nodes.table, nodes.rows = table, array("l", rows.tolist())
+    return nodes
+
+
+@lru_cache(maxsize=1024)
+def splitting_nodes(mu: AtomicMeasure, grid: DyadicGrid) -> NodeList:
     """All grid intervals whose two halves both carry mass, with atom ranges."""
-    return tuple(n for n in charged_nodes(mu, grid) if n.lo < n.cut < n.hi)
+    charged = charged_nodes(mu, grid)
+    keep = [k for k, n in enumerate(charged) if n.lo < n.cut < n.hi]
+    nodes = NodeList(charged[k] for k in keep)
+    nodes.table, nodes.rows = charged.table, array("l", [charged.rows[k] for k in keep])
+    return nodes
 
 
 @lru_cache(maxsize=1024)
-def charged_nodes(mu: AtomicMeasure, grid: DyadicGrid) -> tuple[_Node, ...]:
+def charged_nodes(mu: AtomicMeasure, grid: DyadicGrid) -> NodeList:
     """All grid intervals holding at least two atoms (the dispersion trunk)."""
-    return _nodes(mu, grid, 2)
+    t = node_table(mu, grid)
+    return _node_list(t, t.hi[0] - t.lo[0] >= 2)
 
 
 @lru_cache(maxsize=1024)
-def occupied_nodes(mu: AtomicMeasure, grid: DyadicGrid) -> tuple[_Node, ...]:
+def occupied_nodes(mu: AtomicMeasure, grid: DyadicGrid) -> NodeList:
     """All grid intervals holding at least one atom."""
-    return _nodes(mu, grid, 1)
+    t = node_table(mu, grid)
+    return _node_list(t, np.ones(len(t), dtype=bool))
 
 
 # ---------------------------------------------------------------------------
@@ -353,21 +532,41 @@ def reconstruct(hc: HaarCoefficients) -> WeightedFunction:
     return WeightedFunction(mu, values)
 
 
-def _accumulate_differences(f: WeightedFunction, nodes) -> np.ndarray:
-    """Sum of martingale differences over the given splitting nodes."""
-    mu = f.base
-    m = mu.masses_f
-    fm = np.concatenate(([0.0], np.cumsum(f.values * m)))
-    mm = np.concatenate(([0.0], np.cumsum(m)))
-    values = np.zeros(mu.n_atoms)
+def _half_differences(nodes, fm, mm) -> tuple[list, list]:
+    d_left, d_right = [], []
     for n in nodes:
         m_left = mm[n.cut] - mm[n.lo]
         m_right = mm[n.hi] - mm[n.cut]
-        e_left = (fm[n.cut] - fm[n.lo]) / m_left
-        e_right = (fm[n.hi] - fm[n.cut]) / m_right
         e_full = (fm[n.hi] - fm[n.lo]) / (m_left + m_right)
-        values[n.lo : n.cut] += e_left - e_full
-        values[n.cut : n.hi] += e_right - e_full
+        d_left.append((fm[n.cut] - fm[n.lo]) / m_left - e_full)
+        d_right.append((fm[n.hi] - fm[n.cut]) / m_right - e_full)
+    return d_left, d_right
+
+
+def _differences(f: WeightedFunction, nodes) -> tuple[list, list]:
+    """E_{I-} f - E_I f and E_{I+} f - E_I f for each splitting node I: the
+    martingale difference of f at I on each half, from prefix sums of f and
+    of the masses.  Python floats carry the same IEEE operations as numpy's,
+    but raise on a zero divisor, which a half whose prefix masses cancel
+    gives; then numpy's quotients are taken, as the scalar formula gives
+    them."""
+    m = f.base.masses_f
+    fm = np.concatenate(([0.0], np.cumsum(f.values * m)))
+    mm = np.concatenate(([0.0], np.cumsum(m)))
+    try:
+        return _half_differences(nodes, fm.tolist(), mm.tolist())
+    except ZeroDivisionError:
+        return _half_differences(nodes, fm, mm)
+
+
+def _accumulate_differences(f: WeightedFunction, nodes) -> np.ndarray:
+    """Sum of martingale differences over the given splitting nodes."""
+    values = np.zeros(f.base.n_atoms)
+    if not nodes:
+        return values
+    for n, d_left, d_right in zip(nodes, *_differences(f, nodes)):
+        values[n.lo : n.cut] += d_left
+        values[n.cut : n.hi] += d_right
     return values
 
 

@@ -160,10 +160,6 @@ class Interval:
     def contains_interval(self, other: "Interval") -> bool:
         return self.left <= other.left and other.right <= self.right
 
-    def dist_to_point(self, x: float) -> float:
-        """Distance from the closed hull [left, right] to a point."""
-        return max(0.0, self.left_f - x, x - self.right_f)
-
     def __repr__(self):
         return f"[{self.left}, {self.right})"
 

@@ -71,3 +71,15 @@ def crafted_cases(count=4):
         ):
             sigma, w = _crafted_pair(cfg, salt, layout, mass_band=band)
             yield f"crafted-{label}-{k}", sigma, w, unit_grid(sigma, w, cfg.depth)
+
+
+def shifted_pair():
+    """A pair on a grid whose left end, -2 - 2^-55, has no double.
+
+    A float sum -2.0 + k cell(level) puts the level-1 boundary at 0.0
+    instead of -2^-55, on the wrong side of the atom at -2^-56.
+    """
+    sigma = AtomicMeasure((dyadic(-3, 2), dyadic(-1, 56), dyadic(5, 3)), (1.0, 2.0, 0.5))
+    w = AtomicMeasure((dyadic(-1, 3), dyadic(1, 57), dyadic(3, 1)), (1.5, 1.0, 0.25))
+    root = Interval(dyadic(-2), dyadic(2))
+    return sigma, w, build_grid(root, 12, -dyadic(1, 55), sigma, w)

@@ -143,6 +143,16 @@ class TestPairTooLarge:
         assert err.count("\n") == 1 and err.startswith("error: ")
         assert "386 sigma and 386 w atoms" in err and "kernel stack" in err
 
+    def test_sweep_writes_nothing_on_a_refused_first_pair(self, tmp_path, capsys):
+        # 970 x 1049 atoms: the first pair is refused before any output
+        args = ["sweep", "--count", "1", "--max-atoms", "2048", "--depth", "12"]
+        code, out, err = run_cli(args, capsys)
+        assert code == 3 and out == ""
+        assert err.startswith("error: ") and "kernel stack" in err
+        path = tmp_path / "sweep.csv"
+        assert run_cli(args + ["-o", str(path)], capsys)[0] == 3
+        assert not path.exists()
+
 
 class TestNonFiniteConstants:
     @pytest.mark.parametrize("mass", ["1e308", "1e200"])

@@ -631,6 +631,11 @@ class TestMemory:
         scan = kernel_scan(*pair)
         assert _peak_bytes(lambda: t_pair(*pair, scan=scan)) < 8 << 20
 
+    def test_norm_scales_on_demand(self, pair):
+        # a whole scaled copy of the 21.9 MB kernel stack is never built
+        scan = kernel_scan(*pair)
+        assert _peak_bytes(lambda: norm_constant(*pair, scan=scan)) < 4 << 20
+
     def test_report_peak(self, pair):
         assert _peak_bytes(lambda: compute_report(*pair)) < 64 << 20
 

@@ -41,7 +41,7 @@ from h2w.measure import AtomicMeasure, Interval, dyadic, random_ensemble
 from h2w.params import SUITE_BELOW_GAP, SUITE_EPS, SUITE_R
 from h2w.poisson import poisson_stationary
 
-from conftest import crafted_cases, oracle_cases, unit_grid
+from conftest import crafted_cases, oracle_cases, shifted_pair, unit_grid
 
 
 def _h_const(sigma, w):
@@ -664,18 +664,44 @@ class TestAtomRangeWalksMatchOracles:
         assert checked >= 20 and failing >= 20
 
 
+    @pytest.mark.parametrize("family", ["uniform", "mixed", "clusters", "lacunary", "crafted"])
+    def test_stopping_data_below_the_root(self, family):
+        # the two halves of the root wherever f is supported there, and the
+        # first grid interval below them holding a single sigma atom: the
+        # joint table's edge case, whose children a descent still visits
+        checked = single = 0
+        cases = crafted_cases() if family == "crafted" else oracle_cases(families=(family,))
+        for label, sigma, w, grid in cases:
+            if sigma.n_atoms < 2:
+                continue
+            h = _h_const(sigma, w)
+            c0 = calibrate_c0(grid.root_interval, sigma, w, h, grid)
+            rng = np.random.default_rng(len(label))
+            f = WeightedFunction(sigma, np.exp(4.0 * rng.standard_normal(sigma.n_atoms)))
+            lone = next(n for n in occupied_nodes(sigma, grid) if n.level >= 2 and n.hi - n.lo == 1)
+            tops = [grid.interval(1, 0), grid.interval(1, 1), GridInterval(grid, lone.level, lone.index)]
+            for i0 in tops:
+                lo, hi = sigma.index_range(i0.interval)
+                if hi == lo:
+                    continue
+                for c in (c0, c0 / 64, c0 * 1e6):
+                    sd = build_stopping_data(f, i0, sigma, w, h, c, grid)
+                    members, alpha, reason, children = _oracle_stopping_data(
+                        f, i0, sigma, w, h, c, grid
+                    )
+                    assert sd.members == members, label
+                    assert list(sd.alpha.items()) == list(alpha.items()), label
+                    assert list(sd.reason.items()) == list(reason.items()), label
+                    assert list(sd.children.items()) == list(children.items()), label
+                checked += 1
+                single += hi - lo == 1
+        assert checked >= 20 and single >= 10
+
+
 class TestShiftedGridRanges:
     @staticmethod
     def _pair():
-        # left0 = -2 - 2^-55 has no double: a float sum -2.0 + k cell(level)
-        # puts the level-1 boundary at 0.0 instead of -2^-55, on the wrong
-        # side of the atom at -2^-56
-        sigma = AtomicMeasure(
-            (dyadic(-3, 2), dyadic(-1, 56), dyadic(5, 3)), (1.0, 2.0, 0.5)
-        )
-        w = AtomicMeasure((dyadic(-1, 3), dyadic(1, 57), dyadic(3, 1)), (1.5, 1.0, 0.25))
-        root = Interval(dyadic(-2), dyadic(2))
-        return sigma, w, build_grid(root, 12, -dyadic(1, 55), sigma, w)
+        return shifted_pair()
 
     def test_ranges_follow_exact_boundaries(self):
         sigma, w, grid = self._pair()
@@ -728,3 +754,59 @@ class TestShiftedGridRanges:
                     assert is_good(gi, eps, r) == is_good(
                         GridInterval(unshifted, n.level, n.index), eps, r
                     ), gi
+
+
+class TestComputePathHasNoWalk:
+    @staticmethod
+    def _spy(monkeypatch):
+        from h2w import corona, haar
+
+        calls = []
+        walk = haar._descend
+
+        def spy(*args, **kwargs):
+            calls.append(args[2])
+            return walk(*args, **kwargs)
+
+        monkeypatch.setattr(haar, "_descend", spy)
+        monkeypatch.setattr(corona, "_descend", spy)
+        return calls
+
+    def test_report_and_sweep_row_make_no_descent(self, monkeypatch):
+        from dataclasses import asdict
+
+        from h2w.cli import RunConfig, _sweep_row
+        from h2w.constants import compute_report
+        from h2w.grid import auto_grid
+
+        calls = self._spy(monkeypatch)
+        cfg = asdict(RunConfig(depth=12))
+        reports = 0
+        for family in ("uniform", "mixed", "clusters"):
+            for k, (sigma, w) in enumerate(random_ensemble(901, 3, 32, 12, family=family)):
+                rep = compute_report(sigma, w, auto_grid(sigma, w, 12))
+                _sweep_row((k, sigma, w, cfg))
+                reports += rep.local_ratio_max > 0
+        assert calls == [] and reports >= 3
+        # the independent checker keeps its walk, and the spy sees it
+        sigma, w, grid, f, _ = _instance(111)
+        spec = UniformitySpec(grid.root_interval, ())
+        uniformity_check(f, spec, sigma, w, 1.0, grid)
+        assert calls == [grid.root_interval]
+
+    def test_no_cache_holds_a_kernel_sized_array(self):
+        import tracemalloc
+        from dataclasses import asdict
+
+        from h2w.cli import RunConfig, _sweep_row
+        from h2w.constants import kernel_scan
+
+        sigma, w = random_ensemble(7, 8, 128, 12)[3]
+        stack_bytes = kernel_scan(sigma, w).stack.nbytes
+        tracemalloc.start()
+        try:
+            _sweep_row((0, sigma, w, asdict(RunConfig(depth=12))))
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retained < stack_bytes / 8

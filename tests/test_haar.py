@@ -7,6 +7,15 @@ from h2w.errors import PreconditionViolation, ZeroMass
 from h2w.grid import GridInterval
 from h2w.haar import (
     WeightedFunction,
+    _descend,
+    _endpoints,
+    _node_table,
+    _parents,
+    _root_range,
+    _run,
+    charged_nodes,
+    node_table,
+    occupied_nodes,
     absolute_haar_multiplier,
     corona_projection,
     expand,
@@ -21,7 +30,7 @@ from h2w.haar import (
 from h2w.corona import StoppingData
 from h2w.measure import AtomicMeasure, Interval, dyadic, random_ensemble
 
-from conftest import unit_grid
+from conftest import oracle_cases, shifted_pair, unit_grid
 
 
 def _grid_for(mu, depth=6):
@@ -242,3 +251,112 @@ class TestTelescoping:
                     md = martingale_difference(f, anc)
                     total += expectation(md, gi)
                 assert abs(target - total) <= 1e-10 * max(1.0, abs(target))
+
+
+def _walk_rows(mus, grid):
+    """(level, index, lo..., cut..., hi...) of every grid interval holding an
+    atom of ``mus``, in the pre-order of the ``_descend`` walk."""
+    rows = []
+
+    def visit(level, index, ranges):
+        if all(hi == lo for lo, hi in ranges):
+            return False
+        gi = GridInterval(grid, level, index)
+        cuts = [
+            hi if level == grid.depth else mu.index_range(gi.children()[1].interval)[0]
+            for mu, (_, hi) in zip(mus, ranges)
+        ]
+        rows.append((level, index, *(lo for lo, _ in ranges), *cuts, *(hi for _, hi in ranges)))
+        return True
+
+    top = grid.root_interval
+    _descend(mus, grid, top, tuple(mu.index_range(top.interval) for mu in mus), visit)
+    return rows
+
+
+def _near_endpoint_pair():
+    """Atoms one ulp either side of depth-12 endpoints of the unit grid, where
+    a cell index taken from x / cell alone would be off by one if it were
+    not exact."""
+
+    def atoms(ks, side):
+        xs = sorted(np.nextafter(k / 4096, side) for k in ks)
+        ratios = [x.as_integer_ratio() for x in xs]
+        return AtomicMeasure(
+            tuple(dyadic(n, d.bit_length() - 1) for n, d in ratios), tuple(1.0 + j for j in range(len(xs)))
+        )
+
+    sigma, w = atoms((1, 7, 2048, 3001, 4095), np.inf), atoms((2, 8, 2049, 3000, 4094), -np.inf)
+    return sigma, w, unit_grid(sigma, w, 12)
+
+
+def _table_cases():
+    yield from oracle_cases()
+    yield ("shifted", *shifted_pair())
+    yield ("near-endpoints", *_near_endpoint_pair())
+
+
+class TestNodeTable:
+    def test_rows_equal_the_walk(self):
+        for label, sigma, w, grid in _table_cases():
+            for mus in ((sigma,), (w,), (sigma, w)):
+                t = _node_table(mus, grid)
+                got = list(
+                    zip(t.level.tolist(), t.index.tolist(), *t.lo.tolist(), *t.cut.tolist(), *t.hi.tolist())
+                )
+                assert got == _walk_rows(mus, grid), label
+
+    def test_endpoints_parents_and_subtrees(self):
+        for label, sigma, w, grid in _table_cases():
+            t = _node_table((sigma, w), grid)
+            level, index = t.level.tolist(), t.index.tolist()
+            left, right = _endpoints(t, grid)
+            parent = _parents(t, grid)
+            for r in range(len(t)):
+                assert left[r] == grid.endpoint_f(level[r], index[r]), label
+                assert right[r] == grid.endpoint_f(level[r], index[r] + 1), label
+                p = parent[r]
+                assert (level[p], index[p]) == (level[r] - 1, index[r] // 2) if r else p == -1
+                inside = [
+                    q for q in range(len(t))
+                    if level[q] >= level[r] and index[q] >> (level[q] - level[r]) == index[r]
+                ]
+                assert inside == list(range(r, t.end[r])), label
+
+    def test_node_lists_are_masks_with_runs(self):
+        for label, sigma, _, grid in _table_cases():
+            occupied = occupied_nodes(sigma, grid)
+            charged = charged_nodes(sigma, grid)
+            splitting = splitting_nodes(sigma, grid)
+            assert charged == tuple(n for n in occupied if n.hi - n.lo >= 2), label
+            assert splitting == tuple(n for n in charged if n.lo < n.cut < n.hi), label
+            for nodes in (occupied, charged, splitting):
+                for n in occupied:
+                    run = [
+                        k for k, m in enumerate(nodes)
+                        if m.level >= n.level and m.index >> (m.level - n.level) == n.index
+                    ]
+                    start, end = _run(nodes, grid, n.level, n.index)
+                    assert list(range(start, end)) == run, label
+
+    def test_deep_grids_keep_python_indices(self):
+        # indices past 62 levels do not fit an int64
+        sigma = AtomicMeasure((dyadic(1, 75), dyadic(2**50 + 1, 71), dyadic(2**52 + 3, 72)), (1.0, 2.0, 3.0))
+        w = AtomicMeasure((dyadic(3, 75), dyadic(2**52 + 5, 73)), (1.0, 2.0))
+        for depth in (62, 63, 70):
+            grid = unit_grid(sigma, w, depth)
+            for mus in ((sigma,), (w,), (sigma, w)):
+                t = _node_table(mus, grid)
+                got = list(
+                    zip(t.level.tolist(), t.index.tolist(), *t.lo.tolist(), *t.cut.tolist(), *t.hi.tolist())
+                )
+                assert got == _walk_rows(mus, grid), depth
+                assert (t.index.dtype == object) == (depth > 62)
+
+    def test_measure_outside_the_root_is_refused(self):
+        sigma = AtomicMeasure((dyadic(1, 7), dyadic(3, 1)), (1.0, 1.0))
+        grid = _grid_for(AtomicMeasure((dyadic(1, 7),), (1.0,)))
+        with pytest.raises(PreconditionViolation, match="grid root"):
+            node_table(sigma, grid)
+        with pytest.raises(PreconditionViolation, match="grid root"):
+            _root_range(sigma, grid)
