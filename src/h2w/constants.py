@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -66,6 +66,7 @@ from .haar import (
     expand,
     good_projection,
     haar_function,
+    node_table,
     splitting_nodes,
 )
 from .hilbert import _STACK_BLOCK, TruncationSpec, kernel_stack, truncation_candidates
@@ -705,37 +706,37 @@ def energy_identity_sides(
 @dataclass(frozen=True)
 class _TrunkTable:
     """The w-dispersion trunk of one (w, grid): the charged nodes of w in
-    pre-order, their endpoint floats, |I|^2 (the Python float square that
-    ``_energy_on`` and ``poisson._poisson_sum`` take), E(w, I)^2 and
-    E(w, I)^2 w(I) of each, and the end of each node's pre-order subtree
-    run."""
+    pre-order, their endpoint floats, E(w, I)^2 and E(w, I)^2 w(I) of each,
+    and the end of each node's pre-order subtree run."""
 
     nodes: tuple
     left: np.ndarray
     right: np.ndarray
-    length_sq: np.ndarray
     e2: np.ndarray
     e2w: np.ndarray
     end: np.ndarray
-
-    @cached_property
-    def e2w_at(self) -> dict[tuple[int, int], float]:
-        """E^2 w by (level, index)."""
-        return {(n.level, n.index): v for n, v in zip(self.nodes, self.e2w.tolist())}
 
 
 @lru_cache(maxsize=1024)
 def _trunk_table(w: AtomicMeasure, grid: DyadicGrid) -> _TrunkTable:
     """The :class:`_TrunkTable` of w on ``grid``, built once per pair from
     the node table of w."""
-    nodes = charged_nodes(w, grid)
-    table, rows = nodes.table, np.array(nodes.rows, dtype=np.int64)
+    table = node_table(w, grid)
+    rows = np.flatnonzero(table.hi[0] - table.lo[0] >= 2)
     left, right = (ends[rows] for ends in _endpoints(table, grid))
-    length_sq = np.array([x**2 for x in (right - left).tolist()])
     lo, hi = table.lo[0, rows], table.hi[0, rows]
-    e2 = _energies(w, lo, hi, length_sq)
+    e2 = _energies(w, lo, hi, _squares(right - left))
     end = np.searchsorted(rows, table.end[rows])
-    return _TrunkTable(nodes, left, right, length_sq, e2, e2 * (w._mass_prefix[hi] - w._mass_prefix[lo]), end)
+    return _TrunkTable(
+        charged_nodes(w, grid), left, right, e2, e2 * (w._mass_prefix[hi] - w._mass_prefix[lo]), end
+    )
+
+
+def _squares(length: np.ndarray) -> np.ndarray:
+    """|I|^2 of each length as the Python float square (libm ``pow``) that
+    ``_energy_on`` and ``poisson._poisson_sum`` take, which can differ from
+    numpy's x * x in the last bit."""
+    return np.array([x**2 for x in length.tolist()])
 
 
 def _energies(w: AtomicMeasure, lo: np.ndarray, hi: np.ndarray, length_sq: np.ndarray) -> np.ndarray:

@@ -6,12 +6,12 @@ Poisson-energy product passes the threshold 10 c0 h^2 sigma(I), or when the
 average of |f| grows tenfold; control values refresh only when the average
 at least doubles.  The resulting family packs with Carleson constant 2.
 
-The stop tests run on node tables (``haar.NodeTable``), not on walks: the
-energy-stopping test on the rows of the w trunk table (``constants.
-_trunk_table``) below the top interval, the stopping construction on the
-rows of the joint (sigma, w) table that a descent from a member reaches.
-Each test is one vectorised pass whose Poisson sums are row sums with the
-bits of ``poisson._poisson_sum``; the maximal hits are kept in pre-order by
+The stop tests run on the joint (sigma, w) node table (``haar.NodeTable``,
+:func:`_stop_table`), not on walks: the energy-stopping test on its rows
+below the top interval that hold two w atoms, the stopping construction on
+its rows that a descent from a member reaches.  Each test is one
+vectorised pass whose Poisson sums are row sums with the bits of
+``poisson._poisson_sum``; the maximal hits are kept in pre-order by
 jumping over each hit's subtree.  A GridInterval is built only for a
 returned member or a named violation.  The bounded-averages constant reads
 the sigma table's subtree rows; ``uniformity_check`` walks the grid itself
@@ -34,7 +34,7 @@ from functools import cache, cached_property, lru_cache
 
 import numpy as np
 
-from .constants import _carleson_ratio, _trunk_table
+from .constants import _carleson_ratio, _squares, _trunk_table
 from .errors import PreconditionViolation
 from .grid import DyadicGrid, GridInterval
 from .haar import (
@@ -48,7 +48,6 @@ from .haar import (
     _node_range,
     _node_table,
     _parents,
-    _root_range,
     _run,
     _subtree,
     corona_projection,
@@ -206,29 +205,27 @@ def energy_stopping_intervals(
     intervals are not descended into.
 
     Only intervals holding two w atoms can stop, so the test runs on the
-    rows of the w trunk table below i0, P taken of sigma restricted to i0
-    and sigma(I) read from that restriction's own prefix sums (so it rounds
-    as ``sigma.restrict(i0).mass_on(I)`` does); the maximal hits are kept
-    in pre-order by jumping over each hit's subtree.
+    rows of the joint (sigma, w) table below i0 (:func:`_stop_table`), P
+    taken of sigma restricted to i0 and sigma(I) read from that
+    restriction's own prefix sums (so it rounds as
+    ``sigma.restrict(i0).mass_on(I)`` does); the maximal hits are kept in
+    pre-order by jumping over each hit's subtree.
     """
     if h_const <= 0:
         raise PreconditionViolation("h_const must be positive")
-    # the w-dispersion trunk needs w inside the grid root
-    trunk = _trunk_table(w, grid)
-    start, end = _run(trunk.nodes, grid, i0.level, i0.index)
-    inside = np.arange(start + 1, end)
-    columns = (trunk.left, trunk.right, trunk.length_sq, trunk.e2w)
-    lo = np.searchsorted(sigma.positions_f, trunk.left[inside])
-    hi = np.searchsorted(sigma.positions_f, trunk.right[inside])
+    table = _stop_table(sigma, w, grid)
+    t = table.nodes
+    start, end = _subtree(t, i0.level, i0.index)
+    rows = np.arange(start + 1, end)
+    columns = (table.left, table.right, table.length_sq, table.e2w)
     top = _node_range(sigma, i0)
-    hits = _energy_hits(columns, inside, lo, hi, sigma, top, 10.0 * c0 * h_const**2)
+    hits = _energy_hits(columns, rows, t.lo[0, rows], t.hi[0, rows], sigma, top, 10.0 * c0 * h_const**2)
     out: list[GridInterval] = []
     stop = 0
-    for t in inside[hits].tolist():
-        if t >= stop:
-            n = trunk.nodes[t]
-            out.append(GridInterval(grid, n.level, n.index))
-            stop = trunk.end[t]
+    for r in rows[hits].tolist():
+        if r >= stop:
+            out.append(GridInterval(grid, t.level[r].item(), int(t.index[r])))
+            stop = t.end[r].item()
     return out
 
 
@@ -280,14 +277,15 @@ def _stop_table(sigma: AtomicMeasure, w: AtomicMeasure, grid: DyadicGrid) -> _St
     """The :class:`_StopTable` of (sigma, w) on ``grid``, built once per
     pair; only the pairs in use are kept, as each table is a few times the
     size of a measure's node lists."""
-    nodes = _node_table((sigma, w), grid)
+    # the w-dispersion trunk needs w inside the grid root
     trunk = _trunk_table(w, grid)
+    nodes = _node_table((sigma, w), grid)
+    left, right = _endpoints(nodes, grid)
     on = nodes.hi[1] - nodes.lo[1] >= 2
     e2w = np.zeros(len(nodes))
     e2w[on] = trunk.e2w
     length_sq = np.zeros(len(nodes))
-    length_sq[on] = trunk.length_sq
-    left, right = _endpoints(nodes, grid)
+    length_sq[on] = _squares(right[on] - left[on])
     parent = _parents(nodes, grid)
     # a descent from any ancestor reaches the rows whose parent holds two atoms
     reached = (nodes.hi - nodes.lo).sum(axis=0)[parent] >= 2
@@ -323,7 +321,6 @@ def build_stopping_data(
     lo0, hi0 = _node_range(sigma, i0)
     if hi0 - lo0 == 0:
         raise PreconditionViolation("f must be supported on i0")
-    _root_range(w, grid)  # the w-dispersion trunk needs w inside the grid root
     table = _stop_table(sigma, w, grid)
     t = table.nodes
     absf = np.abs(f.values)

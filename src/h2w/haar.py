@@ -12,10 +12,11 @@ coefficient-times-Haar form.
 The split/charge structure of a measure on a grid is one :class:`NodeTable`
 per (measure, grid), built with numpy from each atom's cell index at the
 grid depth: the occupied grid intervals in pre-order with their atom
-ranges and subtree ends.  The splitting, charged and
-occupied node lists are masks on it, and the nodes of a list inside a grid
-interval are one run, read from the interval's subtree (:func:`_run`).
-``_descend`` keeps the grid walk as an independent checker.
+ranges, subtree ends and pre-order sort keys.  The splitting, charged and
+occupied node lists are masks on it, each with its rows' keys, and the
+nodes of a list inside a grid interval are one run, found by bisecting
+those keys (:func:`_run`).  ``_descend`` keeps the grid walk as an
+independent checker.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import repeat
 from typing import Callable, NamedTuple, Sequence
 
 import math
@@ -206,15 +208,16 @@ def _descend(
 @dataclass(frozen=True, eq=False)
 class NodeTable:
     """The grid intervals holding an atom of one or more measures, one row
-    each, in pre-order, left child first.
+    each, in pre-order, left child first, on a grid of depth ``depth``.
 
     ``lo[m]``, ``cut[m]`` and ``hi[m]`` are the atom index ranges of the
     m-th measure: [lo, hi) in the interval, [cut, hi) in its right half
     (cut == hi at the grid depth).  ``end`` is the end of the row's
     pre-order subtree: the rows at or below row r are r, ..., end[r] - 1.
-    The endpoint floats and the parent rows, which only the stop tests
-    read, come from :func:`_endpoints` and :func:`_parents`, so that the
-    tables cached per measure stay small.
+    ``key`` orders the rows as pre-order does, by left end on the
+    depth-level lattice and then by level (:func:`_order_key`).  The
+    endpoint floats and the parent rows, which only the stop tests read,
+    come from :func:`_endpoints` and :func:`_parents`.
     """
 
     level: np.ndarray
@@ -223,30 +226,34 @@ class NodeTable:
     cut: np.ndarray
     hi: np.ndarray
     end: np.ndarray
+    key: np.ndarray
+    depth: int
 
     def __len__(self) -> int:
         return len(self.level)
 
     def row(self, level: int, index: int) -> int | None:
         """The row of grid interval (level, index); None when it holds no atom."""
-        return _rows_by_key(self).get((level, index))
+        key = _order_key(self.depth, level, index)
+        r = int(self.key.searchsorted(key))
+        return r if r < len(self) and self.key[r] == key else None
 
 
-@lru_cache(maxsize=8)
-def _rows_by_key(table: NodeTable) -> dict[tuple[int, int], int]:
-    """The row of each (level, index) of a table, kept for the few tables
-    in use, not beside every cached table."""
-    return dict(zip(zip(table.level.tolist(), table.index.tolist()), range(len(table))))
+def _order_key(depth: int, level: int, index) -> int:
+    """The pre-order sort key of grid interval (level, index) on a grid of
+    the given depth: ``left * (depth + 1) + level``, left its left end on
+    the depth-level lattice; ``index`` may be an array."""
+    return (index << (depth - level)) * (depth + 1) + level
 
 
 def _finest_endpoints(grid: DyadicGrid, k: np.ndarray) -> np.ndarray:
-    """``grid.endpoint_f(grid.depth, j)`` for each j in ``k``.  Vectorised
-    when every numerator is below 2^53 and the denominator at most 2^1022,
-    so that each quotient is exact, as the correctly rounded integer
-    division is too."""
+    """``grid.endpoint_f(grid.depth, j)`` for each j in ``k``, all at most
+    2^depth.  Vectorised when every numerator of the depth-level lattice is
+    below 2^53 and the denominator at most 2^1022, so that each quotient is
+    exact, as the correctly rounded integer division is too."""
     n0, c, den = grid._lattice
     step = c << 1
-    if k.dtype != object and abs(n0) + int(k.max(initial=0)) * step < 1 << 53 and den <= 1 << 1022:
+    if k.dtype != object and abs(n0) + (step << grid.depth) < 1 << 53 and den <= 1 << 1022:
         return (n0 + k * step).astype(float) / den
     return np.array([(n0 + j * step) / den for j in k.tolist()], dtype=float)
 
@@ -263,14 +270,10 @@ def _finest_cells(x: np.ndarray, grid: DyadicGrid, dtype) -> np.ndarray:
     if cell > 0.0:
         # x is at least the root's left end, so the quotient is not negative;
         # past 2^62 cells it is only a start for the bisection
-        est = np.clip(np.floor((x - n0 / den) / cell), 0, min((1 << depth) - 1, 1 << 62))
+        est = np.minimum(np.floor((x - n0 / den) / cell), min((1 << depth) - 1, 1 << 62))
     else:
         est = np.zeros(len(x))
     k = est.astype(np.int64) if dtype != object else np.array([int(v) for v in est.tolist()], dtype)
-    if n0 == 0 and (1 << depth) * (c << 1) < 1 << 53 and den <= 1 << 1022:
-        # the grid starts at 0 and every endpoint k cell is a double, so the
-        # quotient x / cell and its floor are exact
-        return k
     ends = _finest_endpoints(grid, np.concatenate((k, k + 1)))
     miss = (x < ends[: len(k)]) | (x >= ends[len(k) :])
     if miss.any():
@@ -302,39 +305,34 @@ def _node_table(mus: tuple[AtomicMeasure, ...], grid: DyadicGrid) -> NodeTable:
     depth = grid.depth
     # cell indices past 62 levels stay Python ints
     dtype = np.int64 if depth <= 62 else object
-    root = [grid.endpoint_f(0, 0), grid.endpoint_f(0, 1)]
+    root = np.array([grid.endpoint_f(0, 0), grid.endpoint_f(0, 1)])
     cells, offsets = [], []
     for mu in mus:
-        lo, hi = np.searchsorted(mu.positions_f, root).tolist()
+        lo, hi = mu.positions_f.searchsorted(root).tolist()
         cells.append(_finest_cells(mu.positions_f[lo:hi], grid, dtype))
         offsets.append(lo)
     union = cells[0] if len(cells) == 1 else np.sort(np.concatenate(cells))
     shift = np.arange(depth, -1, -1)
-    per_level = union[:, None] >> shift[None, :]
+    per_level = union[:, None] >> shift
     # a node is new at the first atom in it; the nodes new at one atom start
     # after every earlier node and deepen with the level, so atom-major
     # order is pre-order
-    first = np.ones(per_level.shape, dtype=bool)
-    first[1:] = per_level[1:] != per_level[:-1]
-    atom, level = np.nonzero(first)
+    first = np.empty(per_level.shape, dtype=bool)
+    first[:1] = True
+    np.not_equal(per_level[1:], per_level[:-1], out=first[1:])
+    atom, level = first.nonzero()
     shift = shift[level]
-    at = per_level[atom, level] << shift
-    width = np.ones(len(shift), dtype=dtype) << shift
-    at_end = at + width
-    # the right half starts half a width in; at the depth, where width >> 1
-    # is 0, it is empty, so cut == hi
-    keys = np.concatenate((at, at_end - (width >> 1), at_end))
-    # row and atom numbers in 32 bits: the cached tables stay small
-    ranges = np.array([np.searchsorted(c, keys) + o for c, o in zip(cells, offsets)], np.int32)
+    index = per_level[atom, level]
+    at, at_end = index << shift, (index + 1) << shift
+    # the right half starts half a width in; at the depth, where the half
+    # width is 0, it is empty, so cut == hi
+    keys = np.concatenate((at, at_end - ((at_end - at) >> 1), at_end))
+    ranges = np.stack([c.searchsorted(keys) + o for c, o in zip(cells, offsets)])
     lo, cut, hi = ranges.reshape(len(mus), 3, -1).transpose(1, 0, 2)
-    return NodeTable(
-        level=level.astype(np.int32),
-        index=at >> shift,
-        lo=lo,
-        cut=cut,
-        hi=hi,
-        end=np.searchsorted(at, at_end).astype(np.int32),
-    )
+    # sort keys past 63 bits stay Python ints
+    wide = (1 << depth) * (depth + 1) > 1 << 63
+    key = _order_key(depth, level, index.astype(object) if wide else index)
+    return NodeTable(level, index, lo, cut, hi, at.searchsorted(at_end), key, depth)
 
 
 def _endpoints(table: NodeTable, grid: DyadicGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -355,22 +353,15 @@ def _parents(table: NodeTable, grid: DyadicGrid) -> np.ndarray:
     return np.where(table.level > 0, chain + table.level - 1 - table.level[chain], -1)
 
 
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=8)
 def node_table(mu: AtomicMeasure, grid: DyadicGrid) -> NodeTable:
-    """The :class:`NodeTable` of one measure, which must lie inside the grid root."""
+    """The :class:`NodeTable` of one measure, which must lie inside the grid
+    root.  Only the tables in use are kept; the node lists, which are kept
+    far longer, do not hold theirs."""
     table = _node_table((mu,), grid)
     if mu.n_atoms and (not len(table) or table.hi[0, 0] - table.lo[0, 0] != mu.n_atoms):
         raise PreconditionViolation("measure is not supported inside the grid root")
     return table
-
-
-class NodeList(tuple):
-    """A pre-order tuple of :class:`_Node` over some rows of a measure's
-    :class:`NodeTable`: ``table`` and the increasing row numbers ``rows``,
-    which :func:`_run` reads."""
-
-    table: NodeTable
-    rows: array
 
 
 def _subtree(table: NodeTable, level: int, index: int) -> tuple[int, int]:
@@ -380,32 +371,46 @@ def _subtree(table: NodeTable, level: int, index: int) -> tuple[int, int]:
     return (0, 0) if r is None else (r, int(table.end[r]))
 
 
+class NodeList(tuple):
+    """A pre-order tuple of :class:`_Node` with the sort key of each node
+    (``NodeTable.key``), which :func:`_run` bisects."""
+
+    keys: array | list
+
+
 def _run(nodes: NodeList, grid: DyadicGrid, level: int, index: int) -> tuple[int, int]:
     """The run [start, end) of the nodes at or below grid interval (level,
-    index) of ``grid`` in a node list: its rows inside the interval's table
-    subtree, one contiguous run since both are in pre-order; (0, 0) when
-    the interval holds no atom."""
-    start, end = _subtree(nodes.table, level, index)
-    return bisect_left(nodes.rows, start), bisect_left(nodes.rows, end)
+    index) in a node list on ``grid``: pre-order, left child first, sorts
+    the nodes by their keys, so the run is contiguous, from the interval's
+    own key to the least key at its right end; it is empty when the
+    interval holds no node of the list."""
+    depth = grid.depth
+    return (
+        bisect_left(nodes.keys, _order_key(depth, level, index)),
+        bisect_left(nodes.keys, _order_key(depth, level, index + 1) - level),
+    )
 
 
 def _node_list(table: NodeTable, mask: np.ndarray) -> NodeList:
     """The nodes of the masked table rows, in pre-order."""
     rows = np.flatnonzero(mask)
-    ranges = np.stack((table.lo[0], table.hi[0], table.cut[0]))[:, rows].tolist()
-    columns = (table.level[rows].tolist(), table.index[rows].tolist(), *ranges)
-    nodes = NodeList(map(_Node._make, zip(*columns)))
-    nodes.table, nodes.rows = table, array("l", rows.tolist())
+    columns = np.stack((table.level, table.index, table.lo[0], table.hi[0], table.cut[0]))[:, rows]
+    # tuple.__new__ makes each _Node from its row tuple in C
+    nodes = NodeList(map(tuple.__new__, repeat(_Node), zip(*columns.tolist())))
+    keys = table.key[rows].tolist()
+    nodes.keys = keys if table.key.dtype == object else array("q", keys)
     return nodes
 
 
 @lru_cache(maxsize=1024)
 def splitting_nodes(mu: AtomicMeasure, grid: DyadicGrid) -> NodeList:
-    """All grid intervals whose two halves both carry mass, with atom ranges."""
+    """All grid intervals whose two halves both carry mass, with atom ranges:
+    the charged nodes that split, the same _Node objects."""
     charged = charged_nodes(mu, grid)
     keep = [k for k, n in enumerate(charged) if n.lo < n.cut < n.hi]
     nodes = NodeList(charged[k] for k in keep)
-    nodes.table, nodes.rows = charged.table, array("l", [charged.rows[k] for k in keep])
+    keys = [charged.keys[k] for k in keep]
+    nodes.keys = keys if isinstance(charged.keys, list) else array("q", keys)
     return nodes
 
 

@@ -900,7 +900,7 @@ class TestEnergyConstantOracle:
                 right = grid.endpoint_f(n.level, n.index + 1)
                 e2w = _energy_on(w, n.lo, n.hi, right - left) * float(wpref[n.hi] - wpref[n.lo])
                 assert (table.left[t], table.right[t]) == (left, right), label
-                assert table.e2w[t] == e2w and table.e2w_at[n.level, n.index] == e2w, label
+                assert table.e2w[t] == e2w, label
                 assert (t, table.end[t]) == _run(nodes, grid, n.level, n.index), label
 
 

@@ -630,7 +630,9 @@ class TestAtomRangeWalksMatchOracles:
             h = _h_const(sigma, w)
             root = grid.root_interval
             c0 = calibrate_c0(root, sigma, w, h, grid)
-            for c in (c0, c0 / 64):
+            # at c0 * 1e-9 most trunk rows pass, i0's own row too, and only
+            # those strictly inside i0 may be chosen
+            for c in (c0, c0 / 64, c0 * 1e-9):
                 for i0 in (root, grid.interval(1, 0), grid.interval(1, 1)):
                     got = energy_stopping_intervals(i0, sigma, w, h, c, grid)
                     assert got == _oracle_energy_stopping(i0, sigma, w, h, c, grid), label
@@ -681,6 +683,10 @@ class TestAtomRangeWalksMatchOracles:
             lone = next(n for n in occupied_nodes(sigma, grid) if n.level >= 2 and n.hi - n.lo == 1)
             tops = [grid.interval(1, 0), grid.interval(1, 1), GridInterval(grid, lone.level, lone.index)]
             for i0 in tops:
+                # the energy stops below i0 read the same table rows
+                for c in (c0, c0 / 64, c0 * 1e-9):
+                    got = energy_stopping_intervals(i0, sigma, w, h, c, grid)
+                    assert got == _oracle_energy_stopping(i0, sigma, w, h, c, grid), label
                 lo, hi = sigma.index_range(i0.interval)
                 if hi == lo:
                     continue

@@ -343,7 +343,7 @@ class TestNodeTable:
         # indices past 62 levels do not fit an int64
         sigma = AtomicMeasure((dyadic(1, 75), dyadic(2**50 + 1, 71), dyadic(2**52 + 3, 72)), (1.0, 2.0, 3.0))
         w = AtomicMeasure((dyadic(3, 75), dyadic(2**52 + 5, 73)), (1.0, 2.0))
-        for depth in (62, 63, 70):
+        for depth in (57, 58, 62, 63, 70):
             grid = unit_grid(sigma, w, depth)
             for mus in ((sigma,), (w,), (sigma, w)):
                 t = _node_table(mus, grid)
@@ -352,6 +352,29 @@ class TestNodeTable:
                 )
                 assert got == _walk_rows(mus, grid), depth
                 assert (t.index.dtype == object) == (depth > 62)
+            # keys past 63 bits, from depth 58 on, stay Python ints
+            for nodes in (occupied_nodes(sigma, grid), charged_nodes(sigma, grid), splitting_nodes(sigma, grid)):
+                assert isinstance(nodes.keys, list) == (depth > 57)
+                for n in occupied_nodes(sigma, grid):
+                    run = [
+                        k for k, m in enumerate(nodes)
+                        if m.level >= n.level and m.index >> (m.level - n.level) == n.index
+                    ]
+                    start, end = _run(nodes, grid, n.level, n.index)
+                    assert list(range(start, end)) == run, depth
+
+    def test_run_of_an_empty_interval_is_empty(self):
+        for label, sigma, _, grid in _table_cases():
+            occupied = {(n.level, n.index) for n in occupied_nodes(sigma, grid)}
+            empty = [
+                (level, index)
+                for level in range(1, 4)
+                for index in range(1 << level)
+                if (level, index) not in occupied
+            ]
+            for level, index in empty:
+                start, end = _run(splitting_nodes(sigma, grid), grid, level, index)
+                assert start == end, label
 
     def test_measure_outside_the_root_is_refused(self):
         sigma = AtomicMeasure((dyadic(1, 7), dyadic(3, 1)), (1.0, 1.0))
