@@ -47,6 +47,7 @@ from .haar import (
 from .hilbert import (
     LemmaInstance,
     TruncationSpec,
+    TruncationTable,
     hilbert_pairing,
     kernel_difference_factor,
     lemma_ratio,

@@ -69,7 +69,7 @@ from .haar import (
     node_table,
     splitting_nodes,
 )
-from .hilbert import _STACK_BLOCK, TruncationSpec, kernel_stack, truncation_candidates
+from .hilbert import _STACK_BLOCK, TruncationTable, _squares, kernel_stack, truncation_candidates
 from .measure import AtomicMeasure, has_common_point_mass, _as_interval
 from .params import (
     DEFAULT_A2_REFINEMENT,
@@ -114,7 +114,7 @@ class KernelScan:
     backward stack up to a sign, and the testing scan squares it away.
     """
 
-    candidates: list[TruncationSpec]
+    candidates: TruncationTable
     stack: np.ndarray
 
 
@@ -732,13 +732,6 @@ def _trunk_table(w: AtomicMeasure, grid: DyadicGrid) -> _TrunkTable:
     )
 
 
-def _squares(length: np.ndarray) -> np.ndarray:
-    """|I|^2 of each length as the Python float square (libm ``pow``) that
-    ``_energy_on`` and ``poisson._poisson_sum`` take, which can differ from
-    numpy's x * x in the last bit."""
-    return np.array([x**2 for x in length.tolist()])
-
-
 def _energies(w: AtomicMeasure, lo: np.ndarray, hi: np.ndarray, length_sq: np.ndarray) -> np.ndarray:
     """:func:`_energy_on` of each atom range [lo, hi), at least two atoms,
     with |I|^2 = ``length_sq``, bit for bit: the ranges of one size are
@@ -768,7 +761,8 @@ def energy_constant(sigma: AtomicMeasure, w: AtomicMeasure, grid: DyadicGrid) ->
 
     The trunk below I0 is empty unless I0 is a trunk node, so I0 runs over
     the trunk nodes of :func:`_trunk_table` that hold sigma atoms, in
-    pre-order; their sigma ranges come from the same endpoint floats.
+    pre-order; their sigma ranges come from the same endpoint floats.  The
+    Poisson entries of every trunk row and sigma atom are formed once.
     """
     if sigma.n_atoms == 0 or w.n_atoms == 0:
         return 0.0
@@ -780,20 +774,18 @@ def energy_constant(sigma: AtomicMeasure, w: AtomicMeasure, grid: DyadicGrid) ->
     smass = sigma.masses_f
     slo = np.searchsorted(spos, wl)
     shi = np.searchsorted(spos, wr)
+    # |I| / (|I|^2 + dist^2) in place: IEEE addition commutes, so the same bits
+    lengths = (wr - wl)[:, None]
+    kernel = np.maximum(0.0, np.maximum(wl[:, None] - spos, spos - wr[:, None]))
+    kernel **= 2
+    kernel += lengths**2
+    np.divide(lengths, kernel, out=kernel)
     best_overall = 0.0
     for start in np.flatnonzero(shi > slo).tolist():
         end = table.end[start]
         sl = slice(slo[start], shi[start])
         s0 = float(np.sum(smass[sl]))
-        dist = np.maximum(
-            0.0,
-            np.maximum(
-                wl[start:end][:, None] - spos[sl][None, :],
-                spos[sl][None, :] - wr[start:end][:, None],
-            ),
-        )
-        lengths = wr[start:end] - wl[start:end]
-        P = (lengths[:, None] / (lengths[:, None] ** 2 + dist**2)) @ smass[sl]
+        P = kernel[start:end, sl] @ smass[sl]
         term = (P**2 * ew[start:end]).tolist()
         # reverse pre-order meets both children of a node before the node
         best: dict[tuple[int, int], float] = {}
@@ -1076,6 +1068,7 @@ def compute_report(
     local_max = 0.0
     rng = np.random.default_rng(seed)
     root = grid.root_interval
+    ident_coeffs = None  # the Haar coefficients of x on w, on first use
     if sigma.n_atoms >= 2 and w.n_atoms >= 1 and h_const > 0:
         for _ in range(fe_samples):
             raw = WeightedFunction(sigma, rng.standard_normal(sigma.n_atoms))
@@ -1087,9 +1080,8 @@ def compute_report(
             )
             members = stopping.members
             j_fams = default_j_families(members, w, grid, eps, r, below_gap)
-            ident_coeffs = (
-                expand(WeightedFunction.identity(w), grid).coeffs if w.n_atoms else {}
-            )
+            if ident_coeffs is None:
+                ident_coeffs = expand(WeightedFunction.identity(w), grid).coeffs
             g_family = {}
             for F in members:
                 vals = np.zeros(w.n_atoms)

@@ -34,7 +34,7 @@ from functools import cache, cached_property, lru_cache
 
 import numpy as np
 
-from .constants import _carleson_ratio, _squares, _trunk_table
+from .constants import _carleson_ratio, _trunk_table
 from .errors import PreconditionViolation
 from .grid import DyadicGrid, GridInterval
 from .haar import (
@@ -54,6 +54,7 @@ from .haar import (
     node_table,
     splitting_nodes,
 )
+from .hilbert import _squares
 from .measure import AtomicMeasure
 from .params import DEFAULT_C0
 
@@ -149,22 +150,21 @@ class UniformitySpec:
 _STOP_BLOCK = 1 << 14
 
 
-def _energy_hits(
+def _energy_sides(
     columns: tuple[np.ndarray, ...],
     rows: np.ndarray,
     lo: np.ndarray,
     hi: np.ndarray,
     sigma: AtomicMeasure,
     top: tuple[int, int],
-    threshold: float,
-) -> np.ndarray:
-    """The energy-stopping test of the table ``rows``: whether
-    P(sigma_0, I)^2 E(w, I)^2 w(I) > threshold sigma_0(I), where sigma_0 is
-    sigma's atoms ``top`` and [lo, hi) its atoms in each I.  ``columns``
+) -> tuple[np.ndarray, np.ndarray]:
+    """Both sides of the energy-stopping test of the table ``rows``, which
+    stop where P(sigma_0, I)^2 E(w, I)^2 w(I) > threshold sigma_0(I), with
+    sigma_0 sigma's atoms ``top`` and [lo, hi) its atoms in each I; the left
+    side is -inf on a row with E^2 w == 0, which never stops.  ``columns``
     holds the table's left and right endpoint floats, |I|^2 and
-    E(w, I)^2 w(I); a row with E^2 w == 0 never stops.  sigma_0(I) is read
-    from sigma_0's own prefix sums, so it rounds as
-    ``sigma.restrict(top).mass_on(I)`` does.
+    E(w, I)^2 w(I).  sigma_0(I) is read from sigma_0's own prefix sums, so
+    it rounds as ``sigma.restrict(top).mass_on(I)`` does.
 
     P is ``poisson._poisson_sum`` of each row bit for bit: the same
     elementwise steps, and each row's sum a row sum of one C-ordered 2-D
@@ -172,13 +172,11 @@ def _energy_hits(
     blocks of at most :data:`_STOP_BLOCK` entries.
     """
     left, right, length_sq, e2w = columns
-    hit = np.zeros(len(rows), dtype=bool)
-    live = np.flatnonzero(e2w[rows] != 0.0)
-    if not len(live):
-        return hit
     lo0, hi0 = top
     pos, mass = sigma.positions_f[lo0:hi0], sigma.masses_f[lo0:hi0]
     prefix = np.concatenate(([0.0], np.cumsum(mass)))
+    lhs = np.full(len(rows), -np.inf)
+    live = np.flatnonzero(e2w[rows] != 0.0)
     step = max(1, _STOP_BLOCK // max(1, len(pos)))
     with np.errstate(all="ignore"):
         for start in range(0, len(live), step):
@@ -187,9 +185,38 @@ def _energy_hits(
             lft, rgt = left[r, None], right[r, None]
             dist = np.maximum(0.0, np.maximum(lft - pos, pos - rgt))
             p = (mass * (rgt - lft) / (length_sq[r, None] + dist**2)).sum(axis=1)
-            sigma_mass = prefix[hi[k] - lo0] - prefix[lo[k] - lo0]
-            hit[k] = p * p * e2w[r] > threshold * sigma_mass
-    return hit
+            lhs[k] = p * p * e2w[r]
+    return lhs, prefix[hi - lo0] - prefix[lo - lo0]
+
+
+def _energy_stops(
+    i0: GridInterval, sigma: AtomicMeasure, w: AtomicMeasure, h_const: float, grid: DyadicGrid
+):
+    """The joint table and a function from a threshold to the maximal rows
+    strictly below i0 that energy-stop at it, in pre-order; both sides of
+    each row's test (:func:`_energy_sides`, sigma_0 = sigma on i0) are formed once."""
+    if h_const <= 0:
+        raise PreconditionViolation("h_const must be positive")
+    table = _stop_table(sigma, w, grid)
+    t = table.nodes
+    start, end = _subtree(t, i0.level, i0.index)
+    rows = np.arange(start + 1, end)
+    columns = (table.left, table.right, table.length_sq, table.e2w)
+    top = _node_range(sigma, i0)
+    lhs, sigma_mass = _energy_sides(columns, rows, t.lo[0, rows], t.hi[0, rows], sigma, top)
+
+    def stops(threshold: float) -> list[int]:
+        with np.errstate(all="ignore"):
+            hits = lhs > threshold * sigma_mass
+        out: list[int] = []
+        stop = 0
+        for r in rows[hits].tolist():
+            if r >= stop:
+                out.append(r)
+                stop = t.end[r].item()
+        return out
+
+    return t, stops
 
 
 def energy_stopping_intervals(
@@ -211,22 +238,9 @@ def energy_stopping_intervals(
     ``sigma.restrict(i0).mass_on(I)`` does); the maximal hits are kept in
     pre-order by jumping over each hit's subtree.
     """
-    if h_const <= 0:
-        raise PreconditionViolation("h_const must be positive")
-    table = _stop_table(sigma, w, grid)
-    t = table.nodes
-    start, end = _subtree(t, i0.level, i0.index)
-    rows = np.arange(start + 1, end)
-    columns = (table.left, table.right, table.length_sq, table.e2w)
-    top = _node_range(sigma, i0)
-    hits = _energy_hits(columns, rows, t.lo[0, rows], t.hi[0, rows], sigma, top, 10.0 * c0 * h_const**2)
-    out: list[GridInterval] = []
-    stop = 0
-    for r in rows[hits].tolist():
-        if r >= stop:
-            out.append(GridInterval(grid, t.level[r].item(), int(t.index[r])))
-            stop = t.end[r].item()
-    return out
+    t, stops = _energy_stops(i0, sigma, w, h_const, grid)
+    chosen = stops(10.0 * c0 * h_const**2)
+    return [GridInterval(grid, t.level[r].item(), int(t.index[r])) for r in chosen]
 
 
 def calibrate_c0(
@@ -238,13 +252,15 @@ def calibrate_c0(
     start: float = DEFAULT_C0,
 ) -> float:
     """Smallest doubling of ``start`` at which the selected mass drops to
-    sigma(i0)/10.  The selected union shrinks as c0 grows, so this ends."""
+    sigma(i0)/10.  The selected union shrinks as c0 grows, so this ends.
+    Each doubling compares the same two sides of each row's test."""
+    t, stops = _energy_stops(i0, sigma, w, h_const, grid)
     budget = _node_mass(sigma, i0) / 10.0
+    prefix = sigma._mass_prefix
     c0 = start
     for _ in range(200):
-        chosen = energy_stopping_intervals(i0, sigma, w, h_const, c0, grid)
-        mass = sum(_node_mass(sigma, F) for F in chosen)
-        if mass <= budget:
+        chosen = stops(10.0 * c0 * h_const**2)
+        if sum((prefix[t.hi[0, chosen]] - prefix[t.lo[0, chosen]]).tolist()) <= budget:
             return c0
         c0 *= 2.0
     raise RuntimeError("energy-stopping calibration did not settle")
@@ -347,7 +363,9 @@ def build_stopping_data(
         rows = np.arange(top + 1, t.end[top])
         rows = rows[table.reached[rows] | (table.parent[rows] == top)]
         a, b = t.lo[0, rows], t.hi[0, rows]
-        energy = _energy_hits(columns, rows, a, b, sigma, (slo, shi), threshold)
+        lhs, sigma_mass = _energy_sides(columns, rows, a, b, sigma, (slo, shi))
+        with np.errstate(all="ignore"):
+            energy = lhs > threshold * sigma_mass
         hits = energy.copy()
         if aF > 0:
             with np.errstate(all="ignore"):

@@ -15,14 +15,15 @@ the origin.
 Truncation suprema are evaluated on a finite candidate scan: hard-cutoff
 bands bracketing the sorted distinct pairwise distances (operator entries
 are piecewise constant in the cutoffs with breakpoints exactly there), plus
-tapered pairs on a geometrically refined value list.
+tapered pairs on a geometrically refined value list.  A scan is one
+:class:`TruncationTable` of mode codes and radii, read as columns.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from functools import lru_cache
 
 import numpy as np
 
@@ -33,6 +34,7 @@ from .params import DEFAULT_REFINEMENT
 
 __all__ = [
     "TruncationSpec",
+    "TruncationTable",
     "smooth_kernel",
     "kernel_values",
     "transform",
@@ -72,6 +74,33 @@ class TruncationSpec:
 
 
 NONE_TRUNCATION = TruncationSpec("none")
+
+_MODES = ("none", "hard", "smooth")
+_NONE, _HARD, _SMOOTH = range(3)
+
+
+class TruncationTable:
+    """Truncations as columns: ``code`` indexes ``_MODES``, ``inner`` and
+    ``outer`` hold the radii.  Rows are checked as :class:`TruncationSpec`
+    checks them; indexing or iterating gives each as a TruncationSpec."""
+
+    def __init__(self, code, inner, outer):
+        self.code = np.asarray(code, dtype=np.int8)
+        self.inner = np.asarray(inner, dtype=float)
+        self.outer = np.asarray(outer, dtype=float)
+        if np.any((self.code < _NONE) | (self.code > _SMOOTH)):
+            raise ValueError("unknown truncation mode code")
+        ordered = self.inner < self.outer
+        if not np.all((0.0 < self.inner) & ordered | (self.code != _SMOOTH)):
+            raise ValueError("smooth truncation requires 0 < alpha < beta")
+        if not np.all((0.0 <= self.inner) & ordered | (self.code != _HARD)):
+            raise ValueError("hard truncation requires inner < outer")
+
+    def __len__(self) -> int:
+        return len(self.code)
+
+    def __getitem__(self, t: int) -> TruncationSpec:
+        return TruncationSpec(_MODES[self.code[t]], float(self.inner[t]), float(self.outer[t]))
 
 
 def smooth_kernel(y, alpha: float, beta: float):
@@ -206,65 +235,67 @@ def hilbert_pairing(
 
 def _rank_subsample(values: np.ndarray, count: int) -> np.ndarray:
     """Deterministic geometric-rank subsample keeping both extremes."""
-    n = len(values)
-    if n <= count:
-        return values
+    return values if len(values) <= count else values[_ranks(len(values), count)]
+
+
+# Index arrays that depend on sizes only, shared read-only by every call.
+@lru_cache(maxsize=1024)
+def _ranks(n: int, count: int) -> np.ndarray:
     ranks = np.unique(np.round(np.geomspace(1, n, count)).astype(int) - 1)
-    return values[ranks]
+    ranks.flags.writeable = False
+    return ranks
 
 
-def truncation_candidates(
-    distances, refinement: int = DEFAULT_REFINEMENT
-) -> list[TruncationSpec]:
-    """Candidate truncations for evaluating suprema over cutoffs.
+@lru_cache(maxsize=16)
+def _triu(n: int, k: int) -> np.ndarray:
+    pairs = np.array(np.triu_indices(n, k))
+    pairs.flags.writeable = False
+    return pairs
 
-    Includes the raw kernel, hard bands bracketing (possibly subsampled)
-    critical distances, and tapered pairs over a geometrically refined value
-    list that always contains the exact distances.
-    """
+
+def truncation_candidates(distances, refinement: int = DEFAULT_REFINEMENT) -> TruncationTable:
+    """Candidate truncations for evaluating suprema over cutoffs, one table:
+    the raw kernel, hard bands (lo[a], hi[b]), a <= b, bracketing (possibly
+    subsampled) critical distances, and tapered pairs (vals[i], vals[j]),
+    i < j, each row i then followed by (vals[i], 8 max d) if that is larger.
+    vals is a geometrically refined value list that always contains the
+    exact distances; one ``np.geomspace`` over all consecutive pairs gives
+    each pair's values as its own call does."""
     d = np.unique(np.asarray(distances, dtype=float))
     d = d[d > 0.0]
-    cands = [NONE_TRUNCATION]
     if len(d) == 0:
-        return cands
+        return TruncationTable([_NONE], [0.0], [_INF])
     hard_vals = _rank_subsample(d, max(2, 2 * refinement))
-    lo = hard_vals * (1.0 - 1e-9)
-    hi = hard_vals * (1.0 + 1e-9)
-    for a in range(len(hard_vals)):
-        for b in range(a, len(hard_vals)):
-            cands.append(TruncationSpec("hard", float(lo[a]), float(hi[b])))
+    a, b = _triu(len(hard_vals), 0)
     smooth_base = _rank_subsample(d, max(2, refinement + 2))
-    refined = [smooth_base]
-    for u, v in zip(smooth_base[:-1], smooth_base[1:]):
-        if v > u:
-            refined.append(np.geomspace(u, v, refinement + 2)[1:-1])
-    vals = np.unique(np.concatenate(refined + [[0.5 * d[0], 2.0 * d[-1]]]))
+    refined = np.geomspace(smooth_base[:-1], smooth_base[1:], refinement + 2)[1:-1]
+    vals = np.unique(np.concatenate((smooth_base, refined.ravel(), [0.5 * d[0], 2.0 * d[-1]])))
     vals = _rank_subsample(vals, max(3, 2 * refinement))
-    big = 8.0 * d[-1]
-    for i in range(len(vals)):
-        for j in range(i + 1, len(vals)):
-            cands.append(TruncationSpec("smooth", float(vals[i]), float(vals[j])))
-        if big > vals[i]:
-            cands.append(TruncationSpec("smooth", float(vals[i]), big))
-    return cands
+    ext = np.append(vals, 8.0 * d[-1])
+    i, j = _triu(len(ext), 1)
+    keep = (j < len(vals)) | (ext[-1] > ext[i])
+    i, j = i[keep], j[keep]
+    code = np.repeat(np.array([_NONE, _HARD, _SMOOTH], dtype=np.int8), [1, len(a), len(i)])
+    inner = np.concatenate(([0.0], hard_vals[a] * (1.0 - 1e-9), ext[i]))
+    outer = np.concatenate(([_INF], hard_vals[b] * (1.0 + 1e-9), ext[j]))
+    return TruncationTable(code, inner, outer)
 
 
 # elements per temporary when a run of candidates is broadcast at once
 _STACK_BLOCK = 1 << 16
 
 
-def kernel_stack(
-    diffs: np.ndarray, candidates: Sequence[TruncationSpec]
-) -> np.ndarray:
+def kernel_stack(diffs: np.ndarray, candidates: TruncationTable) -> np.ndarray:
     """Kernel evaluated for every candidate: shape (T,) + diffs.shape.
 
     Bitwise equal, signed zeros included, to stacking :func:`kernel_values`
-    per candidate: each run of same-mode candidates is broadcast in blocks,
-    with the per-candidate scalars formed as Python floats exactly as
-    :func:`smooth_kernel` forms them.
+    per candidate: each run of same-mode rows is broadcast in blocks, with
+    the per-candidate scalars formed as :func:`smooth_kernel` forms them
+    (the squares as Python float squares, libm ``pow``, not numpy's x * x).
     """
     arr = np.asarray(diffs, dtype=float)
-    out = np.empty((len(candidates),) + arr.shape)
+    code = candidates.code
+    out = np.empty((len(code),) + arr.shape)
     a = np.abs(arr)
     with np.errstate(divide="ignore"):
         inv = np.where(a > 0.0, 1.0 / arr, 0.0)
@@ -273,41 +304,39 @@ def kernel_stack(
     sign = np.sign(arr)
     block = max(1, _STACK_BLOCK // max(1, arr.size))
     lead = (-1,) + (1,) * arr.ndim
-
-    def column(values):
-        return np.asarray(values, dtype=float).reshape(lead)
-
-    t0 = 0
-    while t0 < len(candidates):
-        mode = candidates[t0].mode
-        t1 = t0 + 1
-        while t1 < len(candidates) and t1 - t0 < block and candidates[t1].mode == mode:
-            t1 += 1
-        run = candidates[t0:t1]
-        blk = out[t0:t1]
-        if mode == "none":
-            blk[...] = inv
-        elif mode == "hard":
-            inside = a > column([tr.inner for tr in run])
-            inside &= a < column([tr.outer for tr in run])
-            blk[...] = 0.0
-            np.copyto(blk, inv, where=inside)
-        else:
-            alpha = [tr.inner for tr in run]
-            beta = [tr.outer for tr in run]
-            # taper everywhere, then zero beyond 2 beta, then 1/|y| up to
-            # beta, then the linear rise below alpha; the same branches and
-            # operations as smooth_kernel
-            np.divide(neg_a, column([be**2 for be in beta]), out=blk)
-            blk += column([2.0 / be for be in beta])
-            np.copyto(blk, 0.0, where=a >= column([2.0 * be for be in beta]))
-            np.copyto(blk, inv_a, where=a <= column(beta))
-            rise = neg_a / column([al**2 for al in alpha])
-            rise += column([2.0 / al for al in alpha])
-            np.copyto(blk, rise, where=a < column(alpha))
-            blk *= sign
-        t0 = t1
+    bounds = [0, *(np.flatnonzero(np.diff(code)) + 1).tolist(), len(code)]
+    for r0, r1 in zip(bounds[:-1], bounds[1:]):
+        for t0 in range(r0, r1, block):
+            t1 = min(t0 + block, r1)
+            blk = out[t0:t1]
+            alpha = candidates.inner[t0:t1].reshape(lead)
+            beta = candidates.outer[t0:t1].reshape(lead)
+            if code[t0] == _NONE:
+                blk[...] = inv
+            elif code[t0] == _HARD:
+                inside = a > alpha
+                inside &= a < beta
+                blk[...] = 0.0
+                np.copyto(blk, inv, where=inside)
+            else:
+                # taper everywhere, then zero beyond 2 beta, then 1/|y| up to
+                # beta, then the linear rise below alpha; the same branches and
+                # operations as smooth_kernel
+                np.divide(neg_a, _squares(beta), out=blk)
+                blk += 2.0 / beta
+                np.copyto(blk, 0.0, where=a >= 2.0 * beta)
+                np.copyto(blk, inv_a, where=a <= beta)
+                rise = neg_a / _squares(alpha)
+                rise += 2.0 / alpha
+                np.copyto(blk, rise, where=a < alpha)
+                blk *= sign
     return out
+
+
+def _squares(x: np.ndarray) -> np.ndarray:
+    """Each entry's Python float square (libm ``pow``, which can differ from
+    numpy's x * x in the last bit), in x's shape."""
+    return np.array([v**2 for v in x.ravel().tolist()]).reshape(x.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -358,9 +387,7 @@ def _alpha_below(sigma: AtomicMeasure, g: WeightedFunction) -> float:
     return 0.5 * dmin
 
 
-def _pairing_scan(
-    f: WeightedFunction, g: WeightedFunction, cands: Sequence[TruncationSpec]
-) -> float:
+def _pairing_scan(f: WeightedFunction, g: WeightedFunction, cands: TruncationTable) -> float:
     """max over the candidates of |hilbert_pairing(f, g, candidate)|.
 
     One kernel stack for all candidates, then one ``src @ K_t @ tgt`` per
@@ -372,7 +399,7 @@ def _pairing_scan(
     if sigma.n_atoms == 0 or w.n_atoms == 0:
         return 0.0
     diffs = sigma.positions_f[:, None] - w.positions_f[None, :]
-    if any(tr.mode == "none" for tr in cands) and np.any(diffs == 0.0):
+    if np.any(cands.code == _NONE) and np.any(diffs == 0.0):
         raise AtomCollision("source and target measures share a position")
     stack = kernel_stack(diffs, cands)
     src = f.values * sigma.masses_f
@@ -444,7 +471,7 @@ def lemma_ratio(lemma_id: str, instance: LemmaInstance) -> tuple[float, float, f
         dists = np.abs(mu.positions_f[:, None] - ins.g.base.positions_f[None, :]).ravel()
         alphas = np.unique(np.concatenate([[alpha0], dists * (1 - 1e-9), dists * (1 + 1e-9)]))
         alphas = alphas[(alphas > 0) & (alphas < beta)]
-        cands = [TruncationSpec("smooth", float(a), beta) for a in alphas]
+        cands = TruncationTable(np.full(len(alphas), _SMOOTH), alphas, np.full(len(alphas), beta))
         lhs = _pairing_scan(WeightedFunction(mu, signs), ins.g, cands)
         return lhs, rhs, (lhs / rhs if rhs != 0.0 else (0.0 if lhs == 0.0 else math.inf))
 

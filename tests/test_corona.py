@@ -393,6 +393,18 @@ def _oracle_energy_stopping(i0, sigma, w, h_const, c0, grid):
     return out
 
 
+def _oracle_calibrate_c0(i0, sigma, w, h_const, grid, start):
+    """The per-doubling loop: one energy-stopping search per doubling."""
+    budget = sigma.mass_on(i0.interval) / 10.0
+    c0 = start
+    for doublings in range(200):
+        chosen = energy_stopping_intervals(i0, sigma, w, h_const, c0, grid)
+        if sum(sigma.mass_on(F.interval) for F in chosen) <= budget:
+            return c0, doublings
+        c0 *= 2.0
+    raise RuntimeError("energy-stopping calibration did not settle")
+
+
 def _oracle_stopping_data(f, i0, sigma, w, h_const, c0, grid):
     absf = np.abs(f.values)
     mpref = np.concatenate(([0.0], np.cumsum(sigma.masses_f)))
@@ -702,6 +714,23 @@ class TestAtomRangeWalksMatchOracles:
                 checked += 1
                 single += hi - lo == 1
         assert checked >= 20 and single >= 10
+
+
+    # the clusters pairs settle at once from every start
+    @pytest.mark.parametrize("family", ["uniform", "mixed", "lacunary", "crafted"])
+    def test_calibration_equals_doubling_loop(self, family):
+        several = 0
+        cases = crafted_cases() if family == "crafted" else oracle_cases(families=(family,))
+        for label, sigma, w, grid in cases:
+            if sigma.n_atoms < 2:
+                continue
+            h = _h_const(sigma, w)
+            for i0 in (grid.root_interval, grid.interval(1, 0)):
+                for start in (0.5, 1e-6, 1e-12):
+                    want, doublings = _oracle_calibrate_c0(i0, sigma, w, h, grid, start)
+                    assert calibrate_c0(i0, sigma, w, h, grid, start=start) == want, label
+                    several += doublings >= 3
+        assert several >= 10
 
 
 class TestShiftedGridRanges:

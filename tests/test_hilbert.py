@@ -9,6 +9,7 @@ from h2w.haar import splitting_nodes
 from h2w.hilbert import (
     LemmaInstance,
     TruncationSpec,
+    TruncationTable,
     hilbert_pairing,
     kernel_difference_factor,
     kernel_stack,
@@ -155,11 +156,91 @@ class TestTruncationCandidates:
         cands = truncation_candidates(np.geomspace(0.01, 1, 40))
         assert any(tr.mode == "none" for tr in cands)
 
+    @staticmethod
+    def _assert_oracle(distances, refinement):
+        got = truncation_candidates(distances, refinement)
+        want = _candidates_oracle(distances, refinement)
+        assert np.array_equal(got.code, [("none", "hard", "smooth").index(tr.mode) for tr in want])
+        assert np.array_equal(got.inner, [tr.inner for tr in want])
+        assert np.array_equal(got.outer, [tr.outer for tr in want])
+        assert list(got) == want
+
+    @pytest.mark.parametrize("refinement", [0, 1, 2, 4, 8])
+    def test_table_matches_list_oracle(self, refinement):
+        for family in ("uniform", "mixed", "clusters", "lacunary"):
+            for sigma, w in random_ensemble(31, 6, 32, 14, family=family):
+                diffs = sigma.positions_f[:, None] - w.positions_f[None, :]
+                self._assert_oracle(np.abs(diffs).ravel(), refinement)
+        self._assert_oracle(np.array([]), refinement)
+        self._assert_oracle(np.array([0.5]), refinement)
+        # a lacunary pair: distances 2^-40 .. 1
+        sigma = AtomicMeasure.from_triples([(0, 0, 1.0)])
+        w = AtomicMeasure.from_triples([(1, k, 1.0) for k in range(41)])
+        dists = np.abs(sigma.positions_f[:, None] - w.positions_f[None, :]).ravel()
+        self._assert_oracle(dists, refinement)
+
+    def test_rows_checked_as_specs(self):
+        with pytest.raises(ValueError, match="0 < alpha < beta"):
+            TruncationTable([2, 2], [0.5, 0.0], [1.0, 1.0])
+        with pytest.raises(ValueError, match="0 < alpha < beta"):
+            TruncationTable([2], [np.nan], [1.0])
+        with pytest.raises(ValueError, match="inner < outer"):
+            TruncationTable([0, 1], [0.0, 2.0], [np.inf, 2.0])
+        with pytest.raises(ValueError, match="inner < outer"):
+            TruncationTable([1], [-1.0], [2.0])
+        with pytest.raises(ValueError):
+            TruncationTable([3], [0.5], [1.0])
+        table = TruncationTable([1, 0], [0.0, 0.0], [1.0, np.inf])
+        assert list(table) == [TruncationSpec("hard", 0.0, 1.0), hilbert.NONE_TRUNCATION]
+        assert len(table) == 2 and len(TruncationTable([], [], [])) == 0
+
+
+def _table(specs):
+    """The table of a few specs, in their order."""
+    rows = [(hilbert._MODES.index(tr.mode), tr.inner, tr.outer) for tr in specs]
+    return TruncationTable(*zip(*rows)) if rows else TruncationTable([], [], [])
+
+
+def _candidates_oracle(distances, refinement):
+    """The scan as a list of specs, built by the per-pair loops that the
+    table replaced."""
+
+    def subsample(values, count):
+        if len(values) <= count:
+            return values
+        return values[np.unique(np.round(np.geomspace(1, len(values), count)).astype(int) - 1)]
+
+    d = np.unique(np.asarray(distances, dtype=float))
+    d = d[d > 0.0]
+    cands = [hilbert.NONE_TRUNCATION]
+    if len(d) == 0:
+        return cands
+    hard_vals = subsample(d, max(2, 2 * refinement))
+    lo = hard_vals * (1.0 - 1e-9)
+    hi = hard_vals * (1.0 + 1e-9)
+    for a in range(len(hard_vals)):
+        for b in range(a, len(hard_vals)):
+            cands.append(TruncationSpec("hard", float(lo[a]), float(hi[b])))
+    smooth_base = subsample(d, max(2, refinement + 2))
+    refined = [smooth_base]
+    for u, v in zip(smooth_base[:-1], smooth_base[1:]):
+        if v > u:
+            refined.append(np.geomspace(u, v, refinement + 2)[1:-1])
+    vals = np.unique(np.concatenate(refined + [[0.5 * d[0], 2.0 * d[-1]]]))
+    vals = subsample(vals, max(3, 2 * refinement))
+    big = 8.0 * d[-1]
+    for i in range(len(vals)):
+        for j in range(i + 1, len(vals)):
+            cands.append(TruncationSpec("smooth", float(vals[i]), float(vals[j])))
+        if big > vals[i]:
+            cands.append(TruncationSpec("smooth", float(vals[i]), big))
+    return cands
+
 
 class TestKernelStack:
     @staticmethod
     def _assert_bitwise(diffs, cands):
-        got = kernel_stack(diffs, cands)
+        got = kernel_stack(diffs, _table(cands))
         want = np.stack([kernel_values(diffs, tr) for tr in cands])
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
