@@ -117,11 +117,14 @@ _CHOICES = {"family": ALL_FAMILIES, "format": ("json", "csv")}
 # the analysis refuses; verify's count also, since an empty ensemble has no
 # pair to report on.
 _AT_LEAST_ONE = (lambda v: v >= 1, "at least 1")
+_AT_LEAST_ZERO = (lambda v: v >= 0, "at least 0")
 _DOMAINS = {
     "depth": _AT_LEAST_ONE,
     "max_atoms": _AT_LEAST_ONE,
     "r": _AT_LEAST_ONE,
     "below_gap": _AT_LEAST_ONE,
+    "refinement": _AT_LEAST_ZERO,
+    "a2_refinement": _AT_LEAST_ZERO,
     "eps": (lambda v: 0.0 < v < 0.5, "in (0, 1/2)"),
     "c0": (lambda v: math.isfinite(v) and v > 0.0, "finite and positive"),
 }

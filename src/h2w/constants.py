@@ -80,7 +80,7 @@ from .params import (
     SUITE_EPS,
     SUITE_R,
 )
-from .poisson import _poisson_sum, default_j_families, maximal_intervals
+from .poisson import _product_kernel, _stationary_terms, default_j_families, maximal_intervals
 
 __all__ = [
     "ConstantsReport",
@@ -272,8 +272,7 @@ def _a2_values(
 ) -> np.ndarray:
     """P(sigma, I) P(w, I) for the candidate intervals [lefts, rights].
 
-    One (rows x atoms) array of the entries L / (L^2 + d^2) per measure,
-    d the distance of the atom to the interval, reduced by a BLAS
+    One ``poisson._product_kernel`` array per measure, reduced by a BLAS
     matrix-vector product.  That product computes rows in groups of 4 and
     the last (rows mod 4) rows by a remainder kernel that rounds
     differently, so a row gets the bits of the whole candidate set's
@@ -286,20 +285,8 @@ def _a2_values(
     :func:`a2_constant` asks for stays far below that size, so it gets the
     single-threaded bits on any host.
     """
-    L = rights - lefts
-    sq = (L * L)[:, None]
-
-    def pvec(mu: AtomicMeasure) -> np.ndarray:
-        pos = mu.positions_f[None, :]
-        row = np.subtract(lefts[:, None], pos)
-        np.maximum(row, pos - rights[:, None], out=row)
-        np.maximum(row, 0.0, out=row)
-        np.square(row, out=row)
-        row += sq
-        np.divide(L[:, None], row, out=row)
-        return row @ mu.masses_f
-
-    return pvec(sigma) * pvec(w)
+    p_sigma = _product_kernel(lefts, rights, sigma.positions_f) @ sigma.masses_f
+    return p_sigma * (_product_kernel(lefts, rights, w.positions_f) @ w.masses_f)
 
 
 def _poisson_bounds(
@@ -774,12 +761,7 @@ def energy_constant(sigma: AtomicMeasure, w: AtomicMeasure, grid: DyadicGrid) ->
     smass = sigma.masses_f
     slo = np.searchsorted(spos, wl)
     shi = np.searchsorted(spos, wr)
-    # |I| / (|I|^2 + dist^2) in place: IEEE addition commutes, so the same bits
-    lengths = (wr - wl)[:, None]
-    kernel = np.maximum(0.0, np.maximum(wl[:, None] - spos, spos - wr[:, None]))
-    kernel **= 2
-    kernel += lengths**2
-    np.divide(lengths, kernel, out=kernel)
+    kernel = _product_kernel(wl, wr, spos)
     best_overall = 0.0
     for start in np.flatnonzero(shi > slo).tolist():
         end = table.end[start]
@@ -824,13 +806,18 @@ def _carleson_ratio(members, sigma: AtomicMeasure) -> float:
     return worst
 
 
+# random test functions f per compute_report, and the iterate of the
+# minimal-member map that must take each g_F Haar interval to its F
+_FE_SAMPLES = 2
+_FE_PARENT_STEPS = 1
+
+
 def functional_energy_ratio(
     h: WeightedFunction,
     f_family,
     g_family: dict[tuple[int, int], WeightedFunction],
     grid: DyadicGrid,
     *,
-    s: int = 1,
     below_gap: int = SUITE_BELOW_GAP,
     eps: float = SUITE_EPS,
     r: int = SUITE_R,
@@ -842,8 +829,9 @@ def functional_energy_ratio(
     J* attached to F, P(h sigma, J*) |<x/|J*|, g_F restricted to J*>|; the
     right side is ||h|| (sum ||g_F||^2)^(1/2).  The family must satisfy the
     Carleson packing bound with constant 2 and each g_F must have Haar
-    support among intervals whose s-fold minimal-member parent is F, at
-    least ``below_gap`` levels down; violations raise.
+    support among intervals whose :data:`_FE_PARENT_STEPS`-fold
+    minimal-member parent is F, at least ``below_gap`` levels down;
+    violations raise.
     """
     from .errors import AdaptednessViolation
 
@@ -865,7 +853,7 @@ def functional_energy_ratio(
             if abs(c) <= tiny:
                 continue
             J = GridInterval(grid, lev, idx)
-            parent = f_parent(J, members, s=s)
+            parent = f_parent(J, members, s=_FE_PARENT_STEPS)
             ok = (
                 parent is not None
                 and parent.key == F.key
@@ -895,8 +883,11 @@ def functional_energy_ratio(
         if g is None:
             continue
         g_norm_sq += g.norm_sq()
-        js = j_families.get(F.key, [])
-        for jstar in maximal_intervals(js):
+        jstars = maximal_intervals(j_families.get(F.key, []))
+        lefts = np.array([j.left_f for j in jstars])
+        rights = np.array([j.right_f for j in jstars])
+        poisson = _stationary_terms(lefts, rights, h_pos, h_mass).sum(axis=1).tolist()
+        for jstar, p in zip(jstars, poisson):
             lo, hi = _node_range(g.base, jstar)
             pairing = float(
                 np.sum(
@@ -906,8 +897,7 @@ def functional_energy_ratio(
                     * g.base.masses_f[lo:hi]
                 )
             )
-            poisson = _poisson_sum(h_pos, h_mass, jstar.left_f, jstar.right_f)
-            lhs += poisson * abs(pairing)
+            lhs += p * abs(pairing)
     rhs = h.norm() * math.sqrt(g_norm_sq)
     if rhs == 0.0:
         return 0.0 if lhs == 0.0 else math.inf
@@ -1033,16 +1023,15 @@ def compute_report(
     r: int = SUITE_R,
     below_gap: int = SUITE_BELOW_GAP,
     c0: float = DEFAULT_C0,
-    fe_samples: int = 2,
     record: PairConstants | None = None,
 ) -> ConstantsReport:
     """Assemble the full report for one pair.
 
     The functional-energy and local ratios are empirical maxima over a small
-    seeded family of stopping data and adapted functions; they are lower
-    bounds by nature.  ``record``, the pair's :func:`pair_constants` at the
-    same refinements and c0, is built here when not given; its grid is the
-    report's grid.
+    seeded family of stopping data and adapted functions (:data:`_FE_SAMPLES`
+    random f); they are lower bounds by nature.  ``record``, the pair's
+    :func:`pair_constants` at the same refinements and c0, is built here
+    when not given; its grid is the report's grid.
     """
     from . import corona  # deferred: corona builds on this module
 
@@ -1070,7 +1059,7 @@ def compute_report(
     root = grid.root_interval
     ident_coeffs = None  # the Haar coefficients of x on w, on first use
     if sigma.n_atoms >= 2 and w.n_atoms >= 1 and h_const > 0:
-        for _ in range(fe_samples):
+        for _ in range(_FE_SAMPLES):
             raw = WeightedFunction(sigma, rng.standard_normal(sigma.n_atoms))
             f = good_projection(raw, grid, eps, r)
             if f.norm() == 0.0:
@@ -1102,7 +1091,6 @@ def compute_report(
                         members,
                         g_family,
                         grid,
-                        s=1,
                         below_gap=below_gap,
                         eps=eps,
                         r=r,

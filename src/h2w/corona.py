@@ -10,8 +10,8 @@ The stop tests run on the joint (sigma, w) node table (``haar.NodeTable``,
 :func:`_stop_table`), not on walks: the energy-stopping test on its rows
 below the top interval that hold two w atoms, the stopping construction on
 its rows that a descent from a member reaches.  Each test is one
-vectorised pass whose Poisson sums are row sums with the bits of
-``poisson._poisson_sum``; the maximal hits are kept in pre-order by
+vectorised pass whose Poisson sums are row sums of
+``poisson._stationary_terms``; the maximal hits are kept in pre-order by
 jumping over each hit's subtree.  A GridInterval is built only for a
 returned member or a named violation.  The bounded-averages constant reads
 the sigma table's subtree rows; ``uniformity_check`` walks the grid itself
@@ -54,9 +54,9 @@ from .haar import (
     node_table,
     splitting_nodes,
 )
-from .hilbert import _squares
 from .measure import AtomicMeasure
 from .params import DEFAULT_C0
+from .poisson import _stationary_terms
 
 __all__ = [
     "StoppingData",
@@ -162,16 +162,13 @@ def _energy_sides(
     stop where P(sigma_0, I)^2 E(w, I)^2 w(I) > threshold sigma_0(I), with
     sigma_0 sigma's atoms ``top`` and [lo, hi) its atoms in each I; the left
     side is -inf on a row with E^2 w == 0, which never stops.  ``columns``
-    holds the table's left and right endpoint floats, |I|^2 and
-    E(w, I)^2 w(I).  sigma_0(I) is read from sigma_0's own prefix sums, so
-    it rounds as ``sigma.restrict(top).mass_on(I)`` does.
-
-    P is ``poisson._poisson_sum`` of each row bit for bit: the same
-    elementwise steps, and each row's sum a row sum of one C-ordered 2-D
-    array, which numpy reduces as it reduces a 1-D array.  Rows go in
-    blocks of at most :data:`_STOP_BLOCK` entries.
+    holds the table's left and right endpoint floats and E(w, I)^2 w(I).
+    sigma_0(I) is read from sigma_0's own prefix sums, so it rounds as
+    ``sigma.restrict(top).mass_on(I)`` does.  P is the row sum of
+    ``poisson._stationary_terms``, in blocks of at most
+    :data:`_STOP_BLOCK` entries.
     """
-    left, right, length_sq, e2w = columns
+    left, right, e2w = columns
     lo0, hi0 = top
     pos, mass = sigma.positions_f[lo0:hi0], sigma.masses_f[lo0:hi0]
     prefix = np.concatenate(([0.0], np.cumsum(mass)))
@@ -182,9 +179,7 @@ def _energy_sides(
         for start in range(0, len(live), step):
             k = live[start : start + step]
             r = rows[k]
-            lft, rgt = left[r, None], right[r, None]
-            dist = np.maximum(0.0, np.maximum(lft - pos, pos - rgt))
-            p = (mass * (rgt - lft) / (length_sq[r, None] + dist**2)).sum(axis=1)
+            p = _stationary_terms(left[r], right[r], pos, mass).sum(axis=1)
             lhs[k] = p * p * e2w[r]
     return lhs, prefix[hi - lo0] - prefix[lo - lo0]
 
@@ -201,7 +196,7 @@ def _energy_stops(
     t = table.nodes
     start, end = _subtree(t, i0.level, i0.index)
     rows = np.arange(start + 1, end)
-    columns = (table.left, table.right, table.length_sq, table.e2w)
+    columns = (table.left, table.right, table.e2w)
     top = _node_range(sigma, i0)
     lhs, sigma_mass = _energy_sides(columns, rows, t.lo[0, rows], t.hi[0, rows], sigma, top)
 
@@ -275,9 +270,9 @@ class _StopTable:
     """The grid intervals holding an atom of sigma or w (their joint
     :class:`~h2w.haar.NodeTable`, sigma first), with each row's endpoint
     floats and parent row, whether the parent holds two atoms, and the
-    energy-test columns of the rows holding two w atoms, which are the w
-    trunk rows in the trunk's own pre-order: E(w, I)^2 w(I) and |I|^2, zero
-    on every other row."""
+    energy-test column of the rows holding two w atoms, which are the w
+    trunk rows in the trunk's own pre-order: E(w, I)^2 w(I), zero on every
+    other row."""
 
     nodes: NodeTable
     left: np.ndarray
@@ -285,7 +280,6 @@ class _StopTable:
     parent: np.ndarray
     reached: np.ndarray
     e2w: np.ndarray
-    length_sq: np.ndarray
 
 
 @lru_cache(maxsize=8)
@@ -300,12 +294,10 @@ def _stop_table(sigma: AtomicMeasure, w: AtomicMeasure, grid: DyadicGrid) -> _St
     on = nodes.hi[1] - nodes.lo[1] >= 2
     e2w = np.zeros(len(nodes))
     e2w[on] = trunk.e2w
-    length_sq = np.zeros(len(nodes))
-    length_sq[on] = _squares(right[on] - left[on])
     parent = _parents(nodes, grid)
     # a descent from any ancestor reaches the rows whose parent holds two atoms
     reached = (nodes.hi - nodes.lo).sum(axis=0)[parent] >= 2
-    return _StopTable(nodes, left, right, parent, reached, e2w, length_sq)
+    return _StopTable(nodes, left, right, parent, reached, e2w)
 
 
 def build_stopping_data(
@@ -340,10 +332,10 @@ def build_stopping_data(
     table = _stop_table(sigma, w, grid)
     t = table.nodes
     absf = np.abs(f.values)
-    mpref = np.concatenate(([0.0], np.cumsum(sigma.masses_f)))
+    mpref = sigma._mass_prefix
     fpref = np.concatenate(([0.0], np.cumsum(absf * sigma.masses_f)))
     threshold = 10.0 * c0 * h_const**2
-    columns = (table.left, table.right, table.length_sq, table.e2w)
+    columns = (table.left, table.right, table.e2w)
 
     def avg_abs(lo: int, hi: int) -> float:
         mass = mpref[hi] - mpref[lo]
@@ -417,6 +409,10 @@ def quasi_norm(stopping: StoppingData, sigma: AtomicMeasure) -> float:
     return math.sqrt(float(np.sum(acc**2 * sigma.masses_f)))
 
 
+# the slack of uniformity_check's clauses (2) and (3)
+_UNIFORMITY_TOL = 1e-12
+
+
 def uniformity_check(
     f: WeightedFunction,
     spec: UniformitySpec,
@@ -424,7 +420,6 @@ def uniformity_check(
     w: AtomicMeasure,
     h_const: float,
     grid: DyadicGrid,
-    tol: float = 1e-12,
 ) -> tuple[bool, list[str]]:
     """The three uniformity clauses, quantified over grid intervals in i0.
 
@@ -446,10 +441,10 @@ def uniformity_check(
         lo, hi = _node_range(sigma, s)
         if hi - lo >= 2:
             vals = f.values[lo:hi]
-            if float(np.max(vals) - np.min(vals)) > tol * scale:
+            if float(np.max(vals) - np.min(vals)) > _UNIFORMITY_TOL * scale:
                 violations.append(f"f is not constant on {s}")
     absf = np.abs(f.values)
-    mpref = np.concatenate(([0.0], np.cumsum(sigma.masses_f)))
+    mpref = sigma._mass_prefix
     fpref = np.concatenate(([0.0], np.cumsum(absf * sigma.masses_f)))
 
     # every member lies inside i0 and the walk stops at the first one it
@@ -459,7 +454,7 @@ def uniformity_check(
         if (level, index) in s_keys or hi == lo:
             return False
         avg = (fpref[hi] - fpref[lo]) / (mpref[hi] - mpref[lo])
-        if avg > 1.0 + tol:
+        if avg > 1.0 + _UNIFORMITY_TOL:
             gi = GridInterval(grid, level, index)
             violations.append(f"average of |f| on {gi} is {avg:.6g} > 1")
         return True
@@ -661,7 +656,7 @@ def _bounded_average_constant(
     lo = table.lo[0, start:end][keep]
     hi = table.hi[0, start:end][keep]
     absf = np.abs(pf.values)
-    mpref = np.concatenate(([0.0], np.cumsum(sigma.masses_f)))
+    mpref = sigma._mass_prefix
     fpref = np.concatenate(([0.0], np.cumsum(absf * sigma.masses_f)))
     avg = (fpref[hi] - fpref[lo]) / (mpref[hi] - mpref[lo])
     # the running max of the pre-order walk, so ties and NaNs resolve as before

@@ -90,21 +90,18 @@ class DyadicGrid:
     def root_interval(self) -> "GridInterval":
         return GridInterval(self, 0, 0)
 
-    def intervals_at_level(self, level: int):
-        for k in range(1 << level):
-            yield GridInterval(self, level, k)
-
     def endpoint_slot(self, p: DyadicRational) -> int | None:
-        """The integer k with p = left0 + k * cell(depth), if there is one."""
-        q = p - self.left0
-        cell = self.cell(self.depth)
-        # q / cell = q.num * 2**cell.scale / (cell.num * 2**q.scale)
-        num = q.num << cell.scale
-        den = cell.num << q.scale
-        if num % den != 0:
+        """The integer k with p = left0 + k * cell(depth), if there is one.
+
+        On the lattice (n0, c, 2**s) of ``_lattice`` that is p 2**s =
+        n0 + 2 k c, which needs p.scale <= s: integers only.
+        """
+        n0, c, den = self._lattice
+        shift = den.bit_length() - 1 - p.scale
+        if shift < 0:
             return None
-        k = num // den
-        return k if 0 <= k <= (1 << self.depth) else None
+        k, rem = divmod((p.num << shift) - n0, 2 * c)
+        return k if rem == 0 and 0 <= k <= (1 << self.depth) else None
 
     def __repr__(self):
         return f"DyadicGrid(root={self.root}, depth={self.depth}, shift={self.shift})"

@@ -162,13 +162,6 @@ def _node_mass(mu: AtomicMeasure, gi: GridInterval) -> float:
     return float(mu._mass_prefix[hi] - mu._mass_prefix[lo])
 
 
-def _root_range(mu: AtomicMeasure, grid: DyadicGrid) -> tuple[int, int]:
-    lo, hi = _node_range(mu, grid.root_interval)
-    if hi - lo != mu.n_atoms:
-        raise PreconditionViolation("measure is not supported inside the grid root")
-    return lo, hi
-
-
 def _cut(
     pos: Sequence[float] | np.ndarray, grid: DyadicGrid, level: int, index: int, lo: int, hi: int
 ) -> int:
@@ -503,9 +496,8 @@ def expand(f: WeightedFunction, grid: DyadicGrid) -> HaarCoefficients:
     if mu.n_atoms == 0:
         raise ZeroMass("cannot expand over an empty measure")
     nodes = splitting_nodes(mu, grid)
-    m = mu.masses_f
-    fm = np.concatenate(([0.0], np.cumsum(f.values * m)))
-    mm = np.concatenate(([0.0], np.cumsum(m)))
+    fm = np.concatenate(([0.0], np.cumsum(f.values * mu.masses_f)))
+    mm = mu._mass_prefix
     coeffs: dict[tuple[int, int], float] = {}
     node_map: dict[tuple[int, int], _Node] = {}
     for n in nodes:
@@ -524,8 +516,7 @@ def expand(f: WeightedFunction, grid: DyadicGrid) -> HaarCoefficients:
 def reconstruct(hc: HaarCoefficients) -> WeightedFunction:
     """Sum the root mean and all coefficient * Haar terms back to atom values."""
     mu = hc.base
-    m = mu.masses_f
-    mm = np.concatenate(([0.0], np.cumsum(m)))
+    mm = mu._mass_prefix
     values = np.full(mu.n_atoms, hc.root_mean)
     for key, c in hc.coeffs.items():
         n = hc._nodes[key]
@@ -555,9 +546,8 @@ def _differences(f: WeightedFunction, nodes) -> tuple[list, list]:
     but raise on a zero divisor, which a half whose prefix masses cancel
     gives; then numpy's quotients are taken, as the scalar formula gives
     them."""
-    m = f.base.masses_f
-    fm = np.concatenate(([0.0], np.cumsum(f.values * m)))
-    mm = np.concatenate(([0.0], np.cumsum(m)))
+    fm = np.concatenate(([0.0], np.cumsum(f.values * f.base.masses_f)))
+    mm = f.base._mass_prefix
     try:
         return _half_differences(nodes, fm.tolist(), mm.tolist())
     except ZeroDivisionError:

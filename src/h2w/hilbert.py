@@ -343,6 +343,10 @@ def _squares(x: np.ndarray) -> np.ndarray:
 # lemma-ratio diagnostics
 
 
+# the mean-zero hypothesis: |integral of g dw| <= this times max(1, ||g||)
+_MEAN_ZERO_TOL = 1e-9
+
+
 @dataclass
 class LemmaInstance:
     """Configuration for one lemma-ratio evaluation.
@@ -363,7 +367,6 @@ class LemmaInstance:
     eps_delta: tuple[float, float] | None = None  # shared cutoff for the comparison
     x_points: np.ndarray | None = None
     grid: object = None
-    mean_zero_tol: float = 1e-9
     a2: float | None = None  # A2 of (sigma, w); computed when not given
 
 
@@ -428,7 +431,7 @@ def lemma_ratio(lemma_id: str, instance: LemmaInstance) -> tuple[float, float, f
         _require(outside == 0.0, "g must vanish outside I")
         _require(
             abs(float(np.sum(ins.g.values * ins.g.base.masses_f)))
-            <= ins.mean_zero_tol * max(1.0, ins.g.norm()),
+            <= _MEAN_ZERO_TOL * max(1.0, ins.g.norm()),
             "g must have zero w-integral on I",
         )
         mu_out = _restrict_between(ins.sigma, K, I)

@@ -240,7 +240,10 @@ class AtomicMeasure:
 
     @cached_property
     def _mass_prefix(self) -> np.ndarray:
-        return np.concatenate(([0.0], np.cumsum(self.masses_f)))
+        """0 and the running sums of the masses; shared, so read-only."""
+        prefix = np.concatenate(([0.0], np.cumsum(self.masses_f)))
+        prefix.flags.writeable = False
+        return prefix
 
     @cached_property
     def total_mass(self) -> float:
@@ -257,10 +260,6 @@ class AtomicMeasure:
         """Total mass carried inside the half-open interval."""
         lo, hi = self.index_range(i)
         return float(self._mass_prefix[hi] - self._mass_prefix[lo])
-
-    def count_on(self, i) -> int:
-        lo, hi = self.index_range(i)
-        return hi - lo
 
     def restrict(self, i) -> "AtomicMeasure":
         """The measure of the atoms inside the interval, masses unchanged."""
@@ -315,6 +314,8 @@ def scale_masses(mu: AtomicMeasure, t: float) -> AtomicMeasure:
 
 FAMILIES = ("uniform", "clusters", "lacunary")
 ALL_FAMILIES = FAMILIES + ("mixed",)
+# the range of the log-uniform atom masses
+_MASS_RANGE = (0.25, 4.0)
 
 
 def random_ensemble(
@@ -323,14 +324,13 @@ def random_ensemble(
     max_atoms: int,
     depth: int,
     family: str = "uniform",
-    mass_range: tuple[float, float] = (0.25, 4.0),
 ) -> list[tuple[AtomicMeasure, AtomicMeasure]]:
     """Deterministic list of (sigma, w) pairs supported in [0, 1).
 
     Positions sit at the centers (2s+1)/2**(depth+1) of the depth-level
     dyadic cells, so no atom ever coincides with a grid endpoint of depth
     <= depth, and sigma and w never share a position.  Masses are
-    log-uniform over ``mass_range``.  Families:
+    log-uniform over :data:`_MASS_RANGE`.  Families:
 
     - ``uniform``: slots drawn uniformly without replacement;
     - ``clusters``: sigma packed near 1/3, w packed near 5/6;
@@ -348,7 +348,7 @@ def random_ensemble(
             f"2*max_atoms = {2 * max_atoms} exceeds the {n_slots}-slot lattice at depth {depth}"
         )
     rng = np.random.default_rng(seed)
-    lo, hi = mass_range
+    lo, hi = _MASS_RANGE
     pairs = []
     for idx in range(count):
         fam = family if family != "mixed" else FAMILIES[idx % len(FAMILIES)]

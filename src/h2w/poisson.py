@@ -6,11 +6,13 @@ half-plane extension evaluated at (center, |I|) up to a factor in [1, 2]:
 dist(x, I) <= |x - center| <= dist(x, I) + |I|/2 squeezes the two kernels
 within that band.  No 1/pi normalization anywhere.
 
-Poisson testing is batched: :func:`poisson_testing` takes every test
-interval of one (sigma, mu) pair at once and builds the extension and dual
-kernel matrices of the pair once, with the same elementwise expressions and
-summation order as :func:`poisson_extension` and :func:`dual_poisson`, so
-each interval's result is bitwise the one it would get alone.
+Every Poisson kernel is evaluated here, by four batched helpers with one
+row per interval or point and one column per atom; a scalar entry point is
+a one-row call, and a row sum of a C-ordered array reduces as numpy reduces
+a 1-D one, so batching moves no bit.  The summed stationary and extension
+terms square |I| and t as Python floats (libm ``pow``, ``hilbert._squares``),
+the product kernel and the dual terms as numpy does (x * x), which differs
+in the last bit on some lengths.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import numpy as np
 
 from .grid import DyadicGrid, GridInterval, f_parent, is_good
 from .haar import WeightedFunction, expand, splitting_nodes
+from .hilbert import _squares
 from .measure import AtomicMeasure, _as_interval
 
 __all__ = [
@@ -39,28 +42,59 @@ __all__ = [
 ]
 
 
+def _stationary_terms(
+    lefts: np.ndarray, rights: np.ndarray, pos: np.ndarray, mass: np.ndarray
+) -> np.ndarray:
+    """m |I| / (|I|^2 + d^2) for the intervals [lefts, rights) by the atoms
+    (pos, mass), d the atom's distance to I; row sums are P."""
+    left, right = lefts[:, None], rights[:, None]
+    length = right - left
+    dist = np.maximum(0.0, np.maximum(left - pos, pos - right))
+    return mass * length / (_squares(length) + dist**2)
+
+
+def _product_kernel(lefts: np.ndarray, rights: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """|I| / (|I| |I| + d^2) for the intervals [lefts, rights) by the atoms
+    at ``pos``, built in place; its product with the masses is P."""
+    length = (rights - lefts)[:, None]
+    out = np.subtract(lefts[:, None], pos)
+    np.maximum(out, pos - rights[:, None], out=out)
+    np.maximum(out, 0.0, out=out)
+    np.square(out, out=out)
+    out += length * length
+    np.divide(length, out, out=out)
+    return out
+
+
+def _extension_terms(
+    xs: np.ndarray, ts: np.ndarray, pos: np.ndarray, mass: np.ndarray
+) -> np.ndarray:
+    """m t / (t^2 + (x - y)^2) for the half-plane points (xs, ts) by the
+    atoms (y, m) = (pos, mass); row sums are the extension."""
+    t = ts[:, None]
+    return mass * t / (_squares(t) + (xs[:, None] - pos) ** 2)
+
+
+def _dual_terms(
+    points: np.ndarray, xs: np.ndarray, ts: np.ndarray, mass: np.ndarray
+) -> np.ndarray:
+    """m t^2 / (t^2 + (x - x_q)^2) for the points x by the half-plane atoms
+    (x_q, t, m) = (xs, ts, mass); row sums are the dual operator."""
+    return mass * ts**2 / (ts**2 + (points[:, None] - xs) ** 2)
+
+
 def poisson_stationary(mu: AtomicMeasure, i) -> float:
     """P(mu, I): exact atom sum of |I| / (|I|^2 + dist(x, I)^2)."""
     iv = _as_interval(i)
-    if mu.n_atoms == 0:
-        return 0.0
-    return _poisson_sum(mu.positions_f, mu.masses_f, iv.left_f, iv.right_f)
-
-
-def _poisson_sum(positions: np.ndarray, masses: np.ndarray, left: float, right: float) -> float:
-    """P of the atoms (positions, masses) on [left, right), from its float endpoints."""
-    length = right - left
-    dist = np.maximum(0.0, np.maximum(left - positions, positions - right))
-    return float(np.sum(masses * length / (length**2 + dist**2)))
+    left, right = np.array([iv.left_f]), np.array([iv.right_f])
+    return float(_stationary_terms(left, right, mu.positions_f, mu.masses_f).sum())
 
 
 def poisson_extension(mu: AtomicMeasure, x: float, t: float) -> float:
     """The upper half-plane extension: atom sum of t / (t^2 + (x - y)^2)."""
     if t <= 0:
         raise ValueError("t must be positive")
-    if mu.n_atoms == 0:
-        return 0.0
-    return float(np.sum(mu.masses_f * t / (t**2 + (x - mu.positions_f) ** 2)))
+    return float(_extension_terms(np.array([x]), np.array([t]), mu.positions_f, mu.masses_f).sum())
 
 
 @dataclass(frozen=True)
@@ -112,13 +146,8 @@ class HalfPlaneMeasure:
 
 def dual_poisson(hp: HalfPlaneMeasure, box, x: float) -> float:
     """Dual operator: sum over atoms in the box of t^2/(t^2 + |x - xq|^2) mass."""
-    if hp.n_atoms == 0:
-        return 0.0
     mask = hp.box_mask(box)
-    t = hp.ts_f[mask]
-    xq = hp.xs_f[mask]
-    m = hp.masses_f[mask]
-    return float(np.sum(m * t**2 / (t**2 + (x - xq) ** 2)))
+    return float(_dual_terms(np.array([x]), hp.xs_f[mask], hp.ts_f[mask], hp.masses_f[mask]).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -224,19 +253,16 @@ def poisson_testing(
     a2_const times the boxed second moment.  Ratios are 0 when both sides
     vanish; a zero denominator with sides reported sets the flag.
 
-    Batched: the (mu x sigma) matrix of :func:`poisson_extension` terms and
-    the (sigma x mu) matrix of :func:`dual_poisson` terms are built once,
-    with the same elementwise expressions.  An interval then reads the
-    contiguous column slice of its sigma atoms from the first and one box
-    mask of the second, and every row sum reduces a contiguous row, so each
-    result is bitwise equal to evaluating its interval alone.
+    Batched: the (mu x sigma) extension terms and the (sigma x mu) dual
+    terms are built once.  An interval then reads the contiguous column
+    slice of its sigma atoms from the first and one box mask of the second,
+    and every row sum reduces a contiguous row, so each result is bitwise
+    equal to evaluating its interval alone.
     """
     pos, smass = sigma.positions_f, sigma.masses_f
     xs, ts, hmass = hp.xs_f, hp.ts_f, hp.masses_f
-    # heights squared one by one, as poisson_extension squares its scalar t
-    t_sq = np.array([t**2 for t in ts])
-    ext = smass[None, :] * ts[:, None] / (t_sq[:, None] + (xs[:, None] - pos[None, :]) ** 2)
-    dual = hmass * ts**2 / (ts**2 + (pos[:, None] - xs[None, :]) ** 2)
+    ext = _extension_terms(xs, ts, pos, smass)
+    dual = _dual_terms(pos, xs, ts, hmass)
     h_sq = h_const**2
 
     def _ratio(lhs, rhs):

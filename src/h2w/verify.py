@@ -90,6 +90,8 @@ from .params import (
     SUITE_R,
 )
 from .poisson import (
+    _extension_terms,
+    _stationary_terms,
     default_j_families,
     dual_poisson,
     mu_measure,
@@ -269,7 +271,7 @@ def suite_haar(ens: _Ensemble) -> _Suite:
             # telescoping at every charged interval
             m = mu.masses_f
             fp = np.concatenate(([0.0], np.cumsum(f.values * m)))
-            mp = np.concatenate(([0.0], np.cumsum(m)))
+            mp = mu._mass_prefix
             for n in occupied_nodes(mu, grid):
                 ej = (fp[n.hi] - fp[n.lo]) / (mp[n.hi] - mp[n.lo])
                 total = hc.root_mean
@@ -597,7 +599,7 @@ def suite_corona(ens: _Ensemble) -> _Suite:
                     if sd.alpha[F.key] < sd.alpha[G.key]:
                         inv_ok = False
         absf = np.abs(f.values)
-        mp = np.concatenate(([0.0], np.cumsum(sigma.masses_f)))
+        mp = sigma._mass_prefix
         fp = np.concatenate(([0.0], np.cumsum(absf * sigma.masses_f)))
         for n in occupied_nodes(sigma, grid):
             gi = GridInterval(grid, n.level, n.index)
@@ -684,27 +686,16 @@ def suite_corona(ens: _Ensemble) -> _Suite:
 def _stationary_and_extension(
     mu: AtomicMeasure, grid: DyadicGrid, nodes
 ) -> tuple[list[float], list[float]]:
-    """P(mu, I) and the extension of mu at (center, |I|) for each node I.
-
-    One (nodes x atoms) matrix per quantity, with the elementwise
-    expressions of ``_poisson_sum`` and :func:`poisson_extension` and each
-    per-node scalar squared as a Python float as they square it; every row
-    sum reduces one contiguous row, so each value is bitwise equal to the
-    per-interval call.
-    """
-    if not nodes:
-        return [], []
+    """P(mu, I) and the extension of mu at (center, |I|) for each node I,
+    each bitwise the per-interval call's: one matrix of
+    ``poisson._stationary_terms`` and one of ``poisson._extension_terms``."""
     pos, mass = mu.positions_f, mu.masses_f
-    left = np.array([grid.endpoint_f(n.level, n.index) for n in nodes])[:, None]
-    right = np.array([grid.endpoint_f(n.level, n.index + 1) for n in nodes])[:, None]
-    length = right - left
-    length_sq = np.array([[x**2] for x in length.ravel().tolist()])
-    dist = np.maximum(0.0, np.maximum(left - pos, pos - right))
-    stationary = (mass * length / (length_sq + dist**2)).sum(axis=1)
-    t = [grid.cell_f(n.level) for n in nodes]
-    t_sq = np.array([[x**2] for x in t])
-    center = np.array([grid.endpoint_f(n.level + 1, 2 * n.index + 1) for n in nodes])[:, None]
-    extension = (mass * np.array(t)[:, None] / (t_sq + (center - pos) ** 2)).sum(axis=1)
+    left = np.array([grid.endpoint_f(n.level, n.index) for n in nodes])
+    right = np.array([grid.endpoint_f(n.level, n.index + 1) for n in nodes])
+    stationary = _stationary_terms(left, right, pos, mass).sum(axis=1)
+    t = np.array([grid.cell_f(n.level) for n in nodes])
+    center = np.array([grid.endpoint_f(n.level + 1, 2 * n.index + 1) for n in nodes])
+    extension = _extension_terms(center, t, pos, mass).sum(axis=1)
     return stationary.tolist(), extension.tolist()
 
 

@@ -33,6 +33,14 @@ def rng():
     return np.random.default_rng(12345)
 
 
+def poisson_sum(positions, masses, left, right):
+    """P of the atoms (positions, masses) on [left, right) as the scalar
+    code computed it: |I| squared as a Python float (libm ``pow``)."""
+    length = right - left
+    dist = np.maximum(0.0, np.maximum(left - positions, positions - right))
+    return float(np.sum(masses * length / (length**2 + dist**2)))
+
+
 def oracle_cases(families=("uniform", "mixed", "clusters", "lacunary"), sizes=(8, 16, 32)):
     """Seeded pairs on two grids each, for comparisons against reference code.
 

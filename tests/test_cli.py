@@ -329,11 +329,17 @@ class TestOptionSets:
             ["sweep", "--count", "1", "--max-atoms", "5000"],
             ["gen", "--count", "1", "--max-atoms", "33", "--depth", "6"],
             ["verify", "all", "--count", "0"],
+            ["constants", GOLDEN_PAIR, "--refinement", "-3"],
+            ["constants", GOLDEN_PAIR, "--a2-refinement", "-5"],
+            ["decompose", GOLDEN_PAIR, "--refinement", "-1"],
+            ["sweep", "--count", "1", "--a2-refinement", "-1"],
+            ["verify", "all", "--count", "1", "--refinement", "-2"],
         ],
     )
     def test_out_of_range_value_exits_2(self, argv, capsys):
-        # each once ended in a traceback (exit 1), or, for --c0 0, in a
-        # calibration that never settled
+        # each once ended in a traceback (exit 1), in a calibration that
+        # never settled (--c0 0) or, for a refinement of -1 or -2, in a run
+        # that exited 0
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2

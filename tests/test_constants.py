@@ -16,6 +16,7 @@ from h2w.constants import (
     _a2_values,
     _class_bounds,
     _energy_on,
+    _nonneg_measure,
     _norm_bounds,
     _spectral_norms,
     _trunk_table,
@@ -40,6 +41,7 @@ from h2w.errors import (
 from h2w.grid import GridInterval, auto_grid
 from h2w.haar import (
     WeightedFunction,
+    _node_range,
     _run,
     charged_nodes,
     expand,
@@ -48,10 +50,10 @@ from h2w.haar import (
 )
 from h2w.hilbert import kernel_values, truncation_candidates
 from h2w.measure import AtomicMeasure, Interval, dilate, dyadic, random_ensemble, scale_masses
-from h2w.params import DEFAULT_REFINEMENT
-from h2w.poisson import poisson_stationary
+from h2w.params import DEFAULT_REFINEMENT, SUITE_BELOW_GAP, SUITE_EPS, SUITE_R
+from h2w.poisson import default_j_families, maximal_intervals, poisson_stationary
 
-from conftest import crafted_cases, oracle_cases, unit_grid
+from conftest import crafted_cases, oracle_cases, poisson_sum, unit_grid
 
 
 class TestNormConstant:
@@ -703,7 +705,8 @@ def _energy_identity_oracle(w, i):
     grid = i.grid
     e2 = energy(w, i)
     e2w = e2 * w.mass_on(i.interval)
-    if w.count_on(i.interval) == 0:
+    lo, hi = w.index_range(i.interval)
+    if hi == lo:
         return e2, e2w, 0.0
     hc = expand(WeightedFunction.identity(w), grid)
     total = 0.0
@@ -904,7 +907,57 @@ class TestEnergyConstantOracle:
                 assert (t, table.end[t]) == _run(nodes, grid, n.level, n.index), label
 
 
+def _functional_energy_loop(h, members, g_family, j_families):
+    """functional_energy_ratio's two sides with one scalar P per J*, as the
+    loop that the per-F batch replaced summed them."""
+    hs = _nonneg_measure(h)
+    lhs = g_norm_sq = 0.0
+    for F in members:
+        g = g_family.get(F.key)
+        if g is None:
+            continue
+        g_norm_sq += g.norm_sq()
+        for jstar in maximal_intervals(j_families.get(F.key, [])):
+            lo, hi = _node_range(g.base, jstar)
+            x, m = g.base.positions_f[lo:hi], g.base.masses_f[lo:hi]
+            pairing = float(np.sum(x / jstar.length_f * g.values[lo:hi] * m))
+            p = poisson_sum(hs.positions_f, hs.masses_f, jstar.left_f, jstar.right_f)
+            lhs += p * abs(pairing)
+    rhs = h.norm() * math.sqrt(g_norm_sq)
+    if rhs == 0.0:
+        return 0.0 if lhs == 0.0 else math.inf
+    return lhs / rhs
+
+
 class TestFunctionalEnergyRatio:
+    def test_batched_poisson_equals_per_jstar_loop(self, monkeypatch):
+        calls = []
+        real = constants.functional_energy_ratio
+
+        def spy(*args, **kwargs):
+            calls.append((args, kwargs))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(constants, "functional_energy_ratio", spy)
+        for _, sigma, w, grid in [*oracle_cases(), *crafted_cases()]:
+            compute_report(sigma, w, grid)
+            # the whole root as the one member: several maximal J* per F
+            root = grid.root_interval
+            fams = default_j_families([root], w, grid, SUITE_EPS, SUITE_R, SUITE_BELOW_GAP)
+            coeffs = expand(WeightedFunction.identity(w), grid).coeffs
+            vals = sum((coeffs[j.key] * haar_function(j, w).values for j in fams[root.key]), 0.0)
+            if np.any(vals != 0.0):
+                g = {root.key: WeightedFunction(w, vals)}
+                spy(WeightedFunction.constant(sigma), [root], g, grid, j_families=fams)
+        positive = several = 0
+        for (h, members, g_family, grid), kwargs in calls:
+            fams = kwargs["j_families"]
+            got = real(h, members, g_family, grid, **kwargs)
+            assert got == _functional_energy_loop(h, members, g_family, fams)
+            positive += got > 0
+            several += any(len(maximal_intervals(fams.get(F.key, []))) > 1 for F in members)
+        assert positive >= 40 and several >= 5
+
     def test_zero_family(self):
         sigma, w = random_ensemble(70, 1, 8, 10)[0]
         g = unit_grid(sigma, w, 10)

@@ -18,7 +18,11 @@ class TestBuild:
         sigma, w = _inside_pair(3)
         g = unit_grid(sigma, w, 3)
         for lev in range(4):
-            assert len(list(g.intervals_at_level(lev))) == 2**lev
+            cells = [g.interval(lev, k).interval for k in range(2**lev)]
+            assert [c.left for c in cells[1:]] == [c.right for c in cells[:-1]]
+            assert (cells[0].left, cells[-1].right) == (g.root.left, g.root.right)
+            with pytest.raises(ValueError):
+                g.interval(lev, 2**lev)
         assert g.interval(2, 1).interval == Interval(dyadic(1, 2), dyadic(1, 1))
 
     def test_children_partition_parent_exactly(self):

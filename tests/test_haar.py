@@ -11,7 +11,6 @@ from h2w.haar import (
     _endpoints,
     _node_table,
     _parents,
-    _root_range,
     _run,
     charged_nodes,
     node_table,
@@ -381,5 +380,3 @@ class TestNodeTable:
         grid = _grid_for(AtomicMeasure((dyadic(1, 7),), (1.0,)))
         with pytest.raises(PreconditionViolation, match="grid root"):
             node_table(sigma, grid)
-        with pytest.raises(PreconditionViolation, match="grid root"):
-            _root_range(sigma, grid)

@@ -25,7 +25,7 @@ from h2w.poisson import (
 )
 from h2w.verify import _stationary_and_extension
 
-from conftest import crafted_cases, oracle_cases, unit_grid
+from conftest import crafted_cases, oracle_cases, poisson_sum, unit_grid
 
 
 class TestStationary:
@@ -44,6 +44,59 @@ class TestStationary:
 
     def test_empty(self, unit_root):
         assert poisson_stationary(AtomicMeasure.empty(), unit_root) == 0.0
+
+
+def _pow_lengths(count):
+    """Odd numerators n < 2^53 whose length n / 2^60 squares to different
+    doubles under libm ``pow`` and x * x."""
+    rng = np.random.default_rng(3)
+    out = []
+    while len(out) < count:
+        n = int(rng.integers(1 << 52, 1 << 53)) | 1
+        x = n * 2.0**-60
+        if x**2 != x * x:
+            out.append(n)
+    return out
+
+
+class TestParentExpressions:
+    """The one-row calls against the scalar expressions they replaced, on
+    lengths whose two squares differ, so a summed form squared as x * x
+    fails."""
+
+    def test_stationary_is_the_scalar_sum(self):
+        moved = 0
+        for n in _pow_lengths(24):
+            # one atom inside I = [0, n / 2^60) and one at 2 |I|
+            mu = AtomicMeasure.from_triples([(n >> 1, 60, 1.5), (n, 59, 0.75)])
+            i = Interval(dyadic(0), dyadic(n, 60))
+            pos, mass, left, right = mu.positions_f, mu.masses_f, i.left_f, i.right_f
+            assert poisson_stationary(mu, i) == poisson_sum(pos, mass, left, right)
+            length = right - left
+            dist = np.maximum(0.0, np.maximum(left - pos, pos - right))
+            squared = float(np.sum(mass * length / (length * length + dist**2)))
+            moved += squared != poisson_sum(pos, mass, left, right)
+        assert moved >= 4
+
+    def test_extension_and_dual_are_the_scalar_sums(self):
+        moved = 0
+        mu = AtomicMeasure.from_triples([(1, 3, 1.0), (5, 4, 2.0), (7, 3, 0.5)])
+        ts = [n * 2.0**-60 for n in _pow_lengths(24)]
+        # centred on an atom, whose term t / t^2 keeps the square's last bit
+        xs = [mu.positions_f[k % 3] for k in range(len(ts))]
+        hp = HalfPlaneMeasure(tuple(xs), tuple(ts), (1.0,) * len(ts))
+        for x, t in zip(xs, ts):
+            want = float(np.sum(mu.masses_f * t / (t**2 + (x - mu.positions_f) ** 2)))
+            assert poisson_extension(mu, x, t) == want
+            wrong = float(np.sum(mu.masses_f * t / (t * t + (x - mu.positions_f) ** 2)))
+            moved += wrong != want
+        assert moved >= 4
+        box = Interval(dyadic(0), dyadic(1))
+        m = hp.box_mask(box)
+        t, xq = hp.ts_f[m], hp.xs_f[m]
+        for x in (0.0, 0.3, 0.5, 0.9, 2.0):
+            want = float(np.sum(hp.masses_f[m] * t**2 / (t**2 + (x - xq) ** 2)))
+            assert dual_poisson(hp, box, x) == want
 
 
 class TestExtension:
@@ -242,7 +295,7 @@ def _half_plane_cases():
     sigma = AtomicMeasure((dyadic(-3, 2), dyadic(-1, 56), dyadic(5, 3)), (1.0, 2.0, 0.5))
     w = AtomicMeasure((dyadic(-1, 3), dyadic(1, 57), dyadic(3, 1)), (1.5, 1.0, 0.25))
     grid = build_grid(Interval(dyadic(-2), dyadic(2)), 12, -dyadic(1, 55), sigma, w)
-    intervals = [gi for lev in range(1, 10) for gi in grid.intervals_at_level(lev)]
+    intervals = [grid.interval(lev, k) for lev in range(1, 10) for k in range(1 << lev)]
     edges = HalfPlaneMeasure(
         tuple(gi.center_f for gi in intervals),
         tuple(gi.length_f for gi in intervals),
