@@ -123,6 +123,7 @@ _DOMAINS = {
     "max_atoms": _AT_LEAST_ONE,
     "r": _AT_LEAST_ONE,
     "below_gap": _AT_LEAST_ONE,
+    "jobs": _AT_LEAST_ONE,
     "refinement": _AT_LEAST_ZERO,
     "a2_refinement": _AT_LEAST_ZERO,
     "eps": (lambda v: 0.0 < v < 0.5, "in (0, 1/2)"),
@@ -565,7 +566,9 @@ def _parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_poisson_test)
 
     p = add("sweep", help="per-pair constants over an ensemble (CSV)")
-    p.add_argument("--skip", type=int, default=0, help="resume after this many rows")
+    p.add_argument(
+        "--skip", type=_checked(int, _AT_LEAST_ZERO), default=0, help="resume after this many rows"
+    )
     p.set_defaults(func=cmd_sweep)
     return parser
 

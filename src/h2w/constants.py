@@ -28,7 +28,6 @@ testing_constant   exact supremum over intervals, jointly with the same
                    result is the full scan's bit for bit; each visited
                    class builds its own prefix sums, so the (T, n + 1, m)
                    prefix array is never built;
-testing_pair       both testing constants on one kernel scan;
 combined_constant  A2, both T, H = sqrt(A2) + T and the calibrated c0 of a
                    pair on one grid: the one H formula and c0 rule;
 pair_constants     N and the combined_constant chain, from one kernel scan;
@@ -59,8 +58,6 @@ from .grid import DyadicGrid, GridInterval, auto_grid, f_parent
 from .haar import (
     WeightedFunction,
     _endpoints,
-    _node_mass,
-    _node_range,
     _run,
     charged_nodes,
     expand,
@@ -70,7 +67,7 @@ from .haar import (
     splitting_nodes,
 )
 from .hilbert import _STACK_BLOCK, TruncationTable, _squares, kernel_stack, truncation_candidates
-from .measure import AtomicMeasure, has_common_point_mass, _as_interval
+from .measure import AtomicMeasure, has_common_point_mass
 from .params import (
     DEFAULT_A2_REFINEMENT,
     DEFAULT_C0,
@@ -89,7 +86,6 @@ __all__ = [
     "norm_constant",
     "a2_constant",
     "testing_constant",
-    "testing_pair",
     "combined_constant",
     "PairConstants",
     "pair_constants",
@@ -624,42 +620,16 @@ def _class_bounds(
     return ub
 
 
-def testing_pair(
-    sigma: AtomicMeasure,
-    w: AtomicMeasure,
-    refinement: int = DEFAULT_REFINEMENT,
-    *,
-    scan: KernelScan | None = None,
-) -> tuple[float, float]:
-    """Forward and backward testing constants on one kernel scan."""
-    if scan is None:
-        scan = kernel_scan(sigma, w, refinement)
-    return (
-        testing_constant(sigma, w, "forward", refinement, scan=scan),
-        testing_constant(sigma, w, "backward", refinement, scan=scan),
-    )
-
-
 def energy(w: AtomicMeasure, i) -> float:
     """E(w, I)^2: twice the normalized variance of position under w on I.
 
     Zero when I carries no mass or a single atom; never exceeds one.
     """
-    iv = _as_interval(i)
-    lo, hi = w.index_range(iv)
-    return _energy_on(w, lo, hi, iv.length_f)
-
-
-def _energy_on(w: AtomicMeasure, lo: int, hi: int, length: float) -> float:
-    """E(w, I)^2 for the atoms [lo, hi) of w in I, from the float length of I."""
+    lo, hi = w.index_range(i)
     if hi - lo <= 1:
         return 0.0
-    m = w.masses_f[lo:hi]
-    x = w.positions_f[lo:hi]
-    mass = float(np.sum(m))
-    mean = float(np.sum(x * m)) / mass
-    var = float(np.sum((x - mean) ** 2 * m)) / mass
-    return 2.0 * var / length**2
+    length_sq = _squares(np.array([i.right_f - i.left_f]))
+    return float(_energies(w, np.array([lo]), np.array([hi]), length_sq)[0])
 
 
 def energy_identity_sides(
@@ -720,10 +690,11 @@ def _trunk_table(w: AtomicMeasure, grid: DyadicGrid) -> _TrunkTable:
 
 
 def _energies(w: AtomicMeasure, lo: np.ndarray, hi: np.ndarray, length_sq: np.ndarray) -> np.ndarray:
-    """:func:`_energy_on` of each atom range [lo, hi), at least two atoms,
-    with |I|^2 = ``length_sq``, bit for bit: the ranges of one size are
-    gathered into the rows of one 2-D array, whose row sums numpy reduces
-    as it reduces a 1-D array."""
+    """E(w, I)^2 of each atom range [lo, hi), at least two atoms, with
+    |I|^2 = ``length_sq``: twice the w-variance of position over the range,
+    divided by |I|^2.  The ranges of one size are gathered into the rows of
+    one 2-D array, whose row sums numpy reduces as it reduces a 1-D array,
+    so a one-row call rounds as the whole table does."""
     size = hi - lo
     e2 = np.empty(len(lo))
     for k in np.unique(size).tolist():
@@ -795,7 +766,7 @@ def _nonneg_measure(h: WeightedFunction) -> AtomicMeasure:
 
 def _carleson_ratio(members, sigma: AtomicMeasure) -> float:
     """Max over members S of (sum of sigma(F) over members F inside S) / sigma(S)."""
-    masses = [_node_mass(sigma, F) for F in members]
+    masses = [sigma.mass_on(F) for F in members]
     worst = 0.0
     for S, s_mass in zip(members, masses):
         total = sum(m for F, m in zip(members, masses) if S.contains(F))
@@ -806,10 +777,8 @@ def _carleson_ratio(members, sigma: AtomicMeasure) -> float:
     return worst
 
 
-# random test functions f per compute_report, and the iterate of the
-# minimal-member map that must take each g_F Haar interval to its F
+# random test functions f per compute_report
 _FE_SAMPLES = 2
-_FE_PARENT_STEPS = 1
 
 
 def functional_energy_ratio(
@@ -829,8 +798,8 @@ def functional_energy_ratio(
     J* attached to F, P(h sigma, J*) |<x/|J*|, g_F restricted to J*>|; the
     right side is ||h|| (sum ||g_F||^2)^(1/2).  The family must satisfy the
     Carleson packing bound with constant 2 and each g_F must have Haar
-    support among intervals whose :data:`_FE_PARENT_STEPS`-fold
-    minimal-member parent is F, at least ``below_gap`` levels down;
+    support among intervals whose minimal-member parent
+    (:func:`~h2w.grid.f_parent`) is F, at least ``below_gap`` levels down;
     violations raise.
     """
     from .errors import AdaptednessViolation
@@ -843,6 +812,7 @@ def functional_energy_ratio(
         raise PreconditionViolation(
             f"family is not Carleson with constant 2 (ratio {ratio:.3f})"
         )
+    keys = frozenset(F.key for F in members)
     offenders = []
     for F in members:
         g = g_family.get(F.key)
@@ -853,13 +823,8 @@ def functional_energy_ratio(
             if abs(c) <= tiny:
                 continue
             J = GridInterval(grid, lev, idx)
-            parent = f_parent(J, members, s=_FE_PARENT_STEPS)
-            ok = (
-                parent is not None
-                and parent.key == F.key
-                and F.contains(J)
-                and J.level - F.level >= below_gap
-            )
+            parent = f_parent(J, keys)
+            ok = parent is not None and parent.key == F.key and J.level - F.level >= below_gap
             if not ok:
                 offenders.append((F.key, J.key, c))
     if offenders:
@@ -888,7 +853,7 @@ def functional_energy_ratio(
         rights = np.array([j.right_f for j in jstars])
         poisson = _stationary_terms(lefts, rights, h_pos, h_mass).sum(axis=1).tolist()
         for jstar, p in zip(jstars, poisson):
-            lo, hi = _node_range(g.base, jstar)
+            lo, hi = g.base.index_range(jstar)
             pairing = float(
                 np.sum(
                     g.base.positions_f[lo:hi]
@@ -942,7 +907,10 @@ def combined_constant(
     from .corona import calibrate_c0  # deferred: corona builds on this module
 
     # testing first: a pair too large for its kernel scan stops before A2
-    t_fwd, t_bwd = testing_pair(sigma, w, refinement, scan=scan)
+    if scan is None:
+        scan = kernel_scan(sigma, w, refinement)
+    t_fwd = testing_constant(sigma, w, "forward", refinement, scan=scan)
+    t_bwd = testing_constant(sigma, w, "backward", refinement, scan=scan)
     a2 = a2_constant(sigma, w, a2_refinement)
     h_const = math.sqrt(a2) + max(t_fwd, t_bwd)
     if sigma.n_atoms >= 2 and w.n_atoms >= 1 and h_const > 0:

@@ -18,8 +18,8 @@ the sigma table's subtree rows; ``uniformity_check`` walks the grid itself
 (``haar._descend``), so it checks that constant independently.
 
 A :class:`StoppingData` walks each splitting node up to its minimal member
-once per measure (``corona_nodes``, on the one walk ``pi_key`` that ``pi``
-uses too), so a corona projection reads its pre-order group.  The bilinear
+once per measure (``corona_nodes``, on ``grid.minimal_member``), so a
+corona projection reads its pre-order group.  The bilinear
 form takes every node's differences at once, skips a source node whose
 differences both vanish, and visits under each other source node only the
 pre-order run of target nodes inside it (``haar._run``), in the order of
@@ -36,7 +36,7 @@ import numpy as np
 
 from .constants import _carleson_ratio, _trunk_table
 from .errors import PreconditionViolation
-from .grid import DyadicGrid, GridInterval
+from .grid import DyadicGrid, GridInterval, minimal_member
 from .haar import (
     NodeTable,
     Ranges,
@@ -44,8 +44,6 @@ from .haar import (
     _descend,
     _differences,
     _endpoints,
-    _node_mass,
-    _node_range,
     _node_table,
     _parents,
     _run,
@@ -93,18 +91,7 @@ class StoppingData:
     def pi_key(self, level: int, index: int) -> tuple[int, int] | None:
         """(level, index) of the minimal member containing grid interval
         (level, index), itself when it is a member; None outside the family."""
-        keys = self.member_keys
-        while True:
-            if (level, index) in keys:
-                return level, index
-            if level == 0:
-                return None
-            level, index = level - 1, index // 2
-
-    def pi(self, i: GridInterval) -> GridInterval | None:
-        """Minimal member containing i (i itself when i is a member)."""
-        key = self.pi_key(i.level, i.index)
-        return None if key is None else GridInterval(self.root.grid, *key)
+        return minimal_member(self.member_keys, level, index)
 
     def corona_nodes(self, mu: AtomicMeasure) -> dict[tuple[int, int], tuple]:
         """The splitting nodes of mu grouped by their minimal member, each
@@ -197,7 +184,7 @@ def _energy_stops(
     start, end = _subtree(t, i0.level, i0.index)
     rows = np.arange(start + 1, end)
     columns = (table.left, table.right, table.e2w)
-    top = _node_range(sigma, i0)
+    top = sigma.index_range(i0)
     lhs, sigma_mass = _energy_sides(columns, rows, t.lo[0, rows], t.hi[0, rows], sigma, top)
 
     def stops(threshold: float) -> list[int]:
@@ -250,7 +237,7 @@ def calibrate_c0(
     sigma(i0)/10.  The selected union shrinks as c0 grows, so this ends.
     Each doubling compares the same two sides of each row's test."""
     t, stops = _energy_stops(i0, sigma, w, h_const, grid)
-    budget = _node_mass(sigma, i0) / 10.0
+    budget = sigma.mass_on(i0) / 10.0
     prefix = sigma._mass_prefix
     c0 = start
     for _ in range(200):
@@ -326,7 +313,7 @@ def build_stopping_data(
         raise PreconditionViolation("f must live over sigma")
     if f.norm() == 0.0:
         raise PreconditionViolation("f must be nonzero")
-    lo0, hi0 = _node_range(sigma, i0)
+    lo0, hi0 = sigma.index_range(i0)
     if hi0 - lo0 == 0:
         raise PreconditionViolation("f must be supported on i0")
     table = _stop_table(sigma, w, grid)
@@ -404,7 +391,7 @@ def quasi_norm(stopping: StoppingData, sigma: AtomicMeasure) -> float:
     """Exact sigma-norm of the overlapping sum of alpha(F) indicators."""
     acc = np.zeros(sigma.n_atoms)
     for F in stopping.members:
-        lo, hi = _node_range(sigma, F)
+        lo, hi = sigma.index_range(F)
         acc[lo:hi] += stopping.alpha[F.key]
     return math.sqrt(float(np.sum(acc**2 * sigma.masses_f)))
 
@@ -438,7 +425,7 @@ def uniformity_check(
             violations.append(f"energy stop {F} escapes the exceptional family")
     scale = max(1.0, float(np.max(np.abs(f.values))) if f.base.n_atoms else 1.0)
     for s in spec.s_family:
-        lo, hi = _node_range(sigma, s)
+        lo, hi = sigma.index_range(s)
         if hi - lo >= 2:
             vals = f.values[lo:hi]
             if float(np.max(vals) - np.min(vals)) > _UNIFORMITY_TOL * scale:
@@ -459,7 +446,7 @@ def uniformity_check(
             violations.append(f"average of |f| on {gi} is {avg:.6g} > 1")
         return True
 
-    _descend((sigma,), grid, spec.i0, (_node_range(sigma, spec.i0),), visit)
+    _descend((sigma,), grid, spec.i0, (sigma.index_range(spec.i0),), visit)
     return (not violations), violations
 
 
@@ -628,7 +615,7 @@ def local_estimate_ratios(
             continue
         scale = 1.0 / (cF * aF)
         fu = pf * scale
-        denom = (math.sqrt(_node_mass(sigma, F)) + fu.norm()) * qg.norm()
+        denom = (math.sqrt(sigma.mass_on(F)) + fu.norm()) * qg.norm()
         if denom == 0.0:
             continue
         out.append(abs(_b_form(fu, qg, grid, below_gap, prefix())) / denom)

@@ -255,35 +255,26 @@ def is_good(j: GridInterval, eps: float, r: int) -> bool:
     return True
 
 
-def f_parent(
-    i: GridInterval,
-    f_family,
-    s: int = 1,
-) -> GridInterval | None:
-    """The s-fold iterate of the minimal-containing-member map.
-
-    For an interval outside the family the first step takes the minimal
-    member containing it (so a member maps to itself only when asked from
-    outside); for a member the step takes the smallest member strictly
-    containing it.  Returns None as soon as an iterate leaves the family.
+def minimal_member(keys, level: int, index: int) -> tuple[int, int] | None:
+    """The key of the smallest member containing grid interval (level,
+    index), itself when it is a member; None when no member contains it
+    (level -1, above the root, holds none).  ``keys`` holds the members'
+    (level, index) keys; this ancestor walk is the one member lookup.
     """
-    if s < 1:
-        raise ValueError("s must be at least 1")
-    keys = {m.key for m in f_family}
-    grid = i.grid
-    current = i
-    for _ in range(s):
-        start = current.level - 1 if current.key in keys else current.level
-        found = None
-        for lev in range(start, -1, -1):
-            anc = current.ancestor(lev)
-            if anc.key in keys:
-                found = anc
-                break
-        if found is None:
+    while (level, index) not in keys:
+        if level <= 0:
             return None
-        current = found
-    return current
+        level, index = level - 1, index >> 1
+    return level, index
+
+
+def f_parent(i: GridInterval, keys) -> GridInterval | None:
+    """The minimal member containing i of the family with member ``keys``:
+    for a member, the smallest member strictly containing it.  None when
+    there is none."""
+    up = 1 if i.key in keys else 0  # a member's step starts at its parent
+    key = minimal_member(keys, i.level - up, i.index >> up)
+    return None if key is None else GridInterval(i.grid, *key)
 
 
 @lru_cache(maxsize=4096)

@@ -107,7 +107,7 @@ class WeightedFunction:
 
     def restrict(self, i) -> "WeightedFunction":
         """Multiply by the indicator of the interval."""
-        lo, hi = self.base.index_range(_as_interval(i))
+        lo, hi = self.base.index_range(i)
         v = np.zeros_like(self.values)
         v[lo:hi] = self.values[lo:hi]
         return WeightedFunction(self.base, v)
@@ -120,11 +120,10 @@ def inner(f: WeightedFunction, g: WeightedFunction) -> float:
 
 def expectation(f: WeightedFunction, i) -> float:
     """The normalized average of f over the interval; ZeroMass if uncharged."""
-    iv = _as_interval(i)
-    lo, hi = f.base.index_range(iv)
+    lo, hi = f.base.index_range(i)
     mass = float(np.sum(f.base.masses_f[lo:hi]))
     if mass <= 0.0:
-        raise ZeroMass(f"interval {iv} carries no mass")
+        raise ZeroMass(f"interval {_as_interval(i)} carries no mass")
     return float(np.sum(f.values[lo:hi] * f.base.masses_f[lo:hi])) / mass
 
 
@@ -145,21 +144,6 @@ class _Node(NamedTuple):
 
 
 Ranges = tuple[tuple[int, int], ...]
-
-
-def _node_range(mu: AtomicMeasure, gi: GridInterval) -> tuple[int, int]:
-    """``mu.index_range(gi.interval)`` from the exact endpoint floats."""
-    grid, pos = gi.grid, mu.positions_f
-    return (
-        int(np.searchsorted(pos, grid.endpoint_f(gi.level, gi.index))),
-        int(np.searchsorted(pos, grid.endpoint_f(gi.level, gi.index + 1))),
-    )
-
-
-def _node_mass(mu: AtomicMeasure, gi: GridInterval) -> float:
-    """``mu.mass_on(gi.interval)`` without building the interval."""
-    lo, hi = _node_range(mu, gi)
-    return float(mu._mass_prefix[hi] - mu._mass_prefix[lo])
 
 
 def _cut(
@@ -429,7 +413,7 @@ def _split(mu: AtomicMeasure, i: GridInterval) -> tuple[int, int, int]:
     """Atom indices (lo, cut, hi): [lo, cut) in the left half of i and
     [cut, hi) in the right, cut as the node lists cut; a depth-level cell
     does not split (cut == hi)."""
-    lo, hi = _node_range(mu, i)
+    lo, hi = mu.index_range(i)
     if i.level >= i.grid.depth:
         return lo, hi, hi
     return lo, _cut(mu.positions_f, i.grid, i.level, i.index, lo, hi), hi

@@ -377,7 +377,7 @@ def _require(cond: bool, message: str):
 
 def _restrict_between(sigma: AtomicMeasure, outer, inner) -> AtomicMeasure:
     """Atoms of sigma inside outer but outside inner."""
-    return sigma.restrict(_as_interval(outer)).restrict_complement(_as_interval(inner))
+    return sigma.restrict(outer).restrict_complement(inner)
 
 
 def _alpha_below(sigma: AtomicMeasure, g: WeightedFunction) -> float:

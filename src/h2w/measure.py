@@ -250,8 +250,9 @@ class AtomicMeasure:
         return float(self._mass_prefix[-1])
 
     def index_range(self, i) -> tuple[int, int]:
-        """Indices [lo, hi) of atoms with left <= position < right."""
-        i = _as_interval(i)
+        """Indices [lo, hi) of atoms with left <= position < right, from the
+        endpoint floats of an ``Interval`` or a ``GridInterval`` (both the
+        correctly rounded values of the exact endpoints)."""
         lo = int(np.searchsorted(self.positions_f, i.left_f, side="left"))
         hi = int(np.searchsorted(self.positions_f, i.right_f, side="left"))
         return lo, hi

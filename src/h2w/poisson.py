@@ -85,8 +85,7 @@ def _dual_terms(
 
 def poisson_stationary(mu: AtomicMeasure, i) -> float:
     """P(mu, I): exact atom sum of |I| / (|I|^2 + dist(x, I)^2)."""
-    iv = _as_interval(i)
-    left, right = np.array([iv.left_f]), np.array([iv.right_f])
+    left, right = np.array([i.left_f]), np.array([i.right_f])
     return float(_stationary_terms(left, right, mu.positions_f, mu.masses_f).sum())
 
 
@@ -169,11 +168,10 @@ def default_j_families(
     intervals where the w-Haar function exists are kept, since nothing else
     contributes to the projections.
     """
-    members = list(family)
-    out: dict[tuple[int, int], list[GridInterval]] = {m.key: [] for m in members}
+    out: dict[tuple[int, int], list[GridInterval]] = {m.key: [] for m in family}
     for n in splitting_nodes(w, grid):
         J = GridInterval(grid, n.level, n.index)
-        parent = f_parent(J, members, s=1)
+        parent = f_parent(J, out)  # out's keys are the family's
         if parent is None:
             continue
         if J.level - parent.level < below_gap:
@@ -272,9 +270,8 @@ def poisson_testing(
 
     out: list[PoissonTestResult] = []
     for gi in intervals:
-        left = gi.grid.endpoint_f(gi.level, gi.index)
-        right = gi.grid.endpoint_f(gi.level, gi.index + 1)
-        lo, hi = np.searchsorted(pos, (left, right)).tolist()
+        left, right = gi.left_f, gi.right_f
+        lo, hi = sigma.index_range(gi)
         fwd_lhs = 0.0
         if hp.n_atoms and hi > lo:
             fwd_lhs = float(np.sum(ext[:, lo:hi].sum(axis=1) ** 2 * hmass))
@@ -320,7 +317,7 @@ def poisson_local_comparison(
         raise PreconditionViolation("j must be strictly inside i")
     if not i0.contains(i):
         raise PreconditionViolation("i must lie inside i0")
-    holes = sigma.restrict(i0.interval).restrict_complement(i.interval)
+    holes = sigma.restrict(i0).restrict_complement(i)
     lhs = j.length_f ** (2 * eps - 1) * poisson_stationary(holes, j)
     rhs = i.length_f ** (2 * eps - 1) * poisson_stationary(holes, i)
     return lhs, rhs

@@ -55,7 +55,6 @@ from .corona import (
 from .grid import DyadicGrid, GridInterval, auto_grid, build_grid, good_levels_scan, is_good
 from .haar import (
     WeightedFunction,
-    _node_mass,
     corona_projection,
     expand,
     good_projection,
@@ -449,7 +448,7 @@ def suite_lemmas(ens: _Ensemble) -> _Suite:
         h_j = haar_function(gi, w)
         if h_j is None:
             continue
-        sig_out = sigma.restrict(K.interval).restrict_complement(gi.interval)
+        sig_out = sigma.restrict(K).restrict_complement(gi)
         if sig_out.n_atoms == 0:
             continue
         inst = LemmaInstance(
@@ -469,7 +468,7 @@ def suite_lemmas(ens: _Ensemble) -> _Suite:
             jj = GridInterval(grid, nj.level, nj.index)
             anc = jj.ancestor(jj.level - cfg.below_gap)
             hj2 = haar_function(jj, w)
-            holes = sigma.restrict(K.interval).restrict_complement(anc.interval)
+            holes = sigma.restrict(K).restrict_complement(anc)
             if hj2 is None or holes.n_atoms == 0:
                 continue
             rng = np.random.default_rng(cfg.seed + idx)
@@ -585,7 +584,7 @@ def suite_corona(ens: _Ensemble) -> _Suite:
         if h <= 0:
             continue
         chosen = energy_stopping_intervals(grid.root_interval, sigma, w, h, c0, grid)
-        chosen_mass = sum(sigma.mass_on(F.interval) for F in chosen)
+        chosen_mass = sum(sigma.mass_on(F) for F in chosen)
         if chosen_mass > sigma.total_mass / 10.0:
             mass_ok = False
             replay = _replay(cfg, sigma, w, idx, "energy stopping mass")
@@ -602,13 +601,13 @@ def suite_corona(ens: _Ensemble) -> _Suite:
         mp = sigma._mass_prefix
         fp = np.concatenate(([0.0], np.cumsum(absf * sigma.masses_f)))
         for n in occupied_nodes(sigma, grid):
-            gi = GridInterval(grid, n.level, n.index)
-            pi = sd.pi(gi)
-            if pi is None:
+            member = sd.pi_key(n.level, n.index)
+            if member is None:
                 continue
             avg = (fp[n.hi] - fp[n.lo]) / (mp[n.hi] - mp[n.lo])
-            if avg > 10.0 * sd.alpha[pi.key]:
+            if avg > 10.0 * sd.alpha[member]:
                 inv_ok = False
+                gi = GridInterval(grid, n.level, n.index)
                 replay = _replay(cfg, sigma, w, idx, f"avg bound at {gi}")
         carleson_worst = max(carleson_worst, carleson_check(sd, sigma))
         s.record_max("quasi_norm_ratio_max", quasi_norm(sd, sigma) / f.norm())
@@ -737,7 +736,7 @@ def suite_poisson(ens: _Ensemble) -> _Suite:
         j_fams = default_j_families(sd.members, w, grid, cfg.eps, cfg.r, cfg.below_gap)
         hp = mu_measure(sd.members, w, grid, j_fams)
         for mass, (fkey, jkey) in zip(hp.masses, hp.tags):
-            if mass > 2.0 * _node_mass(w, GridInterval(grid, *jkey)) * (1 + 1e-12):
+            if mass > 2.0 * w.mass_on(GridInterval(grid, *jkey)) * (1 + 1e-12):
                 mass_ok = False
                 replay = _replay(cfg, sigma, w, idx, f"mu mass at {jkey}")
         if hp.n_atoms:

@@ -41,6 +41,19 @@ def poisson_sum(positions, masses, left, right):
     return float(np.sum(masses * length / (length**2 + dist**2)))
 
 
+def pow_lengths(count):
+    """Odd numerators n < 2^53 whose length n / 2^60 squares to different
+    doubles under libm ``pow`` and x * x."""
+    rng = np.random.default_rng(3)
+    out = []
+    while len(out) < count:
+        n = int(rng.integers(1 << 52, 1 << 53)) | 1
+        x = n * 2.0**-60
+        if x**2 != x * x:
+            out.append(n)
+    return out
+
+
 def oracle_cases(families=("uniform", "mixed", "clusters", "lacunary"), sizes=(8, 16, 32)):
     """Seeded pairs on two grids each, for comparisons against reference code.
 
@@ -91,3 +104,21 @@ def shifted_pair():
     w = AtomicMeasure((dyadic(-1, 3), dyadic(1, 57), dyadic(3, 1)), (1.5, 1.0, 0.25))
     root = Interval(dyadic(-2), dyadic(2))
     return sigma, w, build_grid(root, 12, -dyadic(1, 55), sigma, w)
+
+
+def shifted_grids(exponents=(20, 1100), sizes=(8, 32)):
+    """Seeded mixed pairs inside [0, 1) on the unit-root grid of depth 10
+    and on the depth-13 grid over [-2, 2) shifted by -2^-e for each
+    exponent e.  At e = 1100 the grid's left end has no double and the
+    endpoint next to 0 rounds to -0.0; the pair of :func:`shifted_pair`
+    comes last."""
+    from h2w.measure import random_ensemble
+
+    root = Interval(dyadic(-2), dyadic(2))
+    for n in sizes:
+        for k, (sigma, w) in enumerate(random_ensemble(800 + n, 2, n, 10, family="mixed")):
+            yield f"mixed-{n}-{k}-unit", sigma, w, unit_grid(sigma, w, 10)
+            for e in exponents:
+                grid = build_grid(root, 13, -dyadic(1, e), sigma, w)
+                yield f"mixed-{n}-{k}-shift-2^-{e}", sigma, w, grid
+    yield ("shifted", *shifted_pair())

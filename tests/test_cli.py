@@ -334,11 +334,15 @@ class TestOptionSets:
             ["decompose", GOLDEN_PAIR, "--refinement", "-1"],
             ["sweep", "--count", "1", "--a2-refinement", "-1"],
             ["verify", "all", "--count", "1", "--refinement", "-2"],
+            ["sweep", "--count", "2", "--max-atoms", "4", "--skip", "-1"],
+            ["sweep", "--count", "1", "--max-atoms", "4", "--jobs", "0"],
+            ["sweep", "--count", "1", "--max-atoms", "4", "--jobs", "-4"],
         ],
     )
     def test_out_of_range_value_exits_2(self, argv, capsys):
         # each once ended in a traceback (exit 1), in a calibration that
-        # never settled (--c0 0) or, for a refinement of -1 or -2, in a run
+        # never settled (--c0 0) or, for a refinement of -1 or -2, a --skip
+        # of -1 (rows appended with no header) or a --jobs below 1, in a run
         # that exited 0
         with pytest.raises(SystemExit) as exc:
             main(argv)

@@ -15,7 +15,6 @@ from h2w.constants import (
     _a2_candidates,
     _a2_values,
     _class_bounds,
-    _energy_on,
     _nonneg_measure,
     _norm_bounds,
     _spectral_norms,
@@ -31,7 +30,6 @@ from h2w.constants import (
     pair_constants,
 )
 from h2w.constants import testing_constant as t_constant
-from h2w.constants import testing_pair as t_pair
 from h2w.errors import (
     AdaptednessViolation,
     CommonPointMass,
@@ -41,7 +39,6 @@ from h2w.errors import (
 from h2w.grid import GridInterval, auto_grid
 from h2w.haar import (
     WeightedFunction,
-    _node_range,
     _run,
     charged_nodes,
     expand,
@@ -53,7 +50,7 @@ from h2w.measure import AtomicMeasure, Interval, dilate, dyadic, random_ensemble
 from h2w.params import DEFAULT_REFINEMENT, SUITE_BELOW_GAP, SUITE_EPS, SUITE_R
 from h2w.poisson import default_j_families, maximal_intervals, poisson_stationary
 
-from conftest import crafted_cases, oracle_cases, poisson_sum, unit_grid
+from conftest import crafted_cases, oracle_cases, poisson_sum, shifted_grids, unit_grid
 
 
 class TestNormConstant:
@@ -605,10 +602,9 @@ class TestTestingConstant:
         for sigma, w in random_ensemble(76, 6, 24, 12, family="mixed"):
             scan = kernel_scan(sigma, w)
             assert norm_constant(sigma, w, scan=scan) == norm_constant(sigma, w)
-            assert t_pair(sigma, w, scan=scan) == (
-                t_constant(sigma, w, "forward"),
-                t_constant(sigma, w, "backward"),
-            )
+            for direction in ("forward", "backward"):
+                got = t_constant(sigma, w, direction, scan=scan)
+                assert got == t_constant(sigma, w, direction)
 
 
 def _peak_bytes(fn):
@@ -631,7 +627,12 @@ class TestMemory:
 
     def test_testing_builds_prefixes_on_demand(self, pair):
         scan = kernel_scan(*pair)
-        assert _peak_bytes(lambda: t_pair(*pair, scan=scan)) < 8 << 20
+
+        def both():
+            for direction in ("forward", "backward"):
+                t_constant(*pair, direction, scan=scan)
+
+        assert _peak_bytes(both) < 8 << 20
 
     def test_norm_scales_on_demand(self, pair):
         # a whole scaled copy of the 21.9 MB kernel stack is never built
@@ -688,6 +689,19 @@ class TestEnergy:
         e2 = energy(two_atom_w, g.root_interval)
         _, _, haar_sum = energy_identity_sides(two_atom_w, g)[0, 0]
         assert abs(e2 - haar_sum) > 0.1
+
+    def test_equals_scalar_oracle(self):
+        # grid intervals and their exact Intervals, on shifted grids too
+        count = 0
+        for label, _, w, grid in shifted_grids():
+            for n in charged_nodes(w, grid):
+                gi = GridInterval(grid, n.level, n.index)
+                iv = gi.interval
+                want = _energy_on(w, *w.index_range(iv), iv.length_f)
+                assert energy(w, gi) == want, (label, gi)
+                assert energy(w, iv) == want, (label, gi)
+                count += want > 0.0
+        assert count > 200
 
     def test_identity_sides_match_oracle(self):
         for label, _, w, grid in [*oracle_cases(), *crafted_cases()]:
@@ -814,6 +828,19 @@ def _energy_constant_oracle(sigma, w, grid):
     return math.sqrt(best_overall)
 
 
+def _energy_on(w, lo, hi, length):
+    """E(w, I)^2 of the atoms [lo, hi) of w in I as the scalar code computed
+    it: sums of 1-D slices, |I| squared as a Python float (libm ``pow``)."""
+    if hi - lo <= 1:
+        return 0.0
+    m = w.masses_f[lo:hi]
+    x = w.positions_f[lo:hi]
+    mass = float(np.sum(m))
+    mean = float(np.sum(x * m)) / mass
+    var = float(np.sum((x - mean) ** 2 * m)) / mass
+    return 2.0 * var / length**2
+
+
 def _energy_constant_occupied(sigma, w, grid):
     """The occupied-node loop the trunk-table one replaced: every sigma-
     occupied node, its trunk run found by bisection, E^2 w recomputed."""
@@ -918,7 +945,7 @@ def _functional_energy_loop(h, members, g_family, j_families):
             continue
         g_norm_sq += g.norm_sq()
         for jstar in maximal_intervals(j_families.get(F.key, [])):
-            lo, hi = _node_range(g.base, jstar)
+            lo, hi = g.base.index_range(jstar)
             x, m = g.base.positions_f[lo:hi], g.base.masses_f[lo:hi]
             pairing = float(np.sum(x / jstar.length_f * g.values[lo:hi] * m))
             p = poisson_sum(hs.positions_f, hs.masses_f, jstar.left_f, jstar.right_f)

@@ -8,6 +8,8 @@ from h2w.constants import energy
 from h2w.corona import (
     StoppingData,
     _bounded_average_constant,
+    _energy_sides,
+    _stop_table,
     UniformitySpec,
     b_above,
     build_stopping_data,
@@ -41,7 +43,15 @@ from h2w.measure import AtomicMeasure, Interval, dyadic, random_ensemble
 from h2w.params import SUITE_BELOW_GAP, SUITE_EPS, SUITE_R
 from h2w.poisson import poisson_stationary
 
-from conftest import crafted_cases, oracle_cases, shifted_pair, unit_grid
+from conftest import (
+    crafted_cases,
+    oracle_cases,
+    poisson_sum,
+    pow_lengths,
+    shifted_grids,
+    shifted_pair,
+    unit_grid,
+)
 
 
 def _h_const(sigma, w):
@@ -153,8 +163,7 @@ class TestStoppingData:
                     avg = float(
                         np.sum(absf[lo:hi] * sigma.masses_f[lo:hi])
                     ) / sigma.mass_on(gi.interval)
-                    pi = sd.pi(gi)
-                    assert avg <= 10.0 * sd.alpha[pi.key]
+                    assert avg <= 10.0 * sd.alpha[sd.pi_key(lev, k)]
 
     def test_zero_function_rejected(self):
         sigma, w, grid, _, _ = _instance(95)
@@ -731,6 +740,62 @@ class TestAtomRangeWalksMatchOracles:
                     assert calibrate_c0(i0, sigma, w, h, grid, start=start) == want, label
                     several += doublings >= 3
         assert several >= 10
+
+
+def _stop_lhs_oracle(columns, rows, sigma, top):
+    """The energy-stopping left side of each row as the scalar code forms
+    it: P(sigma_0, I) of one 1-D row, |I| squared with libm ``pow``, then
+    P * P * E^2 w(I); -inf where E^2 w(I) is 0."""
+    left, right, e2w = columns
+    pos, mass = sigma.positions_f[top[0] : top[1]], sigma.masses_f[top[0] : top[1]]
+    out = []
+    for r in rows.tolist():
+        p = poisson_sum(pos, mass, left[r], right[r])
+        out.append(p * p * e2w[r] if e2w[r] != 0.0 else -math.inf)
+    return out
+
+
+class TestEnergySidesBits:
+    """The P of the energy-stopping test pinned bit for bit; the stop
+    oracles compare only which intervals stop."""
+
+    def test_table_rows_equal_the_scalar_form(self):
+        live = 0
+        cases = [*oracle_cases(), *crafted_cases(), *shifted_grids()]
+        for label, sigma, w, grid in cases:
+            if sigma.n_atoms < 8:
+                continue
+            table = _stop_table(sigma, w, grid)
+            t = table.nodes
+            for top_row in (0, int(np.argmax(t.level == 1))):
+                top = t.lo[0, top_row].item(), t.hi[0, top_row].item()
+                rows = np.arange(top_row + 1, t.end[top_row])
+                columns = (table.left, table.right, table.e2w)
+                lhs, _ = _energy_sides(columns, rows, t.lo[0, rows], t.hi[0, rows], sigma, top)
+                assert lhs.tolist() == _stop_lhs_oracle(columns, rows, sigma, top), label
+                live += int(np.sum(table.e2w[rows] != 0.0))
+        assert live > 500
+
+    def test_rows_whose_lengths_square_two_ways(self):
+        # No grid row has such a length (grid lengths are a power of two
+        # times 1 + j 2^-p for a small j), so these rows are given directly.
+        ns = pow_lengths(24)
+        sigma = AtomicMeasure.from_triples([(k, 12, 1.0 + k / 7) for k in range(1, 40, 3)])
+        right = np.array([n * 2.0**-60 for n in ns])
+        left = np.zeros(len(ns))
+        e2w = np.linspace(0.25, 1.0, len(ns))
+        lo, hi = (np.searchsorted(sigma.positions_f, ends) for ends in (left, right))
+        rows = np.arange(len(ns))
+        columns = (left, right, e2w)
+        top = (0, sigma.n_atoms)
+        lhs, _ = _energy_sides(columns, rows, lo, hi, sigma, top)
+        want = _stop_lhs_oracle(columns, rows, sigma, top)
+        assert lhs.tolist() == want
+        length = right[:, None]
+        dist = np.maximum(0.0, sigma.positions_f - length)
+        terms = sigma.masses_f * length / (length * length + dist**2)
+        moved = [float(np.sum(row)) for row in terms]
+        assert sum(p * p * e != v for p, e, v in zip(moved, e2w, want)) >= 4
 
 
 class TestShiftedGridRanges:

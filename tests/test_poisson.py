@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from h2w.constants import a2_constant
-from h2w.constants import testing_pair as t_pair
+from h2w.constants import a2_constant, kernel_scan
+from h2w.constants import testing_constant as t_constant
 from h2w.corona import build_stopping_data, calibrate_c0
 from h2w.errors import PreconditionViolation
 from h2w.grid import GridInterval, build_grid
@@ -25,7 +25,7 @@ from h2w.poisson import (
 )
 from h2w.verify import _stationary_and_extension
 
-from conftest import crafted_cases, oracle_cases, poisson_sum, unit_grid
+from conftest import crafted_cases, oracle_cases, poisson_sum, pow_lengths, unit_grid
 
 
 class TestStationary:
@@ -46,19 +46,6 @@ class TestStationary:
         assert poisson_stationary(AtomicMeasure.empty(), unit_root) == 0.0
 
 
-def _pow_lengths(count):
-    """Odd numerators n < 2^53 whose length n / 2^60 squares to different
-    doubles under libm ``pow`` and x * x."""
-    rng = np.random.default_rng(3)
-    out = []
-    while len(out) < count:
-        n = int(rng.integers(1 << 52, 1 << 53)) | 1
-        x = n * 2.0**-60
-        if x**2 != x * x:
-            out.append(n)
-    return out
-
-
 class TestParentExpressions:
     """The one-row calls against the scalar expressions they replaced, on
     lengths whose two squares differ, so a summed form squared as x * x
@@ -66,7 +53,7 @@ class TestParentExpressions:
 
     def test_stationary_is_the_scalar_sum(self):
         moved = 0
-        for n in _pow_lengths(24):
+        for n in pow_lengths(24):
             # one atom inside I = [0, n / 2^60) and one at 2 |I|
             mu = AtomicMeasure.from_triples([(n >> 1, 60, 1.5), (n, 59, 0.75)])
             i = Interval(dyadic(0), dyadic(n, 60))
@@ -81,7 +68,7 @@ class TestParentExpressions:
     def test_extension_and_dual_are_the_scalar_sums(self):
         moved = 0
         mu = AtomicMeasure.from_triples([(1, 3, 1.0), (5, 4, 2.0), (7, 3, 0.5)])
-        ts = [n * 2.0**-60 for n in _pow_lengths(24)]
+        ts = [n * 2.0**-60 for n in pow_lengths(24)]
         # centred on an atom, whose term t / t^2 keeps the square's last bit
         xs = [mu.positions_f[k % 3] for k in range(len(ts))]
         hp = HalfPlaneMeasure(tuple(xs), tuple(ts), (1.0,) * len(ts))
@@ -270,7 +257,9 @@ def _half_plane_cases():
         if f.norm() == 0:
             continue
         a2 = a2_constant(sigma, w)
-        h = math.sqrt(a2) + max(t_pair(sigma, w))
+        scan = kernel_scan(sigma, w)
+        t = [t_constant(sigma, w, d, scan=scan) for d in ("forward", "backward")]
+        h = math.sqrt(a2) + max(t)
         c0 = calibrate_c0(grid.root_interval, sigma, w, h, grid)
         sd = build_stopping_data(f, grid.root_interval, sigma, w, h, c0, grid)
         fams = default_j_families(sd.members, w, grid, SUITE_EPS, SUITE_R, SUITE_BELOW_GAP)
