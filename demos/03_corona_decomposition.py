@@ -33,7 +33,7 @@ g = good_projection(WeightedFunction(w, rng.standard_normal(w.n_atoms)), grid, S
 _, _, _, h_const, c0 = combined_constant(sigma, w, grid)
 print(f"combined constant H = {h_const:.3f}, calibrated threshold scale c0 = {c0}")
 
-stopping = build_stopping_data(f, grid.root_interval, sigma, w, h_const, c0, grid)
+stopping = build_stopping_data(f, grid.root_interval, w, h_const, c0)
 print(f"\nstopping family ({len(stopping.members)} members):")
 for F in stopping.members:
     pad = "  " * F.level
@@ -43,7 +43,7 @@ print(f"\nCarleson packing ratio: {carleson_check(stopping, sigma):.4f}  (at mos
 print(f"quasi-norm / ||f||:     {quasi_norm(stopping, sigma) / f.norm():.4f}")
 
 total = b_above(f, g, grid, SUITE_BELOW_GAP)
-split_value, residual = corona_split(f, g, stopping, grid, SUITE_BELOW_GAP)
+split_value, residual = corona_split(f, g, stopping, SUITE_BELOW_GAP)
 print(f"\nabove form:   {total:+.6f}")
 print(f"corona split: {split_value:+.6f}  cross-corona residual: {residual:+.6f}")
 if f.norm() and g.norm():

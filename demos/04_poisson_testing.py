@@ -38,7 +38,7 @@ print(f"P(sigma, {gi}) = {p:.6f}, extension at (center, |I|) = {pp:.6f}, ratio {
 rng = np.random.default_rng(1)
 f = good_projection(WeightedFunction(sigma, rng.standard_normal(sigma.n_atoms)), grid, SUITE_EPS, SUITE_R)
 a2, _, _, h_const, c0 = combined_constant(sigma, w, grid)
-stopping = build_stopping_data(f, grid.root_interval, sigma, w, h_const, c0, grid)
+stopping = build_stopping_data(f, grid.root_interval, w, h_const, c0)
 
 j_fams = default_j_families(stopping.members, w, grid, SUITE_EPS, SUITE_R, SUITE_BELOW_GAP)
 hp = mu_measure(stopping.members, w, grid, j_fams)

@@ -45,16 +45,18 @@ from .haar import (
     reconstruct,
 )
 from .hilbert import (
-    LemmaInstance,
     TruncationSpec,
     TruncationTable,
     hilbert_pairing,
     kernel_difference_factor,
-    lemma_ratio,
+    monotonicity_mono1,
+    monotonicity_p_less_h,
     single_scale_average,
     smooth_kernel,
     transform,
     truncation_candidates,
+    truncation_compare,
+    weak_boundedness,
 )
 from .poisson import (
     HalfPlaneMeasure,

@@ -115,10 +115,15 @@ _CHOICES = {"family": ALL_FAMILIES, "format": ("json", "csv")}
 
 # The values each option accepts, where its type alone admits values that
 # the analysis refuses; verify's count also, since an empty ensemble has no
-# pair to report on.
+# pair to report on, and the ensemble commands' depth, since the slot
+# centres (2s + 1) / 2^(depth + 1) of random_ensemble are doubles only up
+# to depth 52.
 _AT_LEAST_ONE = (lambda v: v >= 1, "at least 1")
 _AT_LEAST_ZERO = (lambda v: v >= 0, "at least 0")
+_ENSEMBLE_DEPTH = (lambda v: 1 <= v <= 52, "in [1, 52]")
 _DOMAINS = {
+    "seed": _AT_LEAST_ZERO,
+    "shift_scale": _AT_LEAST_ZERO,
     "depth": _AT_LEAST_ONE,
     "max_atoms": _AT_LEAST_ONE,
     "r": _AT_LEAST_ONE,
@@ -129,7 +134,11 @@ _DOMAINS = {
     "eps": (lambda v: 0.0 < v < 0.5, "in (0, 1/2)"),
     "c0": (lambda v: math.isfinite(v) and v > 0.0, "finite and positive"),
 }
-_COMMAND_DOMAINS = {"verify": {"count": _AT_LEAST_ONE}}
+_COMMAND_DOMAINS = {
+    "gen": {"depth": _ENSEMBLE_DEPTH},
+    "verify": {"count": _AT_LEAST_ONE, "depth": _ENSEMBLE_DEPTH},
+    "sweep": {"depth": _ENSEMBLE_DEPTH},
+}
 
 
 def _checked(kind: type, domain: tuple):
@@ -170,13 +179,18 @@ def _parent(command: str) -> argparse.ArgumentParser:
 
 def _config(args) -> RunConfig:
     """The run configuration from the options the subcommand took; the rest
-    keep their defaults."""
+    keep their defaults.  An H2W_SEED that is not an integer of at least 0
+    is a parse error."""
     cfg = RunConfig(
         **{f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)}
     )
     env_seed = os.environ.get("H2W_SEED")
     if env_seed is not None:
-        cfg.seed = int(env_seed)
+        try:
+            cfg.seed = _checked(int, _DOMAINS["seed"])(env_seed)
+        except (ValueError, argparse.ArgumentTypeError):
+            print(f"error: H2W_SEED={env_seed!r} is not an integer of at least 0", file=sys.stderr)
+            raise SystemExit(2) from None
     return cfg
 
 
@@ -325,7 +339,7 @@ def _stopping(cfg: RunConfig, path: str) -> tuple:
     # one test per value: max() would pass a NaN through
     if not (math.isfinite(a2) and math.isfinite(t_fwd) and math.isfinite(t_bwd)):
         raise NecessityViolation(f"a constant is not finite: A2 {a2}, T {t_fwd}, {t_bwd}")
-    sd = build_stopping_data(f, grid.root_interval, sigma, w, h_const, c0, grid)
+    sd = build_stopping_data(f, grid.root_interval, w, h_const, c0)
     return sigma, w, grid, rng, f, a2, h_const, c0, sd
 
 
@@ -466,10 +480,8 @@ def _sweep_row(task) -> list:
     if f.norm() > 0 and g.norm() > 0 and rep.h_const > 0:
         rr = reduction_residual(f, g, grid, rep.h_const, cfg.below_gap)
         red_ratio = rr.residual_ratio
-        sd = build_stopping_data(
-            f, grid.root_interval, sigma, w, rep.h_const, rep.meta["calibrated_c0"], grid
-        )
-        _, residual = corona_split(f, g, sd, grid, cfg.below_gap)
+        sd = build_stopping_data(f, grid.root_interval, w, rep.h_const, rep.meta["calibrated_c0"])
+        _, residual = corona_split(f, g, sd, cfg.below_gap)
         cross_ratio = abs(residual) / (rep.h_const * f.norm() * g.norm())
     ratios = rep.paper_ratios()
     values = [

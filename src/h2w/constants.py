@@ -135,11 +135,15 @@ def kernel_scan(
     """Build the truncation scan of a pair and its kernel stack once.
 
     PairTooLarge when the stack, T x n_sigma x n_w doubles, would pass
-    :data:`MAX_ARRAY_BYTES`; the norm scales it a block at a time.
+    :data:`MAX_ARRAY_BYTES`, raised from the candidate count before the
+    candidate table is built; the norm scales the stack a block at a time.
     """
     diffs = sigma.positions_f[:, None] - w.positions_f[None, :]
-    cands = truncation_candidates(np.abs(diffs).ravel(), refinement)
-    _check_size(8 * len(cands) * diffs.size, "kernel stack", sigma, w)
+
+    def check(rows: int) -> None:
+        _check_size(8 * rows * diffs.size, "kernel stack", sigma, w)
+
+    cands = truncation_candidates(np.abs(diffs).ravel(), refinement, check)
     return KernelScan(cands, kernel_stack(diffs, cands))
 
 
@@ -788,15 +792,15 @@ def functional_energy_ratio(
     grid: DyadicGrid,
     *,
     below_gap: int = SUITE_BELOW_GAP,
-    eps: float = SUITE_EPS,
-    r: int = SUITE_R,
-    j_families: dict[tuple[int, int], list[GridInterval]] | None = None,
+    j_families: dict[tuple[int, int], list[GridInterval]],
 ) -> float:
     """Ratio of the two sides of the multi-scale energy inequality.
 
-    The left side sums, over family members F and the maximal good intervals
-    J* attached to F, P(h sigma, J*) |<x/|J*|, g_F restricted to J*>|; the
-    right side is ||h|| (sum ||g_F||^2)^(1/2).  The family must satisfy the
+    The left side sums, over family members F and the maximal intervals J*
+    of ``j_families[F.key]`` (the good intervals that
+    :func:`~h2w.poisson.default_j_families` attaches to F),
+    P(h sigma, J*) |<x/|J*|, g_F restricted to J*>|; the right side is
+    ||h|| (sum ||g_F||^2)^(1/2).  The family must satisfy the
     Carleson packing bound with constant 2 and each g_F must have Haar
     support among intervals whose minimal-member parent
     (:func:`~h2w.grid.f_parent`) is F, at least ``below_gap`` levels down;
@@ -832,13 +836,6 @@ def functional_energy_ratio(
             f"{len(offenders)} Haar coefficients escape their family slots",
             offenders,
         )
-    if j_families is None:
-        w_base = next(
-            (g.base for g in g_family.values() if g is not None), None
-        )
-        if w_base is None:
-            return 0.0
-        j_families = default_j_families(members, w_base, grid, eps, r, below_gap)
     lhs = 0.0
     g_norm_sq = 0.0
     h_sigma = _nonneg_measure(h)
@@ -914,7 +911,7 @@ def combined_constant(
     a2 = a2_constant(sigma, w, a2_refinement)
     h_const = math.sqrt(a2) + max(t_fwd, t_bwd)
     if sigma.n_atoms >= 2 and w.n_atoms >= 1 and h_const > 0:
-        c0 = calibrate_c0(grid.root_interval, sigma, w, h_const, grid, start=c0)
+        c0 = calibrate_c0(grid.root_interval, sigma, w, h_const, start=c0)
     return a2, t_fwd, t_bwd, h_const, c0
 
 
@@ -1032,9 +1029,7 @@ def compute_report(
             f = good_projection(raw, grid, eps, r)
             if f.norm() == 0.0:
                 continue
-            stopping = corona.build_stopping_data(
-                f, root, sigma, w, h_const, record.c0, grid
-            )
+            stopping = corona.build_stopping_data(f, root, w, h_const, record.c0)
             members = stopping.members
             j_fams = default_j_families(members, w, grid, eps, r, below_gap)
             if ident_coeffs is None:
@@ -1055,23 +1050,14 @@ def compute_report(
                     f.abs() * (1.0 / max(f.abs().values.max(), 1e-300)),
                 ):
                     fe = functional_energy_ratio(
-                        h_fun,
-                        members,
-                        g_family,
-                        grid,
-                        below_gap=below_gap,
-                        eps=eps,
-                        r=r,
-                        j_families=j_fams,
+                        h_fun, members, g_family, grid, below_gap=below_gap, j_families=j_fams
                     )
                     fe_max = max(fe_max, fe)
             if w.n_atoms >= 2:
                 graw = WeightedFunction(w, rng.standard_normal(w.n_atoms))
                 gg = good_projection(graw, grid, eps, r)
                 if gg.norm() > 0.0:
-                    local = corona.local_estimate_ratios(
-                        f, gg, stopping, grid, below_gap
-                    )
+                    local = corona.local_estimate_ratios(f, gg, stopping, below_gap)
                     if local:
                         local_max = max(local_max, max(local))
     n_over_h = norm_n / h_const if h_const > 0 else 0.0

@@ -17,6 +17,10 @@ returned member or a named violation.  The bounded-averages constant reads
 the sigma table's subtree rows; ``uniformity_check`` walks the grid itself
 (``haar._descend``), so it checks that constant independently.
 
+sigma is read from the function a construction is built for (``f.base``)
+and the grid from its top interval (``i0.grid``, ``stopping.root.grid``),
+so a node table and the atom ranges are always read on the same grid.
+
 A :class:`StoppingData` walks each splitting node up to its minimal member
 once per measure (``corona_nodes``, on ``grid.minimal_member``), so a
 corona projection reads its pre-order group.  The bilinear
@@ -35,7 +39,7 @@ from functools import cache, cached_property, lru_cache
 import numpy as np
 
 from .constants import _carleson_ratio, _trunk_table
-from .errors import PreconditionViolation
+from .errors import AtomCollision, PreconditionViolation
 from .grid import DyadicGrid, GridInterval, minimal_member
 from .haar import (
     NodeTable,
@@ -52,6 +56,7 @@ from .haar import (
     node_table,
     splitting_nodes,
 )
+from .hilbert import hilbert_pairing
 from .measure import AtomicMeasure
 from .params import DEFAULT_C0
 from .poisson import _stationary_terms
@@ -171,15 +176,14 @@ def _energy_sides(
     return lhs, prefix[hi - lo0] - prefix[lo - lo0]
 
 
-def _energy_stops(
-    i0: GridInterval, sigma: AtomicMeasure, w: AtomicMeasure, h_const: float, grid: DyadicGrid
-):
-    """The joint table and a function from a threshold to the maximal rows
-    strictly below i0 that energy-stop at it, in pre-order; both sides of
-    each row's test (:func:`_energy_sides`, sigma_0 = sigma on i0) are formed once."""
+def _energy_stops(i0: GridInterval, sigma: AtomicMeasure, w: AtomicMeasure, h_const: float):
+    """The joint table on i0's grid and a function from a threshold to the
+    maximal rows strictly below i0 that energy-stop at it, in pre-order; both
+    sides of each row's test (:func:`_energy_sides`, sigma_0 = sigma on i0)
+    are formed once."""
     if h_const <= 0:
         raise PreconditionViolation("h_const must be positive")
-    table = _stop_table(sigma, w, grid)
+    table = _stop_table(sigma, w, i0.grid)
     t = table.nodes
     start, end = _subtree(t, i0.level, i0.index)
     rows = np.arange(start + 1, end)
@@ -202,14 +206,9 @@ def _energy_stops(
 
 
 def energy_stopping_intervals(
-    i0: GridInterval,
-    sigma: AtomicMeasure,
-    w: AtomicMeasure,
-    h_const: float,
-    c0: float,
-    grid: DyadicGrid,
+    i0: GridInterval, sigma: AtomicMeasure, w: AtomicMeasure, h_const: float, c0: float
 ) -> list[GridInterval]:
-    """Maximal grid intervals strictly inside i0 whose Poisson-energy
+    """Maximal intervals of i0's grid strictly inside i0 whose Poisson-energy
     product strictly exceeds 10 c0 h^2 sigma(I); children of selected
     intervals are not descended into.
 
@@ -220,9 +219,9 @@ def energy_stopping_intervals(
     ``sigma.restrict(i0).mass_on(I)`` does); the maximal hits are kept in
     pre-order by jumping over each hit's subtree.
     """
-    t, stops = _energy_stops(i0, sigma, w, h_const, grid)
+    t, stops = _energy_stops(i0, sigma, w, h_const)
     chosen = stops(10.0 * c0 * h_const**2)
-    return [GridInterval(grid, t.level[r].item(), int(t.index[r])) for r in chosen]
+    return [GridInterval(i0.grid, t.level[r].item(), int(t.index[r])) for r in chosen]
 
 
 def calibrate_c0(
@@ -230,13 +229,13 @@ def calibrate_c0(
     sigma: AtomicMeasure,
     w: AtomicMeasure,
     h_const: float,
-    grid: DyadicGrid,
     start: float = DEFAULT_C0,
 ) -> float:
-    """Smallest doubling of ``start`` at which the selected mass drops to
-    sigma(i0)/10.  The selected union shrinks as c0 grows, so this ends.
-    Each doubling compares the same two sides of each row's test."""
-    t, stops = _energy_stops(i0, sigma, w, h_const, grid)
+    """Smallest doubling of ``start`` at which the mass that
+    :func:`energy_stopping_intervals` selects drops to sigma(i0)/10.  The
+    selected union shrinks as c0 grows, so this ends.  Each doubling
+    compares the same two sides of each row's test."""
+    t, stops = _energy_stops(i0, sigma, w, h_const)
     budget = sigma.mass_on(i0) / 10.0
     prefix = sigma._mass_prefix
     c0 = start
@@ -288,18 +287,12 @@ def _stop_table(sigma: AtomicMeasure, w: AtomicMeasure, grid: DyadicGrid) -> _St
 
 
 def build_stopping_data(
-    f: WeightedFunction,
-    i0: GridInterval,
-    sigma: AtomicMeasure,
-    w: AtomicMeasure,
-    h_const: float,
-    c0: float,
-    grid: DyadicGrid,
+    f: WeightedFunction, i0: GridInterval, w: AtomicMeasure, h_const: float, c0: float
 ) -> StoppingData:
-    """Stopping family for f: start at i0 with the average of |f|; stop at
-    maximal descendants that energy-stop or whose average of |f| reaches ten
-    times the control value; refresh the control value only when the average
-    at least doubles.
+    """Stopping family for f over sigma = ``f.base``, on i0's grid: start at
+    i0 with the average of |f|; stop at maximal descendants that
+    energy-stop or whose average of |f| reaches ten times the control value;
+    refresh the control value only when the average at least doubles.
 
     Below a member F the candidates are the rows of the joint (sigma, w)
     table that a descent from F reaches: F's children, and every row whose
@@ -309,10 +302,9 @@ def build_stopping_data(
     """
     if not h_const > 0:
         raise PreconditionViolation("h_const must be positive")
-    if f.base != sigma:
-        raise PreconditionViolation("f must live over sigma")
     if f.norm() == 0.0:
         raise PreconditionViolation("f must be nonzero")
+    sigma, grid = f.base, i0.grid
     lo0, hi0 = sigma.index_range(i0)
     if hi0 - lo0 == 0:
         raise PreconditionViolation("f must be supported on i0")
@@ -401,29 +393,26 @@ _UNIFORMITY_TOL = 1e-12
 
 
 def uniformity_check(
-    f: WeightedFunction,
-    spec: UniformitySpec,
-    sigma: AtomicMeasure,
-    w: AtomicMeasure,
-    h_const: float,
-    grid: DyadicGrid,
+    f: WeightedFunction, spec: UniformitySpec, w: AtomicMeasure, h_const: float
 ) -> tuple[bool, list[str]]:
-    """The three uniformity clauses, quantified over grid intervals in i0.
+    """The three uniformity clauses of f over sigma = ``f.base``, quantified
+    over the intervals of i0's grid inside i0.
 
     (1) every energy-stopping interval of i0 sits inside some member of the
     exceptional family; (2) f is constant on each member; (3) the average of
     |f| is at most one on every charged grid interval not inside a member.
     """
+    sigma, grid = f.base, spec.i0.grid
     violations: list[str] = []
     s_keys = frozenset(s.key for s in spec.s_family)
 
     def inside_some_s(gi: GridInterval) -> bool:
         return any(s.contains(gi) for s in spec.s_family)
 
-    for F in energy_stopping_intervals(spec.i0, sigma, w, h_const, spec.c0, grid):
+    for F in energy_stopping_intervals(spec.i0, sigma, w, h_const, spec.c0):
         if not inside_some_s(F):
             violations.append(f"energy stop {F} escapes the exceptional family")
-    scale = max(1.0, float(np.max(np.abs(f.values))) if f.base.n_atoms else 1.0)
+    scale = max(1.0, float(np.max(np.abs(f.values))) if sigma.n_atoms else 1.0)
     for s in spec.s_family:
         lo, hi = sigma.index_range(s)
         if hi - lo >= 2:
@@ -458,8 +447,6 @@ def _kernel_prefix(sigma: AtomicMeasure, w: AtomicMeasure) -> np.ndarray:
     """C[a, k] = sum over the first a sigma atoms of sigma_i / (y_i - x_k)."""
     diffs = sigma.positions_f[:, None] - w.positions_f[None, :]
     if np.any(diffs == 0.0):
-        from .errors import AtomCollision
-
         raise AtomCollision("the measures share a position")
     M = (1.0 / diffs) * sigma.masses_f[:, None]
     return np.concatenate([np.zeros((1, w.n_atoms)), np.cumsum(M, axis=0)], axis=0)
@@ -515,38 +502,27 @@ def _b_form(
     return total
 
 
-def b_above(
-    f: WeightedFunction,
-    g: WeightedFunction,
-    grid: DyadicGrid,
-    below_gap: int,
-    side: str = "above",
-) -> float:
-    """The above-diagonal bilinear form; ``side='below'`` swaps the roles.
+def b_above(f: WeightedFunction, g: WeightedFunction, grid: DyadicGrid, below_gap: int) -> float:
+    """The above-diagonal bilinear form; the below-diagonal form of (f, g)
+    is ``b_above(g, f, ...)``.
 
     Exact double sum with the raw kernel; the caller supplies mean-zero
     functions with good Haar supports when the classical bounds are being
     instrumented.
     """
-    if side == "above":
-        return _b_form(f, g, grid, below_gap, _form_prefix(f.base, g.base, grid))
-    if side == "below":
-        return _b_form(g, f, grid, below_gap, _form_prefix(g.base, f.base, grid))
-    raise ValueError("side must be 'above' or 'below'")
+    return _b_form(f, g, grid, below_gap, _form_prefix(f.base, g.base, grid))
 
 
 def corona_split(
-    f: WeightedFunction,
-    g: WeightedFunction,
-    stopping: StoppingData,
-    grid: DyadicGrid,
-    below_gap: int,
+    f: WeightedFunction, g: WeightedFunction, stopping: StoppingData, below_gap: int
 ) -> tuple[float, float]:
-    """Diagonal corona part of the above form, and the cross-corona rest.
+    """Diagonal corona part of the above form on the stopping family's grid,
+    and the cross-corona rest.
 
     split_value sums the form over matching corona projections of f and g;
     residual is b_above(f, g) minus that, so the two add back exactly.
     """
+    grid = stopping.root.grid
     C = _form_prefix(f.base, g.base, grid)
     total = _b_form(f, g, grid, below_gap, C)
     split_value = 0.0
@@ -575,30 +551,25 @@ def reduction_residual(
 ) -> ReductionResidual:
     """The raw pairing, both diagonal forms, and the normalized residual
     |pairing - above - below| / (h ||f|| ||g||)."""
-    from .hilbert import hilbert_pairing
-
     inner = hilbert_pairing(f, g)
     ba = b_above(f, g, grid, below_gap)
-    bb = b_above(f, g, grid, below_gap, side="below")
+    bb = b_above(g, f, grid, below_gap)
     denom = h_const * f.norm() * g.norm()
     ratio = abs(inner - ba - bb) / denom if denom > 0 else 0.0
     return ReductionResidual(inner, ba, bb, ratio)
 
 
 def local_estimate_ratios(
-    f: WeightedFunction,
-    g: WeightedFunction,
-    stopping: StoppingData,
-    grid: DyadicGrid,
-    below_gap: int,
+    f: WeightedFunction, g: WeightedFunction, stopping: StoppingData, below_gap: int
 ) -> list[float]:
-    """Per-corona ratios |B(f_u, g_a)| / ((sigma(F)^(1/2) + ||f_u||) ||g_a||).
+    """Per-corona ratios |B(f_u, g_a)| / ((sigma(F)^(1/2) + ||f_u||) ||g_a||),
+    with sigma = ``f.base``, on the stopping family's grid.
 
     f_u is the corona piece of f rescaled by its own bounded-averages
     constant times the control value, so it is uniform with constant one
     w.r.t. the family children of F; g_a is the matching corona piece of g.
     """
-    sigma = f.base
+    sigma, grid = f.base, stopping.root.grid
     # the kernel prefix of every form here, built at the first one
     prefix = cache(lambda: _form_prefix(sigma, g.base, grid))
     out: list[float] = []
@@ -610,7 +581,7 @@ def local_estimate_ratios(
         qg = corona_projection(g, stopping, F)
         if not np.any(pf.values != 0.0) or not np.any(qg.values != 0.0):
             continue
-        cF = _bounded_average_constant(pf, F, stopping, sigma, grid) / aF
+        cF = _bounded_average_constant(pf, F, stopping) / aF
         if cF <= 0:
             continue
         scale = 1.0 / (cF * aF)
@@ -623,16 +594,13 @@ def local_estimate_ratios(
 
 
 def _bounded_average_constant(
-    pf: WeightedFunction,
-    F: GridInterval,
-    stopping: StoppingData,
-    sigma: AtomicMeasure,
-    grid: DyadicGrid,
+    pf: WeightedFunction, F: GridInterval, stopping: StoppingData
 ) -> float:
-    """max over charged grid intervals inside F, not inside a family child,
-    of the average of |pf|: the rows of the sigma node table in F's
-    subtree, less the children's subtrees."""
-    table = node_table(sigma, grid)
+    """max over charged intervals of F's grid inside F, not inside a family
+    child, of the average of |pf| over sigma = ``pf.base``: the rows of the
+    sigma node table in F's subtree, less the children's subtrees."""
+    sigma = pf.base
+    table = node_table(sigma, F.grid)
     start, end = _subtree(table, F.level, F.index)
     if start == end:
         return 0.0

@@ -42,8 +42,10 @@ __all__ = [
     "kernel_difference_factor",
     "hilbert_pairing",
     "truncation_candidates",
-    "lemma_ratio",
-    "LemmaInstance",
+    "monotonicity_p_less_h",
+    "monotonicity_mono1",
+    "weak_boundedness",
+    "truncation_compare",
 ]
 
 _INF = math.inf
@@ -130,8 +132,7 @@ def kernel_values(diffs, trunc: TruncationSpec):
     """
     arr = np.asarray(diffs, dtype=float)
     if trunc.mode == "smooth":
-        out = smooth_kernel(arr, trunc.inner, trunc.outer)
-        return out
+        return smooth_kernel(arr, trunc.inner, trunc.outer)
     a = np.abs(arr)
     with np.errstate(divide="ignore"):
         inv = np.where(a > 0.0, 1.0 / arr, 0.0)
@@ -253,25 +254,33 @@ def _triu(n: int, k: int) -> np.ndarray:
     return pairs
 
 
-def truncation_candidates(distances, refinement: int = DEFAULT_REFINEMENT) -> TruncationTable:
+def truncation_candidates(
+    distances, refinement: int = DEFAULT_REFINEMENT, check_rows=None
+) -> TruncationTable:
     """Candidate truncations for evaluating suprema over cutoffs, one table:
     the raw kernel, hard bands (lo[a], hi[b]), a <= b, bracketing (possibly
     subsampled) critical distances, and tapered pairs (vals[i], vals[j]),
     i < j, each row i then followed by (vals[i], 8 max d) if that is larger.
     vals is a geometrically refined value list that always contains the
     exact distances; one ``np.geomspace`` over all consecutive pairs gives
-    each pair's values as its own call does."""
+    each pair's values as its own call does.  ``check_rows``, when given, is
+    called with the table's row count before any index array is built, so
+    that a caller can refuse a table too large for it."""
     d = np.unique(np.asarray(distances, dtype=float))
     d = d[d > 0.0]
     if len(d) == 0:
         return TruncationTable([_NONE], [0.0], [_INF])
     hard_vals = _rank_subsample(d, max(2, 2 * refinement))
-    a, b = _triu(len(hard_vals), 0)
     smooth_base = _rank_subsample(d, max(2, refinement + 2))
     refined = np.geomspace(smooth_base[:-1], smooth_base[1:], refinement + 2)[1:-1]
     vals = np.unique(np.concatenate((smooth_base, refined.ravel(), [0.5 * d[0], 2.0 * d[-1]])))
     vals = _rank_subsample(vals, max(3, 2 * refinement))
     ext = np.append(vals, 8.0 * d[-1])
+    if check_rows is not None:
+        n_hard, n_vals = len(hard_vals), len(vals)
+        n_smooth = n_vals * (n_vals - 1) // 2 + int(np.count_nonzero(vals < ext[-1]))
+        check_rows(1 + n_hard * (n_hard + 1) // 2 + n_smooth)
+    a, b = _triu(len(hard_vals), 0)
     i, j = _triu(len(ext), 1)
     keep = (j < len(vals)) | (ext[-1] > ext[i])
     i, j = i[keep], j[keep]
@@ -340,44 +349,16 @@ def _squares(x: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# lemma-ratio diagnostics
+# lemma diagnostics
 
 
 # the mean-zero hypothesis: |integral of g dw| <= this times max(1, ||g||)
 _MEAN_ZERO_TOL = 1e-9
 
 
-@dataclass
-class LemmaInstance:
-    """Configuration for one lemma-ratio evaluation.
-
-    Only the fields a given lemma quantifies over need to be set; a missing
-    hypothesis raises PreconditionViolation naming the field.
-    """
-
-    sigma: AtomicMeasure | None = None
-    w: AtomicMeasure | None = None
-    k_interval: object = None  # K, strictly containing I
-    i_interval: object = None  # I
-    j_interval: object = None  # J (grid interval for the deeper estimate)
-    g: WeightedFunction | None = None
-    f: WeightedFunction | None = None
-    nu_signs: np.ndarray | None = None  # nu = signs * mu masses, |signs| <= 1
-    beta: float | None = None
-    eps_delta: tuple[float, float] | None = None  # shared cutoff for the comparison
-    x_points: np.ndarray | None = None
-    grid: object = None
-    a2: float | None = None  # A2 of (sigma, w); computed when not given
-
-
 def _require(cond: bool, message: str):
     if not cond:
         raise PreconditionViolation(message)
-
-
-def _restrict_between(sigma: AtomicMeasure, outer, inner) -> AtomicMeasure:
-    """Atoms of sigma inside outer but outside inner."""
-    return sigma.restrict(outer).restrict_complement(inner)
 
 
 def _alpha_below(sigma: AtomicMeasure, g: WeightedFunction) -> float:
@@ -410,122 +391,121 @@ def _pairing_scan(f: WeightedFunction, g: WeightedFunction, cands: TruncationTab
     return max(abs(float(src @ k @ tgt)) for k in stack)
 
 
-def lemma_ratio(lemma_id: str, instance: LemmaInstance) -> tuple[float, float, float]:
-    """Evaluate both sides of a cited inequality; returns (lhs, rhs, ratio).
+def _sides(lhs: float, rhs: float) -> tuple[float, float, float]:
+    """(lhs, rhs, lhs/rhs), the ratio 0 when both sides vanish and inf when
+    only the right side does."""
+    return lhs, rhs, (lhs / rhs if rhs != 0.0 else (0.0 if lhs == 0.0 else math.inf))
 
-    ``ratio`` is lhs/rhs, or 0 when both sides vanish; the absolute constants
-    the inequalities hide are reported, never asserted here.
-    """
+
+def _moment(gbar: WeightedFunction, interval) -> float:
+    """<x/|interval|, gbar>_w, the pairing of both monotonicity displays."""
+    ident = WeightedFunction.identity(gbar.base)
+    return float(np.sum(ident.values / interval.length_f * gbar.values * gbar.base.masses_f))
+
+
+def monotonicity_p_less_h(
+    sigma: AtomicMeasure, g: WeightedFunction, k_interval, i_interval, grid
+) -> tuple[float, float, float]:
+    """(lhs, rhs, ratio) of P(sigma_out, I) <x/|I|, |g|>_w against the
+    smooth-truncated <H(sigma_out), |g|>_w (taper at beta = 4|K|), with
+    sigma_out sigma's atoms in K outside I and |g| the absolute Haar
+    multiplier on ``grid`` of g, which vanishes off I and has zero
+    w-integral.  The constant the inequality hides is reported, never
+    asserted; so in each lemma function."""
     from .poisson import poisson_stationary  # local import to avoid a cycle
 
-    ins = instance
-    if lemma_id == "monotonicity_P<H":
-        _require(ins.sigma is not None and ins.g is not None, "sigma and g required")
-        _require(ins.grid is not None, "a grid is required for the Haar multiplier")
-        K, I = _as_interval(ins.k_interval), _as_interval(ins.i_interval)
-        _require(K.contains_interval(I) and K.length_f > I.length_f, "K must strictly contain I")
-        lo_i, hi_i = ins.g.base.index_range(I)
-        outside = float(
-            np.sum(np.abs(ins.g.values[:lo_i])) + np.sum(np.abs(ins.g.values[hi_i:]))
-        )
-        _require(outside == 0.0, "g must vanish outside I")
-        _require(
-            abs(float(np.sum(ins.g.values * ins.g.base.masses_f)))
-            <= _MEAN_ZERO_TOL * max(1.0, ins.g.norm()),
-            "g must have zero w-integral on I",
-        )
-        mu_out = _restrict_between(ins.sigma, K, I)
-        gbar = absolute_haar_multiplier(ins.g, ins.grid)
-        ident = WeightedFunction.identity(gbar.base)
-        lhs = poisson_stationary(mu_out, I) * (
-            float(np.sum(ident.values / I.length_f * gbar.values * gbar.base.masses_f))
-        )
-        beta = ins.beta if ins.beta is not None else 4.0 * K.length_f
-        _require(beta > 2.0 * I.length_f, "beta must exceed twice |I|")
-        if mu_out.n_atoms == 0:
-            return 0.0, 0.0, 0.0
-        alpha = _alpha_below(mu_out, gbar)
-        fsrc = WeightedFunction.constant(mu_out, 1.0)
-        rhs = hilbert_pairing(fsrc, gbar, TruncationSpec("smooth", alpha, beta))
-        return lhs, rhs, (lhs / rhs if rhs != 0.0 else (0.0 if lhs == 0.0 else math.inf))
+    K, I = _as_interval(k_interval), _as_interval(i_interval)
+    _require(K.contains_interval(I) and K.length_f > I.length_f, "K must strictly contain I")
+    lo_i, hi_i = g.base.index_range(I)
+    outside = float(np.sum(np.abs(g.values[:lo_i])) + np.sum(np.abs(g.values[hi_i:])))
+    _require(outside == 0.0, "g must vanish outside I")
+    _require(
+        abs(float(np.sum(g.values * g.base.masses_f))) <= _MEAN_ZERO_TOL * max(1.0, g.norm()),
+        "g must have zero w-integral on I",
+    )
+    mu_out = sigma.restrict(K).restrict_complement(I)
+    gbar = absolute_haar_multiplier(g, grid)
+    lhs = poisson_stationary(mu_out, I) * _moment(gbar, I)
+    beta = 4.0 * K.length_f
+    _require(beta > 2.0 * I.length_f, "beta must exceed twice |I|")
+    if mu_out.n_atoms == 0:
+        return 0.0, 0.0, 0.0
+    alpha = _alpha_below(mu_out, gbar)
+    fsrc = WeightedFunction.constant(mu_out, 1.0)
+    return _sides(lhs, hilbert_pairing(fsrc, gbar, TruncationSpec("smooth", alpha, beta)))
 
-    if lemma_id == "monotonicity_mono1":
-        _require(ins.sigma is not None and ins.g is not None, "mu (as sigma) and g required")
-        _require(ins.grid is not None, "a grid is required for the Haar multiplier")
-        K, I = _as_interval(ins.k_interval), _as_interval(ins.i_interval)
-        J = ins.j_interval
-        _require(J is not None, "a grid interval J is required")
-        mu = _restrict_between(ins.sigma, K, I)
-        signs = np.ones(mu.n_atoms) if ins.nu_signs is None else np.asarray(ins.nu_signs)
-        _require(len(signs) == mu.n_atoms, "nu_signs must align with the atoms of mu on K - I")
-        _require(np.all(np.abs(signs) <= 1.0 + 1e-15), "|nu| <= mu is violated")
-        if mu.n_atoms == 0:
-            return 0.0, 0.0, 0.0
-        gbar = absolute_haar_multiplier(ins.g, ins.grid)
-        ident = WeightedFunction.identity(gbar.base)
-        jint = _as_interval(J)
-        rhs = poisson_stationary(mu, jint) * float(
-            np.sum(ident.values / jint.length_f * gbar.values * gbar.base.masses_f)
+
+def monotonicity_mono1(
+    mu: AtomicMeasure, g: WeightedFunction, k_interval, i_interval, j_interval, grid, nu_signs
+) -> tuple[float, float, float]:
+    """(lhs, rhs, ratio) of the supremum over smooth truncations (taper at
+    beta = 4|K|) of |<H nu, g>_w| against P(mu_0, J) <x/|J|, |g|>_w, with
+    mu_0 mu's atoms in K outside I, nu = ``nu_signs`` (one per atom of mu_0,
+    at most 1 in size) times mu_0 and |g| as in the P < H lemma."""
+    from .poisson import poisson_stationary  # local import to avoid a cycle
+
+    K, I = _as_interval(k_interval), _as_interval(i_interval)
+    mu = mu.restrict(K).restrict_complement(I)
+    signs = np.asarray(nu_signs)
+    _require(len(signs) == mu.n_atoms, "nu_signs must align with the atoms of mu on K - I")
+    _require(np.all(np.abs(signs) <= 1.0 + 1e-15), "|nu| <= mu is violated")
+    if mu.n_atoms == 0:
+        return 0.0, 0.0, 0.0
+    gbar = absolute_haar_multiplier(g, grid)
+    jint = _as_interval(j_interval)
+    rhs = poisson_stationary(mu, jint) * _moment(gbar, jint)
+    beta = 4.0 * K.length_f
+    alpha0 = _alpha_below(mu, g)
+    # sup over truncations of |<H nu, g>|: scan cutoffs at the critical
+    # distances between the holes and the support of g.
+    dists = np.abs(mu.positions_f[:, None] - g.base.positions_f[None, :]).ravel()
+    alphas = np.unique(np.concatenate([[alpha0], dists * (1 - 1e-9), dists * (1 + 1e-9)]))
+    alphas = alphas[(alphas > 0) & (alphas < beta)]
+    cands = TruncationTable(np.full(len(alphas), _SMOOTH), alphas, np.full(len(alphas), beta))
+    return _sides(_pairing_scan(WeightedFunction(mu, signs), g, cands), rhs)
+
+
+def weak_boundedness(
+    sigma: AtomicMeasure, w: AtomicMeasure, i_interval, j_interval, a2: float
+) -> tuple[float, float, float]:
+    """(lhs, rhs, ratio) of the supremum over the truncation scan
+    (refinement 4) of |<H(sigma 1_I), 1_J>_w| against
+    sqrt(a2 sigma(I) w(J)), for I and J sharing an endpoint that neither
+    measure charges and ``a2`` the pair's A2."""
+    I, J = _as_interval(i_interval), _as_interval(j_interval)
+    _require(I.right == J.left or J.right == I.left, "I and J must share an endpoint")
+    a = I.right if I.right == J.left else J.right
+    _require(
+        all(p != a for p in sigma.positions) and all(p != a for p in w.positions),
+        "neither measure may charge the shared endpoint",
+    )
+    sI, wJ = sigma.restrict(I), w.restrict(J)
+    if sI.n_atoms == 0 or wJ.n_atoms == 0:
+        return 0.0, 0.0, 0.0
+    rhs = math.sqrt(a2) * math.sqrt(sI.total_mass * wJ.total_mass)
+    f1 = WeightedFunction.constant(sI, 1.0)
+    g1 = WeightedFunction.constant(wJ, 1.0)
+    dists = np.abs(sI.positions_f[:, None] - wJ.positions_f[None, :]).ravel()
+    return _sides(_pairing_scan(f1, g1, truncation_candidates(dists, refinement=4)), rhs)
+
+
+def truncation_compare(
+    f: WeightedFunction, inner: float, outer: float, x_points
+) -> tuple[float, float, float]:
+    """(lhs, rhs, ratio) at the point of ``x_points`` with the largest
+    ratio of |hard - smooth transform| of |f| d(f.base) at the cutoffs
+    (inner, outer) to the single-scale averages at both; (0, 0, 0) when no
+    point has both sides positive."""
+    sigma = f.base
+    absf = np.abs(f.values)
+    best = (0.0, 0.0, 0.0)
+    for x in np.asarray(x_points, dtype=float):
+        hard = transform(sigma, absf, x, TruncationSpec("hard", inner, outer))
+        smooth = transform(sigma, absf, x, TruncationSpec("smooth", inner, outer))
+        lhs = abs(hard - smooth)
+        rhs = single_scale_average(sigma, absf, x, inner) + single_scale_average(
+            sigma, absf, x, outer
         )
-        beta = ins.beta if ins.beta is not None else 4.0 * K.length_f
-        alpha0 = _alpha_below(mu, ins.g)
-        # sup over truncations of |<H nu, g>|: scan cutoffs at the critical
-        # distances between the holes and the support of g.
-        dists = np.abs(mu.positions_f[:, None] - ins.g.base.positions_f[None, :]).ravel()
-        alphas = np.unique(np.concatenate([[alpha0], dists * (1 - 1e-9), dists * (1 + 1e-9)]))
-        alphas = alphas[(alphas > 0) & (alphas < beta)]
-        cands = TruncationTable(np.full(len(alphas), _SMOOTH), alphas, np.full(len(alphas), beta))
-        lhs = _pairing_scan(WeightedFunction(mu, signs), ins.g, cands)
-        return lhs, rhs, (lhs / rhs if rhs != 0.0 else (0.0 if lhs == 0.0 else math.inf))
-
-    if lemma_id == "weak_boundedness":
-        _require(ins.sigma is not None and ins.w is not None, "sigma and w required")
-        I, J = _as_interval(ins.i_interval), _as_interval(ins.j_interval)
-        share = I.right == J.left or J.right == I.left
-        _require(share, "I and J must share an endpoint")
-        a = I.right if I.right == J.left else J.right
-        _require(
-            all(p != a for p in ins.sigma.positions) and all(p != a for p in ins.w.positions),
-            "neither measure may charge the shared endpoint",
-        )
-        sI = ins.sigma.restrict(I)
-        wJ = ins.w.restrict(J)
-        if sI.n_atoms == 0 or wJ.n_atoms == 0:
-            return 0.0, 0.0, 0.0
-        a2 = ins.a2
-        if a2 is None:
-            from .constants import a2_constant  # local import to avoid a cycle
-
-            a2 = a2_constant(ins.sigma, ins.w)
-        rhs = math.sqrt(a2) * math.sqrt(sI.total_mass * wJ.total_mass)
-        f1 = WeightedFunction.constant(sI, 1.0)
-        g1 = WeightedFunction.constant(wJ, 1.0)
-        dists = np.abs(sI.positions_f[:, None] - wJ.positions_f[None, :]).ravel()
-        lhs = _pairing_scan(f1, g1, truncation_candidates(dists, refinement=4))
-        return lhs, rhs, (lhs / rhs if rhs != 0.0 else (0.0 if lhs == 0.0 else math.inf))
-
-    if lemma_id == "truncation_compare":
-        _require(ins.sigma is not None and ins.f is not None, "sigma and |f| required")
-        _require(ins.eps_delta is not None, "a shared (inner, outer) pair is required")
-        e, dlt = ins.eps_delta
-        absf = np.abs(ins.f.values)
-        xs = (
-            ins.x_points
-            if ins.x_points is not None
-            else np.linspace(-1.0, 2.0, 41)
-        )
-        worst = (0.0, 0.0)
-        best_ratio = 0.0
-        for x in np.asarray(xs, dtype=float):
-            hard = transform(ins.sigma, absf, x, TruncationSpec("hard", e, dlt))
-            smooth = transform(ins.sigma, absf, x, TruncationSpec("smooth", e, dlt))
-            lhs = abs(hard - smooth)
-            rhs = single_scale_average(ins.sigma, absf, x, e) + single_scale_average(
-                ins.sigma, absf, x, dlt
-            )
-            if lhs > 0.0 and rhs > 0.0 and lhs / rhs > best_ratio:
-                best_ratio = lhs / rhs
-                worst = (lhs, rhs)
-        return worst[0], worst[1], best_ratio
-
-    raise ValueError(f"unknown lemma id {lemma_id!r}")
+        if lhs > 0.0 and rhs > 0.0 and lhs / rhs > best[2]:
+            best = (lhs, rhs, lhs / rhs)
+    return best

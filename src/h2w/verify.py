@@ -42,6 +42,7 @@ from .constants import (
 from .corona import (
     StoppingData,
     UniformitySpec,
+    _bounded_average_constant,
     b_above,
     build_stopping_data,
     carleson_check,
@@ -65,12 +66,14 @@ from .haar import (
     splitting_nodes,
 )
 from .hilbert import (
-    LemmaInstance,
     TruncationSpec,
     hilbert_pairing,
     kernel_difference_factor,
-    lemma_ratio,
+    monotonicity_mono1,
+    monotonicity_p_less_h,
     smooth_kernel,
+    truncation_compare,
+    weak_boundedness,
 )
 from .measure import (
     AtomicMeasure,
@@ -411,16 +414,10 @@ def suite_kernel(ens: _Ensemble) -> _Suite:
         if sigma.n_atoms == 0:
             continue
         rng2 = np.random.default_rng(cfg.seed + idx)
-        fvals = np.abs(rng2.standard_normal(sigma.n_atoms))
+        f = WeightedFunction(sigma, np.abs(rng2.standard_normal(sigma.n_atoms)))
         span = max(1e-3, float(sigma.positions_f.max() - sigma.positions_f.min()))
         for e, dd in ((0.05 * span, 0.5 * span), (0.2 * span, 2.0 * span)):
-            inst = LemmaInstance(
-                sigma=sigma,
-                f=WeightedFunction(sigma, fvals),
-                eps_delta=(e, dd),
-                x_points=np.linspace(-0.5, 1.5, 61),
-            )
-            _, _, ratio = lemma_ratio("truncation_compare", inst)
+            _, _, ratio = truncation_compare(f, e, dd, np.linspace(-0.5, 1.5, 61))
             worst = max(worst, ratio)
     s.record_max("truncation_compare_max", worst)
     s.exact("truncation_compare_bounded", worst <= 2.0 + 1e-9, f"max ratio {worst:.4f} (<= 2 by the kernel shape)")
@@ -451,10 +448,7 @@ def suite_lemmas(ens: _Ensemble) -> _Suite:
         sig_out = sigma.restrict(K).restrict_complement(gi)
         if sig_out.n_atoms == 0:
             continue
-        inst = LemmaInstance(
-            sigma=sigma, w=w, k_interval=K, i_interval=gi, g=h_j, grid=grid
-        )
-        lhs, rhs, ratio = lemma_ratio("monotonicity_P<H", inst)
+        lhs, rhs, ratio = monotonicity_p_less_h(sigma, h_j, K, gi, grid)
         if rhs > 0:
             worst_plh = max(worst_plh, ratio)
         # deeper good J for the second display; I is the ancestor one gap up
@@ -473,38 +467,17 @@ def suite_lemmas(ens: _Ensemble) -> _Suite:
                 continue
             rng = np.random.default_rng(cfg.seed + idx)
             signs = rng.uniform(-1, 1, size=holes.n_atoms)
-            inst2 = LemmaInstance(
-                sigma=sigma,
-                w=w,
-                k_interval=K,
-                i_interval=anc,
-                j_interval=jj,
-                g=hj2,
-                grid=grid,
-                nu_signs=signs,
-            )
-            lhs, rhs, ratio = lemma_ratio("monotonicity_mono1", inst2)
+            lhs, rhs, ratio = monotonicity_mono1(sigma, hj2, K, anc, jj, grid, signs)
             if rhs > 0:
                 worst_m1 = max(worst_m1, ratio)
-        # shared-endpoint pairing
-        left_half = grid.interval(1, 0)
-        right_half = grid.interval(1, 1)
-        inst3 = LemmaInstance(
-            sigma=sigma,
-            w=w,
-            i_interval=left_half,
-            j_interval=right_half,
-            a2=ens.record(sigma, w).a2,
-        )
-        lhs, rhs, ratio = lemma_ratio("weak_boundedness", inst3)
+        # shared-endpoint pairing of the two halves
+        halves = grid.interval(1, 0), grid.interval(1, 1)
+        lhs, rhs, ratio = weak_boundedness(sigma, w, *halves, ens.record(sigma, w).a2)
         if rhs > 0:
             worst_wb = max(worst_wb, ratio)
         if idx == 0:
             # degenerate case: no mass between K and I leaves both sides zero
-            inst4 = LemmaInstance(
-                sigma=AtomicMeasure.empty(), w=w, k_interval=K, i_interval=gi, g=h_j, grid=grid
-            )
-            lhs4, rhs4, _ = lemma_ratio("monotonicity_P<H", inst4)
+            lhs4, rhs4, _ = monotonicity_p_less_h(AtomicMeasure.empty(), h_j, K, gi, grid)
             s.exact("plh_zero_holes", lhs4 == 0.0 and rhs4 == 0.0, "both sides vanish")
     s.record_max("mono_p_less_h_ratio_max", worst_plh)
     s.record_max("mono1_ratio_max", worst_m1)
@@ -583,12 +556,12 @@ def suite_corona(ens: _Ensemble) -> _Suite:
         h, c0 = rec.h_const, rec.c0
         if h <= 0:
             continue
-        chosen = energy_stopping_intervals(grid.root_interval, sigma, w, h, c0, grid)
+        chosen = energy_stopping_intervals(grid.root_interval, sigma, w, h, c0)
         chosen_mass = sum(sigma.mass_on(F) for F in chosen)
         if chosen_mass > sigma.total_mass / 10.0:
             mass_ok = False
             replay = _replay(cfg, sigma, w, idx, "energy stopping mass")
-        sd = build_stopping_data(f, grid.root_interval, sigma, w, h, c0, grid)
+        sd = build_stopping_data(f, grid.root_interval, w, h, c0)
         # invariants: root maximal, control monotone, averages dominated
         if any(not sd.root.contains(F) for F in sd.members):
             inv_ok = False
@@ -614,7 +587,7 @@ def suite_corona(ens: _Ensemble) -> _Suite:
         # corona split algebra and the independent cross sum
         if g.norm() > 0:
             total = b_above(f, g, grid, cfg.below_gap)
-            split_value, residual = corona_split(f, g, sd, grid, cfg.below_gap)
+            split_value, residual = corona_split(f, g, sd, cfg.below_gap)
             split_dev = max(split_dev, abs(split_value + residual - total) / max(1.0, abs(total)))
             cross = 0.0
             for Fp in sd.members:
@@ -637,7 +610,7 @@ def suite_corona(ens: _Ensemble) -> _Suite:
             lhs = b_above(f, g + g2, grid, cfg.below_gap)
             rhs = total + b_above(f, g2, grid, cfg.below_gap)
             bilin_dev = max(bilin_dev, abs(lhs - rhs) / max(1.0, abs(lhs)))
-            for ratio in local_estimate_ratios(f, g, sd, grid, cfg.below_gap):
+            for ratio in local_estimate_ratios(f, g, sd, cfg.below_gap):
                 s.record_max("local_over_h_max", ratio / h)
         # uniformity of the rescaled corona piece on the family children
         for F in sd.members:
@@ -647,16 +620,12 @@ def suite_corona(ens: _Ensemble) -> _Suite:
             if not np.any(pf.values != 0.0):
                 continue
             aF = sd.alpha[F.key]
-            from .corona import _bounded_average_constant
-
-            cF = _bounded_average_constant(pf, F, sd, sigma, grid)
+            cF = _bounded_average_constant(pf, F, sd)
             if cF <= 0:
                 continue
             s.record_max("uniformity_scale_max", cF / aF)
             spec = UniformitySpec(F, sd.family_children(F), c0)
-            ok, violations = uniformity_check(
-                pf * (1.0 / cF), spec, sigma, w, h, grid
-            )
+            ok, violations = uniformity_check(pf * (1.0 / cF), spec, w, h)
             if not ok:
                 unif_ok = False
                 replay = _replay(cfg, sigma, w, idx, f"uniformity: {violations[:2]}")
@@ -732,7 +701,7 @@ def suite_poisson(ens: _Ensemble) -> _Suite:
             continue
         rec = ens.record(sigma, w)
         a2, h = rec.a2, rec.h_const
-        sd = build_stopping_data(f, grid.root_interval, sigma, w, h, rec.c0, grid)
+        sd = build_stopping_data(f, grid.root_interval, w, h, rec.c0)
         j_fams = default_j_families(sd.members, w, grid, cfg.eps, cfg.r, cfg.below_gap)
         hp = mu_measure(sd.members, w, grid, j_fams)
         for mass, (fkey, jkey) in zip(hp.masses, hp.tags):

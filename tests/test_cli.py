@@ -6,6 +6,7 @@ import tracemalloc
 
 import pytest
 
+import h2w.cli as cli
 import h2w.verify as verify
 from h2w.cli import _parser, main
 from h2w.errors import InexactPosition
@@ -348,6 +349,53 @@ class TestOptionSets:
             main(argv)
         assert exc.value.code == 2
         assert "Traceback" not in capsys.readouterr().err
+
+    @staticmethod
+    def _no_draw(monkeypatch):
+        # a refusal is a parse error: no ensemble is drawn
+        def draw(*args, **kwargs):
+            raise AssertionError("an ensemble was drawn")
+
+        monkeypatch.setattr(cli, "random_ensemble", draw)
+        monkeypatch.setattr(verify, "random_ensemble", draw)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "--seed", "-3"],
+            ["constants", GOLDEN_PAIR, "--seed", "-3"],
+            ["sweep", "--seed", "-3"],
+            ["verify", "all", "--seed", "-3"],
+            ["decompose", GOLDEN_PAIR, "--shift-num", "1", "--shift-scale", "-1"],
+            ["gen", "--depth", "63"],
+            ["gen", "--depth", "53"],
+            ["sweep", "--depth", "53"],
+            ["verify", "haar", "--depth", "64"],
+        ],
+    )
+    def test_negative_seed_scale_and_deep_ensembles_exit_2(self, argv, monkeypatch, capsys):
+        # each once ended in numpy's ValueError or OverflowError (exit 1) or,
+        # at gen --depth 53, in InexactPosition after the draw (exit 3)
+        self._no_draw(monkeypatch)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["abc", "1.5", "-5"])
+    def test_bad_env_seed_exits_2(self, value, tmp_path, monkeypatch, capsys):
+        self._no_draw(monkeypatch)
+        monkeypatch.setenv("H2W_SEED", value)
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "--count", "1", "--max-atoms", "4", "--depth", "6", "-o", str(tmp_path / "p.txt")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: H2W_SEED")
+
+    def test_depth_52_still_draws(self, tmp_path, capsys):
+        path = tmp_path / "p.txt"
+        code, _, _ = run_cli(["gen", "--count", "1", "--max-atoms", "4", "--depth", "52", "-o", str(path)], capsys)
+        assert code == 0 and read_pair_file(str(path))[0].n_atoms >= 1
 
     @pytest.mark.parametrize("count,drawn", [(["--count", "61"], 61), ([], 60)])
     def test_verify_draws_count_pairs(self, count, drawn, monkeypatch, capsys):

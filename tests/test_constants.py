@@ -662,6 +662,28 @@ class TestMemory:
 
         assert _peak_bytes(refused) < 16 << 20
 
+    def test_kernel_stack_cap_precedes_the_candidate_table(self, monkeypatch):
+        # refinement 1,000 on a 5 x 1 pair asks for about 2 million tapered
+        # candidates; the refusal comes from their count, before the index
+        # arrays of the table (tens of MB here) are built
+        monkeypatch.setattr(constants, "MAX_ARRAY_BYTES", 1 << 20)
+        sigma = AtomicMeasure.from_triples([(2 * a + 1, 4, 1.0) for a in range(5)])
+        w = AtomicMeasure.from_triples([(13, 5, 1.0)])
+
+        def refused():
+            with pytest.raises(PairTooLarge, match="5 sigma and 1 w atoms"):
+                kernel_scan(sigma, w, 1000)
+
+        assert _peak_bytes(refused) < 2 << 20
+
+    def test_row_count_is_the_table_length(self):
+        for _, sigma, w, _ in [*oracle_cases(), *crafted_cases()]:
+            dists = np.abs(sigma.positions_f[:, None] - w.positions_f[None, :]).ravel()
+            for refinement in (0, 1, 4, 24):
+                rows = []
+                cands = truncation_candidates(dists, refinement, rows.append)
+                assert rows == [len(cands)]
+
 
 class TestEnergy:
     def test_single_atom_zero(self, unit_root):
@@ -989,7 +1011,7 @@ class TestFunctionalEnergyRatio:
         sigma, w = random_ensemble(70, 1, 8, 10)[0]
         g = unit_grid(sigma, w, 10)
         h = WeightedFunction.constant(sigma)
-        assert functional_energy_ratio(h, [g.root_interval], {}, g) == 0.0
+        assert functional_energy_ratio(h, [g.root_interval], {}, g, j_families={}) == 0.0
 
     def test_single_haar_matches_direct_formula(self):
         sigma, w = random_ensemble(72, 1, 16, 12, family="clusters")[0]
@@ -1027,7 +1049,7 @@ class TestFunctionalEnergyRatio:
         if sigma.mass_on(g.interval(4, 0).interval) == 0:
             pytest.skip("chain carries no mass in this draw")
         with pytest.raises(PreconditionViolation):
-            functional_energy_ratio(h, chain, {}, g)
+            functional_energy_ratio(h, chain, {}, g, j_families={})
 
     def test_adaptedness_violation(self):
         sigma, w = random_ensemble(73, 1, 12, 10)[0]
@@ -1043,14 +1065,14 @@ class TestFunctionalEnergyRatio:
         hj = haar_function(J, w)
         h = WeightedFunction.constant(sigma)
         with pytest.raises(AdaptednessViolation):
-            functional_energy_ratio(h, [root], {root.key: hj}, g)
+            functional_energy_ratio(h, [root], {root.key: hj}, g, j_families={})
 
     def test_negative_h_rejected(self):
         sigma, w = random_ensemble(74, 1, 8, 10)[0]
         g = unit_grid(sigma, w, 10)
         h = WeightedFunction(sigma, -np.ones(sigma.n_atoms))
         with pytest.raises(PreconditionViolation):
-            functional_energy_ratio(h, [g.root_interval], {}, g)
+            functional_energy_ratio(h, [g.root_interval], {}, g, j_families={})
 
 
 class TestComputeReport:

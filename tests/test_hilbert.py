@@ -7,18 +7,19 @@ import h2w.hilbert as hilbert
 from h2w.grid import GridInterval
 from h2w.haar import splitting_nodes
 from h2w.hilbert import (
-    LemmaInstance,
     TruncationSpec,
     TruncationTable,
     hilbert_pairing,
     kernel_difference_factor,
     kernel_stack,
     kernel_values,
-    lemma_ratio,
+    monotonicity_mono1,
+    monotonicity_p_less_h,
     single_scale_average,
     smooth_kernel,
     transform,
     truncation_candidates,
+    weak_boundedness,
 )
 from h2w.measure import AtomicMeasure, random_ensemble
 
@@ -286,33 +287,20 @@ class TestKernelFacts:
 
 
 class TestLemmaRatio:
-    def test_unknown_id(self):
-        with pytest.raises(ValueError):
-            lemma_ratio("nope", LemmaInstance())
-
     def test_precondition_names_hypothesis(self, micro_pair):
         sigma, w = micro_pair
         grid = unit_grid(sigma, w, 1)
-        inst = LemmaInstance(
-            sigma=sigma,
-            w=w,
-            k_interval=grid.interval(1, 0),
-            i_interval=grid.root_interval,  # K does not contain I strictly
-            g=WeightedFunction.constant(w),
-            grid=grid,
-        )
+        # K does not contain I strictly
+        K, I = grid.interval(1, 0), grid.root_interval
         with pytest.raises(PreconditionViolation) as err:
-            lemma_ratio("monotonicity_P<H", inst)
+            monotonicity_p_less_h(sigma, WeightedFunction.constant(w), K, I, grid)
         assert "K must strictly contain I" in str(err.value)
 
     def test_weak_boundedness_trivial_when_one_side_empty(self):
         sigma = AtomicMeasure.from_triples([(1, 3, 1.0)])  # inside [0, 1/2)
         w = AtomicMeasure.from_triples([(3, 3, 1.0)])  # also inside [0, 1/2)
         grid = unit_grid(sigma, w, 1)
-        inst = LemmaInstance(
-            sigma=sigma, w=w, i_interval=grid.interval(1, 0), j_interval=grid.interval(1, 1)
-        )
-        lhs, rhs, ratio = lemma_ratio("weak_boundedness", inst)
+        lhs, rhs, ratio = weak_boundedness(sigma, w, grid.interval(1, 0), grid.interval(1, 1), 1.0)
         assert lhs == 0.0 and rhs == 0.0 and ratio == 0.0
 
     def test_mono_positive_sides(self):
@@ -329,10 +317,7 @@ class TestLemmaRatio:
         holes = sigma.restrict(grid.root_interval.interval).restrict_complement(gi.interval)
         if holes.n_atoms == 0:
             pytest.skip("no mass outside the middle interval")
-        inst = LemmaInstance(
-            sigma=sigma, w=w, k_interval=grid.root_interval, i_interval=gi, g=h_j, grid=grid
-        )
-        lhs, rhs, ratio = lemma_ratio("monotonicity_P<H", inst)
+        lhs, rhs, ratio = monotonicity_p_less_h(sigma, h_j, grid.root_interval, gi, grid)
         assert lhs > 0.0 and rhs > 0.0 and ratio > 0.0
 
 
@@ -367,17 +352,11 @@ class TestPairingScanMatchesOracle:
                 if holes.n_atoms == 0:
                     continue
                 signs = np.random.default_rng(n.index).uniform(-1, 1, holes.n_atoms)
-                inst = LemmaInstance(
-                    sigma=sigma, w=w, k_interval=K, i_interval=anc, j_interval=jj,
-                    g=haar_function(jj, w), grid=grid, nu_signs=signs,
-                )
-                cases.append(("monotonicity_mono1", inst))
-            inst = LemmaInstance(
-                sigma=sigma, w=w, i_interval=grid.interval(1, 0),
-                j_interval=grid.interval(1, 1), a2=1.0,
-            )
-            cases.append(("weak_boundedness", inst))
-        got = [lemma_ratio(lemma, inst) for lemma, inst in cases]
+                args = (sigma, haar_function(jj, w), K, anc, jj, grid, signs)
+                cases.append((monotonicity_mono1, args))
+            args = (sigma, w, grid.interval(1, 0), grid.interval(1, 1), 1.0)
+            cases.append((weak_boundedness, args))
+        got = [lemma(*args) for lemma, args in cases]
         monkeypatch.setattr(hilbert, "_pairing_scan", _pairing_scan_oracle)
-        assert got == [lemma_ratio(lemma, inst) for lemma, inst in cases]
-        assert sum(lemma == "monotonicity_mono1" and r[0] > 0 for (lemma, _), r in zip(cases, got)) >= 20
+        assert got == [lemma(*args) for lemma, args in cases]
+        assert sum(lemma is monotonicity_mono1 and r[0] > 0 for (lemma, _), r in zip(cases, got)) >= 20

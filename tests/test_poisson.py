@@ -260,8 +260,8 @@ def _half_plane_cases():
         scan = kernel_scan(sigma, w)
         t = [t_constant(sigma, w, d, scan=scan) for d in ("forward", "backward")]
         h = math.sqrt(a2) + max(t)
-        c0 = calibrate_c0(grid.root_interval, sigma, w, h, grid)
-        sd = build_stopping_data(f, grid.root_interval, sigma, w, h, c0, grid)
+        c0 = calibrate_c0(grid.root_interval, sigma, w, h)
+        sd = build_stopping_data(f, grid.root_interval, w, h, c0)
         fams = default_j_families(sd.members, w, grid, SUITE_EPS, SUITE_R, SUITE_BELOW_GAP)
         intervals = [GridInterval(grid, n.level, n.index) for n in occupied_nodes(sigma, grid)]
         intervals += list(sd.members)
