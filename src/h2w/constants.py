@@ -5,11 +5,12 @@ kernel_scan        the truncation scan of a pair and its unscaled kernel
                    constants;
 norm_constant      largest singular value of the truncated kernel matrix,
                    maximized over the truncation scan (dense batched SVD);
-                   an exact branch-and-bound: a Frobenius or
-                   sqrt(||.||_1 ||.||_inf) bound per candidate, which holds
-                   for LAPACK's rounded value too, orders the candidates and
-                   stops the scan, so the result is the full scan's bit for
-                   bit;
+                   an exact branch-and-bound in two stages: a Frobenius
+                   bound per candidate from the unscaled stack orders the
+                   candidates and seeds the running best, and a certified
+                   Gram-power bound, ||(A^T A)^8||_F^(1/16), ranks the ones
+                   it leaves; both hold for LAPACK's rounded value too, so
+                   the result is the full scan's bit for bit;
 a2_constant        lower-bound search for sup_I P(sigma, I) P(w, I) over a
                    structured interval family; an exact branch-and-bound:
                    an O(1) upper bound per candidate interval from the
@@ -165,38 +166,119 @@ def _spectral_norms(stack: np.ndarray) -> np.ndarray:
 # candidates per batched SVD call of the pruned norm scan
 _NORM_CHUNK = 8
 
+# squarings of the Gram matrix in the stage-2 bound
+_GRAM_SQUARINGS = 3
 
-def _norm_bounds(stack: np.ndarray) -> np.ndarray:
-    """Upper bounds for the largest singular value that LAPACK computes for
-    each matrix in a (T, m, n) stack, an array or a :class:`_ScaledStack`;
-    +inf where the bound is NaN.
 
-    The spectral norm is at most the Frobenius norm and at most
-    sqrt(||A||_1 ||A||_inf), the largest column and row sums of |A|; the
-    smaller of the two is taken.  Rounding.  The sums of k non-negative
-    terms carry a relative error below k eps.  A square, or the product of
-    the two norms, that underflows loses less than 2^-1074, so 2^-1073 per
-    square, and once for the product, is added before each root.
-    LAPACK's computed sigma_max is the exact one of A + E with
-    ||E|| <= p(m, n) eps ||A|| for a modest polynomial p, and it scales
-    tiny and huge matrices before it iterates.  The factor
-    1 + 1e-9 + 8 (m + n)^2 eps covers both relative errors.  An overflow
-    gives +inf and a NaN entry a NaN, read as +inf, so such a candidate is
-    never skipped.
+def _norm_slack(m: int, n: int) -> float:
+    """Relative margin of both norm bounds for an m x n candidate: LAPACK's
+    computed sigma_max is the exact one of A + E with ||E|| <= p(m, n) eps
+    ||A||, p a modest polynomial, and it scales tiny and huge matrices
+    before it iterates; 1e-9 covers that.  8 (m + n)^2 eps covers the
+    relative rounding that each bound's docstring counts."""
+    return 1.0 + 1e-9 + 8.0 * (m + n) ** 2 * np.finfo(float).eps
+
+
+def _frobenius_bounds(
+    stack: np.ndarray, sigma_masses: np.ndarray, w_masses: np.ndarray
+) -> np.ndarray:
+    """Stage 1 of the norm scan: an upper bound for the largest singular
+    value that LAPACK computes for each scaled candidate A_t, from the
+    unscaled (T, m, n) kernel stack; +inf where the bound is NaN.
+
+    ||A_t||_F^2 = sum_ij K_t(i, j)^2 sigma_i w_j is formed a block of
+    candidates at a time as the squared block times w, then times sigma,
+    with the masses over powers of two (the largest of each below 1, so
+    nothing overflows that need not) and raised by 2^-1074, so that each is
+    at least its exact scaled value.  Rounding.  A sum of k non-negative
+    terms carries a relative error below k eps; each term rounds three
+    times (K^2, and the two products); each rounding that underflows loses
+    less than 2^-1074, and 2^-1070 m (2 n + 1) covers all of them, as every
+    scaled mass is at most 1.  LAPACK's input is fl(fl(K sqrt(sigma_i))
+    sqrt(w_j)), which is off by four roundings of each entry and, where a
+    product underflows, by less than 2^-1074 max(1, sqrt(w_j)) absolutely:
+    2^-1070 sqrt(mn) max(1, max_j sqrt(w_j)) covers that, and the final
+    power-of-two scaling if it goes subnormal.  :func:`_norm_slack` covers
+    the relative errors, under (2 (m + n) + 12) eps before the root, and
+    LAPACK's own.  An overflow gives +inf and a NaN entry a NaN, read as +inf, so
+    such a candidate is never skipped.
     """
     T, m, n = stack.shape
-    slack = 1.0 + 1e-9 + 8.0 * (m + n) ** 2 * np.finfo(float).eps
-    ub = np.empty(T)
-    # a few candidates at a time, so that no temporary outgrows a block
+    es = math.frexp(float(sigma_masses.max()))[1]
+    ew = math.frexp(float(w_masses.max()))[1]
+    ew += (es + ew) % 2
+    su = np.ldexp(sigma_masses, -es) + _TINY
+    wu = np.ldexp(w_masses, -ew) + _TINY
+    floor = math.ldexp(m * (2 * n + 1), -1070)
+    beta = math.ldexp(math.sqrt(m * n) * max(1.0, math.sqrt(float(w_masses.max()))), -1070)
+    frob_sq = np.empty(T)
     step = max(1, _STACK_BLOCK // (m * n))
+    buf = np.empty((min(step, T), m, n))
     with np.errstate(all="ignore"):
         for t0 in range(0, T, step):
-            blk = stack[t0 : t0 + step]
-            frob = np.sqrt(np.square(blk).sum(axis=(1, 2)) + m * n * 2.0 * _TINY)
-            mag = np.abs(blk)
-            one = mag.sum(axis=1).max(axis=1)
-            inf = mag.sum(axis=2).max(axis=1)
-            ub[t0 : t0 + step] = np.minimum(frob, np.sqrt(one * inf + 2.0 * _TINY)) * slack
+            blk = np.square(stack[t0 : t0 + step], out=buf[: min(step, T - t0)])
+            frob_sq[t0 : t0 + len(blk)] = (blk.reshape(-1, n) @ wu).reshape(-1, m) @ su
+        ub = np.ldexp(np.sqrt(frob_sq + floor) * _norm_slack(m, n), (es + ew) // 2) + beta
+    ub[np.isnan(ub)] = np.inf
+    return ub
+
+
+def _gram_power_bounds(stack: _ScaledStack, rows: np.ndarray, frob: np.ndarray) -> np.ndarray:
+    """Stage 2 of the norm scan: an upper bound for the largest singular
+    value that LAPACK computes for the candidates ``rows`` of the scaled
+    stack, whose stage-1 bounds are ``frob``; +inf where ``frob`` is not
+    finite or the bound is NaN.
+
+    Each candidate A is scaled by the power of two 2^-p that brings its
+    stage-1 bound into [1/2, 1), so ||B||_F < 1 for B = A 2^-p; the scaling
+    is exact but where it underflows.  G = B^T B on the smaller side k (l
+    the larger) is squared J times, X_{j+1} = X_j X_j, and
+    lambda_max(G)^(2^J) <= ||G^(2^J)||_F for the exact symmetric
+    non-negative G, so sigma_max(A) <= 2^p (||X_J||_F + delta_J)^(1/2^(J+1))
+    with delta_j a bound on the Frobenius distance of the computed X_j from
+    the exact power, carried through every step by the error bound for
+    matrix products, |fl(XY) - XY| <= gamma |X| |Y| with gamma_k =
+    k eps / (1 - k eps), for any summation order and thread count:
+    delta_0 = 1.001 gamma_l + kl 2^-1074 and delta_{j+1} = gamma_k
+    ||X_j||_F^2 + (2 ||X_j||_F + delta_j) delta_j + k^2 2^-1074, the last
+    terms for underflow, each step raised by 8 eps for its own rounding and
+    each ||X_j||_F by (k^2 + 4) 4 eps.  Only Frobenius norms enter, so a
+    computed X_j that is not quite symmetric changes nothing.  The
+    underflow of the scaling adds at most 2^-1074 sqrt(kl) to sigma_max(B),
+    far below an ulp of the root, which is at least delta_J^(1/2^(J+1)),
+    and :func:`_norm_slack` covers the roots and LAPACK's error.
+    """
+    _, m, n = stack.shape
+    k, l = min(m, n), max(m, n)
+    eps = np.finfo(float).eps
+    gamma_k, gamma_l = k * eps / (1.0 - k * eps), l * eps / (1.0 - l * eps)
+    up = 1.0 + 8.0 * eps
+    up_f = 1.0 + 4.0 * (k * k + 4) * eps
+    slack = _norm_slack(m, n)
+    ub = np.full(len(rows), np.inf)
+    live = np.flatnonzero(np.isfinite(frob))
+    p = np.frexp(frob)[1]
+    step = max(1, _STACK_BLOCK // (m * n))
+
+    def frobenius(x: np.ndarray) -> np.ndarray:
+        return np.sqrt((np.square(x).sum(axis=(1, 2)) + 2 * k * k * _TINY) * up_f)
+
+    with np.errstate(all="ignore"):
+        for s0 in range(0, len(live), step):
+            at = live[s0 : s0 + step]
+            b = stack[rows[at]]
+            np.ldexp(b, -p[at, None, None], out=b)
+            x = b.transpose(0, 2, 1) @ b if m >= n else b @ b.transpose(0, 2, 1)
+            f = frobenius(x)
+            delta = 1.001 * gamma_l + k * l * _TINY
+            for _ in range(_GRAM_SQUARINGS):
+                delta = (gamma_k * f * f + (2.0 * f + delta) * delta + k * k * _TINY) * up
+                f = (f * f * (1.0 + gamma_k) + k * k * _TINY) * up
+                x = x @ x
+            root = (frobenius(x) + delta) * up
+            for _ in range(_GRAM_SQUARINGS + 1):
+                root = np.sqrt(root)
+            ub[at] = np.ldexp(root * slack, p[at]) + _TINY
     ub[np.isnan(ub)] = np.inf
     return ub
 
@@ -229,13 +311,16 @@ def norm_constant(
     the matrix sqrt(w_j) K(y_i - x_j) sqrt(sigma_i).  ``scan``, the pair's
     :func:`kernel_scan`, is built here when not given.
 
-    An exact branch-and-bound: the candidates are taken in decreasing order
-    of :func:`_norm_bounds`, a few per batched SVD, and the scan stops at
-    the first bound at most the running best.  The bound holds for the value
-    LAPACK computes, so the result is the full scan's max bit for bit.  An
-    infinite bound is never skipped, and once the running best is NaN no
-    bound compares below it, so a NaN or a failed SVD surfaces as it would
-    in the full scan.
+    An exact branch-and-bound in two stages.  The candidates are taken in
+    decreasing order of :func:`_frobenius_bounds`, and the top
+    :data:`_NORM_CHUNK` seed the running best.  Every other candidate whose
+    bound does not rule it out gets the tighter :func:`_gram_power_bounds`;
+    those are taken in decreasing order of the smaller bound, a few per
+    batched SVD, and the scan stops at the first bound at most the running
+    best.  Both bounds hold for the value LAPACK computes, so the result is
+    the full scan's max bit for bit.  An infinite bound is never skipped,
+    and once the running best is NaN no bound compares below it, so a NaN or
+    a failed SVD surfaces as it would in the full scan.
     """
     if has_common_point_mass(sigma, w):
         raise CommonPointMass("norm constant requires disjoint point masses")
@@ -244,15 +329,19 @@ def norm_constant(
     if scan is None:
         scan = kernel_scan(sigma, w, refinement)
     stack = _ScaledStack(scan.stack, np.sqrt(sigma.masses_f), np.sqrt(w.masses_f))
-    ub = _norm_bounds(stack)
+    ub = _frobenius_bounds(scan.stack, sigma.masses_f, w.masses_f)
     order = np.argsort(-ub, kind="stable")
-    best = -math.inf
+    # np.max keeps a NaN, as the full scan's max would
+    best = float(np.max(_spectral_norms(stack[order[:_NORM_CHUNK]])))
+    rest = order[_NORM_CHUNK:]
+    rest = rest[~(ub[rest] <= best)]
+    ub = np.minimum(ub[rest], _gram_power_bounds(stack, rest, ub[rest]))
+    order = np.argsort(-ub, kind="stable")
     for start in range(0, len(order), _NORM_CHUNK):
         head = ub[order[start]]
         if head <= best and head != math.inf:
             break
-        chunk = order[start : start + _NORM_CHUNK]
-        # np.max keeps a NaN, as the full scan's max would
+        chunk = rest[order[start : start + _NORM_CHUNK]]
         best = float(np.max(_spectral_norms(stack[chunk]), initial=best))
     return best
 
@@ -307,8 +396,9 @@ def _poisson_bounds(
     on the right.  So the exact sum of the rounded entries times the masses
     is at most e_in mu(I) + e_l mu(left) + e_r mu(right).  The atom counts
     and gaps of the endpoint pairs [e_i, e_j] are found once per endpoint
-    and gathered for the pairs; the ladder candidates, n (2 refinement + 1)
-    of them, look theirs up directly.
+    and gathered for the pairs; the ladder candidates, the at most
+    n (2 refinement + 1) rungs that :func:`_a2_candidates` keeps, look
+    theirs up directly.
 
     Rounding.  Every error is measured against e_in mu(R), mu(R) the
     total mass, which bounds the exact sum: each prefix sum is off by at
@@ -376,7 +466,9 @@ def _a2_bounds(
 
 def _a2_candidates(sigma: AtomicMeasure, w: AtomicMeasure, refinement: int):
     """The candidate intervals of :func:`a2_constant`: the endpoints, the
-    endpoint index pairs (i, j), and every candidate's float ends.
+    endpoint index pairs (i, j), and every candidate's float ends; a ladder
+    rung is left out when its float ends are not increasing or its length
+    does not square to a finite double.
 
     PairTooLarge when the search would pass :data:`MAX_ARRAY_BYTES`.
     """
@@ -398,9 +490,17 @@ def _a2_candidates(sigma: AtomicMeasure, w: AtomicMeasure, refinement: int):
         )
     else:
         local = np.array([1.0])
-    lengths = local[:, None] * 2.0 ** np.arange(-refinement, refinement + 1)
-    lefts = np.concatenate([endpoints[i], (endpoints[:, None] - 0.5 * lengths).ravel()])
-    rights = np.concatenate([endpoints[j], (endpoints[:, None] + 0.5 * lengths).ravel()])
+    with np.errstate(over="ignore", invalid="ignore"):
+        lengths = local[:, None] * 2.0 ** np.arange(-refinement, refinement + 1)
+        ladder_lefts = (endpoints[:, None] - 0.5 * lengths).ravel()
+        ladder_rights = (endpoints[:, None] + 0.5 * lengths).ravel()
+        # a rung shorter than an ulp of its centre has no interior (its P is
+        # 0 / 0), and one whose length squares past the largest double has
+        # every entry L / (L^2 + d^2) round to 0
+        keep = np.isfinite(np.square(ladder_rights - ladder_lefts))
+    keep &= ladder_lefts < ladder_rights
+    lefts = np.concatenate([endpoints[i], ladder_lefts[keep]])
+    rights = np.concatenate([endpoints[j], ladder_rights[keep]])
     return endpoints, i, j, lefts, rights
 
 

@@ -179,17 +179,16 @@ def _energy_sides(
 def _energy_stops(i0: GridInterval, sigma: AtomicMeasure, w: AtomicMeasure, h_const: float):
     """The joint table on i0's grid and a function from a threshold to the
     maximal rows strictly below i0 that energy-stop at it, in pre-order; both
-    sides of each row's test (:func:`_energy_sides`, sigma_0 = sigma on i0)
-    are formed once."""
+    sides of each row's test (:meth:`_StopTable.energy_sides`, sigma_0 =
+    sigma on i0) are read from the table's memo of i0's row."""
     if h_const <= 0:
         raise PreconditionViolation("h_const must be positive")
     table = _stop_table(sigma, w, i0.grid)
     t = table.nodes
     start, end = _subtree(t, i0.level, i0.index)
     rows = np.arange(start + 1, end)
-    columns = (table.left, table.right, table.e2w)
-    top = sigma.index_range(i0)
-    lhs, sigma_mass = _energy_sides(columns, rows, t.lo[0, rows], t.hi[0, rows], sigma, top)
+    # an i0 that holds no atom is no row and has none below it
+    lhs, sigma_mass = table.energy_sides(start, sigma) if end else (np.empty(0), np.empty(0))
 
     def stops(threshold: float) -> list[int]:
         with np.errstate(all="ignore"):
@@ -258,7 +257,8 @@ class _StopTable:
     floats and parent row, whether the parent holds two atoms, and the
     energy-test column of the rows holding two w atoms, which are the w
     trunk rows in the trunk's own pre-order: E(w, I)^2 w(I), zero on every
-    other row."""
+    other row.  The two sides of the energy-stopping test below a top row
+    are formed once per top row (:meth:`energy_sides`)."""
 
     nodes: NodeTable
     left: np.ndarray
@@ -266,6 +266,23 @@ class _StopTable:
     parent: np.ndarray
     reached: np.ndarray
     e2w: np.ndarray
+    _sides: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def energy_sides(self, top: int, sigma: AtomicMeasure) -> tuple[np.ndarray, np.ndarray]:
+        """:func:`_energy_sides` of every row strictly below row ``top``,
+        with sigma_0 the atoms of the table's sigma in ``top``; built once
+        per top row.  Each row's sides come from its own row sum and prefix
+        difference, so a subset of them has the bits of a call on that
+        subset alone."""
+        got = self._sides.get(top)
+        if got is None:
+            t = self.nodes
+            rows = np.arange(top + 1, t.end[top])
+            columns = (self.left, self.right, self.e2w)
+            top_atoms = t.lo[0, top].item(), t.hi[0, top].item()
+            got = _energy_sides(columns, rows, t.lo[0, rows], t.hi[0, rows], sigma, top_atoms)
+            self._sides[top] = got
+        return got
 
 
 @lru_cache(maxsize=8)
@@ -314,7 +331,6 @@ def build_stopping_data(
     mpref = sigma._mass_prefix
     fpref = np.concatenate(([0.0], np.cumsum(absf * sigma.masses_f)))
     threshold = 10.0 * c0 * h_const**2
-    columns = (table.left, table.right, table.e2w)
 
     def avg_abs(lo: int, hi: int) -> float:
         mass = mpref[hi] - mpref[lo]
@@ -330,13 +346,13 @@ def build_stopping_data(
 
     def find_children(F: GridInterval, aF: float) -> list[GridInterval]:
         top = row[F.key]
-        slo, shi = t.lo[0, top].item(), t.hi[0, top].item()
         rows = np.arange(top + 1, t.end[top])
-        rows = rows[table.reached[rows] | (table.parent[rows] == top)]
+        below = np.flatnonzero(table.reached[rows] | (table.parent[rows] == top))
+        rows = rows[below]
         a, b = t.lo[0, rows], t.hi[0, rows]
-        lhs, sigma_mass = _energy_sides(columns, rows, a, b, sigma, (slo, shi))
+        lhs, sigma_mass = table.energy_sides(top, sigma)
         with np.errstate(all="ignore"):
-            energy = lhs > threshold * sigma_mass
+            energy = lhs[below] > threshold * sigma_mass[below]
         hits = energy.copy()
         if aF > 0:
             with np.errstate(all="ignore"):

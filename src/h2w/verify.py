@@ -235,6 +235,43 @@ class _Suite:
 # ---------------------------------------------------------------------------
 
 
+def _telescoping_error(f: WeightedFunction, nodes, diffs: dict, root_mean: float) -> float:
+    """Largest relative gap, over the charged intervals I (``nodes``),
+    between the average of f on I and the root mean plus the averages on I
+    of the martingale differences ``diffs`` (by (level, index)) of I's
+    strict ancestors.  The (interval, ancestor) terms of one atom count are
+    gathered into the rows of one 2-D array, whose row sums numpy reduces as
+    it reduces each 1-D slice, and the ancestors are added level by level,
+    so every total rounds as a per-interval loop's does."""
+    mu = f.base
+    m, mp = mu.masses_f, mu._mass_prefix
+    fp = np.concatenate(([0.0], np.cumsum(f.values * m)))
+    lo = np.array([n.lo for n in nodes])
+    hi = np.array([n.hi for n in nodes])
+    rows = {key: r for r, key in enumerate(diffs)}
+    terms = [
+        (k, a, r)
+        for k, n in enumerate(nodes)
+        for a in range(n.level)
+        if (r := rows.get((a, n.index >> (n.level - a)))) is not None
+    ]
+    node, anc, row = np.array(terms, dtype=np.intp).reshape(-1, 3).T
+    products = np.array(list(diffs.values())).reshape(len(diffs), mu.n_atoms) * m
+    mass = mp[hi] - mp[lo]
+    size = (hi - lo)[node]
+    means = np.empty(len(terms))
+    for k in np.unique(size).tolist():
+        at = np.flatnonzero(size == k)
+        atoms = lo[node[at], None] + np.arange(k)
+        means[at] = products[row[at, None], atoms].sum(axis=1) / mass[node[at]]
+    total = np.full(len(nodes), root_mean)
+    for a in np.unique(anc).tolist():
+        at = np.flatnonzero(anc == a)
+        total[node[at]] += means[at]
+    ej = (fp[hi] - fp[lo]) / mass
+    return float(np.max(np.abs(ej - total) / np.maximum(1.0, np.abs(ej))))
+
+
 def suite_haar(ens: _Ensemble) -> _Suite:
     cfg = ens.cfg
     s = _Suite("haar", cfg)
@@ -270,23 +307,8 @@ def suite_haar(ens: _Ensemble) -> _Suite:
                     worst_mart = max(
                         worst_mart, float(np.max(np.abs(md - coeff * hv))) / scale
                     )
-            # telescoping at every charged interval
-            m = mu.masses_f
-            fp = np.concatenate(([0.0], np.cumsum(f.values * m)))
-            mp = mu._mass_prefix
-            for n in occupied_nodes(mu, grid):
-                ej = (fp[n.hi] - fp[n.lo]) / (mp[n.hi] - mp[n.lo])
-                total = hc.root_mean
-                lev, index = n.level, n.index
-                for anc_level in range(0, lev):
-                    md = diffs.get((anc_level, index >> (lev - anc_level)))
-                    if md is None:
-                        continue
-                    total += (
-                        float(np.sum(md[n.lo : n.hi] * m[n.lo : n.hi]))
-                        / (mp[n.hi] - mp[n.lo])
-                    )
-                worst_tel = max(worst_tel, abs(ej - total) / max(1.0, abs(ej)))
+            tel = _telescoping_error(f, occupied_nodes(mu, grid), diffs, hc.root_mean)
+            worst_tel = max(worst_tel, tel)
             pg = good_projection(f, grid, cfg.eps, cfg.r)
             if pg.norm() > f.norm() * (1 + 1e-12):
                 bad = _replay(cfg, sigma, w, idx, "projection expanded")

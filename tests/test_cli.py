@@ -86,6 +86,15 @@ class TestConstants:
         code, _, err = run_cli(["constants", str(shared)], capsys)
         assert code == 3 and "point mass" in err
 
+    def test_deep_a2_refinement_stays_finite(self, tmp_path, capsys):
+        # its shortest A2 rungs once had no interior and made A2 NaN, exit 1
+        path = str(tmp_path / "pair.txt")
+        gen = ["gen", "--seed", "5", "--count", "1", "--max-atoms", "6", "--depth", "8", "-o", path]
+        assert run_cli(gen, capsys)[0] == 0
+        code, out, _ = run_cli(["constants", path, "--a2-refinement", "46"], capsys)
+        assert code == 0
+        assert json.loads(out)["a2"] == 41251.59948302509
+
     def test_micro_pair_norm_two(self, tmp_path, capsys):
         micro = tmp_path / "micro.txt"
         micro.write_text("[sigma]\n1 2 1.0\n[w]\n3 2 1.0\n")

@@ -15,8 +15,10 @@ from h2w.constants import (
     _a2_candidates,
     _a2_values,
     _class_bounds,
+    _frobenius_bounds,
+    _gram_power_bounds,
     _nonneg_measure,
-    _norm_bounds,
+    _ScaledStack,
     _spectral_norms,
     _trunk_table,
     a2_constant,
@@ -124,6 +126,20 @@ _TIGHT_NORM_PAIRS = [
 ]
 
 
+def _stage_bounds(sigma, w):
+    """Both stages' bounds for every candidate, and LAPACK's values."""
+    raw = kernel_scan(sigma, w).stack
+    stack = _ScaledStack(raw, np.sqrt(sigma.masses_f), np.sqrt(w.masses_f))
+    frob = _frobenius_bounds(stack.stack, sigma.masses_f, w.masses_f)
+    gram = _gram_power_bounds(stack, np.arange(len(frob)), frob)
+    return frob, gram, _spectral_norms(stack[:])
+
+
+# candidates that _spectral_norms received over random_ensemble(901, 40, 32,
+# 12) when the scan pruned by min(||A||_F, sqrt(||A||_1 ||A||_inf)) alone
+_ONE_STAGE_SVDS = 2152
+
+
 class TestNormBranchAndBound:
     def test_pruned_scan_equals_full_scan(self):
         for name, sigma, w in _norm_cases():
@@ -133,24 +149,25 @@ class TestNormBranchAndBound:
     def test_bounds_hold_for_every_candidate(self):
         for name, sigma, w in _norm_cases():
             with np.errstate(over="ignore", invalid="ignore"):
-                stack = _norm_stack(sigma, w)
-                values = _spectral_norms(stack)
-            assert not np.any(values > _norm_bounds(stack)), name
+                frob, gram, values = _stage_bounds(sigma, w)
+            assert not np.any(values > frob), f"stage 1, {name}"
+            assert not np.any(values > gram), f"stage 2, {name}"
 
     def test_corrupted_bound_changes_the_result(self, monkeypatch):
-        # a bound 1e-6 too low skips the candidate that attains the max on
-        # some pair, so the comparisons above would see it
+        # either stage's bound 1e-6 too low skips the candidate that attains
+        # the max on some pair, so the comparisons above would see it
         pairs = [
             random_ensemble(seed, count, atoms, depth, family=family)[k]
             for seed, count, atoms, depth, family, k in _TIGHT_NORM_PAIRS
         ]
         want = [norm_constant(sigma, w) for sigma, w in pairs]
         assert want == [_norm_full_scan(sigma, w) for sigma, w in pairs]
-        monkeypatch.setattr(
-            constants, "_norm_bounds", lambda stack: _norm_bounds(stack) * (1.0 - 1e-6)
-        )
-        got = [norm_constant(sigma, w) for sigma, w in pairs]
-        assert got != want
+        for stage in ("_frobenius_bounds", "_gram_power_bounds"):
+            with monkeypatch.context() as patch:
+                real = getattr(constants, stage)
+                patch.setattr(constants, stage, lambda *args: real(*args) * (1.0 - 1e-6))
+                got = [norm_constant(sigma, w) for sigma, w in pairs]
+            assert got != want, stage
 
     def test_sub_batch_gives_the_full_batch_bits(self):
         for sigma, w in random_ensemble(82, 8, 32, 12, family="mixed"):
@@ -158,27 +175,37 @@ class TestNormBranchAndBound:
             pick = np.random.default_rng(sigma.n_atoms).permutation(len(stack))[:9]
             assert np.array_equal(_spectral_norms(stack[pick]), _spectral_norms(stack)[pick])
 
-    def test_block_bounds_equal_whole_stack_bounds(self):
-        for name, sigma, w in _norm_cases():
-            with np.errstate(over="ignore", invalid="ignore"):
-                stack = _norm_stack(sigma, w)
-                assert np.array_equal(_norm_bounds(stack), _norm_bounds_whole(stack)), name
+    def test_frobenius_bound_is_the_scaled_frobenius_norm(self, monkeypatch):
+        # at any block size, stage 1 is the Frobenius norm of the scaled
+        # stack LAPACK sees, raised by no more than its slack and by an
+        # underflow floor 150 decades below the largest candidate, and
+        # finite wherever that stack is, though its squares overflow
+        for block in (1, 1 << 16, 1 << 40):
+            monkeypatch.setattr(constants, "_STACK_BLOCK", block)
+            for name, sigma, w in _norm_cases():
+                with np.errstate(over="ignore", invalid="ignore"):
+                    stack = _norm_stack(sigma, w)
+                    top = np.abs(stack).max(axis=(1, 2))
+                    top[top == 0.0] = 1.0
+                    frob = top * np.sqrt(np.square(stack / top[:, None, None]).sum(axis=(1, 2)))
+                    got = _frobenius_bounds(
+                        kernel_scan(sigma, w).stack, sigma.masses_f, w.masses_f
+                    )
+                finite = np.isfinite(frob)
+                floor = 1e-150 * np.max(frob[finite], initial=0.0)
+                assert np.all(got[~finite] == np.inf), name
+                assert np.all(got[finite] >= frob[finite] * (1.0 - 1e-12)), name
+                assert np.all(got[finite] <= frob[finite] * (1.0 + 2e-9) + floor), name
 
-
-def _norm_bounds_whole(stack):
-    """``_norm_bounds`` on the whole stack at once, as it was computed before
-    it went through blocks of candidates."""
-    _, m, n = stack.shape
-    tiny = math.ldexp(1.0, -1074)
-    slack = 1.0 + 1e-9 + 8.0 * (m + n) ** 2 * np.finfo(float).eps
-    with np.errstate(all="ignore"):
-        frob = np.sqrt(np.square(stack).sum(axis=(1, 2)) + m * n * 2.0 * tiny)
-        mag = np.abs(stack)
-        one = mag.sum(axis=1).max(axis=1)
-        inf = mag.sum(axis=2).max(axis=1)
-        ub = np.minimum(frob, np.sqrt(one * inf + 2.0 * tiny)) * slack
-    ub[np.isnan(ub)] = np.inf
-    return ub
+    def test_gram_power_bound_prunes_most_svds(self, monkeypatch):
+        sizes = []
+        real = constants._spectral_norms
+        monkeypatch.setattr(
+            constants, "_spectral_norms", lambda stack: sizes.append(len(stack)) or real(stack)
+        )
+        for sigma, w in random_ensemble(901, 40, 32, 12):
+            norm_constant(sigma, w)
+        assert 3 * sum(sizes) <= _ONE_STAGE_SVDS
 
 
 class TestA2Constant:
@@ -200,6 +227,16 @@ class TestA2Constant:
         base = a2_constant(sigma, w)
         moved = a2_constant(dilate(sigma, 3), dilate(w, 3))
         assert abs(moved - base) <= 1e-9 * base
+
+    @pytest.mark.filterwarnings("error")
+    def test_finite_and_monotone_at_every_refinement(self):
+        # the pair of `gen --seed 5 --count 1 --max-atoms 6 --depth 8`: from
+        # refinement 46 its shortest rungs had no interior and gave 0 / 0,
+        # and past 1023 the rung lengths overflowed
+        sigma, w = random_ensemble(5, 1, 6, 8)[0]
+        values = [a2_constant(sigma, w, r) for r in [*range(61), 1023, 1100]]
+        assert all(math.isfinite(v) for v in values)
+        assert values == sorted(values)
 
 
 def _a2_loop_oracle(sigma, w, refinement):
