@@ -29,7 +29,6 @@ from .measure import (
     has_common_point_mass,
     random_ensemble,
     read_pair_file,
-    write_pair_file,
 )
 from .grid import DyadicGrid, GridInterval, auto_grid, build_grid, f_parent, is_good
 from .haar import (

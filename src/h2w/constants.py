@@ -470,28 +470,37 @@ def _a2_candidates(sigma: AtomicMeasure, w: AtomicMeasure, refinement: int):
     rung is left out when its float ends are not increasing or its length
     does not square to a finite double.
 
+    Only the rungs local 2^k that can be kept are built: a kept rung's
+    length is a nonzero double below 2^516 (past that its float ends are
+    equal or differ by more than 2^512), so with local = m 2^e, m in
+    [0.5, 1), k runs over at most -1075 - e .. 521 - e, within the
+    doubles' -1074 .. 1023; the ladder is the union of these windows over
+    the endpoints, within -refinement .. refinement.
+
     PairTooLarge when the search would pass :data:`MAX_ARRAY_BYTES`.
     """
     pts = np.unique(np.concatenate([sigma.positions_f, w.positions_f]))
     if len(pts) > 1:
         mids = 0.5 * (pts[:-1] + pts[1:])
         endpoints = np.unique(np.concatenate([pts, mids]))
-    else:
-        endpoints = pts
-    n = len(endpoints)
-    # about 16 arrays of one double or index per candidate live at once
-    _check_size(128 * (n * (n - 1) // 2 + n * (2 * refinement + 1)), "A2 search", sigma, w)
-    # every pair of endpoints, row-major, then the ladder around each endpoint
-    i, j = np.triu_indices(n, 1)
-    if n > 1:
         gaps = np.diff(endpoints)
         local = np.minimum(
             np.concatenate([[gaps[0]], gaps]), np.concatenate([gaps, [gaps[-1]]])
         )
     else:
+        endpoints = pts
         local = np.array([1.0])
+    n = len(endpoints)
+    e = np.frexp(local)[1]
+    k_lo = max(-refinement, -1074, -1075 - int(e.max()))
+    k_hi = min(refinement, 1023, 521 - int(e.min()))
+    ks = np.arange(k_lo, k_hi + 1)
+    # about 16 arrays of one double or index per candidate live at once
+    _check_size(128 * (n * (n - 1) // 2 + n * len(ks)), "A2 search", sigma, w)
+    # every pair of endpoints, row-major, then the ladder around each endpoint
+    i, j = np.triu_indices(n, 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        lengths = local[:, None] * 2.0 ** np.arange(-refinement, refinement + 1)
+        lengths = local[:, None] * 2.0**ks
         ladder_lefts = (endpoints[:, None] - 0.5 * lengths).ravel()
         ladder_rights = (endpoints[:, None] + 0.5 * lengths).ravel()
         # a rung shorter than an ulp of its centre has no interior (its P is
@@ -971,8 +980,9 @@ class PairConstants:
     """The per-pair constants that every later stage reads.
 
     ``c0`` is the energy-stopping threshold on ``grid``, calibrated by the
-    rule of :func:`combined_constant`.  Only floats and the grid: no kernel
-    stack.
+    rule of :func:`combined_constant`; ``refinement`` and ``a2_refinement``
+    are the scan settings the constants were computed at.  Only numbers and
+    the grid: no kernel stack.
     """
 
     grid: DyadicGrid
@@ -983,6 +993,8 @@ class PairConstants:
     h_const: float
     c0: float
     scan_size: int
+    refinement: int
+    a2_refinement: int
 
 
 def combined_constant(
@@ -1027,7 +1039,7 @@ def pair_constants(
     scan = kernel_scan(sigma, w, refinement)
     norm_n = norm_constant(sigma, w, refinement, scan=scan)
     chain = combined_constant(sigma, w, grid, refinement, a2_refinement, c0, scan=scan)
-    return PairConstants(grid, norm_n, *chain, len(scan.candidates))
+    return PairConstants(grid, norm_n, *chain, len(scan.candidates), refinement, a2_refinement)
 
 
 @dataclass
@@ -1095,8 +1107,8 @@ def compute_report(
     The functional-energy and local ratios are empirical maxima over a small
     seeded family of stopping data and adapted functions (:data:`_FE_SAMPLES`
     random f); they are lower bounds by nature.  ``record``, the pair's
-    :func:`pair_constants` at the same refinements and c0, is built here
-    when not given; its grid is the report's grid.
+    :func:`pair_constants`, is built here from the refinements and c0 when
+    not given; its grid, refinements and calibrated c0 are the report's.
     """
     from . import corona  # deferred: corona builds on this module
 
@@ -1164,8 +1176,8 @@ def compute_report(
     meta = {
         "seed": seed,
         "depth": grid.depth,
-        "refinement": refinement,
-        "a2_refinement": a2_refinement,
+        "refinement": record.refinement,
+        "a2_refinement": record.a2_refinement,
         "eps": eps,
         "r": r,
         "below_gap": below_gap,

@@ -13,9 +13,10 @@ its rows that a descent from a member reaches.  Each test is one
 vectorised pass whose Poisson sums are row sums of
 ``poisson._stationary_terms``; the maximal hits are kept in pre-order by
 jumping over each hit's subtree.  A GridInterval is built only for a
-returned member or a named violation.  The bounded-averages constant reads
-the sigma table's subtree rows; ``uniformity_check`` walks the grid itself
-(``haar._descend``), so it checks that constant independently.
+returned member or a named violation.  The bounded-averages constant and
+the uniformity check's bounded-averages clause read the same rows: those at
+or below a top interval, less the subtrees of a family (:func:`_rows_outside`),
+with the average of |f| on each from prefix sums (:func:`_abs_averages`).
 
 sigma is read from the function a construction is built for (``f.base``)
 and the grid from its top interval (``i0.grid``, ``stopping.root.grid``),
@@ -43,9 +44,7 @@ from .errors import AtomCollision, PreconditionViolation
 from .grid import DyadicGrid, GridInterval, minimal_member
 from .haar import (
     NodeTable,
-    Ranges,
     WeightedFunction,
-    _descend,
     _differences,
     _endpoints,
     _node_table,
@@ -140,6 +139,27 @@ class UniformitySpec:
 
 # rows x atoms per block of a vectorised stop test
 _STOP_BLOCK = 1 << 14
+
+
+def _rows_outside(table: NodeTable, top: GridInterval, family) -> np.ndarray:
+    """The rows of ``table`` at or below ``top``, less the subtree of each
+    member of ``family``, in pre-order."""
+    start, end = _subtree(table, top.level, top.index)
+    keep = np.ones(end - start, dtype=bool)
+    for s in family:
+        a, b = _subtree(table, s.level, s.index)
+        keep[a - start : b - start] = False
+    return np.arange(start, end)[keep]
+
+
+def _abs_averages(f: WeightedFunction, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The average of |f| over sigma = ``f.base`` on each atom range
+    [lo, hi): the prefix-sum difference of |f| sigma over that of sigma,
+    divided as numpy divides, so a zero mass gives inf or NaN."""
+    sigma = f.base
+    fpref = np.concatenate(([0.0], np.cumsum(np.abs(f.values) * sigma.masses_f)))
+    mpref = sigma._mass_prefix
+    return (fpref[hi] - fpref[lo]) / (mpref[hi] - mpref[lo])
 
 
 def _energy_sides(
@@ -327,20 +347,15 @@ def build_stopping_data(
         raise PreconditionViolation("f must be supported on i0")
     table = _stop_table(sigma, w, grid)
     t = table.nodes
-    absf = np.abs(f.values)
-    mpref = sigma._mass_prefix
-    fpref = np.concatenate(([0.0], np.cumsum(absf * sigma.masses_f)))
+    # the average of |f| on every row, 0 on a row of no sigma mass
+    with np.errstate(all="ignore"):
+        mass = sigma._mass_prefix[t.hi[0]] - sigma._mass_prefix[t.lo[0]]
+        avg = np.where(mass > 0.0, _abs_averages(f, t.lo[0], t.hi[0]), 0.0)
     threshold = 10.0 * c0 * h_const**2
-
-    def avg_abs(lo: int, hi: int) -> float:
-        mass = mpref[hi] - mpref[lo]
-        if mass <= 0.0:
-            return 0.0
-        return (fpref[hi] - fpref[lo]) / mass
 
     members: list[GridInterval] = [i0]
     row: dict = {i0.key: t.row(i0.level, i0.index)}
-    alpha: dict = {i0.key: avg_abs(lo0, hi0)}
+    alpha: dict = {i0.key: avg[row[i0.key]]}
     reason: dict = {i0.key: "root"}
     children: dict = {}
 
@@ -349,16 +364,12 @@ def build_stopping_data(
         rows = np.arange(top + 1, t.end[top])
         below = np.flatnonzero(table.reached[rows] | (table.parent[rows] == top))
         rows = rows[below]
-        a, b = t.lo[0, rows], t.hi[0, rows]
         lhs, sigma_mass = table.energy_sides(top, sigma)
         with np.errstate(all="ignore"):
             energy = lhs[below] > threshold * sigma_mass[below]
         hits = energy.copy()
         if aF > 0:
-            with np.errstate(all="ignore"):
-                mass = mpref[b] - mpref[a]
-                avg = np.where(mass > 0.0, (fpref[b] - fpref[a]) / mass, 0.0)
-            hits |= (b > a) & (avg >= 10.0 * aF)
+            hits |= avg[rows] >= 10.0 * aF
         found: list[GridInterval] = []
         stop = 0
         for k in np.flatnonzero(hits).tolist():
@@ -379,8 +390,7 @@ def build_stopping_data(
         kids = find_children(F, aF)
         children[F.key] = tuple(kids)
         for child in kids:
-            r = row[child.key]
-            a_child = avg_abs(t.lo[0, r].item(), t.hi[0, r].item())
+            a_child = avg[row[child.key]]
             alpha[child.key] = aF if a_child < 2.0 * aF else a_child
             members.append(child)
             stack.append(child)
@@ -417,10 +427,12 @@ def uniformity_check(
     (1) every energy-stopping interval of i0 sits inside some member of the
     exceptional family; (2) f is constant on each member; (3) the average of
     |f| is at most one on every charged grid interval not inside a member.
+    Clause (3) reads sigma's rows of the joint (sigma, w) table that clause
+    (1) builds, in pre-order, so a sigma atom outside the grid root is
+    allowed, as in the clauses that read i0's atoms.
     """
     sigma, grid = f.base, spec.i0.grid
     violations: list[str] = []
-    s_keys = frozenset(s.key for s in spec.s_family)
 
     def inside_some_s(gi: GridInterval) -> bool:
         return any(s.contains(gi) for s in spec.s_family)
@@ -435,23 +447,13 @@ def uniformity_check(
             vals = f.values[lo:hi]
             if float(np.max(vals) - np.min(vals)) > _UNIFORMITY_TOL * scale:
                 violations.append(f"f is not constant on {s}")
-    absf = np.abs(f.values)
-    mpref = sigma._mass_prefix
-    fpref = np.concatenate(([0.0], np.cumsum(absf * sigma.masses_f)))
-
-    # every member lies inside i0 and the walk stops at the first one it
-    # meets, so a visited node is inside a member exactly when it is one
-    def visit(level: int, index: int, ranges: Ranges) -> bool:
-        (lo, hi), = ranges
-        if (level, index) in s_keys or hi == lo:
-            return False
-        avg = (fpref[hi] - fpref[lo]) / (mpref[hi] - mpref[lo])
-        if avg > 1.0 + _UNIFORMITY_TOL:
-            gi = GridInterval(grid, level, index)
-            violations.append(f"average of |f| on {gi} is {avg:.6g} > 1")
-        return True
-
-    _descend((sigma,), grid, spec.i0, (sigma.index_range(spec.i0),), visit)
+    t = _stop_table(sigma, w, grid).nodes
+    rows = _rows_outside(t, spec.i0, spec.s_family)
+    rows = rows[t.hi[0, rows] > t.lo[0, rows]]
+    avg = _abs_averages(f, t.lo[0, rows], t.hi[0, rows])
+    for k in np.flatnonzero(avg > 1.0 + _UNIFORMITY_TOL).tolist():
+        gi = GridInterval(grid, t.level[rows[k]].item(), int(t.index[rows[k]]))
+        violations.append(f"average of |f| on {gi} is {avg[k]:.6g} > 1")
     return (not violations), violations
 
 
@@ -615,20 +617,8 @@ def _bounded_average_constant(
     """max over charged intervals of F's grid inside F, not inside a family
     child, of the average of |pf| over sigma = ``pf.base``: the rows of the
     sigma node table in F's subtree, less the children's subtrees."""
-    sigma = pf.base
-    table = node_table(sigma, F.grid)
-    start, end = _subtree(table, F.level, F.index)
-    if start == end:
-        return 0.0
-    keep = np.ones(end - start, dtype=bool)
-    for s in stopping.family_children(F):
-        a, b = _subtree(table, s.level, s.index)
-        keep[a - start : b - start] = False
-    lo = table.lo[0, start:end][keep]
-    hi = table.hi[0, start:end][keep]
-    absf = np.abs(pf.values)
-    mpref = sigma._mass_prefix
-    fpref = np.concatenate(([0.0], np.cumsum(absf * sigma.masses_f)))
-    avg = (fpref[hi] - fpref[lo]) / (mpref[hi] - mpref[lo])
+    table = node_table(pf.base, F.grid)
+    rows = _rows_outside(table, F, stopping.family_children(F))
+    avg = _abs_averages(pf, table.lo[0, rows], table.hi[0, rows])
     # the running max of the pre-order walk, so ties and NaNs resolve as before
     return max([0.0] + avg.tolist())

@@ -15,8 +15,9 @@ grid depth: the occupied grid intervals in pre-order with their atom
 ranges, subtree ends and pre-order sort keys.  The splitting, charged and
 occupied node lists are masks on it, each with its rows' keys, and the
 nodes of a list inside a grid interval are one run, found by bisecting
-those keys (:func:`_run`).  ``_descend`` keeps the grid walk as an
-independent checker.
+those keys (:func:`_run`).  Every question about the grid intervals
+inside a top interval (the stop tests, bounded averages and uniformity in
+``corona``) reads the rows of such a table; there is no other grid walk.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import repeat
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import math
 
@@ -143,43 +144,11 @@ class _Node(NamedTuple):
     cut: int
 
 
-Ranges = tuple[tuple[int, int], ...]
-
-
 def _cut(
     pos: Sequence[float] | np.ndarray, grid: DyadicGrid, level: int, index: int, lo: int, hi: int
 ) -> int:
     """First atom of [lo, hi) in the right child of grid interval (level, index)."""
     return bisect_left(pos, grid.endpoint_f(level + 1, 2 * index + 1), lo, hi)
-
-
-def _descend(
-    mus: tuple[AtomicMeasure, ...],
-    grid: DyadicGrid,
-    top: GridInterval,
-    ranges: Ranges,
-    visit: Callable[[int, int, Ranges], bool],
-) -> None:
-    """Walk the grid intervals at and below ``top``, pre-order, left child first.
-
-    ``ranges[m]`` is the index range [lo, hi) of the atoms of ``mus[m]`` in
-    ``top``.  ``visit(level, index, ranges)`` sees each node with its ranges
-    and returns whether to walk into its children.  A node splits at the
-    correctly rounded float of its exact midpoint, so every range equals
-    ``mus[m].index_range`` of the node's interval on every grid, shifted ones
-    included, and no DyadicRational is built.
-    """
-    positions = [mu.positions_f.tolist() for mu in mus]
-    depth = grid.depth
-    stack = [(top.level, top.index, ranges)]
-    while stack:
-        level, index, ranges = stack.pop()
-        if not visit(level, index, ranges) or level >= depth:
-            continue
-        mid = grid.endpoint_f(level + 1, 2 * index + 1)
-        cuts = [bisect_left(pos, mid, lo, hi) for pos, (lo, hi) in zip(positions, ranges)]
-        stack.append((level + 1, 2 * index + 1, tuple([(c, hi) for c, (_, hi) in zip(cuts, ranges)])))
-        stack.append((level + 1, 2 * index, tuple([(lo, c) for c, (lo, _) in zip(cuts, ranges)])))
 
 
 @dataclass(frozen=True, eq=False)

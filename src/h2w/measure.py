@@ -30,7 +30,6 @@ __all__ = [
     "dilate",
     "read_pair_file",
     "parse_pair_text",
-    "write_pair_file",
     "pair_text",
 ]
 
@@ -404,11 +403,6 @@ def pair_text(sigma: AtomicMeasure, w: AtomicMeasure, header: str = "") -> str:
         for p, m in zip(mu.positions, mu.masses):
             lines.append(f"{p.num} {p.scale} {m!r}")
     return "\n".join(lines) + "\n"
-
-
-def write_pair_file(path, sigma: AtomicMeasure, w: AtomicMeasure, header: str = "") -> None:
-    with open(path, "w") as fh:
-        fh.write(pair_text(sigma, w, header))
 
 
 def parse_pair_text(text: str) -> tuple[AtomicMeasure, AtomicMeasure]:

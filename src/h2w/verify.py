@@ -42,6 +42,7 @@ from .constants import (
 from .corona import (
     StoppingData,
     UniformitySpec,
+    _abs_averages,
     _bounded_average_constant,
     b_above,
     build_stopping_data,
@@ -61,6 +62,7 @@ from .haar import (
     good_projection,
     haar_function,
     martingale_difference,
+    node_table,
     occupied_nodes,
     reconstruct,
     splitting_nodes,
@@ -592,17 +594,15 @@ def suite_corona(ens: _Ensemble) -> _Suite:
                 if F.key != G.key and G.contains(F):
                     if sd.alpha[F.key] < sd.alpha[G.key]:
                         inv_ok = False
-        absf = np.abs(f.values)
-        mp = sigma._mass_prefix
-        fp = np.concatenate(([0.0], np.cumsum(absf * sigma.masses_f)))
-        for n in occupied_nodes(sigma, grid):
-            member = sd.pi_key(n.level, n.index)
+        t = node_table(sigma, grid)
+        avgs = _abs_averages(f, t.lo[0], t.hi[0])
+        for level, index, avg in zip(t.level.tolist(), t.index.tolist(), avgs.tolist()):
+            member = sd.pi_key(level, index)
             if member is None:
                 continue
-            avg = (fp[n.hi] - fp[n.lo]) / (mp[n.hi] - mp[n.lo])
             if avg > 10.0 * sd.alpha[member]:
                 inv_ok = False
-                gi = GridInterval(grid, n.level, n.index)
+                gi = GridInterval(grid, level, index)
                 replay = _replay(cfg, sigma, w, idx, f"avg bound at {gi}")
         carleson_worst = max(carleson_worst, carleson_check(sd, sigma))
         s.record_max("quasi_norm_ratio_max", quasi_norm(sd, sigma) / f.norm())

@@ -1,3 +1,5 @@
+from bisect import bisect_left
+
 import numpy as np
 import pytest
 
@@ -122,3 +124,26 @@ def shifted_grids(exponents=(20, 1100), sizes=(8, 32)):
                 grid = build_grid(root, 13, -dyadic(1, e), sigma, w)
                 yield f"mixed-{n}-{k}-shift-2^-{e}", sigma, w, grid
     yield ("shifted", *shifted_pair())
+
+
+def grid_walk(mus, grid, top, ranges, visit):
+    """Walk the grid intervals at and below ``top``, pre-order, left child
+    first: the reference that the node tables are checked against.
+
+    ``ranges[m]`` is the index range [lo, hi) of the atoms of ``mus[m]`` in
+    ``top``.  ``visit(level, index, ranges)`` sees each node with its ranges
+    and returns whether to walk into its children.  A node splits at the
+    correctly rounded float of its exact midpoint, so every range equals
+    ``mus[m].index_range`` of the node's interval on every grid, shifted
+    ones included.
+    """
+    positions = [mu.positions_f.tolist() for mu in mus]
+    stack = [(top.level, top.index, ranges)]
+    while stack:
+        level, index, ranges = stack.pop()
+        if not visit(level, index, ranges) or level >= grid.depth:
+            continue
+        mid = grid.endpoint_f(level + 1, 2 * index + 1)
+        cuts = [bisect_left(pos, mid, lo, hi) for pos, (lo, hi) in zip(positions, ranges)]
+        stack.append((level + 1, 2 * index + 1, tuple((c, hi) for c, (_, hi) in zip(cuts, ranges))))
+        stack.append((level + 1, 2 * index, tuple((lo, c) for c, (lo, _) in zip(cuts, ranges))))

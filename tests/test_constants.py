@@ -238,6 +238,23 @@ class TestA2Constant:
         assert all(math.isfinite(v) for v in values)
         assert values == sorted(values)
 
+    def test_huge_refinement_builds_only_the_rungs_kept(self):
+        # past about refinement 1100 no further rung can be kept (its length
+        # is 0 or squares to inf), so none is built or counted: the search
+        # at 100000 passes the size check and is no larger than at 2000
+        import tracemalloc
+
+        sigma, w = random_ensemble(5, 1, 6, 8)[0]
+        peaks = []
+        for r in (2000, 20000, 100000):
+            tracemalloc.start()
+            try:
+                assert a2_constant(sigma, w, r) == 41251.59948302509
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) <= 1.05 * peaks[0]
+
 
 def _a2_loop_oracle(sigma, w, refinement):
     """a2_constant with its candidates built one by one in Python loops."""
@@ -1158,6 +1175,15 @@ class TestComputeReport:
         assert calls == []
         assert shared.to_json_dict() == fresh.to_json_dict()
         assert record.c0 == fresh.meta["calibrated_c0"]
+
+    def test_meta_gives_the_record_scan_settings(self):
+        sigma, w = random_ensemble(78, 1, 16, 10)[0]
+        grid = unit_grid(sigma, w, 10)
+        record = pair_constants(sigma, w, grid, refinement=2, a2_refinement=1)
+        meta = compute_report(sigma, w, seed=3, record=record).meta
+        assert (meta["refinement"], meta["a2_refinement"]) == (2, 1)
+        assert meta["truncation_scan_size"] == record.scan_size == len(kernel_scan(sigma, w, 2).candidates)
+        assert compute_report(sigma, w, grid, seed=3, refinement=2, a2_refinement=1).meta == meta
 
     def test_report_invariant_on_ensemble(self):
         for sigma, w in random_ensemble(75, 4, 16, 10):

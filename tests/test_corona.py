@@ -28,13 +28,13 @@ from h2w.haar import (
     HaarCoefficients,
     WeightedFunction,
     _accumulate_differences,
-    _descend,
     corona_projection,
     expand,
     good_projection,
     haar_function,
     inner,
     martingale_difference,
+    node_table,
     occupied_nodes,
     reconstruct,
     splitting_nodes,
@@ -45,6 +45,7 @@ from h2w.poisson import poisson_stationary
 
 from conftest import (
     crafted_cases,
+    grid_walk,
     oracle_cases,
     poisson_sum,
     pow_lengths,
@@ -813,7 +814,7 @@ class TestShiftedGridRanges:
             return any(hi > lo for lo, hi in ranges)
 
         top = grid.root_interval
-        _descend((sigma, w), grid, top, tuple(mu.index_range(top.interval) for mu in (sigma, w)), visit)
+        grid_walk((sigma, w), grid, top, tuple(mu.index_range(top.interval) for mu in (sigma, w)), visit)
         assert (1, 1) in seen and len(seen) > 50
 
     def test_geometry_follows_exact_boundaries(self):
@@ -848,44 +849,106 @@ class TestShiftedGridRanges:
                     ), gi
 
 
-class TestComputePathHasNoWalk:
+def _walk_uniformity(f, spec, w, h_const, tol=1e-12):
+    """:func:`uniformity_check` with clause (3) on the reference grid walk:
+    from i0, stopping at a family member or a node with no sigma atom, each
+    average of |f| read from prefix sums of the whole of sigma."""
+    sigma, grid = f.base, spec.i0.grid
+    violations = []
+    s_keys = frozenset(s.key for s in spec.s_family)
+    for F in energy_stopping_intervals(spec.i0, sigma, w, h_const, spec.c0):
+        if not any(s.contains(F) for s in spec.s_family):
+            violations.append(f"energy stop {F} escapes the exceptional family")
+    scale = max(1.0, float(np.max(np.abs(f.values))) if sigma.n_atoms else 1.0)
+    for s in spec.s_family:
+        lo, hi = sigma.index_range(s)
+        if hi - lo >= 2:
+            vals = f.values[lo:hi]
+            if float(np.max(vals) - np.min(vals)) > tol * scale:
+                violations.append(f"f is not constant on {s}")
+    mpref = np.concatenate(([0.0], np.cumsum(sigma.masses_f)))
+    fpref = np.concatenate(([0.0], np.cumsum(np.abs(f.values) * sigma.masses_f)))
+
+    def visit(level, index, ranges):
+        (lo, hi), = ranges
+        if (level, index) in s_keys or hi == lo:
+            return False
+        avg = (fpref[hi] - fpref[lo]) / (mpref[hi] - mpref[lo])
+        if avg > 1.0 + tol:
+            violations.append(f"average of |f| on {GridInterval(grid, level, index)} is {avg:.6g} > 1")
+        return True
+
+    grid_walk((sigma,), grid, spec.i0, (sigma.index_range(spec.i0),), visit)
+    return (not violations), violations
+
+
+def _outside_root_pair():
+    """A pair on the unit grid of depth 10 whose last sigma atom, 4301/2048,
+    lies outside the grid root, so sigma has no node table of its own."""
+    sigma = AtomicMeasure.from_triples(
+        [(3, 11, 1.0), (9, 11, 2.0), (401, 11, 0.5), (1077, 11, 1.5), (4301, 11, 1.0)]
+    )
+    w = AtomicMeasure.from_triples([(5, 11, 1.0), (11, 11, 1.0), (601, 11, 2.0), (1001, 11, 1.0)])
+    return sigma, w, unit_grid(sigma, w, 10)
+
+
+class TestUniformityAgainstTheWalk:
+    """The uniformity check reads table rows; the grid walk is its oracle,
+    messages and their order included."""
+
     @staticmethod
-    def _spy(monkeypatch):
-        from h2w import corona, haar
+    def _specs(sigma, w, grid, f, h, c0):
+        """Each stopping member with its family children, and the root with
+        its energy stops, with grid intervals holding no sigma atom, and
+        with the root's own left half."""
+        root = grid.root_interval
+        sd = build_stopping_data(f, root, w, h, c0)
+        for F in sd.members:
+            if sd.family_children(F):
+                yield UniformitySpec(F, sd.family_children(F), c0)
+        stops = tuple(energy_stopping_intervals(root, sigma, w, h, c0))
+        yield UniformitySpec(root, stops, c0)
+        empty = [
+            GridInterval(grid, 4, k) for k in range(16) if sigma.mass_on(grid.interval(4, k)) == 0.0
+        ]
+        yield UniformitySpec(root, tuple(empty[:3]), c0)
+        yield UniformitySpec(root, (grid.interval(1, 0),), c0)
+        yield UniformitySpec(grid.interval(1, 1), (), c0)
 
-        calls = []
-        walk = haar._descend
+    def test_table_rows_equal_the_walk(self):
+        cases = [*oracle_cases(), *crafted_cases(2), ("shifted", *shifted_pair())]
+        checked = failing = nonempty = 0
+        for label, sigma, w, grid in cases:
+            if sigma.n_atoms < 2:
+                continue
+            h = _h_const(sigma, w)
+            c0 = calibrate_c0(grid.root_interval, sigma, w, h)
+            rng = np.random.default_rng(len(label))
+            f = WeightedFunction(sigma, np.exp(2.0 * rng.standard_normal(sigma.n_atoms)))
+            for spec in self._specs(sigma, w, grid, f, h, c0):
+                nonempty += bool(spec.s_family)
+                for u in (f, f * 0.25, f * (1.0 / float(np.max(np.abs(f.values))))):
+                    got = uniformity_check(u, spec, w, h)
+                    assert got == _walk_uniformity(u, spec, w, h), label
+                    checked += 1
+                    failing += not got[0]
+        assert checked >= 500 and failing >= 100 and nonempty >= 100
 
-        def spy(*args, **kwargs):
-            calls.append(args[2])
-            return walk(*args, **kwargs)
+    def test_sigma_outside_the_grid_root(self):
+        sigma, w, grid = _outside_root_pair()
+        with pytest.raises(PreconditionViolation):
+            node_table(sigma, grid)
+        f = WeightedFunction(sigma, np.array([0.5, 3.0, 1.5, 0.25, 7.0]))
+        root = grid.root_interval
+        for family in ((), (grid.interval(3, 0),), (grid.interval(2, 1), grid.interval(4, 0))):
+            spec = UniformitySpec(root, family, 1.0)
+            got = uniformity_check(f, spec, w, 2.0)
+            assert got == _walk_uniformity(f, spec, w, 2.0)
+            # the root's average leaves out the atom outside it
+            assert "average of |f| on G[0:0] is 1.525 > 1" in got[1]
 
-        monkeypatch.setattr(haar, "_descend", spy)
-        monkeypatch.setattr(corona, "_descend", spy)
-        return calls
 
-    def test_report_and_sweep_row_make_no_descent(self, monkeypatch):
-        from dataclasses import asdict
-
-        from h2w.cli import RunConfig, _sweep_row
-        from h2w.constants import compute_report
-        from h2w.grid import auto_grid
-
-        calls = self._spy(monkeypatch)
-        cfg = asdict(RunConfig(depth=12))
-        reports = 0
-        for family in ("uniform", "mixed", "clusters"):
-            for k, (sigma, w) in enumerate(random_ensemble(901, 3, 32, 12, family=family)):
-                rep = compute_report(sigma, w, auto_grid(sigma, w, 12))
-                _sweep_row((k, sigma, w, cfg))
-                reports += rep.local_ratio_max > 0
-        assert calls == [] and reports >= 3
-        # the independent checker keeps its walk, and the spy sees it
-        sigma, w, grid, f, _ = _instance(111)
-        spec = UniformitySpec(grid.root_interval, ())
-        uniformity_check(f, spec, w, 1.0)
-        assert calls == [grid.root_interval]
-
+class TestComputePathHasNoWalk:
     def test_no_cache_holds_a_kernel_sized_array(self):
         import tracemalloc
         from dataclasses import asdict

@@ -7,7 +7,6 @@ from h2w.errors import PreconditionViolation, ZeroMass
 from h2w.grid import GridInterval
 from h2w.haar import (
     WeightedFunction,
-    _descend,
     _endpoints,
     _node_table,
     _parents,
@@ -29,7 +28,7 @@ from h2w.haar import (
 from h2w.corona import StoppingData
 from h2w.measure import AtomicMeasure, Interval, dyadic, random_ensemble
 
-from conftest import oracle_cases, shifted_pair, unit_grid
+from conftest import grid_walk, oracle_cases, shifted_pair, unit_grid
 
 
 def _grid_for(mu, depth=6):
@@ -254,7 +253,7 @@ class TestTelescoping:
 
 def _walk_rows(mus, grid):
     """(level, index, lo..., cut..., hi...) of every grid interval holding an
-    atom of ``mus``, in the pre-order of the ``_descend`` walk."""
+    atom of ``mus``, in the pre-order of the reference walk."""
     rows = []
 
     def visit(level, index, ranges):
@@ -269,7 +268,7 @@ def _walk_rows(mus, grid):
         return True
 
     top = grid.root_interval
-    _descend(mus, grid, top, tuple(mu.index_range(top.interval) for mu in mus), visit)
+    grid_walk(mus, grid, top, tuple(mu.index_range(top.interval) for mu in mus), visit)
     return rows
 
 

@@ -1,6 +1,8 @@
-"""Every import of a package module is used, and every ``__all__`` entry
-resolves, so that a deleted function leaves no dead import or export behind.
-Checked with the stdlib ``ast`` module; ``__init__.py`` only re-exports."""
+"""Every import of a package module is used, every ``__all__`` entry
+resolves, and every private module-level name is used elsewhere in the
+package, so that a deleted function leaves no dead import, export or helper
+behind.  Checked with the stdlib ``ast`` module; ``__init__.py`` only
+re-exports."""
 
 import ast
 import importlib
@@ -55,6 +57,52 @@ def test_every_export_resolves(module):
     mod = importlib.import_module(f"h2w.{module}")
     missing = [name for name in _exported(_tree(module)) if not hasattr(mod, name)]
     assert missing == [], f"{module}.__all__ names what the module does not define"
+
+
+def _defined(node: ast.stmt) -> list[str]:
+    """The names a module-level function, class or assignment defines."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        return [t.id for t in node.targets if isinstance(t, ast.Name)]
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return [node.target.id]
+    return []
+
+
+def _referenced(node: ast.AST) -> set[str]:
+    """The names read in ``node``, bare or as an attribute; an import or a
+    docstring's text is no reference."""
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+    return out
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_private_name_is_used(module):
+    # private: a leading underscore, or missing from the module's __all__;
+    # used: referenced by some module-level statement of the package other
+    # than its own definition
+    statements = [
+        (name, k, _referenced(node))
+        for name in [*MODULES, "__init__"]
+        for k, node in enumerate(_tree(name).body)
+    ]
+    tree = _tree(module)
+    exported = set(_exported(tree))
+    unused = [
+        name
+        for k, node in enumerate(tree.body)
+        for name in _defined(node)
+        if not name.startswith("__")
+        and (name.startswith("_") or name not in exported)
+        and not any(name in refs for m, j, refs in statements if (m, j) != (module, k))
+    ]
+    assert unused == [], f"{module}.py defines private names that nothing uses"
 
 
 def test_the_walks_see_the_package():
