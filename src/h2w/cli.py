@@ -481,7 +481,7 @@ def _sweep_row(task) -> list:
         rr = reduction_residual(f, g, grid, rep.h_const, cfg.below_gap)
         red_ratio = rr.residual_ratio
         sd = build_stopping_data(f, grid.root_interval, w, rep.h_const, rep.meta["calibrated_c0"])
-        _, residual = corona_split(f, g, sd, cfg.below_gap)
+        _, residual = corona_split(f, g, sd, cfg.below_gap, above=rr.b_above)
         cross_ratio = abs(residual) / (rep.h_const * f.norm() * g.norm())
     ratios = rep.paper_ratios()
     values = [

@@ -35,8 +35,9 @@ pair_constants     N and the combined_constant chain, from one kernel scan;
 energy             normalized dispersion E(w, I)^2;
 energy_constant    dynamic program over dyadic partitions inside one grid,
                    over the trunk nodes that hold sigma atoms, read from one
-                   trunk table per (w, grid) (``_trunk_table``), which the
-                   energy-stopping test of ``corona`` reads too;
+                   trunk table per (w, grid) (``_trunk_table``, kept in
+                   the grid's memo), which the energy-stopping test of
+                   ``corona`` reads too;
 functional_energy_ratio
                    both sides of the multi-scale energy inequality on a
                    supplied family, reported as a ratio;
@@ -50,12 +51,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import CommonPointMass, NecessityViolation, PairTooLarge, PreconditionViolation
-from .grid import DyadicGrid, GridInterval, auto_grid, f_parent
+from .grid import DyadicGrid, GridInterval, auto_grid, f_parent, kept_with_grid
 from .haar import (
     WeightedFunction,
     _endpoints,
@@ -67,7 +67,14 @@ from .haar import (
     node_table,
     splitting_nodes,
 )
-from .hilbert import _STACK_BLOCK, TruncationTable, _squares, kernel_stack, truncation_candidates
+from .hilbert import (
+    _STACK_BLOCK,
+    TruncationTable,
+    _candidate_floor,
+    _squares,
+    kernel_stack,
+    truncation_candidates,
+)
 from .measure import AtomicMeasure, has_common_point_mass
 from .params import (
     DEFAULT_A2_REFINEMENT,
@@ -137,14 +144,21 @@ def kernel_scan(
 
     PairTooLarge when the stack, T x n_sigma x n_w doubles, would pass
     :data:`MAX_ARRAY_BYTES`, raised from the candidate count before the
-    candidate table is built; the norm scales the stack a block at a time.
+    candidate table is built, and first from a floor of that count before
+    the scan's refined distances are; PairTooLarge too when the refined
+    distances themselves would pass the cap.  The norm scales the stack a
+    block at a time.
     """
     diffs = sigma.positions_f[:, None] - w.positions_f[None, :]
+    dists = np.abs(diffs).ravel()
 
     def check(rows: int) -> None:
         _check_size(8 * rows * diffs.size, "kernel stack", sigma, w)
 
-    cands = truncation_candidates(np.abs(diffs).ravel(), refinement, check)
+    floor, refined = _candidate_floor(dists, refinement)
+    _check_size(8 * refined, "refined distance list", sigma, w)
+    check(floor)
+    cands = truncation_candidates(dists, refinement, check)
     return KernelScan(cands, kernel_stack(diffs, cands))
 
 
@@ -787,10 +801,10 @@ class _TrunkTable:
     end: np.ndarray
 
 
-@lru_cache(maxsize=1024)
+@kept_with_grid
 def _trunk_table(w: AtomicMeasure, grid: DyadicGrid) -> _TrunkTable:
-    """The :class:`_TrunkTable` of w on ``grid``, built once per pair from
-    the node table of w."""
+    """The :class:`_TrunkTable` of w on ``grid``, built once per grid from
+    the node table of w and kept in the grid's memo."""
     table = node_table(w, grid)
     rows = np.flatnonzero(table.hi[0] - table.lo[0] >= 2)
     left, right = (ends[rows] for ends in _endpoints(table, grid))
@@ -1093,13 +1107,13 @@ def compute_report(
     grid: DyadicGrid | None = None,
     *,
     seed: int = 0,
-    refinement: int = DEFAULT_REFINEMENT,
-    a2_refinement: int = DEFAULT_A2_REFINEMENT,
-    depth: int = SUITE_DEPTH,
+    refinement: int | None = None,
+    a2_refinement: int | None = None,
+    depth: int | None = None,
     eps: float = SUITE_EPS,
     r: int = SUITE_R,
     below_gap: int = SUITE_BELOW_GAP,
-    c0: float = DEFAULT_C0,
+    c0: float | None = None,
     record: PairConstants | None = None,
 ) -> ConstantsReport:
     """Assemble the full report for one pair.
@@ -1107,17 +1121,31 @@ def compute_report(
     The functional-energy and local ratios are empirical maxima over a small
     seeded family of stopping data and adapted functions (:data:`_FE_SAMPLES`
     random f); they are lower bounds by nature.  ``record``, the pair's
-    :func:`pair_constants`, is built here from the refinements and c0 when
-    not given; its grid, refinements and calibrated c0 are the report's.
+    :func:`pair_constants`, is built here when not given, on ``grid`` (or
+    ``auto_grid``'s at ``depth``, default SUITE_DEPTH) with the refinements
+    and c0 (defaults DEFAULT_REFINEMENT, DEFAULT_A2_REFINEMENT and
+    DEFAULT_C0).  A given record fixes all five, so passing any of them with
+    it is a ValueError.
     """
     from . import corona  # deferred: corona builds on this module
 
+    fixed = dict(grid=grid, depth=depth, refinement=refinement, a2_refinement=a2_refinement, c0=c0)
+    given = [name for name, value in fixed.items() if value is not None]
+    if record is not None and given:
+        raise ValueError(f"the record fixes {', '.join(given)}; pass none of them with it")
     if has_common_point_mass(sigma, w):
         raise CommonPointMass("report requires disjoint point masses")
     if record is None:
         if grid is None:
-            grid = auto_grid(sigma, w, depth)
-        record = pair_constants(sigma, w, grid, refinement, a2_refinement, c0)
+            grid = auto_grid(sigma, w, SUITE_DEPTH if depth is None else depth)
+        record = pair_constants(
+            sigma,
+            w,
+            grid,
+            DEFAULT_REFINEMENT if refinement is None else refinement,
+            DEFAULT_A2_REFINEMENT if a2_refinement is None else a2_refinement,
+            DEFAULT_C0 if c0 is None else c0,
+        )
     grid = record.grid
     norm_n, a2, h_const = record.norm_N, record.a2, record.h_const
     t_fwd, t_bwd = record.testing_fwd, record.testing_bwd

@@ -532,17 +532,24 @@ def b_above(f: WeightedFunction, g: WeightedFunction, grid: DyadicGrid, below_ga
 
 
 def corona_split(
-    f: WeightedFunction, g: WeightedFunction, stopping: StoppingData, below_gap: int
+    f: WeightedFunction,
+    g: WeightedFunction,
+    stopping: StoppingData,
+    below_gap: int,
+    *,
+    above: float | None = None,
 ) -> tuple[float, float]:
     """Diagonal corona part of the above form on the stopping family's grid,
     and the cross-corona rest.
 
     split_value sums the form over matching corona projections of f and g;
     residual is b_above(f, g) minus that, so the two add back exactly.
+    ``above``, when given, is that b_above(f, g) on the family's grid,
+    already evaluated by the caller, and is not evaluated again.
     """
     grid = stopping.root.grid
     C = _form_prefix(f.base, g.base, grid)
-    total = _b_form(f, g, grid, below_gap, C)
+    total = _b_form(f, g, grid, below_gap, C) if above is None else above
     split_value = 0.0
     for F in stopping.members:
         pf = corona_projection(f, stopping, F)

@@ -14,8 +14,8 @@ grids whose left end has no double included.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache, wraps
 
 from .errors import EndpointCollision
 from .measure import AtomicMeasure, DyadicRational, Interval, dyadic
@@ -33,11 +33,18 @@ def _is_pow2_length(x: DyadicRational) -> bool:
 
 @dataclass(frozen=True)
 class DyadicGrid:
-    """A binary subdivision of (root + shift) down to ``depth`` levels."""
+    """A binary subdivision of (root + shift) down to ``depth`` levels.
+
+    ``_memo`` holds what is derived from the grid and a measure on it (the
+    node lists, the energy trunk, the good intervals of a level), so that
+    it lives exactly as long as the grid: a pair's grid is built once and
+    dropped when the pair is done (:func:`kept_with_grid`).
+    """
 
     root: Interval
     depth: int
     shift: DyadicRational = dyadic(0)
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.depth < 1:
@@ -186,6 +193,7 @@ def build_grid(
     return grid
 
 
+@lru_cache(maxsize=8)
 def auto_grid(sigma: AtomicMeasure, w: AtomicMeasure, depth: int) -> DyadicGrid:
     """A grid over a power-of-two root covering both supports.
 
@@ -193,6 +201,9 @@ def auto_grid(sigma: AtomicMeasure, w: AtomicMeasure, depth: int) -> DyadicGrid:
     otherwise (or on an endpoint collision) doubles the root so that small
     negative shifts of ever finer scale keep full coverage, and shrinks the
     shift until no endpoint carries mass.
+
+    The grids of the last few pairs are kept, so that the commands that
+    analyse one pair in a process share its grid and the lists in its memo.
     """
     pos = [float(p) for p in sigma.positions] + [float(p) for p in w.positions]
     if not pos:
@@ -277,9 +288,29 @@ def f_parent(i: GridInterval, keys) -> GridInterval | None:
     return None if key is None else GridInterval(i.grid, *key)
 
 
-@lru_cache(maxsize=4096)
+def kept_with_grid(fn):
+    """Memoise ``fn(mu, grid)`` in the grid's memo, keyed by the function's
+    name and ``mu``: a value is computed once per grid and freed with it."""
+    name = fn.__name__
+
+    @wraps(fn)
+    def kept(mu, grid):
+        key = (name, mu)
+        found = grid._memo.get(key)
+        if found is None:
+            found = grid._memo[key] = fn(mu, grid)
+        return found
+
+    return kept
+
+
 def good_levels_scan(grid: DyadicGrid, level: int, eps: float, r: int) -> tuple[int, ...]:
-    """Indices of the good intervals at one level (exhaustive scan)."""
-    return tuple(
-        k for k in range(1 << level) if is_good(grid.interval(level, k), eps, r)
-    )
+    """Indices of the good intervals at one level (exhaustive scan), kept
+    in the grid's memo."""
+    key = ("good_levels_scan", level, eps, r)
+    found = grid._memo.get(key)
+    if found is None:
+        found = grid._memo[key] = tuple(
+            k for k in range(1 << level) if is_good(grid.interval(level, k), eps, r)
+        )
+    return found

@@ -13,7 +13,8 @@ The split/charge structure of a measure on a grid is one :class:`NodeTable`
 per (measure, grid), built with numpy from each atom's cell index at the
 grid depth: the occupied grid intervals in pre-order with their atom
 ranges, subtree ends and pre-order sort keys.  The splitting, charged and
-occupied node lists are masks on it, each with its rows' keys, and the
+occupied node lists are masks on it, each with its rows' keys, kept in
+the grid's memo so that they are freed with the grid, and the
 nodes of a list inside a grid interval are one run, found by bisecting
 those keys (:func:`_run`).  Every question about the grid intervals
 inside a top interval (the stop tests, bounded averages and uniformity in
@@ -34,7 +35,7 @@ import math
 import numpy as np
 
 from .errors import PreconditionViolation, ZeroMass
-from .grid import DyadicGrid, GridInterval, is_good
+from .grid import DyadicGrid, GridInterval, is_good, kept_with_grid
 from .measure import AtomicMeasure, _as_interval
 
 __all__ = [
@@ -302,8 +303,9 @@ def _parents(table: NodeTable, grid: DyadicGrid) -> np.ndarray:
 @lru_cache(maxsize=8)
 def node_table(mu: AtomicMeasure, grid: DyadicGrid) -> NodeTable:
     """The :class:`NodeTable` of one measure, which must lie inside the grid
-    root.  Only the tables in use are kept; the node lists, which are kept
-    far longer, do not hold theirs."""
+    root.  Only the tables of the last few pairs are kept: the node lists,
+    which live in the grid's memo for as long as the grid does (a whole
+    ``verify`` run for an ensemble pair), do not hold theirs."""
     table = _node_table((mu,), grid)
     if mu.n_atoms and (not len(table) or table.hi[0, 0] - table.lo[0, 0] != mu.n_atoms):
         raise PreconditionViolation("measure is not supported inside the grid root")
@@ -348,10 +350,12 @@ def _node_list(table: NodeTable, mask: np.ndarray) -> NodeList:
     return nodes
 
 
-@lru_cache(maxsize=1024)
+@kept_with_grid
 def splitting_nodes(mu: AtomicMeasure, grid: DyadicGrid) -> NodeList:
     """All grid intervals whose two halves both carry mass, with atom ranges:
-    the charged nodes that split, the same _Node objects."""
+    the charged nodes that split, the same _Node objects.  Built once per
+    grid and kept in its memo, as the charged and occupied lists are, so
+    that a pair's lists are freed with its grid."""
     charged = charged_nodes(mu, grid)
     keep = [k for k, n in enumerate(charged) if n.lo < n.cut < n.hi]
     nodes = NodeList(charged[k] for k in keep)
@@ -360,14 +364,14 @@ def splitting_nodes(mu: AtomicMeasure, grid: DyadicGrid) -> NodeList:
     return nodes
 
 
-@lru_cache(maxsize=1024)
+@kept_with_grid
 def charged_nodes(mu: AtomicMeasure, grid: DyadicGrid) -> NodeList:
     """All grid intervals holding at least two atoms (the dispersion trunk)."""
     t = node_table(mu, grid)
     return _node_list(t, t.hi[0] - t.lo[0] >= 2)
 
 
-@lru_cache(maxsize=1024)
+@kept_with_grid
 def occupied_nodes(mu: AtomicMeasure, grid: DyadicGrid) -> NodeList:
     """All grid intervals holding at least one atom."""
     t = node_table(mu, grid)

@@ -254,6 +254,55 @@ def _triu(n: int, k: int) -> np.ndarray:
     return pairs
 
 
+def _bases(distances, refinement: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The sorted distinct positive distances, the hard values subsampled
+    from them and the smooth base that the tapered values refine."""
+    d = np.unique(np.asarray(distances, dtype=float))
+    d = d[d > 0.0]
+    return d, _rank_subsample(d, max(2, 2 * refinement)), _rank_subsample(d, max(2, refinement + 2))
+
+
+def _rank_floor(n: int, count: int) -> int:
+    """A floor of ``len(_ranks(n, count))``, n > count >= 2, built from no
+    array: the points n^(j / (count - 1)) whose step to the next is more
+    than one, with room for np.geomspace's rounding (far below n 2^-40),
+    round to distinct ranks.  It does not decrease as n grows."""
+    step = math.expm1(math.log(n) / (count - 1))
+    start = 1.001 * (1.0 + n * 2.0**-38) / step
+    if start <= 1.0:
+        return count
+    first = math.ceil((count - 1) * math.log(start) / math.log(n)) + 1
+    return max(0, count - first)
+
+
+def _candidate_floor(distances, refinement: int) -> tuple[int, int]:
+    """A floor of the row count of ``truncation_candidates(distances,
+    refinement)``, and the number of doubles in the array of refined values
+    that it builds, both without building any array of refinement's size.
+
+    The floor counts the hard bands and the pairs of a floor of the tapered
+    values.  A smooth-base step s < t whose log(t / s) / (refinement + 1) is
+    at least 2^-36, both ends normal doubles, adds refinement values inside
+    (s, t) that no other value equals: np.geomspace rounds each of its
+    values far closer than that (log10, linspace and power give about
+    2^-42 at the largest exponents).  The rank subsample keeps all the
+    values up to its width and at least :func:`_rank_floor` of them past it.
+    """
+    d, hard_vals, smooth_base = _bases(distances, refinement)
+    if len(d) == 0:
+        return 1, 0
+    lo, hi = smooth_base[:-1], smooth_base[1:]
+    normal = (lo >= 2.0**-1000) & (hi <= 2.0**1000)
+    steps = np.log(hi[normal]) - np.log(lo[normal])
+    wide = int(np.count_nonzero(steps >= 2.0**-36 * (refinement + 1)))
+    values = len(smooth_base) + refinement * wide
+    width = max(3, 2 * refinement)
+    n_vals = min(values, _rank_floor(max(values, width + 1), width))
+    n_hard = len(hard_vals)
+    rows = 1 + n_hard * (n_hard + 1) // 2 + n_vals * (n_vals - 1) // 2
+    return rows, (len(smooth_base) - 1) * (refinement + 2)
+
+
 def truncation_candidates(
     distances, refinement: int = DEFAULT_REFINEMENT, check_rows=None
 ) -> TruncationTable:
@@ -265,13 +314,11 @@ def truncation_candidates(
     exact distances; one ``np.geomspace`` over all consecutive pairs gives
     each pair's values as its own call does.  ``check_rows``, when given, is
     called with the table's row count before any index array is built, so
-    that a caller can refuse a table too large for it."""
-    d = np.unique(np.asarray(distances, dtype=float))
-    d = d[d > 0.0]
+    that a caller can refuse a table too large for it; :func:`_candidate_floor`
+    bounds that count before the refined values are built."""
+    d, hard_vals, smooth_base = _bases(distances, refinement)
     if len(d) == 0:
         return TruncationTable([_NONE], [0.0], [_INF])
-    hard_vals = _rank_subsample(d, max(2, 2 * refinement))
-    smooth_base = _rank_subsample(d, max(2, refinement + 2))
     refined = np.geomspace(smooth_base[:-1], smooth_base[1:], refinement + 2)[1:-1]
     vals = np.unique(np.concatenate((smooth_base, refined.ravel(), [0.5 * d[0], 2.0 * d[-1]])))
     vals = _rank_subsample(vals, max(3, 2 * refinement))

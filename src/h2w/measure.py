@@ -279,17 +279,16 @@ class AtomicMeasure:
 
 
 def has_common_point_mass(sigma: AtomicMeasure, w: AtomicMeasure) -> bool:
-    """True iff some position carries positive mass in both measures."""
-    i = j = 0
-    while i < sigma.n_atoms and j < w.n_atoms:
-        c = sigma.positions[i]._cmp(w.positions[j])
-        if c == 0:
-            return True
-        if c < 0:
-            i += 1
-        else:
-            j += 1
-    return False
+    """True iff some position carries positive mass in both measures.
+
+    Every position is exactly its double, so two positions are equal
+    exactly when their doubles are: one ``searchsorted`` of sigma's
+    doubles into w's answers it."""
+    if not (sigma.n_atoms and w.n_atoms):
+        return False
+    xs, ys = sigma.positions_f, w.positions_f
+    at = np.minimum(ys.searchsorted(xs), len(ys) - 1)
+    return bool(np.any(ys[at] == xs))
 
 
 def dilate(mu: AtomicMeasure, k: int) -> AtomicMeasure:

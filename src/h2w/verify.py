@@ -169,11 +169,9 @@ class _Ensemble:
                 sigma,
                 w,
                 seed=cfg.seed + idx,
-                refinement=cfg.refinement,
                 eps=cfg.eps,
                 r=cfg.r,
                 below_gap=cfg.below_gap,
-                c0=cfg.c0,
                 record=self.record(sigma, w),
             )
         return self._reports[idx]

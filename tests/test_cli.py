@@ -1,8 +1,10 @@
+import gc
 import json
 import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import asdict
 
 import pytest
 
@@ -12,7 +14,7 @@ from h2w.cli import _parser, main
 from h2w.errors import InexactPosition
 from h2w.grid import auto_grid
 from h2w.haar import occupied_nodes
-from h2w.measure import parse_pair_text, read_pair_file
+from h2w.measure import parse_pair_text, random_ensemble, read_pair_file
 
 GOLDEN_PAIR = os.path.join(os.path.dirname(__file__), "golden", "pair.txt")
 
@@ -152,6 +154,15 @@ class TestPairTooLarge:
         assert code == 3 and out == ""
         assert err.count("\n") == 1 and err.startswith("error: ")
         assert "386 sigma and 386 w atoms" in err and "kernel stack" in err
+
+    def test_huge_refinement_exits_3(self, tmp_path, capsys):
+        # 5 x 1 atoms at refinement 10^6: refused from a floor of the
+        # candidate count, before 32 MB of refined distances are built
+        pair = tmp_path / "pair.txt"
+        pair.write_text("[sigma]\n1 4 1.0\n3 4 1.0\n5 4 1.0\n7 4 1.0\n9 4 1.0\n[w]\n13 5 1.0\n")
+        code, out, err = run_cli(["constants", str(pair), "--refinement", "1000000"], capsys)
+        assert code == 3 and out == ""
+        assert "5 sigma and 1 w atoms" in err and "kernel stack" in err
 
     def test_sweep_writes_nothing_on_a_refused_first_pair(self, tmp_path, capsys):
         # 970 x 1049 atoms: the first pair is refused before any output
@@ -448,6 +459,27 @@ class TestSweep:
             == 0
         )
         assert partial.read_bytes() == a.read_bytes()
+
+
+    def test_rows_do_not_accumulate_memory(self):
+        # each row's grid, and the node lists and trunk tables in its memo,
+        # are freed with the row; once module-level caches kept every pair
+        # seen, about 12 KB a row (501 KB over these 39 rows)
+        pairs = random_ensemble(11, 60, 32, 12)
+        cfg = asdict(cli.RunConfig())
+        retained = {}
+        tracemalloc.start()
+        try:
+            for i in range(len(pairs)):
+                sigma, w = pairs[i]
+                pairs[i] = None
+                cli._sweep_row((i, sigma, w, cfg))
+                del sigma, w
+                gc.collect()
+                retained[i] = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retained[59] - retained[20] < 128 << 10
 
 
 class TestEntryPoint:

@@ -47,7 +47,7 @@ from h2w.haar import (
     haar_function,
     occupied_nodes,
 )
-from h2w.hilbert import kernel_values, truncation_candidates
+from h2w.hilbert import _candidate_floor, kernel_values, truncation_candidates
 from h2w.measure import AtomicMeasure, Interval, dilate, dyadic, random_ensemble, scale_masses
 from h2w.params import DEFAULT_REFINEMENT, SUITE_BELOW_GAP, SUITE_EPS, SUITE_R
 from h2w.poisson import default_j_families, maximal_intervals, poisson_stationary
@@ -730,6 +730,46 @@ class TestMemory:
 
         assert _peak_bytes(refused) < 2 << 20
 
+    def test_refinement_refused_before_the_refined_distances(self):
+        # the kernel stack of a 5 x 1 pair passes the cap from refinement
+        # about 3,000 on; at 10^5 and 10^6 the refusal comes from a floor of
+        # the candidate count, before the refined distance list (3.2 and 32 MB
+        # of doubles, 13.6 and 126 MB at the peak) exists, so the peak is the
+        # same at both
+        sigma = AtomicMeasure.from_triples([(2 * a + 1, 4, 1.0) for a in range(5)])
+        w = AtomicMeasure.from_triples([(13, 5, 1.0)])
+        peaks = []
+        # the first refusal also pays for what a process sets up once
+        for refinement in (10**5, 10**5, 10**6):
+
+            def refused():
+                with pytest.raises(PairTooLarge, match="5 sigma and 1 w atoms needs a .* kernel stack"):
+                    kernel_scan(sigma, w, refinement)
+
+            peaks.append(_peak_bytes(refused))
+        assert peaks[1] < 1 << 20 and peaks[2] <= peaks[1] + (1 << 12)
+
+    def test_refined_distances_are_capped(self, monkeypatch):
+        # two distances 2^-29 apart: the refinement adds no distinct value
+        # the floor can count, but the refined list alone, 8 (10^6 + 2)
+        # bytes, passes a 1 MiB cap
+        monkeypatch.setattr(constants, "MAX_ARRAY_BYTES", 1 << 20)
+        sigma = AtomicMeasure.from_triples([(-1, 0, 1.0), (1 - (1 << 29), 29, 1.0)])
+        w = AtomicMeasure.from_triples([(1, 0, 1.0)])
+
+        def refused():
+            with pytest.raises(PairTooLarge, match="2 sigma and 1 w atoms needs a 8 MiB refined distance list"):
+                kernel_scan(sigma, w, 10**6)
+
+        assert _peak_bytes(refused) < 1 << 20
+
+    def test_candidate_floor_is_a_floor(self):
+        for _, sigma, w, _ in [*oracle_cases(), *crafted_cases()]:
+            dists = np.abs(sigma.positions_f[:, None] - w.positions_f[None, :]).ravel()
+            for refinement in (0, 1, 4, 8, 24, 200):
+                floor, _ = _candidate_floor(dists, refinement)
+                assert floor <= len(truncation_candidates(dists, refinement))
+
     def test_row_count_is_the_table_length(self):
         for _, sigma, w, _ in [*oracle_cases(), *crafted_cases()]:
             dists = np.abs(sigma.positions_f[:, None] - w.positions_f[None, :]).ravel()
@@ -1184,6 +1224,17 @@ class TestComputeReport:
         assert (meta["refinement"], meta["a2_refinement"]) == (2, 1)
         assert meta["truncation_scan_size"] == record.scan_size == len(kernel_scan(sigma, w, 2).candidates)
         assert compute_report(sigma, w, grid, seed=3, refinement=2, a2_refinement=1).meta == meta
+
+    def test_record_refuses_the_settings_it_fixes(self):
+        # without the refusal this ran at the record's refinement 8
+        sigma, w = random_ensemble(78, 1, 16, 10)[0]
+        grid = unit_grid(sigma, w, 10)
+        record = pair_constants(sigma, w, grid)
+        with pytest.raises(ValueError, match="refinement"):
+            compute_report(sigma, w, refinement=2, record=record)
+        with pytest.raises(ValueError, match="grid, depth, refinement, a2_refinement, c0"):
+            compute_report(sigma, w, grid, depth=10, refinement=8, a2_refinement=6, c0=1.0, record=record)
+        assert compute_report(sigma, w, seed=3, record=record).meta["refinement"] == 8
 
     def test_report_invariant_on_ensemble(self):
         for sigma, w in random_ensemble(75, 4, 16, 10):

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from h2w.constants import _trunk_table
 from h2w.errors import PreconditionViolation, ZeroMass
-from h2w.grid import GridInterval
+from h2w.grid import GridInterval, good_levels_scan
 from h2w.haar import (
     WeightedFunction,
     _endpoints,
@@ -379,3 +380,37 @@ class TestNodeTable:
         grid = _grid_for(AtomicMeasure((dyadic(1, 7),), (1.0,)))
         with pytest.raises(PreconditionViolation, match="grid root"):
             node_table(sigma, grid)
+
+
+class TestGridMemo:
+    """The node lists, the energy trunk and the good intervals of a level
+    live in the grid's memo: one object per grid, freed with the grid."""
+
+    def test_repeat_calls_return_the_same_objects(self):
+        for sigma, w in random_ensemble(5, 4, 16, 10, family="mixed"):
+            grid, fresh = unit_grid(sigma, w, 10), unit_grid(sigma, w, 10)
+            assert grid == fresh and grid is not fresh
+            for mu in (sigma, w):
+                for lists in (splitting_nodes, charged_nodes, occupied_nodes):
+                    nodes = lists(mu, grid)
+                    assert lists(mu, grid) is nodes
+                    other = lists(mu, fresh)
+                    assert other is not nodes
+                    assert other == nodes and list(other.keys) == list(nodes.keys)
+                trunk = _trunk_table(mu, grid)
+                assert _trunk_table(mu, grid) is trunk
+                again = _trunk_table(mu, fresh)
+                assert again.nodes == trunk.nodes
+                for name in ("left", "right", "e2", "e2w", "end"):
+                    assert np.array_equal(getattr(again, name), getattr(trunk, name))
+            scan = good_levels_scan(grid, 8, 0.49, 6)
+            assert good_levels_scan(grid, 8, 0.49, 6) is scan
+            assert good_levels_scan(fresh, 8, 0.49, 6) == scan
+
+    def test_the_memo_is_the_grid_s_own(self):
+        sigma, w = random_ensemble(5, 1, 16, 10)[0]
+        grid = unit_grid(sigma, w, 10)
+        nodes = splitting_nodes(sigma, grid)
+        assert grid._memo and nodes in grid._memo.values()
+        assert hash(grid) == hash(unit_grid(sigma, w, 10))
+        assert repr(grid) == repr(unit_grid(sigma, w, 10))

@@ -6,6 +6,7 @@ re-exports."""
 
 import ast
 import importlib
+import inspect
 import pathlib
 
 import pytest
@@ -103,6 +104,44 @@ def test_every_private_name_is_used(module):
         and not any(name in refs for m, j, refs in statements if (m, j) != (module, k))
     ]
     assert unused == [], f"{module}.py defines private names that nothing uses"
+
+
+# the parameter annotations and names of a per-pair argument
+_PER_PAIR = ("AtomicMeasure", "DyadicGrid")
+_PER_PAIR_NAMES = {"mu", "sigma", "w", "grid"}
+
+
+def _takes_a_pair(fn) -> bool:
+    params = inspect.signature(fn).parameters.values()
+    return any(
+        p.name in _PER_PAIR_NAMES or any(t in str(p.annotation) for t in _PER_PAIR) for p in params
+    )
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_per_pair_caches_are_small(module):
+    # what is derived from one pair lives in its grid's memo and is freed
+    # with the grid; a module-level cache keyed by a measure or a grid keeps
+    # at most the last few pairs, however many pairs a process analyses
+    mod = importlib.import_module(f"h2w.{module}")
+    large = [
+        name
+        for name, value in vars(mod).items()
+        if callable(getattr(value, "cache_parameters", None))
+        and getattr(value, "__module__", None) == mod.__name__
+        and _takes_a_pair(value.__wrapped__)
+        and (value.cache_parameters()["maxsize"] is None or value.cache_parameters()["maxsize"] > 8)
+    ]
+    assert large == [], f"{module}.py caches per-pair values past 8 entries"
+
+
+def test_the_cache_check_sees_the_caches():
+    import h2w.haar as haar
+    import h2w.hilbert as hilbert
+
+    assert _takes_a_pair(haar.node_table.__wrapped__)
+    assert not _takes_a_pair(hilbert._ranks.__wrapped__)
+    assert hilbert._ranks.cache_parameters()["maxsize"] > 8
 
 
 def test_the_walks_see_the_package():

@@ -126,6 +126,43 @@ class TestCommonPointMass:
     def test_empty(self):
         assert not has_common_point_mass(AtomicMeasure.empty(), AtomicMeasure.empty())
 
+    @staticmethod
+    def _merge(sigma, w):
+        """The exact merge of the two position lists."""
+        i = j = 0
+        while i < sigma.n_atoms and j < w.n_atoms:
+            c = sigma.positions[i]._cmp(w.positions[j])
+            if c == 0:
+                return True
+            i, j = (i + 1, j) if c < 0 else (i, j + 1)
+        return False
+
+    @given(
+        st.lists(st.tuples(st.integers(-64, 64), st.integers(0, 6)), max_size=12),
+        st.lists(st.tuples(st.integers(-64, 64), st.integers(0, 6)), max_size=12),
+        st.integers(0, 60),
+    )
+    def test_agrees_with_the_exact_merge(self, xs, ys, rescale):
+        # the same point may come at different scales (1/2 as 2/4 or
+        # 2^k/2^(k+1)), and deep scales stress the doubles
+        def measure(atoms):
+            points = {}
+            for num, scale in atoms:
+                points.setdefault(DyadicRational(num << rescale, scale + rescale), None)
+            return AtomicMeasure.from_triples((p.num, p.scale, 1.0) for p in points)
+
+        sigma, w = measure(xs), measure(ys)
+        assert has_common_point_mass(sigma, w) == self._merge(sigma, w)
+        assert has_common_point_mass(w, sigma) == self._merge(sigma, w)
+
+    def test_positions_at_other_scales(self):
+        a = AtomicMeasure.from_triples([(1, 1, 1.0), (3, 2, 1.0)])
+        b = AtomicMeasure.from_triples([(1 << 40, 42, 1.0), (6, 3, 1.0)])
+        c = AtomicMeasure.from_triples([(1, 52, 1.0), (2**53 - 1, 53, 1.0)])
+        assert has_common_point_mass(a, b) and self._merge(a, b)
+        assert not has_common_point_mass(a, c) and not self._merge(a, c)
+        assert has_common_point_mass(c, AtomicMeasure.from_triples([(4, 54, 1.0)]))
+
 
 class TestRandomEnsemble:
     def test_determinism(self):
