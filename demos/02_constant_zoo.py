@@ -7,13 +7,13 @@ the interval of length 1/4 centered between the atoms, and the combined
 constant is sqrt(10.24) + 2 = 5.2.
 """
 
-from h2w import AtomicMeasure, compute_report
+from h2w import AtomicMeasure, auto_grid, compute_report
 from h2w.measure import random_ensemble
 
 sigma = AtomicMeasure.from_triples([(1, 2, 1.0)])
 w = AtomicMeasure.from_triples([(3, 2, 1.0)])
 
-rep = compute_report(sigma, w, depth=8)
+rep = compute_report(sigma, w, auto_grid(sigma, w, 8))
 print("micro pair:")
 print(f"  norm            N = {rep.norm_N}")
 print(f"  testing         T = {rep.testing_fwd} / {rep.testing_bwd}")

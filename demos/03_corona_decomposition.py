@@ -14,9 +14,9 @@ from h2w import (
     b_above,
     build_stopping_data,
     carleson_check,
-    combined_constant,
     corona_split,
     good_projection,
+    pair_constants,
     quasi_norm,
     reduction_residual,
 )
@@ -30,7 +30,8 @@ rng = np.random.default_rng(7)
 f = good_projection(WeightedFunction(sigma, rng.standard_normal(sigma.n_atoms)), grid, SUITE_EPS, SUITE_R)
 g = good_projection(WeightedFunction(w, rng.standard_normal(w.n_atoms)), grid, SUITE_EPS, SUITE_R)
 
-_, _, _, h_const, c0 = combined_constant(sigma, w, grid)
+rec = pair_constants(sigma, w, grid)
+h_const, c0 = rec.h_const, rec.c0
 print(f"combined constant H = {h_const:.3f}, calibrated threshold scale c0 = {c0}")
 
 stopping = build_stopping_data(f, grid.root_interval, w, h_const, c0)

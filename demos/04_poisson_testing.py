@@ -12,9 +12,9 @@ from h2w import (
     WeightedFunction,
     auto_grid,
     build_stopping_data,
-    combined_constant,
     good_projection,
     mu_measure,
+    pair_constants,
     poisson_extension,
     poisson_stationary,
     poisson_testing,
@@ -37,7 +37,8 @@ print(f"P(sigma, {gi}) = {p:.6f}, extension at (center, |I|) = {pp:.6f}, ratio {
 
 rng = np.random.default_rng(1)
 f = good_projection(WeightedFunction(sigma, rng.standard_normal(sigma.n_atoms)), grid, SUITE_EPS, SUITE_R)
-a2, _, _, h_const, c0 = combined_constant(sigma, w, grid)
+rec = pair_constants(sigma, w, grid)
+a2, h_const, c0 = rec.a2, rec.h_const, rec.c0
 stopping = build_stopping_data(f, grid.root_interval, w, h_const, c0)
 
 j_fams = default_j_families(stopping.members, w, grid, SUITE_EPS, SUITE_R, SUITE_BELOW_GAP)

@@ -69,12 +69,12 @@ from .poisson import (
 from .constants import (
     ConstantsReport,
     a2_constant,
-    combined_constant,
     compute_report,
     energy,
     energy_constant,
     functional_energy_ratio,
     norm_constant,
+    pair_constants,
     testing_constant,
 )
 from .corona import (

@@ -29,7 +29,7 @@ from functools import cache
 import numpy as np
 
 from . import __version__
-from .constants import SCHEMA_VERSION, combined_constant, compute_report
+from .constants import SCHEMA_VERSION, compute_report, pair_constants
 from .corona import build_stopping_data, corona_split, reduction_residual
 from .errors import (
     CommonPointMass,
@@ -263,10 +263,10 @@ def cmd_constants(args) -> int:
     rep = compute_report(
         sigma,
         w,
+        auto_grid(sigma, w, cfg.depth),
         seed=cfg.seed,
         refinement=cfg.refinement,
         a2_refinement=cfg.a2_refinement,
-        depth=cfg.depth,
         eps=cfg.eps,
         r=cfg.r,
         below_gap=cfg.below_gap,
@@ -322,9 +322,9 @@ def _grid_for_pair(cfg: RunConfig, sigma, w) -> DyadicGrid:
 
 def _stopping(cfg: RunConfig, path: str) -> tuple:
     """The pair in ``path``, its grid, the generator drawn past the seeded
-    coefficients of f, the good projection f, A2, H, c0 and the stopping
-    data of f.  A vanishing f is refused, and so is a non-finite A2 or T;
-    no N is computed here."""
+    coefficients of f, the good projection f, the pair's
+    :func:`pair_constants` record and the stopping data of f.  A vanishing
+    f is refused, and so is a non-finite A2 or T."""
     sigma, w = _load_pair(path)
     grid = _grid_for_pair(cfg, sigma, w)
     rng = np.random.default_rng(cfg.seed)
@@ -333,19 +333,18 @@ def _stopping(cfg: RunConfig, path: str) -> tuple:
     )
     if f.norm() == 0:
         raise PreconditionViolation("the projected test function vanishes; try another seed")
-    a2, t_fwd, t_bwd, h_const, c0 = combined_constant(
-        sigma, w, grid, cfg.refinement, cfg.a2_refinement, cfg.c0
-    )
+    rec = pair_constants(sigma, w, grid, cfg.refinement, cfg.a2_refinement, cfg.c0)
+    a2, t_fwd, t_bwd = rec.a2, rec.testing_fwd, rec.testing_bwd
     # one test per value: max() would pass a NaN through
     if not (math.isfinite(a2) and math.isfinite(t_fwd) and math.isfinite(t_bwd)):
         raise NecessityViolation(f"a constant is not finite: A2 {a2}, T {t_fwd}, {t_bwd}")
-    sd = build_stopping_data(f, grid.root_interval, w, h_const, c0)
-    return sigma, w, grid, rng, f, a2, h_const, c0, sd
+    sd = build_stopping_data(f, grid.root_interval, w, rec.h_const, rec.c0)
+    return sigma, w, grid, rng, f, rec, sd
 
 
 def cmd_decompose(args) -> int:
     cfg = _config(args)
-    _, w, grid, rng, f, _, h_const, c0, sd = _stopping(cfg, args.pair_file)
+    _, w, grid, rng, f, rec, sd = _stopping(cfg, args.pair_file)
     g = good_projection(
         WeightedFunction(w, rng.standard_normal(w.n_atoms)), grid, cfg.eps, cfg.r
     )
@@ -376,8 +375,8 @@ def cmd_decompose(args) -> int:
     body = {
         "schema_version": SCHEMA_VERSION,
         "config": cfg.stamp(),
-        "calibrated_c0": c0,
-        "h_const": h_const,
+        "calibrated_c0": rec.c0,
+        "h_const": rec.h_const,
         "tree": node(sd.root),
         "haar": {"sigma": coeff_dump(f), "w": coeff_dump(g) if g.norm() else None},
     }
@@ -387,7 +386,7 @@ def cmd_decompose(args) -> int:
 
 def cmd_poisson_test(args) -> int:
     cfg = _config(args)
-    sigma, w, grid, _, _, a2, h_const, _, sd = _stopping(cfg, args.pair_file)
+    sigma, w, grid, _, _, rec, sd = _stopping(cfg, args.pair_file)
     j_fams = default_j_families(sd.members, w, grid, cfg.eps, cfg.r, cfg.below_gap)
     hp = mu_measure(sd.members, w, grid, j_fams)
     buf = io.StringIO()
@@ -410,7 +409,7 @@ def cmd_poisson_test(args) -> int:
         if n.level <= 8
     ] + list(sd.members)
     intervals = list({gi.key: gi for gi in intervals}.values())
-    results = poisson_testing(intervals, sigma, hp, h_const, a2)
+    results = poisson_testing(intervals, sigma, hp, rec.h_const, rec.a2)
     for gi, res in zip(intervals, results):
         writer.writerow(
             [

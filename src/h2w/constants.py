@@ -29,9 +29,11 @@ testing_constant   exact supremum over intervals, jointly with the same
                    result is the full scan's bit for bit; each visited
                    class builds its own prefix sums, so the (T, n + 1, m)
                    prefix array is never built;
-combined_constant  A2, both T, H = sqrt(A2) + T and the calibrated c0 of a
-                   pair on one grid: the one H formula and c0 rule;
-pair_constants     N and the combined_constant chain, from one kernel scan;
+pair_constants     N, A2, both T, H = sqrt(A2) + T and the calibrated c0 of
+                   a pair on one grid, from one kernel scan, kept in the
+                   grid's memo: the one H formula and c0 rule, which the
+                   report, the verify suites and the pair-file commands
+                   read;
 energy             normalized dispersion E(w, I)^2;
 energy_constant    dynamic program over dyadic partitions inside one grid,
                    over the trunk nodes that hold sigma atoms, read from one
@@ -55,7 +57,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CommonPointMass, NecessityViolation, PairTooLarge, PreconditionViolation
-from .grid import DyadicGrid, GridInterval, auto_grid, f_parent, kept_with_grid
+from .grid import DyadicGrid, GridInterval, auto_grid, check_reach, f_parent, kept_with_grid
 from .haar import (
     WeightedFunction,
     _endpoints,
@@ -80,6 +82,7 @@ from .params import (
     DEFAULT_A2_REFINEMENT,
     DEFAULT_C0,
     DEFAULT_REFINEMENT,
+    MAX_ARRAY_BYTES,
     SUITE_BELOW_GAP,
     SUITE_DEPTH,
     SUITE_EPS,
@@ -94,7 +97,6 @@ __all__ = [
     "norm_constant",
     "a2_constant",
     "testing_constant",
-    "combined_constant",
     "PairConstants",
     "pair_constants",
     "energy",
@@ -122,11 +124,6 @@ class KernelScan:
     stack: np.ndarray
 
 
-# bytes of the largest array a pair may ask for: the kernel stack, and the
-# candidate arrays of a2_constant
-MAX_ARRAY_BYTES = 1 << 28
-
-
 def _check_size(nbytes: int, what: str, sigma: AtomicMeasure, w: AtomicMeasure) -> None:
     """PairTooLarge, naming the atom counts, before allocating ``nbytes``
     past :data:`MAX_ARRAY_BYTES`."""
@@ -147,8 +144,10 @@ def kernel_scan(
     candidate table is built, and first from a floor of that count before
     the scan's refined distances are; PairTooLarge too when the refined
     distances themselves would pass the cap.  The norm scales the stack a
-    block at a time.
+    block at a time.  A pair with an atom past ``grid.REACH`` is refused
+    first (:func:`~h2w.grid.check_reach`).
     """
+    check_reach(sigma, w)
     diffs = sigma.positions_f[:, None] - w.positions_f[None, :]
     dists = np.abs(diffs).ravel()
 
@@ -991,15 +990,12 @@ def functional_energy_ratio(
 
 @dataclass(frozen=True)
 class PairConstants:
-    """The per-pair constants that every later stage reads.
-
-    ``c0`` is the energy-stopping threshold on ``grid``, calibrated by the
-    rule of :func:`combined_constant`; ``refinement`` and ``a2_refinement``
-    are the scan settings the constants were computed at.  Only numbers and
-    the grid: no kernel stack.
+    """The per-pair constants that every later stage reads: N, A2, both T,
+    H = sqrt(A2) + max T, the energy-stopping threshold c0 calibrated on
+    the grid, and the number of truncation candidates scanned.  Only
+    numbers: no kernel stack, and not the grid whose memo keeps it.
     """
 
-    grid: DyadicGrid
     norm_N: float
     a2: float
     testing_fwd: float
@@ -1007,40 +1003,9 @@ class PairConstants:
     h_const: float
     c0: float
     scan_size: int
-    refinement: int
-    a2_refinement: int
 
 
-def combined_constant(
-    sigma: AtomicMeasure,
-    w: AtomicMeasure,
-    grid: DyadicGrid,
-    refinement: int = DEFAULT_REFINEMENT,
-    a2_refinement: int = DEFAULT_A2_REFINEMENT,
-    c0: float = DEFAULT_C0,
-    *,
-    scan: KernelScan | None = None,
-) -> tuple[float, float, float, float, float]:
-    """A2, forward and backward T, H = sqrt(A2) + max T, and c0.
-
-    c0 is calibrated on ``grid`` from the start value only when sigma has at
-    least two atoms, w at least one and H > 0; otherwise the start value is
-    returned.  ``scan`` is the pair's kernel scan, built here when not given.
-    """
-    from .corona import calibrate_c0  # deferred: corona builds on this module
-
-    # testing first: a pair too large for its kernel scan stops before A2
-    if scan is None:
-        scan = kernel_scan(sigma, w, refinement)
-    t_fwd = testing_constant(sigma, w, "forward", refinement, scan=scan)
-    t_bwd = testing_constant(sigma, w, "backward", refinement, scan=scan)
-    a2 = a2_constant(sigma, w, a2_refinement)
-    h_const = math.sqrt(a2) + max(t_fwd, t_bwd)
-    if sigma.n_atoms >= 2 and w.n_atoms >= 1 and h_const > 0:
-        c0 = calibrate_c0(grid.root_interval, sigma, w, h_const, start=c0)
-    return a2, t_fwd, t_bwd, h_const, c0
-
-
+@kept_with_grid
 def pair_constants(
     sigma: AtomicMeasure,
     w: AtomicMeasure,
@@ -1049,11 +1014,24 @@ def pair_constants(
     a2_refinement: int = DEFAULT_A2_REFINEMENT,
     c0: float = DEFAULT_C0,
 ) -> PairConstants:
-    """N and the :func:`combined_constant` chain of a pair, on one kernel scan."""
+    """The :class:`PairConstants` of a pair, from one kernel scan, kept in
+    the grid's memo: the one H formula and c0 rule.
+
+    c0 is calibrated on ``grid`` from the start value only when sigma has at
+    least two atoms, w at least one and H > 0; otherwise the start value is
+    kept.
+    """
+    from .corona import calibrate_c0  # deferred: corona builds on this module
+
     scan = kernel_scan(sigma, w, refinement)
     norm_n = norm_constant(sigma, w, refinement, scan=scan)
-    chain = combined_constant(sigma, w, grid, refinement, a2_refinement, c0, scan=scan)
-    return PairConstants(grid, norm_n, *chain, len(scan.candidates), refinement, a2_refinement)
+    t_fwd = testing_constant(sigma, w, "forward", refinement, scan=scan)
+    t_bwd = testing_constant(sigma, w, "backward", refinement, scan=scan)
+    a2 = a2_constant(sigma, w, a2_refinement)
+    h_const = math.sqrt(a2) + max(t_fwd, t_bwd)
+    if sigma.n_atoms >= 2 and w.n_atoms >= 1 and h_const > 0:
+        c0 = calibrate_c0(grid.root_interval, sigma, w, h_const, start=c0)
+    return PairConstants(norm_n, a2, t_fwd, t_bwd, h_const, c0, len(scan.candidates))
 
 
 @dataclass
@@ -1107,46 +1085,28 @@ def compute_report(
     grid: DyadicGrid | None = None,
     *,
     seed: int = 0,
-    refinement: int | None = None,
-    a2_refinement: int | None = None,
-    depth: int | None = None,
+    refinement: int = DEFAULT_REFINEMENT,
+    a2_refinement: int = DEFAULT_A2_REFINEMENT,
     eps: float = SUITE_EPS,
     r: int = SUITE_R,
     below_gap: int = SUITE_BELOW_GAP,
-    c0: float | None = None,
-    record: PairConstants | None = None,
+    c0: float = DEFAULT_C0,
 ) -> ConstantsReport:
-    """Assemble the full report for one pair.
+    """Assemble the full report for one pair on ``grid`` (default
+    ``auto_grid`` at SUITE_DEPTH), from the pair's :func:`pair_constants`
+    record at ``refinement``, ``a2_refinement`` and ``c0``.
 
     The functional-energy and local ratios are empirical maxima over a small
     seeded family of stopping data and adapted functions (:data:`_FE_SAMPLES`
-    random f); they are lower bounds by nature.  ``record``, the pair's
-    :func:`pair_constants`, is built here when not given, on ``grid`` (or
-    ``auto_grid``'s at ``depth``, default SUITE_DEPTH) with the refinements
-    and c0 (defaults DEFAULT_REFINEMENT, DEFAULT_A2_REFINEMENT and
-    DEFAULT_C0).  A given record fixes all five, so passing any of them with
-    it is a ValueError.
+    random f); they are lower bounds by nature.
     """
     from . import corona  # deferred: corona builds on this module
 
-    fixed = dict(grid=grid, depth=depth, refinement=refinement, a2_refinement=a2_refinement, c0=c0)
-    given = [name for name, value in fixed.items() if value is not None]
-    if record is not None and given:
-        raise ValueError(f"the record fixes {', '.join(given)}; pass none of them with it")
     if has_common_point_mass(sigma, w):
         raise CommonPointMass("report requires disjoint point masses")
-    if record is None:
-        if grid is None:
-            grid = auto_grid(sigma, w, SUITE_DEPTH if depth is None else depth)
-        record = pair_constants(
-            sigma,
-            w,
-            grid,
-            DEFAULT_REFINEMENT if refinement is None else refinement,
-            DEFAULT_A2_REFINEMENT if a2_refinement is None else a2_refinement,
-            DEFAULT_C0 if c0 is None else c0,
-        )
-    grid = record.grid
+    if grid is None:
+        grid = auto_grid(sigma, w, SUITE_DEPTH)
+    record = pair_constants(sigma, w, grid, refinement, a2_refinement, c0)
     norm_n, a2, h_const = record.norm_N, record.a2, record.h_const
     t_fwd, t_bwd = record.testing_fwd, record.testing_bwd
     slack = 1.0 + 1e-9
@@ -1204,8 +1164,8 @@ def compute_report(
     meta = {
         "seed": seed,
         "depth": grid.depth,
-        "refinement": record.refinement,
-        "a2_refinement": record.a2_refinement,
+        "refinement": refinement,
+        "a2_refinement": a2_refinement,
         "eps": eps,
         "r": r,
         "below_gap": below_gap,

@@ -13,12 +13,14 @@ grids whose left end has no double included.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, wraps
 
-from .errors import EndpointCollision
+from .errors import EndpointCollision, PairTooLarge, PreconditionViolation
 from .measure import AtomicMeasure, DyadicRational, Interval, dyadic
+from .params import MAX_ARRAY_BYTES
 
 __all__ = ["DyadicGrid", "GridInterval", "build_grid", "is_good", "f_parent", "auto_grid"]
 
@@ -35,10 +37,11 @@ def _is_pow2_length(x: DyadicRational) -> bool:
 class DyadicGrid:
     """A binary subdivision of (root + shift) down to ``depth`` levels.
 
-    ``_memo`` holds what is derived from the grid and a measure on it (the
-    node lists, the energy trunk, the good intervals of a level), so that
-    it lives exactly as long as the grid: a pair's grid is built once and
-    dropped when the pair is done (:func:`kept_with_grid`).
+    ``_memo`` holds what is derived from the grid and the measures on it
+    (the node lists, the energy trunk, the good intervals of a level, the
+    pair's constants record), so that it lives exactly as long as the grid:
+    a pair's grid is built once and dropped when the pair is done
+    (:func:`kept_with_grid`).
     """
 
     root: Interval
@@ -193,6 +196,49 @@ def build_grid(
     return grid
 
 
+# Every atom of an analysed pair lies strictly inside (-2^508, 2^508).  The
+# truncation scan squares cutoffs up to 8 times the largest distance
+# between atoms, so below (2^512)^2, and the root that auto_grid picks is
+# at most 2^510 long: every such square is a double.
+REACH = 2.0**508
+
+
+def check_reach(sigma: AtomicMeasure, w: AtomicMeasure) -> None:
+    """PreconditionViolation, naming the atoms, when an atom of the pair
+    lies at or past :data:`REACH` in absolute value."""
+    far = [
+        f"{name} atom at {x!r}"
+        for mu, name in ((sigma, "sigma"), (w, "w"))
+        for x in mu.positions_f.tolist()
+        if abs(x) >= REACH
+    ]
+    if far:
+        more = f" and {len(far) - 3} more" if len(far) > 3 else ""
+        raise PreconditionViolation(
+            f"{', '.join(far[:3])}{more}: positions must stay below 2^508 in absolute "
+            "value, or the squared distances of the pair overflow the doubles"
+        )
+
+
+def check_table_size(n: int, depth: int) -> None:
+    """PairTooLarge, naming the atom count and the depth, when a node table
+    of n atoms on a grid of this depth would hold more than
+    ``params.MAX_ARRAY_BYTES`` at once: n atoms give at most n (depth + 1)
+    rows, each counted as 20 int64 entries and, past level 62, 8 Python ints
+    of depth + 1 bits (24 bytes and 4 per 30 bits on CPython).  (Measured
+    tracemalloc peaks per atom and level: 37 to 140 bytes up to depth 62 on
+    1,600 to 3,600 atoms; 5.7 to 8.1 such ints at depths 63 to 4,000 on 10
+    atoms.)  Only arithmetic on n and depth: no depth-sized number is built.
+    """
+    entry = 160 + (8 * (8 + 24 + 4 * -(-(depth + 1) // 30)) if depth > 62 else 0)
+    nbytes = n * (depth + 1) * entry
+    if nbytes > MAX_ARRAY_BYTES:
+        raise PairTooLarge(
+            f"a node table of {n} atoms at depth {depth} needs about "
+            f"{nbytes / 2**20:.0f} MiB, over the {MAX_ARRAY_BYTES >> 20} MiB cap"
+        )
+
+
 @lru_cache(maxsize=8)
 def auto_grid(sigma: AtomicMeasure, w: AtomicMeasure, depth: int) -> DyadicGrid:
     """A grid over a power-of-two root covering both supports.
@@ -204,7 +250,13 @@ def auto_grid(sigma: AtomicMeasure, w: AtomicMeasure, depth: int) -> DyadicGrid:
 
     The grids of the last few pairs are kept, so that the commands that
     analyse one pair in a process share its grid and the lists in its memo.
+    A pair with an atom past :data:`REACH` is refused (:func:`check_reach`),
+    and so is a depth at which the pair's joint node table cannot fit
+    (:func:`check_table_size`), before the grid builds its depth-sized
+    lattice numbers.
     """
+    check_reach(sigma, w)
+    check_table_size(sigma.n_atoms + w.n_atoms, depth)
     pos = [float(p) for p in sigma.positions] + [float(p) for p in w.positions]
     if not pos:
         return DyadicGrid(Interval(dyadic(0), dyadic(1)), depth)
@@ -289,28 +341,34 @@ def f_parent(i: GridInterval, keys) -> GridInterval | None:
 
 
 def kept_with_grid(fn):
-    """Memoise ``fn(mu, grid)`` in the grid's memo, keyed by the function's
-    name and ``mu``: a value is computed once per grid and freed with it."""
+    """Memoise ``fn`` in the memo of its ``grid`` argument, keyed by the
+    function's name and every other argument, defaults applied: a value is
+    computed once per grid and freed with it.  A call that passes every
+    argument by position is already in that form; any other call is bound
+    to the signature first."""
+    signature = inspect.signature(fn)
+    names = list(signature.parameters)
+    at = names.index("grid")
     name = fn.__name__
 
     @wraps(fn)
-    def kept(mu, grid):
-        key = (name, mu)
-        found = grid._memo.get(key)
+    def kept(*args, **kwargs):
+        if kwargs or len(args) != len(names):
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            args = tuple(bound.arguments.values())
+        memo = args[at]._memo
+        key = (name, *args[:at], *args[at + 1 :])
+        found = memo.get(key)
         if found is None:
-            found = grid._memo[key] = fn(mu, grid)
+            found = memo[key] = fn(*args)
         return found
 
     return kept
 
 
+@kept_with_grid
 def good_levels_scan(grid: DyadicGrid, level: int, eps: float, r: int) -> tuple[int, ...]:
     """Indices of the good intervals at one level (exhaustive scan), kept
     in the grid's memo."""
-    key = ("good_levels_scan", level, eps, r)
-    found = grid._memo.get(key)
-    if found is None:
-        found = grid._memo[key] = tuple(
-            k for k in range(1 << level) if is_good(grid.interval(level, k), eps, r)
-        )
-    return found
+    return tuple(k for k in range(1 << level) if is_good(grid.interval(level, k), eps, r))

@@ -35,7 +35,7 @@ import math
 import numpy as np
 
 from .errors import PreconditionViolation, ZeroMass
-from .grid import DyadicGrid, GridInterval, is_good, kept_with_grid
+from .grid import DyadicGrid, GridInterval, check_table_size, is_good, kept_with_grid
 from .measure import AtomicMeasure, _as_interval
 
 __all__ = [
@@ -248,8 +248,12 @@ def _node_table(mus: tuple[AtomicMeasure, ...], grid: DyadicGrid) -> NodeTable:
     grid, shifted ones included, and no DyadicRational is built.  A subtree
     ends at the first node past its right end.  Atoms outside the grid root
     lie in no row.
+
+    PairTooLarge before anything is built when the table cannot fit
+    (:func:`~h2w.grid.check_table_size`).
     """
     depth = grid.depth
+    check_table_size(sum(mu.n_atoms for mu in mus), depth)
     # cell indices past 62 levels stay Python ints
     dtype = np.int64 if depth <= 62 else object
     root = np.array([grid.endpoint_f(0, 0), grid.endpoint_f(0, 1)])

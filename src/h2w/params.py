@@ -25,3 +25,8 @@ DEFAULT_REFINEMENT = 8
 
 # Interval-ladder refinement for the Poisson product search.
 DEFAULT_A2_REFINEMENT = 6
+
+# Bytes of the largest array a pair may ask for: the kernel stack, the
+# candidate arrays of the A2 search, the truncation scan's refined
+# distances and the columns of a node table.
+MAX_ARRAY_BYTES = 1 << 28

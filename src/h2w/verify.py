@@ -6,12 +6,13 @@ fail hard; regression checks compare observed maxima against the recorded
 constants and are reported as warnings unless strict mode is requested.
 Every failing check carries a replay payload that reproduces it bit-exactly.
 
-A run draws its ensemble once.  Each distinct pair gets one grid and one
-:class:`~h2w.constants.PairConstants` record (N, A2, both T, H and the
-calibrated c0, from one kernel scan), and each ensemble pair one
-``compute_report`` on that record, all built on first use and shared by
-every suite of the run: the energy suite reads its energy constants from the
-report the theorem suite checks.  Nothing outlives the run.
+A run draws its ensemble once.  Each distinct pair gets one grid, whose
+memo keeps the pair's :func:`~h2w.constants.pair_constants` record (N, A2,
+both T, H and the calibrated c0, from one kernel scan), and each ensemble
+pair one ``compute_report``, which reads that record; all are built on
+first use and shared by every suite of the run: the energy suite reads its
+energy constants from the report the theorem suite checks.  Nothing
+outlives the run.
 
 The per-interval checks run batched per pair: the Poisson testing of every
 test interval in one call, the stationary-vs-extension comparison on one
@@ -132,8 +133,8 @@ class CheckResult:
 
 class _Ensemble:
     """One run's seeded ensemble, with each distinct pair's ``auto_grid``
-    and :func:`pair_constants` record and each ensemble pair's report, each
-    built on first use."""
+    and each ensemble pair's report, each built on first use; a pair's
+    :func:`pair_constants` record lives in its grid's memo."""
 
     def __init__(self, cfg: SuiteConfig):
         self.cfg = cfg
@@ -141,7 +142,6 @@ class _Ensemble:
             cfg.seed, cfg.count, cfg.max_atoms, cfg.depth, family=cfg.family
         )
         self._grids: dict[tuple[AtomicMeasure, AtomicMeasure], DyadicGrid] = {}
-        self._records: dict[tuple[AtomicMeasure, AtomicMeasure], PairConstants] = {}
         self._reports: dict[int, ConstantsReport] = {}
 
     def grid(self, sigma: AtomicMeasure, w: AtomicMeasure) -> DyadicGrid:
@@ -151,28 +151,25 @@ class _Ensemble:
         return self._grids[key]
 
     def record(self, sigma: AtomicMeasure, w: AtomicMeasure) -> PairConstants:
-        key = (sigma, w)
-        if key not in self._records:
-            cfg = self.cfg
-            self._records[key] = pair_constants(
-                sigma, w, self.grid(sigma, w), cfg.refinement, c0=cfg.c0
-            )
-        return self._records[key]
+        cfg = self.cfg
+        return pair_constants(sigma, w, self.grid(sigma, w), cfg.refinement, c0=cfg.c0)
 
     def report(self, idx: int) -> ConstantsReport:
         """``compute_report`` of ensemble pair ``idx`` at seed cfg.seed + idx,
-        on the pair's record."""
+        on the pair's grid, so that it reads the pair's record."""
         if idx not in self._reports:
             cfg = self.cfg
             sigma, w = self.pairs[idx]
             self._reports[idx] = compute_report(
                 sigma,
                 w,
+                self.grid(sigma, w),
                 seed=cfg.seed + idx,
+                refinement=cfg.refinement,
                 eps=cfg.eps,
                 r=cfg.r,
                 below_gap=cfg.below_gap,
-                record=self.record(sigma, w),
+                c0=cfg.c0,
             )
         return self._reports[idx]
 

@@ -142,6 +142,81 @@ class TestInexactAtoms:
         assert peak < 64 * 1024
 
 
+def _far_pair(e: int) -> str:
+    """sigma at 2^e, 2^(e-1), 2^(e-2) and w at -2^e, -2^(e-1), unit masses."""
+    lines = ["[sigma]"] + [f"{1 << k} 0 1.0" for k in (e, e - 1, e - 2)]
+    lines += ["[w]"] + [f"{-(1 << k)} 0 1.0" for k in (e, e - 1)]
+    return "\n".join(lines) + "\n"
+
+
+class TestFarApartAtoms:
+    @pytest.mark.parametrize("command", ["constants", "decompose", "poisson-test"])
+    @pytest.mark.parametrize("e", [508, 510, 1023])
+    def test_exit_3_names_the_atoms(self, command, e, tmp_path, capsys):
+        # at 2^508 the scan's largest cutoff, 8 * 2^509, squared past the
+        # doubles in a Python ** (OverflowError); at 2^1023 the distances
+        # were inf and the grid endpoints overflowed: tracebacks, exit 1
+        far = tmp_path / "far.txt"
+        far.write_text(_far_pair(e))
+        code, out, err = run_cli([command, str(far)], capsys)
+        assert code == 3 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert f"sigma atom at {2.0**e!r}" in err and "2^508" in err
+
+    @pytest.mark.parametrize("command", ["constants", "decompose", "poisson-test"])
+    def test_just_inside_the_reach_is_analysed(self, command, tmp_path, capsys):
+        far = tmp_path / "far.txt"
+        far.write_text(_far_pair(507))
+        code, out, err = run_cli([command, str(far)], capsys)
+        assert code == 0 and err == ""
+        if command == "constants":
+            assert json.loads(out)["norm_N"] > 0.0
+
+    def test_kernel_scan_refuses_before_building(self):
+        from h2w.constants import kernel_scan
+        from h2w.errors import PreconditionViolation
+
+        sigma, w = parse_pair_text(_far_pair(508))
+        with pytest.raises(PreconditionViolation, match="2\\^508"):
+            kernel_scan(sigma, w)
+
+
+class TestDeepGrids:
+    @pytest.fixture
+    def probe_pair(self, tmp_path, capsys):
+        # 5 x 5 atoms: the node table has up to 10 (depth + 1) rows, whose
+        # indices and keys past level 62 are Python ints of about depth bits
+        path = tmp_path / "pair.txt"
+        args = ["gen", "--seed", "5", "--count", "1", "--max-atoms", "6", "--depth", "8"]
+        assert run_cli(args + ["-o", str(path)], capsys)[0] == 0
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["constants", "decompose", "poisson-test"])
+    def test_huge_depth_refused_in_bounded_memory(self, command, probe_pair, capsys):
+        # at depth 20000 the pair's 10-atom joint node table needs about
+        # 4 GB; it exits 3 before the grid is built, with the same
+        # tracemalloc peak at twice the depth and at depth 10^10, where the
+        # grid's lattice numbers alone would take GBs
+        peaks = []
+        for depth in ("20000", "40000", "10000000000"):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                code, out, err = run_cli([command, probe_pair, "--depth", depth], capsys)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert code == 3 and out == ""
+            assert err.startswith("error: a node table of 10 atoms at depth " + depth)
+            peaks.append(peak)
+        assert max(peaks[1:]) < 1.1 * peaks[0] + (64 << 10)
+        assert max(peaks) < 16 << 20
+
+    def test_depth_2000_is_analysed(self, probe_pair, capsys):
+        code, out, _ = run_cli(["constants", probe_pair, "--depth", "2000"], capsys)
+        assert code == 0 and json.loads(out)["meta"]["depth"] == 2000
+
+
 class TestPairTooLarge:
     @pytest.mark.parametrize("command", ["constants", "decompose"])
     def test_exit_3_names_the_atom_counts(self, command, tmp_path, capsys):

@@ -1171,7 +1171,7 @@ class TestFunctionalEnergyRatio:
 
 class TestComputeReport:
     def test_micro_report(self, micro_pair):
-        rep = compute_report(*micro_pair, depth=8)
+        rep = compute_report(*micro_pair, auto_grid(*micro_pair, 8))
         assert rep.norm_N == 2.0
         assert rep.testing_fwd == 2.0 and rep.testing_bwd == 2.0
         assert abs(rep.a2 - 10.24) < 1e-12
@@ -1182,19 +1182,20 @@ class TestComputeReport:
 
     def test_empty_w(self):
         sigma = AtomicMeasure.from_triples([(1, 3, 1.0)])
-        rep = compute_report(sigma, AtomicMeasure.empty(), depth=6)
+        w = AtomicMeasure.empty()
+        rep = compute_report(sigma, w, auto_grid(sigma, w, 6))
         assert rep.norm_N == 0.0 and rep.a2 == 0.0 and rep.h_const == 0.0
         assert rep.n_over_h == 0.0
         assert rep.meta["truncation_scan_size"] == 1
 
     def test_scan_size_is_the_candidate_count(self):
         sigma, w = random_ensemble(77, 1, 16, 10)[0]
-        rep = compute_report(sigma, w, depth=10)
+        rep = compute_report(sigma, w, auto_grid(sigma, w, 10))
         dists = np.abs(sigma.positions_f[:, None] - w.positions_f[None, :]).ravel()
         assert rep.meta["truncation_scan_size"] == len(truncation_candidates(dists))
 
     def test_json_dict_schema(self, micro_pair):
-        rep = compute_report(*micro_pair, depth=8)
+        rep = compute_report(*micro_pair, auto_grid(*micro_pair, 8))
         body = rep.to_json_dict()
         assert body["schema_version"] == 1
         assert "paper_ratios" in body["meta"]
@@ -1207,38 +1208,43 @@ class TestComputeReport:
         sigma, w = random_ensemble(78, 1, 16, 10)[0]
         grid = unit_grid(sigma, w, 10)
         record = pair_constants(sigma, w, grid)
-        fresh = compute_report(sigma, w, grid, seed=3)
+        fresh = compute_report(sigma, w, unit_grid(sigma, w, 10), seed=3)
         calls = []
         monkeypatch.setattr(constants, "kernel_scan", lambda *a, **k: calls.append(a))
         monkeypatch.setattr(constants, "a2_constant", lambda *a, **k: calls.append(a))
-        shared = compute_report(sigma, w, seed=3, record=record)
+        shared = compute_report(sigma, w, grid, seed=3)
         assert calls == []
         assert shared.to_json_dict() == fresh.to_json_dict()
         assert record.c0 == fresh.meta["calibrated_c0"]
+
+    def test_record_is_kept_per_setting_with_defaults_applied(self):
+        sigma, w = random_ensemble(78, 1, 16, 10)[0]
+        grid = unit_grid(sigma, w, 10)
+        record = pair_constants(sigma, w, grid)
+        assert pair_constants(sigma, w, grid, DEFAULT_REFINEMENT, c0=1.0) is record
+        assert pair_constants(sigma, w, grid=grid, a2_refinement=6) is record
+        # every argument by position: the key without binding the call
+        assert pair_constants(sigma, w, grid, DEFAULT_REFINEMENT, 6, 1.0) is record
+        coarse = pair_constants(sigma, w, grid, 2, 1)
+        assert coarse is not record and coarse.scan_size < record.scan_size
+        # an equal grid is another memo: the record is freed with its grid
+        assert pair_constants(sigma, w, unit_grid(sigma, w, 10)) is not record
+        assert pair_constants(sigma, w, unit_grid(sigma, w, 10)) == record
 
     def test_meta_gives_the_record_scan_settings(self):
         sigma, w = random_ensemble(78, 1, 16, 10)[0]
         grid = unit_grid(sigma, w, 10)
         record = pair_constants(sigma, w, grid, refinement=2, a2_refinement=1)
-        meta = compute_report(sigma, w, seed=3, record=record).meta
+        meta = compute_report(sigma, w, grid, seed=3, refinement=2, a2_refinement=1).meta
         assert (meta["refinement"], meta["a2_refinement"]) == (2, 1)
         assert meta["truncation_scan_size"] == record.scan_size == len(kernel_scan(sigma, w, 2).candidates)
-        assert compute_report(sigma, w, grid, seed=3, refinement=2, a2_refinement=1).meta == meta
-
-    def test_record_refuses_the_settings_it_fixes(self):
-        # without the refusal this ran at the record's refinement 8
-        sigma, w = random_ensemble(78, 1, 16, 10)[0]
-        grid = unit_grid(sigma, w, 10)
-        record = pair_constants(sigma, w, grid)
-        with pytest.raises(ValueError, match="refinement"):
-            compute_report(sigma, w, refinement=2, record=record)
-        with pytest.raises(ValueError, match="grid, depth, refinement, a2_refinement, c0"):
-            compute_report(sigma, w, grid, depth=10, refinement=8, a2_refinement=6, c0=1.0, record=record)
-        assert compute_report(sigma, w, seed=3, record=record).meta["refinement"] == 8
+        assert meta["calibrated_c0"] == record.c0
+        fresh = unit_grid(sigma, w, 10)
+        assert compute_report(sigma, w, fresh, seed=3, refinement=2, a2_refinement=1).meta == meta
 
     def test_report_invariant_on_ensemble(self):
         for sigma, w in random_ensemble(75, 4, 16, 10):
-            rep = compute_report(sigma, w, depth=10)
+            rep = compute_report(sigma, w, auto_grid(sigma, w, 10))
             assert rep.testing_fwd <= rep.norm_N * (1 + 1e-9)
             assert rep.testing_bwd <= rep.norm_N * (1 + 1e-9)
             assert rep.h_const == math.sqrt(rep.a2) + max(rep.testing_fwd, rep.testing_bwd)

@@ -54,3 +54,24 @@ def test_output_bytes(name, capsys):
     assert main(CASES[name]) == 0
     out = capsys.readouterr().out
     assert out.encode() == (GOLDEN / name).read_bytes()
+
+
+def test_pair_commands_share_one_record(monkeypatch, capsys):
+    # constants, decompose and poisson-test on one pair in one process read
+    # one pair_constants record from the memo of the pair's one grid
+    import h2w.constants as constants
+    from h2w.grid import auto_grid
+
+    auto_grid.cache_clear()
+    real = constants.kernel_scan
+    scans = []
+
+    def counted(*args):
+        scans.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(constants, "kernel_scan", counted)
+    for name in ("constants.json", "decompose.json", "poisson-test.csv"):
+        assert main(CASES[name]) == 0
+        assert capsys.readouterr().out.encode() == (GOLDEN / name).read_bytes()
+    assert len(scans) == 1
