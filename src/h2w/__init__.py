@@ -35,7 +35,6 @@ from .haar import (
     HaarCoefficients,
     WeightedFunction,
     absolute_haar_multiplier,
-    corona_projection,
     expand,
     expectation,
     good_projection,
@@ -84,6 +83,7 @@ from .corona import (
     build_stopping_data,
     calibrate_c0,
     carleson_check,
+    corona_pieces,
     corona_split,
     energy_stopping_intervals,
     quasi_norm,

@@ -39,7 +39,7 @@ from .errors import (
     PreconditionViolation,
 )
 from .grid import DyadicGrid, GridInterval, auto_grid, build_grid
-from .haar import WeightedFunction, expand, good_projection, occupied_nodes
+from .haar import WeightedFunction, expand, good_projection
 from .measure import (
     ALL_FAMILIES,
     Interval,
@@ -57,7 +57,13 @@ from .params import (
     SUITE_EPS,
     SUITE_R,
 )
-from .poisson import default_j_families, mu_measure, poisson_testing
+from .poisson import (
+    PoissonTestResult,
+    default_j_families,
+    mu_measure,
+    poisson_test_intervals,
+    poisson_testing,
+)
 from .verify import SUITE_NAMES, SuiteConfig, run_all, run_suite
 
 __all__ = ["main", "RunConfig"]
@@ -115,15 +121,15 @@ _CHOICES = {"family": ALL_FAMILIES, "format": ("json", "csv")}
 
 # The values each option accepts, where its type alone admits values that
 # the analysis refuses; verify's count also, since an empty ensemble has no
-# pair to report on, and the ensemble commands' depth, since the slot
-# centres (2s + 1) / 2^(depth + 1) of random_ensemble are doubles only up
-# to depth 52.
+# pair to report on, the ensemble commands' depth, since the slot centres
+# (2s + 1) / 2^(depth + 1) of random_ensemble are doubles only up to depth
+# 52, and the shift's scale, since 2^-1074 is the finest scale of a double.
 _AT_LEAST_ONE = (lambda v: v >= 1, "at least 1")
 _AT_LEAST_ZERO = (lambda v: v >= 0, "at least 0")
 _ENSEMBLE_DEPTH = (lambda v: 1 <= v <= 52, "in [1, 52]")
 _DOMAINS = {
     "seed": _AT_LEAST_ZERO,
-    "shift_scale": _AT_LEAST_ZERO,
+    "shift_scale": (lambda v: 0 <= v <= 1074, "in [0, 1074]"),
     "depth": _AT_LEAST_ONE,
     "max_atoms": _AT_LEAST_ONE,
     "r": _AT_LEAST_ONE,
@@ -391,38 +397,14 @@ def cmd_poisson_test(args) -> int:
     hp = mu_measure(sd.members, w, grid, j_fams)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        [
-            "interval",
-            "forward_lhs",
-            "forward_rhs",
-            "forward_ratio",
-            "dual_lhs",
-            "dual_rhs",
-            "dual_ratio",
-            "zero_denominator",
-        ]
-    )
-    intervals = [
-        GridInterval(grid, n.level, n.index)
-        for n in occupied_nodes(sigma, grid)
-        if n.level <= 8
-    ] + list(sd.members)
-    intervals = list({gi.key: gi for gi in intervals}.values())
+    names = [f.name for f in fields(PoissonTestResult)]
+    writer.writerow(["interval", *names])
+    intervals = poisson_test_intervals(sigma, grid, sd.members)
     results = poisson_testing(intervals, sigma, hp, rec.h_const, rec.a2)
     for gi, res in zip(intervals, results):
-        writer.writerow(
-            [
-                f"L{gi.level}.{gi.index}",
-                repr(res.forward_lhs),
-                repr(res.forward_rhs),
-                repr(res.forward_ratio),
-                repr(res.dual_lhs),
-                repr(res.dual_rhs),
-                repr(res.dual_ratio),
-                int(res.zero_denominator),
-            ]
-        )
+        values = (getattr(res, name) for name in names)
+        cells = [int(v) if isinstance(v, bool) else repr(v) for v in values]
+        writer.writerow([f"L{gi.level}.{gi.index}", *cells])
     header = f"# h2w {__version__} poisson-test {json.dumps(cfg.stamp(), sort_keys=True)}\n"
     _emit(header + buf.getvalue(), cfg.output)
     return 0

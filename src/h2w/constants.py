@@ -37,13 +37,15 @@ pair_constants     N, A2, both T, H = sqrt(A2) + T and the calibrated c0 of
 energy             normalized dispersion E(w, I)^2;
 energy_constant    dynamic program over dyadic partitions inside one grid,
                    over the trunk nodes that hold sigma atoms, read from one
-                   trunk table per (w, grid) (``_trunk_table``, kept in
-                   the grid's memo), which the energy-stopping test of
+                   trunk table per (w, grid) (``haar._trunk_table``, kept
+                   in the grid's memo), which the energy-stopping test of
                    ``corona`` reads too;
 functional_energy_ratio
                    both sides of the multi-scale energy inequality on a
                    supplied family, reported as a ratio;
-compute_report     everything above assembled with search metadata.
+compute_report     everything above assembled with search metadata, and the
+                   functional-energy and local ratios over ``corona``'s
+                   stopping data.
 
 Suprema over uncountable families are reported as certified maxima over the
 documented candidate sets, never as certified upper bounds.
@@ -56,24 +58,30 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CommonPointMass, NecessityViolation, PairTooLarge, PreconditionViolation
+from .corona import _carleson_ratio, build_stopping_data, calibrate_c0, local_estimate_ratios
+from .errors import (
+    AdaptednessViolation,
+    CommonPointMass,
+    NecessityViolation,
+    PairTooLarge,
+    PreconditionViolation,
+)
 from .grid import DyadicGrid, GridInterval, auto_grid, check_reach, f_parent, kept_with_grid
 from .haar import (
     WeightedFunction,
-    _endpoints,
+    _energies,
     _run,
-    charged_nodes,
+    _squares,
+    _trunk_table,
     expand,
     good_projection,
     haar_function,
-    node_table,
     splitting_nodes,
 )
 from .hilbert import (
     _STACK_BLOCK,
     TruncationTable,
     _candidate_floor,
-    _squares,
     kernel_stack,
     truncation_candidates,
 )
@@ -786,54 +794,6 @@ def energy_identity_sides(
     return out
 
 
-@dataclass(frozen=True)
-class _TrunkTable:
-    """The w-dispersion trunk of one (w, grid): the charged nodes of w in
-    pre-order, their endpoint floats, E(w, I)^2 and E(w, I)^2 w(I) of each,
-    and the end of each node's pre-order subtree run."""
-
-    nodes: tuple
-    left: np.ndarray
-    right: np.ndarray
-    e2: np.ndarray
-    e2w: np.ndarray
-    end: np.ndarray
-
-
-@kept_with_grid
-def _trunk_table(w: AtomicMeasure, grid: DyadicGrid) -> _TrunkTable:
-    """The :class:`_TrunkTable` of w on ``grid``, built once per grid from
-    the node table of w and kept in the grid's memo."""
-    table = node_table(w, grid)
-    rows = np.flatnonzero(table.hi[0] - table.lo[0] >= 2)
-    left, right = (ends[rows] for ends in _endpoints(table, grid))
-    lo, hi = table.lo[0, rows], table.hi[0, rows]
-    e2 = _energies(w, lo, hi, _squares(right - left))
-    end = np.searchsorted(rows, table.end[rows])
-    return _TrunkTable(
-        charged_nodes(w, grid), left, right, e2, e2 * (w._mass_prefix[hi] - w._mass_prefix[lo]), end
-    )
-
-
-def _energies(w: AtomicMeasure, lo: np.ndarray, hi: np.ndarray, length_sq: np.ndarray) -> np.ndarray:
-    """E(w, I)^2 of each atom range [lo, hi), at least two atoms, with
-    |I|^2 = ``length_sq``: twice the w-variance of position over the range,
-    divided by |I|^2.  The ranges of one size are gathered into the rows of
-    one 2-D array, whose row sums numpy reduces as it reduces a 1-D array,
-    so a one-row call rounds as the whole table does."""
-    size = hi - lo
-    e2 = np.empty(len(lo))
-    for k in np.unique(size).tolist():
-        at = np.flatnonzero(size == k)
-        atoms = lo[at, None] + np.arange(k)
-        m, x = w.masses_f[atoms], w.positions_f[atoms]
-        mass = m.sum(axis=1)
-        mean = (x * m).sum(axis=1) / mass
-        var = ((x - mean[:, None]) ** 2 * m).sum(axis=1) / mass
-        e2[at] = 2.0 * var / length_sq[at]
-    return e2
-
-
 def energy_constant(sigma: AtomicMeasure, w: AtomicMeasure, grid: DyadicGrid) -> float:
     """Best dyadic-partition energy sum inside the grid, via dynamic programming.
 
@@ -890,19 +850,6 @@ def _nonneg_measure(h: WeightedFunction) -> AtomicMeasure:
     )
 
 
-def _carleson_ratio(members, sigma: AtomicMeasure) -> float:
-    """Max over members S of (sum of sigma(F) over members F inside S) / sigma(S)."""
-    masses = [sigma.mass_on(F) for F in members]
-    worst = 0.0
-    for S, s_mass in zip(members, masses):
-        total = sum(m for F, m in zip(members, masses) if S.contains(F))
-        if s_mass > 0.0:
-            worst = max(worst, total / s_mass)
-        elif total > 0.0:
-            return math.inf
-    return worst
-
-
 # random test functions f per compute_report
 _FE_SAMPLES = 2
 
@@ -928,8 +875,6 @@ def functional_energy_ratio(
     (:func:`~h2w.grid.f_parent`) is F, at least ``below_gap`` levels down;
     violations raise.
     """
-    from .errors import AdaptednessViolation
-
     if np.any(h.values < 0):
         raise PreconditionViolation("h must be non-negative")
     members = list(f_family)
@@ -1021,8 +966,6 @@ def pair_constants(
     least two atoms, w at least one and H > 0; otherwise the start value is
     kept.
     """
-    from .corona import calibrate_c0  # deferred: corona builds on this module
-
     scan = kernel_scan(sigma, w, refinement)
     norm_n = norm_constant(sigma, w, refinement, scan=scan)
     t_fwd = testing_constant(sigma, w, "forward", refinement, scan=scan)
@@ -1100,8 +1043,6 @@ def compute_report(
     seeded family of stopping data and adapted functions (:data:`_FE_SAMPLES`
     random f); they are lower bounds by nature.
     """
-    from . import corona  # deferred: corona builds on this module
-
     if has_common_point_mass(sigma, w):
         raise CommonPointMass("report requires disjoint point masses")
     if grid is None:
@@ -1129,7 +1070,7 @@ def compute_report(
             f = good_projection(raw, grid, eps, r)
             if f.norm() == 0.0:
                 continue
-            stopping = corona.build_stopping_data(f, root, w, h_const, record.c0)
+            stopping = build_stopping_data(f, root, w, h_const, record.c0)
             members = stopping.members
             j_fams = default_j_families(members, w, grid, eps, r, below_gap)
             if ident_coeffs is None:
@@ -1157,7 +1098,7 @@ def compute_report(
                 graw = WeightedFunction(w, rng.standard_normal(w.n_atoms))
                 gg = good_projection(graw, grid, eps, r)
                 if gg.norm() > 0.0:
-                    local = corona.local_estimate_ratios(f, gg, stopping, below_gap)
+                    local = local_estimate_ratios(f, gg, stopping, below_gap)
                     if local:
                         local_max = max(local_max, max(local))
     n_over_h = norm_n / h_const if h_const > 0 else 0.0

@@ -22,12 +22,11 @@ sigma is read from the function a construction is built for (``f.base``)
 and the grid from its top interval (``i0.grid``, ``stopping.root.grid``),
 so a node table and the atom ranges are always read on the same grid.
 
-A :class:`StoppingData` walks each splitting node up to its minimal member
-once per measure (``corona_nodes``, on ``grid.minimal_member``), so a
-corona projection reads its pre-order group.  The bilinear
-form takes every node's differences at once, skips a source node whose
-differences both vanish, and visits under each other source node only the
-pre-order run of target nodes inside it (``haar._run``), in the order of
+:func:`corona_pieces` decomposes a function in one pass, each splitting
+node into the piece of its minimal member (``grid.minimal_member``).  The
+bilinear form takes every node's differences at once, skips a source node
+whose differences both vanish, and visits under each other source node only
+the pre-order run of target nodes inside it (``haar._run``), in the order of
 the full double loop; its callers build the kernel prefix once.
 """
 
@@ -39,7 +38,6 @@ from functools import cache, cached_property, lru_cache
 
 import numpy as np
 
-from .constants import _carleson_ratio, _trunk_table
 from .errors import AtomCollision, PreconditionViolation
 from .grid import DyadicGrid, GridInterval, minimal_member
 from .haar import (
@@ -47,11 +45,12 @@ from .haar import (
     WeightedFunction,
     _differences,
     _endpoints,
+    _keyed_differences,
     _node_table,
     _parents,
     _run,
     _subtree,
-    corona_projection,
+    _trunk_table,
     node_table,
     splitting_nodes,
 )
@@ -67,6 +66,7 @@ __all__ = [
     "calibrate_c0",
     "build_stopping_data",
     "carleson_check",
+    "corona_pieces",
     "quasi_norm",
     "uniformity_check",
     "b_above",
@@ -86,7 +86,6 @@ class StoppingData:
     alpha: dict
     reason: dict
     children: dict
-    _corona_nodes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
     def member_keys(self) -> frozenset:
@@ -96,18 +95,6 @@ class StoppingData:
         """(level, index) of the minimal member containing grid interval
         (level, index), itself when it is a member; None outside the family."""
         return minimal_member(self.member_keys, level, index)
-
-    def corona_nodes(self, mu: AtomicMeasure) -> dict[tuple[int, int], tuple]:
-        """The splitting nodes of mu grouped by their minimal member, each
-        group in pre-order; built once per measure."""
-        groups = self._corona_nodes.get(mu)
-        if groups is None:
-            lists: dict[tuple[int, int], list] = {}
-            for n in splitting_nodes(mu, self.root.grid):
-                lists.setdefault(self.pi_key(n.level, n.index), []).append(n)
-            groups = {key: tuple(nodes) for key, nodes in lists.items()}
-            self._corona_nodes[mu] = groups
-        return groups
 
     def family_children(self, F: GridInterval) -> tuple[GridInterval, ...]:
         return self.children.get(F.key, ())
@@ -405,6 +392,19 @@ def carleson_check(stopping: StoppingData, sigma: AtomicMeasure) -> float:
     return _carleson_ratio(stopping.members, sigma)
 
 
+def _carleson_ratio(members, sigma: AtomicMeasure) -> float:
+    """Max over members S of (sum of sigma(F) over members F inside S) / sigma(S)."""
+    masses = [sigma.mass_on(F) for F in members]
+    worst = 0.0
+    for S, s_mass in zip(members, masses):
+        total = sum(m for F, m in zip(members, masses) if S.contains(F))
+        if s_mass > 0.0:
+            worst = max(worst, total / s_mass)
+        elif total > 0.0:
+            return math.inf
+    return worst
+
+
 def quasi_norm(stopping: StoppingData, sigma: AtomicMeasure) -> float:
     """Exact sigma-norm of the overlapping sum of alpha(F) indicators."""
     acc = np.zeros(sigma.n_atoms)
@@ -531,6 +531,19 @@ def b_above(f: WeightedFunction, g: WeightedFunction, grid: DyadicGrid, below_ga
     return _b_form(f, g, grid, below_gap, _form_prefix(f.base, g.base, grid))
 
 
+def corona_pieces(
+    f: WeightedFunction, stopping: StoppingData
+) -> dict[tuple[int, int], WeightedFunction]:
+    """Every member's corona piece of f, by key in the family's order: the
+    sum of the martingale differences of f at the splitting nodes of
+    ``f.base`` whose minimal member it is.  A node outside the family lands
+    in no piece; a member with no node gets the zero piece."""
+    nodes = splitting_nodes(f.base, stopping.root.grid)
+    keys = [F.key for F in stopping.members]
+    sums = _keyed_differences(f, nodes, lambda n: stopping.pi_key(n.level, n.index), keys)
+    return {key: WeightedFunction(f.base, values) for key, values in sums.items()}
+
+
 def corona_split(
     f: WeightedFunction,
     g: WeightedFunction,
@@ -542,8 +555,9 @@ def corona_split(
     """Diagonal corona part of the above form on the stopping family's grid,
     and the cross-corona rest.
 
-    split_value sums the form over matching corona projections of f and g;
-    residual is b_above(f, g) minus that, so the two add back exactly.
+    split_value sums the form over matching corona pieces of f and g
+    (:func:`corona_pieces`); residual is b_above(f, g) minus that, so the
+    two add back exactly.
     ``above``, when given, is that b_above(f, g) on the family's grid,
     already evaluated by the caller, and is not evaluated again.
     """
@@ -551,9 +565,9 @@ def corona_split(
     C = _form_prefix(f.base, g.base, grid)
     total = _b_form(f, g, grid, below_gap, C) if above is None else above
     split_value = 0.0
-    for F in stopping.members:
-        pf = corona_projection(f, stopping, F)
-        qg = corona_projection(g, stopping, F)
+    f_pieces, g_pieces = corona_pieces(f, stopping), corona_pieces(g, stopping)
+    for key, pf in f_pieces.items():
+        qg = g_pieces[key]
         if np.any(pf.values != 0.0) and np.any(qg.values != 0.0):
             split_value += _b_form(pf, qg, grid, below_gap, C)
     return split_value, total - split_value
@@ -597,13 +611,13 @@ def local_estimate_ratios(
     sigma, grid = f.base, stopping.root.grid
     # the kernel prefix of every form here, built at the first one
     prefix = cache(lambda: _form_prefix(sigma, g.base, grid))
+    f_pieces, g_pieces = corona_pieces(f, stopping), corona_pieces(g, stopping)
     out: list[float] = []
     for F in stopping.members:
         aF = stopping.alpha[F.key]
         if aF <= 0:
             continue
-        pf = corona_projection(f, stopping, F)
-        qg = corona_projection(g, stopping, F)
+        pf, qg = f_pieces[F.key], g_pieces[F.key]
         if not np.any(pf.values != 0.0) or not np.any(qg.values != 0.0):
             continue
         cF = _bounded_average_constant(pf, F, stopping) / aF

@@ -38,8 +38,8 @@ class DyadicGrid:
     """A binary subdivision of (root + shift) down to ``depth`` levels.
 
     ``_memo`` holds what is derived from the grid and the measures on it
-    (the node lists, the energy trunk, the good intervals of a level, the
-    pair's constants record), so that it lives exactly as long as the grid:
+    (the node lists, the energy trunk, the pair's constants record), so
+    that it lives exactly as long as the grid:
     a pair's grid is built once and dropped when the pair is done
     (:func:`kept_with_grid`).
     """
@@ -184,8 +184,13 @@ def build_grid(
     """Construct the grid, rejecting any endpoint that carries mass.
 
     Raises EndpointCollision naming the first offending atom; the caller is
-    expected to retry with a different shift.
+    expected to retry with a different shift.  Before any depth-sized
+    lattice number is built, an atom past :data:`REACH` is refused
+    (:func:`check_reach`), and so is a node table too large to fit
+    (:func:`check_table_size`).
     """
+    check_reach(sigma, w)
+    check_table_size(sigma.n_atoms + w.n_atoms, depth)
     grid = DyadicGrid(root, depth, shift)
     for mu, name in ((sigma, "sigma"), (w, "w")):
         for p in mu.positions:
@@ -250,13 +255,11 @@ def auto_grid(sigma: AtomicMeasure, w: AtomicMeasure, depth: int) -> DyadicGrid:
 
     The grids of the last few pairs are kept, so that the commands that
     analyse one pair in a process share its grid and the lists in its memo.
-    A pair with an atom past :data:`REACH` is refused (:func:`check_reach`),
-    and so is a depth at which the pair's joint node table cannot fit
-    (:func:`check_table_size`), before the grid builds its depth-sized
-    lattice numbers.
+    The grid comes from :func:`build_grid`, which refuses what cannot be
+    analysed; an atom past :data:`REACH` is refused before the root search,
+    whose float powers of two overflow past 2^1023.
     """
     check_reach(sigma, w)
-    check_table_size(sigma.n_atoms + w.n_atoms, depth)
     pos = [float(p) for p in sigma.positions] + [float(p) for p in w.positions]
     if not pos:
         return DyadicGrid(Interval(dyadic(0), dyadic(1)), depth)
@@ -365,10 +368,3 @@ def kept_with_grid(fn):
         return found
 
     return kept
-
-
-@kept_with_grid
-def good_levels_scan(grid: DyadicGrid, level: int, eps: float, r: int) -> tuple[int, ...]:
-    """Indices of the good intervals at one level (exhaustive scan), kept
-    in the grid's memo."""
-    return tuple(k for k in range(1 << level) if is_good(grid.interval(level, k), eps, r))

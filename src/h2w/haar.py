@@ -19,6 +19,9 @@ nodes of a list inside a grid interval are one run, found by bisecting
 those keys (:func:`_run`).  Every question about the grid intervals
 inside a top interval (the stop tests, bounded averages and uniformity in
 ``corona``) reads the rows of such a table; there is no other grid walk.
+The energy trunk (:func:`_trunk_table`) is built from the charged list.  A
+projection sums one :func:`_differences` pass by a key per node
+(:func:`_keyed_differences`): goodness, or the minimal stopping member.
 """
 
 from __future__ import annotations
@@ -47,7 +50,6 @@ __all__ = [
     "expand",
     "reconstruct",
     "good_projection",
-    "corona_projection",
     "absolute_haar_multiplier",
     "inner",
     "splitting_nodes",
@@ -382,6 +384,60 @@ def occupied_nodes(mu: AtomicMeasure, grid: DyadicGrid) -> NodeList:
     return _node_list(t, np.ones(len(t), dtype=bool))
 
 
+def _squares(x: np.ndarray) -> np.ndarray:
+    """Each entry's Python float square (libm ``pow``, which can differ from
+    numpy's x * x in the last bit), in x's shape."""
+    return np.array([v**2 for v in x.ravel().tolist()]).reshape(x.shape)
+
+
+@dataclass(frozen=True)
+class _TrunkTable:
+    """The w-dispersion trunk of one (w, grid): the charged nodes of w in
+    pre-order, their endpoint floats, E(w, I)^2 and E(w, I)^2 w(I) of each,
+    and the end of each node's pre-order subtree run."""
+
+    nodes: tuple
+    left: np.ndarray
+    right: np.ndarray
+    e2: np.ndarray
+    e2w: np.ndarray
+    end: np.ndarray
+
+
+@kept_with_grid
+def _trunk_table(w: AtomicMeasure, grid: DyadicGrid) -> _TrunkTable:
+    """The :class:`_TrunkTable` of w on ``grid``, built once per grid from
+    the node table of w and kept in the grid's memo."""
+    table = node_table(w, grid)
+    rows = np.flatnonzero(table.hi[0] - table.lo[0] >= 2)
+    left, right = (ends[rows] for ends in _endpoints(table, grid))
+    lo, hi = table.lo[0, rows], table.hi[0, rows]
+    e2 = _energies(w, lo, hi, _squares(right - left))
+    end = np.searchsorted(rows, table.end[rows])
+    return _TrunkTable(
+        charged_nodes(w, grid), left, right, e2, e2 * (w._mass_prefix[hi] - w._mass_prefix[lo]), end
+    )
+
+
+def _energies(w: AtomicMeasure, lo: np.ndarray, hi: np.ndarray, length_sq: np.ndarray) -> np.ndarray:
+    """E(w, I)^2 of each atom range [lo, hi), at least two atoms, with
+    |I|^2 = ``length_sq``: twice the w-variance of position over the range,
+    divided by |I|^2.  The ranges of one size are gathered into the rows of
+    one 2-D array, whose row sums numpy reduces as it reduces a 1-D array,
+    so a one-row call rounds as the whole table does."""
+    size = hi - lo
+    e2 = np.empty(len(lo))
+    for k in np.unique(size).tolist():
+        at = np.flatnonzero(size == k)
+        atoms = lo[at, None] + np.arange(k)
+        m, x = w.masses_f[atoms], w.positions_f[atoms]
+        mass = m.sum(axis=1)
+        mean = (x * m).sum(axis=1) / mass
+        var = ((x - mean[:, None]) ** 2 * m).sum(axis=1) / mass
+        e2[at] = 2.0 * var / length_sq[at]
+    return e2
+
+
 # ---------------------------------------------------------------------------
 # Haar functions and expansions
 
@@ -515,35 +571,27 @@ def _differences(f: WeightedFunction, nodes) -> tuple[list, list]:
         return _half_differences(nodes, fm, mm)
 
 
-def _accumulate_differences(f: WeightedFunction, nodes) -> np.ndarray:
-    """Sum of martingale differences over the given splitting nodes."""
-    values = np.zeros(f.base.n_atoms)
-    if not nodes:
-        return values
-    for n, d_left, d_right in zip(nodes, *_differences(f, nodes)):
+def _keyed_differences(f: WeightedFunction, nodes, key_of, keys) -> dict:
+    """For each of ``keys``, the sum of the martingale differences of f at
+    the splitting ``nodes`` whose ``key_of`` is that key, added in order
+    from one :func:`_differences` pass; other nodes are left out."""
+    sums = {key: np.zeros(f.base.n_atoms) for key in keys}
+    keyed = [(n, key) for n in nodes if (key := key_of(n)) in sums]
+    kept = [n for n, _ in keyed]
+    for (n, key), d_left, d_right in zip(keyed, *_differences(f, kept)):
+        values = sums[key]
         values[n.lo : n.cut] += d_left
         values[n.cut : n.hi] += d_right
-    return values
+    return sums
 
 
 def good_projection(f: WeightedFunction, grid: DyadicGrid, eps: float, r: int) -> WeightedFunction:
     """Sum of martingale differences over the good splitting intervals only."""
-    nodes = [
-        n
-        for n in splitting_nodes(f.base, grid)
-        if is_good(GridInterval(grid, n.level, n.index), eps, r)
-    ]
-    return WeightedFunction(f.base, _accumulate_differences(f, nodes))
-
-
-def corona_projection(f: WeightedFunction, stopping, F: GridInterval) -> WeightedFunction:
-    """Projection onto the corona of F: differences at intervals whose
-    minimal containing stopping interval is F, read from the stopping
-    data's pre-order grouping of the splitting nodes of ``f.base``."""
-    if F.key not in stopping.member_keys:
-        raise PreconditionViolation(f"{F} is not a member of the stopping family")
-    nodes = stopping.corona_nodes(f.base).get(F.key, ())
-    return WeightedFunction(f.base, _accumulate_differences(f, nodes))
+    nodes = splitting_nodes(f.base, grid)
+    sums = _keyed_differences(
+        f, nodes, lambda n: is_good(GridInterval(grid, n.level, n.index), eps, r), (True,)
+    )
+    return WeightedFunction(f.base, sums[True])
 
 
 def absolute_haar_multiplier(g: WeightedFunction, grid: DyadicGrid) -> WeightedFunction:

@@ -17,6 +17,8 @@ bands bracketing the sorted distinct pairwise distances (operator entries
 are piecewise constant in the cutoffs with breakpoints exactly there), plus
 tapered pairs on a geometrically refined value list.  A scan is one
 :class:`TruncationTable` of mode codes and radii, read as columns.
+
+The monotonicity lemmas read P(mu, I) from ``poisson``, below this module.
 """
 
 from __future__ import annotations
@@ -29,8 +31,9 @@ import numpy as np
 
 from .errors import AtomCollision, PreconditionViolation
 from .measure import AtomicMeasure, _as_interval
-from .haar import WeightedFunction, absolute_haar_multiplier
+from .haar import WeightedFunction, _squares, absolute_haar_multiplier
 from .params import DEFAULT_REFINEMENT
+from .poisson import poisson_stationary
 
 __all__ = [
     "TruncationSpec",
@@ -389,12 +392,6 @@ def kernel_stack(diffs: np.ndarray, candidates: TruncationTable) -> np.ndarray:
     return out
 
 
-def _squares(x: np.ndarray) -> np.ndarray:
-    """Each entry's Python float square (libm ``pow``, which can differ from
-    numpy's x * x in the last bit), in x's shape."""
-    return np.array([v**2 for v in x.ravel().tolist()]).reshape(x.shape)
-
-
 # ---------------------------------------------------------------------------
 # lemma diagnostics
 
@@ -459,8 +456,6 @@ def monotonicity_p_less_h(
     multiplier on ``grid`` of g, which vanishes off I and has zero
     w-integral.  The constant the inequality hides is reported, never
     asserted; so in each lemma function."""
-    from .poisson import poisson_stationary  # local import to avoid a cycle
-
     K, I = _as_interval(k_interval), _as_interval(i_interval)
     _require(K.contains_interval(I) and K.length_f > I.length_f, "K must strictly contain I")
     lo_i, hi_i = g.base.index_range(I)
@@ -489,8 +484,6 @@ def monotonicity_mono1(
     beta = 4|K|) of |<H nu, g>_w| against P(mu_0, J) <x/|J|, |g|>_w, with
     mu_0 mu's atoms in K outside I, nu = ``nu_signs`` (one per atom of mu_0,
     at most 1 in size) times mu_0 and |g| as in the P < H lemma."""
-    from .poisson import poisson_stationary  # local import to avoid a cycle
-
     K, I = _as_interval(k_interval), _as_interval(i_interval)
     mu = mu.restrict(K).restrict_complement(I)
     signs = np.asarray(nu_signs)

@@ -10,7 +10,7 @@ Every Poisson kernel is evaluated here, by four batched helpers with one
 row per interval or point and one column per atom; a scalar entry point is
 a one-row call, and a row sum of a C-ordered array reduces as numpy reduces
 a 1-D one, so batching moves no bit.  The summed stationary and extension
-terms square |I| and t as Python floats (libm ``pow``, ``hilbert._squares``),
+terms square |I| and t as Python floats (libm ``pow``, ``haar._squares``),
 the product kernel and the dual terms as numpy does (x * x), which differs
 in the last bit on some lengths.
 """
@@ -23,9 +23,9 @@ from functools import cached_property
 
 import numpy as np
 
+from .errors import PreconditionViolation
 from .grid import DyadicGrid, GridInterval, f_parent, is_good
-from .haar import WeightedFunction, expand, splitting_nodes
-from .hilbert import _squares
+from .haar import WeightedFunction, _squares, expand, occupied_nodes, splitting_nodes
 from .measure import AtomicMeasure, _as_interval
 
 __all__ = [
@@ -38,6 +38,7 @@ __all__ = [
     "mu_measure",
     "poisson_testing",
     "PoissonTestResult",
+    "poisson_test_intervals",
     "poisson_local_comparison",
 ]
 
@@ -235,6 +236,16 @@ class PoissonTestResult:
     zero_denominator: bool
 
 
+def poisson_test_intervals(sigma: AtomicMeasure, grid: DyadicGrid, members) -> list[GridInterval]:
+    """The intervals of a Poisson testing run: the grid intervals holding a
+    sigma atom, down to level 8, in pre-order, then the stopping ``members``,
+    each interval once, where it first comes."""
+    intervals = [
+        GridInterval(grid, n.level, n.index) for n in occupied_nodes(sigma, grid) if n.level <= 8
+    ] + list(members)
+    return list({gi.key: gi for gi in intervals}.values())
+
+
 def poisson_testing(
     intervals,
     sigma: AtomicMeasure,
@@ -311,8 +322,6 @@ def poisson_local_comparison(
     The caller guarantees j is good and strictly below i; containment is
     checked here.
     """
-    from .errors import PreconditionViolation
-
     if not (i.contains(j) and j.level > i.level):
         raise PreconditionViolation("j must be strictly inside i")
     if not i0.contains(i):

@@ -48,6 +48,7 @@ from .corona import (
     b_above,
     build_stopping_data,
     carleson_check,
+    corona_pieces,
     corona_split,
     energy_stopping_intervals,
     local_estimate_ratios,
@@ -55,10 +56,9 @@ from .corona import (
     reduction_residual,
     uniformity_check,
 )
-from .grid import DyadicGrid, GridInterval, auto_grid, build_grid, good_levels_scan, is_good
+from .grid import DyadicGrid, GridInterval, auto_grid, build_grid, is_good
 from .haar import (
     WeightedFunction,
-    corona_projection,
     expand,
     good_projection,
     haar_function,
@@ -101,6 +101,7 @@ from .poisson import (
     dual_poisson,
     mu_measure,
     poisson_local_comparison,
+    poisson_test_intervals,
     poisson_testing,
 )
 
@@ -601,21 +602,19 @@ def suite_corona(ens: _Ensemble) -> _Suite:
                 replay = _replay(cfg, sigma, w, idx, f"avg bound at {gi}")
         carleson_worst = max(carleson_worst, carleson_check(sd, sigma))
         s.record_max("quasi_norm_ratio_max", quasi_norm(sd, sigma) / f.norm())
+        f_pieces = corona_pieces(f, sd)
         # corona split algebra and the independent cross sum
         if g.norm() > 0:
             total = b_above(f, g, grid, cfg.below_gap)
             split_value, residual = corona_split(f, g, sd, cfg.below_gap)
             split_dev = max(split_dev, abs(split_value + residual - total) / max(1.0, abs(total)))
+            g_pieces = corona_pieces(g, sd)
             cross = 0.0
-            for Fp in sd.members:
-                pf = corona_projection(f, sd, Fp)
+            for p_key, pf in f_pieces.items():
                 if not np.any(pf.values != 0.0):
                     continue
-                for Fq in sd.members:
-                    if Fp.key == Fq.key:
-                        continue
-                    qg = corona_projection(g, sd, Fq)
-                    if np.any(qg.values != 0.0):
+                for q_key, qg in g_pieces.items():
+                    if p_key != q_key and np.any(qg.values != 0.0):
                         cross += b_above(pf, qg, grid, cfg.below_gap)
             cross_dev = max(cross_dev, abs(cross - residual) / max(1.0, abs(total)))
             denom = h * f.norm() * g.norm()
@@ -633,7 +632,7 @@ def suite_corona(ens: _Ensemble) -> _Suite:
         for F in sd.members:
             if not sd.family_children(F):
                 continue
-            pf = corona_projection(f, sd, F)
+            pf = f_pieces[F.key]
             if not np.any(pf.values != 0.0):
                 continue
             aF = sd.alpha[F.key]
@@ -732,12 +731,7 @@ def suite_poisson(ens: _Ensemble) -> _Suite:
             x0 = float(sigma.positions_f[0])
             if dual_poisson(hp, small, x0) > dual_poisson(hp, big, x0) + 1e-15:
                 box_ok = False
-            test_intervals = [
-                GridInterval(grid, n.level, n.index)
-                for n in occupied_nodes(sigma, grid)
-                if n.level <= 8
-            ] + list(sd.members)
-            test_intervals = list({gi.key: gi for gi in test_intervals}.values())
+            test_intervals = poisson_test_intervals(sigma, grid, sd.members)
             for res in poisson_testing(test_intervals, sigma, hp, h, a2):
                 if res.forward_rhs > 0:
                     s.record_max("poisson_forward_ratio_env", res.forward_ratio)
@@ -777,9 +771,9 @@ def suite_poisson(ens: _Ensemble) -> _Suite:
     )
     I_fixed = gid.interval(2, 1)
     for lev in range(2 + cfg.r, min(cfg.depth, 5 + cfg.r) + 1):
-        for k in good_levels_scan(gid, lev, cfg.eps, cfg.r):
+        for k in range(1 << lev):
             jj = gid.interval(lev, k)
-            if I_fixed.contains(jj):
+            if is_good(jj, cfg.eps, cfg.r) and I_fixed.contains(jj):
                 lhs, rhs = poisson_local_comparison(jj, I_fixed, gid.root_interval, atom, cfg.eps)
                 if rhs > 0:
                     s.record_max("jsimeq_ratio_max", lhs / rhs)

@@ -164,6 +164,16 @@ class TestFarApartAtoms:
         assert f"sigma atom at {2.0**e!r}" in err and "2^508" in err
 
     @pytest.mark.parametrize("command", ["constants", "decompose", "poisson-test"])
+    def test_past_2_1023_is_refused_before_the_root_search(self, command, tmp_path, capsys):
+        # auto_grid's root search takes float powers of two, and 2.0 ** 1024
+        # overflows: the reach is checked before it
+        far = tmp_path / "far.txt"
+        far.write_text(f"[sigma]\n{3 << 1022} 0 1.0\n1 1 1.0\n[w]\n3 2 1.0\n")
+        code, out, err = run_cli([command, str(far)], capsys)
+        assert code == 3 and out == ""
+        assert err.startswith("error: sigma atom at 1.348269851146737e+308") and "2^508" in err
+
+    @pytest.mark.parametrize("command", ["constants", "decompose", "poisson-test"])
     def test_just_inside_the_reach_is_analysed(self, command, tmp_path, capsys):
         far = tmp_path / "far.txt"
         far.write_text(_far_pair(507))
@@ -208,6 +218,28 @@ class TestDeepGrids:
                 tracemalloc.stop()
             assert code == 3 and out == ""
             assert err.startswith("error: a node table of 10 atoms at depth " + depth)
+            peaks.append(peak)
+        assert max(peaks[1:]) < 1.1 * peaks[0] + (64 << 10)
+        assert max(peaks) < 16 << 20
+
+    @pytest.mark.parametrize("command", ["decompose", "poisson-test"])
+    def test_explicit_shift_refuses_huge_depth_in_bounded_memory(self, command, capsys):
+        # an explicit shift builds its grid with build_grid, which refused
+        # nothing here before: at depth 10^6 to 10^8 the grid's lattice
+        # numbers of depth bits were built before an endpoint collision
+        # ended the run (max RSS 33 to 84 MB)
+        peaks = []
+        for depth in ("1000000", "100000000", "10000000000"):
+            argv = [command, GOLDEN_PAIR, "--shift-num", "1", "--shift-scale", "14"]
+            gc.collect()
+            tracemalloc.start()
+            try:
+                code, out, err = run_cli(argv + ["--depth", depth], capsys)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert code == 3 and out == ""
+            assert err.startswith("error: a node table of 17 atoms at depth " + depth)
             peaks.append(peak)
         assert max(peaks[1:]) < 1.1 * peaks[0] + (64 << 10)
         assert max(peaks) < 16 << 20
@@ -462,6 +494,8 @@ class TestOptionSets:
             ["sweep", "--seed", "-3"],
             ["verify", "all", "--seed", "-3"],
             ["decompose", GOLDEN_PAIR, "--shift-num", "1", "--shift-scale", "-1"],
+            ["decompose", GOLDEN_PAIR, "--shift-num", "1", "--shift-scale", "1075"],
+            ["poisson-test", GOLDEN_PAIR, "--shift-num", "1", "--shift-scale", "10000000000"],
             ["gen", "--depth", "63"],
             ["gen", "--depth", "53"],
             ["sweep", "--depth", "53"],
@@ -486,6 +520,12 @@ class TestOptionSets:
         assert exc.value.code == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: H2W_SEED")
+
+    def test_finest_shift_scale_is_analysed(self, capsys):
+        # 2^-1074, the finest scale of a double, is the largest accepted
+        argv = ["decompose", GOLDEN_PAIR, "--shift-num", "1", "--shift-scale", "1074"]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0 and json.loads(out)["config"]["shift_scale"] == 1074
 
     def test_depth_52_still_draws(self, tmp_path, capsys):
         path = tmp_path / "p.txt"

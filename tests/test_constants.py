@@ -20,7 +20,6 @@ from h2w.constants import (
     _nonneg_measure,
     _ScaledStack,
     _spectral_norms,
-    _trunk_table,
     a2_constant,
     compute_report,
     energy,
@@ -42,6 +41,7 @@ from h2w.grid import GridInterval, auto_grid
 from h2w.haar import (
     WeightedFunction,
     _run,
+    _trunk_table,
     charged_nodes,
     expand,
     haar_function,

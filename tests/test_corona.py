@@ -15,6 +15,7 @@ from h2w.corona import (
     build_stopping_data,
     calibrate_c0,
     carleson_check,
+    corona_pieces,
     corona_split,
     energy_stopping_intervals,
     local_estimate_ratios,
@@ -27,8 +28,7 @@ from h2w.grid import DyadicGrid, GridInterval, build_grid, is_good
 from h2w.haar import (
     HaarCoefficients,
     WeightedFunction,
-    _accumulate_differences,
-    corona_projection,
+    _differences,
     expand,
     good_projection,
     haar_function,
@@ -313,12 +313,13 @@ class TestCoronaSplit:
         total = b_above(f, g, grid, SUITE_BELOW_GAP)
         assert abs(split_value + residual - total) <= 1e-10 * max(1.0, abs(total))
         cross = 0.0
+        f_pieces, g_pieces = corona_pieces(f, sd), corona_pieces(g, sd)
         for Fp in sd.members:
-            pf = corona_projection(f, sd, Fp)
+            pf = f_pieces[Fp.key]
             for Fq in sd.members:
                 if Fp.key == Fq.key:
                     continue
-                qg = corona_projection(g, sd, Fq)
+                qg = g_pieces[Fq.key]
                 cross += b_above(pf, qg, grid, SUITE_BELOW_GAP)
         assert abs(cross - residual) <= 1e-10 * max(1.0, abs(total))
 
@@ -534,8 +535,9 @@ def _oracle_carleson(members, sigma):
 
 
 def _oracle_corona_projection(f, stopping, F):
-    """The per-member projection: every splitting node of f's base, its
-    minimal member found by walking up from it."""
+    """The per-member projection: every splitting node of f's base whose
+    minimal member, found by walking up from it, is F, each node's
+    differences added in pre-order."""
     keys = frozenset(m.key for m in stopping.members)
 
     def pi_key(level, index):
@@ -546,7 +548,11 @@ def _oracle_corona_projection(f, stopping, F):
         return level, index
 
     nodes = [n for n in splitting_nodes(f.base, F.grid) if pi_key(n.level, n.index) == F.key]
-    return WeightedFunction(f.base, _accumulate_differences(f, nodes))
+    values = np.zeros(f.base.n_atoms)
+    for n, d_left, d_right in zip(nodes, *_differences(f, nodes)):
+        values[n.lo : n.cut] += d_left
+        values[n.cut : n.hi] += d_right
+    return WeightedFunction(f.base, values)
 
 
 def _oracle_b_form(f, g, grid, gap):
@@ -619,18 +625,52 @@ class TestGroupedCoronaWalks:
                     nonzero += got != 0.0
             for c in (c0, c0 / 64):
                 sd = build_stopping_data(f, root, w, h, c)
+                f_pieces, g_pieces = corona_pieces(f, sd), corona_pieces(g, sd)
+                assert list(f_pieces) == list(g_pieces) == [F.key for F in sd.members]
                 for F in sd.members:
-                    for u in (f, g):
-                        got = corona_projection(u, sd, F)
+                    for u, pieces in ((f, f_pieces), (g, g_pieces)):
+                        got = pieces[F.key]
                         want = _oracle_corona_projection(u, sd, F)
                         assert np.array_equal(got.values, want.values), label
                         nonzero += bool(np.any(got.values != 0.0))
-                    pf = corona_projection(f, sd, F)
-                    qg = corona_projection(g, sd, F)
+                    pf, qg = f_pieces[F.key], g_pieces[F.key]
                     got = b_above(pf, qg, grid, 1)
                     assert got == _oracle_b_form(pf, qg, grid, 1), label
                     nonzero += got != 0.0
         assert nonzero >= 4
+
+    @pytest.mark.parametrize("family", ["uniform", "mixed", "lacunary", "crafted"])
+    def test_pieces_of_a_family_below_the_root(self, family):
+        # a family whose top is a half of the root: the splitting nodes
+        # above and beside the top belong to no member and land in no piece
+        cases = crafted_cases(2) if family == "crafted" else oracle_cases(families=(family,))
+        outside = 0
+        for label, sigma, w, grid in cases:
+            if sigma.n_atoms < 2 or w.n_atoms < 2:
+                continue
+            h = _h_const(sigma, w)
+            c0 = calibrate_c0(grid.root_interval, sigma, w, h)
+            rng = np.random.default_rng(len(label))
+            f = WeightedFunction(sigma, np.exp(4.0 * rng.standard_normal(sigma.n_atoms)))
+            g = WeightedFunction(w, rng.standard_normal(w.n_atoms))
+            for i0 in (grid.interval(1, 0), grid.interval(1, 1)):
+                lo, hi = sigma.index_range(i0.interval)
+                if hi == lo:
+                    continue
+                for c in (c0, c0 / 64):
+                    sd = build_stopping_data(f, i0, w, h, c)
+                    for u in (f, g):
+                        pieces = corona_pieces(u, sd)
+                        assert list(pieces) == [F.key for F in sd.members], label
+                        for F in sd.members:
+                            want = _oracle_corona_projection(u, sd, F)
+                            assert np.array_equal(pieces[F.key].values, want.values), label
+                        u_lo, u_hi = u.base.index_range(i0.interval)
+                        for piece in pieces.values():
+                            assert not piece.values[:u_lo].any() and not piece.values[u_hi:].any()
+                        nodes = splitting_nodes(u.base, grid)
+                        outside += sum(sd.pi_key(n.level, n.index) is None for n in nodes)
+        assert outside >= 10
 
 
 class TestAtomRangeWalksMatchOracles:
@@ -664,13 +704,14 @@ class TestAtomRangeWalksMatchOracles:
                 assert list(sd.reason.items()) == list(reason.items()), label
                 assert list(sd.children.items()) == list(children.items()), label
                 assert carleson_check(sd, sigma) == _oracle_carleson(sd.members, sigma)
+                pieces = corona_pieces(f, sd)
                 for F in sd.members:
-                    for pf in (f, corona_projection(f, sd, F)):
+                    for pf in (f, pieces[F.key]):
                         got = _bounded_average_constant(pf, F, sd)
                         assert got == _oracle_bounded_average(pf, F, sd, sigma, grid), label
                     # the suite's rescaled piece passes; the raw one mostly fails
                     spec = UniformitySpec(F, sd.family_children(F), c)
-                    pf = corona_projection(f, sd, F)
+                    pf = pieces[F.key]
                     cF = _bounded_average_constant(pf, F, sd)
                     for u in (f, pf * (1.0 / cF) if cF > 0 else pf):
                         got = uniformity_check(u, spec, w, h)

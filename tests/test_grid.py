@@ -9,7 +9,6 @@ from h2w.grid import (
     auto_grid,
     build_grid,
     f_parent,
-    good_levels_scan,
     is_good,
     minimal_member,
 )
@@ -90,9 +89,13 @@ class TestGoodness:
         distance), while the working configuration keeps a positive fraction."""
         sigma, w = _inside_pair(14)
         g = unit_grid(sigma, w, 14)
-        assert good_levels_scan(g, 12, 0.25, 9) == ()
-        assert len(good_levels_scan(g, 12, 0.49, 6)) == 88
-        assert len(good_levels_scan(g, 5, 0.49, 6)) == 8
+
+        def good(level, eps, r):
+            return [k for k in range(1 << level) if is_good(g.interval(level, k), eps, r)]
+
+        assert good(12, 0.25, 9) == []
+        assert len(good(12, 0.49, 6)) == 88
+        assert len(good(5, 0.49, 6)) == 8
 
     def test_level12_spot_value(self):
         # the interval whose left endpoint is 1365/4096, recorded from the scan

@@ -3,20 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from h2w.constants import _trunk_table
 from h2w.errors import PreconditionViolation, ZeroMass
-from h2w.grid import GridInterval, good_levels_scan
+from h2w.grid import GridInterval
 from h2w.haar import (
     WeightedFunction,
     _endpoints,
     _node_table,
     _parents,
     _run,
+    _trunk_table,
     charged_nodes,
     node_table,
     occupied_nodes,
     absolute_haar_multiplier,
-    corona_projection,
     expand,
     expectation,
     good_projection,
@@ -26,7 +25,7 @@ from h2w.haar import (
     reconstruct,
     splitting_nodes,
 )
-from h2w.corona import StoppingData
+from h2w.corona import StoppingData, corona_pieces
 from h2w.measure import AtomicMeasure, Interval, dyadic, random_ensemble
 
 from conftest import grid_walk, oracle_cases, shifted_pair, unit_grid
@@ -180,7 +179,7 @@ class TestCoronaProjection:
         g = unit_grid(sigma, w, 8)
         f = WeightedFunction(sigma, rng.standard_normal(sigma.n_atoms))
         sd = self._stopping(g, [g.root_interval])
-        proj = corona_projection(f, sd, g.root_interval)
+        (proj,) = corona_pieces(f, sd).values()
         hc = expand(f, g)
         assert np.max(np.abs(proj.values - (f.values - hc.root_mean))) < 1e-12
 
@@ -190,7 +189,7 @@ class TestCoronaProjection:
         f = WeightedFunction(sigma, rng.standard_normal(sigma.n_atoms))
         members = [g.root_interval, g.interval(1, 0), g.interval(2, 3)]
         sd = self._stopping(g, members)
-        pieces = [corona_projection(f, sd, F) for F in members]
+        pieces = list(corona_pieces(f, sd).values())
         hc = expand(f, g)
         total = np.sum([p.values for p in pieces], axis=0) + hc.root_mean
         assert np.max(np.abs(total - f.values)) < 1e-12
@@ -200,13 +199,6 @@ class TestCoronaProjection:
         # Parseval over the corona partition
         mean_part = f.norm_sq() - hc.root_mean**2 * sigma.total_mass
         assert abs(sum(p.norm_sq() for p in pieces) - mean_part) < 1e-9 * max(1.0, mean_part)
-
-    def test_nonmember_rejected(self, two_atom_w):
-        g = _grid_for(two_atom_w, 1)
-        sd = self._stopping(g, [g.root_interval])
-        f = WeightedFunction.constant(two_atom_w)
-        with pytest.raises(PreconditionViolation):
-            corona_projection(f, sd, g.interval(1, 0))
 
 
 class TestAbsoluteMultiplier:
@@ -383,8 +375,8 @@ class TestNodeTable:
 
 
 class TestGridMemo:
-    """The node lists, the energy trunk and the good intervals of a level
-    live in the grid's memo: one object per grid, freed with the grid."""
+    """The node lists and the energy trunk live in the grid's memo: one
+    object per grid, freed with the grid."""
 
     def test_repeat_calls_return_the_same_objects(self):
         for sigma, w in random_ensemble(5, 4, 16, 10, family="mixed"):
@@ -403,9 +395,6 @@ class TestGridMemo:
                 assert again.nodes == trunk.nodes
                 for name in ("left", "right", "e2", "e2w", "end"):
                     assert np.array_equal(getattr(again, name), getattr(trunk, name))
-            scan = good_levels_scan(grid, 8, 0.49, 6)
-            assert good_levels_scan(grid, 8, 0.49, 6) is scan
-            assert good_levels_scan(fresh, 8, 0.49, 6) == scan
 
     def test_the_memo_is_the_grid_s_own(self):
         sigma, w = random_ensemble(5, 1, 16, 10)[0]

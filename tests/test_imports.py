@@ -1,10 +1,12 @@
 """Every import of a package module is used, every ``__all__`` entry
 resolves, and every private module-level name is used elsewhere in the
 package, so that a deleted function leaves no dead import, export or helper
-behind.  Checked with the stdlib ``ast`` module; ``__init__.py`` only
-re-exports."""
+behind.  The package's modules form a stack: every import of another
+package module sits at module level, and the imports make no cycle.
+Checked with the stdlib ``ast`` module; ``__init__.py`` only re-exports."""
 
 import ast
+import graphlib
 import importlib
 import inspect
 import pathlib
@@ -147,3 +149,40 @@ def test_the_cache_check_sees_the_caches():
 def test_the_walks_see_the_package():
     assert len(MODULES) >= 12
     assert len(_imported(_tree("corona"))) > 10 and len(_exported(_tree("corona"))) > 10
+
+
+def _package_imports(nodes) -> set[str]:
+    """The package modules that the relative imports among ``nodes`` name;
+    ``from . import x`` names module x, or ``__init__`` for any other x."""
+    out = set()
+    for node in nodes:
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                out.add(node.module.split(".")[0])
+            else:
+                out.update(a.name if a.name in MODULES else "__init__" for a in node.names)
+    return out
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_import_inside_a_function(module):
+    # a deferred import hides a cycle or a module's place in the stack
+    deferred = sorted(
+        (fn.name, node.lineno)
+        for fn in ast.walk(_tree(module))
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+        if isinstance(node, ast.ImportFrom) and node.level
+    )
+    assert deferred == [], f"{module}.py imports from the package inside functions"
+
+
+def test_module_imports_make_no_cycle():
+    # every import counts, one inside a function too: deferring an import
+    # leaves the cycle in place
+    graph = {name: _package_imports(ast.walk(_tree(name))) for name in [*MODULES, "__init__"]}
+    try:
+        order = list(graphlib.TopologicalSorter(graph).static_order())
+    except graphlib.CycleError as exc:
+        pytest.fail(f"the package's module-level imports make a cycle: {exc.args[1]}")
+    assert order.index("grid") < order.index("haar") < order.index("corona") < order.index("cli")
