@@ -434,8 +434,7 @@ SWEEP_COLUMNS = [
 
 
 def _sweep_row(task) -> list:
-    index, sigma, w, cfg_dict = task
-    cfg = RunConfig(**cfg_dict)
+    index, sigma, w, cfg = task
     grid = auto_grid(sigma, w, cfg.depth)
     rep = compute_report(
         sigma,
@@ -492,14 +491,12 @@ def cmd_sweep(args) -> int:
         cfg.seed, cfg.count, cfg.max_atoms, cfg.depth, family=cfg.family
     )
     skip = args.skip
-    tasks = [
-        (i, sigma, w, asdict(cfg))
-        for i, (sigma, w) in enumerate(pairs)
-        if i >= skip
-    ]
+    tasks = [(i, sigma, w, cfg) for i, (sigma, w) in enumerate(pairs) if i >= skip]
+    # no more workers than tasks or processors, and no pool for one
+    workers = min(cfg.jobs, len(tasks), os.cpu_count() or 1)
     with contextlib.ExitStack() as stack:
-        if cfg.jobs > 1:
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=cfg.jobs))
+        if workers > 1:
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
             rows = pool.map(_sweep_row, tasks, chunksize=4)
         else:
             rows = map(_sweep_row, tasks)

@@ -806,7 +806,8 @@ def energy_constant(sigma: AtomicMeasure, w: AtomicMeasure, grid: DyadicGrid) ->
     The trunk below I0 is empty unless I0 is a trunk node, so I0 runs over
     the trunk nodes of :func:`_trunk_table` that hold sigma atoms, in
     pre-order; their sigma ranges come from the same endpoint floats.  The
-    Poisson entries of every trunk row and sigma atom are formed once.
+    Poisson entries of every trunk row and sigma atom are formed once, and
+    the DP reads each row's child rows from the trunk (``_TrunkTable.kids``).
     """
     if sigma.n_atoms == 0 or w.n_atoms == 0:
         return 0.0
@@ -819,6 +820,10 @@ def energy_constant(sigma: AtomicMeasure, w: AtomicMeasure, grid: DyadicGrid) ->
     slo = np.searchsorted(spos, wl)
     shi = np.searchsorted(spos, wr)
     kernel = _product_kernel(wl, wr, spos)
+    left_kid, right_kid = table.kids
+    # best[t] for the trunk rows of the current run; the extra last entry
+    # stays 0.0 for a child that is no trunk node
+    best = [0.0] * (len(table.nodes) + 1)
     best_overall = 0.0
     for start in np.flatnonzero(shi > slo).tolist():
         end = table.end[start]
@@ -827,15 +832,9 @@ def energy_constant(sigma: AtomicMeasure, w: AtomicMeasure, grid: DyadicGrid) ->
         P = kernel[start:end, sl] @ smass[sl]
         term = (P**2 * ew[start:end]).tolist()
         # reverse pre-order meets both children of a node before the node
-        best: dict[tuple[int, int], float] = {}
         for t in range(end - 1, start - 1, -1):
-            n = table.nodes[t]
-            kids = best.get((n.level + 1, 2 * n.index), 0.0) + best.get(
-                (n.level + 1, 2 * n.index + 1), 0.0
-            )
-            best[n.level, n.index] = max(term[t - start], kids)
-        top = table.nodes[start]
-        ratio = best[top.level, top.index] / s0
+            best[t] = max(term[t - start], best[left_kid[t]] + best[right_kid[t]])
+        ratio = best[start] / s0
         if ratio > best_overall:
             best_overall = ratio
     return math.sqrt(best_overall)

@@ -551,6 +551,7 @@ def corona_split(
     below_gap: int,
     *,
     above: float | None = None,
+    pieces: tuple[dict, dict] | None = None,
 ) -> tuple[float, float]:
     """Diagonal corona part of the above form on the stopping family's grid,
     and the cross-corona rest.
@@ -559,13 +560,14 @@ def corona_split(
     (:func:`corona_pieces`); residual is b_above(f, g) minus that, so the
     two add back exactly.
     ``above``, when given, is that b_above(f, g) on the family's grid,
-    already evaluated by the caller, and is not evaluated again.
+    already evaluated by the caller, and is not evaluated again; so are
+    ``pieces``, the corona pieces of f and of g over ``stopping``.
     """
     grid = stopping.root.grid
     C = _form_prefix(f.base, g.base, grid)
     total = _b_form(f, g, grid, below_gap, C) if above is None else above
     split_value = 0.0
-    f_pieces, g_pieces = corona_pieces(f, stopping), corona_pieces(g, stopping)
+    f_pieces, g_pieces = pieces or (corona_pieces(f, stopping), corona_pieces(g, stopping))
     for key, pf in f_pieces.items():
         qg = g_pieces[key]
         if np.any(pf.values != 0.0) and np.any(qg.values != 0.0):
@@ -599,7 +601,12 @@ def reduction_residual(
 
 
 def local_estimate_ratios(
-    f: WeightedFunction, g: WeightedFunction, stopping: StoppingData, below_gap: int
+    f: WeightedFunction,
+    g: WeightedFunction,
+    stopping: StoppingData,
+    below_gap: int,
+    *,
+    pieces: tuple[dict, dict] | None = None,
 ) -> list[float]:
     """Per-corona ratios |B(f_u, g_a)| / ((sigma(F)^(1/2) + ||f_u||) ||g_a||),
     with sigma = ``f.base``, on the stopping family's grid.
@@ -607,11 +614,13 @@ def local_estimate_ratios(
     f_u is the corona piece of f rescaled by its own bounded-averages
     constant times the control value, so it is uniform with constant one
     w.r.t. the family children of F; g_a is the matching corona piece of g.
+    ``pieces``, when given, are the corona pieces of f and of g over
+    ``stopping``, already computed by the caller.
     """
     sigma, grid = f.base, stopping.root.grid
     # the kernel prefix of every form here, built at the first one
     prefix = cache(lambda: _form_prefix(sigma, g.base, grid))
-    f_pieces, g_pieces = corona_pieces(f, stopping), corona_pieces(g, stopping)
+    f_pieces, g_pieces = pieces or (corona_pieces(f, stopping), corona_pieces(g, stopping))
     out: list[float] = []
     for F in stopping.members:
         aF = stopping.alpha[F.key]

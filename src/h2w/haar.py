@@ -19,9 +19,18 @@ nodes of a list inside a grid interval are one run, found by bisecting
 those keys (:func:`_run`).  Every question about the grid intervals
 inside a top interval (the stop tests, bounded averages and uniformity in
 ``corona``) reads the rows of such a table; there is no other grid walk.
-The energy trunk (:func:`_trunk_table`) is built from the charged list.  A
-projection sums one :func:`_differences` pass by a key per node
+The energy trunk (:func:`_trunk_table`) is built from the charged list,
+with each row's child rows for the energy DP.
+
+A projection sums one :func:`_differences` pass by a key per node
 (:func:`_keyed_differences`): goodness, or the minimal stopping member.
+Each key's sum is one list of Python floats, to which every node adds its
+two differences atom by atom, in node order, from +0.0: the IEEE additions
+of a numpy slice-add per node, without a numpy call per node.  Goodness is
+tested once per splitting node of a measure at (eps, r): the good nodes
+(:func:`good_nodes`) are kept in the grid's memo beside the node lists, and
+the good projection and the half-plane families
+(``poisson.default_j_families``) walk them.
 """
 
 from __future__ import annotations
@@ -50,6 +59,7 @@ __all__ = [
     "expand",
     "reconstruct",
     "good_projection",
+    "good_nodes",
     "absolute_haar_multiplier",
     "inner",
     "splitting_nodes",
@@ -394,7 +404,9 @@ def _squares(x: np.ndarray) -> np.ndarray:
 class _TrunkTable:
     """The w-dispersion trunk of one (w, grid): the charged nodes of w in
     pre-order, their endpoint floats, E(w, I)^2 and E(w, I)^2 w(I) of each,
-    and the end of each node's pre-order subtree run."""
+    the end of each node's pre-order subtree run, and the rows of each
+    node's left and right children in ``kids``, ``len(nodes)`` for a child
+    that is no trunk node."""
 
     nodes: tuple
     left: np.ndarray
@@ -402,6 +414,7 @@ class _TrunkTable:
     e2: np.ndarray
     e2w: np.ndarray
     end: np.ndarray
+    kids: tuple[list, list]
 
 
 @kept_with_grid
@@ -414,9 +427,13 @@ def _trunk_table(w: AtomicMeasure, grid: DyadicGrid) -> _TrunkTable:
     lo, hi = table.lo[0, rows], table.hi[0, rows]
     e2 = _energies(w, lo, hi, _squares(right - left))
     end = np.searchsorted(rows, table.end[rows])
-    return _TrunkTable(
-        charged_nodes(w, grid), left, right, e2, e2 * (w._mass_prefix[hi] - w._mass_prefix[lo]), end
+    nodes = charged_nodes(w, grid)
+    row = {n[:2]: t for t, n in enumerate(nodes)}
+    kids = tuple(
+        [row.get((n.level + 1, 2 * n.index + side), len(nodes)) for n in nodes] for side in (0, 1)
     )
+    e2w = e2 * (w._mass_prefix[hi] - w._mass_prefix[lo])
+    return _TrunkTable(nodes, left, right, e2, e2w, end, kids)
 
 
 def _energies(w: AtomicMeasure, lo: np.ndarray, hi: np.ndarray, length_sq: np.ndarray) -> np.ndarray:
@@ -574,23 +591,33 @@ def _differences(f: WeightedFunction, nodes) -> tuple[list, list]:
 def _keyed_differences(f: WeightedFunction, nodes, key_of, keys) -> dict:
     """For each of ``keys``, the sum of the martingale differences of f at
     the splitting ``nodes`` whose ``key_of`` is that key, added in order
-    from one :func:`_differences` pass; other nodes are left out."""
-    sums = {key: np.zeros(f.base.n_atoms) for key in keys}
+    from one :func:`_differences` pass; other nodes are left out.  Each sum
+    is a list of Python floats from +0.0 until its one array is made, so
+    every atom takes the additions a slice-add per node would."""
+    sums = {key: [0.0] * f.base.n_atoms for key in keys}
     keyed = [(n, key) for n in nodes if (key := key_of(n)) in sums]
     kept = [n for n, _ in keyed]
     for (n, key), d_left, d_right in zip(keyed, *_differences(f, kept)):
         values = sums[key]
-        values[n.lo : n.cut] += d_left
-        values[n.cut : n.hi] += d_right
-    return sums
+        for a in range(n.lo, n.cut):
+            values[a] += d_left
+        for a in range(n.cut, n.hi):
+            values[a] += d_right
+    return {key: np.array(values, dtype=float) for key, values in sums.items()}
+
+
+@kept_with_grid
+def good_nodes(mu: AtomicMeasure, grid: DyadicGrid, eps: float, r: int) -> tuple[_Node, ...]:
+    """The splitting nodes of mu that are (eps, r)-good
+    (:func:`~h2w.grid.is_good`), in pre-order: each node tested once per
+    grid, and the nodes kept in the grid's memo."""
+    nodes = splitting_nodes(mu, grid)
+    return tuple(n for n in nodes if is_good(GridInterval(grid, n.level, n.index), eps, r))
 
 
 def good_projection(f: WeightedFunction, grid: DyadicGrid, eps: float, r: int) -> WeightedFunction:
     """Sum of martingale differences over the good splitting intervals only."""
-    nodes = splitting_nodes(f.base, grid)
-    sums = _keyed_differences(
-        f, nodes, lambda n: is_good(GridInterval(grid, n.level, n.index), eps, r), (True,)
-    )
+    sums = _keyed_differences(f, good_nodes(f.base, grid, eps, r), lambda n: True, (True,))
     return WeightedFunction(f.base, sums[True])
 
 

@@ -24,8 +24,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import PreconditionViolation
-from .grid import DyadicGrid, GridInterval, f_parent, is_good
-from .haar import WeightedFunction, _squares, expand, occupied_nodes, splitting_nodes
+from .grid import DyadicGrid, GridInterval, f_parent
+from .haar import WeightedFunction, _squares, expand, good_nodes, occupied_nodes
 from .measure import AtomicMeasure, _as_interval
 
 __all__ = [
@@ -164,20 +164,19 @@ def default_j_families(
 ) -> dict[tuple[int, int], list[GridInterval]]:
     """For each stopping interval F, the good w-splitting J strictly below it.
 
-    J qualifies when it is (eps, r)-good, J is at least ``below_gap`` levels
+    J qualifies when it is (eps, r)-good (one of
+    :func:`~h2w.haar.good_nodes`), J is at least ``below_gap`` levels
     below F inside F, and F is the minimal family member containing J.  Only
     intervals where the w-Haar function exists are kept, since nothing else
     contributes to the projections.
     """
     out: dict[tuple[int, int], list[GridInterval]] = {m.key: [] for m in family}
-    for n in splitting_nodes(w, grid):
+    for n in good_nodes(w, grid, eps, r):
         J = GridInterval(grid, n.level, n.index)
         parent = f_parent(J, out)  # out's keys are the family's
         if parent is None:
             continue
         if J.level - parent.level < below_gap:
-            continue
-        if not is_good(J, eps, r):
             continue
         out[parent.key].append(J)
     return out

@@ -60,6 +60,7 @@ from .grid import DyadicGrid, GridInterval, auto_grid, build_grid, is_good
 from .haar import (
     WeightedFunction,
     expand,
+    good_nodes,
     good_projection,
     haar_function,
     martingale_difference,
@@ -472,12 +473,7 @@ def suite_lemmas(ens: _Ensemble) -> _Suite:
         if rhs > 0:
             worst_plh = max(worst_plh, ratio)
         # deeper good J for the second display; I is the ancestor one gap up
-        good_js = [
-            n
-            for n in splitting_nodes(w, grid)
-            if n.level >= cfg.below_gap + 1
-            and is_good(GridInterval(grid, n.level, n.index), cfg.eps, cfg.r)
-        ]
+        good_js = [n for n in good_nodes(w, grid, cfg.eps, cfg.r) if n.level >= cfg.below_gap + 1]
         for nj in good_js[:3]:
             jj = GridInterval(grid, nj.level, nj.index)
             anc = jj.ancestor(jj.level - cfg.below_gap)
@@ -605,10 +601,11 @@ def suite_corona(ens: _Ensemble) -> _Suite:
         f_pieces = corona_pieces(f, sd)
         # corona split algebra and the independent cross sum
         if g.norm() > 0:
-            total = b_above(f, g, grid, cfg.below_gap)
-            split_value, residual = corona_split(f, g, sd, cfg.below_gap)
-            split_dev = max(split_dev, abs(split_value + residual - total) / max(1.0, abs(total)))
             g_pieces = corona_pieces(g, sd)
+            pieces = (f_pieces, g_pieces)
+            total = b_above(f, g, grid, cfg.below_gap)
+            split_value, residual = corona_split(f, g, sd, cfg.below_gap, pieces=pieces)
+            split_dev = max(split_dev, abs(split_value + residual - total) / max(1.0, abs(total)))
             cross = 0.0
             for p_key, pf in f_pieces.items():
                 if not np.any(pf.values != 0.0):
@@ -626,7 +623,7 @@ def suite_corona(ens: _Ensemble) -> _Suite:
             lhs = b_above(f, g + g2, grid, cfg.below_gap)
             rhs = total + b_above(f, g2, grid, cfg.below_gap)
             bilin_dev = max(bilin_dev, abs(lhs - rhs) / max(1.0, abs(lhs)))
-            for ratio in local_estimate_ratios(f, g, sd, cfg.below_gap):
+            for ratio in local_estimate_ratios(f, g, sd, cfg.below_gap, pieces=pieces):
                 s.record_max("local_over_h_max", ratio / h)
         # uniformity of the rescaled corona piece on the family children
         for F in sd.members:
@@ -743,17 +740,14 @@ def suite_poisson(ens: _Ensemble) -> _Suite:
                         s.record_max("poisson_dual_ratio_max", res.dual_ratio)
         # good-interval local comparison
         i0 = grid.root_interval
+        good = good_nodes(w, grid, cfg.eps, cfg.r)
+        good_js = [GridInterval(grid, n.level, n.index) for n in good]
         for n in splitting_nodes(sigma, grid):
             if n.level < 1 or n.level > 4:
                 continue
             gi = GridInterval(grid, n.level, n.index)
-            for nj in splitting_nodes(w, grid):
-                jj = GridInterval(grid, nj.level, nj.index)
-                if (
-                    jj.level - gi.level >= cfg.r
-                    and gi.contains(jj)
-                    and is_good(jj, cfg.eps, cfg.r)
-                ):
+            for jj in good_js:
+                if jj.level - gi.level >= cfg.r and gi.contains(jj):
                     lhs, rhs = poisson_local_comparison(jj, gi, i0, sigma, cfg.eps)
                     if rhs > 0:
                         s.record_max("jsimeq_ratio_max", lhs / rhs)

@@ -4,7 +4,6 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import asdict
 
 import pytest
 
@@ -581,7 +580,7 @@ class TestSweep:
         # are freed with the row; once module-level caches kept every pair
         # seen, about 12 KB a row (501 KB over these 39 rows)
         pairs = random_ensemble(11, 60, 32, 12)
-        cfg = asdict(cli.RunConfig())
+        cfg = cli.RunConfig()
         retained = {}
         tracemalloc.start()
         try:
@@ -595,6 +594,61 @@ class TestSweep:
         finally:
             tracemalloc.stop()
         assert retained[59] - retained[20] < 128 << 10
+
+    def test_rows_carry_the_run_config(self, monkeypatch, capsys):
+        # each task carries the RunConfig itself, not a dict rebuilt per row
+        seen = []
+        row = cli._sweep_row
+
+        def recording(task):
+            seen.append(task[3])
+            return row(task)
+
+        monkeypatch.setattr(cli, "_sweep_row", recording)
+        code, _, _ = run_cli(["sweep", "--count", "3", "--max-atoms", "4", "--depth", "8"], capsys)
+        assert code == 0
+        assert len(seen) == 3 and all(type(cfg) is cli.RunConfig for cfg in seen)
+
+    def test_same_rows_with_two_jobs(self, capsys):
+        args = ["sweep", "--seed", "4", "--count", "6", "--max-atoms", "8", "--family", "mixed"]
+        one = run_cli(args + ["--jobs", "1"], capsys)
+        two = run_cli(args + ["--jobs", "2"], capsys)
+        assert one[0] == two[0] == 0 and one[1] == two[1]
+
+    @pytest.mark.parametrize(
+        "jobs, count, cpus, started",
+        [
+            ("10000", "1", 64, []),
+            ("10000", "5", 3, [3]),
+            ("10000", "2", 64, [2]),
+            ("2", "5", 64, [2]),
+            ("4", "5", 1, []),
+            ("4", "5", None, []),
+        ],
+    )
+    def test_jobs_capped_by_tasks_and_processors(self, monkeypatch, capsys, jobs, count, cpus, started):
+        # a recording stand-in for the pool, so that no process is started
+        made = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                made.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        argv = ["sweep", "--count", count, "--max-atoms", "4", "--depth", "8", "--jobs", jobs]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0 and len(out.splitlines()) == 2 + int(count)
+        assert made == started
 
 
 class TestEntryPoint:

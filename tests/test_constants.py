@@ -1048,6 +1048,11 @@ class TestEnergyConstantOracle:
                 assert (table.left[t], table.right[t]) == (left, right), label
                 assert table.e2w[t] == e2w, label
                 assert (t, table.end[t]) == _run(nodes, grid, n.level, n.index), label
+            # the energy DP's child rows: each child's trunk row, or len(nodes)
+            rows = {(n.level, n.index): t for t, n in enumerate(nodes)}
+            for t, n in enumerate(nodes):
+                kids = [rows.get((n.level + 1, 2 * n.index + b), len(nodes)) for b in (0, 1)]
+                assert [table.kids[0][t], table.kids[1][t]] == kids, label
 
 
 def _functional_energy_loop(h, members, g_family, j_families):

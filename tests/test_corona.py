@@ -992,7 +992,6 @@ class TestUniformityAgainstTheWalk:
 class TestComputePathHasNoWalk:
     def test_no_cache_holds_a_kernel_sized_array(self):
         import tracemalloc
-        from dataclasses import asdict
 
         from h2w.cli import RunConfig, _sweep_row
         from h2w.constants import kernel_scan
@@ -1001,7 +1000,7 @@ class TestComputePathHasNoWalk:
         stack_bytes = kernel_scan(sigma, w).stack.nbytes
         tracemalloc.start()
         try:
-            _sweep_row((0, sigma, w, asdict(RunConfig(depth=12))))
+            _sweep_row((0, sigma, w, RunConfig(depth=12)))
             retained = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()

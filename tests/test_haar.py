@@ -1,12 +1,15 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import h2w.haar as haar
 from h2w.errors import PreconditionViolation, ZeroMass
-from h2w.grid import GridInterval
+from h2w.grid import GridInterval, is_good
 from h2w.haar import (
     WeightedFunction,
+    _differences,
     _endpoints,
     _node_table,
     _parents,
@@ -18,6 +21,7 @@ from h2w.haar import (
     absolute_haar_multiplier,
     expand,
     expectation,
+    good_nodes,
     good_projection,
     haar_function,
     inner,
@@ -27,8 +31,10 @@ from h2w.haar import (
 )
 from h2w.corona import StoppingData, corona_pieces
 from h2w.measure import AtomicMeasure, Interval, dyadic, random_ensemble
+from h2w.params import SUITE_EPS, SUITE_R
+from h2w.poisson import default_j_families
 
-from conftest import grid_walk, oracle_cases, shifted_pair, unit_grid
+from conftest import crafted_cases, grid_walk, oracle_cases, shifted_pair, unit_grid
 
 
 def _grid_for(mu, depth=6):
@@ -199,6 +205,127 @@ class TestCoronaProjection:
         # Parseval over the corona partition
         mean_part = f.norm_sq() - hc.root_mean**2 * sigma.total_mass
         assert abs(sum(p.norm_sq() for p in pieces) - mean_part) < 1e-9 * max(1.0, mean_part)
+
+
+def _slice_add_sums(f, nodes, key_of, keys):
+    """The per-node numpy slice-add: each node's two differences added to
+    its key's array in node order.  The heavy pair's zero half masses give
+    infinities and NaNs, as they do in the package."""
+    sums = {key: np.zeros(f.base.n_atoms) for key in keys}
+    kept = [n for n in nodes if key_of(n) in sums]
+    with np.errstate(all="ignore"):
+        for n, d_left, d_right in zip(kept, *_differences(f, kept)):
+            values = sums[key_of(n)]
+            values[n.lo : n.cut] += d_left
+            values[n.cut : n.hi] += d_right
+    return sums
+
+
+def _heavy_pair():
+    """Each measure's 1e16 atom swallows the two 0.5 atoms right of it in
+    every prefix sum, so the node splitting those two has two empty half
+    masses."""
+    sigma = AtomicMeasure.from_triples(
+        [(33, 7, 1e16), (65, 7, 0.5), (67, 7, 0.5), (101, 7, 2.0), (121, 7, 3.0)]
+    )
+    w = AtomicMeasure.from_triples(
+        [(9, 7, 1.0), (77, 7, 1e16), (81, 7, 0.5), (83, 7, 0.5), (111, 7, 0.25)]
+    )
+    return sigma, w, unit_grid(sigma, w, 6)
+
+
+def _projection_cases():
+    yield from oracle_cases(families=("uniform", "clusters", "lacunary", "mixed"))
+    yield from crafted_cases(2)
+    yield ("heavy", *_heavy_pair())
+
+
+def _family(mu, grid):
+    """A stopping family of the root and some occupied nodes of mu at
+    levels 2 and 5, so that pieces are nested and some stay empty."""
+    members = [grid.root_interval] + [
+        GridInterval(grid, n.level, n.index)
+        for n in occupied_nodes(mu, grid)
+        if n.level in (2, 5) and n.index % 3 != 1
+    ]
+    return StoppingData(members[0], tuple(members), {m.key: 1.0 for m in members}, {}, {})
+
+
+class TestProjectionBits:
+    """Each projection's values are the bytes of a per-node numpy slice-add
+    over the same nodes: the same IEEE additions in the same order."""
+
+    def test_good_projection_and_corona_pieces(self):
+        nonfinite = 0
+        for label, sigma, w, grid in _projection_cases():
+            rng = np.random.default_rng(len(label))
+            for mu in (sigma, w):
+                if mu.n_atoms == 0:
+                    continue
+                f = WeightedFunction(mu, np.exp(3.0 * rng.standard_normal(mu.n_atoms)))
+                nodes = splitting_nodes(mu, grid)
+                for eps, r in ((SUITE_EPS, SUITE_R), (0.25, 2), (0.49, 4)):
+
+                    def good(n, eps=eps, r=r):
+                        return is_good(GridInterval(grid, n.level, n.index), eps, r)
+
+                    with np.errstate(all="ignore"):
+                        got = good_projection(f, grid, eps, r).values
+                    want = _slice_add_sums(f, nodes, good, (True,))[True]
+                    assert got.tobytes() == want.tobytes(), (label, eps, r)
+                    nonfinite += not np.isfinite(got).all()
+                sd = _family(mu, grid)
+                with np.errstate(all="ignore"):
+                    pieces = corona_pieces(f, sd)
+                want = _slice_add_sums(
+                    f, nodes, lambda n: sd.pi_key(n.level, n.index), [m.key for m in sd.members]
+                )
+                assert list(pieces) == list(want), label
+                for key, piece in pieces.items():
+                    assert piece.values.tobytes() == want[key].tobytes(), (label, key)
+                    nonfinite += not np.isfinite(piece.values).all()
+        # the heavy pair reaches the zero half masses
+        assert nonfinite > 0
+
+
+class TestGoodNodes:
+    def test_the_good_splitting_nodes_in_pre_order(self):
+        for label, sigma, w, grid in oracle_cases(families=("mixed",)):
+            for mu in (sigma, w):
+                for eps, r in ((SUITE_EPS, SUITE_R), (0.25, 2)):
+                    want = [
+                        n
+                        for n in splitting_nodes(mu, grid)
+                        if is_good(GridInterval(grid, n.level, n.index), eps, r)
+                    ]
+                    good = good_nodes(mu, grid, eps, r)
+                    assert list(good) == want and good_nodes(mu, grid, eps, r) is good, label
+
+    def test_is_good_once_per_node_grid_and_parameters(self, monkeypatch):
+        calls = Counter()
+
+        def counting(j, eps, r):
+            calls[id(j.grid), j.level, j.index, eps, r] += 1
+            return is_good(j, eps, r)
+
+        monkeypatch.setattr(haar, "is_good", counting)
+        expected = Counter()
+        grids = []  # kept alive, so that no two grids share an id
+        rng = np.random.default_rng(5)
+        for sigma, w in random_ensemble(41, 3, 24, 10, family="mixed"):
+            # a fresh grid of the same pair tests its nodes again
+            for grid in (unit_grid(sigma, w, 10), unit_grid(sigma, w, 10)):
+                grids.append(grid)
+                for eps, r in ((SUITE_EPS, SUITE_R), (0.25, 2)):
+                    for _ in range(3):
+                        for mu in (sigma, w):
+                            f = WeightedFunction(mu, rng.standard_normal(mu.n_atoms))
+                            good_projection(f, grid, eps, r)
+                        default_j_families([grid.root_interval], w, grid, eps, r, 1)
+                    for mu in (sigma, w):
+                        for n in splitting_nodes(mu, grid):
+                            expected[id(grid), n.level, n.index, eps, r] += 1
+        assert calls == expected and sum(calls.values()) > 0
 
 
 class TestAbsoluteMultiplier:
@@ -395,6 +522,7 @@ class TestGridMemo:
                 assert again.nodes == trunk.nodes
                 for name in ("left", "right", "e2", "e2w", "end"):
                     assert np.array_equal(getattr(again, name), getattr(trunk, name))
+                assert again.kids == trunk.kids
 
     def test_the_memo_is_the_grid_s_own(self):
         sigma, w = random_ensemble(5, 1, 16, 10)[0]

@@ -1,8 +1,10 @@
-"""One draw and one record per pair inside a verify run."""
+"""One draw and one record per pair inside a verify run, and one corona
+decomposition per function and stopping family."""
 
 from collections import Counter
 
 import h2w.constants as constants
+import h2w.corona as corona
 import h2w.verify as verify
 from h2w.haar import WeightedFunction
 from h2w.verify import SUITE_NAMES, SuiteConfig, run_all, run_suite
@@ -73,3 +75,19 @@ def test_one_report_per_pair(monkeypatch):
     run_all(CFG)
     # the energy suite and the theorem suite read the same reports
     assert seeds == [CFG.seed + idx for idx in range(CFG.count)]
+
+
+def test_corona_pieces_once_per_function_and_family(monkeypatch):
+    calls = Counter()
+    real = corona.corona_pieces
+
+    def counted(f, stopping):
+        calls[f.values.tobytes(), stopping.members] += 1
+        return real(f, stopping)
+
+    monkeypatch.setattr(corona, "corona_pieces", counted)
+    monkeypatch.setattr(verify, "corona_pieces", counted)
+    run_suite("corona", SuiteConfig(seed=1, count=24, max_atoms=24))
+    # the suite, corona_split and local_estimate_ratios share one
+    # decomposition of f and one of g per stopping family
+    assert sum(calls.values()) == len(calls) == 70
