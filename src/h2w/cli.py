@@ -23,7 +23,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from functools import cache
 
 import numpy as np
@@ -92,11 +92,10 @@ class RunConfig:
     strict: bool = False
 
     def stamp(self) -> dict:
-        d = asdict(self)
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
         # where the output lands and how many workers wrote it do not
         # change the bytes, so they stay out of the embedded config
-        d.pop("output")
-        d.pop("jobs")
+        del d["output"], d["jobs"]
         d["version"] = __version__
         d["schema_version"] = SCHEMA_VERSION
         return d
@@ -493,7 +492,9 @@ def cmd_sweep(args) -> int:
     skip = args.skip
     tasks = [(i, sigma, w, cfg) for i, (sigma, w) in enumerate(pairs) if i >= skip]
     # no more workers than tasks or processors, and no pool for one
-    workers = min(cfg.jobs, len(tasks), os.cpu_count() or 1)
+    workers = min(cfg.jobs, len(tasks))
+    if workers > 1:
+        workers = min(workers, os.cpu_count() or 1)
     with contextlib.ExitStack() as stack:
         if workers > 1:
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))

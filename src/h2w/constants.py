@@ -70,6 +70,7 @@ from .grid import DyadicGrid, GridInterval, auto_grid, check_reach, f_parent, ke
 from .haar import (
     WeightedFunction,
     _energies,
+    _pairwise_sum,
     _run,
     _squares,
     _trunk_table,
@@ -828,7 +829,7 @@ def energy_constant(sigma: AtomicMeasure, w: AtomicMeasure, grid: DyadicGrid) ->
     for start in np.flatnonzero(shi > slo).tolist():
         end = table.end[start]
         sl = slice(slo[start], shi[start])
-        s0 = float(np.sum(smass[sl]))
+        s0 = _pairwise_sum(sigma.masses[sl])
         P = kernel[start:end, sl] @ smass[sl]
         term = (P**2 * ew[start:end]).tolist()
         # reverse pre-order meets both children of a node before the node

@@ -27,19 +27,23 @@ node into the piece of its minimal member (``grid.minimal_member``).  The
 bilinear form takes every node's differences at once, skips a source node
 whose differences both vanish, and visits under each other source node only
 the pre-order run of target nodes inside it (``haar._run``), in the order of
-the full double loop; its callers build the kernel prefix once.
+the full double loop.  Each (I, J) pairing is a sum of Python floats over
+the atoms of J, from the kernel prefix read as row lists once per form, and
+rounds as numpy's sum of the slice products (``haar._pairwise_sum``).  The
+kernel prefix of (sigma, w) is built once per grid and kept in its memo
+(:func:`_form_prefix`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache, cached_property, lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .errors import AtomCollision, PreconditionViolation
-from .grid import DyadicGrid, GridInterval, minimal_member
+from .grid import DyadicGrid, GridInterval, kept_with_grid, minimal_member
 from .haar import (
     NodeTable,
     WeightedFunction,
@@ -47,6 +51,7 @@ from .haar import (
     _endpoints,
     _keyed_differences,
     _node_table,
+    _pairwise_sum,
     _parents,
     _run,
     _subtree,
@@ -470,9 +475,11 @@ def _kernel_prefix(sigma: AtomicMeasure, w: AtomicMeasure) -> np.ndarray:
     return np.concatenate([np.zeros((1, w.n_atoms)), np.cumsum(M, axis=0)], axis=0)
 
 
+@kept_with_grid
 def _form_prefix(sigma: AtomicMeasure, w: AtomicMeasure, grid: DyadicGrid) -> np.ndarray | None:
     """The :func:`_kernel_prefix` that the forms from sigma to w read, or
-    None when a side has no splitting node, so that every such form is 0."""
+    None when a side has no splitting node, so that every such form is 0.
+    Built once per grid and kept in its memo."""
     if sigma.n_atoms == 0 or w.n_atoms == 0:
         return None
     if not splitting_nodes(sigma, grid) or not splitting_nodes(w, grid):
@@ -486,14 +493,18 @@ def _b_form(
     """sum over source-splitting I and target-splitting J at least ``gap``
     levels below, of the value of the I-difference of f on the child
     containing J, times the raw-kernel pairing of that child against the
-    J-difference of g.  ``C`` is :func:`_form_prefix` of (f.base, g.base)."""
+    J-difference of g.  ``C`` is :func:`_form_prefix` of (f.base, g.base).
+    Each pairing is a sum of (w_k d_J) (C[shi, k] - C[slo, k]) over the
+    atoms k of J, in Python floats (``haar._pairwise_sum``), as numpy
+    sums the product of the slices."""
     if C is None:
         return 0.0
     s_nodes = splitting_nodes(f.base, grid)
     w_nodes = splitting_nodes(g.base, grid)
     s_left, s_right = _differences(f, s_nodes)
     w_left, w_right = _differences(g, w_nodes)
-    wmass = g.base.masses_f
+    wmass = g.base.masses
+    rows = C.tolist()
     total = 0.0
     for ni, e_left, e_right in zip(s_nodes, s_left, s_right):
         if e_left == 0.0 and e_right == 0.0:
@@ -511,12 +522,11 @@ def _b_form(
                 slo, shi, dval = ni.cut, ni.hi, e_right
             if dval == 0.0 or shi == slo:
                 continue
-            row = C[shi, nj.lo : nj.hi] - C[slo, nj.lo : nj.hi]
-            dg = np.empty(nj.hi - nj.lo)
-            dg[: nj.cut - nj.lo] = w_left[t]
-            dg[nj.cut - nj.lo :] = w_right[t]
-            inner = float(np.sum(wmass[nj.lo : nj.hi] * dg * row))
-            total += dval * inner
+            c_hi, c_lo = rows[shi], rows[slo]
+            d_left, d_right = w_left[t], w_right[t]
+            terms = [(wmass[k] * d_left) * (c_hi[k] - c_lo[k]) for k in range(nj.lo, nj.cut)]
+            terms += [(wmass[k] * d_right) * (c_hi[k] - c_lo[k]) for k in range(nj.cut, nj.hi)]
+            total += dval * _pairwise_sum(terms)
     return total
 
 
@@ -618,8 +628,6 @@ def local_estimate_ratios(
     ``stopping``, already computed by the caller.
     """
     sigma, grid = f.base, stopping.root.grid
-    # the kernel prefix of every form here, built at the first one
-    prefix = cache(lambda: _form_prefix(sigma, g.base, grid))
     f_pieces, g_pieces = pieces or (corona_pieces(f, stopping), corona_pieces(g, stopping))
     out: list[float] = []
     for F in stopping.members:
@@ -637,7 +645,8 @@ def local_estimate_ratios(
         denom = (math.sqrt(sigma.mass_on(F)) + fu.norm()) * qg.norm()
         if denom == 0.0:
             continue
-        out.append(abs(_b_form(fu, qg, grid, below_gap, prefix())) / denom)
+        C = _form_prefix(sigma, g.base, grid)
+        out.append(abs(_b_form(fu, qg, grid, below_gap, C)) / denom)
     return out
 
 

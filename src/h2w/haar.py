@@ -22,6 +22,15 @@ inside a top interval (the stop tests, bounded averages and uniformity in
 The energy trunk (:func:`_trunk_table`) is built from the charged list,
 with each row's child rows for the energy DP.
 
+Sums over the few atoms of one node are taken in Python floats, not with
+a numpy call per node, and round as numpy's would: every elementwise step
+is the same IEEE operation in numpy's left-to-right order (a square is
+``d * d``, as numpy's ``x ** 2`` is), and every reduction is
+:func:`_pairwise_sum`, numpy's own pairwise order for a contiguous float64
+array or a C-order row, from +0.0.  Python raises on a zero divisor, where
+numpy gives an infinity or a NaN; there the numpy path is taken instead
+(:func:`_differences`, :func:`_energies`).
+
 A projection sums one :func:`_differences` pass by a key per node
 (:func:`_keyed_differences`): goodness, or the minimal stopping member.
 Each key's sum is one list of Python floats, to which every node adds its
@@ -139,6 +148,33 @@ def expectation(f: WeightedFunction, i) -> float:
     if mass <= 0.0:
         raise ZeroMass(f"interval {_as_interval(i)} carries no mass")
     return float(np.sum(f.values[lo:hi] * f.base.masses_f[lo:hi])) / mass
+
+
+def _pairwise_sum(a: Sequence[float]) -> float:
+    """The sum of the Python floats ``a`` as numpy sums a contiguous
+    float64 array, bit for bit: numpy's pairwise sum, which adds fewer than
+    8 terms in order, up to 128 terms in eight strided accumulators
+    combined as a tree and then the rest in order, and splits a longer run
+    at half its length, rounded down to a multiple of 8.  It starts from
+    +0.0, as numpy's reduction does, so that no sum is -0.0."""
+    n = len(a)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(a[:half]) + _pairwise_sum(a[half:])
+    body = n - n % 8
+    total = 0.0
+    if body:
+        r = []
+        for j in range(8):
+            acc = a[j]
+            for v in a[j + 8 : body : 8]:
+                acc += v
+            r.append(acc)
+        total += ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        a = a[body:]
+    for v in a:
+        total += v
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -439,9 +475,29 @@ def _trunk_table(w: AtomicMeasure, grid: DyadicGrid) -> _TrunkTable:
 def _energies(w: AtomicMeasure, lo: np.ndarray, hi: np.ndarray, length_sq: np.ndarray) -> np.ndarray:
     """E(w, I)^2 of each atom range [lo, hi), at least two atoms, with
     |I|^2 = ``length_sq``: twice the w-variance of position over the range,
-    divided by |I|^2.  The ranges of one size are gathered into the rows of
-    one 2-D array, whose row sums numpy reduces as it reduces a 1-D array,
-    so a one-row call rounds as the whole table does."""
+    divided by |I|^2.  One Python pass per range, rounding as
+    :func:`_energy_rows` does; on a zero |I|^2 numpy's quotients are taken
+    from :func:`_energy_rows` itself."""
+    m, x = w.masses, w.positions_f.tolist()
+    e2 = []
+    try:
+        for a, b, q in zip(lo.tolist(), hi.tolist(), length_sq.tolist()):
+            ma, xa = m[a:b], x[a:b]
+            mass = _pairwise_sum(ma)
+            mean = _pairwise_sum([p * c for p, c in zip(xa, ma)]) / mass
+            var = _pairwise_sum([(d := p - mean) * d * c for p, c in zip(xa, ma)]) / mass
+            e2.append(2.0 * var / q)
+    except ZeroDivisionError:
+        return _energy_rows(w, lo, hi, length_sq)
+    return np.array(e2, dtype=float)
+
+
+def _energy_rows(
+    w: AtomicMeasure, lo: np.ndarray, hi: np.ndarray, length_sq: np.ndarray
+) -> np.ndarray:
+    """:func:`_energies` with numpy: the ranges of one size are gathered
+    into the rows of one 2-D array, whose row sums numpy reduces as it
+    reduces a 1-D array."""
     size = hi - lo
     e2 = np.empty(len(lo))
     for k in np.unique(size).tolist():
@@ -472,9 +528,8 @@ def _split(mu: AtomicMeasure, i: GridInterval) -> tuple[int, int, int]:
 def haar_function(i: GridInterval, mu: AtomicMeasure) -> WeightedFunction | None:
     """The L2(mu)-normalized Haar function on i, or None if a half is uncharged."""
     lo, cut, hi = _split(mu, i)
-    m = mu.masses_f
-    m_left = float(np.sum(m[lo:cut]))
-    m_right = float(np.sum(m[cut:hi]))
+    m_left = _pairwise_sum(mu.masses[lo:cut])
+    m_right = _pairwise_sum(mu.masses[cut:hi])
     if m_left <= 0.0 or m_right <= 0.0:
         return None
     amp = math.sqrt(m_left * m_right / (m_left + m_right))
@@ -492,13 +547,14 @@ def martingale_difference(f: WeightedFunction, i: GridInterval) -> WeightedFunct
     """
     mu = f.base
     lo, cut, hi = _split(mu, i)
-    m = mu.masses_f
+    m = mu.masses
     values = np.zeros(mu.n_atoms)
-    m_left = float(np.sum(m[lo:cut]))
-    m_right = float(np.sum(m[cut:hi]))
+    m_left = _pairwise_sum(m[lo:cut])
+    m_right = _pairwise_sum(m[cut:hi])
     if m_left > 0.0 and m_right > 0.0:
-        e_left = float(np.sum(f.values[lo:cut] * m[lo:cut])) / m_left
-        e_right = float(np.sum(f.values[cut:hi] * m[cut:hi])) / m_right
+        fm = [v * c for v, c in zip(f.values[lo:hi].tolist(), m[lo:hi])]
+        e_left = _pairwise_sum(fm[: cut - lo]) / m_left
+        e_right = _pairwise_sum(fm[cut - lo :]) / m_right
         e_full = (m_left * e_left + m_right * e_right) / (m_left + m_right)
         values[lo:cut] = e_left - e_full
         values[cut:hi] = e_right - e_full

@@ -12,6 +12,7 @@ threads.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable
@@ -202,6 +203,8 @@ class AtomicMeasure:
         for m in self.masses:
             if not (m > 0 and math.isfinite(m)):
                 raise ValueError(f"masses must be positive and finite, got {m}")
+        # floats, so that Python sums of masses round as numpy's (haar._pairwise_sum)
+        object.__setattr__(self, "masses", tuple(map(float, self.masses)))
         # exact mirrors keep the exact order, so the floats can check it
         pf = [_mirror(p) for p in self.positions]
         if any(a >= b for a, b in zip(pf, pf[1:])):
@@ -252,9 +255,7 @@ class AtomicMeasure:
         """Indices [lo, hi) of atoms with left <= position < right, from the
         endpoint floats of an ``Interval`` or a ``GridInterval`` (both the
         correctly rounded values of the exact endpoints)."""
-        lo = int(np.searchsorted(self.positions_f, i.left_f, side="left"))
-        hi = int(np.searchsorted(self.positions_f, i.right_f, side="left"))
-        return lo, hi
+        return bisect_left(self.positions_f, i.left_f), bisect_left(self.positions_f, i.right_f)
 
     def mass_on(self, i) -> float:
         """Total mass carried inside the half-open interval."""

@@ -59,6 +59,8 @@ from .corona import (
 from .grid import DyadicGrid, GridInterval, auto_grid, build_grid, is_good
 from .haar import (
     WeightedFunction,
+    _pairwise_sum,
+    _run,
     expand,
     good_nodes,
     good_projection,
@@ -234,41 +236,38 @@ class _Suite:
 # ---------------------------------------------------------------------------
 
 
-def _telescoping_error(f: WeightedFunction, nodes, diffs: dict, root_mean: float) -> float:
-    """Largest relative gap, over the charged intervals I (``nodes``),
+def _telescoping_error(
+    f: WeightedFunction, grid: DyadicGrid, diffs: dict, root_mean: float
+) -> float:
+    """Largest relative gap, over the occupied nodes I of ``f.base``,
     between the average of f on I and the root mean plus the averages on I
-    of the martingale differences ``diffs`` (by (level, index)) of I's
-    strict ancestors.  The (interval, ancestor) terms of one atom count are
-    gathered into the rows of one 2-D array, whose row sums numpy reduces as
-    it reduces each 1-D slice, and the ancestors are added level by level,
-    so every total rounds as a per-interval loop's does."""
+    of the martingale differences ``diffs`` (at splitting nodes, by (level,
+    index), in pre-order) of I's strict ancestors.  The nodes strictly
+    below a difference's node are its pre-order run (``haar._run``) after
+    its first node.  Each term's mean is a sum of its own
+    (``haar._pairwise_sum``), as numpy's row sum is, and a node's terms are
+    added in pre-order of their nodes, which is level order, so every total
+    rounds as a per-interval loop's does."""
     mu = f.base
-    m, mp = mu.masses_f, mu._mass_prefix
-    fp = np.concatenate(([0.0], np.cumsum(f.values * m)))
+    nodes = occupied_nodes(mu, grid)
+    mp = mu._mass_prefix
     lo = np.array([n.lo for n in nodes])
     hi = np.array([n.hi for n in nodes])
-    rows = {key: r for r, key in enumerate(diffs)}
-    terms = [
-        (k, a, r)
-        for k, n in enumerate(nodes)
-        for a in range(n.level)
-        if (r := rows.get((a, n.index >> (n.level - a)))) is not None
-    ]
-    node, anc, row = np.array(terms, dtype=np.intp).reshape(-1, 3).T
-    products = np.array(list(diffs.values())).reshape(len(diffs), mu.n_atoms) * m
     mass = mp[hi] - mp[lo]
-    size = (hi - lo)[node]
-    means = np.empty(len(terms))
-    for k in np.unique(size).tolist():
-        at = np.flatnonzero(size == k)
-        atoms = lo[node[at], None] + np.arange(k)
-        means[at] = products[row[at, None], atoms].sum(axis=1) / mass[node[at]]
-    total = np.full(len(nodes), root_mean)
-    for a in np.unique(anc).tolist():
-        at = np.flatnonzero(anc == a)
-        total[node[at]] += means[at]
+    sums, at = [], []
+    for (level, index), values in diffs.items():
+        products = [v * m for v, m in zip(values.tolist(), mu.masses)]
+        start, end = _run(nodes, grid, level, index)
+        for k in range(start + 1, end):
+            n = nodes[k]
+            sums.append(_pairwise_sum(products[n.lo : n.hi]))
+            at.append(k)
+    total = [root_mean] * len(nodes)
+    for k, mean in zip(at, (np.array(sums) / mass[at]).tolist()):
+        total[k] += mean
+    fp = np.concatenate(([0.0], np.cumsum(f.values * mu.masses_f)))
     ej = (fp[hi] - fp[lo]) / mass
-    return float(np.max(np.abs(ej - total) / np.maximum(1.0, np.abs(ej))))
+    return float(np.max(np.abs(ej - np.array(total)) / np.maximum(1.0, np.abs(ej))))
 
 
 def suite_haar(ens: _Ensemble) -> _Suite:
@@ -306,7 +305,7 @@ def suite_haar(ens: _Ensemble) -> _Suite:
                     worst_mart = max(
                         worst_mart, float(np.max(np.abs(md - coeff * hv))) / scale
                     )
-            tel = _telescoping_error(f, occupied_nodes(mu, grid), diffs, hc.root_mean)
+            tel = _telescoping_error(f, grid, diffs, hc.root_mean)
             worst_tel = max(worst_tel, tel)
             pg = good_projection(f, grid, cfg.eps, cfg.r)
             if pg.norm() > f.norm() * (1 + 1e-12):
@@ -765,9 +764,10 @@ def suite_poisson(ens: _Ensemble) -> _Suite:
     )
     I_fixed = gid.interval(2, 1)
     for lev in range(2 + cfg.r, min(cfg.depth, 5 + cfg.r) + 1):
-        for k in range(1 << lev):
+        # the level-lev intervals inside I_fixed, in index order
+        for k in range(1 << (lev - 2), 2 << (lev - 2)):
             jj = gid.interval(lev, k)
-            if is_good(jj, cfg.eps, cfg.r) and I_fixed.contains(jj):
+            if is_good(jj, cfg.eps, cfg.r):
                 lhs, rhs = poisson_local_comparison(jj, I_fixed, gid.root_interval, atom, cfg.eps)
                 if rhs > 0:
                     s.record_max("jsimeq_ratio_max", lhs / rhs)

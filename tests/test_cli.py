@@ -650,6 +650,16 @@ class TestSweep:
         assert code == 0 and len(out.splitlines()) == 2 + int(count)
         assert made == started
 
+    @pytest.mark.parametrize("jobs, count", [("1", "3"), ("10000", "1")])
+    def test_one_worker_reads_no_processor_count(self, monkeypatch, capsys, jobs, count):
+        def refused():
+            raise AssertionError("one worker needs no processor count")
+
+        monkeypatch.setattr(cli.os, "cpu_count", refused)
+        argv = ["sweep", "--count", count, "--max-atoms", "4", "--depth", "8", "--jobs", jobs]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0 and len(out.splitlines()) == 2 + int(count)
+
 
 class TestEntryPoint:
     def test_repeated_in_process_calls_match_fresh_runs(self, pair_file, capsys, monkeypatch):

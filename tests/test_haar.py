@@ -3,6 +3,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import h2w.haar as haar
 from h2w.errors import PreconditionViolation, ZeroMass
@@ -11,9 +13,13 @@ from h2w.haar import (
     WeightedFunction,
     _differences,
     _endpoints,
+    _energies,
+    _energy_rows,
     _node_table,
+    _pairwise_sum,
     _parents,
     _run,
+    _squares,
     _trunk_table,
     charged_nodes,
     node_table,
@@ -286,6 +292,188 @@ class TestProjectionBits:
                     nonfinite += not np.isfinite(piece.values).all()
         # the heavy pair reaches the zero half masses
         assert nonfinite > 0
+
+
+# every kind of double a sum can meet: signed zeros, infinities, NaNs,
+# subnormals and magnitudes from 1e-300 to 1e300
+_TERMS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.floats(-1e300, 1e300),
+    st.floats(-1e-300, 1e-300),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1.0, -1.0]),
+)
+
+
+def _same_sum(got, want) -> bool:
+    """Equal bytes, or both NaN: which of two NaN operands an addition
+    returns (its sign and payload) depends on the machine code that adds
+    them, not on the order of the sum.  numpy's loop and CPython's float
+    addition can pick differently, and CPython's pick has been seen to
+    change between two calls with one input."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    nan = np.isnan(got)
+    return (nan == np.isnan(want)).all() and got[~nan].tobytes() == want[~nan].tobytes()
+
+
+class TestPairwiseSum:
+    """``_pairwise_sum`` is numpy's own order: if numpy ever sums a
+    contiguous array or a C-order row differently, these fail, and every
+    sum that relies on them (the per-node sums in haar, corona, constants
+    and verify) must be revisited."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(_TERMS, max_size=300))
+    def test_equals_numpy_sum(self, terms):
+        with np.errstate(all="ignore"):
+            want = np.sum(np.array(terms, dtype=float))
+        assert _same_sum(_pairwise_sum(terms), want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 6), st.lists(_TERMS, max_size=300))
+    def test_equals_numpy_row_sums(self, rows, terms):
+        cols = len(terms) // rows
+        a = np.array(terms[: rows * cols], dtype=float).reshape(rows, cols)
+        with np.errstate(all="ignore"):
+            want = a.sum(axis=1)
+        assert _same_sum([_pairwise_sum(row) for row in a.tolist()], want)
+
+    def test_every_length_and_negative_zeros(self):
+        rng = np.random.default_rng(22)
+        for n in range(0, 300):
+            for _ in range(5):
+                x = rng.standard_normal(n) * 10.0 ** rng.integers(-12, 12, n)
+                assert np.float64(_pairwise_sum(x.tolist())).tobytes() == np.sum(x).tobytes(), n
+            negative_zeros = [-0.0] * n
+            assert math.copysign(1.0, _pairwise_sum(negative_zeros)) == 1.0, n
+            assert np.sum(np.array(negative_zeros)).tobytes() == np.float64(0.0).tobytes()
+
+
+def _deep_pair():
+    """Atoms a few cells of a depth-60 grid apart near 0, each at a cell
+    centre, and one far atom, so that the trunk of each measure runs from
+    the root down to level 58."""
+    far = (1 << 52) + 1
+    sigma = AtomicMeasure.from_triples([(1, 61, 1.0), (7, 61, 2.5), (17, 61, 0.75), (far, 61, 1.0)])
+    w = AtomicMeasure.from_triples([(3, 61, 0.5), (5, 61, 3.0), (13, 61, 1.25), (far + 2, 61, 2.0)])
+    return sigma, w, unit_grid(sigma, w, 60)
+
+
+def _trunk_ranges(w, grid):
+    """The atom ranges and |I|^2 that ``_trunk_table`` passes to ``_energies``."""
+    table = node_table(w, grid)
+    rows = np.flatnonzero(table.hi[0] - table.lo[0] >= 2)
+    left, right = (ends[rows] for ends in _endpoints(table, grid))
+    return table.lo[0, rows], table.hi[0, rows], _squares(right - left)
+
+
+class TestEnergies:
+    def test_python_pass_is_the_numpy_rows(self):
+        cases = [
+            *oracle_cases(),
+            *crafted_cases(2),
+            ("deep", *_deep_pair()),
+            ("heavy", *_heavy_pair()),
+        ]
+        deep = 0
+        for label, sigma, w, grid in cases:
+            for mu in (sigma, w):
+                lo, hi, length_sq = _trunk_ranges(mu, grid)
+                # every |I|^2 is positive, so the Python pass is what is compared
+                assert (length_sq > 0.0).all(), label
+                got = _energies(mu, lo, hi, length_sq)
+                want = _energy_rows(mu, lo, hi, length_sq)
+                assert got.tobytes() == want.tobytes(), label
+                if label == "deep":
+                    deep += length_sq.min() < 2.0**-100
+        assert deep == 2
+
+    def test_squares_are_products_not_pow(self):
+        # two unit atoms at 1/2 -+ d, d = k / 2^53, whose libm square is one
+        # bit off d * d: numpy's x ** 2 is x * x, so the Python pass must be
+        k = 2230827798452261
+        d = k / 2**53
+        assert d**2 != d * d
+        w = AtomicMeasure.from_triples([((1 << 52) - k, 53, 1.0), ((1 << 52) + k, 53, 1.0)])
+        lo, hi, length_sq = np.array([0]), np.array([2]), np.array([1.0])
+        got = _energies(w, lo, hi, length_sq)
+        assert got.tobytes() == _energy_rows(w, lo, hi, length_sq).tobytes()
+        assert got[0] == 2.0 * (d * d)
+
+    def test_a_zero_length_takes_the_numpy_rows(self):
+        # an |I|^2 that underflows to 0.0, where Python would raise
+        w = AtomicMeasure.from_triples([(1, 300, 1.0), (3, 300, 2.0), (1, 1, 1.0)])
+        lo, hi = np.array([0, 0]), np.array([2, 3])
+        length_sq = np.array([0.0, 1.0])
+        with np.errstate(divide="ignore"):
+            got = _energies(w, lo, hi, length_sq)
+            want = _energy_rows(w, lo, hi, length_sq)
+        assert got.tobytes() == want.tobytes() and got[0] == math.inf
+
+
+def _slice_split(mu, i):
+    """(lo, cut, hi) of grid interval i from numpy's searchsorted."""
+    pos = mu.positions_f
+    lo, hi = (int(np.searchsorted(pos, e)) for e in (i.left_f, i.right_f))
+    if i.level >= i.grid.depth:
+        return lo, hi, hi
+    mid = i.grid.endpoint_f(i.level + 1, 2 * i.index + 1)
+    return lo, min(max(int(np.searchsorted(pos, mid)), lo), hi), hi
+
+
+def _haar_slices(i, mu):
+    """haar_function with numpy sums of 1-D slices."""
+    lo, cut, hi = _slice_split(mu, i)
+    m = mu.masses_f
+    m_left, m_right = float(np.sum(m[lo:cut])), float(np.sum(m[cut:hi]))
+    if m_left <= 0.0 or m_right <= 0.0:
+        return None
+    amp = math.sqrt(m_left * m_right / (m_left + m_right))
+    values = np.zeros(mu.n_atoms)
+    values[lo:cut] = -amp / m_left
+    values[cut:hi] = amp / m_right
+    return values
+
+
+def _martingale_slices(f, i):
+    """martingale_difference with numpy sums of 1-D slices."""
+    mu = f.base
+    lo, cut, hi = _slice_split(mu, i)
+    m = mu.masses_f
+    values = np.zeros(mu.n_atoms)
+    m_left, m_right = float(np.sum(m[lo:cut])), float(np.sum(m[cut:hi]))
+    if m_left > 0.0 and m_right > 0.0:
+        e_left = float(np.sum(f.values[lo:cut] * m[lo:cut])) / m_left
+        e_right = float(np.sum(f.values[cut:hi] * m[cut:hi])) / m_right
+        e_full = (m_left * e_left + m_right * e_right) / (m_left + m_right)
+        values[lo:cut] = e_left - e_full
+        values[cut:hi] = e_right - e_full
+    return values
+
+
+class TestPerIntervalBits:
+    """haar_function and martingale_difference are the bytes of their
+    numpy-slice forms, on every occupied node, its children and every
+    interval of the first three levels."""
+
+    def test_haar_function_and_martingale_difference(self):
+        cases = [*oracle_cases(families=("uniform", "mixed")), *crafted_cases(1), ("heavy", *_heavy_pair())]
+        for label, sigma, w, grid in cases:
+            rng = np.random.default_rng(len(label))
+            for mu in (sigma, w):
+                f = WeightedFunction(mu, np.exp(3.0 * rng.standard_normal(mu.n_atoms)))
+                keys = {(lev, k) for lev in range(4) for k in range(1 << lev)}
+                for n in occupied_nodes(mu, grid):
+                    keys.add((n.level, n.index))
+                    if n.level < grid.depth:
+                        keys.update({(n.level + 1, 2 * n.index), (n.level + 1, 2 * n.index + 1)})
+                for key in sorted(keys):
+                    gi = GridInterval(grid, *key)
+                    h, want = haar_function(gi, mu), _haar_slices(gi, mu)
+                    assert (h is None) == (want is None), (label, key)
+                    if h is not None:
+                        assert h.values.tobytes() == want.tobytes(), (label, key)
+                    md = martingale_difference(f, gi).values
+                    assert md.tobytes() == _martingale_slices(f, gi).tobytes(), (label, key)
 
 
 class TestGoodNodes:

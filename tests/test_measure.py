@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from h2w import measure
 from h2w.errors import InexactPosition, ParseError
+from h2w.haar import _pairwise_sum
 from h2w.measure import (
     AtomicMeasure,
     DyadicRational,
@@ -69,6 +70,15 @@ class TestMassQueries:
         mu = AtomicMeasure.from_triples([(1, 1, 1.0)])
         assert mu.mass_on(Interval(dyadic(0), dyadic(1, 1))) == 0.0
         assert mu.mass_on(Interval(dyadic(1, 1), dyadic(1, 0))) == 1.0
+
+    def test_integer_masses_are_stored_as_floats(self):
+        # nine masses 2^60 + 37 k + 1: their exact integer sum rounds away
+        # from numpy's sum of their doubles, which the per-node sums follow
+        masses = tuple((1 << 60) + 37 * k + 1 for k in range(9))
+        assert _pairwise_sum(masses) != float(np.sum(np.array(masses, dtype=float)))
+        mu = AtomicMeasure(tuple(dyadic(2 * k + 1, 5) for k in range(9)), masses)
+        assert all(type(m) is float for m in mu.masses)
+        assert _pairwise_sum(mu.masses) == float(np.sum(mu.masses_f))
 
     def test_finite_additivity_over_partition(self, rng):
         mu = AtomicMeasure.from_triples(
