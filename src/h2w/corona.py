@@ -30,8 +30,9 @@ the pre-order run of target nodes inside it (``haar._run``), in the order of
 the full double loop.  Each (I, J) pairing is a sum of Python floats over
 the atoms of J, from the kernel prefix read as row lists once per form, and
 rounds as numpy's sum of the slice products (``haar._pairwise_sum``).  The
-kernel prefix of (sigma, w) is built once per grid and kept in its memo
-(:func:`_form_prefix`).
+form functions take ``prefix=``, the kernel prefix of (sigma, w) that a
+caller evaluating many forms of one pair builds once (:func:`_form_prefix`);
+no prefix is kept past its caller, since it is n_sigma x n_w doubles.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import AtomCollision, PreconditionViolation
-from .grid import DyadicGrid, GridInterval, kept_with_grid, minimal_member
+from .grid import DyadicGrid, GridInterval, minimal_member
 from .haar import (
     NodeTable,
     WeightedFunction,
@@ -475,11 +476,9 @@ def _kernel_prefix(sigma: AtomicMeasure, w: AtomicMeasure) -> np.ndarray:
     return np.concatenate([np.zeros((1, w.n_atoms)), np.cumsum(M, axis=0)], axis=0)
 
 
-@kept_with_grid
 def _form_prefix(sigma: AtomicMeasure, w: AtomicMeasure, grid: DyadicGrid) -> np.ndarray | None:
     """The :func:`_kernel_prefix` that the forms from sigma to w read, or
-    None when a side has no splitting node, so that every such form is 0.
-    Built once per grid and kept in its memo."""
+    None when a side has no splitting node, so that every such form is 0."""
     if sigma.n_atoms == 0 or w.n_atoms == 0:
         return None
     if not splitting_nodes(sigma, grid) or not splitting_nodes(w, grid):
@@ -530,15 +529,25 @@ def _b_form(
     return total
 
 
-def b_above(f: WeightedFunction, g: WeightedFunction, grid: DyadicGrid, below_gap: int) -> float:
+def b_above(
+    f: WeightedFunction,
+    g: WeightedFunction,
+    grid: DyadicGrid,
+    below_gap: int,
+    *,
+    prefix: np.ndarray | None = None,
+) -> float:
     """The above-diagonal bilinear form; the below-diagonal form of (f, g)
     is ``b_above(g, f, ...)``.
 
     Exact double sum with the raw kernel; the caller supplies mean-zero
     functions with good Haar supports when the classical bounds are being
-    instrumented.
+    instrumented.  ``prefix``, when given, is :func:`_form_prefix` of
+    (f.base, g.base) on ``grid``, already built by the caller; when None it
+    is built here.
     """
-    return _b_form(f, g, grid, below_gap, _form_prefix(f.base, g.base, grid))
+    C = _form_prefix(f.base, g.base, grid) if prefix is None else prefix
+    return _b_form(f, g, grid, below_gap, C)
 
 
 def corona_pieces(
@@ -562,6 +571,7 @@ def corona_split(
     *,
     above: float | None = None,
     pieces: tuple[dict, dict] | None = None,
+    prefix: np.ndarray | None = None,
 ) -> tuple[float, float]:
     """Diagonal corona part of the above form on the stopping family's grid,
     and the cross-corona rest.
@@ -571,10 +581,11 @@ def corona_split(
     two add back exactly.
     ``above``, when given, is that b_above(f, g) on the family's grid,
     already evaluated by the caller, and is not evaluated again; so are
-    ``pieces``, the corona pieces of f and of g over ``stopping``.
+    ``pieces``, the corona pieces of f and of g over ``stopping``, and
+    ``prefix``, as :func:`b_above` takes it.
     """
     grid = stopping.root.grid
-    C = _form_prefix(f.base, g.base, grid)
+    C = _form_prefix(f.base, g.base, grid) if prefix is None else prefix
     total = _b_form(f, g, grid, below_gap, C) if above is None else above
     split_value = 0.0
     f_pieces, g_pieces = pieces or (corona_pieces(f, stopping), corona_pieces(g, stopping))
@@ -599,11 +610,14 @@ def reduction_residual(
     grid: DyadicGrid,
     h_const: float,
     below_gap: int,
+    *,
+    prefix: np.ndarray | None = None,
 ) -> ReductionResidual:
     """The raw pairing, both diagonal forms, and the normalized residual
-    |pairing - above - below| / (h ||f|| ||g||)."""
+    |pairing - above - below| / (h ||f|| ||g||).  ``prefix`` is the above
+    form's, as :func:`b_above` takes it."""
     inner = hilbert_pairing(f, g)
-    ba = b_above(f, g, grid, below_gap)
+    ba = b_above(f, g, grid, below_gap, prefix=prefix)
     bb = b_above(g, f, grid, below_gap)
     denom = h_const * f.norm() * g.norm()
     ratio = abs(inner - ba - bb) / denom if denom > 0 else 0.0
@@ -617,6 +631,7 @@ def local_estimate_ratios(
     below_gap: int,
     *,
     pieces: tuple[dict, dict] | None = None,
+    prefix: np.ndarray | None = None,
 ) -> list[float]:
     """Per-corona ratios |B(f_u, g_a)| / ((sigma(F)^(1/2) + ||f_u||) ||g_a||),
     with sigma = ``f.base``, on the stopping family's grid.
@@ -625,9 +640,10 @@ def local_estimate_ratios(
     constant times the control value, so it is uniform with constant one
     w.r.t. the family children of F; g_a is the matching corona piece of g.
     ``pieces``, when given, are the corona pieces of f and of g over
-    ``stopping``, already computed by the caller.
+    ``stopping``, already computed by the caller; ``prefix`` is as
+    :func:`b_above` takes it, built here at the first form when None.
     """
-    sigma, grid = f.base, stopping.root.grid
+    sigma, grid, C = f.base, stopping.root.grid, prefix
     f_pieces, g_pieces = pieces or (corona_pieces(f, stopping), corona_pieces(g, stopping))
     out: list[float] = []
     for F in stopping.members:
@@ -645,7 +661,8 @@ def local_estimate_ratios(
         denom = (math.sqrt(sigma.mass_on(F)) + fu.norm()) * qg.norm()
         if denom == 0.0:
             continue
-        C = _form_prefix(sigma, g.base, grid)
+        if C is None:
+            C = _form_prefix(sigma, g.base, grid)
         out.append(abs(_b_form(fu, qg, grid, below_gap, C)) / denom)
     return out
 

@@ -28,8 +28,8 @@ is the same IEEE operation in numpy's left-to-right order (a square is
 ``d * d``, as numpy's ``x ** 2`` is), and every reduction is
 :func:`_pairwise_sum`, numpy's own pairwise order for a contiguous float64
 array or a C-order row, from +0.0.  Python raises on a zero divisor, where
-numpy gives an infinity or a NaN; there the numpy path is taken instead
-(:func:`_differences`, :func:`_energies`).
+numpy gives an infinity or a NaN: :func:`_differences` takes its numpy
+path there, and :func:`_energies` divides by |I|^2 with numpy.
 
 A projection sums one :func:`_differences` pass by a key per node
 (:func:`_keyed_differences`): goodness, or the minimal stopping member.
@@ -475,40 +475,18 @@ def _trunk_table(w: AtomicMeasure, grid: DyadicGrid) -> _TrunkTable:
 def _energies(w: AtomicMeasure, lo: np.ndarray, hi: np.ndarray, length_sq: np.ndarray) -> np.ndarray:
     """E(w, I)^2 of each atom range [lo, hi), at least two atoms, with
     |I|^2 = ``length_sq``: twice the w-variance of position over the range,
-    divided by |I|^2.  One Python pass per range, rounding as
-    :func:`_energy_rows` does; on a zero |I|^2 numpy's quotients are taken
-    from :func:`_energy_rows` itself."""
+    divided by |I|^2.  One Python pass per range, and one numpy division by
+    |I|^2 at the end, which gives numpy's infinity or NaN on a zero |I|^2
+    (the masses are positive, so no other divisor is zero)."""
     m, x = w.masses, w.positions_f.tolist()
-    e2 = []
-    try:
-        for a, b, q in zip(lo.tolist(), hi.tolist(), length_sq.tolist()):
-            ma, xa = m[a:b], x[a:b]
-            mass = _pairwise_sum(ma)
-            mean = _pairwise_sum([p * c for p, c in zip(xa, ma)]) / mass
-            var = _pairwise_sum([(d := p - mean) * d * c for p, c in zip(xa, ma)]) / mass
-            e2.append(2.0 * var / q)
-    except ZeroDivisionError:
-        return _energy_rows(w, lo, hi, length_sq)
-    return np.array(e2, dtype=float)
-
-
-def _energy_rows(
-    w: AtomicMeasure, lo: np.ndarray, hi: np.ndarray, length_sq: np.ndarray
-) -> np.ndarray:
-    """:func:`_energies` with numpy: the ranges of one size are gathered
-    into the rows of one 2-D array, whose row sums numpy reduces as it
-    reduces a 1-D array."""
-    size = hi - lo
-    e2 = np.empty(len(lo))
-    for k in np.unique(size).tolist():
-        at = np.flatnonzero(size == k)
-        atoms = lo[at, None] + np.arange(k)
-        m, x = w.masses_f[atoms], w.positions_f[atoms]
-        mass = m.sum(axis=1)
-        mean = (x * m).sum(axis=1) / mass
-        var = ((x - mean[:, None]) ** 2 * m).sum(axis=1) / mass
-        e2[at] = 2.0 * var / length_sq[at]
-    return e2
+    two_var = []
+    for a, b in zip(lo.tolist(), hi.tolist()):
+        ma, xa = m[a:b], x[a:b]
+        mass = _pairwise_sum(ma)
+        mean = _pairwise_sum([p * c for p, c in zip(xa, ma)]) / mass
+        var = _pairwise_sum([(d := p - mean) * d * c for p, c in zip(xa, ma)]) / mass
+        two_var.append(2.0 * var)
+    return np.array(two_var, dtype=float) / length_sq
 
 
 # ---------------------------------------------------------------------------

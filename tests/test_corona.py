@@ -1005,3 +1005,17 @@ class TestComputePathHasNoWalk:
         finally:
             tracemalloc.stop()
         assert retained < stack_bytes / 8
+
+    def test_no_kernel_prefix_is_kept_with_the_grid(self):
+        # auto_grid keeps the last grids and their memos past the row, so a
+        # kernel prefix (n_sigma + 1 by n_w doubles) must not be in the memo
+        from h2w.cli import RunConfig, _sweep_row
+        from h2w.grid import auto_grid
+
+        sigma, w = random_ensemble(7, 8, 128, 12)[3]
+        _sweep_row((0, sigma, w, RunConfig(depth=12)))
+        memo = auto_grid(sigma, w, 12)._memo
+        assert memo
+        shapes = {getattr(value, "shape", None) for value in memo.values()}
+        assert (sigma.n_atoms + 1, w.n_atoms) not in shapes
+        assert (w.n_atoms + 1, sigma.n_atoms) not in shapes
