@@ -30,7 +30,7 @@ import numpy as np
 
 from . import __version__
 from .constants import SCHEMA_VERSION, compute_report, pair_constants
-from .corona import build_stopping_data, corona_split, reduction_residual
+from .corona import _form_prefix, build_stopping_data, corona_split, reduction_residual
 from .errors import (
     CommonPointMass,
     H2WError,
@@ -457,10 +457,12 @@ def _sweep_row(task) -> list:
         WeightedFunction(w, rng.standard_normal(w.n_atoms)), grid, cfg.eps, cfg.r
     )
     if f.norm() > 0 and g.norm() > 0 and rep.h_const > 0:
-        rr = reduction_residual(f, g, grid, rep.h_const, cfg.below_gap)
+        # one kernel prefix for both forms from sigma to w
+        prefix = _form_prefix(sigma, w, grid)
+        rr = reduction_residual(f, g, grid, rep.h_const, cfg.below_gap, prefix=prefix)
         red_ratio = rr.residual_ratio
         sd = build_stopping_data(f, grid.root_interval, w, rep.h_const, rep.meta["calibrated_c0"])
-        _, residual = corona_split(f, g, sd, cfg.below_gap, above=rr.b_above)
+        _, residual = corona_split(f, g, sd, cfg.below_gap, above=rr.b_above, prefix=prefix)
         cross_ratio = abs(residual) / (rep.h_const * f.norm() * g.norm())
     ratios = rep.paper_ratios()
     values = [

@@ -58,7 +58,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corona import _carleson_ratio, build_stopping_data, calibrate_c0, local_estimate_ratios
+from .corona import (
+    _carleson_ratio,
+    _form_prefix,
+    build_stopping_data,
+    calibrate_c0,
+    local_estimate_ratios,
+)
 from .errors import (
     AdaptednessViolation,
     CommonPointMass,
@@ -1064,6 +1070,7 @@ def compute_report(
     rng = np.random.default_rng(seed)
     root = grid.root_interval
     ident_coeffs = None  # the Haar coefficients of x on w, on first use
+    prefix = None  # the kernel prefix of every local ratio's form, on first use
     if sigma.n_atoms >= 2 and w.n_atoms >= 1 and h_const > 0:
         for _ in range(_FE_SAMPLES):
             raw = WeightedFunction(sigma, rng.standard_normal(sigma.n_atoms))
@@ -1098,7 +1105,9 @@ def compute_report(
                 graw = WeightedFunction(w, rng.standard_normal(w.n_atoms))
                 gg = good_projection(graw, grid, eps, r)
                 if gg.norm() > 0.0:
-                    local = local_estimate_ratios(f, gg, stopping, below_gap)
+                    if prefix is None:
+                        prefix = _form_prefix(sigma, w, grid)
+                    local = local_estimate_ratios(f, gg, stopping, below_gap, prefix=prefix)
                     if local:
                         local_max = max(local_max, max(local))
     n_over_h = norm_n / h_const if h_const > 0 else 0.0

@@ -476,18 +476,20 @@ def _kernel_prefix(sigma: AtomicMeasure, w: AtomicMeasure) -> np.ndarray:
     return np.concatenate([np.zeros((1, w.n_atoms)), np.cumsum(M, axis=0)], axis=0)
 
 
-def _form_prefix(sigma: AtomicMeasure, w: AtomicMeasure, grid: DyadicGrid) -> np.ndarray | None:
+def _form_prefix(sigma: AtomicMeasure, w: AtomicMeasure, grid: DyadicGrid) -> np.ndarray:
     """The :func:`_kernel_prefix` that the forms from sigma to w read, or
-    None when a side has no splitting node, so that every such form is 0."""
+    an empty array when a side has no splitting node, so that every such
+    form is 0.  Never None, so a caller passing it on as ``prefix=`` never
+    has it built again."""
     if sigma.n_atoms == 0 or w.n_atoms == 0:
-        return None
+        return np.empty((0, 0))
     if not splitting_nodes(sigma, grid) or not splitting_nodes(w, grid):
-        return None
+        return np.empty((0, 0))
     return _kernel_prefix(sigma, w)
 
 
 def _b_form(
-    f: WeightedFunction, g: WeightedFunction, grid: DyadicGrid, gap: int, C: np.ndarray | None
+    f: WeightedFunction, g: WeightedFunction, grid: DyadicGrid, gap: int, C: np.ndarray
 ) -> float:
     """sum over source-splitting I and target-splitting J at least ``gap``
     levels below, of the value of the I-difference of f on the child
@@ -496,7 +498,7 @@ def _b_form(
     Each pairing is a sum of (w_k d_J) (C[shi, k] - C[slo, k]) over the
     atoms k of J, in Python floats (``haar._pairwise_sum``), as numpy
     sums the product of the slices."""
-    if C is None:
+    if C.size == 0:
         return 0.0
     s_nodes = splitting_nodes(f.base, grid)
     w_nodes = splitting_nodes(g.base, grid)

@@ -16,7 +16,11 @@ Truncation suprema are evaluated on a finite candidate scan: hard-cutoff
 bands bracketing the sorted distinct pairwise distances (operator entries
 are piecewise constant in the cutoffs with breakpoints exactly there), plus
 tapered pairs on a geometrically refined value list.  A scan is one
-:class:`TruncationTable` of mode codes and radii, read as columns.
+:class:`TruncationTable` of mode codes and radii, read as columns, and
+:func:`kernel_stack` evaluates it in blocks, a tapered block from one row
+per distinct cutoff.  Each batched evaluation (the stack, the pairing scan
+over it, :func:`truncation_compare` over all its points) makes every value
+by the operations its scalar counterpart makes, so none moves a bit.
 
 The monotonicity lemmas read P(mu, I) from ``poisson``, below this module.
 """
@@ -31,7 +35,7 @@ import numpy as np
 
 from .errors import AtomCollision, PreconditionViolation
 from .measure import AtomicMeasure, _as_interval
-from .haar import WeightedFunction, _squares, absolute_haar_multiplier
+from .haar import WeightedFunction, _pairwise_sum, _squares, absolute_haar_multiplier
 from .params import DEFAULT_REFINEMENT
 from .poisson import poisson_stationary
 
@@ -344,13 +348,60 @@ def truncation_candidates(
 _STACK_BLOCK = 1 << 16
 
 
+def _tapered_block(blk, alpha, beta, a, neg_a, inv, sign, work, below) -> None:
+    """Fill ``blk`` with the tapered kernels of the (alpha, beta) rows, from
+    the rows of the distinct betas, gathered, and the rises of the distinct
+    alphas copied in below alpha (:func:`kernel_stack`).  ``work`` and
+    ``below`` are scratch rows, at least as many as ``blk`` has."""
+    col = (-1,) + alpha.shape[1:]
+    betas, at_beta = np.unique(beta, return_inverse=True)
+    betas = betas.reshape(col)
+    rows, mask = work[: len(betas)], below[: len(betas)]
+    np.divide(neg_a, _squares(betas), out=rows)
+    rows += 2.0 / betas
+    np.greater_equal(a, 2.0 * betas, out=mask)
+    np.copyto(rows, 0.0, where=mask)
+    rows *= sign
+    np.less_equal(a, betas, out=mask)
+    np.copyto(rows, inv, where=mask)
+    np.take(rows, at_beta.ravel(), axis=0, out=blk, mode="clip")
+    alphas, at_alpha = np.unique(alpha, return_inverse=True)
+    if len(alphas) == len(alpha):
+        # all distinct: formed in row order, each copied in under its own mask
+        alphas, at_alpha = alpha, None
+    alphas = alphas.reshape(col)
+    rise, mask = work[: len(alphas)], below[: len(blk)]
+    np.divide(neg_a, _squares(alphas), out=rise)
+    rise += 2.0 / alphas
+    rise *= sign
+    if at_alpha is None:
+        np.less(a, alpha, out=mask)
+        np.copyto(blk, rise, where=mask)
+        return
+    # each run of rows sharing an alpha takes that alpha's row under one mask
+    at_alpha = at_alpha.ravel()
+    starts = [0, *(np.flatnonzero(np.diff(at_alpha)) + 1).tolist(), len(blk)]
+    for s0, s1 in zip(starts[:-1], starts[1:]):
+        k = at_alpha[s0]
+        np.less(a, alphas[k], out=mask[0])
+        np.copyto(blk[s0:s1], rise[k], where=mask[0])
+
+
 def kernel_stack(diffs: np.ndarray, candidates: TruncationTable) -> np.ndarray:
     """Kernel evaluated for every candidate: shape (T,) + diffs.shape.
 
     Bitwise equal, signed zeros included, to stacking :func:`kernel_values`
-    per candidate: each run of same-mode rows is broadcast in blocks, with
-    the per-candidate scalars formed as :func:`smooth_kernel` forms them
-    (the squares as Python float squares, libm ``pow``, not numpy's x * x).
+    per candidate.  Each run of same-mode rows is filled in blocks of at
+    most ``_STACK_BLOCK`` elements.  A tapered block is built from
+    per-cutoff rows, formed once per distinct value in the block: the
+    signed row of each beta (1/y up to beta, the taper up to 2 beta, zero
+    beyond) and the signed linear rise of each alpha, in one block of
+    scratch rows per call.  Each candidate's row is then its beta row,
+    gathered, with its alpha row copied in below alpha.  Every entry is the value :func:`smooth_kernel` selects, made by
+    the same operations on the same scalars (the squares as Python float
+    squares, libm ``pow``, not numpy's x * x): multiplying by the sign
+    before the selection rather than after it moves no bit, and 1/y is
+    sign(y) / |y| exactly.
     """
     arr = np.asarray(diffs, dtype=float)
     code = candidates.code
@@ -358,12 +409,13 @@ def kernel_stack(diffs: np.ndarray, candidates: TruncationTable) -> np.ndarray:
     a = np.abs(arr)
     with np.errstate(divide="ignore"):
         inv = np.where(a > 0.0, 1.0 / arr, 0.0)
-        inv_a = 1.0 / a
     neg_a = -a
     sign = np.sign(arr)
     block = max(1, _STACK_BLOCK // max(1, arr.size))
     lead = (-1,) + (1,) * arr.ndim
     bounds = [0, *(np.flatnonzero(np.diff(code)) + 1).tolist(), len(code)]
+    span = min(block, len(code)) if np.any(code == _SMOOTH) else 0
+    work, below = np.empty((span,) + arr.shape), np.empty((span,) + arr.shape, dtype=bool)
     for r0, r1 in zip(bounds[:-1], bounds[1:]):
         for t0 in range(r0, r1, block):
             t1 = min(t0 + block, r1)
@@ -378,17 +430,7 @@ def kernel_stack(diffs: np.ndarray, candidates: TruncationTable) -> np.ndarray:
                 blk[...] = 0.0
                 np.copyto(blk, inv, where=inside)
             else:
-                # taper everywhere, then zero beyond 2 beta, then 1/|y| up to
-                # beta, then the linear rise below alpha; the same branches and
-                # operations as smooth_kernel
-                np.divide(neg_a, _squares(beta), out=blk)
-                blk += 2.0 / beta
-                np.copyto(blk, 0.0, where=a >= 2.0 * beta)
-                np.copyto(blk, inv_a, where=a <= beta)
-                rise = neg_a / _squares(alpha)
-                rise += 2.0 / alpha
-                np.copyto(blk, rise, where=a < alpha)
-                blk *= sign
+                _tapered_block(blk, alpha, beta, a, neg_a, inv, sign, work, below)
     return out
 
 
@@ -418,10 +460,13 @@ def _alpha_below(sigma: AtomicMeasure, g: WeightedFunction) -> float:
 def _pairing_scan(f: WeightedFunction, g: WeightedFunction, cands: TruncationTable) -> float:
     """max over the candidates of |hilbert_pairing(f, g, candidate)|.
 
-    One kernel stack for all candidates, then one ``src @ K_t @ tgt`` per
-    candidate: each value is bitwise equal to its :func:`hilbert_pairing`
-    (a single batched matmul over the stack would not be).  Mode ``none``
-    needs disjoint supports, as the pairing does.
+    One kernel stack for all candidates and one ``src @ stack``, which
+    makes each row ``src @ K_t`` by the same vector-matrix product a single
+    candidate's pairing makes; then one dot of each row with ``tgt``, as
+    :func:`hilbert_pairing` takes it.  So each value is bitwise its
+    pairing's; a (T, m) @ (m,) matrix-vector product for the last step
+    would not be.  Mode ``none`` needs disjoint supports, as the pairing
+    does.
     """
     sigma, w = f.base, g.base
     if sigma.n_atoms == 0 or w.n_atoms == 0:
@@ -432,7 +477,7 @@ def _pairing_scan(f: WeightedFunction, g: WeightedFunction, cands: TruncationTab
     stack = kernel_stack(diffs, cands)
     src = f.values * sigma.masses_f
     tgt = g.values * w.masses_f
-    return max(abs(float(src @ k @ tgt)) for k in stack)
+    return max(abs(float(row @ tgt)) for row in src @ stack)
 
 
 def _sides(lhs: float, rhs: float) -> tuple[float, float, float]:
@@ -535,17 +580,39 @@ def truncation_compare(
     """(lhs, rhs, ratio) at the point of ``x_points`` with the largest
     ratio of |hard - smooth transform| of |f| d(f.base) at the cutoffs
     (inner, outer) to the single-scale averages at both; (0, 0, 0) when no
-    point has both sides positive."""
+    point has both sides positive.
+
+    One (points x atoms) array of differences serves every point: each
+    kernel is applied to it once and each transform is a row sum, which
+    reduces a C-ordered row as :func:`transform` reduces its 1-D product.
+    A window (x - 3a, x + 3a) holds a contiguous run of the sorted atoms,
+    found by ``searchsorted``, and its sum is that slice's pairwise sum in
+    Python floats (``haar._pairwise_sum``), as :func:`single_scale_average`
+    sums its masked copy.  So every value is bitwise the per-point one."""
+    xs = np.asarray(x_points, dtype=float)
+    if len(xs) == 0:
+        return 0.0, 0.0, 0.0
+    hard_spec = TruncationSpec("hard", inner, outer)
+    smooth_spec = TruncationSpec("smooth", inner, outer)
     sigma = f.base
-    absf = np.abs(f.values)
+    if sigma.n_atoms == 0:
+        return 0.0, 0.0, 0.0
+    pos = sigma.positions_f
+    vals = sigma.masses_f * np.abs(f.values)
+    diffs = pos - xs[:, None]
+    hard = (vals * kernel_values(diffs, hard_spec)).sum(axis=1).tolist()
+    smooth = (vals * kernel_values(diffs, smooth_spec)).sum(axis=1).tolist()
+    terms = vals.tolist()
+
+    def averages(c):
+        los = np.searchsorted(pos, xs - 3.0 * c, "right").tolist()
+        his = np.searchsorted(pos, xs + 3.0 * c, "left").tolist()
+        return [_pairwise_sum(terms[lo:hi]) / c for lo, hi in zip(los, his)]
+
     best = (0.0, 0.0, 0.0)
-    for x in np.asarray(x_points, dtype=float):
-        hard = transform(sigma, absf, x, TruncationSpec("hard", inner, outer))
-        smooth = transform(sigma, absf, x, TruncationSpec("smooth", inner, outer))
-        lhs = abs(hard - smooth)
-        rhs = single_scale_average(sigma, absf, x, inner) + single_scale_average(
-            sigma, absf, x, outer
-        )
+    for h, s, at_inner, at_outer in zip(hard, smooth, averages(inner), averages(outer)):
+        lhs = abs(h - s)
+        rhs = at_inner + at_outer
         if lhs > 0.0 and rhs > 0.0 and lhs / rhs > best[2]:
             best = (lhs, rhs, lhs / rhs)
     return best

@@ -9,7 +9,9 @@ within that band.  No 1/pi normalization anywhere.
 Every Poisson kernel is evaluated here, by four batched helpers with one
 row per interval or point and one column per atom; a scalar entry point is
 a one-row call, and a row sum of a C-ordered array reduces as numpy reduces
-a 1-D one, so batching moves no bit.  The summed stationary and extension
+a 1-D one, so batching moves no bit.  :func:`poisson_testing` evaluates
+each side once per distinct input: the forward side per sigma atom range,
+the dual side per box mask.  The summed stationary and extension
 terms square |I| and t as Python floats (libm ``pow``, ``haar._squares``),
 the product kernel and the dual terms as numpy does (x * x), which differs
 in the last bit on some lengths.
@@ -262,38 +264,55 @@ def poisson_testing(
     vanish; a zero denominator with sides reported sets the flag.
 
     Batched: the (mu x sigma) extension terms and the (sigma x mu) dual
-    terms are built once.  An interval then reads the contiguous column
-    slice of its sigma atoms from the first and one box mask of the second,
-    and every row sum reduces a contiguous row, so each result is bitwise
-    equal to evaluating its interval alone.
+    terms are built once, and so are the box masks of all the intervals,
+    as one boolean matrix.  The forward side is then evaluated once per
+    distinct sigma atom range, from the contiguous column slice of its
+    atoms, and the dual side once per distinct box mask, from the columns
+    it selects; an empty mask gives 0.0, as its empty sums do.  Every row
+    sum reduces a contiguous row, so each result is bitwise equal to
+    evaluating its interval alone.
     """
     pos, smass = sigma.positions_f, sigma.masses_f
     xs, ts, hmass = hp.xs_f, hp.ts_f, hp.masses_f
     ext = _extension_terms(xs, ts, pos, smass)
     dual = _dual_terms(pos, xs, ts, hmass)
     h_sq = h_const**2
+    intervals = list(intervals)
+    ranges = [sigma.index_range(gi) for gi in intervals]
+    lefts = np.array([gi.left_f for gi in intervals])
+    rights = np.array([gi.right_f for gi in intervals])
+    boxes = (xs >= lefts[:, None]) & (xs < rights[:, None]) & (ts <= (rights - lefts)[:, None])
 
     def _ratio(lhs, rhs):
         if rhs > 0.0:
             return lhs / rhs
         return 0.0 if lhs == 0.0 else math.inf
 
-    out: list[PoissonTestResult] = []
-    for gi in intervals:
-        left, right = gi.left_f, gi.right_f
-        lo, hi = sigma.index_range(gi)
+    def _forward(lo, hi):
         fwd_lhs = 0.0
         if hp.n_atoms and hi > lo:
             fwd_lhs = float(np.sum(ext[:, lo:hi].sum(axis=1) ** 2 * hmass))
         # sigma(I) as the restricted measure's own total, not a prefix difference
         fwd_rhs = h_sq * (float(np.cumsum(smass[lo:hi])[-1]) if hi > lo else 0.0)
-        dual_rhs_raw = dual_lhs = 0.0
-        if hp.n_atoms:
-            mask = (xs >= left) & (xs < right) & (ts <= right - left)
-            dual_rhs_raw = float(np.sum(ts[mask] ** 2 * hmass[mask]))
-            if sigma.n_atoms:
-                dp = np.ascontiguousarray(dual[:, mask]).sum(axis=1)
-                dual_lhs = float(np.sum(smass * dp**2))
+        return fwd_lhs, fwd_rhs
+
+    def _dual(mask):
+        if not mask.any():
+            return 0.0, 0.0
+        dual_rhs_raw = float(np.sum(ts[mask] ** 2 * hmass[mask]))
+        dual_lhs = 0.0
+        if sigma.n_atoms:
+            dp = np.ascontiguousarray(dual[:, mask]).sum(axis=1)
+            dual_lhs = float(np.sum(smass * dp**2))
+        return dual_lhs, dual_rhs_raw
+
+    forward = {r: _forward(*r) for r in dict.fromkeys(ranges)}
+    keys = [mask.tobytes() for mask in boxes]
+    duals = {key: _dual(mask) for key, mask in dict(zip(keys, boxes)).items()}
+    out: list[PoissonTestResult] = []
+    for r, key in zip(ranges, keys):
+        fwd_lhs, fwd_rhs = forward[r]
+        dual_lhs, dual_rhs_raw = duals[key]
         dual_rhs = a2_const * dual_rhs_raw
         out.append(
             PoissonTestResult(

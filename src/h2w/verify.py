@@ -245,30 +245,41 @@ def _telescoping_error(
     of the martingale differences ``diffs`` (at splitting nodes, by (level,
     index), in pre-order) of I's strict ancestors.  The nodes strictly
     below a difference's node are its pre-order run (``haar._run``) after
-    its first node.  Each term's mean is a sum of its own
-    (``haar._pairwise_sum``), as numpy's row sum is, and a node's terms are
-    added in pre-order of their nodes, which is level order, so every total
-    rounds as a per-interval loop's does."""
+    its first node.
+
+    Every (difference, node) term is gathered at once, in difference
+    order.  A term's mean is the sum of its products over the node's atoms
+    divided by the node's mass: for a one-atom node the product itself
+    (plus +0.0, as a sum from +0.0 gives), for a larger node its
+    ``haar._pairwise_sum``, as numpy's row sum is.  ``np.add.at`` adds the
+    means to each node in the order they come, so each node's terms are
+    added in pre-order of their differences' nodes, which is level order,
+    and every total rounds as a per-interval loop's does."""
     mu = f.base
     nodes = occupied_nodes(mu, grid)
     mp = mu._mass_prefix
     lo = np.array([n.lo for n in nodes])
     hi = np.array([n.hi for n in nodes])
     mass = mp[hi] - mp[lo]
-    sums, at = [], []
-    for (level, index), values in diffs.items():
-        products = [v * m for v, m in zip(values.tolist(), mu.masses)]
-        start, end = _run(nodes, grid, level, index)
-        for k in range(start + 1, end):
-            n = nodes[k]
-            sums.append(_pairwise_sum(products[n.lo : n.hi]))
-            at.append(k)
-    total = [root_mean] * len(nodes)
-    for k, mean in zip(at, (np.array(sums) / mass[at]).tolist()):
-        total[k] += mean
+    runs = np.array([_run(nodes, grid, *key) for key in diffs], dtype=np.intp).reshape(-1, 2)
+    count = np.maximum(runs[:, 1] - runs[:, 0] - 1, 0)
+    row = np.repeat(np.arange(len(count)), count)
+    # the nodes of each run after its first, one run after another
+    at = np.arange(len(row)) + np.repeat(runs[:, 0] + 1 - (np.cumsum(count) - count), count)
+    products = np.array(list(diffs.values())).reshape(len(diffs), mu.n_atoms) * mu.masses_f
+    single = hi[at] - lo[at] == 1
+    one, many = at[single], at[~single]
+    total = np.full(len(nodes), root_mean)
+    np.add.at(total, one, (products[row[single], lo[one]] + 0.0) / mass[one])
+    rows = products.tolist()
+    sums = [
+        _pairwise_sum(rows[r][nodes[k].lo : nodes[k].hi])
+        for r, k in zip(row[~single].tolist(), many.tolist())
+    ]
+    np.add.at(total, many, np.array(sums) / mass[many])
     fp = np.concatenate(([0.0], np.cumsum(f.values * mu.masses_f)))
     ej = (fp[hi] - fp[lo]) / mass
-    return float(np.max(np.abs(ej - np.array(total)) / np.maximum(1.0, np.abs(ej))))
+    return float(np.max(np.abs(ej - total) / np.maximum(1.0, np.abs(ej))))
 
 
 def suite_haar(ens: _Ensemble) -> _Suite:

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import h2w.corona as corona
+
 from h2w.constants import a2_constant, testing_constant as t_constant
 from h2w.constants import energy
 from h2w.corona import (
@@ -344,6 +346,28 @@ class TestReductionResidual:
         out = reduction_residual(f, g, grid, 5.0, below_gap=9)
         assert out.b_above == 0.0 and out.b_below == 0.0
         assert out.residual_ratio == abs(out.inner_product) / (5.0 * f.norm() * g.norm())
+
+
+class TestFormPrefix:
+    def test_an_empty_prefix_is_not_built_again(self, monkeypatch):
+        """A side with no splitting node gives an empty prefix, and a form
+        handed it is 0 without building one."""
+        sigma, w, grid, f, g = _instance(111, family="lacunary", max_atoms=24, depth=12)
+        lone = AtomicMeasure(w.positions[:1], w.masses[:1])
+        empty = corona._form_prefix(sigma, lone, grid)
+        assert empty.size == 0 and not splitting_nodes(lone, grid)
+        h = _h_const(sigma, w)
+        sd = build_stopping_data(f, grid.root_interval, w, h, calibrate_c0(grid.root_interval, sigma, w, h))
+        built = local_estimate_ratios(f, g, sd, SUITE_BELOW_GAP)
+
+        def refuse(*args):
+            raise AssertionError("the prefix was built again")
+
+        monkeypatch.setattr(corona, "_form_prefix", refuse)
+        assert b_above(f, g, grid, SUITE_BELOW_GAP, prefix=empty) == 0.0
+        assert corona_split(f, g, sd, SUITE_BELOW_GAP, prefix=empty) == (0.0, 0.0)
+        zeros = local_estimate_ratios(f, g, sd, SUITE_BELOW_GAP, prefix=empty)
+        assert len(zeros) == len(built) > 0 and not any(zeros)
 
 
 class TestLocalEstimate:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from h2w.hilbert import (
     smooth_kernel,
     transform,
     truncation_candidates,
+    truncation_compare,
     weak_boundedness,
 )
 from h2w.measure import AtomicMeasure, random_ensemble
@@ -268,6 +271,53 @@ class TestKernelStack:
         self._assert_bitwise(diffs, cands)
         self._assert_bitwise(diffs[0], cands)
 
+    @pytest.mark.parametrize("elements", [1, 5, 64])
+    def test_runs_sharing_cutoffs_across_blocks(self, monkeypatch, elements):
+        """Blocks of a few rows split the tapered runs that share an alpha
+        (the scan's rows (vals[i], vals[j]) for one i) or a beta (a mono1
+        scan), and the rows of a shuffled table."""
+        monkeypatch.setattr(hilbert, "_STACK_BLOCK", elements)
+        for sigma, w in random_ensemble(49, 4, 12, 10, family="mixed"):
+            diffs = sigma.positions_f[:, None] - w.positions_f[None, :]
+            d = np.abs(diffs).ravel()
+            scan = list(truncation_candidates(d, 4))
+            alphas = np.unique(np.concatenate([d * (1 - 1e-9), d * (1 + 1e-9)]))
+            mono = [TruncationSpec("smooth", float(a), 2.0 * d.max()) for a in alphas]
+            shuffled = [scan[k] for k in np.random.default_rng(len(d)).permutation(len(scan))]
+            for cands in (scan, mono, shuffled):
+                self._assert_bitwise(diffs, cands)
+
+    def test_peak_memory_of_a_mono1_scan(self, monkeypatch):
+        """A mono1 scan gives every row its own alpha; the per-alpha rows are
+        formed block by block, so a stack build holds the stack, the
+        full-size rows that every run reads (|y|, -|y|, 1/y, sign y), one
+        block of doubles with its mask, and numpy's fixed iterator buffers;
+        never T rows of temporaries."""
+        import tracemalloc
+
+        seen = []
+        real = hilbert.kernel_stack
+        monkeypatch.setattr(hilbert, "kernel_stack", lambda d, c: seen.append((d, c)) or real(d, c))
+        sigma, w = random_ensemble(3, 2, 32, 12, family="uniform")[1]
+        grid = unit_grid(sigma, w, 12)
+        node = max(splitting_nodes(w, grid), key=lambda n: n.level)
+        jj = GridInterval(grid, node.level, node.index)
+        anc = jj.ancestor(node.level - 3)
+        holes = sigma.restrict(grid.root_interval.interval).restrict_complement(anc.interval)
+        signs = np.ones(holes.n_atoms)
+        monotonicity_mono1(sigma, haar_function(jj, w), grid.root_interval, anc, jj, grid, signs)
+        ((diffs, cands),) = seen
+        assert len(np.unique(cands.inner)) == len(cands)
+        block = hilbert._STACK_BLOCK // diffs.size * diffs.size * 8
+        tracemalloc.start()
+        try:
+            stack = real(diffs, cands)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stack.nbytes > 8 * block
+        assert peak - stack.nbytes <= 5 * diffs.nbytes + 1.25 * block + (256 << 10)
+
 
 class TestKernelFacts:
     """What the testing scan's pruning bound rests on (``constants._class_bounds``):
@@ -360,3 +410,97 @@ class TestPairingScanMatchesOracle:
         monkeypatch.setattr(hilbert, "_pairing_scan", _pairing_scan_oracle)
         assert got == [lemma(*args) for lemma, args in cases]
         assert sum(lemma is monotonicity_mono1 and r[0] > 0 for (lemma, _), r in zip(cases, got)) >= 20
+
+
+def _truncation_compare_oracle(f, inner, outer, x_points):
+    """The per-point loop: two transforms and two window averages a point."""
+    sigma = f.base
+    absf = np.abs(f.values)
+    best = (0.0, 0.0, 0.0)
+    for x in np.asarray(x_points, dtype=float):
+        hard = transform(sigma, absf, x, TruncationSpec("hard", inner, outer))
+        smooth = transform(sigma, absf, x, TruncationSpec("smooth", inner, outer))
+        lhs = abs(hard - smooth)
+        rhs = single_scale_average(sigma, absf, x, inner) + single_scale_average(
+            sigma, absf, x, outer
+        )
+        if lhs > 0.0 and rhs > 0.0 and lhs / rhs > best[2]:
+            best = (lhs, rhs, lhs / rhs)
+    return best
+
+
+class TestTruncationCompare:
+    @staticmethod
+    def _assert_bitwise(*args):
+        got, want = truncation_compare(*args), _truncation_compare_oracle(*args)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    @staticmethod
+    def _suite_inputs():
+        """The kernel suite's calls in ``verify all``: its first 10 pairs, two
+        cutoff pairs each, 61 points."""
+        for idx, (sigma, w) in enumerate(random_ensemble(1, 60, 32, 12, family="mixed")[:10]):
+            if sigma.n_atoms == 0:
+                continue
+            rng = np.random.default_rng(1 + idx)
+            f = WeightedFunction(sigma, np.abs(rng.standard_normal(sigma.n_atoms)))
+            span = max(1e-3, float(sigma.positions_f.max() - sigma.positions_f.min()))
+            for e, dd in ((0.05 * span, 0.5 * span), (0.2 * span, 2.0 * span)):
+                yield f, e, dd, np.linspace(-0.5, 1.5, 61)
+
+    def test_suite_inputs_bitwise(self):
+        cases = list(self._suite_inputs())
+        assert len(cases) == 20
+        for args in cases:
+            self._assert_bitwise(*args)
+
+    def test_oracle_and_crafted_cases_bitwise(self):
+        for label, sigma, w, _ in [*oracle_cases(), *crafted_cases()]:
+            if sigma.n_atoms == 0:
+                continue
+            rng = np.random.default_rng(len(label))
+            f = WeightedFunction(sigma, rng.standard_normal(sigma.n_atoms))
+            lo, hi = float(sigma.positions_f[0]), float(sigma.positions_f[-1])
+            span = max(hi - lo, 1e-3)
+            points = np.concatenate([np.linspace(lo - span, hi + span, 41), sigma.positions_f])
+            for inner, outer in ((0.01 * span, 0.3 * span), (0.25 * span, 4.0 * span)):
+                self._assert_bitwise(f, inner, outer, points)
+
+    def test_window_edges_on_atoms(self):
+        """x +- 3a exactly on an atom: the open window leaves that atom out."""
+        sigma = AtomicMeasure.from_triples([(k, 3, 9.0 + k) for k in range(-8, 9)])
+        f = WeightedFunction(sigma, np.linspace(-1.0, 1.0, sigma.n_atoms))
+        inner, outer = 0.125, 0.5
+        pos = sigma.positions_f
+        points = np.concatenate([pos + 3.0 * inner, pos - 3.0 * inner, pos + 3.0 * outer, pos])
+        for c in (inner, outer):
+            assert np.isin(points - 3.0 * c, pos).any() and np.isin(points + 3.0 * c, pos).any()
+        self._assert_bitwise(f, inner, outer, points)
+        for x in points:
+            self._assert_bitwise(f, inner, outer, [x])
+
+    def test_empty_sigma_and_empty_points(self):
+        f = WeightedFunction(AtomicMeasure.empty(), np.zeros(0))
+        assert truncation_compare(f, 0.5, 2.0, np.linspace(0.0, 1.0, 5)) == (0.0, 0.0, 0.0)
+        g = WeightedFunction.constant(AtomicMeasure.from_triples([(1, 2, 1.0)]))
+        for inner, outer in ((0.5, 2.0), (0.0, 2.0), (3.0, 2.0), (-1.0, 1.0)):
+            assert truncation_compare(g, inner, outer, []) == (0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("empty", [False, True])
+    def test_invalid_cutoffs_raise_as_the_loop(self, empty):
+        sigma = AtomicMeasure.empty() if empty else AtomicMeasure.from_triples([(1, 2, 1.0)])
+        f = WeightedFunction.constant(sigma) if not empty else WeightedFunction(sigma, np.zeros(0))
+        for inner, outer in ((0.0, 2.0), (3.0, 2.0), (-1.0, 1.0), (1.0, 1.0), (math.nan, 1.0)):
+            with pytest.raises(ValueError) as want:
+                _truncation_compare_oracle(f, inner, outer, [0.5])
+            with pytest.raises(ValueError) as got:
+                truncation_compare(f, inner, outer, [0.5])
+            assert str(got.value) == str(want.value)
+
+    def test_kernels_evaluated_once_per_call(self, monkeypatch):
+        calls = []
+        real = hilbert.smooth_kernel
+        monkeypatch.setattr(hilbert, "smooth_kernel", lambda *a: calls.append(1) or real(*a))
+        f, inner, outer, points = next(self._suite_inputs())
+        truncation_compare(f, inner, outer, points)
+        assert len(points) == 61 and len(calls) == 1
