@@ -18,9 +18,11 @@ are piecewise constant in the cutoffs with breakpoints exactly there), plus
 tapered pairs on a geometrically refined value list.  A scan is one
 :class:`TruncationTable` of mode codes and radii, read as columns, and
 :func:`kernel_stack` evaluates it in blocks, a tapered block from one row
-per distinct cutoff.  Each batched evaluation (the stack, the pairing scan
-over it, :func:`truncation_compare` over all its points) makes every value
-by the operations its scalar counterpart makes, so none moves a bit.
+per distinct cutoff.  The lemma scans never hold a whole stack: they take
+each block's pairings and reuse its buffer.  Each batched evaluation (the
+stack, the pairing scan, :func:`truncation_compare` over all its points)
+makes every value by the operations its scalar counterpart makes, so none
+moves a bit.
 
 The monotonicity lemmas read P(mu, I) from ``poisson``, below this module.
 """
@@ -200,7 +202,29 @@ def kernel_difference_factor(
     beta and is steeper than 1/y beyond it, so its increments are larger.
     The degenerate input x' == x reports 1 by continuity.  Accepts scalars
     or aligned arrays.
+
+    Arrays are filled a block of whole rows along the first axis at a time,
+    at most ``_STACK_BLOCK // 8`` triples (at least one row): a triple's
+    temporaries are about six doubles, so a block's stay within
+    ``_STACK_BLOCK`` doubles, as a kernel stack block's do.  Every
+    operation is elementwise, so each value is the one an unblocked call
+    makes.
     """
+    if np.isscalar(x) and np.isscalar(x_prime) and np.isscalar(y):
+        return float(_difference_factor(x, x_prime, y, alpha, beta))
+    xa, xpa, ya = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (x, x_prime, y)))
+    rows = max(1, _STACK_BLOCK // 8 // max(1, math.prod(xa.shape[1:])))
+    if xa.ndim == 0 or len(xa) <= rows:
+        return _difference_factor(xa, xpa, ya, alpha, beta)
+    out = np.empty(xa.shape)
+    for t0 in range(0, len(xa), rows):
+        t1 = t0 + rows
+        out[t0:t1] = _difference_factor(xa[t0:t1], xpa[t0:t1], ya[t0:t1], alpha, beta)
+    return out
+
+
+def _difference_factor(x, x_prime, y, alpha: float, beta: float) -> np.ndarray:
+    """:func:`kernel_difference_factor` of aligned values, unblocked."""
     xa = np.asarray(x, dtype=float)
     xpa = np.asarray(x_prime, dtype=float)
     ya = np.asarray(y, dtype=float)
@@ -208,10 +232,7 @@ def kernel_difference_factor(
     denom_num = (ya - xa) * (ya - xpa)
     dx = xpa - xa
     with np.errstate(divide="ignore", invalid="ignore"):
-        factor = np.where(dx != 0.0, k_diff * denom_num / np.where(dx == 0.0, 1.0, dx), 1.0)
-    if np.isscalar(x) and np.isscalar(x_prime) and np.isscalar(y):
-        return float(factor)
-    return factor
+        return np.where(dx != 0.0, k_diff * denom_num / np.where(dx == 0.0, 1.0, dx), 1.0)
 
 
 def hilbert_pairing(
@@ -392,20 +413,35 @@ def kernel_stack(diffs: np.ndarray, candidates: TruncationTable) -> np.ndarray:
 
     Bitwise equal, signed zeros included, to stacking :func:`kernel_values`
     per candidate.  Each run of same-mode rows is filled in blocks of at
-    most ``_STACK_BLOCK`` elements.  A tapered block is built from
-    per-cutoff rows, formed once per distinct value in the block: the
-    signed row of each beta (1/y up to beta, the taper up to 2 beta, zero
-    beyond) and the signed linear rise of each alpha, in one block of
-    scratch rows per call.  Each candidate's row is then its beta row,
-    gathered, with its alpha row copied in below alpha.  Every entry is the value :func:`smooth_kernel` selects, made by
-    the same operations on the same scalars (the squares as Python float
-    squares, libm ``pow``, not numpy's x * x): multiplying by the sign
-    before the selection rather than after it moves no bit, and 1/y is
-    sign(y) / |y| exactly.
+    most ``_STACK_BLOCK`` elements (:func:`_kernel_blocks`).
     """
     arr = np.asarray(diffs, dtype=float)
+    out = np.empty((len(candidates),) + arr.shape)
+    for _ in _kernel_blocks(arr, candidates, out):
+        pass
+    return out
+
+
+def _kernel_blocks(arr: np.ndarray, candidates: TruncationTable, out=None):
+    """Fill the kernel rows of ``candidates`` over the differences ``arr``
+    a block at a time and yield each block, a run of same-mode rows of at
+    most ``_STACK_BLOCK`` elements (at least one row).  Rows t0:t1 go to
+    out[t0:t1] when ``out`` is given, one row per candidate, and otherwise
+    to the head of one buffer of a block, reused by the next block.
+
+    A tapered block is built from per-cutoff rows, formed once per distinct
+    value in the block: the signed row of each beta (1/y up to beta, the
+    taper up to 2 beta, zero beyond) and the signed linear rise of each
+    alpha, in one block of scratch rows per call.  Each candidate's row is
+    then its beta row, gathered, with its alpha row copied in below alpha.
+    Every entry is the value :func:`smooth_kernel` selects, made by the same
+    operations on the same scalars (the squares as Python float squares,
+    libm ``pow``, not numpy's x * x): multiplying by the sign before the
+    selection rather than after it moves no bit, and 1/y is sign(y) / |y|
+    exactly.  No row depends on the others in its block, so neither does
+    any bit on where the blocks fall.
+    """
     code = candidates.code
-    out = np.empty((len(code),) + arr.shape)
     a = np.abs(arr)
     with np.errstate(divide="ignore"):
         inv = np.where(a > 0.0, 1.0 / arr, 0.0)
@@ -414,12 +450,15 @@ def kernel_stack(diffs: np.ndarray, candidates: TruncationTable) -> np.ndarray:
     block = max(1, _STACK_BLOCK // max(1, arr.size))
     lead = (-1,) + (1,) * arr.ndim
     bounds = [0, *(np.flatnonzero(np.diff(code)) + 1).tolist(), len(code)]
+    reuse = out is None
+    if reuse:
+        out = np.empty((min(block, len(code)),) + arr.shape)
     span = min(block, len(code)) if np.any(code == _SMOOTH) else 0
     work, below = np.empty((span,) + arr.shape), np.empty((span,) + arr.shape, dtype=bool)
     for r0, r1 in zip(bounds[:-1], bounds[1:]):
         for t0 in range(r0, r1, block):
             t1 = min(t0 + block, r1)
-            blk = out[t0:t1]
+            blk = out[: t1 - t0] if reuse else out[t0:t1]
             alpha = candidates.inner[t0:t1].reshape(lead)
             beta = candidates.outer[t0:t1].reshape(lead)
             if code[t0] == _NONE:
@@ -431,7 +470,7 @@ def kernel_stack(diffs: np.ndarray, candidates: TruncationTable) -> np.ndarray:
                 np.copyto(blk, inv, where=inside)
             else:
                 _tapered_block(blk, alpha, beta, a, neg_a, inv, sign, work, below)
-    return out
+            yield blk
 
 
 # ---------------------------------------------------------------------------
@@ -460,13 +499,17 @@ def _alpha_below(sigma: AtomicMeasure, g: WeightedFunction) -> float:
 def _pairing_scan(f: WeightedFunction, g: WeightedFunction, cands: TruncationTable) -> float:
     """max over the candidates of |hilbert_pairing(f, g, candidate)|.
 
-    One kernel stack for all candidates and one ``src @ stack``, which
-    makes each row ``src @ K_t`` by the same vector-matrix product a single
-    candidate's pairing makes; then one dot of each row with ``tgt``, as
-    :func:`hilbert_pairing` takes it.  So each value is bitwise its
-    pairing's; a (T, m) @ (m,) matrix-vector product for the last step
-    would not be.  Mode ``none`` needs disjoint supports, as the pairing
-    does.
+    The kernel rows are built a block of at most ``_STACK_BLOCK`` elements
+    at a time into one reused buffer (:func:`_kernel_blocks`), so a scan
+    needs a block, not T rows of n x m doubles.  ``src @ block`` makes each
+    row ``src @ K_t`` by the same vector-matrix product a single
+    candidate's pairing makes, wherever the block falls; then one dot of
+    each row with ``tgt``, as :func:`hilbert_pairing` takes it.  So each
+    value is bitwise its pairing's; a (T, m) @ (m,) matrix-vector product
+    for the last step would not be.  One ``max`` folds the values of every
+    block in candidate order from the first, as ``max`` over the pairings
+    does; a max of per-block maxima would differ from it when a value is
+    NaN.  Mode ``none`` needs disjoint supports, as the pairing does.
     """
     sigma, w = f.base, g.base
     if sigma.n_atoms == 0 or w.n_atoms == 0:
@@ -474,10 +517,9 @@ def _pairing_scan(f: WeightedFunction, g: WeightedFunction, cands: TruncationTab
     diffs = sigma.positions_f[:, None] - w.positions_f[None, :]
     if np.any(cands.code == _NONE) and np.any(diffs == 0.0):
         raise AtomCollision("source and target measures share a position")
-    stack = kernel_stack(diffs, cands)
     src = f.values * sigma.masses_f
     tgt = g.values * w.masses_f
-    return max(abs(float(row @ tgt)) for row in src @ stack)
+    return max(abs(float(row @ tgt)) for blk in _kernel_blocks(diffs, cands) for row in src @ blk)
 
 
 def _sides(lhs: float, rhs: float) -> tuple[float, float, float]:

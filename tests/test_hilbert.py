@@ -109,6 +109,69 @@ class TestKernelDifferenceFactor:
         assert 1.0 < fac <= 4.0
 
 
+def _factor_oracle(x, x_prime, y, alpha, beta):
+    """The unblocked elementwise formula of ``kernel_difference_factor``."""
+    k_diff = smooth_kernel(y - x_prime, alpha, beta) - smooth_kernel(y - x, alpha, beta)
+    denom_num = (y - x) * (y - x_prime)
+    dx = x_prime - x
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(dx != 0.0, k_diff * denom_num / np.where(dx == 0.0, 1.0, dx), 1.0)
+
+
+class TestBlockedKernelDifferenceFactor:
+    @pytest.mark.parametrize("elements", [808, 1 << 16])
+    def test_blocks_bitwise(self, monkeypatch, elements):
+        """100,000 triples over the rise, the middle, the taper and the far
+        zone, a tenth of them with x' == x, in one and two dimensions and
+        broadcast against a scalar x."""
+        monkeypatch.setattr(hilbert, "_STACK_BLOCK", elements)
+        rng = np.random.default_rng(7)
+        n, alpha, beta = 100_000, 0.2, 5.0
+        x = rng.uniform(-2, 2, n)
+        y = x + rng.choice([-1.0, 1.0], n) * rng.uniform(0.0, 2.5 * beta, n)
+        xp = x + rng.uniform(-0.49, 0.49, n) * (y - x)
+        xp[::10] = x[::10]
+        want = _factor_oracle(x, xp, y, alpha, beta)
+        assert np.any(want == 0.0) and np.any(want > 1.0) and np.any(xp == x)
+        got = kernel_difference_factor(x, xp, y, alpha, beta)
+        assert got.tobytes() == want.tobytes()
+        shape = (1000, 100)
+        got = kernel_difference_factor(x.reshape(shape), xp.reshape(shape), y.reshape(shape), alpha, beta)
+        assert got.shape == shape and got.tobytes() == want.tobytes()
+        got = kernel_difference_factor(0.0, xp - x, y - x, alpha, beta)
+        assert got.tobytes() == _factor_oracle(0.0, xp - x, y - x, alpha, beta).tobytes()
+        assert kernel_difference_factor(x[:0], xp[:0], y[:0], alpha, beta).shape == (0,)
+
+    def test_kernel_suite_peak(self):
+        """The kernel suite took 10 MiB at its peak (its 100,000-triple check)
+        when the factor was built whole; its lines stay as they were."""
+        import tracemalloc
+
+        from h2w.verify import SuiteConfig, run_suite
+
+        tracemalloc.start()
+        try:
+            suite = run_suite("kernel", SuiteConfig(seed=1, count=60, max_atoms=32))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 7 << 20
+        assert [(r.name, r.ok, r.detail) for r in suite.results] == [
+            ("seams_a0.5_b2.0", True, "max seam dev 0.00e+00"),
+            ("seams_a0.125_b1.0", True, "max seam dev 0.00e+00"),
+            ("seams_a1.0_b64.0", True, "max seam dev 0.00e+00"),
+            ("monotone_decreasing", True, "on a dense grid of (0, 10]"),
+            ("convex_right_concave_left", True, "second differences signed as the odd shape demands"),
+            ("middle_regime_factor_one", True, "max |C-1| = 5.11e-15 on 10000 triples"),
+            ("factor_in_unit_interval", True, "100000 triples with |x-y| <= (2/3) beta"),
+            ("taper_exceeds_one_documented", True, "max factor 2.888 in (1, 4] on taper triples"),
+            ("far_zone_factor_zero", True, "both kernel values vanish"),
+            ("raw_equals_taper_limit", True, "dev 0.00e+00"),
+            ("truncation_compare_bounded", True, "max ratio 1.4158 (<= 2 by the kernel shape)"),
+            ("truncation_compare", True, "observed 1.41581 <= bound 2.16204 (recorded 1.72963)"),
+        ]
+
+
 class TestBilinearForms:
     def test_micro_value(self, micro_pair):
         sigma, w = micro_pair
@@ -288,16 +351,16 @@ class TestKernelStack:
                 self._assert_bitwise(diffs, cands)
 
     def test_peak_memory_of_a_mono1_scan(self, monkeypatch):
-        """A mono1 scan gives every row its own alpha; the per-alpha rows are
-        formed block by block, so a stack build holds the stack, the
-        full-size rows that every run reads (|y|, -|y|, 1/y, sign y), one
-        block of doubles with its mask, and numpy's fixed iterator buffers;
-        never T rows of temporaries."""
+        """A mono1 scan's table gives every row its own alpha; the per-alpha
+        rows are formed block by block, so a stack build holds the stack,
+        the full-size rows that every run reads (|y|, -|y|, 1/y, sign y),
+        one block of doubles with its mask, and numpy's fixed iterator
+        buffers; never T rows of temporaries."""
         import tracemalloc
 
         seen = []
-        real = hilbert.kernel_stack
-        monkeypatch.setattr(hilbert, "kernel_stack", lambda d, c: seen.append((d, c)) or real(d, c))
+        scan = hilbert._pairing_scan
+        monkeypatch.setattr(hilbert, "_pairing_scan", lambda f, g, c: seen.append((f, g, c)) or scan(f, g, c))
         sigma, w = random_ensemble(3, 2, 32, 12, family="uniform")[1]
         grid = unit_grid(sigma, w, 12)
         node = max(splitting_nodes(w, grid), key=lambda n: n.level)
@@ -306,12 +369,13 @@ class TestKernelStack:
         holes = sigma.restrict(grid.root_interval.interval).restrict_complement(anc.interval)
         signs = np.ones(holes.n_atoms)
         monotonicity_mono1(sigma, haar_function(jj, w), grid.root_interval, anc, jj, grid, signs)
-        ((diffs, cands),) = seen
+        ((f, g, cands),) = seen
+        diffs = f.base.positions_f[:, None] - g.base.positions_f[None, :]
         assert len(np.unique(cands.inner)) == len(cands)
         block = hilbert._STACK_BLOCK // diffs.size * diffs.size * 8
         tracemalloc.start()
         try:
-            stack = real(diffs, cands)
+            stack = kernel_stack(diffs, cands)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -410,6 +474,60 @@ class TestPairingScanMatchesOracle:
         monkeypatch.setattr(hilbert, "_pairing_scan", _pairing_scan_oracle)
         assert got == [lemma(*args) for lemma, args in cases]
         assert sum(lemma is monotonicity_mono1 and r[0] > 0 for (lemma, _), r in zip(cases, got)) >= 20
+
+    @pytest.mark.parametrize("elements", [1, 5, 64])
+    def test_blocks_bitwise(self, monkeypatch, elements):
+        """Blocks of a row or a few split the tapered runs that share an
+        alpha or a beta; the scans and the lemma values stay bitwise."""
+        monkeypatch.setattr(hilbert, "_STACK_BLOCK", elements)
+        self.test_scan_bitwise()
+        self.test_lemma_ratios_bitwise(monkeypatch)
+
+    @pytest.mark.parametrize("elements", [1, 5, 64])
+    def test_max_in_a_later_block(self, monkeypatch, elements):
+        """Rows ordered by their pairing put the maximum in the last block."""
+        monkeypatch.setattr(hilbert, "_STACK_BLOCK", elements)
+        sigma, w = random_ensemble(52, 1, 8, 10, family="mixed")[0]
+        rng = np.random.default_rng(52)
+        f = WeightedFunction(sigma, rng.uniform(-1, 1, sigma.n_atoms))
+        g = WeightedFunction(w, rng.standard_normal(w.n_atoms))
+        diffs = sigma.positions_f[:, None] - w.positions_f[None, :]
+        scan = truncation_candidates(np.abs(diffs).ravel(), 2)
+        values = [abs(hilbert_pairing(f, g, tr)) for tr in scan]
+        order = np.argsort(values, kind="stable")
+        cands = TruncationTable(scan.code[order], scan.inner[order], scan.outer[order])
+        rows = max(1, elements // diffs.size)
+        assert len(cands) > 2 * rows and values[order[-1]] > values[order[rows - 1]]
+        assert hilbert._pairing_scan(f, g, cands) == _pairing_scan_oracle(f, g, cands) == max(values)
+
+    def test_mono1_scan_of_a_128_atom_suite_in_a_block(self, monkeypatch):
+        """A 128-atom uniform lemma suite asks mono1 for stacks of up to
+        4,561 x 3,696 doubles (132.6 MiB when built whole); each call now
+        holds about a block, and the suite's maxima keep every bit."""
+        import tracemalloc
+
+        import h2w.verify as verify
+
+        peaks = []
+        mono1 = verify.monotonicity_mono1
+
+        def traced(*args):
+            tracemalloc.start()
+            try:
+                return mono1(*args)
+            finally:
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.stop()
+
+        monkeypatch.setattr(verify, "monotonicity_mono1", traced)
+        cfg = verify.SuiteConfig(seed=1, count=8, max_atoms=128, family="uniform")
+        suite = verify.run_suite("lemmas", cfg)
+        assert len(peaks) == 4 and max(peaks) < 4 << 20
+        assert suite.observed == {
+            "mono_p_less_h_ratio_max": 1.1590243795966306,
+            "mono1_ratio_max": 0.4139310264197859,
+            "weak_boundedness_ratio_max": 0.04077919725475631,
+        }
 
 
 def _truncation_compare_oracle(f, inner, outer, x_points):
