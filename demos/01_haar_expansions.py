@@ -22,8 +22,10 @@ from h2w import (
 )
 
 # --- exact positions -------------------------------------------------------
-# Positions are dyadic rationals; masses are plain doubles.  The two-atom
-# measure below charges 1/4 and 3/4 with unit mass.
+# Positions are read as dyadic rationals (numerator, scale) and stored as
+# the doubles they equal; masses are plain doubles.  The two-atom measure
+# below charges 1/4 and 3/4 with unit mass.  Grid roots and shifts are
+# exact dyadic rationals, which need not be doubles.
 mu = AtomicMeasure.from_triples([(1, 2, 1.0), (3, 2, 1.0)])
 root = Interval(dyadic(0), dyadic(1))
 print(f"measure: {mu}, total mass {mu.total_mass}")
@@ -53,7 +55,7 @@ print(f"reconstruction error: {np.max(np.abs(rec.values - f.values)):.2e}")
 cell = next(
     grid.interval(6, k)
     for k in range(1 << 6)
-    if sigma.mass_on(grid.interval(6, k).interval) > 0
+    if sigma.mass_on(grid.interval(6, k)) > 0
 )
 total = hc.root_mean
 for level in range(cell.level):

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, wraps
 
 from .errors import EndpointCollision, PairTooLarge, PreconditionViolation
-from .measure import AtomicMeasure, DyadicRational, Interval, dyadic
+from .measure import AtomicMeasure, DyadicRational, Interval, _position_text, dyadic
 from .params import MAX_ARRAY_BYTES
 
 __all__ = ["DyadicGrid", "GridInterval", "build_grid", "is_good", "f_parent", "auto_grid"]
@@ -63,23 +63,20 @@ class DyadicGrid:
     def length_f(self) -> float:
         return self.root.length_f
 
-    def cell(self, level: int) -> DyadicRational:
-        return self.root.length.scale_by_pow2(-level)
-
     def cell_f(self, level: int) -> float:
         # Root length is a power of two, so this is exact.
         return self.length_f * 2.0**-level
 
     @cached_property
     def _lattice(self) -> tuple[int, int, int]:
-        """(n0, c, 2**s): left0 = n0 / 2**s and cell(depth + 1) = c / 2**s."""
-        cell = self.cell(self.depth + 1)
+        """(n0, c, 2**s): left0 = n0 / 2**s and |root| / 2**(depth + 1) = c / 2**s."""
+        cell = self.root.length.scale_by_pow2(-(self.depth + 1))
         s = max(self.left0.scale, cell.scale)
         n0 = self.left0.num << (s - self.left0.scale)
         return n0, cell.num << (s - cell.scale), 1 << s
 
     def endpoint_f(self, level: int, k: int) -> float:
-        """The correctly rounded float of the endpoint left0 + k * cell(level).
+        """The correctly rounded float of the endpoint left0 + k |root| / 2**level.
 
         Integer arithmetic on the lattice of level depth + 1, which holds the
         midpoints of the finest cells, and one true division, so it equals
@@ -100,17 +97,19 @@ class DyadicGrid:
     def root_interval(self) -> "GridInterval":
         return GridInterval(self, 0, 0)
 
-    def endpoint_slot(self, p: DyadicRational) -> int | None:
-        """The integer k with p = left0 + k * cell(depth), if there is one.
+    def endpoint_slot(self, x: float) -> int | None:
+        """The integer k with x = left0 + k * |root| / 2**depth, if there is one.
 
-        On the lattice (n0, c, 2**s) of ``_lattice`` that is p 2**s =
-        n0 + 2 k c, which needs p.scale <= s: integers only.
+        With x = p / 2**t in lowest terms (``as_integer_ratio``) and the
+        lattice (n0, c, 2**s) of ``_lattice`` that is p 2**(s - t) =
+        n0 + 2 k c, which needs t <= s: integers only.
         """
         n0, c, den = self._lattice
-        shift = den.bit_length() - 1 - p.scale
+        p, q = x.as_integer_ratio()
+        shift = den.bit_length() - q.bit_length()
         if shift < 0:
             return None
-        k, rem = divmod((p.num << shift) - n0, 2 * c)
+        k, rem = divmod((p << shift) - n0, 2 * c)
         return k if rem == 0 and 0 <= k <= (1 << self.depth) else None
 
     def __repr__(self):
@@ -128,12 +127,6 @@ class GridInterval:
     @property
     def key(self) -> tuple[int, int]:
         return (self.level, self.index)
-
-    @cached_property
-    def interval(self) -> Interval:
-        cell = self.grid.cell(self.level)
-        left = self.grid.left0 + cell * self.index
-        return Interval(left, left + cell)
 
     @property
     def left_f(self) -> float:
@@ -193,10 +186,10 @@ def build_grid(
     check_table_size(sigma.n_atoms + w.n_atoms, depth)
     grid = DyadicGrid(root, depth, shift)
     for mu, name in ((sigma, "sigma"), (w, "w")):
-        for p in mu.positions:
-            if grid.endpoint_slot(p) is not None:
+        for x in mu.positions:
+            if grid.endpoint_slot(x) is not None:
                 raise EndpointCollision(
-                    f"grid endpoint at {p} coincides with an atom of {name}"
+                    f"grid endpoint at {_position_text(x)} coincides with an atom of {name}"
                 )
     return grid
 
@@ -260,7 +253,7 @@ def auto_grid(sigma: AtomicMeasure, w: AtomicMeasure, depth: int) -> DyadicGrid:
     whose float powers of two overflow past 2^1023.
     """
     check_reach(sigma, w)
-    pos = [float(p) for p in sigma.positions] + [float(p) for p in w.positions]
+    pos = sigma.positions + w.positions
     if not pos:
         return DyadicGrid(Interval(dyadic(0), dyadic(1)), depth)
     lo, hi = min(pos), max(pos)

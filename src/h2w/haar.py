@@ -57,7 +57,7 @@ import numpy as np
 
 from .errors import PreconditionViolation, ZeroMass
 from .grid import DyadicGrid, GridInterval, check_table_size, is_good, kept_with_grid
-from .measure import AtomicMeasure, _as_interval
+from .measure import AtomicMeasure
 
 __all__ = [
     "WeightedFunction",
@@ -146,7 +146,7 @@ def expectation(f: WeightedFunction, i) -> float:
     lo, hi = f.base.index_range(i)
     mass = float(np.sum(f.base.masses_f[lo:hi]))
     if mass <= 0.0:
-        raise ZeroMass(f"interval {_as_interval(i)} carries no mass")
+        raise ZeroMass(f"interval {i!r} carries no mass")
     return float(np.sum(f.values[lo:hi] * f.base.masses_f[lo:hi])) / mass
 
 

@@ -36,7 +36,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import AtomCollision, PreconditionViolation
-from .measure import AtomicMeasure, _as_interval
+from .measure import AtomicMeasure
 from .haar import WeightedFunction, _pairwise_sum, _squares, absolute_haar_multiplier
 from .params import DEFAULT_REFINEMENT
 from .poisson import poisson_stationary
@@ -542,9 +542,10 @@ def monotonicity_p_less_h(
     sigma_out sigma's atoms in K outside I and |g| the absolute Haar
     multiplier on ``grid`` of g, which vanishes off I and has zero
     w-integral.  The constant the inequality hides is reported, never
-    asserted; so in each lemma function."""
-    K, I = _as_interval(k_interval), _as_interval(i_interval)
-    _require(K.contains_interval(I) and K.length_f > I.length_f, "K must strictly contain I")
+    asserted; so in each lemma function, each of which takes its intervals
+    as ``GridInterval``s of one grid."""
+    K, I = k_interval, i_interval
+    _require(K.contains(I) and K.level < I.level, "K must strictly contain I")
     lo_i, hi_i = g.base.index_range(I)
     outside = float(np.sum(np.abs(g.values[:lo_i])) + np.sum(np.abs(g.values[hi_i:])))
     _require(outside == 0.0, "g must vanish outside I")
@@ -571,7 +572,7 @@ def monotonicity_mono1(
     beta = 4|K|) of |<H nu, g>_w| against P(mu_0, J) <x/|J|, |g|>_w, with
     mu_0 mu's atoms in K outside I, nu = ``nu_signs`` (one per atom of mu_0,
     at most 1 in size) times mu_0 and |g| as in the P < H lemma."""
-    K, I = _as_interval(k_interval), _as_interval(i_interval)
+    K, I, J = k_interval, i_interval, j_interval
     mu = mu.restrict(K).restrict_complement(I)
     signs = np.asarray(nu_signs)
     _require(len(signs) == mu.n_atoms, "nu_signs must align with the atoms of mu on K - I")
@@ -579,8 +580,7 @@ def monotonicity_mono1(
     if mu.n_atoms == 0:
         return 0.0, 0.0, 0.0
     gbar = absolute_haar_multiplier(g, grid)
-    jint = _as_interval(j_interval)
-    rhs = poisson_stationary(mu, jint) * _moment(gbar, jint)
+    rhs = poisson_stationary(mu, J) * _moment(gbar, J)
     beta = 4.0 * K.length_f
     alpha0 = _alpha_below(mu, g)
     # sup over truncations of |<H nu, g>|: scan cutoffs at the critical
@@ -598,12 +598,21 @@ def weak_boundedness(
     """(lhs, rhs, ratio) of the supremum over the truncation scan
     (refinement 4) of |<H(sigma 1_I), 1_J>_w| against
     sqrt(a2 sigma(I) w(J)), for I and J sharing an endpoint that neither
-    measure charges and ``a2`` the pair's A2."""
-    I, J = _as_interval(i_interval), _as_interval(j_interval)
-    _require(I.right == J.left or J.right == I.left, "I and J must share an endpoint")
-    a = I.right if I.right == J.left else J.right
+    measure charges and ``a2`` the pair's A2.  The endpoint and the atoms
+    on it are found exactly, as slots of the grid's finest lattice."""
+    I, J = i_interval, j_interval
+    grid = I.grid
+    _require(J.grid == grid, "I and J must lie on one grid")
+
+    def slots(G):  # G's endpoints as slots of the grid's finest level
+        step = grid.depth - G.level
+        return G.index << step, (G.index + 1) << step
+
+    (i0, i1), (j0, j1) = slots(I), slots(J)
+    _require(i1 == j0 or j1 == i0, "I and J must share an endpoint")
+    slot = i1 if i1 == j0 else j1
     _require(
-        all(p != a for p in sigma.positions) and all(p != a for p in w.positions),
+        all(grid.endpoint_slot(x) != slot for x in sigma.positions + w.positions),
         "neither measure may charge the shared endpoint",
     )
     sI, wJ = sigma.restrict(I), w.restrict(J)

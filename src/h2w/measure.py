@@ -1,9 +1,14 @@
-"""Exact finitely-atomic measures on the real line.
+"""Finitely-atomic measures on the real line.
 
-Atom positions are dyadic rationals stored exactly (integer numerator and
-binary scale), so interval membership, grid endpoints, and set operations
-never suffer rounding.  Masses are positive doubles: all cancellation-
-sensitive arithmetic in this package is positional, never in the masses.
+An atom's position is a double.  Positions are read as dyadic rationals
+num / 2**scale (pair files, :meth:`AtomicMeasure.from_triples`) and refused
+when they have no exact double (InexactPosition), so each stored double is
+the position itself: interval membership, grid endpoints and set operations
+never round.  Masses are positive doubles: all cancellation-sensitive
+arithmetic in this package is positional, never in the masses.
+
+:class:`DyadicRational` is the exact type of a grid's root and shift, whose
+endpoints need not be doubles.
 
 Every type here is immutable after construction and safe to share across
 threads.
@@ -35,27 +40,29 @@ __all__ = [
 ]
 
 
+def _canonical(num: int, scale: int) -> tuple[int, int]:
+    """num / 2**scale in lowest terms: ``scale == 0`` or ``num`` odd, zero as
+    0/2**0.  Integer shifts only, so a deep scale builds no 2**scale."""
+    if scale < 0:
+        raise ValueError("scale must be non-negative")
+    if num == 0:
+        return 0, 0
+    drop = min((num & -num).bit_length() - 1, scale)
+    return num >> drop, scale - drop
+
+
 @dataclass(frozen=True)
 class DyadicRational:
-    """An exact number num / 2**scale.
-
-    Canonical form: ``scale == 0`` or ``num`` odd (zero is stored as 0/2**0).
-    Addition, subtraction, and comparison are closed and exact.
+    """An exact number num / 2**scale, in the canonical form of
+    :func:`_canonical`.  Addition, subtraction, and comparison are closed
+    and exact.
     """
 
     num: int
     scale: int
 
     def __post_init__(self):
-        num, scale = self.num, self.scale
-        if scale < 0:
-            raise ValueError("scale must be non-negative")
-        if num == 0:
-            scale = 0
-        else:
-            while scale > 0 and num % 2 == 0:
-                num //= 2
-                scale -= 1
+        num, scale = _canonical(self.num, self.scale)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "scale", scale)
 
@@ -71,33 +78,8 @@ class DyadicRational:
     def __neg__(self) -> "DyadicRational":
         return DyadicRational(-self.num, self.scale)
 
-    def __mul__(self, other) -> "DyadicRational":
-        if isinstance(other, DyadicRational):
-            return DyadicRational(self.num * other.num, self.scale + other.scale)
-        return DyadicRational(self.num * int(other), self.scale)
-
-    __rmul__ = __mul__
-
-    def _cmp(self, other: "DyadicRational") -> int:
-        a = self.num << other.scale
-        b = other.num << self.scale
-        return (a > b) - (a < b)
-
-    def __lt__(self, other):
-        return self._cmp(other) < 0
-
-    def __le__(self, other):
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other):
-        return self._cmp(other) > 0
-
-    def __ge__(self, other):
-        return self._cmp(other) >= 0
-
-    def halve(self) -> "DyadicRational":
-        """Exact division by two."""
-        return DyadicRational(self.num, self.scale + 1)
+    def __lt__(self, other: "DyadicRational") -> bool:
+        return self.num << other.scale < other.num << self.scale
 
     def scale_by_pow2(self, k: int) -> "DyadicRational":
         """Exact multiplication by 2**k (k may be negative)."""
@@ -106,8 +88,7 @@ class DyadicRational:
         return DyadicRational(self.num, self.scale - k)
 
     def __float__(self) -> float:
-        # Correctly rounded; exact for every atom position (AtomicMeasure
-        # rejects the others).
+        # correctly rounded
         return self.num / (1 << self.scale)
 
     def __repr__(self):
@@ -146,53 +127,41 @@ class Interval:
     def length_f(self) -> float:
         return self.right_f - self.left_f
 
-    @property
-    def center(self) -> DyadicRational:
-        return (self.left + self.right).halve()
-
-    @cached_property
-    def center_f(self) -> float:
-        return 0.5 * (self.left_f + self.right_f)
-
-    def contains(self, x: DyadicRational) -> bool:
-        return self.left <= x < self.right
-
-    def contains_interval(self, other: "Interval") -> bool:
-        return self.left <= other.left and other.right <= self.right
-
     def __repr__(self):
         return f"[{self.left}, {self.right})"
 
 
-def _as_interval(i) -> Interval:
-    return i.interval if hasattr(i, "interval") else i
+def _position_text(x: float) -> str:
+    """A position as num/2^scale in lowest terms."""
+    num, den = x.as_integer_ratio()
+    return f"{num}/2^{den.bit_length() - 1}"
 
 
-def _mirror(p: DyadicRational) -> float:
-    """The double equal to p; InexactPosition when there is none."""
+def _mirror(num: int, scale: int) -> float:
+    """The double equal to the canonical num / 2**scale; InexactPosition
+    when there is none."""
     # no double is finer than 2^-1074: reject a deeper canonical scale
     # before building its 2^scale
-    if p.scale <= 1074:
-        num, den = p.num, 1 << p.scale
+    if scale <= 1074:
+        den = 1 << scale
         try:
             x = num / den  # correctly rounded, OverflowError past the largest double
             if x.as_integer_ratio() == (num, den):
                 return x
         except OverflowError:
             pass
-    raise InexactPosition(f"atom at {p} has no exact double-precision value")
+    raise InexactPosition(f"atom at {num}/2^{scale} has no exact double-precision value")
 
 
 @dataclass(frozen=True)
 class AtomicMeasure:
-    """A finite list of point masses at strictly increasing dyadic positions.
+    """A finite list of point masses at strictly increasing positions.
 
-    Every position must have an exact double mirror (InexactPosition
-    otherwise): interval membership, grid descents and every search on the
-    float mirror rely on it.
+    Positions and masses are tuples of Python floats, positions finite;
+    ``positions_f`` holds the positions as an array for every search.
     """
 
-    positions: tuple[DyadicRational, ...]
+    positions: tuple[float, ...]
     masses: tuple[float, ...]
     positions_f: np.ndarray = field(init=False, repr=False, compare=False)
     _hash: int = field(init=False, repr=False, compare=False)
@@ -205,28 +174,26 @@ class AtomicMeasure:
                 raise ValueError(f"masses must be positive and finite, got {m}")
         # floats, so that Python sums of masses round as numpy's (haar._pairwise_sum)
         object.__setattr__(self, "masses", tuple(map(float, self.masses)))
-        # exact mirrors keep the exact order, so the floats can check it
-        pf = [_mirror(p) for p in self.positions]
-        if any(a >= b for a, b in zip(pf, pf[1:])):
+        positions = tuple(map(float, self.positions))
+        if not all(map(math.isfinite, positions)):
+            raise ValueError("positions must be finite")
+        if any(a >= b for a, b in zip(positions, positions[1:])):
             raise ValueError("positions must be strictly increasing")
-        object.__setattr__(self, "positions_f", np.array(pf, dtype=float))
+        object.__setattr__(self, "positions", positions)
+        object.__setattr__(self, "positions_f", np.array(positions, dtype=float))
         # the hash the dataclass would compute on every call, taken once:
         # the caches keyed by measures look a pair up many times
-        object.__setattr__(self, "_hash", hash((self.positions, self.masses)))
+        object.__setattr__(self, "_hash", hash((positions, self.masses)))
 
     def __hash__(self) -> int:
         return self._hash
 
     @classmethod
     def from_triples(cls, triples: Iterable[tuple[int, int, float]]) -> "AtomicMeasure":
-        """Build from (numerator, scale, mass) triples in any order."""
-        atoms = [(DyadicRational(n, s), float(m)) for n, s, m in triples]
-        # Sorted exactly, as integers over one common scale; __post_init__
-        # takes each mirror once.  No double is finer than 2^-1074, so the
-        # scale stops there: a deeper atom is rejected wherever it sorts.
-        top = min(max((p.scale for p, _ in atoms), default=0), 1074)
-        atoms.sort(key=lambda t: t[0].num << max(top - t[0].scale, 0))
-        return cls(tuple(p for p, _ in atoms), tuple(m for _, m in atoms))
+        """Build from (numerator, scale, mass) triples in any order; each
+        position must be exactly a double (InexactPosition otherwise)."""
+        atoms = sorted((_mirror(*_canonical(n, s)), float(m)) for n, s, m in triples)
+        return cls(tuple(x for x, _ in atoms), tuple(m for _, m in atoms))
 
     @classmethod
     def empty(cls) -> "AtomicMeasure":
@@ -292,17 +259,34 @@ def has_common_point_mass(sigma: AtomicMeasure, w: AtomicMeasure) -> bool:
     return bool(np.any(ys[at] == xs))
 
 
+def _times_pow2(x: float, k: int) -> float | None:
+    """x * 2**k when that is a double, None when it overflows or loses bits."""
+    try:
+        y = math.ldexp(x, k)
+    except OverflowError:
+        return None
+    return y if math.ldexp(y, -k) == x else None
+
+
 def dilate(mu: AtomicMeasure, k: int) -> AtomicMeasure:
     """Density-style dilation x -> 2**k x: positions and masses scale by 2**k.
 
     With masses scaled alongside positions the norm, Poisson-product,
-    testing, and energy constants are all invariant.
+    testing, and energy constants are all invariant.  Every value scales
+    exactly, so dilating back by -k gives ``mu``: a position that would
+    leave the doubles raises InexactPosition, a mass ValueError.
     """
-    factor = 2.0**k
-    return AtomicMeasure(
-        tuple(p.scale_by_pow2(k) for p in mu.positions),
-        tuple(m * factor for m in mu.masses),
-    )
+    positions = [_times_pow2(x, k) for x in mu.positions]
+    masses = [_times_pow2(m, k) for m in mu.masses]
+    for x, y in zip(mu.positions, positions):
+        if y is None:
+            raise InexactPosition(
+                f"atom at {_position_text(x)} times 2^{k} has no exact double-precision value"
+            )
+    for m, y in zip(mu.masses, masses):
+        if y is None:
+            raise ValueError(f"mass {m!r} times 2^{k} has no exact double-precision value")
+    return AtomicMeasure(tuple(positions), tuple(masses))
 
 
 def scale_masses(mu: AtomicMeasure, t: float) -> AtomicMeasure:
@@ -400,8 +384,10 @@ def pair_text(sigma: AtomicMeasure, w: AtomicMeasure, header: str = "") -> str:
         lines.extend(f"# {h}" for h in header.splitlines())
     for name, mu in (("sigma", sigma), ("w", w)):
         lines.append(f"[{name}]")
-        for p, m in zip(mu.positions, mu.masses):
-            lines.append(f"{p.num} {p.scale} {m!r}")
+        for x, m in zip(mu.positions, mu.masses):
+            # lowest terms: DyadicRational's canonical form, 0 as "0 0"
+            num, den = x.as_integer_ratio()
+            lines.append(f"{num} {den.bit_length() - 1} {m!r}")
     return "\n".join(lines) + "\n"
 
 

@@ -28,7 +28,7 @@ import numpy as np
 from .errors import PreconditionViolation
 from .grid import DyadicGrid, GridInterval, f_parent
 from .haar import WeightedFunction, _squares, expand, good_nodes, occupied_nodes
-from .measure import AtomicMeasure, _as_interval
+from .measure import AtomicMeasure
 
 __all__ = [
     "HalfPlaneMeasure",
@@ -138,11 +138,10 @@ class HalfPlaneMeasure:
 
     def box_mask(self, box) -> np.ndarray:
         """Atoms inside box x [0, |box|] (half-open in x, closed in t)."""
-        iv = _as_interval(box)
         return (
-            (self.xs_f >= iv.left_f)
-            & (self.xs_f < iv.right_f)
-            & (self.ts_f <= iv.length_f)
+            (self.xs_f >= box.left_f)
+            & (self.xs_f < box.right_f)
+            & (self.ts_f <= box.length_f)
         )
 
 

@@ -1,4 +1,5 @@
 from bisect import bisect_left
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -67,7 +68,7 @@ def oracle_cases(families=("uniform", "mixed", "clusters", "lacunary"), sizes=(8
     from h2w.measure import AtomicMeasure, random_ensemble
 
     def moved(mu):
-        return AtomicMeasure(tuple(p - dyadic(1, 1) for p in mu.positions), mu.masses)
+        return AtomicMeasure(tuple(x - 0.5 for x in mu.positions), mu.masses)
 
     for fam in families:
         for n in sizes:
@@ -102,8 +103,8 @@ def shifted_pair():
     A float sum -2.0 + k cell(level) puts the level-1 boundary at 0.0
     instead of -2^-55, on the wrong side of the atom at -2^-56.
     """
-    sigma = AtomicMeasure((dyadic(-3, 2), dyadic(-1, 56), dyadic(5, 3)), (1.0, 2.0, 0.5))
-    w = AtomicMeasure((dyadic(-1, 3), dyadic(1, 57), dyadic(3, 1)), (1.5, 1.0, 0.25))
+    sigma = AtomicMeasure((-0.75, -(2.0**-56), 0.625), (1.0, 2.0, 0.5))
+    w = AtomicMeasure((-0.125, 2.0**-57, 1.5), (1.5, 1.0, 0.25))
     root = Interval(dyadic(-2), dyadic(2))
     return sigma, w, build_grid(root, 12, -dyadic(1, 55), sigma, w)
 
@@ -124,6 +125,20 @@ def shifted_grids(exponents=(20, 1100), sizes=(8, 32)):
                 grid = build_grid(root, 13, -dyadic(1, e), sigma, w)
                 yield f"mixed-{n}-{k}-shift-2^-{e}", sigma, w, grid
     yield ("shifted", *shifted_pair())
+
+
+def exact_ends(gi):
+    """The exact endpoints of a grid interval as Fractions, from the grid's
+    root and shift: the reference for the grid's integer lattice."""
+    grid = gi.grid
+    left, right, shift = (Fraction(d.num, 1 << d.scale) for d in (grid.root.left, grid.root.right, grid.shift))
+    cell = (right - left) / 2**gi.level
+    return left + shift + gi.index * cell, left + shift + (gi.index + 1) * cell
+
+
+def exact_interval(gi):
+    """The grid interval as an ``Interval``, built from :func:`exact_ends`."""
+    return Interval(*(dyadic(x.numerator, x.denominator.bit_length() - 1) for x in exact_ends(gi)))
 
 
 def grid_walk(mus, grid, top, ranges, visit):

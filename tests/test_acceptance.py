@@ -154,7 +154,7 @@ def test_criterion_02_energy_identity():
                 lev2, idx2 = lev2 - 1, idx2 // 2
         for n in trunk:
             gi = GridInterval(grid, n.level, n.index)
-            lhs = energy(w, gi) * w.mass_on(gi.interval)
+            lhs = energy(w, gi) * w.mass_on(gi)
             rhs = 2.0 * acc[(n.level, n.index)] / gi.length_f**2
             worst = max(worst, abs(lhs - rhs) / max(lhs, 1e-300))
     elapsed = time.time() - start

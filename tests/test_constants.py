@@ -52,7 +52,7 @@ from h2w.measure import AtomicMeasure, Interval, dilate, dyadic, random_ensemble
 from h2w.params import DEFAULT_REFINEMENT, SUITE_BELOW_GAP, SUITE_EPS, SUITE_R
 from h2w.poisson import default_j_families, maximal_intervals, poisson_stationary
 
-from conftest import crafted_cases, oracle_cases, poisson_sum, shifted_grids, unit_grid
+from conftest import crafted_cases, exact_interval, oracle_cases, poisson_sum, shifted_grids, unit_grid
 
 
 class TestNormConstant:
@@ -564,10 +564,9 @@ def _adversarial_pairs(kind, count=6):
     pairs = random_ensemble(880, count, 24, 12, family="mixed")
     for sigma, w in pairs:
         if kind == "heavy-ends":
-            heavy = [(-3, 0, 1e14), (1, 14, 1e14), (16383, 14, 1e14), (4, 0, 1e14)]
-            sigma = AtomicMeasure.from_triples(
-                heavy + [(p.num, p.scale, m) for p, m in zip(sigma.positions, sigma.masses)]
-            )
+            heavy = [(-3.0, 1e14), (2.0**-14, 1e14), (16383 / 2**14, 1e14), (4.0, 1e14)]
+            atoms = sorted(heavy + list(zip(sigma.positions, sigma.masses)))
+            sigma = AtomicMeasure(tuple(x for x, _ in atoms), tuple(m for _, m in atoms))
         elif kind == "wide-masses":
             sigma, w = (
                 AtomicMeasure(mu.positions, tuple(10.0 ** rng.uniform(-150, 150, mu.n_atoms)))
@@ -812,7 +811,7 @@ class TestEnergy:
         for label, _, w, grid in shifted_grids():
             for n in charged_nodes(w, grid):
                 gi = GridInterval(grid, n.level, n.index)
-                iv = gi.interval
+                iv = exact_interval(gi)
                 want = _energy_on(w, *w.index_range(iv), iv.length_f)
                 assert energy(w, gi) == want, (label, gi)
                 assert energy(w, iv) == want, (label, gi)
@@ -834,8 +833,8 @@ def _energy_identity_oracle(w, i):
     """One interval's sides, from a fresh expansion scanned as a dict."""
     grid = i.grid
     e2 = energy(w, i)
-    e2w = e2 * w.mass_on(i.interval)
-    lo, hi = w.index_range(i.interval)
+    e2w = e2 * w.mass_on(i)
+    lo, hi = w.index_range(i)
     if hi == lo:
         return e2, e2w, 0.0
     hc = expand(WeightedFunction.identity(w), grid)
@@ -882,7 +881,7 @@ def _grid_nodes(mu, grid, least):
     out = []
 
     def descend(gi):
-        lo, hi = mu.index_range(gi.interval)
+        lo, hi = mu.index_range(gi)
         if hi - lo < least:
             return
         out.append((gi, lo, hi))
@@ -904,7 +903,7 @@ def _energy_constant_oracle(sigma, w, grid):
         return 0.0
     wl = np.array([gi.left_f for gi in trunk])
     wr = np.array([gi.right_f for gi in trunk])
-    ew = np.array([energy(w, gi) * w.mass_on(gi.interval) for gi in trunk])
+    ew = np.array([energy(w, gi) * w.mass_on(gi) for gi in trunk])
     keys = [gi.key for gi in trunk]
     order = sorted(range(len(trunk)), key=lambda t: -keys[t][0])
     best_overall = 0.0
@@ -1145,7 +1144,7 @@ class TestFunctionalEnergyRatio:
         # a nested chain repeating the same mass is not Carleson
         chain = [g.root_interval] + [g.interval(lev, 0) for lev in range(1, 5)]
         h = WeightedFunction.constant(sigma)
-        if sigma.mass_on(g.interval(4, 0).interval) == 0:
+        if sigma.mass_on(g.interval(4, 0)) == 0:
             pytest.skip("chain carries no mass in this draw")
         with pytest.raises(PreconditionViolation):
             functional_energy_ratio(h, chain, {}, g, j_families={})

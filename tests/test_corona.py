@@ -47,6 +47,7 @@ from h2w.poisson import poisson_stationary
 
 from conftest import (
     crafted_cases,
+    exact_ends,
     grid_walk,
     oracle_cases,
     poisson_sum,
@@ -88,7 +89,7 @@ class TestEnergyStopping:
         # intervals with positive energy but zero sigma mass may remain
         sigma, w, grid, _, _ = _instance(82)
         out = energy_stopping_intervals(grid.root_interval, sigma, w, 5.0, 1e12)
-        assert all(sigma.mass_on(F.interval) == 0.0 for F in out)
+        assert all(sigma.mass_on(F) == 0.0 for F in out)
 
     def test_calibrated_mass_bound(self):
         for seed in range(83, 89):
@@ -98,7 +99,7 @@ class TestEnergyStopping:
                 continue
             c0 = calibrate_c0(grid.root_interval, sigma, w, h)
             chosen = energy_stopping_intervals(grid.root_interval, sigma, w, h, c0)
-            mass = sum(sigma.mass_on(F.interval) for F in chosen)
+            mass = sum(sigma.mass_on(F) for F in chosen)
             assert mass <= sigma.total_mass / 10.0
 
     def test_selected_are_maximal(self):
@@ -160,12 +161,12 @@ class TestStoppingData:
             for lev in range(grid.depth + 1):
                 for k in range(1 << lev):
                     gi = grid.interval(lev, k)
-                    lo, hi = sigma.index_range(gi.interval)
+                    lo, hi = sigma.index_range(gi)
                     if hi == lo:
                         continue
                     avg = float(
                         np.sum(absf[lo:hi] * sigma.masses_f[lo:hi])
-                    ) / sigma.mass_on(gi.interval)
+                    ) / sigma.mass_on(gi)
                     assert avg <= 10.0 * sd.alpha[sd.pi_key(lev, k)]
 
     def test_zero_function_rejected(self):
@@ -270,9 +271,9 @@ class TestBAbove:
         # independent evaluation: single (I, J) pair survives
         child_bit = (nj.index >> (nj.level - ni.level - 1)) & 1
         child = gi.children()[child_bit]
-        lo, hi = sigma.index_range(child.interval)
+        lo, hi = sigma.index_range(child)
         e_val = f.values[lo] if hi > lo else 0.0
-        jlo, jhi = w.index_range(jj.interval)
+        jlo, jhi = w.index_range(jj)
         direct = 0.0
         for k in range(jlo, jhi):
             inner_sum = 0.0
@@ -388,20 +389,20 @@ class TestLocalEstimate:
 
 
 def _count(mu, gi):
-    lo, hi = mu.index_range(gi.interval)
+    lo, hi = mu.index_range(gi)
     return hi - lo
 
 
 def _oracle_energy_condition(parent_sigma, gi, w, h_const, c0):
-    e2w = energy(w, gi) * w.mass_on(gi.interval)
+    e2w = energy(w, gi) * w.mass_on(gi)
     if e2w == 0.0:
         return False
     p = poisson_stationary(parent_sigma, gi)
-    return p * p * e2w > 10.0 * c0 * h_const**2 * parent_sigma.mass_on(gi.interval)
+    return p * p * e2w > 10.0 * c0 * h_const**2 * parent_sigma.mass_on(gi)
 
 
 def _oracle_energy_stopping(i0, sigma, w, h_const, c0, grid):
-    sig0 = sigma.restrict(i0.interval)
+    sig0 = sigma.restrict(i0)
     out = []
 
     def descend(gi):
@@ -422,11 +423,11 @@ def _oracle_energy_stopping(i0, sigma, w, h_const, c0, grid):
 
 def _oracle_calibrate_c0(i0, sigma, w, h_const, start):
     """The per-doubling loop: one energy-stopping search per doubling."""
-    budget = sigma.mass_on(i0.interval) / 10.0
+    budget = sigma.mass_on(i0) / 10.0
     c0 = start
     for doublings in range(200):
         chosen = energy_stopping_intervals(i0, sigma, w, h_const, c0)
-        if sum(sigma.mass_on(F.interval) for F in chosen) <= budget:
+        if sum(sigma.mass_on(F) for F in chosen) <= budget:
             return c0, doublings
         c0 *= 2.0
     raise RuntimeError("energy-stopping calibration did not settle")
@@ -438,7 +439,7 @@ def _oracle_stopping_data(f, i0, sigma, w, h_const, c0, grid):
     fpref = np.concatenate(([0.0], np.cumsum(absf * sigma.masses_f)))
 
     def avg_abs(gi):
-        lo, hi = sigma.index_range(gi.interval)
+        lo, hi = sigma.index_range(gi)
         mass = mpref[hi] - mpref[lo]
         if mass <= 0.0:
             return 0.0
@@ -450,7 +451,7 @@ def _oracle_stopping_data(f, i0, sigma, w, h_const, c0, grid):
     children = {}
 
     def find_children(F, aF):
-        sigF = sigma.restrict(F.interval)
+        sigF = sigma.restrict(F)
         found = []
 
         def descend(gi):
@@ -497,7 +498,7 @@ def _oracle_bounded_average(pf, F, stopping, sigma, grid):
         nonlocal worst
         if any(s.contains(gi) for s in s_children):
             return
-        lo, hi = sigma.index_range(gi.interval)
+        lo, hi = sigma.index_range(gi)
         if hi == lo:
             return
         worst = max(worst, (fpref[hi] - fpref[lo]) / (mpref[hi] - mpref[lo]))
@@ -520,7 +521,7 @@ def _oracle_uniformity(f, spec, sigma, w, h_const, grid, tol=1e-12):
             violations.append(f"energy stop {F} escapes the exceptional family")
     scale = max(1.0, float(np.max(np.abs(f.values))) if f.base.n_atoms else 1.0)
     for s in spec.s_family:
-        lo, hi = sigma.index_range(s.interval)
+        lo, hi = sigma.index_range(s)
         if hi - lo >= 2:
             vals = f.values[lo:hi]
             if float(np.max(vals) - np.min(vals)) > tol * scale:
@@ -532,7 +533,7 @@ def _oracle_uniformity(f, spec, sigma, w, h_const, grid, tol=1e-12):
     def descend(gi):
         if inside_some_s(gi):
             return
-        lo, hi = sigma.index_range(gi.interval)
+        lo, hi = sigma.index_range(gi)
         if hi - lo == 0:
             return
         avg = (fpref[hi] - fpref[lo]) / (mpref[hi] - mpref[lo])
@@ -549,8 +550,8 @@ def _oracle_uniformity(f, spec, sigma, w, h_const, grid, tol=1e-12):
 def _oracle_carleson(members, sigma):
     worst = 0.0
     for S in members:
-        s_mass = sigma.mass_on(S.interval)
-        total = sum(sigma.mass_on(F.interval) for F in members if S.contains(F))
+        s_mass = sigma.mass_on(S)
+        total = sum(sigma.mass_on(F) for F in members if S.contains(F))
         if s_mass > 0.0:
             worst = max(worst, total / s_mass)
         elif total > 0.0:
@@ -678,7 +679,7 @@ class TestGroupedCoronaWalks:
             f = WeightedFunction(sigma, np.exp(4.0 * rng.standard_normal(sigma.n_atoms)))
             g = WeightedFunction(w, rng.standard_normal(w.n_atoms))
             for i0 in (grid.interval(1, 0), grid.interval(1, 1)):
-                lo, hi = sigma.index_range(i0.interval)
+                lo, hi = sigma.index_range(i0)
                 if hi == lo:
                     continue
                 for c in (c0, c0 / 64):
@@ -689,7 +690,7 @@ class TestGroupedCoronaWalks:
                         for F in sd.members:
                             want = _oracle_corona_projection(u, sd, F)
                             assert np.array_equal(pieces[F.key].values, want.values), label
-                        u_lo, u_hi = u.base.index_range(i0.interval)
+                        u_lo, u_hi = u.base.index_range(i0)
                         for piece in pieces.values():
                             assert not piece.values[:u_lo].any() and not piece.values[u_hi:].any()
                         nodes = splitting_nodes(u.base, grid)
@@ -766,7 +767,7 @@ class TestAtomRangeWalksMatchOracles:
                 for c in (c0, c0 / 64, c0 * 1e-9):
                     got = energy_stopping_intervals(i0, sigma, w, h, c)
                     assert got == _oracle_energy_stopping(i0, sigma, w, h, c, grid), label
-                lo, hi = sigma.index_range(i0.interval)
+                lo, hi = sigma.index_range(i0)
                 if hi == lo:
                     continue
                 for c in (c0, c0 / 64, c0 * 1e6):
@@ -867,19 +868,19 @@ class TestShiftedGridRanges:
         for mu in (sigma, w):
             for n in occupied_nodes(mu, grid) + splitting_nodes(mu, grid):
                 gi = GridInterval(grid, n.level, n.index)
-                assert (n.lo, n.hi) == mu.index_range(gi.interval)
+                assert (n.lo, n.hi) == mu.index_range(gi)
                 if n.level < grid.depth:
-                    assert n.cut == mu.index_range(gi.children()[1].interval)[0]
+                    assert n.cut == mu.index_range(gi.children()[1])[0]
         seen = []
 
         def visit(level, index, ranges):
             gi = GridInterval(grid, level, index)
-            assert ranges == tuple(mu.index_range(gi.interval) for mu in (sigma, w))
+            assert ranges == tuple(mu.index_range(gi) for mu in (sigma, w))
             seen.append(gi.key)
             return any(hi > lo for lo, hi in ranges)
 
         top = grid.root_interval
-        grid_walk((sigma, w), grid, top, tuple(mu.index_range(top.interval) for mu in (sigma, w)), visit)
+        grid_walk((sigma, w), grid, top, tuple(mu.index_range(top) for mu in (sigma, w)), visit)
         assert (1, 1) in seen and len(seen) > 50
 
     def test_geometry_follows_exact_boundaries(self):
@@ -888,10 +889,10 @@ class TestShiftedGridRanges:
         for mu in (sigma, w):
             for n in occupied_nodes(mu, grid):
                 gi = GridInterval(grid, n.level, n.index)
-                iv = gi.interval
-                assert gi.left_f == float(iv.left), gi
-                assert gi.right_f == float(iv.right), gi
-                assert gi.center_f == float(iv.center), gi
+                left, right = exact_ends(gi)
+                assert gi.left_f == float(left), gi
+                assert gi.right_f == float(right), gi
+                assert gi.center_f == float((left + right) / 2), gi
             f = WeightedFunction.identity(mu)
             hc = expand(f, grid)
             for n in splitting_nodes(mu, grid):

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +17,7 @@ from h2w.grid import (
 from h2w.haar import occupied_nodes
 from h2w.measure import AtomicMeasure, Interval, dyadic
 
-from conftest import shifted_grids, unit_grid
+from conftest import exact_ends, exact_interval, shifted_grids, unit_grid
 
 
 def _inside_pair(depth):
@@ -29,12 +31,13 @@ class TestBuild:
         sigma, w = _inside_pair(3)
         g = unit_grid(sigma, w, 3)
         for lev in range(4):
-            cells = [g.interval(lev, k).interval for k in range(2**lev)]
-            assert [c.left for c in cells[1:]] == [c.right for c in cells[:-1]]
-            assert (cells[0].left, cells[-1].right) == (g.root.left, g.root.right)
+            cells = [g.interval(lev, k) for k in range(2**lev)]
+            assert [c.left_f for c in cells[1:]] == [c.right_f for c in cells[:-1]]
+            assert (cells[0].left_f, cells[-1].right_f) == (0.0, 1.0)
+            assert all((c.left_f, c.right_f) == tuple(map(float, exact_ends(c))) for c in cells)
             with pytest.raises(ValueError):
                 g.interval(lev, 2**lev)
-        assert g.interval(2, 1).interval == Interval(dyadic(1, 2), dyadic(1, 1))
+        assert exact_ends(g.interval(2, 1)) == (Fraction(1, 4), Fraction(1, 2))
 
     def test_children_partition_parent_exactly(self):
         sigma, w = _inside_pair(4)
@@ -43,9 +46,9 @@ class TestBuild:
             for k in range(2**lev):
                 gi = g.interval(lev, k)
                 left, right = gi.children()
-                assert left.interval.right == right.interval.left
-                assert left.interval.left == gi.interval.left
-                assert right.interval.right == gi.interval.right
+                assert left.right_f == right.left_f == gi.center_f
+                assert left.left_f == gi.left_f
+                assert right.right_f == gi.right_f
 
     def test_endpoint_collision(self):
         atom = AtomicMeasure.from_triples([(1, 2, 1.0)])
@@ -102,7 +105,7 @@ class TestGoodness:
         sigma, w = _inside_pair(14)
         g = unit_grid(sigma, w, 14)
         spot = g.interval(12, 1365)
-        assert spot.interval.left == dyadic(1365, 12)
+        assert spot.left_f == 1365 / 4096
         assert is_good(spot, 0.25, 9) is False
 
 
@@ -177,12 +180,34 @@ def _lookup_intervals(sigma, w, grid):
     return out
 
 
+class TestEndpointSlot:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from([(0, 1), (-2, 2)]),
+        st.integers(1, 13),
+        st.sampled_from([None, 20, 55, 1100]),
+        st.integers(-3, 3) | st.integers(-(2**14), 2**14),
+        st.floats(allow_nan=False, allow_infinity=False),
+    )
+    def test_slot_against_fractions(self, ends, depth, exponent, k, y):
+        shift = dyadic(0) if exponent is None else -dyadic(1, exponent)
+        grid = DyadicGrid(Interval(dyadic(ends[0]), dyadic(ends[1])), depth, shift)
+        left0 = ends[0] + Fraction(shift.num, 1 << shift.scale)
+        cell = Fraction(ends[1] - ends[0], 2**depth)
+        # the doubles nearest endpoints counted from either end (the
+        # endpoints themselves when they are doubles), and any double
+        for x in (float(left0 + k * cell), float(left0 + (2**depth + k) * cell), y):
+            slot = (Fraction(x) - left0) / cell
+            want = int(slot) if slot.denominator == 1 and 0 <= slot <= 2**depth else None
+            assert grid.endpoint_slot(x) == want, x
+
+
 class TestAtomLookup:
     def test_grid_interval_answers_as_its_interval(self):
         count = 0
         for label, sigma, w, grid in shifted_grids():
             for gi in _lookup_intervals(sigma, w, grid):
-                iv = gi.interval
+                iv = exact_interval(gi)
                 assert (gi.left_f, gi.right_f) == (iv.left_f, iv.right_f), (label, gi)
                 for mu in (sigma, w):
                     assert mu.index_range(gi) == mu.index_range(iv), (label, gi)
@@ -195,10 +220,10 @@ class TestAtomLookup:
     def test_left_end_without_a_double(self):
         # atoms at 0 and +-2^-1074 sit on either side of the endpoint
         # -2^-1100, whose float is -0.0
-        tiny = dyadic(1, 1074)
-        sigma = AtomicMeasure((-tiny, dyadic(0), tiny), (1.0, 2.0, 4.0))
+        tiny = 2.0**-1074
+        sigma = AtomicMeasure((-tiny, 0.0, tiny), (1.0, 2.0, 4.0))
         grid = build_grid(Interval(dyadic(-2), dyadic(2)), 13, -dyadic(1, 1100), sigma, sigma)
         right = grid.interval(1, 1)
         assert right.left_f == 0.0 and sigma.index_range(right) == (1, 3)
-        assert sigma.index_range(right) == sigma.index_range(right.interval)
+        assert sigma.index_range(right) == sigma.index_range(exact_interval(right))
         assert sigma.mass_on(grid.interval(1, 0)) == 1.0

@@ -562,7 +562,7 @@ class TestTelescoping:
         for lev in range(g.depth + 1):
             for k in range(1 << lev):
                 gi = g.interval(lev, k)
-                if sigma.mass_on(gi.interval) == 0.0:
+                if sigma.mass_on(gi) == 0.0:
                     continue
                 target = expectation(f, gi)
                 total = hc.root_mean
@@ -583,14 +583,14 @@ def _walk_rows(mus, grid):
             return False
         gi = GridInterval(grid, level, index)
         cuts = [
-            hi if level == grid.depth else mu.index_range(gi.children()[1].interval)[0]
+            hi if level == grid.depth else mu.index_range(gi.children()[1])[0]
             for mu, (_, hi) in zip(mus, ranges)
         ]
         rows.append((level, index, *(lo for lo, _ in ranges), *cuts, *(hi for _, hi in ranges)))
         return True
 
     top = grid.root_interval
-    grid_walk(mus, grid, top, tuple(mu.index_range(top.interval) for mu in mus), visit)
+    grid_walk(mus, grid, top, tuple(mu.index_range(top) for mu in mus), visit)
     return rows
 
 
@@ -601,10 +601,7 @@ def _near_endpoint_pair():
 
     def atoms(ks, side):
         xs = sorted(np.nextafter(k / 4096, side) for k in ks)
-        ratios = [x.as_integer_ratio() for x in xs]
-        return AtomicMeasure(
-            tuple(dyadic(n, d.bit_length() - 1) for n, d in ratios), tuple(1.0 + j for j in range(len(xs)))
-        )
+        return AtomicMeasure(tuple(xs), tuple(1.0 + j for j in range(len(xs))))
 
     sigma, w = atoms((1, 7, 2048, 3001, 4095), np.inf), atoms((2, 8, 2049, 3000, 4094), -np.inf)
     return sigma, w, unit_grid(sigma, w, 12)
@@ -661,8 +658,8 @@ class TestNodeTable:
 
     def test_deep_grids_keep_python_indices(self):
         # indices past 62 levels do not fit an int64
-        sigma = AtomicMeasure((dyadic(1, 75), dyadic(2**50 + 1, 71), dyadic(2**52 + 3, 72)), (1.0, 2.0, 3.0))
-        w = AtomicMeasure((dyadic(3, 75), dyadic(2**52 + 5, 73)), (1.0, 2.0))
+        sigma = AtomicMeasure.from_triples([(1, 75, 1.0), (2**50 + 1, 71, 2.0), (2**52 + 3, 72, 3.0)])
+        w = AtomicMeasure.from_triples([(3, 75, 1.0), (2**52 + 5, 73, 2.0)])
         for depth in (57, 58, 62, 63, 70):
             grid = unit_grid(sigma, w, depth)
             for mus in ((sigma,), (w,), (sigma, w)):
@@ -697,8 +694,8 @@ class TestNodeTable:
                 assert start == end, label
 
     def test_measure_outside_the_root_is_refused(self):
-        sigma = AtomicMeasure((dyadic(1, 7), dyadic(3, 1)), (1.0, 1.0))
-        grid = _grid_for(AtomicMeasure((dyadic(1, 7),), (1.0,)))
+        sigma = AtomicMeasure((2.0**-7, 1.5), (1.0, 1.0))
+        grid = _grid_for(AtomicMeasure((2.0**-7,), (1.0,)))
         with pytest.raises(PreconditionViolation, match="grid root"):
             node_table(sigma, grid)
 

@@ -24,9 +24,10 @@ from h2w.hilbert import (
     truncation_compare,
     weak_boundedness,
 )
-from h2w.measure import AtomicMeasure, random_ensemble
+from h2w.grid import build_grid
+from h2w.measure import AtomicMeasure, Interval, dyadic, random_ensemble
 
-from conftest import crafted_cases, oracle_cases, unit_grid
+from conftest import crafted_cases, oracle_cases, shifted_pair, unit_grid
 
 
 class TestSmoothKernel:
@@ -366,7 +367,7 @@ class TestKernelStack:
         node = max(splitting_nodes(w, grid), key=lambda n: n.level)
         jj = GridInterval(grid, node.level, node.index)
         anc = jj.ancestor(node.level - 3)
-        holes = sigma.restrict(grid.root_interval.interval).restrict_complement(anc.interval)
+        holes = sigma.restrict(grid.root_interval).restrict_complement(anc)
         signs = np.ones(holes.n_atoms)
         monotonicity_mono1(sigma, haar_function(jj, w), grid.root_interval, anc, jj, grid, signs)
         ((f, g, cands),) = seen
@@ -417,6 +418,34 @@ class TestLemmaRatio:
         lhs, rhs, ratio = weak_boundedness(sigma, w, grid.interval(1, 0), grid.interval(1, 1), 1.0)
         assert lhs == 0.0 and rhs == 0.0 and ratio == 0.0
 
+    def test_weak_boundedness_shared_endpoint_is_exact(self):
+        # the halves of [-2, 2) shifted by -2^-1100 meet at -2^-1100, whose
+        # float is -0.0: sigma's atom at 0 is beside it, not on it
+        sigma = AtomicMeasure((-0.75, 0.0, 0.625), (1.0, 2.0, 0.5))
+        w = AtomicMeasure((-0.125, 2.0**-57, 1.5), (1.5, 1.0, 0.25))
+        grid = build_grid(Interval(dyadic(-2), dyadic(2)), 13, -dyadic(1, 1100), sigma, w)
+        halves = grid.interval(1, 0), grid.interval(1, 1)
+        assert halves[1].left_f == 0.0
+        assert weak_boundedness(sigma, w, *halves, 1.0) == (
+            1.4444444444444444,
+            1.118033988749895,
+            1.2919503869998783,
+        )
+
+    def test_weak_boundedness_refuses_a_charged_shared_endpoint(self):
+        # shifted by -2^-55 the halves meet at -2^-55, a double; the grid's
+        # own measures keep off it, the sigma passed in does not
+        _, w, grid = shifted_pair()
+        on_it = AtomicMeasure((-1.0, -(2.0**-55)), (1.0, 1.0))
+        halves = grid.interval(1, 0), grid.interval(1, 1)
+        for args in ((on_it, w), (w, on_it)):
+            with pytest.raises(PreconditionViolation, match="shared endpoint"):
+                weak_boundedness(*args, *halves, 1.0)
+        beside = AtomicMeasure((-1.0, -(2.0**-56)), (1.0, 1.0))
+        assert weak_boundedness(beside, w, *halves, 1.0)[0] > 0.0
+        with pytest.raises(PreconditionViolation, match="share an endpoint"):
+            weak_boundedness(beside, w, halves[0], grid.interval(2, 3), 1.0)
+
     def test_mono_positive_sides(self):
         sigma, w = random_ensemble(47, 1, 12, 10)[0]
         grid = unit_grid(sigma, w, 10)
@@ -428,7 +457,7 @@ class TestLemmaRatio:
             pytest.skip("no deep splitting interval in this draw")
         gi = GridInterval(grid, nodes[0].level, nodes[0].index)
         h_j = haar_function(gi, w)
-        holes = sigma.restrict(grid.root_interval.interval).restrict_complement(gi.interval)
+        holes = sigma.restrict(grid.root_interval).restrict_complement(gi)
         if holes.n_atoms == 0:
             pytest.skip("no mass outside the middle interval")
         lhs, rhs, ratio = monotonicity_p_less_h(sigma, h_j, grid.root_interval, gi, grid)
@@ -462,7 +491,7 @@ class TestPairingScanMatchesOracle:
             for n in nodes[:3]:
                 jj = GridInterval(grid, n.level, n.index)
                 anc = jj.ancestor(n.level - 6)
-                holes = sigma.restrict(K.interval).restrict_complement(anc.interval)
+                holes = sigma.restrict(K).restrict_complement(anc)
                 if holes.n_atoms == 0:
                     continue
                 signs = np.random.default_rng(n.index).uniform(-1, 1, holes.n_atoms)

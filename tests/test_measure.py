@@ -1,8 +1,10 @@
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from h2w import measure
@@ -49,7 +51,7 @@ class TestDyadicRational:
         assert (a < b) == (float(a) < float(b))
 
     def test_halve_and_scale(self):
-        assert dyadic(3, 1).halve() == dyadic(3, 2)
+        assert dyadic(3, 1).scale_by_pow2(-1) == dyadic(3, 2)
         assert dyadic(3, 2).scale_by_pow2(2) == dyadic(3, 0)
         assert dyadic(3, 0).scale_by_pow2(-2) == dyadic(3, 2)
 
@@ -76,7 +78,7 @@ class TestMassQueries:
         # from numpy's sum of their doubles, which the per-node sums follow
         masses = tuple((1 << 60) + 37 * k + 1 for k in range(9))
         assert _pairwise_sum(masses) != float(np.sum(np.array(masses, dtype=float)))
-        mu = AtomicMeasure(tuple(dyadic(2 * k + 1, 5) for k in range(9)), masses)
+        mu = AtomicMeasure(tuple((2 * k + 1) / 32 for k in range(9)), masses)
         assert all(type(m) is float for m in mu.masses)
         assert _pairwise_sum(mu.masses) == float(np.sum(mu.masses_f))
 
@@ -117,7 +119,7 @@ class TestRestrict:
 class TestHash:
     def test_equal_measures_built_apart_hash_equal(self):
         a = AtomicMeasure.from_triples([(1, 2, 2.0), (7, 3, 1.0), (3, 4, 0.5)])
-        b = AtomicMeasure((dyadic(3, 4), dyadic(2, 3), dyadic(7, 3)), (0.5, 2.0, 1.0))
+        b = AtomicMeasure((3 / 16, 0.25, 7 / 8), (0.5, 2.0, 1.0))
         assert a is not b and a == b and hash(a) == hash(b)
         assert hash(a) == hash((a.positions, a.masses))
         assert {a: 1}[b] == 1
@@ -141,10 +143,10 @@ class TestCommonPointMass:
         """The exact merge of the two position lists."""
         i = j = 0
         while i < sigma.n_atoms and j < w.n_atoms:
-            c = sigma.positions[i]._cmp(w.positions[j])
-            if c == 0:
+            a, b = Fraction(sigma.positions[i]), Fraction(w.positions[j])
+            if a == b:
                 return True
-            i, j = (i + 1, j) if c < 0 else (i, j + 1)
+            i, j = (i + 1, j) if a < b else (i, j + 1)
         return False
 
     @given(
@@ -158,8 +160,8 @@ class TestCommonPointMass:
         def measure(atoms):
             points = {}
             for num, scale in atoms:
-                points.setdefault(DyadicRational(num << rescale, scale + rescale), None)
-            return AtomicMeasure.from_triples((p.num, p.scale, 1.0) for p in points)
+                points.setdefault(Fraction(num, 1 << scale), (num << rescale, scale + rescale))
+            return AtomicMeasure.from_triples((num, scale, 1.0) for num, scale in points.values())
 
         sigma, w = measure(xs), measure(ys)
         assert has_common_point_mass(sigma, w) == self._merge(sigma, w)
@@ -189,18 +191,19 @@ class TestRandomEnsemble:
     def test_positions_inside_unit_cells(self):
         for sigma, w in random_ensemble(5, 3, 8, 7):
             for mu in (sigma, w):
-                for p in mu.positions:
-                    assert 0.0 < float(p) < 1.0
-                    assert p.scale == 8 and p.num % 2 == 1
+                for x in mu.positions:
+                    num, den = x.as_integer_ratio()
+                    assert 0.0 < x < 1.0
+                    assert den == 2**8 and num % 2 == 1
 
     def test_golden_seed_seven(self):
         # frozen from the reference generator stream
         (sigma, w), = random_ensemble(7, 1, 4, 6)
-        assert [(p.num, p.scale) for p in sigma.positions] == [
-            (7, 7),
-            (29, 7),
-            (79, 7),
-            (95, 7),
+        assert [x.as_integer_ratio() for x in sigma.positions] == [
+            (7, 2**7),
+            (29, 2**7),
+            (79, 2**7),
+            (95, 2**7),
         ]
         assert np.allclose(
             sigma.masses,
@@ -208,7 +211,7 @@ class TestRandomEnsemble:
             rtol=0,
             atol=0,
         )
-        assert [(p.num, p.scale) for p in w.positions] == [(69, 7), (103, 7), (105, 7)]
+        assert [x.as_integer_ratio() for x in w.positions] == [(69, 2**7), (103, 2**7), (105, 2**7)]
         assert np.allclose(
             w.masses,
             [1.0126902985187487, 0.506796459399615, 0.8587470979039822],
@@ -228,12 +231,12 @@ class TestFromTriples:
         distinct = list(points)[::-1]
         calls = []
         real = measure._mirror
-        measure._mirror = lambda p: calls.append(p) or real(p)
+        measure._mirror = lambda *p: calls.append(p) or real(*p)
         try:
             mu = AtomicMeasure.from_triples((p.num, p.scale, 1.0) for p in distinct)
         finally:
             measure._mirror = real
-        assert list(mu.positions) == sorted(distinct, key=lambda p: p.num / 2**p.scale)
+        assert list(mu.positions) == sorted(p.num / 2**p.scale for p in distinct)
         assert len(calls) == mu.n_atoms
 
     @pytest.mark.parametrize(
@@ -250,6 +253,88 @@ class TestFromTriples:
         assert "1/2^2000" in str(err.value) or str(10**400) in str(err.value)
 
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_non_finite_position_rejected(self, x):
+        for positions in ((x,), (0.0, x), (x, 0.0)):
+            with pytest.raises(ValueError, match="finite"):
+                AtomicMeasure(positions, (1.0,) * len(positions))
+
+    def test_no_dyadic_rational_per_atom(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("a DyadicRational was built")
+
+        monkeypatch.setattr(DyadicRational, "__post_init__", refuse)
+        sigma, w = parse_pair_text("[sigma]\n10 2 1.0\n-3 1 2.0\n[w]\n1 1074 0.5\n")
+        assert sigma.positions == (-1.5, 2.5) and w.positions == (2.0**-1074,)
+        assert pair_text(sigma, w) == "[sigma]\n-3 1 2.0\n5 1 1.0\n[w]\n1 1074 0.5\n"
+        assert dilate(sigma, 2).positions == (-6.0, 10.0)
+
+
+def _at_scale(x: float, extra: int) -> tuple[float, int, int]:
+    """x as (x, num, scale) with num / 2**scale = x, ``extra`` binary
+    places past its lowest terms."""
+    num, den = x.as_integer_ratio()
+    return x, num << extra, den.bit_length() - 1 + extra
+
+
+_exact_atoms = st.lists(
+    st.tuples(
+        st.builds(_at_scale, st.floats(allow_nan=False, allow_infinity=False), st.integers(0, 2000)),
+        st.floats(min_value=1e-300, max_value=1e300),
+    ),
+    unique_by=lambda atom: atom[0][0],
+    max_size=8,
+)
+
+
+def _canonical_lines(atoms) -> list[str]:
+    """The pair-file lines of the atoms, canonical and sorted, by Fraction."""
+    exact = sorted((Fraction(num, 1 << scale), m) for (_, num, scale), m in atoms)
+    return [f"{q.numerator} {q.denominator.bit_length() - 1} {m!r}" for q, m in exact]
+
+
+class TestRoundTrip:
+    @settings(max_examples=200, deadline=None)
+    @given(_exact_atoms, _exact_atoms)
+    @example([((0.625, 10, 4), 1.0), ((1.0, 2**2000, 2000), 2.0)], [((-1.5, -12, 3), 0.5)])
+    @example([((2.0**-1074, 1, 1074), 1.0)], [((-(2.0**-1022), -(2**53), 1075), 3.0)])
+    def test_triples_write_canonically_and_read_back(self, sigma_atoms, w_atoms):
+        sigma, w = (
+            AtomicMeasure.from_triples((num, scale, m) for (_, num, scale), m in atoms)
+            for atoms in (sigma_atoms, w_atoms)
+        )
+        assert sigma.positions == tuple(sorted(x for (x, _, _), _ in sigma_atoms))
+        text = pair_text(sigma, w)
+        assert text == "\n".join(
+            ["[sigma]", *_canonical_lines(sigma_atoms), "[w]", *_canonical_lines(w_atoms)]
+        ) + "\n"
+        assert parse_pair_text(text) == (sigma, w)
+
+    @pytest.mark.parametrize(
+        "line, canonical",
+        [
+            ("10 2", "5 1"),
+            (f"{2**2000} 2000", "1 0"),
+            ("-12 3", "-3 1"),
+            ("0 9", "0 0"),
+            ("1 1074", "1 1074"),
+            (f"{-(2**53 - 1)} 1074", f"{-(2**53 - 1)} 1074"),
+        ],
+    )
+    def test_canonical_line(self, line, canonical):
+        sigma, w = parse_pair_text(f"[sigma]\n{line} 1.5\n[w]\n")
+        assert pair_text(sigma, w) == f"[sigma]\n{canonical} 1.5\n[w]\n"
+
+    @pytest.mark.parametrize("line", ["1 1075", "3 1075", f"{2**53 + 1} 0"])
+    def test_inexact_line_refused(self, line):
+        with pytest.raises(InexactPosition):
+            parse_pair_text(f"[sigma]\n{line} 1.5\n[w]\n")
+
+    def test_negative_scale_refused(self):
+        with pytest.raises(ParseError, match="non-negative"):
+            parse_pair_text("[sigma]\n1 -1 1.5\n[w]\n")
+
+
 class TestDilate:
     def test_positions_and_masses_scale(self):
         mu = AtomicMeasure.from_triples([(1, 2, 1.5)])
@@ -257,6 +342,37 @@ class TestDilate:
         assert float(up.positions[0]) == 2.0 and up.masses[0] == 12.0
         down = dilate(up, -3)
         assert down == mu
+
+    def test_far_exact_dilations_invert(self):
+        mu = AtomicMeasure.from_triples([(1, 1, 1.0), (3, 0, 0.75)])
+        for k in (-1070, 1020):
+            assert dilate(dilate(mu, k), -k) == mu
+
+    @pytest.mark.parametrize("k", [1030, 1100, -1100])
+    def test_position_leaving_the_doubles_refused(self, k):
+        mu = AtomicMeasure.from_triples([(1, 2, 1.5)])
+        with pytest.raises(InexactPosition, match=r"atom at 1/2\^2 "):
+            dilate(mu, k)
+
+    def test_mass_losing_bits_refused(self):
+        # 1.1 * 2^-1070 is subnormal: its double would dilate back to 1.125
+        mu = AtomicMeasure.from_triples([(0, 0, 1.1)])
+        with pytest.raises(ValueError, match=r"mass 1\.1 "):
+            dilate(mu, -1070)
+
+
+class TestMemory:
+    def test_ensemble_bytes_per_atom(self):
+        # a float per position, as for masses, and the positions' array
+        random_ensemble(1, 2, 32, 12, family="mixed")  # first-call set-up is not counted
+        tracemalloc.start()
+        try:
+            pairs = random_ensemble(1, 200, 32, 12, family="mixed")
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        atoms = sum(sigma.n_atoms + w.n_atoms for sigma, w in pairs)
+        assert held <= 120 * atoms, held / atoms
 
 
 class TestPairFiles:

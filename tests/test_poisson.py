@@ -7,7 +7,7 @@ from h2w.constants import a2_constant, kernel_scan
 from h2w.constants import testing_constant as t_constant
 from h2w.corona import build_stopping_data, calibrate_c0
 from h2w.errors import PreconditionViolation
-from h2w.grid import GridInterval, build_grid
+from h2w.grid import GridInterval
 from h2w.haar import WeightedFunction, good_projection, occupied_nodes
 from h2w.measure import AtomicMeasure, Interval, dyadic, random_ensemble
 from h2w.params import SUITE_BELOW_GAP, SUITE_EPS, SUITE_R
@@ -25,7 +25,7 @@ from h2w.poisson import (
 )
 from h2w.verify import _stationary_and_extension
 
-from conftest import crafted_cases, oracle_cases, poisson_sum, pow_lengths, unit_grid
+from conftest import crafted_cases, exact_interval, oracle_cases, poisson_sum, pow_lengths, shifted_pair, unit_grid
 
 
 class TestStationary:
@@ -149,7 +149,7 @@ class TestMuMeasure:
             hp = mu_measure(members, w, g, fams)
             for mass, (_, jkey) in zip(hp.masses, hp.tags):
                 jint = GridInterval(g, *jkey)
-                assert mass <= 2.0 * w.mass_on(jint.interval) * (1 + 1e-12)
+                assert mass <= 2.0 * w.mass_on(jint) * (1 + 1e-12)
 
 
 class TestMaximalIntervals:
@@ -208,7 +208,7 @@ class TestLocalComparison:
 
 
 def _oracle_poisson_testing(i, sigma, hp, h_const, a2_const):
-    iv = i.interval
+    iv = exact_interval(i)
     sig_i = sigma.restrict(iv)
     fwd_lhs = 0.0
     if hp.n_atoms and sig_i.n_atoms:
@@ -281,9 +281,7 @@ def _half_plane_cases():
         yield label + "-noisy", sigma, grid, noisy, intervals, h, a2
     # left0 = -2 - 2^-55 has no double, so some boxes measure right_f - left_f
     # a rounding away from |I|; atoms of height exactly |I| sit on those edges
-    sigma = AtomicMeasure((dyadic(-3, 2), dyadic(-1, 56), dyadic(5, 3)), (1.0, 2.0, 0.5))
-    w = AtomicMeasure((dyadic(-1, 3), dyadic(1, 57), dyadic(3, 1)), (1.5, 1.0, 0.25))
-    grid = build_grid(Interval(dyadic(-2), dyadic(2)), 12, -dyadic(1, 55), sigma, w)
+    sigma, w, grid = shifted_pair()
     intervals = [grid.interval(lev, k) for lev in range(1, 10) for k in range(1 << lev)]
     edges = HalfPlaneMeasure(
         tuple(gi.center_f for gi in intervals),
