@@ -27,8 +27,8 @@ testing_constant   exact supremum over intervals, jointly with the same
                    untruncated kernel, which holds for the rounded value
                    too, orders the classes and stops the scan, so the
                    result is the full scan's bit for bit; each visited
-                   class builds its own prefix sums, so the (T, n + 1, m)
-                   prefix array is never built;
+                   class sums its own source rows and divides by its own
+                   correctly rounded sigma(I);
 pair_constants     N, A2, both T, H = sqrt(A2) + T and the calibrated c0 of
                    a pair on one grid, from one kernel scan, kept in the
                    grid's memo: the one H formula and c0 rule, which the
@@ -60,7 +60,7 @@ import numpy as np
 
 from .corona import (
     _carleson_ratio,
-    _form_prefix,
+    _form_columns,
     build_stopping_data,
     calibrate_c0,
     local_estimate_ratios,
@@ -76,9 +76,7 @@ from .grid import DyadicGrid, GridInterval, auto_grid, check_reach, f_parent, ke
 from .haar import (
     WeightedFunction,
     _energies,
-    _pairwise_sum,
     _run,
-    _squares,
     _trunk_table,
     expand,
     good_projection,
@@ -92,7 +90,7 @@ from .hilbert import (
     kernel_stack,
     truncation_candidates,
 )
-from .measure import AtomicMeasure, has_common_point_mass
+from .measure import AtomicMeasure, has_common_point_mass, range_sum
 from .params import (
     DEFAULT_A2_REFINEMENT,
     DEFAULT_C0,
@@ -103,7 +101,7 @@ from .params import (
     SUITE_EPS,
     SUITE_R,
 )
-from .poisson import _product_kernel, _stationary_terms, default_j_families, maximal_intervals
+from .poisson import _poisson_sums, _product_kernel, default_j_families, maximal_intervals
 
 __all__ = [
     "ConstantsReport",
@@ -456,7 +454,7 @@ def _poisson_bounds(
     below, gap_left, upto, gap_right = (
         np.concatenate([end[k], rung]) for end, k, rung in zip(at_ends, (i, i, j, j), ladder)
     )
-    pref = mu._mass_prefix
+    pref = np.concatenate(([0.0], np.cumsum(mu.masses_f)))
     total = pref[-1]
     g = 8.0 * (m + 2) * np.finfo(float).eps
     L = rights - lefts
@@ -619,10 +617,10 @@ def testing_constant(
     The classes are visited in decreasing order of an upper bound from
     :func:`_class_bounds`, and the scan stops at the first bound at most the
     running best.  Each visited class is evaluated by :func:`_class_lhs`
-    from prefix sums built for that class alone, with the bits of the full
-    scan's (T, n + 1, m) prefix array, which is never built.  The bound
-    holds for the value the floating-point evaluation computes, so the
-    result is the full scan's, bit for bit.
+    from its own source rows and divided by its own sigma(I), correctly
+    rounded, so no atom outside the class moves its value.  The bound holds
+    for the value the floating-point evaluation computes, so the result is
+    the full scan's, bit for bit.
     """
     if direction not in ("forward", "backward"):
         raise ValueError("direction must be 'forward' or 'backward'")
@@ -641,7 +639,6 @@ def testing_constant(
     # all that the class bounds read
     row0 = np.multiply(kernel[0], sm[:, None], order="C")
     C0 = np.concatenate([np.zeros((1, w.n_atoms)), np.cumsum(row0, axis=0)])
-    sp = sigma._mass_prefix
     wm = w.masses_f
     # w atoms before each sigma atom along the merged support, sigma first on ties
     before = np.searchsorted(w.positions_f, sigma.positions_f, side="left")
@@ -658,10 +655,9 @@ def testing_constant(
         if ub[k] <= best:
             break
         a1, a2, b1, b2 = int(a1s[k]), int(a2s[k]), int(b1s[k]), int(b2s[k])
-        smass = sp[a2] - sp[a1]
-        lhs = _class_lhs(kernel, sm, wm, a1, a2, b1, b2)
-        if lhs / smass > best:
-            best = lhs / smass
+        value = _class_lhs(kernel, sm, wm, a1, a2, b1, b2) / range_sum(sigma.masses[a1:a2])
+        if value > best:
+            best = value
     return math.sqrt(best)
 
 
@@ -671,23 +667,17 @@ def _class_lhs(
     """max over the truncation scan of the sum over the targets [b1, b2) of
     w_j (class sum over the sources [a1, a2))^2; NaN if any term is NaN.
 
-    The class sum is the difference of two prefix sums along the source
-    axis, C[a2] - C[a1], C[a] the sum of the sigma-scaled rows below a.  A
-    sequential cumsum over the rows below a2 of the class's target columns
-    gives C[a1] and C[a2] the bits of the whole (T, n + 1, m) prefix array,
-    which is never built.  Candidates go through in blocks of at most
-    ``_STACK_BLOCK`` entries, and each target sum reduces one C-order row,
-    as it would in the whole array.
+    A class sum adds the class's own sigma-scaled rows and no other.
+    Candidates go through in blocks of at most ``_STACK_BLOCK`` entries,
+    each a C-order copy, so that a pair and its swap sum one layout and
+    round alike.
     """
     sums = np.empty(kernel.shape[0])
-    step = max(1, _STACK_BLOCK // (a2 * (b2 - b1)))
+    step = max(1, _STACK_BLOCK // ((a2 - a1) * (b2 - b1)))
     for t0 in range(0, len(sums), step):
-        # C order, so that the target sums reduce contiguous rows in both
-        # directions and round the same way
-        part = np.multiply(kernel[t0 : t0 + step, :a2, b1:b2], sm[:a2, None], order="C")
-        part = np.cumsum(part, axis=1)
-        svals = part[:, a2 - 1] - (part[:, a1 - 1] if a1 else 0.0)
-        sums[t0 : t0 + step] = (svals**2 * wm[b1:b2]).sum(axis=1)
+        part = np.multiply(kernel[t0 : t0 + step, a1:a2, b1:b2], sm[a1:a2, None], order="C")
+        svals = part.sum(axis=1)
+        sums[t0 : t0 + step] = (svals * svals * wm[b1:b2]).sum(axis=1)
     return np.max(sums)
 
 
@@ -716,11 +706,10 @@ def _class_bounds(
     w_j r_0^2 from the right give the class sums with no prefix difference:
     core = Lsum[a1, b2] + Rsum[a2, b1].
 
-    Rounding.  The scan differences prefix sums over every source atom
-    below a2, so its class sum can be off by cancellation in the heavy atoms
-    outside the class: by at most g A_j(a2), with
-    A_j(a) = sum over i < a of |row0[i, j]| and g = 8 (n_sigma + 2) eps,
-    which covers both prefix differences and any last-bit slip of the two
+    Rounding.  The scan's class sum is off by its own rounding, and l_0
+    and r_0 by cancellation in the heavy atoms outside the class too: each
+    by at most g A_j(a2), with A_j(a) = sum over i < a of |row0[i, j]| and
+    g = 8 (n_sigma + 2) eps, which also covers any last-bit slip of the two
     kernel facts.  Minkowski's inequality in l^2(w) adds that error as
     sqrt(gsum), gsum = sum of w_j (g A_j(a2))^2 over the class, summed from
     the right as above.  Products that underflow lose up to 2^-1075 each,
@@ -728,9 +717,12 @@ def _class_bounds(
     The factor 1 + 1e-9 covers every relative rounding of the scan and of
     this arithmetic (n eps << 1e-9), and the final 2^-1073 the quotient's
     underflow:
-    ub = ((sqrt(core) + sqrt(gsum)) (1 + 1e-9))^2 / sigma(I) + 2^-1073.
-    An overflow gives +inf and a NaN is read as +inf, so such a class is
-    never skipped.
+    ub = ((sqrt(core) + sqrt(gsum)) (1 + 1e-9))^2 / s + 2^-1073.
+    The divisor s is sp[a2] - sp[a1] - g sp[a2], sp the running sums of
+    the masses: a lower bound of sigma(I), and so of the correctly rounded
+    sigma(I) that the scan divides by.  Where cancellation leaves it not
+    positive, s is that correctly rounded sigma(I) itself.  An overflow
+    gives +inf and a NaN is read as +inf, so such a class is never skipped.
     """
     n_s = sigma.n_atoms
     rows = np.arange(n_s + 1)[:, None]
@@ -755,7 +747,10 @@ def _class_bounds(
         gsum = np.concatenate([np.cumsum(noise[:, ::-1], axis=1)[:, ::-1], zero], axis=1)
         core = lsum[a1s, b2s] + rsum[a2s, b1s] + floor
         err = gsum[a2s, b1s] + floor
-        smass = sigma._mass_prefix[a2s] - sigma._mass_prefix[a1s]
+        sp = np.concatenate(([0.0], np.cumsum(sigma.masses_f)))
+        smass = sp[a2s] - sp[a1s] - g * sp[a2s]
+        for k in np.flatnonzero(~(smass > 0.0)).tolist():
+            smass[k] = range_sum(sigma.masses[a1s[k] : a2s[k]])
         ub = ((np.sqrt(core) + np.sqrt(err)) * (1.0 + 1e-9)) ** 2 / smass + 2.0 * _TINY
     ub[np.isnan(ub)] = np.inf
     return ub
@@ -769,8 +764,8 @@ def energy(w: AtomicMeasure, i) -> float:
     lo, hi = w.index_range(i)
     if hi - lo <= 1:
         return 0.0
-    length_sq = _squares(np.array([i.right_f - i.left_f]))
-    return float(_energies(w, np.array([lo]), np.array([hi]), length_sq)[0])
+    length = i.right_f - i.left_f
+    return float(_energies(w, np.array([lo]), np.array([hi]), np.array([length * length]))[0][0])
 
 
 def energy_identity_sides(
@@ -835,7 +830,7 @@ def energy_constant(sigma: AtomicMeasure, w: AtomicMeasure, grid: DyadicGrid) ->
     for start in np.flatnonzero(shi > slo).tolist():
         end = table.end[start]
         sl = slice(slo[start], shi[start])
-        s0 = _pairwise_sum(sigma.masses[sl])
+        s0 = range_sum(sigma.masses[sl])
         P = kernel[start:end, sl] @ smass[sl]
         term = (P**2 * ew[start:end]).tolist()
         # reverse pre-order meets both children of a node before the node
@@ -921,18 +916,11 @@ def functional_energy_ratio(
         jstars = maximal_intervals(j_families.get(F.key, []))
         lefts = np.array([j.left_f for j in jstars])
         rights = np.array([j.right_f for j in jstars])
-        poisson = _stationary_terms(lefts, rights, h_pos, h_mass).sum(axis=1).tolist()
+        poisson = _poisson_sums(lefts, rights, h_pos, h_mass).tolist()
         for jstar, p in zip(jstars, poisson):
             lo, hi = g.base.index_range(jstar)
-            pairing = float(
-                np.sum(
-                    g.base.positions_f[lo:hi]
-                    / jstar.length_f
-                    * g.values[lo:hi]
-                    * g.base.masses_f[lo:hi]
-                )
-            )
-            lhs += p * abs(pairing)
+            x, m = g.base.positions_f[lo:hi], g.base.masses_f[lo:hi]
+            lhs += p * abs(range_sum((x / jstar.length_f * g.values[lo:hi] * m).tolist()))
     rhs = h.norm() * math.sqrt(g_norm_sq)
     if rhs == 0.0:
         return 0.0 if lhs == 0.0 else math.inf
@@ -1070,7 +1058,7 @@ def compute_report(
     rng = np.random.default_rng(seed)
     root = grid.root_interval
     ident_coeffs = None  # the Haar coefficients of x on w, on first use
-    prefix = None  # the kernel prefix of every local ratio's form, on first use
+    columns = None  # the kernel column sums of every local ratio's form, on first use
     if sigma.n_atoms >= 2 and w.n_atoms >= 1 and h_const > 0:
         for _ in range(_FE_SAMPLES):
             raw = WeightedFunction(sigma, rng.standard_normal(sigma.n_atoms))
@@ -1105,9 +1093,9 @@ def compute_report(
                 graw = WeightedFunction(w, rng.standard_normal(w.n_atoms))
                 gg = good_projection(graw, grid, eps, r)
                 if gg.norm() > 0.0:
-                    if prefix is None:
-                        prefix = _form_prefix(sigma, w, grid)
-                    local = local_estimate_ratios(f, gg, stopping, below_gap, prefix=prefix)
+                    if columns is None:
+                        columns = _form_columns(sigma, w, grid)
+                    local = local_estimate_ratios(f, gg, stopping, below_gap, columns=columns)
                     if local:
                         local_max = max(local_max, max(local))
     n_over_h = norm_n / h_const if h_const > 0 else 0.0

@@ -10,13 +10,13 @@ The stop tests run on the joint (sigma, w) node table (``haar.NodeTable``,
 :func:`_stop_table`), not on walks: the energy-stopping test on its rows
 below the top interval that hold two w atoms, the stopping construction on
 its rows that a descent from a member reaches.  Each test is one
-vectorised pass whose Poisson sums are row sums of
-``poisson._stationary_terms``; the maximal hits are kept in pre-order by
-jumping over each hit's subtree.  A GridInterval is built only for a
-returned member or a named violation.  The bounded-averages constant and
-the uniformity check's bounded-averages clause read the same rows: those at
-or below a top interval, less the subtrees of a family (:func:`_rows_outside`),
-with the average of |f| on each from prefix sums (:func:`_abs_averages`).
+vectorised pass whose Poisson sums are ``poisson._poisson_sums``; the
+maximal hits are kept in pre-order by jumping over each hit's subtree.  A
+GridInterval is built only for a returned member or a named violation.  The
+bounded-averages constant and the uniformity check's bounded-averages
+clause read the same rows: those at or below a top interval, less the
+subtrees of a family (:func:`_rows_outside`), with the average of |f| on
+each summed over its own atoms (:func:`_abs_averages`).
 
 sigma is read from the function a construction is built for (``f.base``)
 and the grid from its top interval (``i0.grid``, ``stopping.root.grid``),
@@ -27,12 +27,11 @@ node into the piece of its minimal member (``grid.minimal_member``).  The
 bilinear form takes every node's differences at once, skips a source node
 whose differences both vanish, and visits under each other source node only
 the pre-order run of target nodes inside it (``haar._run``), in the order of
-the full double loop.  Each (I, J) pairing is a sum of Python floats over
-the atoms of J, from the kernel prefix read as row lists once per form, and
-rounds as numpy's sum of the slice products (``haar._pairwise_sum``).  The
-form functions take ``prefix=``, the kernel prefix of (sigma, w) that a
-caller evaluating many forms of one pair builds once (:func:`_form_prefix`);
-no prefix is kept past its caller, since it is n_sigma x n_w doubles.
+the full double loop.  Each (I, J) pairing is a correctly rounded sum over
+the atoms of J of the kernel's column sums over the sigma atoms of I's
+child.  The form functions take ``columns=``, the column sums of (sigma,
+w) that a caller evaluating many forms of one pair builds once
+(:func:`_form_columns`); none is kept past its caller.
 """
 
 from __future__ import annotations
@@ -52,7 +51,6 @@ from .haar import (
     _endpoints,
     _keyed_differences,
     _node_table,
-    _pairwise_sum,
     _parents,
     _run,
     _subtree,
@@ -61,9 +59,9 @@ from .haar import (
     splitting_nodes,
 )
 from .hilbert import hilbert_pairing
-from .measure import AtomicMeasure
+from .measure import AtomicMeasure, range_sum, range_sums
 from .params import DEFAULT_C0
-from .poisson import _stationary_terms
+from .poisson import _poisson_sums
 
 __all__ = [
     "StoppingData",
@@ -147,12 +145,15 @@ def _rows_outside(table: NodeTable, top: GridInterval, family) -> np.ndarray:
 
 def _abs_averages(f: WeightedFunction, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """The average of |f| over sigma = ``f.base`` on each atom range
-    [lo, hi): the prefix-sum difference of |f| sigma over that of sigma,
-    divided as numpy divides, so a zero mass gives inf or NaN."""
-    sigma = f.base
-    fpref = np.concatenate(([0.0], np.cumsum(np.abs(f.values) * sigma.masses_f)))
-    mpref = sigma._mass_prefix
-    return (fpref[hi] - fpref[lo]) / (mpref[hi] - mpref[lo])
+    [lo, hi): the sum of |f| sigma over its own atoms, over theirs; 0 on an
+    empty range.  Nested rows often hold the same atoms, so each distinct
+    range is summed once."""
+    n = f.base.n_atoms + 1
+    keys, at = np.unique(lo * n + hi, return_inverse=True)
+    lo, hi = (keys // n).tolist(), (keys % n).tolist()
+    fm = (np.abs(f.values) * f.base.masses_f).tolist()
+    sums = zip(range_sums(fm, lo, hi), range_sums(f.base.masses, lo, hi))
+    return np.array([s / t if t > 0.0 else 0.0 for s, t in sums], dtype=float)[at]
 
 
 def _energy_sides(
@@ -166,27 +167,28 @@ def _energy_sides(
     """Both sides of the energy-stopping test of the table ``rows``, which
     stop where P(sigma_0, I)^2 E(w, I)^2 w(I) > threshold sigma_0(I), with
     sigma_0 sigma's atoms ``top`` and [lo, hi) its atoms in each I; the left
-    side is -inf on a row with E^2 w == 0, which never stops.  ``columns``
-    holds the table's left and right endpoint floats and E(w, I)^2 w(I).
-    sigma_0(I) is read from sigma_0's own prefix sums, so it rounds as
-    ``sigma.restrict(top).mass_on(I)`` does.  P is the row sum of
-    ``poisson._stationary_terms``, in blocks of at most
+    side is -inf, and sigma_0(I) 0, on a row with E^2 w == 0, which never
+    stops.  ``columns`` holds the table's left and right endpoint floats and
+    E(w, I)^2 w(I).  sigma_0(I) is summed over the row's own atoms, as
+    ``sigma.restrict(top).mass_on(I)`` sums it.  P is
+    ``poisson._poisson_sums`` of sigma_0, in blocks of at most
     :data:`_STOP_BLOCK` entries.
     """
     left, right, e2w = columns
     lo0, hi0 = top
     pos, mass = sigma.positions_f[lo0:hi0], sigma.masses_f[lo0:hi0]
-    prefix = np.concatenate(([0.0], np.cumsum(mass)))
     lhs = np.full(len(rows), -np.inf)
+    sigma_mass = np.zeros(len(rows))
     live = np.flatnonzero(e2w[rows] != 0.0)
+    sigma_mass[live] = range_sums(sigma.masses, lo[live].tolist(), hi[live].tolist())
     step = max(1, _STOP_BLOCK // max(1, len(pos)))
     with np.errstate(all="ignore"):
         for start in range(0, len(live), step):
             k = live[start : start + step]
             r = rows[k]
-            p = _stationary_terms(left[r], right[r], pos, mass).sum(axis=1)
+            p = _poisson_sums(left[r], right[r], pos, mass)
             lhs[k] = p * p * e2w[r]
-    return lhs, prefix[hi - lo0] - prefix[lo - lo0]
+    return lhs, sigma_mass
 
 
 def _energy_stops(i0: GridInterval, sigma: AtomicMeasure, w: AtomicMeasure, h_const: float):
@@ -227,8 +229,8 @@ def energy_stopping_intervals(
     Only intervals holding two w atoms can stop, so the test runs on the
     rows of the joint (sigma, w) table below i0 (:func:`_stop_table`), P
     taken of sigma restricted to i0 and sigma(I) read from that
-    restriction's own prefix sums (so it rounds as
-    ``sigma.restrict(i0).mass_on(I)`` does); the maximal hits are kept in
+    restriction's own atoms (as ``sigma.restrict(i0).mass_on(I)`` sums
+    it); the maximal hits are kept in
     pre-order by jumping over each hit's subtree.
     """
     t, stops = _energy_stops(i0, sigma, w, h_const)
@@ -249,11 +251,12 @@ def calibrate_c0(
     compares the same two sides of each row's test."""
     t, stops = _energy_stops(i0, sigma, w, h_const)
     budget = sigma.mass_on(i0) / 10.0
-    prefix = sigma._mass_prefix
+    m = sigma.masses
     c0 = start
     for _ in range(200):
         chosen = stops(10.0 * c0 * h_const**2)
-        if sum((prefix[t.hi[0, chosen]] - prefix[t.lo[0, chosen]]).tolist()) <= budget:
+        ranges = zip(t.lo[0, chosen].tolist(), t.hi[0, chosen].tolist())
+        if range_sum([x for a, b in ranges for x in m[a:b]]) <= budget:
             return c0
         c0 *= 2.0
     raise RuntimeError("energy-stopping calibration did not settle")
@@ -284,8 +287,8 @@ class _StopTable:
     def energy_sides(self, top: int, sigma: AtomicMeasure) -> tuple[np.ndarray, np.ndarray]:
         """:func:`_energy_sides` of every row strictly below row ``top``,
         with sigma_0 the atoms of the table's sigma in ``top``; built once
-        per top row.  Each row's sides come from its own row sum and prefix
-        difference, so a subset of them has the bits of a call on that
+        per top row.  Each row's sides come from its own row sum and its
+        own atoms, so a subset of them has the bits of a call on that
         subset alone."""
         got = self._sides.get(top)
         if got is None:
@@ -341,9 +344,7 @@ def build_stopping_data(
     table = _stop_table(sigma, w, grid)
     t = table.nodes
     # the average of |f| on every row, 0 on a row of no sigma mass
-    with np.errstate(all="ignore"):
-        mass = sigma._mass_prefix[t.hi[0]] - sigma._mass_prefix[t.lo[0]]
-        avg = np.where(mass > 0.0, _abs_averages(f, t.lo[0], t.hi[0]), 0.0)
+    avg = _abs_averages(f, t.lo[0], t.hi[0])
     threshold = 10.0 * c0 * h_const**2
 
     members: list[GridInterval] = [i0]
@@ -403,7 +404,7 @@ def _carleson_ratio(members, sigma: AtomicMeasure) -> float:
     masses = [sigma.mass_on(F) for F in members]
     worst = 0.0
     for S, s_mass in zip(members, masses):
-        total = sum(m for F, m in zip(members, masses) if S.contains(F))
+        total = range_sum([m for F, m in zip(members, masses) if S.contains(F)])
         if s_mass > 0.0:
             worst = max(worst, total / s_mass)
         elif total > 0.0:
@@ -467,45 +468,52 @@ def uniformity_check(
 # bilinear forms
 
 
-def _kernel_prefix(sigma: AtomicMeasure, w: AtomicMeasure) -> np.ndarray:
-    """C[a, k] = sum over the first a sigma atoms of sigma_i / (y_i - x_k)."""
+class _FormColumns(dict):
+    """The column sums over source atom ranges [lo, hi) of the kernel matrix
+    M[i, k] = sigma_i / (y_i - x_k), by (lo, hi), each a list summed from
+    ``M[lo:hi]`` on first use and kept for every later form of the pair."""
+
+    def __init__(self, M: np.ndarray):
+        super().__init__()
+        self.M = M
+
+    def __missing__(self, key: tuple[int, int]) -> list:
+        lo, hi = key
+        column = self[key] = self.M[lo:hi].sum(axis=0).tolist()
+        return column
+
+
+def _form_columns(sigma: AtomicMeasure, w: AtomicMeasure, grid: DyadicGrid) -> _FormColumns:
+    """The :class:`_FormColumns` that the forms from sigma to w read, with no
+    kernel when a side has no splitting node, so that every such form is 0.
+    Never None, so a caller passing it on as ``columns=`` never has it built
+    again."""
+    if not (sigma.n_atoms and w.n_atoms):
+        return _FormColumns(np.empty((0, 0)))
+    if not splitting_nodes(sigma, grid) or not splitting_nodes(w, grid):
+        return _FormColumns(np.empty((0, 0)))
     diffs = sigma.positions_f[:, None] - w.positions_f[None, :]
     if np.any(diffs == 0.0):
         raise AtomCollision("the measures share a position")
-    M = (1.0 / diffs) * sigma.masses_f[:, None]
-    return np.concatenate([np.zeros((1, w.n_atoms)), np.cumsum(M, axis=0)], axis=0)
-
-
-def _form_prefix(sigma: AtomicMeasure, w: AtomicMeasure, grid: DyadicGrid) -> np.ndarray:
-    """The :func:`_kernel_prefix` that the forms from sigma to w read, or
-    an empty array when a side has no splitting node, so that every such
-    form is 0.  Never None, so a caller passing it on as ``prefix=`` never
-    has it built again."""
-    if sigma.n_atoms == 0 or w.n_atoms == 0:
-        return np.empty((0, 0))
-    if not splitting_nodes(sigma, grid) or not splitting_nodes(w, grid):
-        return np.empty((0, 0))
-    return _kernel_prefix(sigma, w)
+    return _FormColumns((1.0 / diffs) * sigma.masses_f[:, None])
 
 
 def _b_form(
-    f: WeightedFunction, g: WeightedFunction, grid: DyadicGrid, gap: int, C: np.ndarray
+    f: WeightedFunction, g: WeightedFunction, grid: DyadicGrid, gap: int, C: _FormColumns
 ) -> float:
     """sum over source-splitting I and target-splitting J at least ``gap``
     levels below, of the value of the I-difference of f on the child
     containing J, times the raw-kernel pairing of that child against the
-    J-difference of g.  ``C`` is :func:`_form_prefix` of (f.base, g.base).
-    Each pairing is a sum of (w_k d_J) (C[shi, k] - C[slo, k]) over the
-    atoms k of J, in Python floats (``haar._pairwise_sum``), as numpy
-    sums the product of the slices."""
-    if C.size == 0:
+    J-difference of g.  ``C`` is :func:`_form_columns` of (f.base, g.base).
+    Each pairing is the correctly rounded sum of (w_k d_J) c_k over the
+    atoms k of J, c the kernel's column sums over the child's sigma atoms."""
+    if C.M.size == 0:
         return 0.0
     s_nodes = splitting_nodes(f.base, grid)
     w_nodes = splitting_nodes(g.base, grid)
     s_left, s_right = _differences(f, s_nodes)
     w_left, w_right = _differences(g, w_nodes)
     wmass = g.base.masses
-    rows = C.tolist()
     total = 0.0
     for ni, e_left, e_right in zip(s_nodes, s_left, s_right):
         if e_left == 0.0 and e_right == 0.0:
@@ -523,11 +531,11 @@ def _b_form(
                 slo, shi, dval = ni.cut, ni.hi, e_right
             if dval == 0.0 or shi == slo:
                 continue
-            c_hi, c_lo = rows[shi], rows[slo]
+            col = C[slo, shi]
             d_left, d_right = w_left[t], w_right[t]
-            terms = [(wmass[k] * d_left) * (c_hi[k] - c_lo[k]) for k in range(nj.lo, nj.cut)]
-            terms += [(wmass[k] * d_right) * (c_hi[k] - c_lo[k]) for k in range(nj.cut, nj.hi)]
-            total += dval * _pairwise_sum(terms)
+            terms = [(wmass[k] * d_left) * col[k] for k in range(nj.lo, nj.cut)]
+            terms += [(wmass[k] * d_right) * col[k] for k in range(nj.cut, nj.hi)]
+            total += dval * range_sum(terms)
     return total
 
 
@@ -537,18 +545,18 @@ def b_above(
     grid: DyadicGrid,
     below_gap: int,
     *,
-    prefix: np.ndarray | None = None,
+    columns: _FormColumns | None = None,
 ) -> float:
     """The above-diagonal bilinear form; the below-diagonal form of (f, g)
     is ``b_above(g, f, ...)``.
 
     Exact double sum with the raw kernel; the caller supplies mean-zero
     functions with good Haar supports when the classical bounds are being
-    instrumented.  ``prefix``, when given, is :func:`_form_prefix` of
+    instrumented.  ``columns``, when given, is :func:`_form_columns` of
     (f.base, g.base) on ``grid``, already built by the caller; when None it
     is built here.
     """
-    C = _form_prefix(f.base, g.base, grid) if prefix is None else prefix
+    C = _form_columns(f.base, g.base, grid) if columns is None else columns
     return _b_form(f, g, grid, below_gap, C)
 
 
@@ -573,7 +581,7 @@ def corona_split(
     *,
     above: float | None = None,
     pieces: tuple[dict, dict] | None = None,
-    prefix: np.ndarray | None = None,
+    columns: _FormColumns | None = None,
 ) -> tuple[float, float]:
     """Diagonal corona part of the above form on the stopping family's grid,
     and the cross-corona rest.
@@ -584,10 +592,10 @@ def corona_split(
     ``above``, when given, is that b_above(f, g) on the family's grid,
     already evaluated by the caller, and is not evaluated again; so are
     ``pieces``, the corona pieces of f and of g over ``stopping``, and
-    ``prefix``, as :func:`b_above` takes it.
+    ``columns``, as :func:`b_above` takes it.
     """
     grid = stopping.root.grid
-    C = _form_prefix(f.base, g.base, grid) if prefix is None else prefix
+    C = _form_columns(f.base, g.base, grid) if columns is None else columns
     total = _b_form(f, g, grid, below_gap, C) if above is None else above
     split_value = 0.0
     f_pieces, g_pieces = pieces or (corona_pieces(f, stopping), corona_pieces(g, stopping))
@@ -613,13 +621,13 @@ def reduction_residual(
     h_const: float,
     below_gap: int,
     *,
-    prefix: np.ndarray | None = None,
+    columns: _FormColumns | None = None,
 ) -> ReductionResidual:
     """The raw pairing, both diagonal forms, and the normalized residual
-    |pairing - above - below| / (h ||f|| ||g||).  ``prefix`` is the above
+    |pairing - above - below| / (h ||f|| ||g||).  ``columns`` is the above
     form's, as :func:`b_above` takes it."""
     inner = hilbert_pairing(f, g)
-    ba = b_above(f, g, grid, below_gap, prefix=prefix)
+    ba = b_above(f, g, grid, below_gap, columns=columns)
     bb = b_above(g, f, grid, below_gap)
     denom = h_const * f.norm() * g.norm()
     ratio = abs(inner - ba - bb) / denom if denom > 0 else 0.0
@@ -633,7 +641,7 @@ def local_estimate_ratios(
     below_gap: int,
     *,
     pieces: tuple[dict, dict] | None = None,
-    prefix: np.ndarray | None = None,
+    columns: _FormColumns | None = None,
 ) -> list[float]:
     """Per-corona ratios |B(f_u, g_a)| / ((sigma(F)^(1/2) + ||f_u||) ||g_a||),
     with sigma = ``f.base``, on the stopping family's grid.
@@ -642,10 +650,10 @@ def local_estimate_ratios(
     constant times the control value, so it is uniform with constant one
     w.r.t. the family children of F; g_a is the matching corona piece of g.
     ``pieces``, when given, are the corona pieces of f and of g over
-    ``stopping``, already computed by the caller; ``prefix`` is as
+    ``stopping``, already computed by the caller; ``columns`` is as
     :func:`b_above` takes it, built here at the first form when None.
     """
-    sigma, grid, C = f.base, stopping.root.grid, prefix
+    sigma, grid, C = f.base, stopping.root.grid, columns
     f_pieces, g_pieces = pieces or (corona_pieces(f, stopping), corona_pieces(g, stopping))
     out: list[float] = []
     for F in stopping.members:
@@ -664,7 +672,7 @@ def local_estimate_ratios(
         if denom == 0.0:
             continue
         if C is None:
-            C = _form_prefix(sigma, g.base, grid)
+            C = _form_columns(sigma, g.base, grid)
         out.append(abs(_b_form(fu, qg, grid, below_gap, C)) / denom)
     return out
 

@@ -22,21 +22,15 @@ inside a top interval (the stop tests, bounded averages and uniformity in
 The energy trunk (:func:`_trunk_table`) is built from the charged list,
 with each row's child rows for the energy DP.
 
-Sums over the few atoms of one node are taken in Python floats, not with
-a numpy call per node, and round as numpy's would: every elementwise step
-is the same IEEE operation in numpy's left-to-right order (a square is
-``d * d``, as numpy's ``x ** 2`` is), and every reduction is
-:func:`_pairwise_sum`, numpy's own pairwise order for a contiguous float64
-array or a C-order row, from +0.0.  Python raises on a zero divisor, where
-numpy gives an infinity or a NaN: :func:`_differences` takes its numpy
-path there, and :func:`_energies` divides by |I|^2 with numpy.
+Every sum over the atoms of a node is taken over those atoms alone and
+correctly rounded (:func:`~h2w.measure.range_sum`), in Python floats, not
+with a numpy call per node, so no atom outside the node moves it.
 
 A projection sums one :func:`_differences` pass by a key per node
 (:func:`_keyed_differences`): goodness, or the minimal stopping member.
 Each key's sum is one list of Python floats, to which every node adds its
-two differences atom by atom, in node order, from +0.0: the IEEE additions
-of a numpy slice-add per node, without a numpy call per node.  Goodness is
-tested once per splitting node of a measure at (eps, r): the good nodes
+two differences atom by atom, in node order.  Goodness is tested once per
+splitting node of a measure at (eps, r): the good nodes
 (:func:`good_nodes`) are kept in the grid's memo beside the node lists, and
 the good projection and the half-plane families
 (``poisson.default_j_families``) walk them.
@@ -57,7 +51,7 @@ import numpy as np
 
 from .errors import PreconditionViolation, ZeroMass
 from .grid import DyadicGrid, GridInterval, check_table_size, is_good, kept_with_grid
-from .measure import AtomicMeasure
+from .measure import AtomicMeasure, range_sum, range_sums
 
 __all__ = [
     "WeightedFunction",
@@ -144,37 +138,10 @@ def inner(f: WeightedFunction, g: WeightedFunction) -> float:
 def expectation(f: WeightedFunction, i) -> float:
     """The normalized average of f over the interval; ZeroMass if uncharged."""
     lo, hi = f.base.index_range(i)
-    mass = float(np.sum(f.base.masses_f[lo:hi]))
-    if mass <= 0.0:
+    if hi == lo:
         raise ZeroMass(f"interval {i!r} carries no mass")
-    return float(np.sum(f.values[lo:hi] * f.base.masses_f[lo:hi])) / mass
-
-
-def _pairwise_sum(a: Sequence[float]) -> float:
-    """The sum of the Python floats ``a`` as numpy sums a contiguous
-    float64 array, bit for bit: numpy's pairwise sum, which adds fewer than
-    8 terms in order, up to 128 terms in eight strided accumulators
-    combined as a tree and then the rest in order, and splits a longer run
-    at half its length, rounded down to a multiple of 8.  It starts from
-    +0.0, as numpy's reduction does, so that no sum is -0.0."""
-    n = len(a)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _pairwise_sum(a[:half]) + _pairwise_sum(a[half:])
-    body = n - n % 8
-    total = 0.0
-    if body:
-        r = []
-        for j in range(8):
-            acc = a[j]
-            for v in a[j + 8 : body : 8]:
-                acc += v
-            r.append(acc)
-        total += ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        a = a[body:]
-    for v in a:
-        total += v
-    return total
+    fm = f.values[lo:hi] * f.base.masses_f[lo:hi]
+    return range_sum(fm.tolist()) / range_sum(f.base.masses[lo:hi])
 
 
 # ---------------------------------------------------------------------------
@@ -430,12 +397,6 @@ def occupied_nodes(mu: AtomicMeasure, grid: DyadicGrid) -> NodeList:
     return _node_list(t, np.ones(len(t), dtype=bool))
 
 
-def _squares(x: np.ndarray) -> np.ndarray:
-    """Each entry's Python float square (libm ``pow``, which can differ from
-    numpy's x * x in the last bit), in x's shape."""
-    return np.array([v**2 for v in x.ravel().tolist()]).reshape(x.shape)
-
-
 @dataclass(frozen=True)
 class _TrunkTable:
     """The w-dispersion trunk of one (w, grid): the charged nodes of w in
@@ -460,33 +421,35 @@ def _trunk_table(w: AtomicMeasure, grid: DyadicGrid) -> _TrunkTable:
     table = node_table(w, grid)
     rows = np.flatnonzero(table.hi[0] - table.lo[0] >= 2)
     left, right = (ends[rows] for ends in _endpoints(table, grid))
-    lo, hi = table.lo[0, rows], table.hi[0, rows]
-    e2 = _energies(w, lo, hi, _squares(right - left))
+    length = right - left
+    e2, mass = _energies(w, table.lo[0, rows], table.hi[0, rows], length * length)
     end = np.searchsorted(rows, table.end[rows])
     nodes = charged_nodes(w, grid)
     row = {n[:2]: t for t, n in enumerate(nodes)}
     kids = tuple(
         [row.get((n.level + 1, 2 * n.index + side), len(nodes)) for n in nodes] for side in (0, 1)
     )
-    e2w = e2 * (w._mass_prefix[hi] - w._mass_prefix[lo])
-    return _TrunkTable(nodes, left, right, e2, e2w, end, kids)
+    return _TrunkTable(nodes, left, right, e2, e2 * mass, end, kids)
 
 
-def _energies(w: AtomicMeasure, lo: np.ndarray, hi: np.ndarray, length_sq: np.ndarray) -> np.ndarray:
-    """E(w, I)^2 of each atom range [lo, hi), at least two atoms, with
-    |I|^2 = ``length_sq``: twice the w-variance of position over the range,
-    divided by |I|^2.  One Python pass per range, and one numpy division by
-    |I|^2 at the end, which gives numpy's infinity or NaN on a zero |I|^2
-    (the masses are positive, so no other divisor is zero)."""
+def _energies(
+    w: AtomicMeasure, lo: np.ndarray, hi: np.ndarray, length_sq: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """E(w, I)^2 and w(I) of each atom range [lo, hi), at least two atoms,
+    with |I|^2 = ``length_sq``: twice the w-variance of position over the
+    range, divided by |I|^2.  One Python pass per range, and one numpy
+    division by |I|^2 at the end, which gives numpy's infinity or NaN on a
+    zero |I|^2 (the masses are positive, so no other divisor is zero)."""
     m, x = w.masses, w.positions_f.tolist()
-    two_var = []
+    two_var, masses = [], []
     for a, b in zip(lo.tolist(), hi.tolist()):
         ma, xa = m[a:b], x[a:b]
-        mass = _pairwise_sum(ma)
-        mean = _pairwise_sum([p * c for p, c in zip(xa, ma)]) / mass
-        var = _pairwise_sum([(d := p - mean) * d * c for p, c in zip(xa, ma)]) / mass
+        mass = range_sum(ma)
+        mean = range_sum([p * c for p, c in zip(xa, ma)]) / mass
+        var = range_sum([(d := p - mean) * d * c for p, c in zip(xa, ma)]) / mass
         two_var.append(2.0 * var)
-    return np.array(two_var, dtype=float) / length_sq
+        masses.append(mass)
+    return np.array(two_var, dtype=float) / length_sq, np.array(masses, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -503,14 +466,26 @@ def _split(mu: AtomicMeasure, i: GridInterval) -> tuple[int, int, int]:
     return lo, _cut(mu.positions_f, i.grid, i.level, i.index, lo, hi), hi
 
 
+def _ranges(nodes) -> tuple[list, list, list]:
+    """The atom indices lo, cut and hi of each node, as three lists."""
+    return [n.lo for n in nodes], [n.cut for n in nodes], [n.hi for n in nodes]
+
+
+def _amplitudes(mu: AtomicMeasure, lo, cut, hi) -> tuple[list, list, list]:
+    """The masses of the halves [lo, cut) and [cut, hi) of each node, each
+    summed over its own atoms, and the node's Haar amplitude
+    sqrt(m- m+ / (m- + m+)); both halves must be charged."""
+    m_left, m_right = range_sums(mu.masses, lo, cut), range_sums(mu.masses, cut, hi)
+    amp = [math.sqrt(a * b / (a + b)) for a, b in zip(m_left, m_right)]
+    return m_left, m_right, amp
+
+
 def haar_function(i: GridInterval, mu: AtomicMeasure) -> WeightedFunction | None:
     """The L2(mu)-normalized Haar function on i, or None if a half is uncharged."""
     lo, cut, hi = _split(mu, i)
-    m_left = _pairwise_sum(mu.masses[lo:cut])
-    m_right = _pairwise_sum(mu.masses[cut:hi])
-    if m_left <= 0.0 or m_right <= 0.0:
+    if not lo < cut < hi:
         return None
-    amp = math.sqrt(m_left * m_right / (m_left + m_right))
+    (m_left,), (m_right,), (amp,) = _amplitudes(mu, [lo], [cut], [hi])
     values = np.zeros(mu.n_atoms)
     values[lo:cut] = -amp / m_left
     values[cut:hi] = amp / m_right
@@ -525,17 +500,11 @@ def martingale_difference(f: WeightedFunction, i: GridInterval) -> WeightedFunct
     """
     mu = f.base
     lo, cut, hi = _split(mu, i)
-    m = mu.masses
     values = np.zeros(mu.n_atoms)
-    m_left = _pairwise_sum(m[lo:cut])
-    m_right = _pairwise_sum(m[cut:hi])
-    if m_left > 0.0 and m_right > 0.0:
-        fm = [v * c for v, c in zip(f.values[lo:hi].tolist(), m[lo:hi])]
-        e_left = _pairwise_sum(fm[: cut - lo]) / m_left
-        e_right = _pairwise_sum(fm[cut - lo :]) / m_right
-        e_full = (m_left * e_left + m_right * e_right) / (m_left + m_right)
-        values[lo:cut] = e_left - e_full
-        values[cut:hi] = e_right - e_full
+    if lo < cut < hi:
+        (d_left,), (d_right,) = _differences(f, [_Node(i.level, i.index, lo, hi, cut)])
+        values[lo:cut] = d_left
+        values[cut:hi] = d_right
     return WeightedFunction(mu, values)
 
 
@@ -564,70 +533,52 @@ def expand(f: WeightedFunction, grid: DyadicGrid) -> HaarCoefficients:
     if mu.n_atoms == 0:
         raise ZeroMass("cannot expand over an empty measure")
     nodes = splitting_nodes(mu, grid)
-    fm = np.concatenate(([0.0], np.cumsum(f.values * mu.masses_f)))
-    mm = mu._mass_prefix
-    coeffs: dict[tuple[int, int], float] = {}
-    node_map: dict[tuple[int, int], _Node] = {}
-    for n in nodes:
-        m_left = mm[n.cut] - mm[n.lo]
-        m_right = mm[n.hi] - mm[n.cut]
-        e_left = (fm[n.cut] - fm[n.lo]) / m_left
-        e_right = (fm[n.hi] - fm[n.cut]) / m_right
-        amp = math.sqrt(m_left * m_right / (m_left + m_right))
-        key = (n.level, n.index)
-        coeffs[key] = amp * (e_right - e_left)
-        node_map[key] = n
-    root_mean = fm[-1] / mm[-1]
-    return HaarCoefficients(grid, mu, float(root_mean), coeffs, node_map)
+    fm = (f.values * mu.masses_f).tolist()
+    lo, cut, hi = _ranges(nodes)
+    halves = zip(range_sums(fm, lo, cut), range_sums(fm, cut, hi), *_amplitudes(mu, lo, cut, hi))
+    coeffs = {
+        (n.level, n.index): amp * (f_right / m_right - f_left / m_left)
+        for n, (f_left, f_right, m_left, m_right, amp) in zip(nodes, halves)
+    }
+    node_map = {(n.level, n.index): n for n in nodes}
+    root_mean = range_sum(fm) / mu.total_mass
+    return HaarCoefficients(grid, mu, root_mean, coeffs, node_map)
 
 
 def reconstruct(hc: HaarCoefficients) -> WeightedFunction:
     """Sum the root mean and all coefficient * Haar terms back to atom values."""
     mu = hc.base
-    mm = mu._mass_prefix
     values = np.full(mu.n_atoms, hc.root_mean)
-    for key, c in hc.coeffs.items():
-        n = hc._nodes[key]
-        m_left = mm[n.cut] - mm[n.lo]
-        m_right = mm[n.hi] - mm[n.cut]
-        amp = math.sqrt(m_left * m_right / (m_left + m_right))
+    nodes = [hc._nodes[key] for key in hc.coeffs]
+    halves = zip(hc.coeffs.values(), *_amplitudes(mu, *_ranges(nodes)))
+    for n, (c, m_left, m_right, amp) in zip(nodes, halves):
         values[n.lo : n.cut] += c * (-amp / m_left)
         values[n.cut : n.hi] += c * (amp / m_right)
     return WeightedFunction(mu, values)
 
 
-def _half_differences(nodes, fm, mm) -> tuple[list, list]:
-    d_left, d_right = [], []
-    for n in nodes:
-        m_left = mm[n.cut] - mm[n.lo]
-        m_right = mm[n.hi] - mm[n.cut]
-        e_full = (fm[n.hi] - fm[n.lo]) / (m_left + m_right)
-        d_left.append((fm[n.cut] - fm[n.lo]) / m_left - e_full)
-        d_right.append((fm[n.hi] - fm[n.cut]) / m_right - e_full)
-    return d_left, d_right
-
-
 def _differences(f: WeightedFunction, nodes) -> tuple[list, list]:
     """E_{I-} f - E_I f and E_{I+} f - E_I f for each splitting node I: the
-    martingale difference of f at I on each half, from prefix sums of f and
-    of the masses.  Python floats carry the same IEEE operations as numpy's,
-    but raise on a zero divisor, which a half whose prefix masses cancel
-    gives; then numpy's quotients are taken, as the scalar formula gives
-    them."""
-    fm = np.concatenate(([0.0], np.cumsum(f.values * f.base.masses_f)))
-    mm = f.base._mass_prefix
-    try:
-        return _half_differences(nodes, fm.tolist(), mm.tolist())
-    except ZeroDivisionError:
-        return _half_differences(nodes, fm, mm)
+    martingale difference of f at I on each half.  Every average is the sum
+    of f times the masses over its own atoms, over theirs."""
+    m = f.base.masses
+    fm = (f.values * f.base.masses_f).tolist()
+    lo, cut, hi = _ranges(nodes)
+
+    def means(a, b):
+        return [s / t for s, t in zip(range_sums(fm, a, b), range_sums(m, a, b))]
+
+    e_full = means(lo, hi)
+    d_left = [e - e0 for e, e0 in zip(means(lo, cut), e_full)]
+    d_right = [e - e0 for e, e0 in zip(means(cut, hi), e_full)]
+    return d_left, d_right
 
 
 def _keyed_differences(f: WeightedFunction, nodes, key_of, keys) -> dict:
     """For each of ``keys``, the sum of the martingale differences of f at
     the splitting ``nodes`` whose ``key_of`` is that key, added in order
     from one :func:`_differences` pass; other nodes are left out.  Each sum
-    is a list of Python floats from +0.0 until its one array is made, so
-    every atom takes the additions a slice-add per node would."""
+    is a list of Python floats until its one array is made."""
     sums = {key: [0.0] * f.base.n_atoms for key in keys}
     keyed = [(n, key) for n in nodes if (key := key_of(n)) in sums]
     kept = [n for n, _ in keyed]

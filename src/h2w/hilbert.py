@@ -36,8 +36,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import AtomCollision, PreconditionViolation
-from .measure import AtomicMeasure
-from .haar import WeightedFunction, _pairwise_sum, _squares, absolute_haar_multiplier
+from .measure import AtomicMeasure, range_sum
+from .haar import WeightedFunction, absolute_haar_multiplier
 from .params import DEFAULT_REFINEMENT
 from .poisson import poisson_stationary
 
@@ -124,9 +124,9 @@ def smooth_kernel(y, alpha: float, beta: float):
     lin = a < alpha
     mid = (a >= alpha) & (a <= beta)
     tap = (a > beta) & (a < 2.0 * beta)
-    out[lin] = -a[lin] / alpha**2 + 2.0 / alpha
+    out[lin] = -a[lin] / (alpha * alpha) + 2.0 / alpha
     out[mid] = 1.0 / a[mid]
-    out[tap] = -a[tap] / beta**2 + 2.0 / beta
+    out[tap] = -a[tap] / (beta * beta) + 2.0 / beta
     out = out * np.sign(arr)
     if np.isscalar(y) or arr.ndim == 0:
         return float(out)
@@ -186,7 +186,7 @@ def single_scale_average(
     pos = mu.positions_f
     mask = (pos > x - 3.0 * alpha) & (pos < x + 3.0 * alpha)
     vals = mu.masses_f if phi_values is None else mu.masses_f * np.asarray(phi_values)
-    return float(np.sum(vals[mask])) / alpha
+    return range_sum(vals[mask].tolist()) / alpha
 
 
 def kernel_difference_factor(
@@ -378,7 +378,7 @@ def _tapered_block(blk, alpha, beta, a, neg_a, inv, sign, work, below) -> None:
     betas, at_beta = np.unique(beta, return_inverse=True)
     betas = betas.reshape(col)
     rows, mask = work[: len(betas)], below[: len(betas)]
-    np.divide(neg_a, _squares(betas), out=rows)
+    np.divide(neg_a, betas * betas, out=rows)
     rows += 2.0 / betas
     np.greater_equal(a, 2.0 * betas, out=mask)
     np.copyto(rows, 0.0, where=mask)
@@ -392,7 +392,7 @@ def _tapered_block(blk, alpha, beta, a, neg_a, inv, sign, work, below) -> None:
         alphas, at_alpha = alpha, None
     alphas = alphas.reshape(col)
     rise, mask = work[: len(alphas)], below[: len(blk)]
-    np.divide(neg_a, _squares(alphas), out=rise)
+    np.divide(neg_a, alphas * alphas, out=rise)
     rise += 2.0 / alphas
     rise *= sign
     if at_alpha is None:
@@ -435,10 +435,9 @@ def _kernel_blocks(arr: np.ndarray, candidates: TruncationTable, out=None):
     alpha, in one block of scratch rows per call.  Each candidate's row is
     then its beta row, gathered, with its alpha row copied in below alpha.
     Every entry is the value :func:`smooth_kernel` selects, made by the same
-    operations on the same scalars (the squares as Python float squares,
-    libm ``pow``, not numpy's x * x): multiplying by the sign before the
-    selection rather than after it moves no bit, and 1/y is sign(y) / |y|
-    exactly.  No row depends on the others in its block, so neither does
+    operations on the same scalars (each square x * x): multiplying by the
+    sign before the selection rather than after it moves no bit, and 1/y is
+    sign(y) / |y| exactly.  No row depends on the others in its block, so neither does
     any bit on where the blocks fall.
     """
     code = candidates.code
@@ -637,9 +636,9 @@ def truncation_compare(
     kernel is applied to it once and each transform is a row sum, which
     reduces a C-ordered row as :func:`transform` reduces its 1-D product.
     A window (x - 3a, x + 3a) holds a contiguous run of the sorted atoms,
-    found by ``searchsorted``, and its sum is that slice's pairwise sum in
-    Python floats (``haar._pairwise_sum``), as :func:`single_scale_average`
-    sums its masked copy.  So every value is bitwise the per-point one."""
+    found by ``searchsorted``, and its sum is that run's correctly rounded
+    sum, as :func:`single_scale_average` sums its masked copy.  So every
+    value is bitwise the per-point one."""
     xs = np.asarray(x_points, dtype=float)
     if len(xs) == 0:
         return 0.0, 0.0, 0.0
@@ -658,7 +657,7 @@ def truncation_compare(
     def averages(c):
         los = np.searchsorted(pos, xs - 3.0 * c, "right").tolist()
         his = np.searchsorted(pos, xs + 3.0 * c, "left").tolist()
-        return [_pairwise_sum(terms[lo:hi]) / c for lo, hi in zip(los, his)]
+        return [range_sum(terms[lo:hi]) / c for lo, hi in zip(los, his)]
 
     best = (0.0, 0.0, 0.0)
     for h, s, at_inner, at_outer in zip(hard, smooth, averages(inner), averages(outer)):

@@ -37,7 +37,31 @@ __all__ = [
     "read_pair_file",
     "parse_pair_text",
     "pair_text",
+    "range_sum",
+    "range_sums",
 ]
+
+
+def range_sum(terms) -> float:
+    """The sum of the doubles ``terms`` (a list or tuple), correctly rounded
+    (``math.fsum``): it depends on those terms alone, not on their order or
+    on any term outside them.  Where the running sum passes the largest
+    double it is numpy's sum instead, an infinity or a NaN."""
+    try:
+        return math.fsum(terms)
+    except (OverflowError, ValueError):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(np.sum(np.array(terms, dtype=float)))
+
+
+def range_sums(terms, los, his) -> list[float]:
+    """:func:`range_sum` of ``terms[lo:hi]`` for each lo of ``los`` and hi of
+    ``his``, in one pass."""
+    fsum = math.fsum
+    try:
+        return [fsum(terms[a:b]) for a, b in zip(los, his)]
+    except (OverflowError, ValueError):
+        return [range_sum(terms[a:b]) for a, b in zip(los, his)]
 
 
 def _canonical(num: int, scale: int) -> tuple[int, int]:
@@ -172,7 +196,6 @@ class AtomicMeasure:
         for m in self.masses:
             if not (m > 0 and math.isfinite(m)):
                 raise ValueError(f"masses must be positive and finite, got {m}")
-        # floats, so that Python sums of masses round as numpy's (haar._pairwise_sum)
         object.__setattr__(self, "masses", tuple(map(float, self.masses)))
         positions = tuple(map(float, self.positions))
         if not all(map(math.isfinite, positions)):
@@ -208,15 +231,8 @@ class AtomicMeasure:
         return np.array(self.masses, dtype=float)
 
     @cached_property
-    def _mass_prefix(self) -> np.ndarray:
-        """0 and the running sums of the masses; shared, so read-only."""
-        prefix = np.concatenate(([0.0], np.cumsum(self.masses_f)))
-        prefix.flags.writeable = False
-        return prefix
-
-    @cached_property
     def total_mass(self) -> float:
-        return float(self._mass_prefix[-1])
+        return range_sum(self.masses)
 
     def index_range(self, i) -> tuple[int, int]:
         """Indices [lo, hi) of atoms with left <= position < right, from the
@@ -225,9 +241,10 @@ class AtomicMeasure:
         return bisect_left(self.positions_f, i.left_f), bisect_left(self.positions_f, i.right_f)
 
     def mass_on(self, i) -> float:
-        """Total mass carried inside the half-open interval."""
+        """Total mass carried inside the half-open interval, summed over its
+        own atoms (:func:`range_sum`)."""
         lo, hi = self.index_range(i)
-        return float(self._mass_prefix[hi] - self._mass_prefix[lo])
+        return range_sum(self.masses[lo:hi])
 
     def restrict(self, i) -> "AtomicMeasure":
         """The measure of the atoms inside the interval, masses unchanged."""

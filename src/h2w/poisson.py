@@ -6,15 +6,11 @@ half-plane extension evaluated at (center, |I|) up to a factor in [1, 2]:
 dist(x, I) <= |x - center| <= dist(x, I) + |I|/2 squeezes the two kernels
 within that band.  No 1/pi normalization anywhere.
 
-Every Poisson kernel is evaluated here, by four batched helpers with one
+Every Poisson kernel is evaluated here, by three batched helpers with one
 row per interval or point and one column per atom; a scalar entry point is
-a one-row call, and a row sum of a C-ordered array reduces as numpy reduces
-a 1-D one, so batching moves no bit.  :func:`poisson_testing` evaluates
-each side once per distinct input: the forward side per sigma atom range,
-the dual side per box mask.  The summed stationary and extension
-terms square |I| and t as Python floats (libm ``pow``, ``haar._squares``),
-the product kernel and the dual terms as numpy does (x * x), which differs
-in the last bit on some lengths.
+a one-row call, and each row is summed on its own, so batching moves no
+bit.  :func:`poisson_testing` evaluates each side once per distinct input:
+the forward side per sigma atom range, the dual side per box mask.
 """
 
 from __future__ import annotations
@@ -27,8 +23,8 @@ import numpy as np
 
 from .errors import PreconditionViolation
 from .grid import DyadicGrid, GridInterval, f_parent
-from .haar import WeightedFunction, _squares, expand, good_nodes, occupied_nodes
-from .measure import AtomicMeasure
+from .haar import WeightedFunction, expand, good_nodes, occupied_nodes
+from .measure import AtomicMeasure, range_sum
 
 __all__ = [
     "HalfPlaneMeasure",
@@ -45,20 +41,10 @@ __all__ = [
 ]
 
 
-def _stationary_terms(
-    lefts: np.ndarray, rights: np.ndarray, pos: np.ndarray, mass: np.ndarray
-) -> np.ndarray:
-    """m |I| / (|I|^2 + d^2) for the intervals [lefts, rights) by the atoms
-    (pos, mass), d the atom's distance to I; row sums are P."""
-    left, right = lefts[:, None], rights[:, None]
-    length = right - left
-    dist = np.maximum(0.0, np.maximum(left - pos, pos - right))
-    return mass * length / (_squares(length) + dist**2)
-
-
 def _product_kernel(lefts: np.ndarray, rights: np.ndarray, pos: np.ndarray) -> np.ndarray:
     """|I| / (|I| |I| + d^2) for the intervals [lefts, rights) by the atoms
-    at ``pos``, built in place; its product with the masses is P."""
+    at ``pos``, d the atom's distance to I, built in place; its product
+    with the masses is P."""
     length = (rights - lefts)[:, None]
     out = np.subtract(lefts[:, None], pos)
     np.maximum(out, pos - rights[:, None], out=out)
@@ -69,13 +55,23 @@ def _product_kernel(lefts: np.ndarray, rights: np.ndarray, pos: np.ndarray) -> n
     return out
 
 
+def _poisson_sums(
+    lefts: np.ndarray, rights: np.ndarray, pos: np.ndarray, mass: np.ndarray
+) -> np.ndarray:
+    """P(mu, I) for the intervals [lefts, rights) by the atoms (pos, mass):
+    the row sums of the product kernel times the masses."""
+    terms = _product_kernel(lefts, rights, pos)
+    terms *= mass
+    return terms.sum(axis=1)
+
+
 def _extension_terms(
     xs: np.ndarray, ts: np.ndarray, pos: np.ndarray, mass: np.ndarray
 ) -> np.ndarray:
     """m t / (t^2 + (x - y)^2) for the half-plane points (xs, ts) by the
     atoms (y, m) = (pos, mass); row sums are the extension."""
     t = ts[:, None]
-    return mass * t / (_squares(t) + (xs[:, None] - pos) ** 2)
+    return mass * t / (t * t + (xs[:, None] - pos) ** 2)
 
 
 def _dual_terms(
@@ -89,7 +85,7 @@ def _dual_terms(
 def poisson_stationary(mu: AtomicMeasure, i) -> float:
     """P(mu, I): exact atom sum of |I| / (|I|^2 + dist(x, I)^2)."""
     left, right = np.array([i.left_f]), np.array([i.right_f])
-    return float(_stationary_terms(left, right, mu.positions_f, mu.masses_f).sum())
+    return float(_poisson_sums(left, right, mu.positions_f, mu.masses_f)[0])
 
 
 def poisson_extension(mu: AtomicMeasure, x: float, t: float) -> float:
@@ -291,8 +287,7 @@ def poisson_testing(
         fwd_lhs = 0.0
         if hp.n_atoms and hi > lo:
             fwd_lhs = float(np.sum(ext[:, lo:hi].sum(axis=1) ** 2 * hmass))
-        # sigma(I) as the restricted measure's own total, not a prefix difference
-        fwd_rhs = h_sq * (float(np.cumsum(smass[lo:hi])[-1]) if hi > lo else 0.0)
+        fwd_rhs = h_sq * range_sum(sigma.masses[lo:hi])
         return fwd_lhs, fwd_rhs
 
     def _dual(mask):

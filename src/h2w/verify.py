@@ -45,7 +45,7 @@ from .corona import (
     UniformitySpec,
     _abs_averages,
     _bounded_average_constant,
-    _form_prefix,
+    _form_columns,
     b_above,
     build_stopping_data,
     carleson_check,
@@ -60,7 +60,6 @@ from .corona import (
 from .grid import DyadicGrid, GridInterval, auto_grid, build_grid, is_good
 from .haar import (
     WeightedFunction,
-    _pairwise_sum,
     _run,
     expand,
     good_nodes,
@@ -89,6 +88,8 @@ from .measure import (
     dyadic,
     pair_text,
     random_ensemble,
+    range_sum,
+    range_sums,
     scale_masses,
 )
 from .params import (
@@ -100,7 +101,7 @@ from .params import (
 )
 from .poisson import (
     _extension_terms,
-    _stationary_terms,
+    _poisson_sums,
     default_j_families,
     dual_poisson,
     mu_measure,
@@ -245,40 +246,21 @@ def _telescoping_error(
     of the martingale differences ``diffs`` (at splitting nodes, by (level,
     index), in pre-order) of I's strict ancestors.  The nodes strictly
     below a difference's node are its pre-order run (``haar._run``) after
-    its first node.
-
-    Every (difference, node) term is gathered at once, in difference
-    order.  A term's mean is the sum of its products over the node's atoms
-    divided by the node's mass: for a one-atom node the product itself
-    (plus +0.0, as a sum from +0.0 gives), for a larger node its
-    ``haar._pairwise_sum``, as numpy's row sum is.  ``np.add.at`` adds the
-    means to each node in the order they come, so each node's terms are
-    added in pre-order of their differences' nodes, which is level order,
-    and every total rounds as a per-interval loop's does."""
+    its first node.  Every average is a sum over the node's own atoms over
+    the node's mass, and each node adds its terms in pre-order of their
+    differences' nodes, which is level order."""
     mu = f.base
     nodes = occupied_nodes(mu, grid)
-    mp = mu._mass_prefix
-    lo = np.array([n.lo for n in nodes])
-    hi = np.array([n.hi for n in nodes])
-    mass = mp[hi] - mp[lo]
-    runs = np.array([_run(nodes, grid, *key) for key in diffs], dtype=np.intp).reshape(-1, 2)
-    count = np.maximum(runs[:, 1] - runs[:, 0] - 1, 0)
-    row = np.repeat(np.arange(len(count)), count)
-    # the nodes of each run after its first, one run after another
-    at = np.arange(len(row)) + np.repeat(runs[:, 0] + 1 - (np.cumsum(count) - count), count)
-    products = np.array(list(diffs.values())).reshape(len(diffs), mu.n_atoms) * mu.masses_f
-    single = hi[at] - lo[at] == 1
-    one, many = at[single], at[~single]
-    total = np.full(len(nodes), root_mean)
-    np.add.at(total, one, (products[row[single], lo[one]] + 0.0) / mass[one])
-    rows = products.tolist()
-    sums = [
-        _pairwise_sum(rows[r][nodes[k].lo : nodes[k].hi])
-        for r, k in zip(row[~single].tolist(), many.tolist())
-    ]
-    np.add.at(total, many, np.array(sums) / mass[many])
-    fp = np.concatenate(([0.0], np.cumsum(f.values * mu.masses_f)))
-    ej = (fp[hi] - fp[lo]) / mass
+    lo, hi = [n.lo for n in nodes], [n.hi for n in nodes]
+    mass = range_sums(mu.masses, lo, hi)
+    total = [root_mean] * len(nodes)
+    for key, d in diffs.items():
+        products = (d * mu.masses_f).tolist()
+        start, end = _run(nodes, grid, *key)
+        below = range(start + 1, end)
+        for k, s in zip(below, range_sums(products, lo[start + 1 : end], hi[start + 1 : end])):
+            total[k] += s / mass[k]
+    ej = np.array(range_sums((f.values * mu.masses_f).tolist(), lo, hi)) / mass
     return float(np.max(np.abs(ej - total) / np.maximum(1.0, np.abs(ej))))
 
 
@@ -584,7 +566,7 @@ def suite_corona(ens: _Ensemble) -> _Suite:
         if h <= 0:
             continue
         chosen = energy_stopping_intervals(grid.root_interval, sigma, w, h, c0)
-        chosen_mass = sum(sigma.mass_on(F) for F in chosen)
+        chosen_mass = range_sum([sigma.mass_on(F) for F in chosen])
         if chosen_mass > sigma.total_mass / 10.0:
             mass_ok = False
             replay = _replay(cfg, sigma, w, idx, "energy stopping mass")
@@ -614,10 +596,10 @@ def suite_corona(ens: _Ensemble) -> _Suite:
         if g.norm() > 0:
             g_pieces = corona_pieces(g, sd)
             pieces = (f_pieces, g_pieces)
-            # one kernel prefix for every form of this pair from sigma to w
-            C = _form_prefix(sigma, w, grid)
-            total = b_above(f, g, grid, cfg.below_gap, prefix=C)
-            split_value, residual = corona_split(f, g, sd, cfg.below_gap, pieces=pieces, prefix=C)
+            # one set of kernel column sums for every form of this pair from sigma to w
+            C = _form_columns(sigma, w, grid)
+            total = b_above(f, g, grid, cfg.below_gap, columns=C)
+            split_value, residual = corona_split(f, g, sd, cfg.below_gap, pieces=pieces, columns=C)
             split_dev = max(split_dev, abs(split_value + residual - total) / max(1.0, abs(total)))
             cross = 0.0
             for p_key, pf in f_pieces.items():
@@ -625,18 +607,18 @@ def suite_corona(ens: _Ensemble) -> _Suite:
                     continue
                 for q_key, qg in g_pieces.items():
                     if p_key != q_key and np.any(qg.values != 0.0):
-                        cross += b_above(pf, qg, grid, cfg.below_gap, prefix=C)
+                        cross += b_above(pf, qg, grid, cfg.below_gap, columns=C)
             cross_dev = max(cross_dev, abs(cross - residual) / max(1.0, abs(total)))
             denom = h * f.norm() * g.norm()
             s.record_max("corona_residual_max", abs(residual) / denom)
-            rr = reduction_residual(f, g, grid, h, cfg.below_gap, prefix=C)
+            rr = reduction_residual(f, g, grid, h, cfg.below_gap, columns=C)
             s.record_max("reduction_residual_max", rr.residual_ratio)
             # bilinearity
             g2 = 0.5 * g
-            lhs = b_above(f, g + g2, grid, cfg.below_gap, prefix=C)
-            rhs = total + b_above(f, g2, grid, cfg.below_gap, prefix=C)
+            lhs = b_above(f, g + g2, grid, cfg.below_gap, columns=C)
+            rhs = total + b_above(f, g2, grid, cfg.below_gap, columns=C)
             bilin_dev = max(bilin_dev, abs(lhs - rhs) / max(1.0, abs(lhs)))
-            for ratio in local_estimate_ratios(f, g, sd, cfg.below_gap, pieces=pieces, prefix=C):
+            for ratio in local_estimate_ratios(f, g, sd, cfg.below_gap, pieces=pieces, columns=C):
                 s.record_max("local_over_h_max", ratio / h)
         # uniformity of the rescaled corona piece on the family children
         for F in sd.members:
@@ -681,12 +663,12 @@ def _stationary_and_extension(
     mu: AtomicMeasure, grid: DyadicGrid, nodes
 ) -> tuple[list[float], list[float]]:
     """P(mu, I) and the extension of mu at (center, |I|) for each node I,
-    each bitwise the per-interval call's: one matrix of
-    ``poisson._stationary_terms`` and one of ``poisson._extension_terms``."""
+    each bitwise the per-interval call's: one ``poisson._poisson_sums`` and
+    one matrix of ``poisson._extension_terms``."""
     pos, mass = mu.positions_f, mu.masses_f
     left = np.array([grid.endpoint_f(n.level, n.index) for n in nodes])
     right = np.array([grid.endpoint_f(n.level, n.index + 1) for n in nodes])
-    stationary = _stationary_terms(left, right, pos, mass).sum(axis=1)
+    stationary = _poisson_sums(left, right, pos, mass)
     t = np.array([grid.cell_f(n.level) for n in nodes])
     center = np.array([grid.endpoint_f(n.level + 1, 2 * n.index + 1) for n in nodes])
     extension = _extension_terms(center, t, pos, mass).sum(axis=1)

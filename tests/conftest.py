@@ -37,11 +37,20 @@ def rng():
 
 
 def poisson_sum(positions, masses, left, right):
-    """P of the atoms (positions, masses) on [left, right) as the scalar
-    code computed it: |I| squared as a Python float (libm ``pow``)."""
+    """P of the atoms (positions, masses) on [left, right) from the scalar
+    formula: |I| / (|I| |I| + d^2) times each mass, summed."""
     length = right - left
     dist = np.maximum(0.0, np.maximum(left - positions, positions - right))
-    return float(np.sum(masses * length / (length**2 + dist**2)))
+    return float(np.sum(length / (length * length + dist * dist) * masses))
+
+
+def heavy_pair_text(mass, heavy="-1073741824 10"):
+    """A pair file: a sigma atom of mass ``mass`` at ``heavy`` (numerator
+    and scale), ten sigma atoms (4k + 1)/1024 of masses 1 + 0.37k and ten
+    unit w atoms (4k + 3)/1024, k = 100..109."""
+    light = "\n".join(f"{4 * k + 1} 10 {1 + 0.37 * k!r}" for k in range(100, 110))
+    w = "\n".join(f"{4 * k + 3} 10 1.0" for k in range(100, 110))
+    return f"[sigma]\n{heavy} {mass}\n{light}\n[w]\n{w}\n"
 
 
 def pow_lengths(count):

@@ -101,19 +101,16 @@ def test_criterion_01_haar_algebra():
             gram = (H * mu.masses_f[None, :]) @ H.T
             worst = max(worst, float(np.max(np.abs(gram - np.eye(len(nodes))))))
         m = mu.masses_f
-        fp = np.concatenate(([0.0], np.cumsum(f.values * m)))
-        mp = np.concatenate(([0.0], np.cumsum(m)))
         for n in occupied_nodes(mu, grid):
-            ej = (fp[n.hi] - fp[n.lo]) / (mp[n.hi] - mp[n.lo])
+            mass = math.fsum(m[n.lo : n.hi])
+            ej = math.fsum(f.values[n.lo : n.hi] * m[n.lo : n.hi]) / mass
             total = hc.root_mean
             for up in range(n.level):
                 anc = GridInterval(grid, up, n.index >> (n.level - up))
                 if (up, anc.index) not in hc.coeffs:
                     continue
                 md = martingale_difference(f, anc)
-                total += float(np.sum(md.values[n.lo : n.hi] * m[n.lo : n.hi])) / (
-                    mp[n.hi] - mp[n.lo]
-                )
+                total += math.fsum(md.values[n.lo : n.hi] * m[n.lo : n.hi]) / mass
             worst = max(worst, abs(ej - total) / max(1.0, abs(ej)))
     elapsed = time.time() - start
     _line(

@@ -599,24 +599,18 @@ class TestSweep:
         assert retained[59] - retained[20] < 128 << 10
 
     def test_one_kernel_prefix_per_report_and_per_row(self, monkeypatch):
-        """compute_report builds the sigma -> w kernel prefix once for all its
-        local ratios, and the row once more for its reduction residual and
-        corona split, which also build w -> sigma once."""
+        """compute_report builds the sigma -> w kernel columns once for all
+        its local ratios, and the row once more for its reduction residual
+        and corona split, which also build w -> sigma once."""
         builds, forms = Counter(), Counter()
         phase = ["row"]
-        real_prefix, real_form, real_report = (
-            corona._kernel_prefix,
-            corona._form_prefix,
-            cli.compute_report,
-        )
-
-        def counted(sigma, w):
-            builds[phase[0], sigma, w] += 1
-            return real_prefix(sigma, w)
+        real_form, real_report = corona._form_columns, cli.compute_report
 
         def counted_form(sigma, w, grid):
             forms[phase[0], sigma, w] += 1
-            return real_form(sigma, w, grid)
+            columns = real_form(sigma, w, grid)
+            builds[phase[0], sigma, w] += columns.M.size > 0
+            return columns
 
         def report(*args, **kwargs):
             phase[0] = "report"
@@ -625,16 +619,15 @@ class TestSweep:
             finally:
                 phase[0] = "row"
 
-        monkeypatch.setattr(corona, "_kernel_prefix", counted)
         for module in (corona, cli, constants):
-            monkeypatch.setattr(module, "_form_prefix", counted_form, raising=False)
+            monkeypatch.setattr(module, "_form_columns", counted_form, raising=False)
         monkeypatch.setattr(cli, "compute_report", report)
         cfg = cli.RunConfig(seed=3, count=12, family="mixed")
         pairs = random_ensemble(cfg.seed, cfg.count, cfg.max_atoms, cfg.depth, family=cfg.family)
         for i, (sigma, w) in enumerate(pairs):
             cli._sweep_row((i, sigma, w, cfg))
         assert max(builds.values()) == 1 and max(forms.values()) == 1
-        assert {phase for phase, _, _ in builds} == {"report", "row"}
+        assert {phase for (phase, _, _), n in builds.items() if n} == {"report", "row"}
 
     def test_rows_carry_the_run_config(self, monkeypatch, capsys):
         # each task carries the RunConfig itself, not a dict rebuilt per row

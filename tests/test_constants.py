@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import pickle
@@ -7,6 +8,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from h2w import constants
 from h2w.constants import (
@@ -48,11 +51,27 @@ from h2w.haar import (
     occupied_nodes,
 )
 from h2w.hilbert import _candidate_floor, kernel_values, truncation_candidates
-from h2w.measure import AtomicMeasure, Interval, dilate, dyadic, random_ensemble, scale_masses
+from h2w.cli import main
+from h2w.measure import (
+    AtomicMeasure,
+    Interval,
+    dilate,
+    dyadic,
+    random_ensemble,
+    scale_masses,
+)
 from h2w.params import DEFAULT_REFINEMENT, SUITE_BELOW_GAP, SUITE_EPS, SUITE_R
 from h2w.poisson import default_j_families, maximal_intervals, poisson_stationary
 
-from conftest import crafted_cases, exact_interval, oracle_cases, poisson_sum, shifted_grids, unit_grid
+from conftest import (
+    crafted_cases,
+    exact_interval,
+    heavy_pair_text,
+    oracle_cases,
+    poisson_sum,
+    shifted_grids,
+    unit_grid,
+)
 
 
 class TestNormConstant:
@@ -472,6 +491,16 @@ class TestA2BranchAndBound:
             a2_constant(sigma, w)
 
 
+def _class_value(stack, sigma, w, a1, a2, b1, b2):
+    """The value of one class: max over the scan of the sum over the
+    targets [b1, b2) of w_j (the sum of the sigma-scaled rows [a1, a2))^2,
+    over the correctly rounded sigma(I); every sum is over the class's own
+    atoms."""
+    svals = np.ascontiguousarray(stack[:, a1:a2, b1:b2]).sum(axis=1)
+    lhs = np.max((svals * svals * w.masses_f[b1:b2]).sum(axis=1))
+    return lhs / math.fsum(sigma.masses[a1:a2])
+
+
 def _testing_all_classes(sigma, w, direction="forward", refinement=DEFAULT_REFINEMENT):
     """Brute-force oracle: the testing scan over every membership class,
     that is, every contiguous range of the merged support."""
@@ -482,16 +511,11 @@ def _testing_all_classes(sigma, w, direction="forward", refinement=DEFAULT_REFIN
     diffs = sigma.positions_f[:, None] - w.positions_f[None, :]
     cands = truncation_candidates(np.abs(diffs).ravel(), refinement)
     stack = np.stack([kernel_values(diffs, tr) for tr in cands]) * sigma.masses_f[None, :, None]
-    C = np.concatenate(
-        [np.zeros((len(cands), 1, w.n_atoms)), np.cumsum(stack, axis=1)], axis=1
-    )
     pos = np.concatenate([sigma.positions_f, w.positions_f])
     which = np.concatenate([np.zeros(sigma.n_atoms, int), np.ones(w.n_atoms, int)])
     which = which[np.argsort(pos, kind="stable")]
     s_before = np.concatenate([[0], np.cumsum(which == 0)])
     w_before = np.concatenate([[0], np.cumsum(which == 1)])
-    sp = sigma._mass_prefix
-    wm = w.masses_f
     best = 0.0
     for l in range(len(pos)):
         a1, b1 = s_before[l], w_before[l]
@@ -499,29 +523,20 @@ def _testing_all_classes(sigma, w, direction="forward", refinement=DEFAULT_REFIN
             a2, b2 = s_before[rr + 1], w_before[rr + 1]
             if a2 == a1 or b2 == b1:
                 continue
-            smass = sp[a2] - sp[a1]
-            svals = C[:, a2, b1:b2] - C[:, a1, b1:b2]
-            lhs = np.max((svals**2 * wm[b1:b2]).sum(axis=1))
-            if lhs / smass > best:
-                best = lhs / smass
+            best = max(best, _class_value(stack, sigma, w, a1, a2, b1, b2))
     return math.sqrt(best)
 
 
 def _maximal_class_values(sigma, w, direction="forward", refinement=DEFAULT_REFINEMENT):
     """Every maximal membership class (a1, a2, b1, b2), in order, and its value
-    by the per-class expression of ``testing_constant``, with no pruning.
-    Also the candidate-0 stack row, its prefix sums and the measures in
-    source, target order: the inputs of ``_class_bounds``."""
+    by :func:`_class_value`, with no pruning.  Also the candidate-0 stack
+    row, its prefix sums and the measures in source, target order: the
+    inputs of ``_class_bounds``."""
     kernel = kernel_scan(sigma, w, refinement).stack
     if direction == "backward":
         sigma, w = w, sigma
         kernel = kernel.transpose(0, 2, 1)
     stack = np.multiply(kernel, sigma.masses_f[None, :, None], order="C")
-    C = np.concatenate(
-        [np.zeros((kernel.shape[0], 1, w.n_atoms)), np.cumsum(stack, axis=1)], axis=1
-    )
-    sp = sigma._mass_prefix
-    wm = w.masses_f
     before = np.searchsorted(w.positions_f, sigma.positions_f, side="left").tolist()
     starts = [0] + before
     ends = before + [w.n_atoms]
@@ -532,12 +547,10 @@ def _maximal_class_values(sigma, w, direction="forward", refinement=DEFAULT_REFI
             b2 = ends[a2]
             if b2 == b1:
                 continue
-            smass = sp[a2] - sp[a1]
-            svals = C[:, a2, b1:b2] - C[:, a1, b1:b2]
-            lhs = np.max((svals**2 * wm[b1:b2]).sum(axis=1))
             classes.append((a1, a2, b1, b2))
-            values.append(lhs / smass)
-    return classes, values, (stack[0], C[0], sigma, w)
+            values.append(_class_value(stack, sigma, w, a1, a2, b1, b2))
+    C0 = np.concatenate([np.zeros((1, w.n_atoms)), np.cumsum(stack[0], axis=0)])
+    return classes, values, (stack[0], C0, sigma, w)
 
 
 def _testing_maximal_classes(sigma, w, direction="forward", refinement=DEFAULT_REFINEMENT):
@@ -658,6 +671,66 @@ class TestTestingConstant:
             for direction in ("forward", "backward"):
                 got = t_constant(sigma, w, direction, scan=scan)
                 assert got == t_constant(sigma, w, direction)
+
+
+# the true T_fwd of heavy_pair_text, the same at every mass of its heavy atom
+# at -2^20: a class that holds that atom divides by its mass and stays below
+# the classes of the light atoms
+_HEAVY_T_FWD = 4654.978307146017
+
+
+@pytest.mark.parametrize("mass", ["1", "1e12", "3e15", "1e16", "8e16"])
+def test_heavy_atom_leaves_the_testing_constant(mass, tmp_path, capsys):
+    path = tmp_path / "heavy.txt"
+    path.write_text(heavy_pair_text(mass))
+    assert main(["constants", str(path)]) == 0
+    t_fwd = json.loads(capsys.readouterr().out)["testing_fwd"]
+    assert abs(t_fwd - _HEAVY_T_FWD) <= 1e-12 * _HEAVY_T_FWD
+
+
+def _triples(mu, sign=1):
+    """(numerator, scale, mass) of each atom, numerators times ``sign``."""
+    out = []
+    for x, m in zip(mu.positions, mu.masses):
+        num, den = x.as_integer_ratio()
+        out.append((sign * num, den.bit_length() - 1, m))
+    return out
+
+
+def _symmetry_constants(sigma, w):
+    scan = kernel_scan(sigma, w)
+    t_fwd = t_constant(sigma, w, "forward", scan=scan)
+    t_bwd = t_constant(sigma, w, "backward", scan=scan)
+    return norm_constant(sigma, w, scan=scan), a2_constant(sigma, w), t_fwd, t_bwd
+
+
+class TestSymmetries:
+    """Reflection x -> -x keeps N, A2 and both T; swapping sigma and w
+    keeps A2 and exchanges the two T.  A heavy sigma atom far beyond either
+    end of a mixed pair must move no class that does not hold it, whichever
+    end it is at."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        exponent=st.floats(12.0, 17.0),
+        k=st.integers(8, 20),
+        right=st.booleans(),
+    )
+    def test_reflection_and_swap(self, seed, exponent, k, right):
+        sigma, w = random_ensemble(seed, 1, 12, 12, family="mixed")[0]
+        heavy = ((1 << k) + 1 if right else -(1 << k), 0, 10.0**exponent)
+        sigma = AtomicMeasure.from_triples(_triples(sigma) + [heavy])
+        got = _symmetry_constants(sigma, w)
+        # reflection: every numerator negated
+        reflected = _symmetry_constants(
+            *(AtomicMeasure.from_triples(_triples(mu, -1)) for mu in (sigma, w))
+        )
+        for a, b in zip(got, reflected):
+            assert abs(a - b) <= 1e-12 * abs(a), (got, reflected)
+        swapped = _symmetry_constants(w, sigma)
+        assert swapped[1] == got[1]
+        assert (swapped[2], swapped[3]) == (got[3], got[2])
 
 
 def _peak_bytes(fn):
@@ -917,7 +990,7 @@ def _energy_constant_oracle(sigma, w, grid):
         if not inside:
             continue
         sl = slice(lo, hi)
-        s0 = float(np.sum(smass[sl]))
+        s0 = math.fsum(sigma.masses[sl])
         dist = np.maximum(
             0.0,
             np.maximum(
@@ -944,16 +1017,16 @@ def _energy_constant_oracle(sigma, w, grid):
 
 
 def _energy_on(w, lo, hi, length):
-    """E(w, I)^2 of the atoms [lo, hi) of w in I as the scalar code computed
-    it: sums of 1-D slices, |I| squared as a Python float (libm ``pow``)."""
+    """E(w, I)^2 of the atoms [lo, hi) of w in I from correctly rounded sums
+    over those atoms, |I| squared as |I| |I|."""
     if hi - lo <= 1:
         return 0.0
     m = w.masses_f[lo:hi]
     x = w.positions_f[lo:hi]
-    mass = float(np.sum(m))
-    mean = float(np.sum(x * m)) / mass
-    var = float(np.sum((x - mean) ** 2 * m)) / mass
-    return 2.0 * var / length**2
+    mass = math.fsum(m)
+    mean = math.fsum(x * m) / mass
+    var = math.fsum((x - mean) ** 2 * m) / mass
+    return 2.0 * var / (length * length)
 
 
 def _energy_constant_occupied(sigma, w, grid):
@@ -966,10 +1039,9 @@ def _energy_constant_occupied(sigma, w, grid):
         return 0.0
     wl = np.array([grid.endpoint_f(n.level, n.index) for n in trunk])
     wr = np.array([grid.endpoint_f(n.level, n.index + 1) for n in trunk])
-    wpref = w._mass_prefix
     ew = np.array(
         [
-            _energy_on(w, n.lo, n.hi, r - l) * float(wpref[n.hi] - wpref[n.lo])
+            _energy_on(w, n.lo, n.hi, r - l) * math.fsum(w.masses[n.lo : n.hi])
             for n, l, r in zip(trunk, wl.tolist(), wr.tolist())
         ]
     )
@@ -983,7 +1055,7 @@ def _energy_constant_occupied(sigma, w, grid):
         if start == end:
             continue
         sl = slice(node.lo, node.hi)
-        s0 = float(np.sum(smass[sl]))
+        s0 = math.fsum(sigma.masses[sl])
         dist = np.maximum(
             0.0,
             np.maximum(
@@ -1039,11 +1111,10 @@ class TestEnergyConstantOracle:
             table = _trunk_table(w, grid)
             nodes = charged_nodes(w, grid)
             assert table.nodes == nodes, label
-            wpref = w._mass_prefix
             for t, n in enumerate(nodes):
                 left = grid.endpoint_f(n.level, n.index)
                 right = grid.endpoint_f(n.level, n.index + 1)
-                e2w = _energy_on(w, n.lo, n.hi, right - left) * float(wpref[n.hi] - wpref[n.lo])
+                e2w = _energy_on(w, n.lo, n.hi, right - left) * math.fsum(w.masses[n.lo : n.hi])
                 assert (table.left[t], table.right[t]) == (left, right), label
                 assert table.e2w[t] == e2w, label
                 assert (t, table.end[t]) == _run(nodes, grid, n.level, n.index), label
@@ -1067,7 +1138,7 @@ def _functional_energy_loop(h, members, g_family, j_families):
         for jstar in maximal_intervals(j_families.get(F.key, [])):
             lo, hi = g.base.index_range(jstar)
             x, m = g.base.positions_f[lo:hi], g.base.masses_f[lo:hi]
-            pairing = float(np.sum(x / jstar.length_f * g.values[lo:hi] * m))
+            pairing = math.fsum(x / jstar.length_f * g.values[lo:hi] * m)
             p = poisson_sum(hs.positions_f, hs.masses_f, jstar.left_f, jstar.right_f)
             lhs += p * abs(pairing)
     rhs = h.norm() * math.sqrt(g_norm_sq)

@@ -351,23 +351,23 @@ class TestReductionResidual:
 
 class TestFormPrefix:
     def test_an_empty_prefix_is_not_built_again(self, monkeypatch):
-        """A side with no splitting node gives an empty prefix, and a form
-        handed it is 0 without building one."""
+        """A side with no splitting node gives column sums with no kernel,
+        and a form handed them is 0 without building any."""
         sigma, w, grid, f, g = _instance(111, family="lacunary", max_atoms=24, depth=12)
         lone = AtomicMeasure(w.positions[:1], w.masses[:1])
-        empty = corona._form_prefix(sigma, lone, grid)
-        assert empty.size == 0 and not splitting_nodes(lone, grid)
+        empty = corona._form_columns(sigma, lone, grid)
+        assert empty.M.size == 0 and not splitting_nodes(lone, grid)
         h = _h_const(sigma, w)
         sd = build_stopping_data(f, grid.root_interval, w, h, calibrate_c0(grid.root_interval, sigma, w, h))
         built = local_estimate_ratios(f, g, sd, SUITE_BELOW_GAP)
 
         def refuse(*args):
-            raise AssertionError("the prefix was built again")
+            raise AssertionError("the column sums were built again")
 
-        monkeypatch.setattr(corona, "_form_prefix", refuse)
-        assert b_above(f, g, grid, SUITE_BELOW_GAP, prefix=empty) == 0.0
-        assert corona_split(f, g, sd, SUITE_BELOW_GAP, prefix=empty) == (0.0, 0.0)
-        zeros = local_estimate_ratios(f, g, sd, SUITE_BELOW_GAP, prefix=empty)
+        monkeypatch.setattr(corona, "_form_columns", refuse)
+        assert b_above(f, g, grid, SUITE_BELOW_GAP, columns=empty) == 0.0
+        assert corona_split(f, g, sd, SUITE_BELOW_GAP, columns=empty) == (0.0, 0.0)
+        zeros = local_estimate_ratios(f, g, sd, SUITE_BELOW_GAP, columns=empty)
         assert len(zeros) == len(built) > 0 and not any(zeros)
 
 
@@ -427,23 +427,23 @@ def _oracle_calibrate_c0(i0, sigma, w, h_const, start):
     c0 = start
     for doublings in range(200):
         chosen = energy_stopping_intervals(i0, sigma, w, h_const, c0)
-        if sum(sigma.mass_on(F) for F in chosen) <= budget:
+        if math.fsum(m for F in chosen for m in sigma.restrict(F).masses) <= budget:
             return c0, doublings
         c0 *= 2.0
     raise RuntimeError("energy-stopping calibration did not settle")
 
 
-def _oracle_stopping_data(f, i0, sigma, w, h_const, c0, grid):
-    absf = np.abs(f.values)
-    mpref = np.concatenate(([0.0], np.cumsum(sigma.masses_f)))
-    fpref = np.concatenate(([0.0], np.cumsum(absf * sigma.masses_f)))
+def _avg_abs(f, lo, hi):
+    """The average of |f| over its base's atoms [lo, hi), from correctly
+    rounded sums over those atoms."""
+    m = f.base.masses_f[lo:hi]
+    return math.fsum(np.abs(f.values[lo:hi]) * m) / math.fsum(m)
 
+
+def _oracle_stopping_data(f, i0, sigma, w, h_const, c0, grid):
     def avg_abs(gi):
         lo, hi = sigma.index_range(gi)
-        mass = mpref[hi] - mpref[lo]
-        if mass <= 0.0:
-            return 0.0
-        return (fpref[hi] - fpref[lo]) / mass
+        return _avg_abs(f, lo, hi) if hi > lo else 0.0
 
     members = [i0]
     alpha = {i0.key: avg_abs(i0)}
@@ -489,9 +489,6 @@ def _oracle_stopping_data(f, i0, sigma, w, h_const, c0, grid):
 
 def _oracle_bounded_average(pf, F, stopping, sigma, grid):
     s_children = stopping.family_children(F)
-    absf = np.abs(pf.values)
-    mpref = np.concatenate(([0.0], np.cumsum(sigma.masses_f)))
-    fpref = np.concatenate(([0.0], np.cumsum(absf * sigma.masses_f)))
     worst = 0.0
 
     def descend(gi):
@@ -501,7 +498,7 @@ def _oracle_bounded_average(pf, F, stopping, sigma, grid):
         lo, hi = sigma.index_range(gi)
         if hi == lo:
             return
-        worst = max(worst, (fpref[hi] - fpref[lo]) / (mpref[hi] - mpref[lo]))
+        worst = max(worst, _avg_abs(pf, lo, hi))
         if gi.level < grid.depth:
             for child in gi.children():
                 descend(child)
@@ -526,17 +523,13 @@ def _oracle_uniformity(f, spec, sigma, w, h_const, grid, tol=1e-12):
             vals = f.values[lo:hi]
             if float(np.max(vals) - np.min(vals)) > tol * scale:
                 violations.append(f"f is not constant on {s}")
-    absf = np.abs(f.values)
-    mpref = np.concatenate(([0.0], np.cumsum(sigma.masses_f)))
-    fpref = np.concatenate(([0.0], np.cumsum(absf * sigma.masses_f)))
-
     def descend(gi):
         if inside_some_s(gi):
             return
         lo, hi = sigma.index_range(gi)
         if hi - lo == 0:
             return
-        avg = (fpref[hi] - fpref[lo]) / (mpref[hi] - mpref[lo])
+        avg = _avg_abs(f, lo, hi)
         if avg > 1.0 + tol:
             violations.append(f"average of |f| on {gi} is {avg:.6g} > 1")
         if gi.level < grid.depth:
@@ -551,7 +544,7 @@ def _oracle_carleson(members, sigma):
     worst = 0.0
     for S in members:
         s_mass = sigma.mass_on(S)
-        total = sum(sigma.mass_on(F) for F in members if S.contains(F))
+        total = math.fsum(sigma.mass_on(F) for F in members if S.contains(F))
         if s_mass > 0.0:
             worst = max(worst, total / s_mass)
         elif total > 0.0:
@@ -590,20 +583,18 @@ def _oracle_b_form(f, g, grid, gap):
     if not s_nodes or not w_nodes:
         return 0.0
     M = (1.0 / (sigma.positions_f[:, None] - w.positions_f[None, :])) * sigma.masses_f[:, None]
-    C = np.concatenate([np.zeros((1, w.n_atoms)), np.cumsum(M, axis=0)], axis=0)
-    m = sigma.masses_f
-    fm = np.concatenate(([0.0], np.cumsum(f.values * m)))
-    mm = np.concatenate(([0.0], np.cumsum(m)))
+    fm, m = f.values * sigma.masses_f, sigma.masses_f
     wmass = w.masses_f
-    gm = np.concatenate(([0.0], np.cumsum(g.values * wmass)))
-    wm = np.concatenate(([0.0], np.cumsum(wmass)))
+    gm = g.values * wmass
+
+    def mean(vm, mass, lo, hi):
+        return math.fsum(vm[lo:hi]) / math.fsum(mass[lo:hi])
+
     total = 0.0
     for ni in s_nodes:
-        m_left = mm[ni.cut] - mm[ni.lo]
-        m_right = mm[ni.hi] - mm[ni.cut]
-        e_left = (fm[ni.cut] - fm[ni.lo]) / m_left
-        e_right = (fm[ni.hi] - fm[ni.cut]) / m_right
-        e_full = (fm[ni.hi] - fm[ni.lo]) / (m_left + m_right)
+        e_left = mean(fm, m, ni.lo, ni.cut)
+        e_right = mean(fm, m, ni.cut, ni.hi)
+        e_full = mean(fm, m, ni.lo, ni.hi)
         for nj in w_nodes:
             dl = nj.level - ni.level
             if dl < gap or (nj.index >> dl) != ni.index:
@@ -614,16 +605,15 @@ def _oracle_b_form(f, g, grid, gap):
                 slo, shi, dval = ni.cut, ni.hi, e_right - e_full
             if dval == 0.0 or shi == slo:
                 continue
-            mjl = wm[nj.cut] - wm[nj.lo]
-            mjr = wm[nj.hi] - wm[nj.cut]
-            gl = (gm[nj.cut] - gm[nj.lo]) / mjl
-            gr = (gm[nj.hi] - gm[nj.cut]) / mjr
-            gf = (gm[nj.hi] - gm[nj.lo]) / (mjl + mjr)
-            row = C[shi, nj.lo : nj.hi] - C[slo, nj.lo : nj.hi]
+            gl = mean(gm, wmass, nj.lo, nj.cut)
+            gr = mean(gm, wmass, nj.cut, nj.hi)
+            gf = mean(gm, wmass, nj.lo, nj.hi)
+            # the column sums over the sigma atoms of I's child
+            row = M[slo:shi].sum(axis=0)[nj.lo : nj.hi]
             dg = np.empty(nj.hi - nj.lo)
             dg[: nj.cut - nj.lo] = gl - gf
             dg[nj.cut - nj.lo :] = gr - gf
-            total += dval * float(np.sum(wmass[nj.lo : nj.hi] * dg * row))
+            total += dval * math.fsum(wmass[nj.lo : nj.hi] * dg * row)
     return total
 
 
@@ -802,9 +792,9 @@ class TestAtomRangeWalksMatchOracles:
 
 
 def _stop_lhs_oracle(columns, rows, sigma, top):
-    """The energy-stopping left side of each row as the scalar code forms
-    it: P(sigma_0, I) of one 1-D row, |I| squared with libm ``pow``, then
-    P * P * E^2 w(I); -inf where E^2 w(I) is 0."""
+    """The energy-stopping left side of each row from the scalar formula:
+    P(sigma_0, I) of one 1-D row, then P * P * E^2 w(I); -inf where
+    E^2 w(I) is 0."""
     left, right, e2w = columns
     pos, mass = sigma.positions_f[top[0] : top[1]], sigma.masses_f[top[0] : top[1]]
     out = []
@@ -850,10 +840,11 @@ class TestEnergySidesBits:
         lhs, _ = _energy_sides(columns, rows, lo, hi, sigma, top)
         want = _stop_lhs_oracle(columns, rows, sigma, top)
         assert lhs.tolist() == want
-        length = right[:, None]
-        dist = np.maximum(0.0, sigma.positions_f - length)
-        terms = sigma.masses_f * length / (length * length + dist**2)
-        moved = [float(np.sum(row)) for row in terms]
+        # the same rows with |I| squared by libm pow
+        moved = [
+            float(np.sum(r / (r**2 + np.maximum(0.0, sigma.positions_f - r) ** 2) * sigma.masses_f))
+            for r in right.tolist()
+        ]
         assert sum(p * p * e != v for p, e, v in zip(moved, e2w, want)) >= 4
 
 
@@ -918,7 +909,7 @@ class TestShiftedGridRanges:
 def _walk_uniformity(f, spec, w, h_const, tol=1e-12):
     """:func:`uniformity_check` with clause (3) on the reference grid walk:
     from i0, stopping at a family member or a node with no sigma atom, each
-    average of |f| read from prefix sums of the whole of sigma."""
+    average of |f| summed over the node's own atoms."""
     sigma, grid = f.base, spec.i0.grid
     violations = []
     s_keys = frozenset(s.key for s in spec.s_family)
@@ -932,14 +923,11 @@ def _walk_uniformity(f, spec, w, h_const, tol=1e-12):
             vals = f.values[lo:hi]
             if float(np.max(vals) - np.min(vals)) > tol * scale:
                 violations.append(f"f is not constant on {s}")
-    mpref = np.concatenate(([0.0], np.cumsum(sigma.masses_f)))
-    fpref = np.concatenate(([0.0], np.cumsum(np.abs(f.values) * sigma.masses_f)))
-
     def visit(level, index, ranges):
         (lo, hi), = ranges
         if (level, index) in s_keys or hi == lo:
             return False
-        avg = (fpref[hi] - fpref[lo]) / (mpref[hi] - mpref[lo])
+        avg = _avg_abs(f, lo, hi)
         if avg > 1.0 + tol:
             violations.append(f"average of |f| on {GridInterval(grid, level, index)} is {avg:.6g} > 1")
         return True
@@ -1033,7 +1021,7 @@ class TestComputePathHasNoWalk:
 
     def test_no_kernel_prefix_is_kept_with_the_grid(self):
         # auto_grid keeps the last grids and their memos past the row, so a
-        # kernel prefix (n_sigma + 1 by n_w doubles) must not be in the memo
+        # form's kernel (n_sigma by n_w doubles) must not be in the memo
         from h2w.cli import RunConfig, _sweep_row
         from h2w.grid import auto_grid
 
@@ -1042,5 +1030,6 @@ class TestComputePathHasNoWalk:
         memo = auto_grid(sigma, w, 12)._memo
         assert memo
         shapes = {getattr(value, "shape", None) for value in memo.values()}
-        assert (sigma.n_atoms + 1, w.n_atoms) not in shapes
-        assert (w.n_atoms + 1, sigma.n_atoms) not in shapes
+        assert (sigma.n_atoms, w.n_atoms) not in shapes
+        assert (w.n_atoms, sigma.n_atoms) not in shapes
+        assert not any(isinstance(value, corona._FormColumns) for value in memo.values())

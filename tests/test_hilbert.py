@@ -553,8 +553,8 @@ class TestPairingScanMatchesOracle:
         suite = verify.run_suite("lemmas", cfg)
         assert len(peaks) == 4 and max(peaks) < 4 << 20
         assert suite.observed == {
-            "mono_p_less_h_ratio_max": 1.1590243795966306,
-            "mono1_ratio_max": 0.4139310264197859,
+            "mono_p_less_h_ratio_max": 1.1590243795965751,
+            "mono1_ratio_max": 0.4139310264196218,
             "weak_boundedness_ratio_max": 0.04077919725475631,
         }
 

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from h2w import measure
 from h2w.errors import InexactPosition, ParseError
-from h2w.haar import _pairwise_sum
 from h2w.measure import (
     AtomicMeasure,
     DyadicRational,
@@ -20,6 +19,7 @@ from h2w.measure import (
     pair_text,
     parse_pair_text,
     random_ensemble,
+    range_sum,
 )
 
 dyadics = st.builds(
@@ -73,14 +73,27 @@ class TestMassQueries:
         assert mu.mass_on(Interval(dyadic(0), dyadic(1, 1))) == 0.0
         assert mu.mass_on(Interval(dyadic(1, 1), dyadic(1, 0))) == 1.0
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.floats(-1e300, 1e300), st.floats(-1e-300, 1e-300)), max_size=60))
+    def test_range_sum_is_correctly_rounded(self, terms):
+        assert range_sum(terms) == float(sum(map(Fraction, terms), Fraction(0)))
+
+    def test_range_sum_past_the_doubles(self):
+        assert range_sum([1e308, 1e308]) == math.inf
+        assert math.isnan(range_sum([math.inf, -math.inf]))
+
+    def test_mass_on_reads_only_the_interval_atoms(self):
+        # a heavy atom left of the interval changes no bit of its mass
+        light = [1.0 + 0.37 * k for k in range(100, 110)]
+        triples = [(4 * k + 1, 10, m) for k, m in zip(range(100, 110), light)]
+        mu = AtomicMeasure.from_triples([(-(1 << 30), 10, 8e16)] + triples)
+        box = Interval(dyadic(0), dyadic(1))
+        assert mu.mass_on(box) == float(sum(map(Fraction, light)))
+
     def test_integer_masses_are_stored_as_floats(self):
-        # nine masses 2^60 + 37 k + 1: their exact integer sum rounds away
-        # from numpy's sum of their doubles, which the per-node sums follow
         masses = tuple((1 << 60) + 37 * k + 1 for k in range(9))
-        assert _pairwise_sum(masses) != float(np.sum(np.array(masses, dtype=float)))
         mu = AtomicMeasure(tuple((2 * k + 1) / 32 for k in range(9)), masses)
         assert all(type(m) is float for m in mu.masses)
-        assert _pairwise_sum(mu.masses) == float(np.sum(mu.masses_f))
 
     def test_finite_additivity_over_partition(self, rng):
         mu = AtomicMeasure.from_triples(
@@ -90,8 +103,11 @@ class TestMassQueries:
         parts = [
             mu.mass_on(Interval(dyadic(k, 3), dyadic(k + 1, 3))) for k in range(8)
         ]
-        assert math.isclose(sum(parts), total, rel_tol=0, abs_tol=0)  # exact sums of disjoint slices
-        assert total == mu.total_mass
+        # each slice's mass (atoms 4k .. 4k + 3) and the total are their
+        # exact sums, rounded once
+        exact = [sum(map(Fraction, mu.masses[4 * k : 4 * k + 4]), Fraction(0)) for k in range(8)]
+        assert parts == [float(e) for e in exact]
+        assert total == float(sum(exact)) == mu.total_mass
 
 
 class TestRestrict:

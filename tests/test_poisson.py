@@ -47,9 +47,9 @@ class TestStationary:
 
 
 class TestParentExpressions:
-    """The one-row calls against the scalar expressions they replaced, on
-    lengths whose two squares differ, so a summed form squared as x * x
-    fails."""
+    """The one-row calls against their scalar expressions, on lengths whose
+    libm ``pow`` square is not x * x: every kernel squares as x * x, so a
+    form squared with ``pow`` fails."""
 
     def test_stationary_is_the_scalar_sum(self):
         moved = 0
@@ -61,8 +61,8 @@ class TestParentExpressions:
             assert poisson_stationary(mu, i) == poisson_sum(pos, mass, left, right)
             length = right - left
             dist = np.maximum(0.0, np.maximum(left - pos, pos - right))
-            squared = float(np.sum(mass * length / (length * length + dist**2)))
-            moved += squared != poisson_sum(pos, mass, left, right)
+            powered = float(np.sum(length / (length**2 + dist * dist) * mass))
+            moved += powered != poisson_sum(pos, mass, left, right)
         assert moved >= 4
 
     def test_extension_and_dual_are_the_scalar_sums(self):
@@ -73,10 +73,10 @@ class TestParentExpressions:
         xs = [mu.positions_f[k % 3] for k in range(len(ts))]
         hp = HalfPlaneMeasure(tuple(xs), tuple(ts), (1.0,) * len(ts))
         for x, t in zip(xs, ts):
-            want = float(np.sum(mu.masses_f * t / (t**2 + (x - mu.positions_f) ** 2)))
+            want = float(np.sum(mu.masses_f * t / (t * t + (x - mu.positions_f) ** 2)))
             assert poisson_extension(mu, x, t) == want
-            wrong = float(np.sum(mu.masses_f * t / (t * t + (x - mu.positions_f) ** 2)))
-            moved += wrong != want
+            powered = float(np.sum(mu.masses_f * t / (t**2 + (x - mu.positions_f) ** 2)))
+            moved += powered != want
         assert moved >= 4
         box = Interval(dyadic(0), dyadic(1))
         m = hp.box_mask(box)
@@ -268,9 +268,8 @@ def _half_plane_cases():
         yield label, sigma, grid, mu_measure(sd.members, w, grid, fams), intervals, h, a2
         n = 64
         lo, hi = grid.endpoint_f(0, 0), grid.endpoint_f(0, 1)
-        # heights whose scalar square (C pow) and array square (t * t)
-        # differ where the platform's pow has such values: the extension
-        # must square its heights as scalars, as poisson_extension does
+        # heights whose libm pow square and t * t differ where the
+        # platform's pow has such values: every extension squares t * t
         ts = rng.uniform(0.0, 1.0, 50 * n) * (hi - lo) + 1e-9
         ts = np.concatenate([ts[[t**2 != t * t for t in ts]], ts])[:n]
         noisy = HalfPlaneMeasure(

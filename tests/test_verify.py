@@ -1,7 +1,8 @@
 """One draw and one record per pair inside a verify run, one corona
-decomposition per function and stopping family, one kernel prefix per pair,
+decomposition per function and stopping family, one kernel per pair,
 and the telescoping and fixed-scan checks against their reference forms."""
 
+import math
 from collections import Counter
 
 import numpy as np
@@ -97,36 +98,22 @@ def test_corona_pieces_once_per_function_and_family(monkeypatch):
 
 
 def _telescoping_dict_probe(f, nodes, diffs, root_mean):
-    """The telescoping error as one dict probe per (node, ancestor level):
-    the (node, ancestor) terms of one atom count are gathered into the rows
-    of one 2-D array, and the ancestors are added level by level."""
+    """The telescoping error as one dict probe per (node, ancestor level),
+    each average a correctly rounded sum over the node's own atoms, and the
+    ancestors added level by level."""
     mu = f.base
-    m, mp = mu.masses_f, mu._mass_prefix
-    fp = np.concatenate(([0.0], np.cumsum(f.values * m)))
-    lo = np.array([n.lo for n in nodes])
-    hi = np.array([n.hi for n in nodes])
-    rows = {key: r for r, key in enumerate(diffs)}
-    terms = [
-        (k, a, r)
-        for k, n in enumerate(nodes)
-        for a in range(n.level)
-        if (r := rows.get((a, n.index >> (n.level - a)))) is not None
-    ]
-    node, anc, row = np.array(terms, dtype=np.intp).reshape(-1, 3).T
-    products = np.array(list(diffs.values())).reshape(len(diffs), mu.n_atoms) * m
-    mass = mp[hi] - mp[lo]
-    size = (hi - lo)[node]
-    means = np.empty(len(terms))
-    for k in np.unique(size).tolist():
-        at = np.flatnonzero(size == k)
-        atoms = lo[node[at], None] + np.arange(k)
-        means[at] = products[row[at, None], atoms].sum(axis=1) / mass[node[at]]
-    total = np.full(len(nodes), root_mean)
-    for a in np.unique(anc).tolist():
-        at = np.flatnonzero(anc == a)
-        total[node[at]] += means[at]
-    ej = (fp[hi] - fp[lo]) / mass
-    return float(np.max(np.abs(ej - total) / np.maximum(1.0, np.abs(ej))))
+    m = mu.masses_f
+    gaps = []
+    for n in nodes:
+        mass = math.fsum(m[n.lo : n.hi])
+        total = root_mean
+        for a in range(n.level):
+            d = diffs.get((a, n.index >> (n.level - a)))
+            if d is not None:
+                total += math.fsum(d[n.lo : n.hi] * m[n.lo : n.hi]) / mass
+        ej = math.fsum(f.values[n.lo : n.hi] * m[n.lo : n.hi]) / mass
+        gaps.append(abs(ej - total) / max(1.0, abs(ej)))
+    return float(np.max(gaps))
 
 
 def test_telescoping_error_is_the_dict_probe(monkeypatch):
@@ -161,12 +148,14 @@ def test_fixed_scan_tests_only_the_intervals_inside_i_fixed(monkeypatch):
 
 def test_one_kernel_prefix_per_pair_and_direction(monkeypatch):
     calls = Counter()
-    real = corona._kernel_prefix
+    real = corona._form_columns
 
-    def counted(sigma, w):
-        calls[sigma, w] += 1
-        return real(sigma, w)
+    def counted(sigma, w, grid):
+        columns = real(sigma, w, grid)
+        calls[sigma, w] += columns.M.size > 0
+        return columns
 
-    monkeypatch.setattr(corona, "_kernel_prefix", counted)
+    monkeypatch.setattr(corona, "_form_columns", counted)
+    monkeypatch.setattr(verify, "_form_columns", counted)
     run_suite("corona", SuiteConfig(seed=1, count=24, max_atoms=24))
     assert calls and max(calls.values()) == 1
