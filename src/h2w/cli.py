@@ -4,11 +4,14 @@ Subcommands: gen, constants, verify, decompose, poisson-test, sweep.  Each
 takes only the options it uses (``OPTIONS``); any other is a usage error.
 Every pair is analysed on ``auto_grid``'s grid, except that an explicit
 ``--shift-num`` puts decompose and poisson-test on the unit root at that
-shift.  Every output embeds the run configuration, an option the subcommand
-does not take standing at its default, and the package version; outputs are
-byte-identical for identical configurations, and the environment variable
-H2W_SEED overrides --seed.  Exit codes: 0 ok, 1 assertion failure (a
-non-finite constant or T > N included), 2 parse error, 3 invalid input pair.
+shift.  ``_grid_for_pair`` keeps the grids of the last 8 pairs, so that the
+commands run on one pair in one process, shifted or not, share its grid and
+the one ``pair_constants`` record in its memo.  Every output embeds the run
+configuration, an option the subcommand does not take standing at its
+default, and the package version; outputs are byte-identical for identical
+configurations, and the environment variable H2W_SEED overrides --seed.
+Exit codes: 0 ok, 1 assertion failure (a non-finite constant or T > N
+included), 2 parse error, 3 invalid input pair.
 """
 
 from __future__ import annotations
@@ -24,13 +27,13 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
-from functools import cache
+from functools import cache, lru_cache
 
 import numpy as np
 
 from . import __version__
 from .constants import SCHEMA_VERSION, compute_report, pair_constants
-from .corona import _form_columns, build_stopping_data, corona_split, reduction_residual
+from .corona import build_stopping_data, corona_split, reduction_residual
 from .errors import (
     CommonPointMass,
     H2WError,
@@ -268,7 +271,7 @@ def cmd_constants(args) -> int:
     rep = compute_report(
         sigma,
         w,
-        auto_grid(sigma, w, cfg.depth),
+        _grid_for_pair(sigma, w, cfg.depth, cfg.shift_num, cfg.shift_scale),
         seed=cfg.seed,
         refinement=cfg.refinement,
         a2_refinement=cfg.a2_refinement,
@@ -316,13 +319,18 @@ def cmd_verify(args) -> int:
     return 1 if failures else 0
 
 
-def _grid_for_pair(cfg: RunConfig, sigma, w) -> DyadicGrid:
-    """``auto_grid``'s grid; an explicit shift puts the unit root at that
-    shift instead, where a collision is an error."""
-    if cfg.shift_num == 0:
-        return auto_grid(sigma, w, cfg.depth)
-    shift = dyadic(cfg.shift_num, cfg.shift_scale)
-    return build_grid(Interval(dyadic(0), dyadic(1)), cfg.depth, shift, sigma, w)
+@lru_cache(maxsize=8)
+def _grid_for_pair(sigma, w, depth: int, shift_num: int, shift_scale: int) -> DyadicGrid:
+    """``auto_grid``'s grid; a nonzero ``shift_num`` puts the unit root at
+    the shift ``dyadic(shift_num, shift_scale)`` instead, where a collision
+    is an error.  The grids of the last few pairs are kept, so that the
+    commands that analyse one pair in a process share its grid and the
+    lists and record in its memo.  Every caller passes all five arguments
+    by position: a call spelled another way would be another key."""
+    if shift_num == 0:
+        return auto_grid(sigma, w, depth)
+    shift = dyadic(shift_num, shift_scale)
+    return build_grid(Interval(dyadic(0), dyadic(1)), depth, shift, sigma, w)
 
 
 def _stopping(cfg: RunConfig, path: str) -> tuple:
@@ -331,7 +339,7 @@ def _stopping(cfg: RunConfig, path: str) -> tuple:
     :func:`pair_constants` record and the stopping data of f.  A vanishing
     f is refused, and so is a non-finite A2 or T."""
     sigma, w = _load_pair(path)
-    grid = _grid_for_pair(cfg, sigma, w)
+    grid = _grid_for_pair(sigma, w, cfg.depth, cfg.shift_num, cfg.shift_scale)
     rng = np.random.default_rng(cfg.seed)
     f = good_projection(
         WeightedFunction(sigma, rng.standard_normal(sigma.n_atoms)), grid, cfg.eps, cfg.r
@@ -434,7 +442,7 @@ SWEEP_COLUMNS = [
 
 def _sweep_row(task) -> list:
     index, sigma, w, cfg = task
-    grid = auto_grid(sigma, w, cfg.depth)
+    grid = _grid_for_pair(sigma, w, cfg.depth, cfg.shift_num, cfg.shift_scale)
     rep = compute_report(
         sigma,
         w,
@@ -457,12 +465,10 @@ def _sweep_row(task) -> list:
         WeightedFunction(w, rng.standard_normal(w.n_atoms)), grid, cfg.eps, cfg.r
     )
     if f.norm() > 0 and g.norm() > 0 and rep.h_const > 0:
-        # one set of kernel column sums for both forms from sigma to w
-        columns = _form_columns(sigma, w, grid)
-        rr = reduction_residual(f, g, grid, rep.h_const, cfg.below_gap, columns=columns)
+        rr = reduction_residual(f, g, grid, rep.h_const, cfg.below_gap)
         red_ratio = rr.residual_ratio
         sd = build_stopping_data(f, grid.root_interval, w, rep.h_const, rep.meta["calibrated_c0"])
-        _, residual = corona_split(f, g, sd, cfg.below_gap, above=rr.b_above, columns=columns)
+        _, residual = corona_split(f, g, sd, cfg.below_gap, above=rr.b_above)
         cross_ratio = abs(residual) / (rep.h_const * f.norm() * g.norm())
     ratios = rep.paper_ratios()
     values = [

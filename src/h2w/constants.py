@@ -60,7 +60,6 @@ import numpy as np
 
 from .corona import (
     _carleson_ratio,
-    _form_columns,
     build_stopping_data,
     calibrate_c0,
     local_estimate_ratios,
@@ -1058,7 +1057,6 @@ def compute_report(
     rng = np.random.default_rng(seed)
     root = grid.root_interval
     ident_coeffs = None  # the Haar coefficients of x on w, on first use
-    columns = None  # the kernel column sums of every local ratio's form, on first use
     if sigma.n_atoms >= 2 and w.n_atoms >= 1 and h_const > 0:
         for _ in range(_FE_SAMPLES):
             raw = WeightedFunction(sigma, rng.standard_normal(sigma.n_atoms))
@@ -1093,9 +1091,7 @@ def compute_report(
                 graw = WeightedFunction(w, rng.standard_normal(w.n_atoms))
                 gg = good_projection(graw, grid, eps, r)
                 if gg.norm() > 0.0:
-                    if columns is None:
-                        columns = _form_columns(sigma, w, grid)
-                    local = local_estimate_ratios(f, gg, stopping, below_gap, columns=columns)
+                    local = local_estimate_ratios(f, gg, stopping, below_gap)
                     if local:
                         local_max = max(local_max, max(local))
     n_over_h = norm_n / h_const if h_const > 0 else 0.0

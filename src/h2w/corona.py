@@ -29,9 +29,7 @@ whose differences both vanish, and visits under each other source node only
 the pre-order run of target nodes inside it (``haar._run``), in the order of
 the full double loop.  Each (I, J) pairing is a correctly rounded sum over
 the atoms of J of the kernel's column sums over the sigma atoms of I's
-child.  The form functions take ``columns=``, the column sums of (sigma,
-w) that a caller evaluating many forms of one pair builds once
-(:func:`_form_columns`); none is kept past its caller.
+child, read from the pair's :func:`_form_columns`.
 """
 
 from __future__ import annotations
@@ -234,7 +232,7 @@ def energy_stopping_intervals(
     pre-order by jumping over each hit's subtree.
     """
     t, stops = _energy_stops(i0, sigma, w, h_const)
-    chosen = stops(10.0 * c0 * h_const**2)
+    chosen = stops(10.0 * c0 * (h_const * h_const))
     return [GridInterval(i0.grid, t.level[r].item(), int(t.index[r])) for r in chosen]
 
 
@@ -254,7 +252,7 @@ def calibrate_c0(
     m = sigma.masses
     c0 = start
     for _ in range(200):
-        chosen = stops(10.0 * c0 * h_const**2)
+        chosen = stops(10.0 * c0 * (h_const * h_const))
         ranges = zip(t.lo[0, chosen].tolist(), t.hi[0, chosen].tolist())
         if range_sum([x for a, b in ranges for x in m[a:b]]) <= budget:
             return c0
@@ -345,7 +343,7 @@ def build_stopping_data(
     t = table.nodes
     # the average of |f| on every row, 0 on a row of no sigma mass
     avg = _abs_averages(f, t.lo[0], t.hi[0])
-    threshold = 10.0 * c0 * h_const**2
+    threshold = 10.0 * c0 * (h_const * h_const)
 
     members: list[GridInterval] = [i0]
     row: dict = {i0.key: t.row(i0.level, i0.index)}
@@ -483,11 +481,12 @@ class _FormColumns(dict):
         return column
 
 
+@lru_cache(maxsize=8)
 def _form_columns(sigma: AtomicMeasure, w: AtomicMeasure, grid: DyadicGrid) -> _FormColumns:
-    """The :class:`_FormColumns` that the forms from sigma to w read, with no
-    kernel when a side has no splitting node, so that every such form is 0.
-    Never None, so a caller passing it on as ``columns=`` never has it built
-    again."""
+    """The :class:`_FormColumns` that the forms from sigma to w on ``grid``
+    read, with no kernel when a side has no splitting node, so that every
+    such form is 0.  Built once per pair and direction at the first form;
+    only the pairs in use are kept, as each holds n_sigma x n_w doubles."""
     if not (sigma.n_atoms and w.n_atoms):
         return _FormColumns(np.empty((0, 0)))
     if not splitting_nodes(sigma, grid) or not splitting_nodes(w, grid):
@@ -498,15 +497,20 @@ def _form_columns(sigma: AtomicMeasure, w: AtomicMeasure, grid: DyadicGrid) -> _
     return _FormColumns((1.0 / diffs) * sigma.masses_f[:, None])
 
 
-def _b_form(
-    f: WeightedFunction, g: WeightedFunction, grid: DyadicGrid, gap: int, C: _FormColumns
-) -> float:
-    """sum over source-splitting I and target-splitting J at least ``gap``
-    levels below, of the value of the I-difference of f on the child
-    containing J, times the raw-kernel pairing of that child against the
-    J-difference of g.  ``C`` is :func:`_form_columns` of (f.base, g.base).
-    Each pairing is the correctly rounded sum of (w_k d_J) c_k over the
-    atoms k of J, c the kernel's column sums over the child's sigma atoms."""
+def b_above(f: WeightedFunction, g: WeightedFunction, grid: DyadicGrid, below_gap: int) -> float:
+    """The above-diagonal bilinear form; the below-diagonal form of (f, g)
+    is ``b_above(g, f, ...)``.
+
+    The sum over source-splitting I and target-splitting J at least
+    ``below_gap`` levels below, of the value of the I-difference of f on the
+    child containing J, times the raw-kernel pairing of that child against
+    the J-difference of g.  Each pairing is the correctly rounded sum of
+    (w_k d_J) c_k over the atoms k of J, c the kernel's column sums over
+    the child's sigma atoms (:func:`_form_columns` of (f.base, g.base)).
+    The caller supplies mean-zero functions with good Haar supports when
+    the classical bounds are being instrumented.
+    """
+    C = _form_columns(f.base, g.base, grid)
     if C.M.size == 0:
         return 0.0
     s_nodes = splitting_nodes(f.base, grid)
@@ -523,7 +527,7 @@ def _b_form(
         for t in range(start, end):
             nj = w_nodes[t]
             dl = nj.level - ni.level
-            if dl < gap:
+            if dl < below_gap:
                 continue
             if (nj.index >> (dl - 1)) & 1 == 0:
                 slo, shi, dval = ni.lo, ni.cut, e_left
@@ -537,27 +541,6 @@ def _b_form(
             terms += [(wmass[k] * d_right) * col[k] for k in range(nj.cut, nj.hi)]
             total += dval * range_sum(terms)
     return total
-
-
-def b_above(
-    f: WeightedFunction,
-    g: WeightedFunction,
-    grid: DyadicGrid,
-    below_gap: int,
-    *,
-    columns: _FormColumns | None = None,
-) -> float:
-    """The above-diagonal bilinear form; the below-diagonal form of (f, g)
-    is ``b_above(g, f, ...)``.
-
-    Exact double sum with the raw kernel; the caller supplies mean-zero
-    functions with good Haar supports when the classical bounds are being
-    instrumented.  ``columns``, when given, is :func:`_form_columns` of
-    (f.base, g.base) on ``grid``, already built by the caller; when None it
-    is built here.
-    """
-    C = _form_columns(f.base, g.base, grid) if columns is None else columns
-    return _b_form(f, g, grid, below_gap, C)
 
 
 def corona_pieces(
@@ -581,7 +564,6 @@ def corona_split(
     *,
     above: float | None = None,
     pieces: tuple[dict, dict] | None = None,
-    columns: _FormColumns | None = None,
 ) -> tuple[float, float]:
     """Diagonal corona part of the above form on the stopping family's grid,
     and the cross-corona rest.
@@ -591,18 +573,16 @@ def corona_split(
     two add back exactly.
     ``above``, when given, is that b_above(f, g) on the family's grid,
     already evaluated by the caller, and is not evaluated again; so are
-    ``pieces``, the corona pieces of f and of g over ``stopping``, and
-    ``columns``, as :func:`b_above` takes it.
+    ``pieces``, the corona pieces of f and of g over ``stopping``.
     """
     grid = stopping.root.grid
-    C = _form_columns(f.base, g.base, grid) if columns is None else columns
-    total = _b_form(f, g, grid, below_gap, C) if above is None else above
+    total = b_above(f, g, grid, below_gap) if above is None else above
     split_value = 0.0
     f_pieces, g_pieces = pieces or (corona_pieces(f, stopping), corona_pieces(g, stopping))
     for key, pf in f_pieces.items():
         qg = g_pieces[key]
         if np.any(pf.values != 0.0) and np.any(qg.values != 0.0):
-            split_value += _b_form(pf, qg, grid, below_gap, C)
+            split_value += b_above(pf, qg, grid, below_gap)
     return split_value, total - split_value
 
 
@@ -615,19 +595,12 @@ class ReductionResidual:
 
 
 def reduction_residual(
-    f: WeightedFunction,
-    g: WeightedFunction,
-    grid: DyadicGrid,
-    h_const: float,
-    below_gap: int,
-    *,
-    columns: _FormColumns | None = None,
+    f: WeightedFunction, g: WeightedFunction, grid: DyadicGrid, h_const: float, below_gap: int
 ) -> ReductionResidual:
     """The raw pairing, both diagonal forms, and the normalized residual
-    |pairing - above - below| / (h ||f|| ||g||).  ``columns`` is the above
-    form's, as :func:`b_above` takes it."""
+    |pairing - above - below| / (h ||f|| ||g||)."""
     inner = hilbert_pairing(f, g)
-    ba = b_above(f, g, grid, below_gap, columns=columns)
+    ba = b_above(f, g, grid, below_gap)
     bb = b_above(g, f, grid, below_gap)
     denom = h_const * f.norm() * g.norm()
     ratio = abs(inner - ba - bb) / denom if denom > 0 else 0.0
@@ -641,7 +614,6 @@ def local_estimate_ratios(
     below_gap: int,
     *,
     pieces: tuple[dict, dict] | None = None,
-    columns: _FormColumns | None = None,
 ) -> list[float]:
     """Per-corona ratios |B(f_u, g_a)| / ((sigma(F)^(1/2) + ||f_u||) ||g_a||),
     with sigma = ``f.base``, on the stopping family's grid.
@@ -650,10 +622,9 @@ def local_estimate_ratios(
     constant times the control value, so it is uniform with constant one
     w.r.t. the family children of F; g_a is the matching corona piece of g.
     ``pieces``, when given, are the corona pieces of f and of g over
-    ``stopping``, already computed by the caller; ``columns`` is as
-    :func:`b_above` takes it, built here at the first form when None.
+    ``stopping``, already computed by the caller.
     """
-    sigma, grid, C = f.base, stopping.root.grid, columns
+    sigma, grid = f.base, stopping.root.grid
     f_pieces, g_pieces = pieces or (corona_pieces(f, stopping), corona_pieces(g, stopping))
     out: list[float] = []
     for F in stopping.members:
@@ -671,9 +642,7 @@ def local_estimate_ratios(
         denom = (math.sqrt(sigma.mass_on(F)) + fu.norm()) * qg.norm()
         if denom == 0.0:
             continue
-        if C is None:
-            C = _form_columns(sigma, g.base, grid)
-        out.append(abs(_b_form(fu, qg, grid, below_gap, C)) / denom)
+        out.append(abs(b_above(fu, qg, grid, below_gap)) / denom)
     return out
 
 

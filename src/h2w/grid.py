@@ -16,7 +16,7 @@ from __future__ import annotations
 import inspect
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, wraps
+from functools import cached_property, wraps
 
 from .errors import EndpointCollision, PairTooLarge, PreconditionViolation
 from .measure import AtomicMeasure, DyadicRational, Interval, _position_text, dyadic
@@ -237,7 +237,6 @@ def check_table_size(n: int, depth: int) -> None:
         )
 
 
-@lru_cache(maxsize=8)
 def auto_grid(sigma: AtomicMeasure, w: AtomicMeasure, depth: int) -> DyadicGrid:
     """A grid over a power-of-two root covering both supports.
 
@@ -246,11 +245,12 @@ def auto_grid(sigma: AtomicMeasure, w: AtomicMeasure, depth: int) -> DyadicGrid:
     negative shifts of ever finer scale keep full coverage, and shrinks the
     shift until no endpoint carries mass.
 
-    The grids of the last few pairs are kept, so that the commands that
-    analyse one pair in a process share its grid and the lists in its memo.
-    The grid comes from :func:`build_grid`, which refuses what cannot be
-    analysed; an atom past :data:`REACH` is refused before the root search,
-    whose float powers of two overflow past 2^1023.
+    Each call builds a new grid with an empty memo; the command line keeps
+    the grids of its last few pairs (``cli._grid_for_pair``), and
+    ``verify`` one per ensemble pair.  The grid comes from
+    :func:`build_grid`, which refuses what cannot be analysed; an atom past
+    :data:`REACH` is refused before the root search, whose float powers of
+    two overflow past 2^1023.
     """
     check_reach(sigma, w)
     pos = sigma.positions + w.positions

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
 from typing import NamedTuple, Sequence
@@ -516,14 +516,13 @@ class HaarCoefficients:
     base: AtomicMeasure
     root_mean: float
     coeffs: dict[tuple[int, int], float]
-    _nodes: dict[tuple[int, int], _Node] = field(repr=False, default_factory=dict)
 
     def coefficient(self, i: GridInterval) -> float:
         return self.coeffs.get(i.key, 0.0)
 
     def norm_sq(self) -> float:
         """Parseval: squared norm from the coefficients and the root mean."""
-        total = self.root_mean**2 * self.base.total_mass
+        total = self.root_mean * self.root_mean * self.base.total_mass
         return total + sum(c * c for c in self.coeffs.values())
 
 
@@ -540,16 +539,21 @@ def expand(f: WeightedFunction, grid: DyadicGrid) -> HaarCoefficients:
         (n.level, n.index): amp * (f_right / m_right - f_left / m_left)
         for n, (f_left, f_right, m_left, m_right, amp) in zip(nodes, halves)
     }
-    node_map = {(n.level, n.index): n for n in nodes}
     root_mean = range_sum(fm) / mu.total_mass
-    return HaarCoefficients(grid, mu, root_mean, coeffs, node_map)
+    return HaarCoefficients(grid, mu, root_mean, coeffs)
 
 
 def reconstruct(hc: HaarCoefficients) -> WeightedFunction:
-    """Sum the root mean and all coefficient * Haar terms back to atom values."""
+    """Sum the root mean and all coefficient * Haar terms back to atom
+    values.  Each key's node is read from the splitting nodes of the base
+    on the grid; a key that is not a splitting interval is a ValueError."""
     mu = hc.base
+    by_key = {(n.level, n.index): n for n in splitting_nodes(mu, hc.grid)}
+    stray = [key for key in hc.coeffs if key not in by_key]
+    if stray:
+        raise ValueError(f"not splitting intervals of the base measure: {stray}")
     values = np.full(mu.n_atoms, hc.root_mean)
-    nodes = [hc._nodes[key] for key in hc.coeffs]
+    nodes = [by_key[key] for key in hc.coeffs]
     halves = zip(hc.coeffs.values(), *_amplitudes(mu, *_ranges(nodes)))
     for n, (c, m_left, m_right, amp) in zip(nodes, halves):
         values[n.lo : n.cut] += c * (-amp / m_left)
@@ -612,11 +616,5 @@ def absolute_haar_multiplier(g: WeightedFunction, grid: DyadicGrid) -> WeightedF
     For mean-zero input this is an isometry on L2(base).
     """
     hc = expand(g, grid)
-    flipped = HaarCoefficients(
-        hc.grid,
-        hc.base,
-        0.0,
-        {k: abs(c) for k, c in hc.coeffs.items()},
-        hc._nodes,
-    )
-    return reconstruct(flipped)
+    flipped = {k: abs(c) for k, c in hc.coeffs.items()}
+    return reconstruct(HaarCoefficients(hc.grid, hc.base, 0.0, flipped))

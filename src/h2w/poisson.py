@@ -209,11 +209,8 @@ def mu_measure(
         if not js:
             continue
         for jstar in maximal_intervals(js):
-            mass = sum(
-                coeffs.get(j.key, 0.0) ** 2
-                for j in js
-                if jstar.contains(j)
-            ) / jstar.length_f**2
+            cs = [coeffs.get(j.key, 0.0) for j in js if jstar.contains(j)]
+            mass = sum(c * c for c in cs) / (jstar.length_f * jstar.length_f)
             xs.append(jstar.center_f)
             ts.append(jstar.length_f)
             masses.append(mass)
@@ -271,7 +268,7 @@ def poisson_testing(
     xs, ts, hmass = hp.xs_f, hp.ts_f, hp.masses_f
     ext = _extension_terms(xs, ts, pos, smass)
     dual = _dual_terms(pos, xs, ts, hmass)
-    h_sq = h_const**2
+    h_sq = h_const * h_const
     intervals = list(intervals)
     ranges = [sigma.index_range(gi) for gi in intervals]
     lefts = np.array([gi.left_f for gi in intervals])

@@ -45,7 +45,6 @@ from .corona import (
     UniformitySpec,
     _abs_averages,
     _bounded_average_constant,
-    _form_columns,
     b_above,
     build_stopping_data,
     carleson_check,
@@ -596,10 +595,8 @@ def suite_corona(ens: _Ensemble) -> _Suite:
         if g.norm() > 0:
             g_pieces = corona_pieces(g, sd)
             pieces = (f_pieces, g_pieces)
-            # one set of kernel column sums for every form of this pair from sigma to w
-            C = _form_columns(sigma, w, grid)
-            total = b_above(f, g, grid, cfg.below_gap, columns=C)
-            split_value, residual = corona_split(f, g, sd, cfg.below_gap, pieces=pieces, columns=C)
+            total = b_above(f, g, grid, cfg.below_gap)
+            split_value, residual = corona_split(f, g, sd, cfg.below_gap, pieces=pieces)
             split_dev = max(split_dev, abs(split_value + residual - total) / max(1.0, abs(total)))
             cross = 0.0
             for p_key, pf in f_pieces.items():
@@ -607,18 +604,18 @@ def suite_corona(ens: _Ensemble) -> _Suite:
                     continue
                 for q_key, qg in g_pieces.items():
                     if p_key != q_key and np.any(qg.values != 0.0):
-                        cross += b_above(pf, qg, grid, cfg.below_gap, columns=C)
+                        cross += b_above(pf, qg, grid, cfg.below_gap)
             cross_dev = max(cross_dev, abs(cross - residual) / max(1.0, abs(total)))
             denom = h * f.norm() * g.norm()
             s.record_max("corona_residual_max", abs(residual) / denom)
-            rr = reduction_residual(f, g, grid, h, cfg.below_gap, columns=C)
+            rr = reduction_residual(f, g, grid, h, cfg.below_gap)
             s.record_max("reduction_residual_max", rr.residual_ratio)
             # bilinearity
             g2 = 0.5 * g
-            lhs = b_above(f, g + g2, grid, cfg.below_gap, columns=C)
-            rhs = total + b_above(f, g2, grid, cfg.below_gap, columns=C)
+            lhs = b_above(f, g + g2, grid, cfg.below_gap)
+            rhs = total + b_above(f, g2, grid, cfg.below_gap)
             bilin_dev = max(bilin_dev, abs(lhs - rhs) / max(1.0, abs(lhs)))
-            for ratio in local_estimate_ratios(f, g, sd, cfg.below_gap, pieces=pieces, columns=C):
+            for ratio in local_estimate_ratios(f, g, sd, cfg.below_gap, pieces=pieces):
                 s.record_max("local_over_h_max", ratio / h)
         # uniformity of the rescaled corona piece on the family children
         for F in sd.members:

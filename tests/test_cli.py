@@ -1,5 +1,4 @@
 import gc
-from collections import Counter
 import json
 import os
 import subprocess
@@ -9,7 +8,6 @@ import tracemalloc
 import pytest
 
 import h2w.cli as cli
-import h2w.constants as constants
 import h2w.corona as corona
 import h2w.verify as verify
 from h2w.cli import _parser, main
@@ -598,18 +596,17 @@ class TestSweep:
             tracemalloc.stop()
         assert retained[59] - retained[20] < 128 << 10
 
-    def test_one_kernel_prefix_per_report_and_per_row(self, monkeypatch):
-        """compute_report builds the sigma -> w kernel columns once for all
-        its local ratios, and the row once more for its reduction residual
-        and corona split, which also build w -> sigma once."""
-        builds, forms = Counter(), Counter()
+    def test_one_kernel_build_per_direction_shared_by_report_and_row(self, monkeypatch):
+        """compute_report's local ratios build the sigma -> w kernel columns,
+        the row's reduction residual and corona split read those same
+        columns, and the row builds w -> sigma once."""
+        reads = []
         phase = ["row"]
         real_form, real_report = corona._form_columns, cli.compute_report
 
-        def counted_form(sigma, w, grid):
-            forms[phase[0], sigma, w] += 1
+        def read(sigma, w, grid):
             columns = real_form(sigma, w, grid)
-            builds[phase[0], sigma, w] += columns.M.size > 0
+            reads.append((phase[0], sigma, w, columns))
             return columns
 
         def report(*args, **kwargs):
@@ -619,15 +616,25 @@ class TestSweep:
             finally:
                 phase[0] = "row"
 
-        for module in (corona, cli, constants):
-            monkeypatch.setattr(module, "_form_columns", counted_form, raising=False)
+        monkeypatch.setattr(corona, "_form_columns", read)
         monkeypatch.setattr(cli, "compute_report", report)
         cfg = cli.RunConfig(seed=3, count=12, family="mixed")
         pairs = random_ensemble(cfg.seed, cfg.count, cfg.max_atoms, cfg.depth, family=cfg.family)
+        shared = 0
         for i, (sigma, w) in enumerate(pairs):
+            real_form.cache_clear()
+            reads.clear()
             cli._sweep_row((i, sigma, w, cfg))
-        assert max(builds.values()) == 1 and max(forms.values()) == 1
-        assert {phase for (phase, _, _), n in builds.items() if n} == {"report", "row"}
+            columns = {(s, t): c for _, s, t, c in reads}
+            assert set(columns) <= {(sigma, w), (w, sigma)}
+            # one build per direction, and every form reads that one
+            assert real_form.cache_info().misses == len(columns)
+            assert all(c is columns[s, t] for _, s, t, c in reads)
+            assert {p for p, s, t, _ in reads if (s, t) == (w, sigma)} <= {"row"}
+            built = columns.get((sigma, w))
+            if built is not None and built.M.size:
+                shared += {p for p, s, t, _ in reads if (s, t) == (sigma, w)} == {"report", "row"}
+        assert shared > 0
 
     def test_rows_carry_the_run_config(self, monkeypatch, capsys):
         # each task carries the RunConfig itself, not a dict rebuilt per row

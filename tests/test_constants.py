@@ -751,7 +751,7 @@ class TestMemory:
     def test_a2_streams(self, pair):
         assert _peak_bytes(lambda: a2_constant(*pair)) < 16 << 20
 
-    def test_testing_builds_prefixes_on_demand(self, pair):
+    def test_testing_evaluates_classes_on_demand(self, pair):
         scan = kernel_scan(*pair)
 
         def both():

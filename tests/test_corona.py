@@ -349,26 +349,29 @@ class TestReductionResidual:
         assert out.residual_ratio == abs(out.inner_product) / (5.0 * f.norm() * g.norm())
 
 
-class TestFormPrefix:
-    def test_an_empty_prefix_is_not_built_again(self, monkeypatch):
+class TestFormColumns:
+    def test_columns_without_a_kernel_are_built_once(self, monkeypatch):
         """A side with no splitting node gives column sums with no kernel,
-        and a form handed them is 0 without building any."""
+        every form over it is 0, and later forms read the kept columns."""
         sigma, w, grid, f, g = _instance(111, family="lacunary", max_atoms=24, depth=12)
         lone = AtomicMeasure(w.positions[:1], w.masses[:1])
-        empty = corona._form_columns(sigma, lone, grid)
-        assert empty.M.size == 0 and not splitting_nodes(lone, grid)
-        h = _h_const(sigma, w)
-        sd = build_stopping_data(f, grid.root_interval, w, h, calibrate_c0(grid.root_interval, sigma, w, h))
-        built = local_estimate_ratios(f, g, sd, SUITE_BELOW_GAP)
+        assert not splitting_nodes(lone, grid)
+        g_lone = WeightedFunction(lone, [1.0])
+        corona._form_columns.cache_clear()
+        assert b_above(f, g_lone, grid, SUITE_BELOW_GAP) == 0.0
+        assert b_above(g_lone, f, grid, SUITE_BELOW_GAP) == 0.0
+        assert corona._form_columns(sigma, lone, grid).M.size == 0
+        assert corona._form_columns.cache_info().misses == 2
 
-        def refuse(*args):
+        def refuse(M):
             raise AssertionError("the column sums were built again")
 
-        monkeypatch.setattr(corona, "_form_columns", refuse)
-        assert b_above(f, g, grid, SUITE_BELOW_GAP, columns=empty) == 0.0
-        assert corona_split(f, g, sd, SUITE_BELOW_GAP, columns=empty) == (0.0, 0.0)
-        zeros = local_estimate_ratios(f, g, sd, SUITE_BELOW_GAP, columns=empty)
-        assert len(zeros) == len(built) > 0 and not any(zeros)
+        monkeypatch.setattr(corona, "_FormColumns", refuse)
+        h = _h_const(sigma, w)
+        sd = build_stopping_data(f, grid.root_interval, w, h, calibrate_c0(grid.root_interval, sigma, w, h))
+        assert corona_split(f, g_lone, sd, SUITE_BELOW_GAP) == (0.0, 0.0)
+        out = reduction_residual(f, g_lone, grid, h, SUITE_BELOW_GAP)
+        assert out.b_above == 0.0 and out.b_below == 0.0
 
 
 class TestLocalEstimate:
@@ -888,12 +891,12 @@ class TestShiftedGridRanges:
             hc = expand(f, grid)
             for n in splitting_nodes(mu, grid):
                 gi = GridInterval(grid, n.level, n.index)
-                one = HaarCoefficients(grid, mu, 0.0, {gi.key: 1.0}, hc._nodes)
+                one = HaarCoefficients(grid, mu, 0.0, {gi.key: 1.0})
                 h = haar_function(gi, mu)
                 np.testing.assert_allclose(h.values, reconstruct(one).values, rtol=1e-12, atol=0)
                 c = hc.coefficient(gi)
                 assert inner(f, h) == pytest.approx(c, rel=1e-12), gi
-                only = HaarCoefficients(grid, mu, 0.0, {gi.key: c}, hc._nodes)
+                only = HaarCoefficients(grid, mu, 0.0, {gi.key: c})
                 np.testing.assert_allclose(
                     martingale_difference(f, gi).values,
                     reconstruct(only).values,
@@ -1019,15 +1022,17 @@ class TestComputePathHasNoWalk:
             tracemalloc.stop()
         assert retained < stack_bytes / 8
 
-    def test_no_kernel_prefix_is_kept_with_the_grid(self):
-        # auto_grid keeps the last grids and their memos past the row, so a
-        # form's kernel (n_sigma by n_w doubles) must not be in the memo
-        from h2w.cli import RunConfig, _sweep_row
-        from h2w.grid import auto_grid
+    def test_no_kernel_is_kept_with_the_grid(self):
+        # the command line keeps the last grids and their memos past the
+        # row, so a form's kernel (n_sigma by n_w doubles) must not be in
+        # the memo: only corona._form_columns keeps it, for the last 8 pairs
+        from h2w.cli import RunConfig, _grid_for_pair, _sweep_row
 
         sigma, w = random_ensemble(7, 8, 128, 12)[3]
-        _sweep_row((0, sigma, w, RunConfig(depth=12)))
-        memo = auto_grid(sigma, w, 12)._memo
+        cfg = RunConfig(depth=12)
+        _sweep_row((0, sigma, w, cfg))
+        grid = _grid_for_pair(sigma, w, cfg.depth, cfg.shift_num, cfg.shift_scale)
+        memo = grid._memo
         assert memo
         shapes = {getattr(value, "shape", None) for value in memo.values()}
         assert (sigma.n_atoms, w.n_atoms) not in shapes

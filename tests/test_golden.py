@@ -58,11 +58,12 @@ def test_output_bytes(name, capsys):
 
 def test_pair_commands_share_one_record(monkeypatch, capsys):
     # constants, decompose and poisson-test on one pair in one process read
-    # one pair_constants record from the memo of the pair's one grid
+    # one pair_constants record from the memo of the pair's one grid, and
+    # so do decompose and poisson-test at one explicit shift
+    import h2w.cli as cli
     import h2w.constants as constants
-    from h2w.grid import auto_grid
 
-    auto_grid.cache_clear()
+    cli._grid_for_pair.cache_clear()
     real = constants.kernel_scan
     scans = []
 
@@ -75,3 +76,9 @@ def test_pair_commands_share_one_record(monkeypatch, capsys):
         assert main(CASES[name]) == 0
         assert capsys.readouterr().out.encode() == (GOLDEN / name).read_bytes()
     assert len(scans) == 1
+    assert main(["decompose", PAIR, "--shift-num", "1", "--shift-scale", "14"]) == 0
+    capsys.readouterr()
+    name = "poisson-test-shift.csv"
+    assert main(CASES[name]) == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN / name).read_bytes()
+    assert len(scans) == 2

@@ -1,4 +1,5 @@
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -8,6 +9,7 @@ import h2w.haar as haar
 from h2w.errors import PreconditionViolation, ZeroMass
 from h2w.grid import GridInterval, is_good
 from h2w.haar import (
+    HaarCoefficients,
     WeightedFunction,
     _differences,
     _endpoints,
@@ -146,6 +148,25 @@ class TestExpandReconstruct:
         f = WeightedFunction(sigma, np.random.default_rng(0).standard_normal(sigma.n_atoms))
         rec = reconstruct(expand(f, grid))
         assert np.max(np.abs(rec.values - f.values)) <= 1e-12 * np.max(np.abs(f.values))
+
+    def test_reconstruct_from_the_public_constructor(self, rng):
+        # each key's node is read from the grid, not from the expansion
+        for sigma, w in random_ensemble(21, 4, 24, 10):
+            g = unit_grid(sigma, w, 10)
+            f = WeightedFunction(sigma, rng.standard_normal(sigma.n_atoms))
+            hc = expand(f, g)
+            rec = reconstruct(HaarCoefficients(g, sigma, hc.root_mean, dict(hc.coeffs)))
+            assert np.max(np.abs(rec.values - f.values)) <= 1e-12 * np.max(np.abs(f.values))
+
+    def test_reconstruct_refuses_a_key_that_does_not_split(self):
+        sigma, w = random_ensemble(21, 1, 24, 10)[0]
+        g = unit_grid(sigma, w, 10)
+        splits = {(n.level, n.index) for n in splitting_nodes(sigma, g)}
+        keys = ((level, index) for level in range(4) for index in range(1 << level))
+        stray = next(key for key in keys if key not in splits)
+        coeffs = {next(iter(splits)): 1.0, stray: 1.0}
+        with pytest.raises(ValueError, match=re.escape(str(stray))):
+            reconstruct(HaarCoefficients(g, sigma, 0.0, coeffs))
 
     def test_support_outside_root_rejected(self):
         mu = AtomicMeasure.from_triples([(5, 1, 1.0)])  # at 2.5

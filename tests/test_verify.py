@@ -146,16 +146,22 @@ def test_fixed_scan_tests_only_the_intervals_inside_i_fixed(monkeypatch):
     assert all(index >> (level - 2) == 1 for level, index in calls)
 
 
-def test_one_kernel_prefix_per_pair_and_direction(monkeypatch):
-    calls = Counter()
+def test_one_kernel_build_per_pair_and_direction(monkeypatch):
+    # every form of the corona suite reads its pair's kernel columns from
+    # corona._form_columns, which builds each direction of a pair once
     real = corona._form_columns
+    real.cache_clear()
+    reads = Counter()
+    kernels = set()
 
-    def counted(sigma, w, grid):
+    def read(sigma, w, grid):
         columns = real(sigma, w, grid)
-        calls[sigma, w] += columns.M.size > 0
+        reads[sigma, w, grid] += 1
+        if columns.M.size:
+            kernels.add((sigma, w, grid))
         return columns
 
-    monkeypatch.setattr(corona, "_form_columns", counted)
-    monkeypatch.setattr(verify, "_form_columns", counted)
+    monkeypatch.setattr(corona, "_form_columns", read)
     run_suite("corona", SuiteConfig(seed=1, count=24, max_atoms=24))
-    assert calls and max(calls.values()) == 1
+    assert kernels and max(reads.values()) > 1
+    assert real.cache_info().misses == len(reads)
