@@ -271,7 +271,7 @@ def cmd_constants(args) -> int:
     rep = compute_report(
         sigma,
         w,
-        _grid_for_pair(sigma, w, cfg.depth, cfg.shift_num, cfg.shift_scale),
+        _pair_grid(sigma, w, cfg),
         seed=cfg.seed,
         refinement=cfg.refinement,
         a2_refinement=cfg.a2_refinement,
@@ -325,12 +325,20 @@ def _grid_for_pair(sigma, w, depth: int, shift_num: int, shift_scale: int) -> Dy
     the shift ``dyadic(shift_num, shift_scale)`` instead, where a collision
     is an error.  The grids of the last few pairs are kept, so that the
     commands that analyse one pair in a process share its grid and the
-    lists and record in its memo.  Every caller passes all five arguments
-    by position: a call spelled another way would be another key."""
+    lists and record in its memo.  Its one caller, :func:`_pair_grid`,
+    passes all five arguments by position: a call spelled another way
+    would be another key."""
     if shift_num == 0:
         return auto_grid(sigma, w, depth)
     shift = dyadic(shift_num, shift_scale)
     return build_grid(Interval(dyadic(0), dyadic(1)), depth, shift, sigma, w)
+
+
+def _pair_grid(sigma, w, cfg: RunConfig) -> DyadicGrid:
+    """The pair's grid under ``cfg``; an unshifted grid is keyed with scale
+    0, since the shift's scale changes nothing there."""
+    scale = cfg.shift_scale if cfg.shift_num else 0
+    return _grid_for_pair(sigma, w, cfg.depth, cfg.shift_num, scale)
 
 
 def _stopping(cfg: RunConfig, path: str) -> tuple:
@@ -339,7 +347,7 @@ def _stopping(cfg: RunConfig, path: str) -> tuple:
     :func:`pair_constants` record and the stopping data of f.  A vanishing
     f is refused, and so is a non-finite A2 or T."""
     sigma, w = _load_pair(path)
-    grid = _grid_for_pair(sigma, w, cfg.depth, cfg.shift_num, cfg.shift_scale)
+    grid = _pair_grid(sigma, w, cfg)
     rng = np.random.default_rng(cfg.seed)
     f = good_projection(
         WeightedFunction(sigma, rng.standard_normal(sigma.n_atoms)), grid, cfg.eps, cfg.r
@@ -442,7 +450,7 @@ SWEEP_COLUMNS = [
 
 def _sweep_row(task) -> list:
     index, sigma, w, cfg = task
-    grid = _grid_for_pair(sigma, w, cfg.depth, cfg.shift_num, cfg.shift_scale)
+    grid = _pair_grid(sigma, w, cfg)
     rep = compute_report(
         sigma,
         w,

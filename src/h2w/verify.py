@@ -6,13 +6,15 @@ fail hard; regression checks compare observed maxima against the recorded
 constants and are reported as warnings unless strict mode is requested.
 Every failing check carries a replay payload that reproduces it bit-exactly.
 
-A run draws its ensemble once.  Each distinct pair gets one grid, whose
+A run draws its ensemble once.  Each ensemble pair gets one grid, whose
 memo keeps the pair's :func:`~h2w.constants.pair_constants` record (N, A2,
-both T, H and the calibrated c0, from one kernel scan), and each ensemble
-pair one ``compute_report``, which reads that record; all are built on
-first use and shared by every suite of the run: the energy suite reads its
-energy constants from the report the theorem suite checks.  Nothing
-outlives the run.
+both T, H and the calibrated c0, from one kernel scan), and one
+``compute_report``, which reads that record; all are built on first use
+and shared by every suite of the run: the energy suite reads its energy
+constants from the report the theorem suite checks.  A suite's crafted
+pairs, and their grids and records, live only for their own loop
+iteration, and nothing outlives the run.  The kernel suite draws and
+checks its random triples a block at a time.
 
 The per-interval checks run batched per pair: the Poisson testing of every
 test interval in one call, the stationary-vs-extension comparison on one
@@ -21,6 +23,7 @@ test interval in one call, the stationary-vs-extension comparison on one
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -137,27 +140,34 @@ class CheckResult:
 
 
 class _Ensemble:
-    """One run's seeded ensemble, with each distinct pair's ``auto_grid``
-    and each ensemble pair's report, each built on first use; a pair's
-    :func:`pair_constants` record lives in its grid's memo."""
+    """One run's seeded ensemble, with each ensemble pair's ``auto_grid``
+    and report, each built on first use; a pair's :func:`pair_constants`
+    record lives in its grid's memo.  Any other pair (a suite's crafted
+    pairs) gets a fresh grid, which lives, with its record, only as long as
+    the suite holds it."""
 
     def __init__(self, cfg: SuiteConfig):
         self.cfg = cfg
         self.pairs = random_ensemble(
             cfg.seed, cfg.count, cfg.max_atoms, cfg.depth, family=cfg.family
         )
+        self._members = set(self.pairs)
         self._grids: dict[tuple[AtomicMeasure, AtomicMeasure], DyadicGrid] = {}
         self._reports: dict[int, ConstantsReport] = {}
 
     def grid(self, sigma: AtomicMeasure, w: AtomicMeasure) -> DyadicGrid:
         key = (sigma, w)
-        if key not in self._grids:
-            self._grids[key] = auto_grid(sigma, w, self.cfg.depth)
-        return self._grids[key]
+        grid = self._grids.get(key)
+        if grid is None:
+            grid = auto_grid(sigma, w, self.cfg.depth)
+            if key in self._members:
+                self._grids[key] = grid
+        return grid
 
-    def record(self, sigma: AtomicMeasure, w: AtomicMeasure) -> PairConstants:
+    def record(self, sigma: AtomicMeasure, w: AtomicMeasure, grid: DyadicGrid) -> PairConstants:
+        """The pair's record, in the memo of ``grid``, its grid from :meth:`grid`."""
         cfg = self.cfg
-        return pair_constants(sigma, w, self.grid(sigma, w), cfg.refinement, c0=cfg.c0)
+        return pair_constants(sigma, w, grid, cfg.refinement, c0=cfg.c0)
 
     def report(self, idx: int) -> ConstantsReport:
         """``compute_report`` of ensemble pair ``idx`` at seed cfg.seed + idx,
@@ -352,6 +362,63 @@ def suite_energy(ens: _Ensemble) -> _Suite:
     return s
 
 
+# values a block of the kernel suite's draws and scans holds; even, so
+# that a block of 32-bit draws takes whole 64-bit words
+_DRAW_BLOCK = 8192
+
+
+def _triple_blocks(rng: np.random.Generator, n: int, d_range, x_range, off_range):
+    """The n triples (x, x', y), y = x ± d and x' = x ± off d, that drawing
+    whole from ``rng`` the distances d, the points x, the sides of y, the
+    offsets and the sides of x', in this order, gives, as aligned blocks of
+    at most ``_DRAW_BLOCK`` triples; once the last block is out, ``rng`` is
+    where the whole draws leave it.
+
+    A ``uniform`` value takes one 64-bit word of the PCG64 stream and a
+    side (``integers(0, 2)``, a 32-bit draw, never rejected) half of one,
+    so the five draws start at words 0, n, 2n, 2n + n/2 and 3n + n/2, and
+    the last ends at 4n.  With n and the block even, each block of each
+    draw starts on a whole word, which ``PCG64.advance`` reaches."""
+    assert n > 0 and n % 2 == 0
+    start = rng.bit_generator.state
+
+    def at(words: int) -> np.random.Generator:
+        bits = np.random.PCG64(0)
+        bits.state = start
+        return np.random.Generator(bits.advance(words))
+
+    def side(gen: np.random.Generator, m: int) -> np.ndarray:
+        return np.where(gen.integers(0, 2, m) == 0, -1, 1)
+
+    for b0 in range(0, n, _DRAW_BLOCK):
+        m = min(_DRAW_BLOCK, n - b0)
+        d = at(b0).uniform(*d_range, size=m)
+        x = at(n + b0).uniform(*x_range, size=m)
+        y_side = side(at(2 * n + b0 // 2), m)
+        off = at(2 * n + n // 2 + b0).uniform(*off_range, size=m)
+        last = at(3 * n + n // 2 + b0 // 2)
+        off_side = side(last, m)
+        yield x, x + (off * off_side) * d, x + y_side * d
+    rng.bit_generator.state = last.bit_generator.state
+
+
+def _kernel_shape(ys: np.ndarray, alpha: float, beta: float) -> tuple[bool, bool, bool]:
+    """Whether ``smooth_kernel`` decreases on ``ys``, has second differences
+    of at least -1e-9 there and of at most 1e-9 on ``-ys[::-1]``, scanned in
+    blocks of ``_DRAW_BLOCK`` points that overlap by the 2 points a second
+    difference reaches past its own; each value is elementwise, so each
+    difference is the one a whole scan takes."""
+    mono = convex = concave = True
+    rev = ys[::-1]
+    for i0 in range(0, len(ys) - 2, _DRAW_BLOCK):
+        vals = smooth_kernel(ys[i0 : i0 + _DRAW_BLOCK + 2], alpha, beta)
+        mono &= bool(np.all(np.diff(vals) <= 1e-12))
+        convex &= bool(np.all(np.diff(vals, 2) >= -1e-9))
+        vals = smooth_kernel(-rev[i0 : i0 + _DRAW_BLOCK + 2], alpha, beta)
+        concave &= bool(np.all(np.diff(vals, 2) <= 1e-9))
+    return mono, convex, concave
+
+
 def suite_kernel(ens: _Ensemble) -> _Suite:
     cfg = ens.cfg
     s = _Suite("kernel", cfg)
@@ -365,37 +432,29 @@ def suite_kernel(ens: _Ensemble) -> _Suite:
             abs(smooth_kernel(-alpha, alpha, beta) + 1.0 / alpha),
         )
         s.exact(f"seams_a{alpha}_b{beta}", dev <= 1e-12, f"max seam dev {dev:.2e}")
-    ys = np.linspace(1e-3, 10.0, 40001)
-    vals = smooth_kernel(ys, 0.25, 2.0)
-    mono = bool(np.all(np.diff(vals) <= 1e-12))
     # convex on the positive axis, concave on the negative one (odd kernel);
     # the taper piece is the tangent line of 1/y at beta, so slopes only grow.
-    convex_pos = bool(np.all(np.diff(vals, 2) >= -1e-9))
-    concave_neg = bool(np.all(np.diff(smooth_kernel(-ys[::-1], 0.25, 2.0), 2) <= 1e-9))
+    mono, convex_pos, concave_neg = _kernel_shape(np.linspace(1e-3, 10.0, 40001), 0.25, 2.0)
     s.exact("monotone_decreasing", mono, "on a dense grid of (0, 10]")
     s.exact("convex_right_concave_left", convex_pos and concave_neg, "second differences signed as the odd shape demands")
     # middle regime: exact factor one (offsets bounded away from zero keep
     # the difference quotient at full precision)
     n_mid = 10_000
     alpha, beta = 0.05, 40.0
-    d = rng.uniform(2 * alpha * 1.01, (2.0 / 3.0) * beta * 0.99, size=n_mid)
-    x = rng.uniform(-1, 1, size=n_mid)
-    y = x + np.where(rng.integers(0, 2, n_mid) == 0, -1, 1) * d
-    off = rng.uniform(0.05, 0.45, size=n_mid) * np.where(rng.integers(0, 2, n_mid) == 0, -1, 1)
-    xp = x + off * d
-    fac = kernel_difference_factor(x, xp, y, alpha, beta)
-    dev = float(np.max(np.abs(fac - 1.0)))
+    d_mid = (2 * alpha * 1.01, (2.0 / 3.0) * beta * 0.99)
+    devs = [
+        np.max(np.abs(kernel_difference_factor(x, xp, y, alpha, beta) - 1.0))
+        for x, xp, y in _triple_blocks(rng, n_mid, d_mid, (-1, 1), (0.05, 0.45))
+    ]
+    dev = float(np.max(devs))
     s.exact("middle_regime_factor_one", dev <= 1e-12, f"max |C-1| = {dev:.2e} on {n_mid} triples")
     # taper-free region: factor within [0, 1]
     n_all = 100_000
     alpha2, beta2 = 0.2, 5.0
-    d2 = rng.uniform(1e-3, (2.0 / 3.0) * beta2, size=n_all)
-    x2 = rng.uniform(-2, 2, size=n_all)
-    y2 = x2 + np.where(rng.integers(0, 2, n_all) == 0, -1, 1) * d2
-    off2 = rng.uniform(0.05, 0.49, size=n_all) * np.where(rng.integers(0, 2, n_all) == 0, -1, 1)
-    xp2 = x2 + off2 * d2
-    fac2 = kernel_difference_factor(x2, xp2, y2, alpha2, beta2)
-    inside = bool(np.all((fac2 >= -1e-12) & (fac2 <= 1.0 + 1e-12)))
+    inside = True
+    for x2, xp2, y2 in _triple_blocks(rng, n_all, (1e-3, (2.0 / 3.0) * beta2), (-2, 2), (0.05, 0.49)):
+        fac2 = kernel_difference_factor(x2, xp2, y2, alpha2, beta2)
+        inside &= bool(np.all((fac2 >= -1e-12) & (fac2 <= 1.0 + 1e-12)))
     s.exact("factor_in_unit_interval", inside, f"{n_all} triples with |x-y| <= (2/3) beta")
     # and the documented failure of the unit bound once the taper is hit
     d3 = rng.uniform(1.2 * beta2, 1.9 * beta2, size=1000)
@@ -480,7 +539,7 @@ def suite_lemmas(ens: _Ensemble) -> _Suite:
                 worst_m1 = max(worst_m1, ratio)
         # shared-endpoint pairing of the two halves
         halves = grid.interval(1, 0), grid.interval(1, 1)
-        lhs, rhs, ratio = weak_boundedness(sigma, w, *halves, ens.record(sigma, w).a2)
+        lhs, rhs, ratio = weak_boundedness(sigma, w, *halves, ens.record(sigma, w, grid).a2)
         if rhs > 0:
             worst_wb = max(worst_wb, ratio)
         if idx == 0:
@@ -548,19 +607,20 @@ def suite_corona(ens: _Ensemble) -> _Suite:
     mass_ok = True
     unif_ok = True
     replay = None
-    crafted = [
-        _crafted_pair(cfg, k, "blocks") for k in range(max(4, cfg.count // 4))
-    ] + [
-        _crafted_pair(cfg, 500 + k, "interleaved") for k in range(max(4, cfg.count // 4))
-    ]
-    for idx, (sigma, w) in enumerate(ens.pairs + crafted):
+    # each crafted pair, and its grid, lives only for its own iteration
+    n_crafted = max(4, cfg.count // 4)
+    crafted = itertools.chain(
+        (_crafted_pair(cfg, k, "blocks") for k in range(n_crafted)),
+        (_crafted_pair(cfg, 500 + k, "interleaved") for k in range(n_crafted)),
+    )
+    for idx, (sigma, w) in enumerate(itertools.chain(ens.pairs, crafted)):
         if sigma.n_atoms < 2:
             continue
         grid = ens.grid(sigma, w)
         f, g = _good_pair(cfg, sigma, w, grid, idx)
         if f.norm() == 0:
             continue
-        rec = ens.record(sigma, w)
+        rec = ens.record(sigma, w, grid)
         h, c0 = rec.h_const, rec.c0
         if h <= 0:
             continue
@@ -595,8 +655,9 @@ def suite_corona(ens: _Ensemble) -> _Suite:
         if g.norm() > 0:
             g_pieces = corona_pieces(g, sd)
             pieces = (f_pieces, g_pieces)
-            total = b_above(f, g, grid, cfg.below_gap)
-            split_value, residual = corona_split(f, g, sd, cfg.below_gap, pieces=pieces)
+            rr = reduction_residual(f, g, grid, h, cfg.below_gap)
+            total = rr.b_above
+            split_value, residual = corona_split(f, g, sd, cfg.below_gap, above=total, pieces=pieces)
             split_dev = max(split_dev, abs(split_value + residual - total) / max(1.0, abs(total)))
             cross = 0.0
             for p_key, pf in f_pieces.items():
@@ -608,7 +669,6 @@ def suite_corona(ens: _Ensemble) -> _Suite:
             cross_dev = max(cross_dev, abs(cross - residual) / max(1.0, abs(total)))
             denom = h * f.norm() * g.norm()
             s.record_max("corona_residual_max", abs(residual) / denom)
-            rr = reduction_residual(f, g, grid, h, cfg.below_gap)
             s.record_max("reduction_residual_max", rr.residual_ratio)
             # bilinearity
             g2 = 0.5 * g
@@ -680,13 +740,13 @@ def suite_poisson(ens: _Ensemble) -> _Suite:
     box_ok = True
     fe_pre_ok = True
     replay = None
-    random_pairs = ens.pairs
-    crafted = [
+    # each crafted pair, and its grid, lives only for its own iteration
+    crafted = (
         _crafted_pair(cfg, 1000 + k, "interleaved", mass_band=1.25)
         for k in range(max(8, cfg.count // 3))
-    ]
-    for idx, (sigma, w) in enumerate(random_pairs + crafted):
-        is_crafted = idx >= len(random_pairs)
+    )
+    for idx, (sigma, w) in enumerate(itertools.chain(ens.pairs, crafted)):
+        is_crafted = idx >= len(ens.pairs)
         grid = ens.grid(sigma, w)
         # stationary vs extension comparability on charged intervals
         for mu in (sigma, w):
@@ -704,7 +764,7 @@ def suite_poisson(ens: _Ensemble) -> _Suite:
         f, g = _good_pair(cfg, sigma, w, grid, idx)
         if f.norm() == 0:
             continue
-        rec = ens.record(sigma, w)
+        rec = ens.record(sigma, w, grid)
         a2, h = rec.a2, rec.h_const
         sd = build_stopping_data(f, grid.root_interval, w, h, rec.c0)
         j_fams = default_j_families(sd.members, w, grid, cfg.eps, cfg.r, cfg.below_gap)

@@ -1026,12 +1026,12 @@ class TestComputePathHasNoWalk:
         # the command line keeps the last grids and their memos past the
         # row, so a form's kernel (n_sigma by n_w doubles) must not be in
         # the memo: only corona._form_columns keeps it, for the last 8 pairs
-        from h2w.cli import RunConfig, _grid_for_pair, _sweep_row
+        from h2w.cli import RunConfig, _pair_grid, _sweep_row
 
         sigma, w = random_ensemble(7, 8, 128, 12)[3]
         cfg = RunConfig(depth=12)
         _sweep_row((0, sigma, w, cfg))
-        grid = _grid_for_pair(sigma, w, cfg.depth, cfg.shift_num, cfg.shift_scale)
+        grid = _pair_grid(sigma, w, cfg)
         memo = grid._memo
         assert memo
         shapes = {getattr(value, "shape", None) for value in memo.values()}

@@ -82,3 +82,29 @@ def test_pair_commands_share_one_record(monkeypatch, capsys):
     assert main(CASES[name]) == 0
     assert capsys.readouterr().out.encode() == (GOLDEN / name).read_bytes()
     assert len(scans) == 2
+
+
+def test_an_unshifted_grid_ignores_the_shift_scale(monkeypatch, capsys):
+    # with no shift the scale changes nothing, so decompose --shift-scale 14
+    # reads the record that constants built, and differs from decompose.json
+    # only in the scale its config echoes
+    import h2w.cli as cli
+    import h2w.constants as constants
+
+    cli._grid_for_pair.cache_clear()
+    real = constants.kernel_scan
+    scans = []
+
+    def counted(*args):
+        scans.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(constants, "kernel_scan", counted)
+    assert main(CASES["constants.json"]) == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN / "constants.json").read_bytes()
+    assert main(["decompose", PAIR, "--shift-scale", "14"]) == 0
+    out = capsys.readouterr().out
+    assert len(scans) == 1
+    want = (GOLDEN / "decompose.json").read_text()
+    assert out == want.replace('"shift_scale": 0,', '"shift_scale": 14,')
+    assert out != want

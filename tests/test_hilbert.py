@@ -145,7 +145,8 @@ class TestBlockedKernelDifferenceFactor:
 
     def test_kernel_suite_peak(self):
         """The kernel suite took 10 MiB at its peak (its 100,000-triple check)
-        when the factor was built whole; its lines stay as they were."""
+        when the factor was built whole, and 6.93 MiB with its draws held
+        whole; its lines stay as they were."""
         import tracemalloc
 
         from h2w.verify import SuiteConfig, run_suite
@@ -156,7 +157,7 @@ class TestBlockedKernelDifferenceFactor:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 7 << 20
+        assert peak < 7 << 19
         assert [(r.name, r.ok, r.detail) for r in suite.results] == [
             ("seams_a0.5_b2.0", True, "max seam dev 0.00e+00"),
             ("seams_a0.125_b1.0", True, "max seam dev 0.00e+00"),

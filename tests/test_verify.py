@@ -1,11 +1,15 @@
 """One draw and one record per pair inside a verify run, one corona
 decomposition per function and stopping family, one kernel per pair,
-and the telescoping and fixed-scan checks against their reference forms."""
+the telescoping and fixed-scan checks against their reference forms, the
+kernel suite's blocked draws and scans against whole ones, and each
+suite's memory peak."""
 
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
+import pytest
 
 import h2w.constants as constants
 import h2w.corona as corona
@@ -165,3 +169,125 @@ def test_one_kernel_build_per_pair_and_direction(monkeypatch):
     run_suite("corona", SuiteConfig(seed=1, count=24, max_atoms=24))
     assert kernels and max(reads.values()) > 1
     assert real.cache_info().misses == len(reads)
+
+
+def _whole_triples(rng, n, d_range, x_range, off_range):
+    """The kernel suite's triples as drawn whole, one array per draw."""
+    d = rng.uniform(*d_range, size=n)
+    x = rng.uniform(*x_range, size=n)
+    y = x + np.where(rng.integers(0, 2, n) == 0, -1, 1) * d
+    off = rng.uniform(*off_range, size=n) * np.where(rng.integers(0, 2, n) == 0, -1, 1)
+    return x, x + off * d, y
+
+
+@pytest.mark.parametrize("block", [verify._DRAW_BLOCK, 998])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 41])
+def test_blocked_draws_are_the_whole_draws(monkeypatch, seed, block):
+    # after some draws, and for a count that no block divides, the blocks
+    # join into the whole draws, and the generator ends in their state
+    monkeypatch.setattr(verify, "_DRAW_BLOCK", block)
+    whole, blocked = np.random.default_rng(seed), np.random.default_rng(seed)
+    for rng in (whole, blocked):
+        rng.uniform(size=7)
+        rng.integers(0, 2, 10)
+    ranges = ((1e-3, 10.0 / 3.0), (-2, 2), (0.05, 0.49))
+    for n in (10_000, 100_000):
+        want = _whole_triples(whole, n, *ranges)
+        blocks = list(verify._triple_blocks(blocked, n, *ranges))
+        assert len(blocks) == -(-n // block)
+        for got, arr in zip(zip(*blocks), want):
+            assert np.concatenate(got).tobytes() == arr.tobytes()
+        assert blocked.bit_generator.state == whole.bit_generator.state
+    assert blocked.uniform(size=5).tobytes() == whole.uniform(size=5).tobytes()
+
+
+def test_kernel_shape_blocks_miss_no_difference(monkeypatch):
+    # a bump at any one interior point, at a block seam or not, breaks the
+    # monotone, convex and concave checks alike; without it all three hold
+    monkeypatch.setattr(verify, "_DRAW_BLOCK", 8)
+    ys = np.arange(1.0, 41.0)
+
+    def kernel_with_bump(k):
+        def fake(y, alpha, beta):
+            a = np.abs(y)
+            return np.sign(y) * (1.0 / a + np.where(a == ys[k], 1.0, 0.0))
+
+        return fake
+
+    monkeypatch.setattr(verify, "smooth_kernel", kernel_with_bump(0))
+    assert verify._kernel_shape(ys[1:], 0.25, 2.0) == (True, True, True)
+    for k in range(1, len(ys) - 1):
+        monkeypatch.setattr(verify, "smooth_kernel", kernel_with_bump(k))
+        assert verify._kernel_shape(ys, 0.25, 2.0) == (False, False, False), k
+
+
+def test_only_ensemble_pairs_keep_their_grids(monkeypatch):
+    # the crafted pairs of the corona and Poisson suites get a grid each
+    # that lives only for their own loop iteration
+    made = []
+
+    class Kept(verify._Ensemble):
+        def __init__(self, cfg):
+            super().__init__(cfg)
+            made.append(self)
+
+    built = []
+    real = verify.auto_grid
+
+    def counted(sigma, w, depth):
+        built.append((sigma, w))
+        return real(sigma, w, depth)
+
+    monkeypatch.setattr(verify, "_Ensemble", Kept)
+    monkeypatch.setattr(verify, "auto_grid", counted)
+    run_all(CFG)
+    (ens,) = made
+    assert set(ens._grids) == set(ens.pairs)
+    crafted = set(built) - set(ens.pairs)
+    assert len(crafted) == len(built) - len(ens.pairs) == 2 * 4 + 8
+
+
+def test_one_b_above_per_function_pair(monkeypatch):
+    # the corona suite's b_above(f, g) is its split's total and its
+    # reduction residual's above form, evaluated once
+    calls = []
+    real = corona.b_above
+
+    def counted(f, g, grid, below_gap):
+        calls.append((f, g))
+        return real(f, g, grid, below_gap)
+
+    monkeypatch.setattr(corona, "b_above", counted)
+    monkeypatch.setattr(verify, "b_above", counted)
+    run_suite("corona", SuiteConfig(seed=1, count=24, max_atoms=24))
+    counts = Counter((id(f), id(g)) for f, g in calls)
+    assert len(calls) > 100 and max(counts.values()) == 1
+
+
+def _suite_peaks(cfg):
+    """Each suite's tracemalloc peak above its own start, in MiB, run as
+    ``run_all`` runs them."""
+    peaks = {}
+    tracemalloc.start()
+    try:
+        ens = verify._Ensemble(cfg)
+        for name in SUITE_NAMES:
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            run_suite(name, cfg, ensemble=ens)
+            peaks[name] = (tracemalloc.get_traced_memory()[1] - start) / (1 << 20)
+    finally:
+        tracemalloc.stop()
+    return peaks
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_no_suite_peaks_4_mib_above_its_start(seed):
+    # verify all's defaults; the kernel suite's draws, held whole, were
+    # 6.05 MiB above its start.  numpy imports numpy.ma on the first
+    # np.unique of a process (about 0.6 MiB, in whichever suite scans
+    # first), so a small run warms the process before the measured one
+    run_all(SuiteConfig(seed=seed, count=1, max_atoms=4))
+    peaks = _suite_peaks(SuiteConfig(seed=seed, count=60, max_atoms=32))
+    assert max(peaks.values()) < 4.0, peaks
+    assert peaks["kernel"] < 2.5, peaks
